@@ -16,13 +16,9 @@ from fractions import Fraction
 from typing import Union
 
 from .matrices import HessMatrix, XorShift64, conjugate_by_binomial
-from .polyring import Poly, falling
+from .polyring import Poly, _p, falling
 
 PolyLike = Union[Poly, int, Fraction]
-
-
-def _p(x: PolyLike) -> Poly:
-    return x if isinstance(x, Poly) else Poly.const(x)
 
 
 @dataclass(frozen=True)

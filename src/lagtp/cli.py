@@ -1,7 +1,7 @@
 """Batch front end: generate families, run verification suites, emit JSON/CSV.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-parse error.  Identical invocations (including --seed) produce byte-identical
+parse error, or an oracle cap or the polynomial exponent limit exceeded.  Identical invocations (including --seed) produce byte-identical
 output; the per-check wall-clock timings are therefore opt-in (--timings).
 
 Polynomials print with variables in the global (alphabetical) order and
@@ -236,7 +236,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, LimitExceeded) as exc:
+    except (UsageError, LimitExceeded, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

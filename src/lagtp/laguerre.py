@@ -25,17 +25,13 @@ from typing import Optional, Union
 from . import digraphs
 from .matrices import (HessMatrix, Truncation, binomial_truncation,
                        riordan_matrix, unit_lower_inverse)
-from .polyring import Poly, rising
+from .polyring import Poly, _p, rising
 from .series import Series, solve_logderiv, solve_riccati
 
 PolyLike = Union[Poly, int, Fraction]
 
 ALPHA_NAME = "a"
 X_NAME = "x"
-
-
-def _p(x: PolyLike) -> Poly:
-    return x if isinstance(x, Poly) else Poly.const(x)
 
 
 class RouteMismatchError(AssertionError):
@@ -241,10 +237,8 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
 
 
 def _is_homogeneous(p: Poly, names: set, deg: int) -> bool:
-    if p.is_zero():
-        return True
     idx = [i for i, v in enumerate(p.vars) if v in names]
-    return all(sum(e[i] for i in idx) == deg for e in p.terms)
+    return all(sum(e[i] for i in idx) == deg for e, _ in p.sorted_terms())
 
 
 # -- closed-form production matrices ------------------------------------------

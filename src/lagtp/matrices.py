@@ -20,13 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import Poly
+from .polyring import Poly, _p
 
 PolyLike = Union[Poly, int, Fraction]
-
-
-def _p(x: PolyLike) -> Poly:
-    return x if isinstance(x, Poly) else Poly.const(x)
 
 
 class NonUnitDiagonalError(ValueError):

@@ -1,31 +1,91 @@
 """Exact sparse multivariate polynomial arithmetic.
 
-Polynomials are stored as a sparse map from exponent vectors to nonzero
-coefficients.  Coefficients are arbitrary-precision integers, or exact
-rationals (``fractions.Fraction``) where truncated power series need them;
-a Fraction that collapses to an integer is always normalized back to ``int``.
+A polynomial is a sparse map from monomial keys to nonzero coefficients.
+Coefficients are arbitrary-precision integers, or exact rationals
+(``fractions.Fraction``) where truncated power series need them; a Fraction
+that collapses to an integer is always normalized back to ``int``.
+
+Monomial keys are packed exponent vectors (Monagan and Pearce).  A
+process-wide registry gives every variable name, on first use, its own
+``FIELD_BITS``-wide bit field, and the monomial x1^e1 ... xn^en is the single
+integer sum of e_i << offset(x_i).  Every polynomial shares this one key
+space, so a monomial product is one integer addition, ``+`` merges two maps
+and ``*`` is one loop over term pairs, with no per-operation re-keying.  The
+top bit of each field is a guard: exponents run from 0 to ``MAX_EXPONENT``
+(32767), and an exponent that would reach the guard bit raises
+``OverflowError`` instead of carrying into the next variable's field.  Keys
+depend on the order in which names were first seen, so they never leave the
+process: printing and JSON go through variable names.
+
+``Poly(vars, terms)`` builds a polynomial from exponent tuples parallel to
+``vars``.  The names may come in any order and may repeat (the exponents of
+a repeated name add); exponents must be nonnegative integers (``ValueError``
+otherwise) no larger than ``MAX_EXPONENT`` (``OverflowError``).
 
 Conventions, fixed for the process lifetime:
 
-* the global variable order is lexicographic on the variable name;
+* ``vars``, printing and JSON list variables in lexicographic name order;
 * the canonical term order is graded lex: ascending total degree, then
   descending lexicographic comparison of exponent vectors (so within one
   degree, powers of the alphabetically-first variable come first);
-* no zero coefficients and no unused variables are ever stored, hence
+* no zero coefficients are ever stored and every key is canonical, hence
   structural equality coincides with mathematical equality.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 Coeff = Union[int, Fraction]
 Scalar = Union[int, Fraction]
 
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+_offsets: dict[str, int] = {}  # variable name -> bit offset of its field
+_names: list[str] = []  # field index -> variable name
+_guard = 0  # the guard bit of every registered field
+_register_lock = threading.Lock()
+
 
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
+
+
+def _offset(name: str) -> int:
+    """Bit offset of the field of ``name``, registering the name on first use."""
+    global _guard
+    off = _offsets.get(name)
+    if off is None:
+        with _register_lock:
+            off = _offsets.get(name)
+            if off is None:
+                off = len(_names) * FIELD_BITS
+                _names.append(name)
+                _guard |= 1 << (off + FIELD_BITS - 1)
+                _offsets[name] = off
+    return off
+
+
+def _overflow(key: int) -> OverflowError:
+    """The error for a key with a guard bit set, naming the first such variable."""
+    i = 0
+    while not key >> (i * FIELD_BITS + FIELD_BITS - 1) & 1:
+        i += 1
+    return OverflowError(f"exponent of {_names[i]} exceeds {MAX_EXPONENT}")
+
+
+def _degree(key: int) -> int:
+    """Total degree of a monomial key."""
+    d = 0
+    while key:
+        d += key & _FIELD_MASK
+        key >>= FIELD_BITS
+    return d
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
@@ -37,44 +97,75 @@ def _norm_coeff(c: Coeff) -> Coeff:
 class Poly:
     """Immutable sparse multivariate polynomial.
 
-    ``vars`` is the sorted tuple of variable names actually occurring;
-    ``terms`` maps exponent tuples (parallel to ``vars``) to coefficients.
-    The zero polynomial has ``vars == ()`` and ``terms == {}``.
+    ``terms`` maps monomial keys (see the module docstring) to nonzero
+    coefficients; ``vars`` is the sorted tuple of the variable names that
+    occur.  The zero polynomial has ``vars == ()`` and ``terms == {}``.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms", "_vars")
 
-    def __init__(self, vars: tuple = (), terms: Mapping | None = None, *, _trusted: bool = False):
-        terms = dict(terms or {})
-        if not _trusted:
-            terms = {e: _norm_coeff(c) for e, c in terms.items() if c != 0}
-            vars, terms = _prune(tuple(vars), terms)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, vars: Iterable[str] = (), terms: Mapping | None = None):
+        vars = tuple(vars)
+        offsets = [_offset(v) for v in vars]
+        out: dict = {}
+        for exps, c in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != len(vars):
+                raise ValueError(f"exponent vector {exps} does not match vars {vars}")
+            key = 0
+            for off, e in zip(offsets, exps):
+                if not isinstance(e, int) or e < 0:
+                    raise ValueError(f"exponents must be nonnegative integers, got {e!r}")
+                if e > MAX_EXPONENT:
+                    raise OverflowError(f"exponent {e} exceeds {MAX_EXPONENT}")
+                key += e << off
+                if key & _guard:
+                    raise _overflow(key)
+            out[key] = out.get(key, 0) + c
+        object.__setattr__(self, "terms",
+                           {k: _norm_coeff(c) for k, c in out.items() if c != 0})
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def vars(self) -> tuple:
+        try:
+            return self._vars
+        except AttributeError:
+            pass
+        used = 0
+        for k in self.terms:
+            used |= k
+        names = []
+        i = 0
+        while used:
+            if used & _FIELD_MASK:
+                names.append(_names[i])
+            used >>= FIELD_BITS
+            i += 1
+        names = tuple(sorted(names))
+        object.__setattr__(self, "_vars", names)
+        return names
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def const(c: Scalar) -> "Poly":
         c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        if c == 0:
-            return Poly()
-        return Poly((), {(): c}, _trusted=True)
+        return _poly({0: c} if c else {})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly((name,), {(1,): 1}, _trusted=True)
+        return _poly({1 << _offset(name): 1})
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return _poly({})
 
     @staticmethod
     def one() -> "Poly":
-        return Poly.const(1)
+        return _poly({0: 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -82,28 +173,25 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.vars
+        return not any(self.terms)
 
     def constant_term(self) -> Coeff:
-        key = (0,) * len(self.vars)
-        return self.terms.get(key, 0)
+        return self.terms.get(0, 0)
 
     def as_constant(self) -> Coeff:
-        if self.vars:
+        if any(self.terms):
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get((), 0)
+        return self.terms.get(0, 0)
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial gets -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(_degree, self.terms), default=-1)
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
             return 0 if self.terms else -1
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=-1)
+        off = _offsets[name]
+        return max((k >> off) & _FIELD_MASK for k in self.terms)
 
     def is_coeffwise_nonneg(self) -> bool:
         """True iff every stored coefficient is >= 0 (the coefficientwise order)."""
@@ -113,10 +201,10 @@ class Poly:
         """The coefficient of name**power, a polynomial in the other variables."""
         if name not in self.vars:
             return self if power == 0 else Poly.zero()
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        picked = {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == power}
-        return Poly(rest, picked)
+        off = _offsets[name]
+        mono = power << off
+        return _poly({k - mono: c for k, c in self.terms.items()
+                      if (k >> off) & _FIELD_MASK == power})
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.terms.values())
@@ -128,11 +216,10 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.terms == other.terms
 
     __hash__ = None  # mutable-dict backed; not hashable
 
@@ -142,25 +229,24 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms:
-            return other
         if not other.terms:
             return self
-        vars, ta, tb = _align(self, other)
-        out = dict(ta)
-        for e, c in tb.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = _norm_coeff(s)
-        vars, out = _prune(vars, out)
-        return Poly(vars, out, _trusted=True)
+        if not self.terms:
+            return other
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for k, c in small.items():
+            s = out.pop(k, 0) + c
+            if s:
+                out[k] = _norm_coeff(s)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()}, _trusted=True)
+        return _poly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = _as_poly(other)
@@ -175,25 +261,40 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return Poly()
-        if not self.vars:
-            return other._scale(self.terms[()])
-        if not other.vars:
-            return self._scale(other.terms[()])
-        vars, ta, tb = _align(self, other)
-        out = _mul_terms(vars, ta, tb)
-        vars, out = _prune(vars, out)
-        return Poly(vars, out, _trusted=True)
+        ta, tb = self.terms, other.terms
+        if not ta or not tb:
+            return Poly.zero()
+        if not any(ta):
+            return other._scale(ta[0])
+        if not any(tb):
+            return self._scale(tb[0])
+        out: dict = {}
+        get = out.get
+        for ka, ca in ta.items():
+            for kb, cb in tb.items():
+                k = ka + kb
+                s = get(k, 0) + ca * cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        used = 0
+        for k, c in out.items():
+            used |= k
+            if isinstance(c, Fraction) and c.denominator == 1:
+                out[k] = c.numerator
+        if used & _guard:
+            raise _overflow(used)
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def _scale(self, c: Coeff) -> "Poly":
         if c == 0:
-            return Poly()
+            return Poly.zero()
         if c == 1:
             return self
-        return Poly(self.vars, {e: _norm_coeff(v * c) for e, v in self.terms.items()}, _trusted=True)
+        return _poly({k: _norm_coeff(v * c) for k, v in self.terms.items()})
 
     def scale(self, c: Scalar) -> "Poly":
         """Multiply by an exact scalar (used by series code for 1/n factors)."""
@@ -217,23 +318,18 @@ class Poly:
 
     def substitute(self, env: Mapping[str, Union["Poly", Scalar]]) -> "Poly":
         """Substitute variables by polynomials; unmapped variables pass through."""
-        if not self.terms:
-            return Poly()
-        hit = [i for i, v in enumerate(self.vars) if v in env]
+        hit = [(_offsets[v], _p(env[v]), [Poly.one()]) for v in self.vars if v in env]
         if not hit:
             return self
-        values = {i: _as_poly(env[self.vars[i]]) for i in hit}
-        keep = [i for i in range(len(self.vars)) if i not in values]
-        keep_vars = tuple(self.vars[i] for i in keep)
-        powers: dict[int, list[Poly]] = {i: [Poly.one()] for i in values}
-        out = Poly()
-        for e, c in self.terms.items():
-            factor = Poly(keep_vars, {tuple(e[i] for i in keep): c})
-            for i, val in values.items():
-                cache = powers[i]
-                while len(cache) <= e[i]:
-                    cache.append(cache[-1] * val)
-                factor = factor * cache[e[i]]
+        cleared = ~sum(_FIELD_MASK << off for off, _, _ in hit)
+        out = Poly.zero()
+        for k, c in self.terms.items():
+            factor = _poly({k & cleared: c})
+            for off, val, powers in hit:
+                e = (k >> off) & _FIELD_MASK
+                while len(powers) <= e:
+                    powers.append(powers[-1] * val)
+                factor = factor * powers[e]
             out = out + factor
         return out
 
@@ -242,13 +338,14 @@ class Poly:
         missing = [v for v in self.vars if v not in env]
         if missing:
             raise ValueError(f"unbound variables: {missing}")
-        vals = [env[v] for v in self.vars]
+        vals = [(_offsets[v], env[v]) for v in self.vars]
         total: Coeff = 0
-        for e, c in self.terms.items():
+        for k, c in self.terms.items():
             t = c
-            for x, k in zip(vals, e):
-                if k:
-                    t *= x ** k
+            for off, x in vals:
+                e = (k >> off) & _FIELD_MASK
+                if e:
+                    t *= x ** e
             total += t
         return _norm_coeff(total)
 
@@ -264,34 +361,38 @@ class Poly:
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division; raises ExactDivisionError on remainder.
 
-        Standard leading-term reduction under the graded-lex order; exactness
-        is exactly what fraction-free elimination and the peak-factor removal
-        guarantee, so failure signals a bug upstream.
+        Leading-term reduction, with terms ordered by (total degree, key);
+        exactness is exactly what fraction-free elimination and the
+        peak-factor removal guarantee, so failure signals a bug upstream.
         """
         divisor = _as_poly(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
-            return Poly()
+            return Poly.zero()
         if divisor.is_constant():
-            d = divisor.terms[()]
-            out = {}
-            for e, c in self.terms.items():
-                q = Fraction(c, d) if (isinstance(c, int) and isinstance(d, int) and c % d) else (
-                    c // d if isinstance(c, int) and isinstance(d, int) else Fraction(c) / d)
-                out[e] = _norm_coeff(q)
-            if any(isinstance(c, Fraction) for c in out.values()) and self.is_integral() and divisor.is_integral():
-                raise ExactDivisionError(f"{divisor} does not divide {self} over the integers")
-            return Poly(self.vars, out)
-        vars, tr, td = _align(self, divisor)
-        rem = dict(tr)
-        lead_d = _leading(td)
-        ld_exp, ld_coeff = lead_d
+            d = divisor.terms[0]
+            if self.is_integral() and isinstance(d, int):
+                if any(c % d for c in self.terms.values()):
+                    raise ExactDivisionError(f"{divisor} does not divide {self} over the integers")
+                return _poly({k: c // d for k, c in self.terms.items()})
+            return self.scale(Fraction(1) / d)
+        guard = _guard
+        dterms = [(k, c, _degree(k)) for k, c in divisor.terms.items()]
+        ld, ld_coeff, ld_deg = max(dterms, key=lambda t: (t[2], t[0]))
+        rem: defaultdict = defaultdict(dict)  # total degree -> {key: coefficient}
+        for k, c in self.terms.items():
+            rem[_degree(k)][k] = c
         quot: dict = {}
         while rem:
-            le, lc = _leading(rem)
-            qe = tuple(a - b for a, b in zip(le, ld_exp))
-            if any(x < 0 for x in qe):
+            deg = max(rem)
+            top = rem[deg]
+            le = max(top)
+            lc = top[le]
+            qk = le - ld
+            # a borrow out of any field, or a leading exponent past the limit
+            # (which no exact quotient produces), sets a guard bit
+            if (le | qk) & guard:
                 raise ExactDivisionError("leading monomial not divisible")
             if isinstance(lc, int) and isinstance(ld_coeff, int):
                 if lc % ld_coeff:
@@ -299,22 +400,27 @@ class Poly:
                 qc = lc // ld_coeff
             else:
                 qc = _norm_coeff(Fraction(lc) / Fraction(ld_coeff))
-            quot[qe] = qc
-            for e, c in td.items():
-                key = tuple(a + b for a, b in zip(qe, e))
-                s = rem.get(key, 0) - qc * c
-                if s == 0:
-                    rem.pop(key, None)
-                else:
-                    rem[key] = _norm_coeff(s)
-        vars2, quot = _prune(vars, quot)
-        return Poly(vars2, quot, _trusted=True)
+            quot[qk] = qc
+            qdeg = deg - ld_deg
+            for k, c, d in dterms:
+                bucket = rem[qdeg + d]
+                key = qk + k
+                s = bucket.pop(key, 0) - qc * c
+                if s:
+                    bucket[key] = _norm_coeff(s)
+            for d in [d for d, bucket in rem.items() if not bucket]:
+                del rem[d]
+        return _poly(quot)
 
     # -- canonical order, printing, JSON ---------------------------------
 
     def sorted_terms(self) -> list:
-        """Terms in the canonical graded-lex order (degree asc, then lex desc)."""
-        return sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), tuple(-x for x in ec[0])))
+        """(exponent tuple parallel to ``vars``, coefficient) pairs in the
+        canonical graded-lex order (degree asc, then lex desc)."""
+        offsets = [_offsets[v] for v in self.vars]
+        terms = [(tuple((k >> off) & _FIELD_MASK for off in offsets), c)
+                 for k, c in self.terms.items()]
+        return sorted(terms, key=lambda ec: (sum(ec[0]), tuple(-x for x in ec[0])))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -326,15 +432,14 @@ class Poly:
                 for v, k in zip(self.vars, e) if k
             )
             if not mono:
-                parts.append(_coeff_str(c))
+                parts.append(str(c))
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{_coeff_str(c)}*{mono}")
-        s = "+".join(parts).replace("+-", "-")
-        return s
+                parts.append(f"{str(c)}*{mono}")
+        return "+".join(parts).replace("+-", "-")
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -343,32 +448,26 @@ class Poly:
         return {
             "vars": list(self.vars),
             "terms": [
-                {"exp": list(e), "coef": _coeff_str(c)} for e, c in self.sorted_terms()
+                {"exp": list(e), "coef": str(c)} for e, c in self.sorted_terms()
             ],
         }
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Poly":
-        vars = tuple(obj["vars"])
-        terms = {}
+        """Inverse of ``to_json_obj``; accepts any input the constructor does,
+        adding the coefficients of terms listed twice."""
+        terms: dict = {}
         for t in obj["terms"]:
-            e = tuple(int(x) for x in t["exp"])
-            terms[e] = _parse_coeff(t["coef"])
-        return Poly(vars, terms)
+            e = tuple(t["exp"])
+            terms[e] = terms.get(e, 0) + _parse_coeff(t["coef"])
+        return Poly(obj["vars"], terms)
 
 
-# -- module-level helpers matching the operation contracts ---------------
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def poly_substitute(p: Poly, env: Mapping[str, Union[Poly, Scalar]]) -> Poly:
-    return p.substitute(env)
-
-
-def poly_is_coeffwise_nonneg(p: Poly) -> bool:
-    return p.is_coeffwise_nonneg()
+def _poly(terms: dict) -> Poly:
+    """Wrap a term map that is already canonical (no zero, normalized coefficients)."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 def rising(base: Poly, n: int) -> Poly:
@@ -386,7 +485,14 @@ def falling(base: Poly, n: int) -> Poly:
     return out
 
 
+def _p(x) -> Poly:
+    """Coerce a Poly or an exact number to a Poly."""
+    return x if isinstance(x, Poly) else Poly.const(x)
+
+
 def _as_poly(x) -> Poly:
+    """Like ``_p`` for the operators: NotImplemented for foreign types, so
+    the other operand's reflected method runs."""
     if isinstance(x, Poly):
         return x
     if isinstance(x, (int, Fraction)):
@@ -394,119 +500,7 @@ def _as_poly(x) -> Poly:
     return NotImplemented
 
 
-def _coeff_str(c: Coeff) -> str:
-    return str(c)
-
-
 def _parse_coeff(s: str) -> Coeff:
     if "/" in s:
         return _norm_coeff(Fraction(s))
     return int(s)
-
-
-def _prune(vars: tuple, terms: dict) -> tuple:
-    """Drop variables whose exponent is zero in every term."""
-    if not terms:
-        return (), {}
-    n = len(vars)
-    used = [False] * n
-    for e in terms:
-        for i in range(n):
-            if e[i]:
-                used[i] = True
-    if all(used):
-        return vars, terms
-    idx = [i for i in range(n) if used[i]]
-    new_vars = tuple(vars[i] for i in idx)
-    new_terms = {}
-    for e, c in terms.items():
-        new_terms[tuple(e[i] for i in idx)] = c
-    return new_vars, new_terms
-
-
-def _align(a: Poly, b: Poly):
-    """Common variable tuple plus both term maps reindexed onto it."""
-    if a.vars == b.vars:
-        return a.vars, a.terms, b.terms
-    vars = tuple(sorted(set(a.vars) | set(b.vars)))
-    return vars, _reindex(a, vars), _reindex(b, vars)
-
-
-def _reindex(p: Poly, vars: tuple) -> dict:
-    pos = {v: i for i, v in enumerate(vars)}
-    n = len(vars)
-    out = {}
-    for e, c in p.terms.items():
-        ne = [0] * n
-        for v, k in zip(p.vars, e):
-            ne[pos[v]] = k
-        out[tuple(ne)] = c
-    return out
-
-
-def _leading(terms: dict):
-    """Leading term under graded lex (degree, then lex on exponents)."""
-    e = max(terms, key=lambda e: (sum(e), e))
-    return e, terms[e]
-
-
-def _mul_terms(vars: tuple, ta: dict, tb: dict) -> dict:
-    """Multiply two term maps over the same variable tuple.
-
-    Hot path packs each exponent vector into one integer so a monomial
-    product becomes a single integer addition; widths are sized from the
-    per-variable maxima so no field can overflow.
-    """
-    n = len(vars)
-    if n and len(ta) * len(tb) >= 64:
-        maxa = [0] * n
-        maxb = [0] * n
-        for e in ta:
-            for i in range(n):
-                if e[i] > maxa[i]:
-                    maxa[i] = e[i]
-        for e in tb:
-            for i in range(n):
-                if e[i] > maxb[i]:
-                    maxb[i] = e[i]
-        widths = [max(1, (maxa[i] + maxb[i]).bit_length()) for i in range(n)]
-        shifts = [0] * n
-        acc = 0
-        for i in range(n):
-            shifts[i] = acc
-            acc += widths[i]
-        if acc <= 960:
-            def pack(e):
-                k = 0
-                for i in range(n):
-                    k |= e[i] << shifts[i]
-                return k
-
-            pa = [(pack(e), c) for e, c in ta.items()]
-            pb = [(pack(e), c) for e, c in tb.items()]
-            out: dict = {}
-            get = out.get
-            for ka, ca in pa:
-                for kb, cb in pb:
-                    k = ka + kb
-                    s = get(k, 0) + ca * cb
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-            masks = [(1 << widths[i]) - 1 for i in range(n)]
-            unpacked = {}
-            for k, c in out.items():
-                unpacked[tuple((k >> shifts[i]) & masks[i] for i in range(n))] = _norm_coeff(c)
-            return unpacked
-    out = {}
-    get = out.get
-    for ea, ca in ta.items():
-        for eb, cb in tb.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            s = get(key, 0) + ca * cb
-            if s:
-                out[key] = _norm_coeff(s)
-            elif key in out:
-                del out[key]
-    return out

@@ -21,13 +21,9 @@ from fractions import Fraction
 from typing import Union
 
 from .matrices import HessMatrix, Truncation
-from .polyring import Poly
+from .polyring import Poly, _p
 
 PolyLike = Union[Poly, int, Fraction]
-
-
-def _p(x: PolyLike) -> Poly:
-    return x if isinstance(x, Poly) else Poly.const(x)
 
 
 def _seq(values, start: int):

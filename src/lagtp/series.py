@@ -14,13 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .polyring import Poly
+from .polyring import Poly, _p
 
 PolyLike = Union[Poly, int, Fraction]
-
-
-def _coerce(c: PolyLike) -> Poly:
-    return c if isinstance(c, Poly) else Poly.const(c)
 
 
 class Series:
@@ -29,7 +25,7 @@ class Series:
     __slots__ = ("order", "coefs")
 
     def __init__(self, coefs: Sequence[PolyLike], order: int | None = None):
-        coefs = [_coerce(c) for c in coefs]
+        coefs = [_p(c) for c in coefs]
         if order is None:
             order = len(coefs) - 1
         if order < 0:
@@ -91,7 +87,7 @@ class Series:
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, (Poly, int, Fraction)):
-            p = _coerce(other)
+            p = _p(other)
             return Series([c * p for c in self.coefs], self.order)
         other = self._match(other)
         n = min(self.order, other.order)
@@ -112,7 +108,7 @@ class Series:
         if isinstance(other, Series):
             return other
         if isinstance(other, (Poly, int, Fraction)):
-            return Series([_coerce(other)], self.order)
+            return Series([_p(other)], self.order)
         raise TypeError(f"cannot combine Series with {type(other)!r}")
 
     def derivative(self) -> "Series":
@@ -221,14 +217,14 @@ def solve_logderiv(z_coeffs: Sequence[PolyLike], g: Series, lam: PolyLike, order
     (n+1) f_{n+1} = [t^n] (lam * Z(G) * F), usable because the right side at
     order n only involves f_0..f_n.
     """
-    lam = _coerce(lam)
+    lam = _p(lam)
     g = g.truncate(min(g.order, order))
     w = Series.zero(order)
     power = Series.one(order)
     for k, z in enumerate(z_coeffs):
         if k > 0:
             power = power * g
-        w = w + power * (_coerce(z) * lam)
+        w = w + power * (_p(z) * lam)
     f = [Poly.one()]
     for n in range(order):
         acc = Poly.zero()
@@ -248,7 +244,7 @@ def series_pow_sym(f1: Series, lam: PolyLike, order: int) -> Series:
     c0 = f1.coefs[0]
     if not (c0.is_constant() and c0.as_constant() == 1):
         raise ValueError("series_pow_sym needs constant term 1")
-    lam = _coerce(lam)
+    lam = _p(lam)
     f1 = f1.truncate(min(f1.order, order))
     w = f1.derivative() * f1.reciprocal() if order > 0 else Series.zero(0)
     f = [Poly.one()]

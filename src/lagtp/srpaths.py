@@ -30,13 +30,9 @@ from typing import Callable, Optional, Union
 from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
 from .laguerre import LaguerreParams, prodmat
 from .matrices import HessMatrix, Truncation
-from .polyring import ExactDivisionError, Poly
+from .polyring import ExactDivisionError, Poly, _p
 
 PolyLike = Union[Poly, int, Fraction]
-
-
-def _p(x: PolyLike) -> Poly:
-    return x if isinstance(x, Poly) else Poly.const(x)
 
 
 class InadmissibleCellError(ValueError):
@@ -131,43 +127,58 @@ def sr_poly(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
     return tri.value(jp, n + ell, k + ell)
 
 
-def sr_poly_direct(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
-    """Same polynomial, type-j triangle built without the submatrix reduction."""
-    return SRTriangles(coeffs, max_j=j).value(j, n, k)
-
-
 def sr_path_oracle(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
     """Direct enumeration of partial m-Dyck paths from (0,0) to
     ((m+1)n+j, (m+1)k+j); must equal sr_poly."""
-    m = coeffs.m
+    return _weigh(coeffs, _path_falls(coeffs.m, j, n, k, k)[k])
+
+
+def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:
+    """All of S^(m;j)_{n,0..n} from a single enumeration pass over the
+    partial m-Dyck paths of length (m+1)n+j."""
+    counters = _path_falls(coeffs.m, j, n, 0, n)
+    return [_weigh(coeffs, counters[k]) for k in range(n + 1)]
+
+
+def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> dict:
+    """For each k in k_lo..k_hi, a Counter of the sorted fall heights of the
+    partial m-Dyck paths from (0,0) to ((m+1)n+j, (m+1)k+j).
+
+    The walk prunes every prefix that can no longer end between the lowest
+    and the highest target height.
+    """
     steps = (m + 1) * n + j
     cap = _limit(PATH_ORACLE_STEP_LIMIT)
     if steps > cap:
         raise LimitExceeded(f"path oracle capped at {cap} steps (got {steps})")
-    target = (m + 1) * k + j
-    counter: Counter = Counter()
+    lo, hi = (m + 1) * k_lo + j, (m + 1) * k_hi + j
+    counters = {k: Counter() for k in range(k_lo, k_hi + 1)}
     falls: list[int] = []
 
     def walk(pos: int, height: int) -> None:
         if pos == steps:
-            if height == target:
-                counter[tuple(sorted(falls))] += 1
+            k, r = divmod(height - j, m + 1)
+            if r == 0 and k in counters:
+                counters[k][tuple(sorted(falls))] += 1
             return
         rem = steps - pos - 1
         # rise
         h = height + 1
-        if target <= h + rem and target >= h - m * rem:
-            falls_len = len(falls)
+        if h + rem >= lo and h - m * rem <= hi:
             walk(pos + 1, h)
-            del falls[falls_len:]
         # m-fall
         h = height - m
-        if h >= 0 and target <= h + rem and target >= h - m * rem:
+        if h >= 0 and h + rem >= lo and h - m * rem <= hi:
             falls.append(height)
             walk(pos + 1, h)
             falls.pop()
 
     walk(0, 0)
+    return counters
+
+
+def _weigh(coeffs: SRCoeffs, counter: Counter) -> Poly:
+    """Sum over fall-height multisets of count * prod alpha_height."""
     total = Poly.zero()
     for heights, count in sorted(counter.items()):
         term = Poly.const(count)
@@ -175,42 +186,6 @@ def sr_path_oracle(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
             term = term * coeffs.alpha(h)
         total = total + term
     return total
-
-
-def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:
-    """All of S^(m;j)_{n,0..n} from a single enumeration pass over the
-    partial m-Dyck paths of length (m+1)n+j."""
-    m = coeffs.m
-    steps = (m + 1) * n + j
-    cap = _limit(PATH_ORACLE_STEP_LIMIT)
-    if steps > cap:
-        raise LimitExceeded(f"path oracle capped at {cap} steps (got {steps})")
-    counters: list[Counter] = [Counter() for _ in range(n + 1)]
-    falls: list[int] = []
-
-    def walk(pos: int, height: int) -> None:
-        if pos == steps:
-            k, rem = divmod(height - j, m + 1)
-            if rem == 0 and 0 <= k <= n:
-                counters[k][tuple(sorted(falls))] += 1
-            return
-        walk(pos + 1, height + 1)
-        if height >= m:
-            falls.append(height)
-            walk(pos + 1, height - m)
-            falls.pop()
-
-    walk(0, 0)
-    out = []
-    for counter in counters:
-        total = Poly.zero()
-        for heights, count in sorted(counter.items()):
-            term = Poly.const(count)
-            for h in heights:
-                term = term * coeffs.alpha(h)
-            total = total + term
-        out.append(total)
-    return out
 
 
 # -- production matrices ------------------------------------------------------

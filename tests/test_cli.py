@@ -143,6 +143,18 @@ def test_tp_check_malformed_json(tmp_path, capsys):
     assert run(capsys, ["tp-check", str(path)])[0] == 2
 
 
+@pytest.mark.parametrize("exp", [-3, 40000, 20000])
+def test_tp_check_bad_exponent_exits_2(tmp_path, capsys, exp):
+    # x^-3 is no polynomial, x^40000 is past the exponent limit when read, and
+    # the 2x2 minor of x^20000 entries is past it when computed
+    entry = {"vars": ["x"], "terms": [{"exp": [exp], "coef": "1"}]}
+    path = tmp_path / "bad_exp.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[entry, entry], [entry, entry]]}))
+    code, out, err = run(capsys, ["tp-check", str(path), "--order", "2"])
+    assert (code, out) == (2, "")
+    assert "exponent" in err
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, ["verify", "banded", "--seed", "42"])
     assert code == 0

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagtp.polyring import (ExactDivisionError, Poly, falling, poly_is_coeffwise_nonneg,
-                            poly_mul, poly_substitute, rising)
+from lagtp.polyring import MAX_EXPONENT, ExactDivisionError, Poly, falling, rising
 
 x = Poly.var("x")
 a = Poly.var("a")
@@ -21,7 +20,7 @@ def test_laguerre_constant_product():
 
 def test_difference_of_squares():
     vp, vm = Poly.var("vp"), Poly.var("vm")
-    assert poly_mul(vp - vm, vp + vm) == vp ** 2 - vm ** 2
+    assert (vp - vm) * (vp + vm) == vp ** 2 - vm ** 2
 
 
 def test_degree_additivity():
@@ -31,9 +30,9 @@ def test_degree_additivity():
 
 
 def test_coeffwise_nonneg():
-    assert poly_is_coeffwise_nonneg(1 + 2 * x + x ** 2)
-    assert not poly_is_coeffwise_nonneg((1 - x) ** 2)
-    assert poly_is_coeffwise_nonneg(Poly.zero())
+    assert (1 + 2 * x + x ** 2).is_coeffwise_nonneg()
+    assert not ((1 - x) ** 2).is_coeffwise_nonneg()
+    assert Poly.zero().is_coeffwise_nonneg()
 
 
 def test_substitute_numeric():
@@ -48,7 +47,7 @@ def test_substitute_shift():
 def test_substitute_renaming_product():
     yp, yv = Poly.var("yp"), Poly.var("yv")
     vm, vp = Poly.var("vm"), Poly.var("vp")
-    assert poly_substitute(yp * yv, {"yp": vm, "yv": vp}) == vm * vp
+    assert (yp * yv).substitute({"yp": vm, "yv": vp}) == vm * vp
 
 
 def test_substitute_unmapped_pass_through():
@@ -131,6 +130,42 @@ def test_json_term_order_is_graded_lex():
     assert exps == [[0, 0], [1, 0], [1, 1], [0, 2]]
 
 
+def test_json_any_var_order_is_canonical():
+    y = Poly.var("y")
+    obj = {"vars": ["y", "x"], "terms": [{"exp": [1, 1], "coef": "2"}, {"exp": [2, 0], "coef": "1"}]}
+    p = Poly.from_json_obj(obj)
+    assert p == 2 * x * y + y ** 2
+    assert p.to_json_obj() == (2 * x * y + y ** 2).to_json_obj()
+
+
+def test_json_repeated_var_merges():
+    p = Poly.from_json_obj({"vars": ["x", "x"], "terms": [{"exp": [1, 1], "coef": "1"}]})
+    assert str(p) == "x^2"
+    assert p == x ** 2
+
+
+@pytest.mark.parametrize("exp", [-3, 1.5, "2"])
+def test_bad_exponent_rejected(exp):
+    with pytest.raises(ValueError):
+        Poly.from_json_obj({"vars": ["x"], "terms": [{"exp": [exp], "coef": "1"}]})
+    with pytest.raises(ValueError):
+        Poly(("x",), {(exp,): 1})
+
+
+def test_exponent_past_field_limit_overflows():
+    y = Poly.var("y")
+    top = x ** MAX_EXPONENT * y
+    assert top.degree_in("x") == MAX_EXPONENT and top.degree_in("y") == 1
+    with pytest.raises(OverflowError):
+        top * x
+    with pytest.raises(OverflowError):
+        x ** (MAX_EXPONENT + 1)
+    with pytest.raises(OverflowError):
+        Poly(("x",), {(MAX_EXPONENT + 1,): 1})
+    with pytest.raises(OverflowError):
+        Poly(("x", "y", "x"), {(MAX_EXPONENT, 0, 1): 1})
+
+
 # -- property tests -----------------------------------------------------------
 
 names = st.sampled_from(["x", "y", "z"])
@@ -143,7 +178,18 @@ def polys(draw, max_terms=6, coeff_min=-4, coeff_max=4):
     for _ in range(n_terms):
         exp = (draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3)))
         terms[exp] = draw(st.integers(coeff_min, coeff_max))
-    return Poly(("x", "y", "z"), terms)
+    p = Poly(("x", "y", "z"), terms)
+    # any order of the names, in the constructor or in JSON, is the same polynomial
+    order = draw(st.permutations(range(3)))
+    permuted = {tuple(e[i] for i in order): c for e, c in terms.items()}
+    assert Poly(tuple("xyz"[i] for i in order), permuted) == p
+    obj = p.to_json_obj()
+    order = draw(st.permutations(range(len(obj["vars"]))))
+    shuffled = {"vars": [obj["vars"][i] for i in order],
+                "terms": [{"exp": [t["exp"][i] for i in order], "coef": t["coef"]}
+                          for t in obj["terms"]]}
+    assert Poly.from_json_obj(shuffled) == p
+    return p
 
 
 @st.composite
@@ -184,8 +230,22 @@ def test_substitution_composes_for_renamings(p):
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys(), polys())
-def test_exact_division_inverts_multiplication(p, q):
+@given(polys(), polys(), polys())
+def test_exact_division_inverts_multiplication(p, q, r):
     prod = p * q
     if not q.is_zero():
         assert prod.exact_div(q) == p
+        # a division that does not raise is exact
+        try:
+            s = (prod + r).exact_div(q)
+        except ExactDivisionError:
+            pass
+        else:
+            assert s * q == prod + r
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys())
+def test_json_round_trip(p):
+    # polys() also round-trips each polynomial through JSON with its vars permuted
+    assert Poly.from_json_obj(p.to_json_obj()) == p

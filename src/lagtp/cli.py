@@ -1,8 +1,10 @@
 """Batch front end: generate families, run verification suites, emit JSON/CSV.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-parse error, or an oracle cap or the polynomial exponent limit exceeded.  Identical invocations (including --seed) produce byte-identical
-output; the per-check wall-clock timings are therefore opt-in (--timings).
+parse error (a malformed LAGTP_LIMIT included), or an oracle cap or the
+polynomial exponent limit exceeded.  Identical invocations (including --seed)
+produce byte-identical output; the per-check wall-clock timings are therefore
+opt-in (--timings).
 
 Polynomials print with variables in the global (alphabetical) order and
 terms in graded lex order, with explicit '*' and '^'.  The oracle caps can
@@ -17,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import checks, digraphs, laguerre, quadtp, srpaths
-from .digraphs import LimitExceeded
+from .digraphs import BadLimitSetting, LimitExceeded
 from .laguerre import EdgeWeights, LaguerreParams, VertexWeights
 from .matrices import Truncation, tp_check_sampled, tp_check_symbolic
 from .polyring import Poly
@@ -67,8 +69,12 @@ def _gen_matrix(args) -> Truncation:
         return laguerre.coeff_matrix_first_mv(
             _parse_alpha(args.alpha), EdgeWeights.symbolic(), n)
     if sel == "second-mv":
+        params = _parse_alpha(args.alpha)
+        if not params.alpha.is_integral():
+            raise UsageError("second-mv takes --alpha 'sym' or an integer: its exponential "
+                             f"Riordan route needs integral entries (got {args.alpha!r})")
         return laguerre.coeff_matrix_second_mv(
-            _parse_alpha(args.alpha), VertexWeights.symbolic(), n, flat=args.flat)
+            params, VertexWeights.symbolic(), n, flat=args.flat)
     if sel.startswith("prodmat:"):
         which = sel.split(":", 1)[1]
         params = _parse_alpha(args.alpha)
@@ -111,6 +117,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tp_check(args) -> int:
+    if args.order < 1:
+        raise UsageError("--order must be at least 1")
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     try:
         with open(args.matrix) as fh:
             obj = json.load(fh)
@@ -148,6 +158,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.n < 0:
+        raise UsageError("--n must be at least 0")
     kind = args.kind
     if kind in ("first-mv", "second-mv", "second-mv-general"):
         params = _parse_alpha(args.alpha)
@@ -236,7 +248,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, LimitExceeded, OverflowError) as exc:
+    except (UsageError, LimitExceeded, BadLimitSetting, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

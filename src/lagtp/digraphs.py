@@ -10,10 +10,16 @@ Vertex classification uses 0-0 boundary conditions: a missing predecessor
 or successor counts as the virtual vertex 0, so an isolated vertex is a
 peak, a path start is a peak or double ascent, and a path end is a peak or
 double descent.
+
+The oracles enumerate each (n, k) once per process: ``_stat_table`` counts
+the digraphs with k paths by their joint statistics, and every weighting
+(``oracle_entry`` in each mode, the cyclic permutation oracle) is a
+projection of that table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import Counter
@@ -37,9 +43,17 @@ class LimitExceeded(ValueError):
     """Raised when a brute-force enumeration is asked to go beyond its cap."""
 
 
+class BadLimitSetting(ValueError):
+    """Raised when LAGTP_LIMIT is set to something other than an integer >= 0."""
+
+
 def _limit(default: int) -> int:
     env = os.environ.get("LAGTP_LIMIT")
-    return int(env) if env else default
+    if not env:
+        return default
+    if not env.strip().isdecimal():
+        raise BadLimitSetting(f"LAGTP_LIMIT must be an integer >= 0 (got {env!r})")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -85,61 +99,103 @@ class DigraphStats:
     ddpa: int
 
 
+# The joint statistics tuple of one digraph, as returned by _walk.
+_STATS = ("e_minus", "e_zero", "e_plus", "cyc", "pcyc", "vcyc", "dacyc", "ddcyc", "fp",
+          "ppa", "vpa", "dapa", "ddpa")
+
+
+def _injections(n: int, e: int) -> Iterator[tuple]:
+    """(domain, images) of every partial injection on {1..n} with e edges,
+    by domain subset, image subset and bijection, in lexicographic order."""
+    verts = range(1, n + 1)
+    for domain in itertools.combinations(verts, e):
+        for image in itertools.combinations(verts, e):
+            for perm in itertools.permutations(image):
+                yield domain, perm
+
+
 def enumerate_digraphs(n: int, k: int | None = None) -> Iterator[LaguerreDigraph]:
     """All Laguerre digraphs on {1..n}, optionally only those with k paths.
 
-    Every partial injection is a valid Laguerre digraph, so enumeration is
-    by domain subset, image subset and bijection, in lexicographic order.
-    A digraph with e edges has n - e paths.
+    Every partial injection is a valid Laguerre digraph; a digraph with e
+    edges has n - e paths.
     """
     cap = _limit(DEFAULT_DIGRAPH_LIMIT)
     if n > cap:
         raise LimitExceeded(f"digraph enumeration capped at n <= {cap} (got {n})")
-    if n == 0:
-        if k is None or k == 0:
-            yield LaguerreDigraph(0, {})
-        return
     edge_counts = range(n + 1) if k is None else [n - k] if 0 <= n - k <= n else []
-    verts = range(1, n + 1)
     for e in edge_counts:
-        for domain in itertools.combinations(verts, e):
-            for image in itertools.combinations(verts, e):
-                for perm in itertools.permutations(image):
-                    yield LaguerreDigraph(n, dict(zip(domain, perm)))
+        for domain, perm in _injections(n, e):
+            yield LaguerreDigraph(n, dict(zip(domain, perm)))
+
+
+def _walk(n: int, edges) -> tuple:
+    """Joint statistics (in _STATS order) of the digraph on {1..n} with the
+    edges (i, j) of a partial injection."""
+    succ = [0] * (n + 1)   # 0: no successor / predecessor
+    pred = [0] * (n + 1)
+    for i, j in edges:
+        succ[i] = j
+        pred[j] = i
+    on_path = [False] * (n + 1)
+    for v in range(1, n + 1):
+        if not pred[v]:
+            while v:
+                on_path[v] = True
+                v = succ[v]
+    e_minus = e_zero = e_plus = cyc = 0
+    # kinds p, v, da, dd, fp on cycles at 0..4, kinds p, v, da, dd on paths at 5..8
+    kinds = [0] * 9
+    seen = [False] * (n + 1)
+    for i in range(1, n + 1):
+        p, s = pred[i], succ[i]
+        if s:
+            if s < i:
+                e_minus += 1
+            elif s == i:
+                e_zero += 1
+            else:
+                e_plus += 1
+        if p == i:
+            kind = 4
+        elif p < i:
+            kind = 0 if s < i else 2
+        else:
+            kind = 1 if s > i else 3
+        if on_path[i]:
+            kind += 5
+        elif not seen[i]:
+            cyc += 1
+            w = i
+            while not seen[w]:
+                seen[w] = True
+                w = succ[w]
+        kinds[kind] += 1
+    return (e_minus, e_zero, e_plus, cyc, *kinds)
+
+
+@functools.lru_cache(maxsize=None)
+def _stat_table(n: int, k: int) -> tuple:
+    """((stats, count), ...) in sorted order: how many Laguerre digraphs on
+    {1..n} with k paths have each joint statistics tuple.  Callers check
+    the enumeration caps before asking."""
+    e = n - k
+    if not 0 <= e <= n:
+        return ()
+    counts: dict = {}
+    for domain, perm in _injections(n, e):
+        stats = _walk(n, zip(domain, perm))
+        counts[stats] = counts.get(stats, 0) + 1
+    return tuple(sorted(counts.items()))
 
 
 def classify(g: LaguerreDigraph) -> DigraphStats:
-    succ = g.succ
-    pred = g.predecessors()
-    n = g.n
-    on_cycle = _cycle_vertices(n, succ, pred)
-    e_minus = e_zero = e_plus = 0
-    for i, j in succ.items():
-        if j < i:
-            e_minus += 1
-        elif j == i:
-            e_zero += 1
-        else:
-            e_plus += 1
-    e = len(succ)
-    pa = n - e
-    cyc = _count_cycles(succ, on_cycle)
-    counts = Counter()
-    for i in range(1, n + 1):
-        kind = _vertex_kind(i, pred.get(i, 0), succ.get(i, 0))
-        counts[(kind, i in on_cycle)] += 1
+    s = dict(zip(_STATS, _walk(g.n, g.succ.items())))
+    e = s["e_minus"] + s["e_zero"] + s["e_plus"]
     return DigraphStats(
-        pa=pa, cyc=cyc, e=e, e_minus=e_minus, e_zero=e_zero, e_plus=e_plus,
-        p=counts[("p", True)] + counts[("p", False)],
-        v=counts[("v", True)] + counts[("v", False)],
-        da=counts[("da", True)] + counts[("da", False)],
-        dd=counts[("dd", True)] + counts[("dd", False)],
-        fp=counts[("fp", True)],
-        pcyc=counts[("p", True)], vcyc=counts[("v", True)],
-        dacyc=counts[("da", True)], ddcyc=counts[("dd", True)],
-        ppa=counts[("p", False)], vpa=counts[("v", False)],
-        dapa=counts[("da", False)], ddpa=counts[("dd", False)],
-    )
+        pa=g.n - e, e=e,
+        p=s["pcyc"] + s["ppa"], v=s["vcyc"] + s["vpa"],
+        da=s["dacyc"] + s["dapa"], dd=s["ddcyc"] + s["ddpa"], **s)
 
 
 def _vertex_kind(i: int, p: int, s: int) -> str:
@@ -154,38 +210,30 @@ def _vertex_kind(i: int, p: int, s: int) -> str:
     return "dd"
 
 
-def _cycle_vertices(n: int, succ: dict, pred: dict) -> set:
-    visited = set()
-    for start in range(1, n + 1):
-        if start in pred:
-            continue
-        v = start
-        while True:
-            visited.add(v)
-            if v not in succ:
-                break
-            v = succ[v]
-    return {v for v in range(1, n + 1) if v not in visited}
-
-
-def _count_cycles(succ: dict, on_cycle: set) -> int:
-    seen = set()
-    cycles = 0
-    for v in on_cycle:
-        if v in seen:
-            continue
-        cycles += 1
-        w = v
-        while w not in seen:
-            seen.add(w)
-            w = succ[w]
-    return cycles
-
-
 # -- weighted oracle sums ----------------------------------------------------
 
 
+def _fields(*exprs: str) -> tuple:
+    """Each weight's exponent as the positions in _STATS that sum to it."""
+    return tuple(tuple(_STATS.index(f) for f in expr.split("+")) for expr in exprs)
+
+
+_ORACLE_MODES = {
+    "first_mv": (("v_minus", "v_zero", "v_plus", "lam"),
+                 _fields("e_minus", "e_zero", "e_plus", "cyc")),
+    "second_mv": (("y_p", "y_v", "y_da", "y_dd", "y_fp", "lam"),
+                  _fields("pcyc+ppa", "vcyc+vpa", "dacyc+dapa", "ddcyc+ddpa", "fp", "cyc")),
+    "second_mv_general": (("y_p", "y_v", "y_da", "y_dd", "y_fp",
+                           "z_p", "z_v", "z_da", "z_dd", "lam"),
+                          _fields("pcyc", "vcyc", "dacyc", "ddcyc", "fp",
+                                  "ppa", "vpa", "dapa", "ddpa", "cyc")),
+}
+
+
 def _check_oracle_limit(n: int, weights) -> None:
+    """Refuse n < 0 and n beyond the cap for these weights."""
+    if n < 0:
+        raise ValueError(f"oracles need n >= 0 (got {n})")
     symbolic = any(isinstance(w, Poly) and w.vars for w in weights)
     cap = _limit(SYMBOLIC_ORACLE_LIMIT if symbolic else DEFAULT_DIGRAPH_LIMIT)
     if n > cap:
@@ -199,25 +247,24 @@ def oracle_entry(n: int, k: int, weights: Mapping[str, Poly], mode: str) -> Poly
     mode 'second_mv' expects {y_p, y_v, y_da, y_dd, y_fp, lam};
     mode 'second_mv_general' adds the path-side {z_p, z_v, z_da, z_dd}.
     Here lam plays the role of the cycle weight (lam = 1 + alpha).
+    ValueError for an unknown mode or n < 0; k outside 0..n gives zero.
     """
-    if mode == "first_mv":
-        keys = ("v_minus", "v_zero", "v_plus", "lam")
-        stat = lambda s: (s.e_minus, s.e_zero, s.e_plus, s.cyc)
-    elif mode == "second_mv":
-        keys = ("y_p", "y_v", "y_da", "y_dd", "y_fp", "lam")
-        stat = lambda s: (s.p, s.v, s.da, s.dd, s.fp, s.cyc)
-    elif mode == "second_mv_general":
-        keys = ("y_p", "y_v", "y_da", "y_dd", "y_fp",
-                "z_p", "z_v", "z_da", "z_dd", "lam")
-        stat = lambda s: (s.pcyc, s.vcyc, s.dacyc, s.ddcyc, s.fp,
-                          s.ppa, s.vpa, s.dapa, s.ddpa, s.cyc)
-    else:
+    if mode not in _ORACLE_MODES:
         raise ValueError(f"unknown oracle mode {mode!r}")
+    return _digraph_sum(n, k, mode, weights)
+
+
+def _digraph_sum(n: int, k: int, mode: str, weights: Mapping[str, Poly]) -> Poly:
+    """Project the (n, k) statistics table onto the exponents of `mode` and
+    weight it.  The cyclic permutation oracle calls this rather than
+    oracle_entry, so a wrapper around oracle_entry (a tracer, say) sees
+    each public call once."""
+    keys, fields = _ORACLE_MODES[mode]
     values = [weights[key] for key in keys]
     _check_oracle_limit(n, values)
     counter: Counter = Counter()
-    for g in enumerate_digraphs(n, k):
-        counter[stat(classify(g))] += 1
+    for stats, count in _stat_table(n, k):
+        counter[tuple(sum(stats[i] for i in f) for f in fields)] += count
     return _weighted_sum(counter, values)
 
 
@@ -247,34 +294,28 @@ def permutation_oracles(n: int, kind: str, weights: Mapping[str, Poly] | None = 
 
     kind 'cyclic' uses weights {y_p, y_v, y_da, y_dd, y_fp, lam} where the
     classification of index i compares it against sigma^{-1}(i) and
-    sigma(i); kind 'linear00' uses {z_p, z_v, z_da, z_dd} on the word form
-    with sigma_0 = sigma_{n+1} = 0.
+    sigma(i); a permutation is a Laguerre digraph without paths, so this is
+    the 'second_mv' oracle entry at k = 0.  kind 'linear00' uses
+    {z_p, z_v, z_da, z_dd} on the word form with sigma_0 = sigma_{n+1} = 0.
+    ValueError for an unknown kind or n < 0.
     """
     if kind == "cyclic":
-        keys = ("y_p", "y_v", "y_da", "y_dd", "y_fp", "lam")
+        keys = _ORACLE_MODES["second_mv"][0]
     elif kind == "linear00":
         keys = ("z_p", "z_v", "z_da", "z_dd")
     else:
         raise ValueError(f"unknown permutation oracle kind {kind!r}")
     if weights is None:
         weights = {k: Poly.var(DEFAULT_VAR_NAMES[k]) for k in keys}
+    if kind == "cyclic":
+        return _digraph_sum(n, 0, "second_mv", weights)
     values = [weights[k] for k in keys]
     _check_oracle_limit(n, values)
     counter: Counter = Counter()
-    if kind == "cyclic":
-        for sigma in itertools.permutations(range(1, n + 1)):
-            succ = {i + 1: sigma[i] for i in range(n)}
-            pred = {sigma[i]: i + 1 for i in range(n)}
-            c = Counter()
-            for i in range(1, n + 1):
-                c[_vertex_kind(i, pred[i], succ[i])] += 1
-            counter[(c["p"], c["v"], c["da"], c["dd"], c["fp"],
-                     _count_cycles(succ, set(succ)))] += 1
-    else:
-        for sigma in itertools.permutations(range(1, n + 1)):
-            word = (0,) + sigma + (0,)
-            c = Counter()
-            for i in range(1, n + 1):
-                c[_vertex_kind(word[i], word[i - 1], word[i + 1])] += 1
-            counter[(c["p"], c["v"], c["da"], c["dd"])] += 1
+    for sigma in itertools.permutations(range(1, n + 1)):
+        word = (0,) + sigma + (0,)
+        c = Counter()
+        for i in range(1, n + 1):
+            c[_vertex_kind(word[i], word[i - 1], word[i + 1])] += 1
+        counter[(c["p"], c["v"], c["da"], c["dd"])] += 1
     return _weighted_sum(counter, values)

@@ -94,6 +94,14 @@ def test_gen_bad_alpha_exits_2(capsys):
     assert run(capsys, ["gen", "laguerre-coeff", "--alpha", "wat"])[0] == 2
 
 
+def test_gen_second_mv_rational_alpha_exits_2(capsys):
+    # the exponential Riordan route needs integral entries; (1,0) = (3/2)*yfp
+    code, out, err = run(capsys, ["gen", "second-mv", "--alpha", "1/2", "--n", "3"])
+    assert (code, out) == (2, "")
+    assert "integer" in err
+    assert run(capsys, ["gen", "second-mv", "--alpha", "4/2", "--n", "3"])[0] == 0
+
+
 def test_gen_oracle_cap_exits_2(capsys):
     assert run(capsys, ["gen", "first-mv", "--n", "11"])[0] == 2
 
@@ -155,6 +163,17 @@ def test_tp_check_bad_exponent_exits_2(tmp_path, capsys, exp):
     assert "exponent" in err
 
 
+@pytest.mark.parametrize("flag", ["--order", "--samples"])
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_tp_check_nonpositive_order_or_samples_exits_2(tmp_path, capsys, flag, mode):
+    path = tmp_path / "one.json"
+    path.write_text(Truncation([[1]]).to_json())
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, ["tp-check", str(path), "--mode", mode, flag, value])
+        assert (code, out) == (2, "")
+        assert flag in err
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, ["verify", "banded", "--seed", "42"])
     assert code == 0
@@ -201,3 +220,25 @@ def test_oracle_sr_path(capsys):
                                 "--n", "1", "--k", "0", "--format", "str"])
     assert code == 0
     assert out.strip() == "al2"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_malformed_limit_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("LAGTP_LIMIT", value)
+    code, out, err = run(capsys, ["oracle", "first-mv", "--n", "3", "--k", "1"])
+    assert (code, out) == (2, "")
+    assert "LAGTP_LIMIT" in err
+
+
+@pytest.mark.parametrize("kind", ["first-mv", "second-mv", "second-mv-general",
+                                  "cyclic", "linear00", "sr-path"])
+def test_oracle_negative_n_exits_2(capsys, kind):
+    code, out, err = run(capsys, ["oracle", kind, "--n", "-2"])
+    assert (code, out) == (2, "")
+    assert "--n" in err
+
+
+def test_oracle_k_beyond_n_is_zero(capsys):
+    code, out, _ = run(capsys, ["oracle", "first-mv", "--n", "2", "--k", "5"])
+    assert code == 0
+    assert Poly.from_json_obj(json.loads(out)).is_zero()

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
-from lagtp.digraphs import (DEFAULT_VAR_NAMES, LaguerreDigraph, LimitExceeded,
-                            classify, enumerate_digraphs, oracle_entry,
-                            permutation_oracles)
+from lagtp.digraphs import (DEFAULT_VAR_NAMES, BadLimitSetting, LaguerreDigraph,
+                            LimitExceeded, _stat_table, classify, enumerate_digraphs,
+                            oracle_entry, permutation_oracles)
 from lagtp.polyring import Poly
 
 lam = Poly.var("lam")
@@ -195,3 +196,126 @@ def test_limit_override(monkeypatch):
         list(enumerate_digraphs(3))
     monkeypatch.delenv("LAGTP_LIMIT")
     assert sum(1 for _ in enumerate_digraphs(3)) == 34
+
+
+def test_limit_setting_must_be_a_nonnegative_integer(monkeypatch):
+    for bad in ("abc", "-1", "2.5"):
+        monkeypatch.setenv("LAGTP_LIMIT", bad)
+        with pytest.raises(BadLimitSetting):
+            list(enumerate_digraphs(2))
+        with pytest.raises(BadLimitSetting):
+            permutation_oracles(2, "linear00")
+    monkeypatch.setenv("LAGTP_LIMIT", "0")
+    assert list(enumerate_digraphs(0)) == [LaguerreDigraph(0, {})]
+    with pytest.raises(LimitExceeded):
+        list(enumerate_digraphs(1))
+
+
+# -- reference classifier, straight from the definitions ----------------------
+
+
+def _reference_stats(g):
+    """Walk each component in order and classify every vertex against its
+    neighbours on it, 0 standing in for a missing neighbour (0-0 boundary)."""
+    st = {f.name: 0 for f in dataclasses.fields(classify(LaguerreDigraph(0, {})))}
+    for kind, comp in _components(g):
+        on_cycle = kind == "cycle"
+        st["cyc" if on_cycle else "pa"] += 1
+        size = len(comp)
+        for idx, v in enumerate(comp):
+            if on_cycle:
+                before, after = comp[idx - 1], comp[(idx + 1) % size]
+            else:
+                before = comp[idx - 1] if idx else 0
+                after = comp[idx + 1] if idx + 1 < size else 0
+            if after:
+                st["e"] += 1
+                st["e_minus" if after < v else "e_zero" if after == v else "e_plus"] += 1
+            if before == v == after:
+                st["fp"] += 1
+                continue
+            if before < v > after:
+                vk = "p"
+            elif before > v < after:
+                vk = "v"
+            elif before < v < after:
+                vk = "da"
+            else:
+                vk = "dd"
+            st[vk] += 1
+            st[vk + ("cyc" if on_cycle else "pa")] += 1
+    return st
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_classify_matches_reference(n):
+    for g in enumerate_digraphs(n):
+        assert dataclasses.asdict(classify(g)) == _reference_stats(g), g.succ
+
+
+SYMBOLIC = {k: Poly.var(v) for k, v in DEFAULT_VAR_NAMES.items()}
+
+# each mode's weights and the reference statistic each one is raised to
+REFERENCE_EXPONENTS = {
+    "first_mv": (("v_minus", "e_minus"), ("v_zero", "e_zero"), ("v_plus", "e_plus"),
+                 ("lam", "cyc")),
+    "second_mv": (("y_p", "p"), ("y_v", "v"), ("y_da", "da"), ("y_dd", "dd"),
+                  ("y_fp", "fp"), ("lam", "cyc")),
+    "second_mv_general": (("y_p", "pcyc"), ("y_v", "vcyc"), ("y_da", "dacyc"),
+                          ("y_dd", "ddcyc"), ("y_fp", "fp"), ("z_p", "ppa"),
+                          ("z_v", "vpa"), ("z_da", "dapa"), ("z_dd", "ddpa"),
+                          ("lam", "cyc")),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REFERENCE_EXPONENTS))
+@pytest.mark.parametrize("n", range(6))
+def test_oracle_entry_matches_reference(n, mode):
+    for k in range(n + 1):
+        want = Poly.zero()
+        for g in enumerate_digraphs(n, k):
+            st = _reference_stats(g)
+            term = Poly.one()
+            for key, stat in REFERENCE_EXPONENTS[mode]:
+                term = term * SYMBOLIC[key] ** st[stat]
+            want = want + term
+        assert oracle_entry(n, k, SYMBOLIC, mode) == want, (n, k)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_cyclic_permutation_oracle_is_the_pathless_digraph_entry(n):
+    assert permutation_oracles(n, "cyclic", SYMBOLIC) == oracle_entry(n, 0, SYMBOLIC, "second_mv")
+
+
+def test_k_outside_range_is_zero():
+    for k in (-1, 4):
+        assert oracle_entry(3, k, SYMBOLIC, "first_mv").is_zero()
+
+
+def test_negative_n_is_refused():
+    for mode in REFERENCE_EXPONENTS:
+        with pytest.raises(ValueError):
+            oracle_entry(-1, 0, SYMBOLIC, mode)
+    for kind in ("cyclic", "linear00"):
+        with pytest.raises(ValueError):
+            permutation_oracles(-2, kind)
+
+
+def test_statistics_are_enumerated_once_per_n_k(monkeypatch):
+    ints = {k: Poly.const(i + 2) for i, k in enumerate(DEFAULT_VAR_NAMES)}
+    first = oracle_entry(5, 2, SYMBOLIC, "second_mv_general")
+    assert oracle_entry(5, 2, SYMBOLIC, "second_mv_general") == first
+    misses = _stat_table.cache_info().misses
+    # other weights and other modes reuse the table of (5, 2)
+    for mode in REFERENCE_EXPONENTS:
+        oracle_entry(5, 2, ints, mode)
+    assert _stat_table.cache_info().misses == misses
+    # a memoised n is still refused once the cap drops below it
+    permutation_oracles(4, "cyclic")
+    monkeypatch.setenv("LAGTP_LIMIT", "3")
+    with pytest.raises(LimitExceeded):
+        oracle_entry(5, 2, SYMBOLIC, "second_mv_general")
+    with pytest.raises(LimitExceeded):
+        permutation_oracles(4, "cyclic")
+    monkeypatch.delenv("LAGTP_LIMIT")
+    assert oracle_entry(5, 2, SYMBOLIC, "second_mv_general") == first

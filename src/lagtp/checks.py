@@ -2,9 +2,9 @@
 written as boolean checks so the batch front end and the test suite can
 drive the same code.
 
-Each check returns True/False (some raise on structural errors, which the
-runner reports as failures).  Suites are registered in SUITES; the
-acceptance criteria are registered in CRITERIA with their time budgets.
+Each check returns True/False; a check that raises is reported as an error,
+not as a failure.  CHECKS registers every check once, with its suite and its
+acceptance criterion; CRITERIA gives each criterion its time budget.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import banded, digraphs, laguerre, quadtp, srpaths
-from .laguerre import (EdgeWeights, LaguerreParams, VertexWeights,
+from .laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError, VertexWeights,
                        coeff_matrix_first_mv, coeff_matrix_second_mv,
                        coeff_matrix_uni, factorization_check,
                        laguerre_rowgen_egf, monic_laguerre,
@@ -256,14 +256,17 @@ def first_mv_eulerian_column(ctx: Ctx) -> bool:
 
 
 def second_mv_riordan_vs_oracle(ctx: Ctx) -> bool:
-    """Both routes agree (the constructor raises RouteMismatchError on a bug)."""
+    """Both routes agree (the constructor raises RouteMismatchError when not)."""
     n = ctx.cap(7)
     params = _sym_params()
     w = VertexWeights.symbolic()
-    coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=n)
-    coeff_matrix_second_mv(params, w, min(n, 5), flat=False, oracle_rows=min(n, 5))
     wz = VertexWeights.symbolic(with_z=True)
-    coeff_matrix_second_mv(params, wz, min(n, 5), flat=True, oracle_rows=min(n, 5))
+    try:
+        coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=n)
+        coeff_matrix_second_mv(params, w, min(n, 5), flat=False, oracle_rows=min(n, 5))
+        coeff_matrix_second_mv(params, wz, min(n, 5), flat=True, oracle_rows=min(n, 5))
+    except RouteMismatchError:
+        return False
     return True
 
 
@@ -890,166 +893,107 @@ def banded_random_agreement(ctx: Ctx) -> bool:
 # ------------------------------------------------------------------ registry
 
 
-SUITES = {
-    "univariate": [
-        ("golden_polynomials", golden_polynomials),
-        ("tridiagonal_output_is_coeff_matrix", tridiagonal_output_is_coeff_matrix),
-        ("quadridiagonal_output_is_rowgen_matrix", quadridiagonal_output_is_rowgen_matrix),
-        ("univariate_hankel_tp3_symbolic", univariate_hankel_tp3_symbolic),
-        ("univariate_hankel_tp4_sampled", univariate_hankel_tp4_sampled),
-        ("unsigned_self_inverse", unsigned_self_inverse),
-        ("coeff_matrix_is_sfraction_triangle", coeff_matrix_is_sfraction_triangle),
-        ("direct_tp_scaling_route", direct_tp_scaling_route),
-        ("univariate_bidiagonal_factorizations", univariate_bidiagonal_factorizations),
-        ("flat_tridiagonal_split", flat_tridiagonal_split),
-    ],
-    "multivariate": [
-        ("first_mv_stirling_identities", first_mv_stirling_identities),
-        ("first_mv_uniform_scaling", first_mv_uniform_scaling),
-        ("first_mv_rooks_decreasing", first_mv_rooks_decreasing),
-        ("first_mv_eulerian_column", first_mv_eulerian_column),
-        ("second_mv_riordan_vs_oracle", second_mv_riordan_vs_oracle),
-        ("flat_tridiagonal_output_is_flat_matrix", flat_tridiagonal_output_is_flat_matrix),
-        ("conjugation_links_production_matrices", conjugation_links_production_matrices),
-        ("second_mv_homogeneity", second_mv_homogeneity),
-        ("second_mv_peak_divisibility", second_mv_peak_divisibility),
-        ("first_specializations", first_specializations),
-        ("cycle_statistics_egf", cycle_statistics_egf),
-        ("word_statistics_egf", word_statistics_egf),
-        ("laguerre_egf_check", laguerre_egf_check),
-        ("riccati_consistency", riccati_consistency),
-        ("first_mv_egf_bivariate", first_mv_egf_bivariate),
-    ],
-    "riordan": [
-        ("eaz_conjugation_identity", eaz_conjugation_identity),
-        ("eaz_spot_values", eaz_spot_values),
-        ("riordan_constructions", riordan_constructions),
-        ("riordan_vector_action", riordan_vector_action),
-        ("riordan_product_rule", riordan_product_rule),
-        ("riordan_production_is_eaz", riordan_production_is_eaz),
-        ("binomial_shift_of_production", binomial_shift_of_production),
-        ("hankel_factorization_identity", hankel_factorization_identity),
-        ("truncation_exactness", truncation_exactness),
-        ("production_output_roundtrip", production_output_roundtrip),
-        ("tridiagonal_minor_criterion", tridiagonal_minor_criterion),
-        ("tridiagonal_diagonal_comparison", tridiagonal_diagonal_comparison),
-        ("tp_negative_control", tp_negative_control),
-        ("binomial_matrix_example", binomial_matrix_example),
-    ],
-    "srpaths": [
-        ("sr_poly_matches_path_oracle", sr_poly_matches_path_oracle),
-        ("smj_output_matches_triangle", smj_output_matches_triangle),
-        ("smj_shift_identities", smj_shift_identities),
-        ("classical_recurrences", classical_recurrences),
-        ("type_drop_specializations", type_drop_specializations),
-        ("tail_series_match", tail_series_match),
-        ("smj_production_tp", smj_production_tp),
-        ("modified_hankel_tp", modified_hankel_tp),
-        ("hankel_tp2_failure_beyond_type_m", hankel_tp2_failure_beyond_type_m),
-        ("factorization_table_all_cells", factorization_table_all_cells),
-        ("inadmissible_cells_rejected", inadmissible_cells_rejected),
-    ],
-    "quadtp": [
-        ("general_quad_structure", general_quad_structure),
-        ("general_quad_tp_desk_scale", general_quad_tp_desk_scale),
-        ("laguerre_specialization_quad", laguerre_specialization_quad),
-        ("laguerre_quad_constrained_tp", laguerre_quad_constrained_tp),
-        ("variant_quad_structure", variant_quad_structure),
-        ("variant_quad_tp_desk_scale", variant_quad_tp_desk_scale),
-    ],
-    "banded": [
-        ("pcirc_banded_criterion", pcirc_banded_criterion),
-        ("banded_random_agreement", banded_random_agreement),
-    ],
+# One row per check: (suite, check, acceptance criterion or None).  The check
+# name is fn.__name__; rows are in report order, grouped by suite.
+CHECKS = (
+    ("univariate", golden_polynomials, 1),
+    ("univariate", tridiagonal_output_is_coeff_matrix, 2),
+    ("univariate", quadridiagonal_output_is_rowgen_matrix, 3),
+    ("univariate", univariate_hankel_tp3_symbolic, 4),
+    ("univariate", univariate_hankel_tp4_sampled, 4),
+    ("univariate", unsigned_self_inverse, None),
+    ("univariate", coeff_matrix_is_sfraction_triangle, None),
+    ("univariate", direct_tp_scaling_route, None),
+    ("univariate", univariate_bidiagonal_factorizations, None),
+    ("univariate", flat_tridiagonal_split, None),
+    ("multivariate", first_mv_stirling_identities, None),
+    ("multivariate", first_mv_uniform_scaling, None),
+    ("multivariate", first_mv_rooks_decreasing, None),
+    ("multivariate", first_mv_eulerian_column, None),
+    ("multivariate", second_mv_riordan_vs_oracle, 5),
+    ("multivariate", flat_tridiagonal_output_is_flat_matrix, 5),
+    ("multivariate", conjugation_links_production_matrices, None),
+    ("multivariate", second_mv_homogeneity, None),
+    ("multivariate", second_mv_peak_divisibility, None),
+    ("multivariate", first_specializations, None),
+    ("multivariate", cycle_statistics_egf, 13),
+    ("multivariate", word_statistics_egf, 13),
+    ("multivariate", laguerre_egf_check, 13),
+    ("multivariate", riccati_consistency, None),
+    ("multivariate", first_mv_egf_bivariate, None),
+    ("riordan", eaz_conjugation_identity, 7),
+    ("riordan", eaz_spot_values, None),
+    ("riordan", riordan_constructions, None),
+    ("riordan", riordan_vector_action, None),
+    ("riordan", riordan_product_rule, None),
+    ("riordan", riordan_production_is_eaz, None),
+    ("riordan", binomial_shift_of_production, None),
+    ("riordan", hankel_factorization_identity, None),
+    ("riordan", truncation_exactness, None),
+    ("riordan", production_output_roundtrip, None),
+    ("riordan", tridiagonal_minor_criterion, None),
+    ("riordan", tridiagonal_diagonal_comparison, None),
+    ("riordan", tp_negative_control, 12),
+    ("riordan", binomial_matrix_example, None),
+    ("srpaths", sr_poly_matches_path_oracle, 8),
+    ("srpaths", smj_output_matches_triangle, 8),
+    ("srpaths", smj_shift_identities, 8),
+    ("srpaths", classical_recurrences, None),
+    ("srpaths", type_drop_specializations, None),
+    ("srpaths", tail_series_match, None),
+    ("srpaths", smj_production_tp, None),
+    ("srpaths", modified_hankel_tp, None),
+    ("srpaths", hankel_tp2_failure_beyond_type_m, 12),
+    ("srpaths", factorization_table_all_cells, 9),
+    ("srpaths", inadmissible_cells_rejected, 9),
+    ("quadtp", general_quad_structure, None),
+    ("quadtp", general_quad_tp_desk_scale, None),
+    ("quadtp", laguerre_specialization_quad, 6),
+    ("quadtp", laguerre_quad_constrained_tp, 6),
+    ("quadtp", variant_quad_structure, 11),
+    ("quadtp", variant_quad_tp_desk_scale, 11),
+    ("banded", pcirc_banded_criterion, 10),
+    ("banded", banded_random_agreement, 10),
+)
+
+SUITE_NAMES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS))
+
+# Acceptance criteria: number -> (description, time budget in seconds for
+# the summed run of its member checks).
+CRITERIA = {
+    1: ("golden polynomials (monic Laguerre, rook, Lah displays)", 1.0),
+    2: ("output of the tridiagonal production matrix = coefficient matrix, 9x9", 5.0),
+    3: ("output of the quadridiagonal production matrix = binomial row-generating matrix, 8x8", 10.0),
+    4: ("Hankel total positivity of the univariate family (TP3 symbolic, TP4 sampled)", 60.0),
+    5: ("flat second-multivariate matrix: production route = Riordan route = digraph oracle", 60.0),
+    6: ("general quadridiagonal specialization reproduces the flat production matrix + TP", 60.0),
+    7: ("binomial conjugation identity for exponential AZ matrices", 5.0),
+    8: ("branched S-fraction triangles: recurrence = path oracle; production and shift identities", 60.0),
+    9: ("all six bidiagonal-factorization table cells verified (symbolic kappa included)", 30.0),
+    10: ("banded-conjugation criterion: degree test = measured bandwidth", 30.0),
+    11: ("variant quadridiagonal family: structure + TP at desk scale", 60.0),
+    12: ("negative controls: Hankel-TP failure beyond type m; non-TP matrix rejected", 30.0),
+    13: ("EGF cross-checks against the S_n enumeration oracles and the Laguerre EGF", 30.0),
 }
 
 
 def run_suite(name: str, ctx: Ctx | None = None) -> list:
-    """Run one suite (or 'all'); returns [(suite, check, ok, seconds)]."""
+    """Run one suite (or 'all'); returns [(suite, check, ok, seconds, error)].
+
+    A check that raises is not ok, and its error is "<ExceptionType>: <message>";
+    error is None for a check that returned.
+    """
     ctx = ctx or Ctx()
-    names = list(SUITES) if name == "all" else [name]
+    if name != "all" and name not in SUITE_NAMES:
+        raise KeyError(f"unknown suite {name!r}")
     results = []
-    for suite in names:
-        if suite not in SUITES:
-            raise KeyError(f"unknown suite {suite!r}")
-        for check_name, fn in SUITES[suite]:
-            start = time.perf_counter()
-            try:
-                ok = bool(fn(ctx))
-            except Exception:
-                ok = False
-            results.append((suite, check_name, ok, time.perf_counter() - start))
+    for suite, fn, _ in CHECKS:
+        if name not in ("all", suite):
+            continue
+        start = time.perf_counter()
+        try:
+            ok, error = bool(fn(ctx)), None
+        except Exception as exc:
+            ok, error = False, f"{type(exc).__name__}: {exc}"
+        results.append((suite, fn.__name__, ok, time.perf_counter() - start, error))
     return results
-
-
-# ------------------------------------------------------- acceptance criteria
-
-
-def criterion_1(ctx: Ctx) -> bool:
-    return golden_polynomials(ctx)
-
-
-def criterion_2(ctx: Ctx) -> bool:
-    return tridiagonal_output_is_coeff_matrix(ctx)
-
-
-def criterion_3(ctx: Ctx) -> bool:
-    return quadridiagonal_output_is_rowgen_matrix(ctx)
-
-
-def criterion_4(ctx: Ctx) -> bool:
-    return univariate_hankel_tp3_symbolic(ctx) and univariate_hankel_tp4_sampled(ctx)
-
-
-def criterion_5(ctx: Ctx) -> bool:
-    return flat_tridiagonal_output_is_flat_matrix(ctx) and second_mv_riordan_vs_oracle(ctx)
-
-
-def criterion_6(ctx: Ctx) -> bool:
-    return laguerre_specialization_quad(ctx) and laguerre_quad_constrained_tp(ctx)
-
-
-def criterion_7(ctx: Ctx) -> bool:
-    return eaz_conjugation_identity(ctx)
-
-
-def criterion_8(ctx: Ctx) -> bool:
-    return (sr_poly_matches_path_oracle(ctx) and smj_output_matches_triangle(ctx)
-            and smj_shift_identities(ctx))
-
-
-def criterion_9(ctx: Ctx) -> bool:
-    return factorization_table_all_cells(ctx) and inadmissible_cells_rejected(ctx)
-
-
-def criterion_10(ctx: Ctx) -> bool:
-    return pcirc_banded_criterion(ctx) and banded_random_agreement(ctx)
-
-
-def criterion_11(ctx: Ctx) -> bool:
-    return variant_quad_structure(ctx) and variant_quad_tp_desk_scale(ctx)
-
-
-def criterion_12(ctx: Ctx) -> bool:
-    return hankel_tp2_failure_beyond_type_m(ctx) and tp_negative_control(ctx)
-
-
-def criterion_13(ctx: Ctx) -> bool:
-    return cycle_statistics_egf(ctx) and word_statistics_egf(ctx) and laguerre_egf_check(ctx)
-
-
-CRITERIA = [
-    (1, "golden polynomials (monic Laguerre, rook, Lah displays)", criterion_1, 1.0),
-    (2, "output of the tridiagonal production matrix = coefficient matrix, 9x9", criterion_2, 5.0),
-    (3, "output of the quadridiagonal production matrix = binomial row-generating matrix, 8x8", criterion_3, 10.0),
-    (4, "Hankel total positivity of the univariate family (TP3 symbolic, TP4 sampled)", criterion_4, 60.0),
-    (5, "flat second-multivariate matrix: production route = Riordan route = digraph oracle", criterion_5, 60.0),
-    (6, "general quadridiagonal specialization reproduces the flat production matrix + TP", criterion_6, 60.0),
-    (7, "binomial conjugation identity for exponential AZ matrices", criterion_7, 5.0),
-    (8, "branched S-fraction triangles: recurrence = path oracle; production and shift identities", criterion_8, 60.0),
-    (9, "all six bidiagonal-factorization table cells verified (symbolic kappa included)", criterion_9, 30.0),
-    (10, "banded-conjugation criterion: degree test = measured bandwidth", criterion_10, 30.0),
-    (11, "variant quadridiagonal family: structure + TP at desk scale", criterion_11, 60.0),
-    (12, "negative controls: Hankel-TP failure beyond type m; non-TP matrix rejected", criterion_12, 30.0),
-    (13, "EGF cross-checks against the S_n enumeration oracles and the Laguerre EGF", criterion_13, 30.0),
-]

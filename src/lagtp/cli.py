@@ -1,10 +1,11 @@
 """Batch front end: generate families, run verification suites, emit JSON/CSV.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-parse error (a malformed LAGTP_LIMIT included), or an oracle cap or the
-polynomial exponent limit exceeded.  Identical invocations (including --seed)
-produce byte-identical output; the per-check wall-clock timings are therefore
-opt-in (--timings).
+parse error (a malformed LAGTP_LIMIT and rational entries in sampled mode
+included), or an oracle cap or the polynomial exponent limit exceeded; 3 when
+a verify check raised and none failed.  Identical invocations (including
+--seed) produce byte-identical output; the per-check wall-clock timings are
+therefore opt-in (--timings).
 
 Polynomials print with variables in the global (alphabetical) order and
 terms in graded lex order, with explicit '*' and '^'.  The oracle caps can
@@ -22,7 +23,6 @@ from . import checks, digraphs, laguerre, quadtp, srpaths
 from .digraphs import BadLimitSetting, LimitExceeded
 from .laguerre import EdgeWeights, LaguerreParams, VertexWeights
 from .matrices import Truncation, tp_check_sampled, tp_check_symbolic
-from .polyring import Poly
 
 GEN_SELECTORS = (
     "laguerre-coeff", "first-mv", "second-mv",
@@ -131,7 +131,11 @@ def cmd_tp_check(args) -> int:
     if args.mode == "symbolic":
         report = tp_check_symbolic(matrix, args.order)
     else:
-        report = tp_check_sampled(matrix, args.order, seed=args.seed, samples=args.samples)
+        try:
+            report = tp_check_sampled(matrix, args.order, seed=args.seed,
+                                      samples=args.samples)
+        except ValueError as exc:
+            raise UsageError(f"{exc}; use --mode symbolic for rational entries") from None
     print(report.to_json())
     return 0 if report.ok else 1
 
@@ -149,12 +153,15 @@ def cmd_verify(args) -> int:
         "ok": ok,
         "checks": [
             {"suite": s, "name": n, "ok": passed}
+            | ({"error": error} if error else {})
             | ({"seconds": round(secs, 3)} if args.timings else {})
-            for s, n, passed, secs in results
+            for s, n, passed, secs, error in results
         ],
     }
     print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
-    return 0 if ok else 1
+    if any(not passed and error is None for _, _, passed, _, error in results):
+        return 1
+    return 0 if ok else 3
 
 
 def cmd_oracle(args) -> int:
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.set_defaults(fn=cmd_tp_check)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("suite", choices=("all",) + tuple(checks.SUITES))
+    ver.add_argument("suite", choices=("all",) + checks.SUITE_NAMES)
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--max-n", type=int, default=None, dest="max_n",
                      help="cap the truncation sizes used by the checks")

@@ -69,10 +69,6 @@ class EdgeWeights:
     def symbolic() -> "EdgeWeights":
         return EdgeWeights(Poly.var("vm"), Poly.var("v0"), Poly.var("vp"))
 
-    def uniform(v: PolyLike) -> "EdgeWeights":
-        v = _p(v)
-        return EdgeWeights(v, v, v)
-
 
 @dataclass(frozen=True)
 class VertexWeights:

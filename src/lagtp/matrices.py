@@ -334,17 +334,10 @@ def det_exact(m: Truncation) -> Poly:
     """Exact determinant: Laplace expansion up to 4x4, Bareiss fraction-free above."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    grid = [list(row) for row in m.data]
-    return _det_grid(grid)
-
-
-def _det_grid(g: list) -> Poly:
-    n = len(g)
-    if n == 0:
+    if m.rows == 0:
         return Poly.one()
-    if n <= 4:
-        return _det_laplace(g)
-    return _det_bareiss(g)
+    grid = [list(row) for row in m.data]
+    return _det_laplace(grid) if m.rows <= 4 else _det_bareiss(grid)
 
 
 def _det_laplace(g: list) -> Poly:

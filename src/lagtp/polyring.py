@@ -175,9 +175,6 @@ class Poly:
     def is_constant(self) -> bool:
         return not any(self.terms)
 
-    def constant_term(self) -> Coeff:
-        return self.terms.get(0, 0)
-
     def as_constant(self) -> Coeff:
         if any(self.terms):
             raise ValueError(f"not a constant: {self}")

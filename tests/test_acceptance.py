@@ -1,29 +1,61 @@
-"""Acceptance gate: one test per criterion, each timed against its budget.
+"""Acceptance gate and registry coverage, both driven by `lagtp.checks.CHECKS`.
 
-All arithmetic in the library is exact, so the criteria carry no numeric
-tolerances -- every comparison is polynomial identity or an exact integer
-sign check.  Run with -s to see one line per criterion.
+Each criterion runs its member checks and is timed against its budget; every
+check outside a criterion runs once on its own, so every registered check runs
+exactly once.  All arithmetic in the library is exact, so there are no
+numeric tolerances -- every comparison is polynomial identity or an exact
+integer sign check.  Run with -s to see one line per criterion.
 """
 
+import argparse
+import inspect
 import time
 
 import pytest
 
-from lagtp.checks import CRITERIA, Ctx
+from lagtp import checks, cli
+from lagtp.checks import CHECKS, CRITERIA, Ctx
+
+UNGROUPED = [fn for _, fn, number in CHECKS if number is None]
 
 
-@pytest.mark.parametrize(
-    "number,description,fn,budget",
-    CRITERIA,
-    ids=[f"criterion_{num:02d}" for num, *_ in CRITERIA],
-)
-def test_acceptance_criterion(number, description, fn, budget):
+@pytest.mark.parametrize("number", sorted(CRITERIA),
+                         ids=[f"criterion_{num:02d}" for num in sorted(CRITERIA)])
+def test_acceptance_criterion(number):
+    description, budget = CRITERIA[number]
+    ctx = Ctx(seed=42)
     start = time.perf_counter()
-    ok = fn(Ctx(seed=42))
+    failed = [fn.__name__ for _, fn, num in CHECKS if num == number and not fn(ctx)]
     elapsed = time.perf_counter() - start
-    status = "PASS" if ok and elapsed <= budget else "FAIL"
+    status = "PASS" if not failed and elapsed <= budget else "FAIL"
     print(f"[{status}] criterion {number:2d}: {description} "
           f"({elapsed:.2f}s of {budget:.0f}s budget)")
-    assert ok, f"criterion {number} failed: {description}"
+    assert not failed, f"criterion {number} failed ({', '.join(failed)}): {description}"
     assert elapsed <= budget, (
         f"criterion {number} exceeded its {budget:.0f}s budget ({elapsed:.2f}s)")
+
+
+@pytest.mark.parametrize("check", UNGROUPED, ids=[fn.__name__ for fn in UNGROUPED])
+def test_check(check):
+    assert check(Ctx(seed=42))
+
+
+def test_registry_integrity():
+    public = {fn for name, fn in vars(checks).items()
+              if inspect.isfunction(fn) and fn.__module__ == checks.__name__
+              and not name.startswith("_")
+              and list(inspect.signature(fn).parameters) == ["ctx"]}
+    registered = [fn for _, fn, _ in CHECKS]
+    assert len(registered) == len(set(registered))
+    assert set(registered) == public
+    names = [fn.__name__ for fn in registered]
+    assert len(names) == len(set(names))
+    used = {number for _, _, number in CHECKS if number is not None}
+    assert used == set(CRITERIA)
+
+
+def test_verify_accepts_exactly_the_registry_suites():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == ("all",) + tuple(dict.fromkeys(s for s, _, _ in CHECKS))

@@ -3,7 +3,6 @@ import pytest
 from lagtp.banded import (DiagonalPolySpec, check_banded_criterion,
                           check_condition_b, conjugate_and_measure_band,
                           random_spec)
-from lagtp.checks import Ctx, banded_random_agreement, pcirc_banded_criterion
 from lagtp.laguerre import LaguerreParams, prodmat
 from lagtp.matrices import XorShift64, conjugate_by_binomial
 from lagtp.polyring import Poly
@@ -67,8 +66,3 @@ def test_random_specs_cover_both_outcomes():
     rng = XorShift64(2024)
     outcomes = {check_banded_criterion(random_spec(rng)) for _ in range(20)}
     assert outcomes == {True, False}
-
-
-def test_equivalence_on_seeded_specs():
-    assert banded_random_agreement(Ctx(seed=42))
-    assert pcirc_banded_criterion(Ctx())

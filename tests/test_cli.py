@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from lagtp import cli
+from lagtp import checks, cli
 from lagtp.laguerre import LaguerreParams, monic_laguerre
 from lagtp.matrices import Truncation, hankel_truncation
 from lagtp.polyring import Poly
@@ -145,6 +146,14 @@ def test_tp_check_sampled_mode(tmp_path, capsys):
     assert report["ok"] is True and report["seed"] == 5
 
 
+def test_tp_check_sampled_rational_entries_exit_2(tmp_path, capsys):
+    path = tmp_path / "half.json"
+    path.write_text(Truncation([[Poly.var("x").scale(Fraction(1, 2))]]).to_json())
+    code, out, err = run(capsys, ["tp-check", str(path), "--order", "1", "--mode", "sampled"])
+    assert (code, out) == (2, "")
+    assert "integer-valued entries" in err
+
+
 def test_tp_check_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -194,6 +203,35 @@ def test_verify_timings_flag(capsys):
     code, out, _ = run(capsys, ["verify", "banded", "--timings"])
     assert code == 0
     assert all("seconds" in c for c in json.loads(out)["checks"])
+
+
+def _boom(ctx):
+    raise RuntimeError("internal fault")
+
+
+def _counterexample(ctx):
+    return False
+
+
+@pytest.mark.parametrize("extra,code", [
+    ((_boom,), 3),
+    ((_boom, _counterexample), 1),
+])
+def test_verify_error_is_not_a_failure(capsys, monkeypatch, extra, code):
+    monkeypatch.setattr(checks, "CHECKS",
+                        checks.CHECKS + tuple(("banded", fn, None) for fn in extra))
+    got, out, _ = run(capsys, ["verify", "banded"])
+    assert got == code
+    report = json.loads(out)
+    assert report["ok"] is False
+    entries = {c["name"]: c for c in report["checks"]}
+    assert entries["pcirc_banded_criterion"] == {
+        "suite": "banded", "name": "pcirc_banded_criterion", "ok": True}
+    assert entries["_boom"]["ok"] is False
+    assert entries["_boom"]["error"] == "RuntimeError: internal fault"
+    if _counterexample in extra:
+        assert entries["_counterexample"] == {
+            "suite": "banded", "name": "_counterexample", "ok": False}
 
 
 def test_verify_max_n(capsys):

@@ -2,10 +2,6 @@ import json
 
 import pytest
 
-from lagtp.checks import (Ctx, binomial_matrix_example, tridiagonal_diagonal_comparison,
-                          hankel_factorization_identity, binomial_shift_of_production,
-                          production_output_roundtrip, riordan_production_is_eaz,
-                          tridiagonal_minor_criterion, truncation_exactness)
 from lagtp.laguerre import LaguerreParams, VertexWeights, coeff_matrix_uni, prodmat
 from lagtp.matrices import (HessMatrix, NonUnitDiagonalError, RiordanIntegralityError,
                             Truncation, XorShift64, binomial_truncation,
@@ -253,13 +249,3 @@ def test_xorshift_is_deterministic():
     assert [rng1.next_small() for _ in range(20)] == [rng2.next_small() for _ in range(20)]
     rng = XorShift64(3)
     assert {rng.next_small() for _ in range(200)} == {0, 1, 2, 3}
-
-
-# structural invariants shared with the verify suites
-@pytest.mark.parametrize("check", [
-    truncation_exactness, production_output_roundtrip, hankel_factorization_identity,
-    binomial_shift_of_production, riordan_production_is_eaz, tridiagonal_minor_criterion,
-    tridiagonal_diagonal_comparison, binomial_matrix_example,
-])
-def test_structural_invariants(check):
-    assert check(Ctx())

@@ -1,8 +1,3 @@
-import pytest
-
-from lagtp.checks import (Ctx, general_quad_structure, laguerre_quad_constrained_tp,
-                          laguerre_specialization_quad, general_quad_tp_desk_scale,
-                          variant_quad_structure, variant_quad_tp_desk_scale)
 from lagtp.polyring import Poly
 from lagtp.quadtp import (QuadFactorParams, QuadVariantParams, build_general_quad,
                           build_variant_quad, general_quad_from_factors,
@@ -107,11 +102,3 @@ def test_variant_degenerate_x_y_zero():
         assert m[k - 1, k] == v("alpha") * v("beta") * v(f"c{k}")
         assert m[k, k] == (v("alpha") * v("beta") * v(f"d{k}")
                            + v("alpha") * v(f"e{k}") + v("beta") * v(f"f{k}"))
-
-
-@pytest.mark.parametrize("check", [
-    general_quad_structure, general_quad_tp_desk_scale, laguerre_specialization_quad,
-    laguerre_quad_constrained_tp, variant_quad_structure, variant_quad_tp_desk_scale,
-])
-def test_quad_invariants(check):
-    assert check(Ctx())

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from lagtp.checks import Ctx, riccati_consistency
 from lagtp.polyring import Poly, rising
 from lagtp.series import (Series, series_pow_sym, series_reciprocal,
                           solve_logderiv, solve_riccati)
@@ -50,10 +49,6 @@ def test_riccati_symbolic_second_coefficient():
     g = solve_riccati(zp, zsum, zv, 4)
     assert g[1] == zp
     assert g[2] == (zp * zsum).scale(Fraction(1, 2))
-
-
-def test_riccati_consistency_invariant():
-    assert riccati_consistency(Ctx())
 
 
 def test_logderiv_laguerre():

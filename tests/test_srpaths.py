@@ -2,10 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from lagtp.checks import (Ctx, classical_recurrences, hankel_tp2_failure_beyond_type_m,
-                          modified_hankel_tp, smj_production_tp, smj_shift_identities,
-                          type_drop_specializations, sr_poly_matches_path_oracle,
-                          factorization_table_all_cells, tail_series_match)
 from lagtp.digraphs import LimitExceeded
 from lagtp.matrices import output_matrix
 from lagtp.polyring import Poly, rising
@@ -165,16 +161,3 @@ def test_hankel_tp2_failure_witness():
     assert any(c < 0 for c in w["minor"].coefficients())
     # first offending minor for m=1 also involves only the leading entries
     assert w["rows"] == (0, 1) and w["cols"] == (0, 1)
-
-
-@pytest.mark.parametrize("check", [
-    smj_shift_identities, classical_recurrences, type_drop_specializations,
-    tail_series_match, smj_production_tp, modified_hankel_tp,
-    hankel_tp2_failure_beyond_type_m, factorization_table_all_cells,
-])
-def test_srpath_invariants(check):
-    assert check(Ctx(max_n=5))
-
-
-def test_oracle_equality_suite_small():
-    assert sr_poly_matches_path_oracle(Ctx(max_n=10))

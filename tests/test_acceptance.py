@@ -59,3 +59,30 @@ def test_verify_accepts_exactly_the_registry_suites():
                if isinstance(a, argparse._SubParsersAction))
     suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
     assert tuple(suite.choices) == ("all",) + tuple(dict.fromkeys(s for s, _, _ in CHECKS))
+
+
+@pytest.mark.parametrize("suite", ("all",) + checks.SUITE_NAMES)
+def test_run_suite_walks_the_table_in_order(monkeypatch, suite):
+    calls = []
+
+    def stub(fn):
+        def check(ctx):
+            calls.append((fn.__name__, ctx))
+            return True
+        check.__name__ = fn.__name__
+        return check
+
+    monkeypatch.setattr(checks, "CHECKS", tuple((s, stub(fn), n) for s, fn, n in CHECKS))
+    ctx = Ctx(seed=7)
+    results = checks.run_suite(suite, ctx)
+    want = [(s, fn.__name__) for s, fn, _ in CHECKS if suite in ("all", s)]
+    assert want
+    assert [(s, name) for s, name, *_ in results] == want
+    assert [name for name, _ in calls] == [name for _, name in want]
+    assert all(got is ctx for _, got in calls)
+    assert all(ok and error is None for _, _, ok, _, error in results)
+
+
+def test_run_suite_rejects_unknown_suite():
+    with pytest.raises(KeyError, match="unknown suite 'bogus'"):
+        checks.run_suite("bogus")

@@ -141,6 +141,9 @@ def cmd_tp_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # a malformed LAGTP_LIMIT is a usage error (exit 2), not an error in
+    # every check that reads it
+    digraphs._limit(digraphs.DEFAULT_DIGRAPH_LIMIT)
     ctx = checks.Ctx(seed=args.seed, max_n=args.max_n)
     try:
         results = checks.run_suite(args.suite, ctx)

@@ -14,7 +14,8 @@ double descent.
 The oracles enumerate each (n, k) once per process: ``_stat_table`` counts
 the digraphs with k paths by their joint statistics, and every weighting
 (``oracle_entry`` in each mode, the cyclic permutation oracle) is a
-projection of that table.
+projection of that table.  The linear permutation oracle likewise counts
+S_n once per n by its word statistics (``_linear00_table``).
 """
 
 from __future__ import annotations
@@ -198,18 +199,6 @@ def classify(g: LaguerreDigraph) -> DigraphStats:
         da=s["dacyc"] + s["dapa"], dd=s["ddcyc"] + s["ddpa"], **s)
 
 
-def _vertex_kind(i: int, p: int, s: int) -> str:
-    if p == i == s:
-        return "fp"
-    if p < i > s:
-        return "p"
-    if p > i < s:
-        return "v"
-    if p < i < s:
-        return "da"
-    return "dd"
-
-
 # -- weighted oracle sums ----------------------------------------------------
 
 
@@ -268,7 +257,7 @@ def _digraph_sum(n: int, k: int, mode: str, weights: Mapping[str, Poly]) -> Poly
     return _weighted_sum(counter, values)
 
 
-def _weighted_sum(counter: Counter, values) -> Poly:
+def _weighted_sum(counter: Mapping, values) -> Poly:
     values = [v if isinstance(v, Poly) else Poly.const(v) for v in values]
     total = Poly.zero()
     powers = [dict() for _ in values]
@@ -311,11 +300,25 @@ def permutation_oracles(n: int, kind: str, weights: Mapping[str, Poly] | None = 
         return _digraph_sum(n, 0, "second_mv", weights)
     values = [weights[k] for k in keys]
     _check_oracle_limit(n, values)
-    counter: Counter = Counter()
+    return _weighted_sum(dict(_linear00_table(n)), values)
+
+
+@functools.lru_cache(maxsize=None)
+def _linear00_table(n: int) -> tuple:
+    """(((p, v, da, dd), count), ...) in sorted order: how many permutations
+    of {1..n} have each number of peaks, valleys, double ascents and double
+    descents in the word form with sigma_0 = sigma_{n+1} = 0.  Callers check
+    the enumeration caps before asking."""
+    counts: dict = {}
     for sigma in itertools.permutations(range(1, n + 1)):
         word = (0,) + sigma + (0,)
-        c = Counter()
+        kinds = [0, 0, 0, 0]
         for i in range(1, n + 1):
-            c[_vertex_kind(word[i], word[i - 1], word[i + 1])] += 1
-        counter[(c["p"], c["v"], c["da"], c["dd"])] += 1
-    return _weighted_sum(counter, values)
+            p, v, s = word[i - 1], word[i], word[i + 1]
+            if p < v:
+                kinds[0 if v > s else 2] += 1   # peak or double ascent
+            else:
+                kinds[1 if v < s else 3] += 1   # valley or double descent
+        stats = tuple(kinds)
+        counts[stats] = counts.get(stats, 0) + 1
+    return tuple(sorted(counts.items()))

@@ -13,6 +13,7 @@ exact, never approximate).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -381,42 +382,6 @@ def _det_bareiss(g: list) -> Poly:
     return d if sign == 1 else -d
 
 
-def _int_det(g: list) -> int:
-    """Determinant of a small integer matrix (same Laplace/Bareiss split)."""
-    n = len(g)
-    if n == 1:
-        return g[0][0]
-    if n == 2:
-        return g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    if n <= 4:
-        acc = 0
-        for i in range(n):
-            c = g[i][0]
-            if not c:
-                continue
-            minor = [row[1:] for j, row in enumerate(g) if j != i]
-            acc += c * _int_det(minor) * (1 if i % 2 == 0 else -1)
-        return acc
-    g = [row[:] for row in g]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not g[k][k]:
-            for i in range(k + 1, n):
-                if g[i][k]:
-                    g[k], g[i] = g[i], g[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                g[i][j] = (g[i][j] * g[k][k] - g[i][k] * g[k][j]) // prev
-            g[i][k] = 0
-        prev = g[k][k]
-    return sign * g[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class TPWitness:
     rows: tuple
@@ -459,31 +424,69 @@ class TPReport:
         return json.dumps(self.to_json_obj(), separators=(",", ":"), sort_keys=True)
 
 
-def _index_sets_colex(n: int, size: int):
-    """Size-subsets of range(n) in colexicographic order."""
-    return sorted(itertools.combinations(range(n), size), key=lambda c: tuple(reversed(c)))
+@functools.lru_cache(maxsize=128)
+def _index_sets_colex(n: int, size: int) -> tuple:
+    """Size-subsets of range(n) in colexicographic order (cached: the
+    sampled mode scans the same sets once per sample)."""
+    return tuple(sorted(itertools.combinations(range(n), size), key=lambda c: c[::-1]))
+
+
+def _minor_scan(grid, rows: int, cols: int, order: int):
+    """Yield (rows, cols, minor) for every minor of size <= order of a
+    rows x cols grid: by size, then colex row sets, then colex column sets.
+
+    A minor of size s > 1 is expanded along its first column,
+    M(r, c) = sum_t (-1)^t g[r_t][c_0] M(r - r_t, c[1:]), over the size-(s-1)
+    minors kept from the previous size; a term whose entry or cached minor
+    is zero is skipped.  Only one level is kept, and the largest size is not
+    kept at all.  Entries need only +, -, * and truthiness, so the same scan
+    serves Poly grids (symbolic mode) and int grids (sampled mode).
+    """
+    top = min(order, rows, cols)
+    if top < 1:
+        return
+    zero = type(grid[0][0])()  # Poly() and int() are both zero
+    prev: dict = {}
+    for size in range(1, top + 1):
+        keep = size < top
+        cur: dict = {}
+        colsets = _index_sets_colex(cols, size)
+        for r in _index_sets_colex(rows, size):
+            kept = cur[r] = {}
+            # (t odd, row r_t, the cached minors on the rows r - r_t)
+            drops = [(t & 1, r[t], prev[r[:t] + r[t + 1:]])
+                     for t in range(size)] if size > 1 else ()
+            for c in colsets:
+                if size == 1:
+                    minor = grid[r[0]][c[0]]
+                else:
+                    c0, rest = c[0], c[1:]
+                    minor = zero
+                    for odd, rt, below in drops:
+                        e = grid[rt][c0]
+                        if e:
+                            sub = below[rest]
+                            if sub:
+                                minor = minor - e * sub if odd else minor + e * sub
+                if keep:
+                    kept[c] = minor
+                yield r, c, minor
+        prev = cur
 
 
 def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     """Check every minor of size <= order for coefficientwise nonnegativity.
 
-    Index sets are enumerated in colex order and the scan short-circuits on
-    the first offending minor, which is returned in the report.
+    Minors come from _minor_scan in colex order and the scan short-circuits
+    on the first offending minor, which is returned in the report.
     """
     checked = 0
     size_meta = {"rows": m.rows, "cols": m.cols}
-    for size in range(1, order + 1):
-        if size > min(m.rows, m.cols):
-            break
-        rowsets = _index_sets_colex(m.rows, size)
-        colsets = _index_sets_colex(m.cols, size)
-        for rows in rowsets:
-            for cols in colsets:
-                minor = det_exact(m.submatrix(rows, cols))
-                checked += 1
-                if not minor.is_coeffwise_nonneg():
-                    return TPReport(False, order, "symbolic", checked,
-                                    TPWitness(rows, cols, minor), meta=size_meta)
+    for rows, cols, minor in _minor_scan(m.data, m.rows, m.cols, order):
+        checked += 1
+        if not minor.is_coeffwise_nonneg():
+            return TPReport(False, order, "symbolic", checked,
+                            TPWitness(rows, cols, minor), meta=size_meta)
     return TPReport(True, order, "symbolic", checked, meta=size_meta)
 
 
@@ -524,11 +527,6 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
     names = m.variables()
     rng = XorShift64(seed)
     meta = {"seed": seed, "samples": samples, "rows": m.rows, "cols": m.cols}
-    sets = {}
-    for size in range(1, order + 1):
-        if size > min(m.rows, m.cols):
-            break
-        sets[size] = (_index_sets_colex(m.rows, size), _index_sets_colex(m.cols, size))
     checked = 0
     for s_index in range(samples):
         env = {v: SAMPLE_VALUES[rng.next_small()] for v in names}
@@ -541,16 +539,11 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
                     raise ValueError("sampled TP check needs integer-valued entries")
                 vals.append(v)
             grid.append(vals)
-        for size, (rowsets, colsets) in sets.items():
-            for rows in rowsets:
-                for cols in colsets:
-                    sub = [[grid[i][j] for j in cols] for i in rows]
-                    val = _int_det(sub)
-                    checked += 1
-                    if val < 0:
-                        return TPReport(False, order, "sampled", checked,
-                                        TPWitness(rows, cols, val, env, s_index),
-                                        meta=meta)
+        for rows, cols, val in _minor_scan(grid, m.rows, m.cols, order):
+            checked += 1
+            if val < 0:
+                return TPReport(False, order, "sampled", checked,
+                                TPWitness(rows, cols, val, env, s_index), meta=meta)
     return TPReport(True, order, "sampled", checked, meta=meta)
 
 

@@ -268,6 +268,16 @@ def test_malformed_limit_exits_2(capsys, monkeypatch, value):
     assert "LAGTP_LIMIT" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_verify_with_malformed_limit_exits_2_before_any_check(capsys, monkeypatch, value):
+    monkeypatch.setenv("LAGTP_LIMIT", value)
+    ran = []
+    monkeypatch.setattr(checks, "run_suite", lambda *a: ran.append(a) or [])
+    code, out, err = run(capsys, ["verify", "multivariate"])
+    assert (code, out, ran) == (2, "", [])
+    assert "LAGTP_LIMIT" in err
+
+
 @pytest.mark.parametrize("kind", ["first-mv", "second-mv", "second-mv-general",
                                   "cyclic", "linear00", "sr-path"])
 def test_oracle_negative_n_exits_2(capsys, kind):

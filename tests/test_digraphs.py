@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
 
 from lagtp.digraphs import (DEFAULT_VAR_NAMES, BadLimitSetting, LaguerreDigraph,
-                            LimitExceeded, _stat_table, classify, enumerate_digraphs,
-                            oracle_entry, permutation_oracles)
+                            LimitExceeded, _linear00_table, _stat_table, classify,
+                            enumerate_digraphs, oracle_entry, permutation_oracles)
 from lagtp.polyring import Poly
 
 lam = Poly.var("lam")
@@ -159,6 +160,57 @@ def test_permutation_oracle_counts():
     ones = {k: Poly.one() for k in ("z_p", "z_v", "z_da", "z_dd")}
     for n in range(1, 6):
         assert permutation_oracles(n, "linear00", ones) == Poly.const(math.factorial(n))
+
+
+def _reference_linear00(n, weights):
+    """Walk S_n, classify each letter of 0 sigma_1 ... sigma_n 0 against its
+    neighbours and weight every permutation on its own."""
+    total = Poly.zero()
+    for sigma in itertools.permutations(range(1, n + 1)):
+        word = (0,) + sigma + (0,)
+        term = Poly.one()
+        for i in range(1, n + 1):
+            before, v, after = word[i - 1], word[i], word[i + 1]
+            if before < v > after:
+                key = "z_p"
+            elif before > v < after:
+                key = "z_v"
+            elif before < v < after:
+                key = "z_da"
+            else:
+                key = "z_dd"
+            term = term * weights[key]
+        total = total + term
+    return total
+
+
+LINEAR00_WEIGHTS = [
+    {k: Poly.var(DEFAULT_VAR_NAMES[k]) for k in ("z_p", "z_v", "z_da", "z_dd")},
+    {"z_p": Poly.const(2), "z_v": Poly.const(3), "z_da": Poly.const(5), "z_dd": Poly.const(7)},
+    {"z_p": Poly.var("x") + 1, "z_v": Poly.zero(), "z_da": 2, "z_dd": Poly.var("x")},
+]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_linear_permutation_oracle_matches_reference_walk(n):
+    for weights in LINEAR00_WEIGHTS:
+        assert permutation_oracles(n, "linear00", weights) == _reference_linear00(n, weights)
+
+
+def test_linear_permutation_oracle_walks_s_n_once(monkeypatch):
+    first = permutation_oracles(6, "linear00")
+    misses = _linear00_table.cache_info().misses
+    for weights in LINEAR00_WEIGHTS:
+        permutation_oracles(6, "linear00", weights)
+    assert permutation_oracles(6, "linear00") == first
+    assert _linear00_table.cache_info().misses == misses
+    # a memoised n is still refused once the cap drops below it
+    monkeypatch.setenv("LAGTP_LIMIT", "5")
+    with pytest.raises(LimitExceeded):
+        permutation_oracles(6, "linear00")
+    monkeypatch.setenv("LAGTP_LIMIT", "abc")
+    with pytest.raises(BadLimitSetting):
+        permutation_oracles(6, "linear00")
 
 
 def test_oracle_matches_matrix_definition():

@@ -1,16 +1,21 @@
+import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from lagtp.laguerre import LaguerreParams, VertexWeights, coeff_matrix_uni, prodmat
-from lagtp.matrices import (HessMatrix, NonUnitDiagonalError, RiordanIntegralityError,
-                            Truncation, XorShift64, binomial_truncation,
+from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, NonUnitDiagonalError,
+                            RiordanIntegralityError, Truncation, XorShift64, _minor_scan,
+                            binomial_truncation,
                             bx_conjugate_eaz_identity_check, conjugate_by_binomial,
                             delta_matrix, det_exact, eaz_matrix, hankel_truncation,
                             output_matrix, production_of, riordan_matrix,
                             tp_check_sampled, tp_check_symbolic, unit_lower_inverse)
 from lagtp.polyring import Poly
 from lagtp.series import Series
+from lagtp.srpaths import SRCoeffs, SRTriangles
 
 x = Poly.var("x")
 a = Poly.var("a")
@@ -249,3 +254,175 @@ def test_xorshift_is_deterministic():
     assert [rng1.next_small() for _ in range(20)] == [rng2.next_small() for _ in range(20)]
     rng = XorShift64(3)
     assert {rng.next_small() for _ in range(200)} == {0, 1, 2, 3}
+
+
+# -- the minor scan against per-minor references ---------------------------------
+
+
+def _colex(n, size):
+    return sorted(itertools.combinations(range(n), size), key=lambda c: c[::-1])
+
+
+def _minors_in_scan_order(n_rows, n_cols, order):
+    for size in range(1, min(order, n_rows, n_cols) + 1):
+        for rows in _colex(n_rows, size):
+            for cols in _colex(n_cols, size):
+                yield rows, cols
+
+
+def _fraction_det(grid):
+    """Gaussian elimination over Fraction."""
+    g = [[Fraction(v) for v in row] for row in grid]
+    det = Fraction(1)
+    for k in range(len(g)):
+        pivot = next((i for i in range(k, len(g)) if g[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            g[k], g[pivot] = g[pivot], g[k]
+            det = -det
+        det *= g[k][k]
+        for i in range(k + 1, len(g)):
+            f = g[i][k] / g[k][k]
+            for j in range(k, len(g)):
+                g[i][j] -= f * g[k][j]
+    return det
+
+
+def _reference_symbolic(m, order):
+    """The per-minor scan: det_exact of each submatrix in colex order."""
+    checked = 0
+    for rows, cols in _minors_in_scan_order(m.rows, m.cols, order):
+        minor = det_exact(m.submatrix(rows, cols))
+        checked += 1
+        if not minor.is_coeffwise_nonneg():
+            return False, checked, (rows, cols, minor, None, None)
+    return True, checked, None
+
+
+def _reference_sampled(m, order, seed, samples):
+    """The per-minor sampled scan, with a Fraction determinant per minor."""
+    names = m.variables()
+    rng = XorShift64(seed)
+    checked = 0
+    for s_index in range(samples):
+        env = {v: SAMPLE_VALUES[rng.next_small()] for v in names}
+        grid = [[e.eval_numeric(env) for e in row] for row in m.data]
+        for rows, cols in _minors_in_scan_order(m.rows, m.cols, order):
+            val = _fraction_det([[grid[i][j] for j in cols] for i in rows])
+            checked += 1
+            if val < 0:
+                return False, checked, (rows, cols, val, env, s_index)
+    return True, checked, None
+
+
+def _summary(report):
+    w = report.witness
+    if w is None:
+        return report.ok, report.checked, None
+    return report.ok, report.checked, (w.rows, w.cols, w.minor, w.assignment, w.sample_index)
+
+
+_POOL = [Poly.one(), x, a, Poly.var("y"), x * a, x + 1]
+
+
+def _rand_poly(rng, negative_odds):
+    acc = Poly.zero()
+    for _ in range(rng.randrange(3)):
+        c = rng.randrange(1, 4)
+        if rng.random() < negative_odds:
+            c = -c
+        acc = acc + rng.choice(_POOL) * c
+    return acc
+
+
+def _random_matrix(rng, n_rows, n_cols, negative_odds):
+    return Truncation([[_rand_poly(rng, negative_odds) for _ in range(n_cols)]
+                       for _ in range(n_rows)])
+
+
+def _bidiagonal_product(rng, n):
+    """Lower times upper times lower bidiagonal, nonnegative entries: TP (LGV)."""
+    prod = Truncation.identity(n)
+    for f in range(3):
+        entries = {}
+        for i in range(n):
+            entries[i, i] = _rand_poly(rng, 0) + 1
+            if i:
+                entries[(i, i - 1) if f % 2 == 0 else (i - 1, i)] = _rand_poly(rng, 0)
+        prod = prod * Truncation.from_fn(n, n, lambda i, j: entries.get((i, j), 0))
+    return prod
+
+
+def _swap_adjacent_rows(m, i):
+    rows = list(range(m.rows))
+    rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    return m.submatrix(rows, range(m.cols))
+
+
+def _scan_cases():
+    rng = random.Random(20231)
+    cases = []
+    for n_rows, n_cols, order in [(3, 3, 3), (4, 4, 4), (3, 5, 3), (5, 3, 4), (4, 6, 5),
+                                  (5, 5, 4), (2, 4, 7), (1, 4, 2)]:
+        for odds in (0.0, 0.1, 0.5):
+            cases.append((f"random{n_rows}x{n_cols}-odds{odds}",
+                          _random_matrix(rng, n_rows, n_cols, odds), order))
+    for n in (4, 5):
+        b = _bidiagonal_product(rng, n)
+        cases.append((f"bidiagonal{n}", b, 4))
+        cases.append((f"bidiagonal{n}-swapped", _swap_adjacent_rows(b, rng.randrange(n - 1)), 3))
+        perturbed = [list(row) for row in b.data]
+        perturbed[rng.randrange(n)][rng.randrange(n)] -= x
+        cases.append((f"bidiagonal{n}-perturbed", Truncation(perturbed), 4))
+    zero_row = [list(row) for row in _bidiagonal_product(rng, 4).data]
+    zero_row[2] = [Poly.zero()] * 4
+    cases.append(("zero-row", Truncation(zero_row), 4))
+    cases.append(("zero-col", Truncation(zero_row).transpose(), 4))
+    cases.append(("zero-matrix", Truncation.zero(3, 4), 3))
+    cases.append(("no-rows", Truncation([]), 2))
+    cases.append(("no-cols", Truncation([[], [], []]), 2))
+    cases.append(("non-tp-2x2", Truncation([[1, 2], [3, 1]]), 2))
+    # TP2 but not TP3, and (tridiagonal, 3 on the diagonal, 2 beside it) TP3
+    # but not TP4; scaling row i by u_i and column j by v_j keeps every sign
+    tp2 = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]]
+    tp3 = [[3 if i == j else 2 if abs(i - j) == 1 else 0 for j in range(5)] for i in range(5)]
+    for name, grid, order in (("tp2-not-tp3", tp2, 4), ("tp3-not-tp4", tp3, 4)):
+        cases.append((name, Truncation.from_fn(
+            len(grid), len(grid),
+            lambda i, j: grid[i][j] * Poly.var(f"u{i}") * Poly.var(f"v{j}")), order))
+    # the determinant is 5 - x^2, so sampled mode fails at the first x = 3
+    y = Poly.var("y")
+    cases.append(("fails-at-x3", Truncation([[1, 1, 0], [y, 1 + y, x], [0, x, 5]]), 3))
+    for m in (1, 2):
+        tri = SRTriangles(SRCoeffs.symbolic(m), max_j=m + 1)
+        seq = [tri.value(m + 1, i, 0) for i in range(5)]
+        cases.append((f"type-{m + 1}-hankel-m{m}", hankel_truncation(seq, 3), 3))
+    return cases
+
+
+SCAN_CASES = _scan_cases()
+
+
+@pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_minor_scan_yields_every_minor_in_colex_order(name, m, order):
+    got = list(_minor_scan(m.data, m.rows, m.cols, order))
+    assert [(r, c) for r, c, _ in got] == list(_minors_in_scan_order(m.rows, m.cols, order))
+    for rows, cols, minor in got:
+        assert minor == det_exact(m.submatrix(rows, cols)), (rows, cols)
+    grid = [[e.eval_numeric({v: 2 for v in m.variables()}) for e in row] for row in m.data]
+    for rows, cols, minor in _minor_scan(grid, m.rows, m.cols, order):
+        assert minor == _fraction_det([[grid[i][j] for j in cols] for i in rows]), (rows, cols)
+
+
+@pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_symbolic_scan_matches_per_minor_reference(name, m, order):
+    assert _summary(tp_check_symbolic(m, order)) == _reference_symbolic(m, order)
+
+
+@pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_sampled_scan_matches_fraction_reference(name, m, order):
+    report = tp_check_sampled(m, order, seed=7, samples=8)
+    assert _summary(report) == _reference_sampled(m, order, seed=7, samples=8)
+    if report.witness is not None:
+        assert type(report.witness.minor) is int

@@ -48,10 +48,7 @@ class DiagonalPolySpec:
         return -1
 
     def eval_f(self, m: int, n: int) -> Poly:
-        acc = Poly.zero()
-        for d, c in enumerate(self.fs[m + 1]):
-            acc = acc + c * (n ** d)
-        return acc
+        return Poly.dot((c, n ** d) for d, c in enumerate(self.fs[m + 1]))
 
     def to_hess(self) -> HessMatrix:
         def fn(n, k):

@@ -229,12 +229,9 @@ def first_mv_rooks_decreasing(ctx: Ctx) -> bool:
     lam = params.lam
     for nn in range(n):
         for k in range(nn + 1):
-            acc = Poly.zero()
-            for i in range(nn + 1):
-                if nn - i - k < 0:
-                    continue
-                acc = acc + ((lam * v0) ** i * math.comb(nn, i)
-                             * _stirling2(nn - i, k) * vm ** (nn - i - k))
+            acc = Poly.dot(((lam * v0) ** i * math.comb(nn, i),
+                            vm ** (nn - i - k) * _stirling2(nn - i, k))
+                           for i in range(nn - k + 1))
             if m[nn, k] != acc:
                 return False
     return True
@@ -247,9 +244,7 @@ def first_mv_eulerian_column(ctx: Ctx) -> bool:
     vm, vp = Poly.var("vm"), Poly.var("vp")
     m = coeff_matrix_first_mv(p0, EdgeWeights(vm, vm, vp), n)
     for nn in range(1, n):
-        expect = Poly.zero()
-        for j in range(nn):
-            expect = expect + vp ** j * vm ** (nn - j) * _eulerian(nn, j)
+        expect = Poly.dot((vp ** j * _eulerian(nn, j), vm ** (nn - j)) for j in range(nn))
         if m[nn, 0] != expect:
             return False
     return True
@@ -458,9 +453,7 @@ def riordan_vector_action(ctx: Ctx) -> bool:
         r = riordan_matrix(f, g, n)
         rhs = f.truncate(n - 1) * begf.compose(g.truncate(n - 1))
         for i in range(n):
-            got = Poly.zero()
-            for k in range(i + 1):
-                got = got + r[i, k] * b[k]
+            got = Poly.dot((r[i, k], b[k]) for k in range(i + 1))
             if got != rhs[i].scale(math.factorial(i)):
                 return False
     return True

@@ -259,7 +259,6 @@ def _digraph_sum(n: int, k: int, mode: str, weights: Mapping[str, Poly]) -> Poly
 
 def _weighted_sum(counter: Mapping, values) -> Poly:
     values = [v if isinstance(v, Poly) else Poly.const(v) for v in values]
-    total = Poly.zero()
     powers = [dict() for _ in values]
 
     def power(i, e):
@@ -268,13 +267,14 @@ def _weighted_sum(counter: Mapping, values) -> Poly:
             cache[e] = values[i] ** e
         return cache[e]
 
-    for exps, count in sorted(counter.items()):
-        term = Poly.const(count)
+    def term(exps, count):
+        out = Poly.const(count)
         for i, e in enumerate(exps):
             if e:
-                term = term * power(i, e)
-        total = total + term
-    return total
+                out = out * power(i, e)
+        return out
+
+    return Poly.sum(term(exps, count) for exps, count in sorted(counter.items()))
 
 
 def permutation_oracles(n: int, kind: str, weights: Mapping[str, Poly] | None = None) -> Poly:

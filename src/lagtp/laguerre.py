@@ -119,19 +119,15 @@ class VertexWeights:
 def monic_laguerre(n: int, params: LaguerreParams, x: PolyLike) -> Poly:
     """Monic unsigned Laguerre polynomial: sum_k C(n,k) (1+alpha+k)^{rising n-k} x^k."""
     x = _p(x)
-    acc = Poly.zero()
-    for k in range(n + 1):
-        acc = acc + rising(params.alpha + (k + 1), n - k) * math.comb(n, k) * x ** k
-    return acc
+    return Poly.dot((rising(params.alpha + (k + 1), n - k) * math.comb(n, k), x ** k)
+                    for k in range(n + 1))
 
 
 def monic_laguerre_reversed(n: int, params: LaguerreParams, x: PolyLike) -> Poly:
     """Coefficient reversal x^n L(1/x): sum_k C(n,k) (1+alpha+k)^{rising n-k} x^{n-k}."""
     x = _p(x)
-    acc = Poly.zero()
-    for k in range(n + 1):
-        acc = acc + rising(params.alpha + (k + 1), n - k) * math.comb(n, k) * x ** (n - k)
-    return acc
+    return Poly.dot((rising(params.alpha + (k + 1), n - k) * math.comb(n, k), x ** (n - k))
+                    for k in range(n + 1))
 
 
 def coeff_matrix_uni(params: LaguerreParams, n: int) -> Truncation:
@@ -419,13 +415,9 @@ def unsigned_self_inverse_check(params: LaguerreParams, n: int) -> bool:
 def rowgen_polys(m: Truncation, x: PolyLike, reversed_form: bool = False) -> list:
     """Row-generating polynomials sum_k M[n,k] x^k (or x^(n-k) when reversed)."""
     x = _p(x)
-    out = []
-    for i in range(m.rows):
-        acc = Poly.zero()
-        for k in range(min(i, m.cols - 1) + 1):
-            acc = acc + m[i, k] * (x ** (i - k) if reversed_form else x ** k)
-        out.append(acc)
-    return out
+    return [Poly.dot((m[i, k], x ** (i - k) if reversed_form else x ** k)
+                     for k in range(min(i, m.cols - 1) + 1))
+            for i in range(m.rows)]
 
 
 def binomial_rowgen_matrix(m: Truncation, x: PolyLike) -> Truncation:

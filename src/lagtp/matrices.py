@@ -94,21 +94,8 @@ class Truncation:
     def __mul__(self, other: "Truncation") -> "Truncation":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Poly.zero()
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.data[k][j]
-                    if not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Truncation(out)
+        cols = [[row[j] for row in other.data] for j in range(other.cols)]
+        return Truncation([[Poly.dot(zip(row, col)) for col in cols] for row in self.data])
 
     def scale(self, c: PolyLike) -> "Truncation":
         c = _p(c)
@@ -251,10 +238,7 @@ def unit_lower_inverse(t: Truncation) -> Truncation:
     for i in range(n):
         inv[i][i] = Poly.one()
         for j in range(i - 1, -1, -1):
-            acc = Poly.zero()
-            for k in range(j, i):
-                acc = acc + t[i, k] * inv[k][j]
-            inv[i][j] = -acc
+            inv[i][j] = -Poly.dot((t[i, k], inv[k][j]) for k in range(j, i))
     return Truncation(inv)
 
 
@@ -276,17 +260,8 @@ def output_matrix(p: Union[HessMatrix, Callable[[int, int], PolyLike]], rows: in
     prev = [Poly.one()] + [Poly.zero()] * (width - 1)
     out = [prev[:cols]]
     for n in range(1, rows):
-        cur = []
-        for k in range(width):
-            acc = Poly.zero()
-            for i in range(width):
-                a = prev[i]
-                if a.is_zero():
-                    continue
-                pi = _p(entry(i, k))
-                if not pi.is_zero():
-                    acc = acc + a * pi
-            cur.append(acc)
+        live = [(i, a) for i, a in enumerate(prev) if a]
+        cur = [Poly.dot((a, entry(i, k)) for i, a in live) for k in range(width)]
         out.append(cur[:cols])
         prev = cur
     return Truncation(out)
@@ -305,10 +280,8 @@ def production_of(t: Truncation) -> Truncation:
     for i in range(n - 1):
         row = []
         for k in range(m):
-            acc = t[i + 1, k]
-            for j in range(max(0, k - 1), i):
-                acc = acc - t[i, j] * prows[j][k]
-            row.append(acc)
+            row.append(t[i + 1, k] - Poly.dot((t[i, j], prows[j][k])
+                                              for j in range(max(0, k - 1), i)))
         prows.append(row)
     return Truncation(prows) if prows else Truncation.zero(0, m)
 
@@ -347,15 +320,9 @@ def _det_laplace(g: list) -> Poly:
         return g[0][0]
     if n == 2:
         return g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    acc = Poly.zero()
-    for i in range(n):
-        c = g[i][0]
-        if c.is_zero():
-            continue
-        minor = [row[1:] for j, row in enumerate(g) if j != i]
-        term = c * _det_laplace(minor)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
+    return Poly.dot(
+        (-row[0] if i % 2 else row[0], _det_laplace([r[1:] for j, r in enumerate(g) if j != i]))
+        for i, row in enumerate(g) if row[0])
 
 
 def _det_bareiss(g: list) -> Poly:
@@ -439,13 +406,15 @@ def _minor_scan(grid, rows: int, cols: int, order: int):
     M(r, c) = sum_t (-1)^t g[r_t][c_0] M(r - r_t, c[1:]), over the size-(s-1)
     minors kept from the previous size; a term whose entry or cached minor
     is zero is skipped.  Only one level is kept, and the largest size is not
-    kept at all.  Entries need only +, -, * and truthiness, so the same scan
-    serves Poly grids (symbolic mode) and int grids (sampled mode).
+    kept at all.  The same scan serves Poly grids (symbolic mode), where each
+    expansion is one ``Poly.dot``, and int grids (sampled mode), where it is
+    an inline loop.
     """
     top = min(order, rows, cols)
     if top < 1:
         return
-    zero = type(grid[0][0])()  # Poly() and int() are both zero
+    symbolic = isinstance(grid[0][0], Poly)
+    neg = [[-e for e in row] for row in grid] if top > 1 else None
     prev: dict = {}
     for size in range(1, top + 1):
         keep = size < top
@@ -453,21 +422,24 @@ def _minor_scan(grid, rows: int, cols: int, order: int):
         colsets = _index_sets_colex(cols, size)
         for r in _index_sets_colex(rows, size):
             kept = cur[r] = {}
-            # (t odd, row r_t, the cached minors on the rows r - r_t)
-            drops = [(t & 1, r[t], prev[r[:t] + r[t + 1:]])
+            # ((-1)^t times row r_t, the cached minors on the rows r - r_t)
+            drops = [(neg[r[t]] if t & 1 else grid[r[t]], prev[r[:t] + r[t + 1:]])
                      for t in range(size)] if size > 1 else ()
             for c in colsets:
                 if size == 1:
                     minor = grid[r[0]][c[0]]
+                elif symbolic:
+                    c0, rest = c[0], c[1:]
+                    minor = Poly.dot((row[c0], below[rest]) for row, below in drops)
                 else:
                     c0, rest = c[0], c[1:]
-                    minor = zero
-                    for odd, rt, below in drops:
-                        e = grid[rt][c0]
+                    minor = 0
+                    for row, below in drops:
+                        e = row[c0]
                         if e:
                             sub = below[rest]
                             if sub:
-                                minor = minor - e * sub if odd else minor + e * sub
+                                minor += e * sub
                 if keep:
                     kept[c] = minor
                 yield r, c, minor

@@ -17,10 +17,26 @@ top bit of each field is a guard: exponents run from 0 to ``MAX_EXPONENT``
 depend on the order in which names were first seen, so they never leave the
 process: printing and JSON go through variable names.
 
+Sums of products are accumulated, not folded (Monagan and Pearce again):
+``Poly.dot(pairs)`` (the sum of a*b) and ``Poly.sum(polys)`` add every term
+pair into one dict and normalise it once at the end, so no product is built
+only to be merged and no partial sum is copied; ``*`` and ``scale`` are the
+one-pair case of the same multiply-add.  The accumulator holds integers over
+one common denominator: an operand with ``Fraction`` coefficients is scaled
+by the lcm of its denominators, so every term pair multiplies integers and
+each result term is divided once, at the end.  The overflow guard tests the
+operands of each product, not the accumulated result, where products may
+already have cancelled: in every field OR-of-keys(a) + OR-of-keys(b) is at
+least the largest exponent sum and cannot carry into the next field, so a
+sum with no guard bit set proves the product safe; only operands that fail
+this test have their term pairs checked one by one.
+
 ``Poly(vars, terms)`` builds a polynomial from exponent tuples parallel to
 ``vars``.  The names may come in any order and may repeat (the exponents of
-a repeated name add); exponents must be nonnegative integers (``ValueError``
-otherwise) no larger than ``MAX_EXPONENT`` (``OverflowError``).
+a repeated name add); exponents must be nonnegative integers, not bools
+(``ValueError`` otherwise), no larger than ``MAX_EXPONENT``
+(``OverflowError``).  Coefficients are stored as ``int`` (a bool becomes
+0 or 1) or as a ``Fraction`` with denominator > 1.
 
 Conventions, fixed for the process lifetime:
 
@@ -37,6 +53,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 Coeff = Union[int, Fraction]
@@ -88,10 +105,92 @@ def _degree(key: int) -> int:
     return d
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def _norm_coeff(c) -> Coeff:
+    """An exact scalar as a stored coefficient: int (bools included) when
+    integral, else Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, int):
+            return int(c)
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _over_ints(terms: dict) -> tuple:
+    """(d, terms * d), d the lcm of the coefficient denominators."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return 1, terms
+    return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+
+
+def _mul_into(out: dict, den: int, ta: dict, tb: dict) -> int:
+    """Add ta * tb (nonempty term maps) to out / den, where ``out`` holds
+    integers over the common denominator ``den``; returns the new ``den``.
+    ``_finish`` divides once per term and drops the zeros."""
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    da, ta = _over_ints(ta)
+    db, tb = _over_ints(tb)
+    d = da * db
+    if den % d:
+        grow = lcm(den, d) // den
+        for k in out:
+            out[k] *= grow
+        den *= grow
+    if den != d:
+        tb = {k: c * (den // d) for k, c in tb.items()}
+    get = out.get
+    if len(tb) == 1:
+        [(kb, cb)] = tb.items()
+        used = 0
+        for ka, ca in ta.items():
+            k = ka + kb
+            used |= k
+            out[k] = get(k, 0) + ca * cb
+        if used & _guard:
+            raise _overflow(used)
+        return den
+    ora = orb = 0
+    for k in ta:
+        ora |= k
+    for k in tb:
+        orb |= k
+    if (ora + orb) & _guard:
+        for ka in ta:
+            for kb in tb:
+                if (ka + kb) & _guard:
+                    raise _overflow(ka + kb)
+    for ka, ca in ta.items():
+        for kb, cb in tb.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return den
+
+
+def _product(ta: dict, tb: dict) -> "Poly":
+    """The Poly ta * tb: the multiply-add with one pair."""
+    if len(ta) == 1 == len(tb):  # a monomial times a monomial
+        [(ka, ca)], [(kb, cb)] = ta.items(), tb.items()
+        if (ka + kb) & _guard:
+            raise _overflow(ka + kb)
+        return _poly({ka + kb: _norm_coeff(ca * cb)})
+    if not ta or not tb:
+        return _poly({})
+    out: dict = {}
+    return _finish(out, _mul_into(out, 1, ta, tb))
+
+
+def _finish(out: dict, den: int) -> "Poly":
+    """The Poly of the term map ``out`` / ``den`` (integer values)."""
+    if den == 1:
+        return _poly({k: c for k, c in out.items() if c})
+    return _poly({k: Fraction(c, den) if c % den else c // den
+                  for k, c in out.items() if c})
 
 
 class Poly:
@@ -114,7 +213,7 @@ class Poly:
                 raise ValueError(f"exponent vector {exps} does not match vars {vars}")
             key = 0
             for off, e in zip(offsets, exps):
-                if not isinstance(e, int) or e < 0:
+                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                     raise ValueError(f"exponents must be nonnegative integers, got {e!r}")
                 if e > MAX_EXPONENT:
                     raise OverflowError(f"exponent {e} exceeds {MAX_EXPONENT}")
@@ -152,7 +251,7 @@ class Poly:
 
     @staticmethod
     def const(c: Scalar) -> "Poly":
-        c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        c = _norm_coeff(c)
         return _poly({0: c} if c else {})
 
     @staticmethod
@@ -204,7 +303,7 @@ class Poly:
                       if (k >> off) & _FIELD_MASK == power})
 
     def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.terms.values())
+        return all(type(c) is int for c in self.terms.values())
 
     def coefficients(self) -> Iterable[Coeff]:
         return self.terms.values()
@@ -255,49 +354,36 @@ class Poly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        ta, tb = self.terms, other.terms
-        if not ta or not tb:
-            return Poly.zero()
-        if not any(ta):
-            return other._scale(ta[0])
-        if not any(tb):
-            return self._scale(tb[0])
-        out: dict = {}
-        get = out.get
-        for ka, ca in ta.items():
-            for kb, cb in tb.items():
-                k = ka + kb
-                s = get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        used = 0
-        for k, c in out.items():
-            used |= k
-            if isinstance(c, Fraction) and c.denominator == 1:
-                out[k] = c.numerator
-        if used & _guard:
-            raise _overflow(used)
-        return _poly(out)
+        if type(other) is not Poly:
+            other = _as_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _product(self.terms, other.terms)
 
     __rmul__ = __mul__
 
-    def _scale(self, c: Coeff) -> "Poly":
-        if c == 0:
-            return Poly.zero()
-        if c == 1:
-            return self
-        return _poly({k: _norm_coeff(v * c) for k, v in self.terms.items()})
+    @staticmethod
+    def dot(pairs: Iterable) -> "Poly":
+        """The sum of a * b over (a, b) pairs of Polys or exact numbers,
+        accumulated in one term map."""
+        out: dict = {}
+        den = 1
+        for a, b in pairs:
+            ta = (a if type(a) is Poly else _p(a)).terms
+            tb = (b if type(b) is Poly else _p(b)).terms
+            if ta and tb:
+                den = _mul_into(out, den, ta, tb)
+        return _finish(out, den)
+
+    @staticmethod
+    def sum(polys: Iterable) -> "Poly":
+        """The sum of Polys or exact numbers, accumulated in one term map."""
+        return Poly.dot((p, 1) for p in polys)
 
     def scale(self, c: Scalar) -> "Poly":
         """Multiply by an exact scalar (used by series code for 1/n factors)."""
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        return self._scale(_norm_coeff(c))
+        c = _norm_coeff(c)
+        return self if c == 1 else _product(self.terms, {0: c} if c else {})
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -319,16 +405,17 @@ class Poly:
         if not hit:
             return self
         cleared = ~sum(_FIELD_MASK << off for off, _, _ in hit)
-        out = Poly.zero()
-        for k, c in self.terms.items():
+
+        def image(k, c):
             factor = _poly({k & cleared: c})
             for off, val, powers in hit:
                 e = (k >> off) & _FIELD_MASK
                 while len(powers) <= e:
                     powers.append(powers[-1] * val)
                 factor = factor * powers[e]
-            out = out + factor
-        return out
+            return factor
+
+        return Poly.sum(image(k, c) for k, c in self.terms.items())
 
     def eval_numeric(self, env: Mapping[str, Scalar]) -> Coeff:
         """Evaluate with every variable bound to an exact number."""
@@ -369,7 +456,7 @@ class Poly:
             return Poly.zero()
         if divisor.is_constant():
             d = divisor.terms[0]
-            if self.is_integral() and isinstance(d, int):
+            if type(d) is int and self.is_integral():
                 if any(c % d for c in self.terms.values()):
                     raise ExactDivisionError(f"{divisor} does not divide {self} over the integers")
                 return _poly({k: c // d for k, c in self.terms.items()})
@@ -391,7 +478,7 @@ class Poly:
             # (which no exact quotient produces), sets a guard bit
             if (le | qk) & guard:
                 raise ExactDivisionError("leading monomial not divisible")
-            if isinstance(lc, int) and isinstance(ld_coeff, int):
+            if type(lc) is int and type(ld_coeff) is int:
                 if lc % ld_coeff:
                     raise ExactDivisionError("leading coefficient not divisible")
                 qc = lc // ld_coeff
@@ -490,14 +577,19 @@ def _p(x) -> Poly:
 def _as_poly(x) -> Poly:
     """Like ``_p`` for the operators: NotImplemented for foreign types, so
     the other operand's reflected method runs."""
-    if isinstance(x, Poly):
+    if type(x) is Poly:
         return x
-    if isinstance(x, (int, Fraction)):
-        return Poly.const(x)
+    if type(x) is int:
+        return _poly({0: x} if x else {})
+    if isinstance(x, (int, Fraction, Poly)):
+        return _p(x)
     return NotImplemented
 
 
 def _parse_coeff(s: str) -> Coeff:
     if "/" in s:
-        return _norm_coeff(Fraction(s))
+        try:
+            return _norm_coeff(Fraction(s))
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {s!r} has a zero denominator") from None
     return int(s)

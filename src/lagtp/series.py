@@ -91,16 +91,8 @@ class Series:
             return Series([c * p for c in self.coefs], self.order)
         other = self._match(other)
         n = min(self.order, other.order)
-        out = [Poly.zero()] * (n + 1)
-        for i in range(n + 1):
-            a = self.coefs[i]
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coefs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Series(out, n)
+        a, b = self.coefs, other.coefs
+        return Series([Poly.dot((a[i], b[k - i]) for i in range(k + 1)) for k in range(n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -131,10 +123,8 @@ class Series:
         inv0 = Fraction(1, 1) / Fraction(c0.as_constant())
         out = [Poly.const(inv0)]
         for n in range(1, self.order + 1):
-            acc = Poly.zero()
-            for i in range(1, n + 1):
-                acc = acc + self.coefs[i] * out[n - i]
-            out.append((-acc).scale(inv0))
+            acc = Poly.dot((self.coefs[i], out[n - i]) for i in range(1, n + 1))
+            out.append(acc.scale(-inv0))
         return Series(out, self.order)
 
     def compose(self, inner: "Series") -> "Series":
@@ -142,12 +132,12 @@ class Series:
         if not inner.coefs[0].is_zero():
             raise ValueError("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        out = Series([self.coefs[0]], n)
-        power = Series.one(n)
-        for k in range(1, n + 1):
-            power = power * inner
-            out = out + power * self.coefs[k]
-        return out
+        powers = [Series.one(n)]
+        for _ in range(n):
+            powers.append(powers[-1] * inner)
+        # inner^k starts at t^k, so only k <= i reaches coefficient i
+        return Series([Poly.dot((self.coefs[k], powers[k].coefs[i]) for k in range(i + 1))
+                       for i in range(n + 1)], n)
 
     def reversion(self) -> "Series":
         """Compositional inverse H with self(H(t)) = t.
@@ -177,10 +167,7 @@ class Series:
         d = self.derivative()
         out = [Poly.one()]
         for n in range(1, self.order + 1):
-            acc = Poly.zero()
-            for i in range(n):
-                if n - 1 - i <= d.order and not out[i].is_zero():
-                    acc = acc + d.coefs[n - 1 - i] * out[i]
+            acc = Poly.dot((d.coefs[n - 1 - i], out[i]) for i in range(n))
             out.append(acc.scale(Fraction(1, n)))
         return Series(out, self.order)
 
@@ -195,18 +182,10 @@ def solve_riccati(p: Poly, q: Poly, r: Poly, order: int) -> Series:
     Triangular recurrence on the Taylor coefficients:
     (n+1) g_{n+1} = p*[n=0] + q*g_n + r*sum_{i+j=n} g_i g_j.
     """
-    g = [Poly.zero()]
-    for n in range(order):
-        acc = Poly.zero()
-        if n == 0:
-            acc = acc + p
-        acc = acc + q * g[n]
-        conv = Poly.zero()
-        for i in range(n + 1):
-            if not g[i].is_zero() and not g[n - i].is_zero():
-                conv = conv + g[i] * g[n - i]
-        acc = acc + r * conv
-        g.append(acc.scale(Fraction(1, n + 1)))
+    g = [Poly.zero(), p][: order + 1]
+    for n in range(1, order):
+        conv = Poly.dot((g[i], g[n - i]) for i in range(n + 1))
+        g.append(Poly.dot([(q, g[n]), (r, conv)]).scale(Fraction(1, n + 1)))
     return Series(g, order)
 
 
@@ -219,18 +198,15 @@ def solve_logderiv(z_coeffs: Sequence[PolyLike], g: Series, lam: PolyLike, order
     """
     lam = _p(lam)
     g = g.truncate(min(g.order, order))
-    w = Series.zero(order)
-    power = Series.one(order)
-    for k, z in enumerate(z_coeffs):
-        if k > 0:
-            power = power * g
-        w = w + power * (_p(z) * lam)
+    powers = [Series.one(order)]  # G^k for the z_k; W = lam * Z(G) below
+    for _ in z_coeffs[1:]:
+        powers.append(powers[-1] * g)
+    zs = [_p(z) * lam for z in z_coeffs]
+    w = [Poly.dot((z, power.coefs[i]) for z, power in zip(zs, powers))
+         for i in range(powers[-1].order + 1)]
     f = [Poly.one()]
     for n in range(order):
-        acc = Poly.zero()
-        for i in range(n + 1):
-            if not f[i].is_zero():
-                acc = acc + w.coefs[n - i] * f[i]
+        acc = Poly.dot((w[n - i], f[i]) for i in range(n + 1))
         f.append(acc.scale(Fraction(1, n + 1)))
     return Series(f, order)
 
@@ -249,9 +225,6 @@ def series_pow_sym(f1: Series, lam: PolyLike, order: int) -> Series:
     w = f1.derivative() * f1.reciprocal() if order > 0 else Series.zero(0)
     f = [Poly.one()]
     for n in range(order):
-        acc = Poly.zero()
-        for i in range(n + 1):
-            if not f[i].is_zero() and n - i <= w.order:
-                acc = acc + w.coefs[n - i] * f[i]
+        acc = Poly.dot((w.coefs[n - i], f[i]) for i in range(n + 1) if n - i <= w.order)
         f.append((acc * lam).scale(Fraction(1, n + 1)))
     return Series(f, order)

@@ -179,13 +179,13 @@ def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> dict:
 
 def _weigh(coeffs: SRCoeffs, counter: Counter) -> Poly:
     """Sum over fall-height multisets of count * prod alpha_height."""
-    total = Poly.zero()
-    for heights, count in sorted(counter.items()):
-        term = Poly.const(count)
+    def term(heights, count):
+        out = Poly.const(count)
         for h in heights:
-            term = term * coeffs.alpha(h)
-        total = total + term
-    return total
+            out = out * coeffs.alpha(h)
+        return out
+
+    return Poly.sum(term(heights, count) for heights, count in sorted(counter.items()))
 
 
 # -- production matrices ------------------------------------------------------

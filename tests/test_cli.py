@@ -1,11 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from lagtp import checks, cli
 from lagtp.laguerre import LaguerreParams, monic_laguerre
-from lagtp.matrices import Truncation, hankel_truncation
+from lagtp.matrices import Truncation, hankel_truncation, tp_check_symbolic
 from lagtp.polyring import Poly
 
 
@@ -170,6 +171,69 @@ def test_tp_check_bad_exponent_exits_2(tmp_path, capsys, exp):
     code, out, err = run(capsys, ["tp-check", str(path), "--order", "2"])
     assert (code, out) == (2, "")
     assert "exponent" in err
+
+
+def test_tp_check_exponent_true_exits_2(tmp_path, capsys):
+    # a JSON true is no exponent, not x^1
+    entry = {"vars": ["x"], "terms": [{"exp": [True], "coef": "1"}]}
+    path = tmp_path / "bool_exp.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
+    code, out, err = run(capsys, ["tp-check", str(path), "--order", "1"])
+    assert (code, out) == (2, "")
+    assert "exponent" in err
+
+
+def test_tp_check_zero_denominator_exits_2(tmp_path, capsys):
+    entry = {"vars": ["x"], "terms": [{"exp": [1], "coef": "1/0"}]}
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
+    code, out, err = run(capsys, ["tp-check", str(path), "--order", "1"])
+    assert (code, out) == (2, "")
+    assert "1/0" in err
+
+
+def test_tp_check_bool_entries_round_trip(tmp_path, capsys):
+    m = Truncation([[True, 0], [1, 1]])
+    path = tmp_path / "bool.json"
+    path.write_text(m.to_json())
+    assert '"True"' not in path.read_text()
+    code, out, _ = run(capsys, ["tp-check", str(path), "--order", "2"])
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def _assert_tp_check_reports(capsys, path, matrix, order):
+    """`lagtp tp-check` on the JSON at path prints the report of the matrix
+    built in memory, with the matching exit code."""
+    expected = tp_check_symbolic(matrix, order)
+    code, out, err = run(capsys, ["tp-check", str(path), "--order", str(order)])
+    assert (code, out, err) == (0 if expected.ok else 1, expected.to_json() + "\n", "")
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("selector", cli.GEN_SELECTORS)
+def test_gen_then_tp_check_reports_the_in_memory_matrix(tmp_path, capsys, selector, seed):
+    rng = random.Random(f"{selector}/{seed}")
+    alphas = ["sym", "-1", "2"] + ([] if selector == "second-mv" else ["1/2"])
+    argv = ["gen", selector, "--alpha", rng.choice(alphas), "--n", str(rng.randint(1, 4))]
+    path = tmp_path / "gen.json"
+    assert run(capsys, argv + ["--out", str(path)])[0] == 0
+    matrix = cli._gen_matrix(cli.build_parser().parse_args(argv))
+    _assert_tp_check_reports(capsys, path, matrix, rng.randint(1, 4))
+
+
+_y = Poly.var("y")
+ENTRY_POOL = [True, False, 0, 1, -2, Fraction(1, 2), Fraction(-3, 4), Poly.var("x"),
+              Poly.var("x") * _y + 1, _y.scale(Fraction(1, 3)) - 1]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_seeded_matrix_then_tp_check_reports_the_in_memory_matrix(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    matrix = Truncation([[rng.choice(ENTRY_POOL) for _ in range(cols)] for _ in range(rows)])
+    path = tmp_path / "m.json"
+    path.write_text(matrix.to_json())
+    _assert_tp_check_reports(capsys, path, matrix, rng.randint(1, 4))
 
 
 @pytest.mark.parametrize("flag", ["--order", "--samples"])

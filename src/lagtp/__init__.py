@@ -3,8 +3,9 @@ coefficient matrices, production matrices, branched continued fractions and
 coefficientwise total positivity certification at finite truncation order.
 
 Everything is exact: sparse integer/rational polynomials, truncated power
-series built from ODE recurrences, fraction-free determinants, and
-brute-force combinatorial oracles cross-validating every closed form.
+series built from ODE recurrences, minors expanded over cached smaller
+minors, and brute-force combinatorial oracles cross-validating every
+closed form.
 """
 
 from .polyring import ExactDivisionError, Poly, falling, rising
@@ -13,7 +14,7 @@ from .series import (Series, series_pow_sym, series_reciprocal,
 from .matrices import (HessMatrix, Truncation, TPReport, TPWitness,
                        XorShift64, binomial_truncation,
                        bx_conjugate_eaz_identity_check, conjugate_by_binomial,
-                       delta_matrix, det_exact, eaz_matrix, hankel_truncation,
+                       delta_matrix, eaz_matrix, hankel_truncation,
                        output_matrix, production_of, riordan_matrix,
                        tp_check_sampled, tp_check_symbolic,
                        tp_check_tridiagonal, unit_lower_inverse)

@@ -782,12 +782,16 @@ def general_quad_structure(ctx: Ctx) -> bool:
     return True
 
 
-def general_quad_tp_desk_scale(ctx: Ctx) -> bool:
-    p = quadtp.QuadFactorParams.symbolic()
-    m = quadtp.build_general_quad(p)
+def _tp3_symbolic_tp4_sampled(m: HessMatrix, ctx: Ctx) -> bool:
+    """Symbolic TP3 on the 6x6 block, then sampled TP4 on the 7x7 block."""
     if not tp_check_symbolic(m.truncate(6), 3).ok:
         return False
     return tp_check_sampled(m.truncate(7), 4, seed=ctx.seed, samples=100).ok
+
+
+def general_quad_tp_desk_scale(ctx: Ctx) -> bool:
+    return _tp3_symbolic_tp4_sampled(
+        quadtp.build_general_quad(quadtp.QuadFactorParams.symbolic()), ctx)
 
 
 def laguerre_specialization_quad(ctx: Ctx) -> bool:
@@ -804,11 +808,7 @@ def laguerre_quad_constrained_tp(ctx: Ctx) -> bool:
     """TP of the flat quadridiagonal under y_fp = y_da = y_p, y_dd = y_v + w."""
     yp, yv, w_extra, lam, x = (Poly.var(v) for v in ("yp", "yv", "w", "lam", "x"))
     spec = quadtp.laguerre_flat_params(yp, yv, yp, yv + w_extra, lam, x)
-    m6 = quadtp.build_general_quad(spec).truncate(6)
-    if not tp_check_symbolic(m6, 3).ok:
-        return False
-    m7 = quadtp.build_general_quad(spec).truncate(7)
-    return tp_check_sampled(m7, 4, seed=ctx.seed, samples=100).ok
+    return _tp3_symbolic_tp4_sampled(quadtp.build_general_quad(spec), ctx)
 
 
 def variant_quad_structure(ctx: Ctx) -> bool:
@@ -825,11 +825,8 @@ def variant_quad_structure(ctx: Ctx) -> bool:
 
 
 def variant_quad_tp_desk_scale(ctx: Ctx) -> bool:
-    p = quadtp.QuadVariantParams.symbolic()
-    m = quadtp.build_variant_quad(p)
-    if not tp_check_symbolic(m.truncate(6), 3).ok:
-        return False
-    return tp_check_sampled(m.truncate(7), 4, seed=ctx.seed, samples=100).ok
+    return _tp3_symbolic_tp4_sampled(
+        quadtp.build_variant_quad(quadtp.QuadVariantParams.symbolic()), ctx)
 
 
 # -------------------------------------------------------------------- banded

@@ -53,9 +53,12 @@ def _parse_family(cell_id: str, kappa_text: str | None) -> srpaths.KappaFamily:
     j = int(cell_id[1])
     alpha = -1 if "am1" in cell_id else int(cell_id[-1])
     kappa = None
-    if (j, alpha) in srpaths.KAPPA_CELLS:
-        kappa = Fraction(kappa_text) if kappa_text else Fraction(1)
-    return srpaths.KappaFamily(j, alpha, kappa)
+    try:
+        if (j, alpha) in srpaths.KAPPA_CELLS:
+            kappa = Fraction(kappa_text) if kappa_text else Fraction(1)
+        return srpaths.KappaFamily(j, alpha, kappa)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad --kappa value {kappa_text!r}: {exc}") from None
 
 
 def _gen_matrix(args) -> Truncation:
@@ -213,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, default=2, help="branch order for smj")
     gen.add_argument("--j", type=int, default=None, help="type for smj (from --family when given)")
     gen.add_argument("--family", help=f"table cell for smj: {', '.join(FAMILY_IDS)}")
-    gen.add_argument("--kappa", help="rational kappa for the kappa-family cells (default 1)")
+    gen.add_argument("--kappa", help="rational kappa in [0, 1] for the kappa-family cells "
+                     "(default 1)")
     gen.add_argument("--flat", action="store_true", help="flat second-mv matrix")
     gen.add_argument("--format", choices=("json", "csv"), default="json")
     gen.add_argument("--out", help="output path (default stdout)")

@@ -1,9 +1,10 @@
 """Band-bounded lower-Hessenberg matrices of polynomials and their toolkit.
 
 Covers the production-matrix machinery (output-matrix iteration and its
-inverse), binomial conjugation, exact determinants and minors, total
-positivity certification (symbolic and sampled), the exponential AZ matrix,
-and exponential Riordan array construction.
+inverse), binomial conjugation, exact minors, total positivity
+certification (symbolic and sampled, plus the continuant criterion for
+tridiagonal matrices), the exponential AZ matrix, and exponential Riordan
+array construction.
 
 All matrices here are finite truncations with exact ``Poly`` entries; the
 iteration and conjugation routines are arranged so that every returned
@@ -40,7 +41,7 @@ class Truncation:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence[PolyLike]]):
-        data = tuple(tuple(_p(x) for x in row) for row in data)
+        data = tuple(tuple(map(_p, row)) for row in data)
         rows = len(data)
         cols = len(data[0]) if rows else 0
         if any(len(r) != cols for r in data):
@@ -94,8 +95,20 @@ class Truncation:
     def __mul__(self, other: "Truncation") -> "Truncation":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols = [[row[j] for row in other.data] for j in range(other.cols)]
-        return Truncation([[Poly.dot(zip(row, col)) for col in cols] for row in self.data])
+        # sum only over the nonzero pairs: row i meets the nonzero entries of
+        # row k of other for each nonzero (i, k)
+        live = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        zero = Poly.zero()
+        out = []
+        for row in self.data:
+            pairs: dict = {}
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in live[k]:
+                        pairs.setdefault(j, []).append((a, b))
+            out.append([Poly.dot(pairs[j]) if j in pairs else zero
+                        for j in range(other.cols)])
+        return Truncation(out)
 
     def scale(self, c: PolyLike) -> "Truncation":
         c = _p(c)
@@ -157,6 +170,8 @@ class Truncation:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Truncation":
+        if type(obj["rows"]) is not int or type(obj["cols"]) is not int:
+            raise ValueError("matrix JSON rows and cols must be integers")
         data = [[Poly.from_json_obj(e) for e in row] for row in obj["entries"]]
         t = Truncation(data)
         if t.rows != obj["rows"] or t.cols != obj["cols"]:
@@ -301,52 +316,7 @@ def conjugate_by_binomial(p: Union[HessMatrix, Truncation], xi: PolyLike, n: int
     return (left * block * right).top_left(n, n)
 
 
-# -- exact determinants and total positivity --------------------------------
-
-
-def det_exact(m: Truncation) -> Poly:
-    """Exact determinant: Laplace expansion up to 4x4, Bareiss fraction-free above."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    if m.rows == 0:
-        return Poly.one()
-    grid = [list(row) for row in m.data]
-    return _det_laplace(grid) if m.rows <= 4 else _det_bareiss(grid)
-
-
-def _det_laplace(g: list) -> Poly:
-    n = len(g)
-    if n == 1:
-        return g[0][0]
-    if n == 2:
-        return g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    return Poly.dot(
-        (-row[0] if i % 2 else row[0], _det_laplace([r[1:] for j, r in enumerate(g) if j != i]))
-        for i, row in enumerate(g) if row[0])
-
-
-def _det_bareiss(g: list) -> Poly:
-    n = len(g)
-    g = [row[:] for row in g]
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if g[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not g[i][k].is_zero():
-                    g[k], g[i] = g[i], g[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = g[i][j] * g[k][k] - g[i][k] * g[k][j]
-                g[i][j] = num.exact_div(prev)
-            g[i][k] = Poly.zero()
-        prev = g[k][k]
-    d = g[n - 1][n - 1]
-    return d if sign == 1 else -d
+# -- total positivity -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -521,7 +491,12 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
 
 def tp_check_tridiagonal(m: Truncation, order: int) -> bool:
     """Tridiagonal TP criterion: nonnegative off-diagonals plus nonnegative
-    contiguous principal minors of size <= order."""
+    contiguous principal minors of size <= order.
+
+    The minors on rows start..i follow the continuant recurrence
+    theta_i = a_i theta_{i-1} - b_{i-1} c_{i-1} theta_{i-2}, with a the
+    diagonal, b the super- and c the subdiagonal.
+    """
     n = min(m.rows, m.cols)
     for i in range(m.rows):
         for j in range(m.cols):
@@ -529,10 +504,13 @@ def tp_check_tridiagonal(m: Truncation, order: int) -> bool:
                 return False
             if abs(i - j) > 1 and not m[i, j].is_zero():
                 raise ValueError("matrix is not tridiagonal")
-    for size in range(1, order + 1):
-        for start in range(n - size + 1):
-            idx = range(start, start + size)
-            if not det_exact(m.submatrix(idx, idx)).is_coeffwise_nonneg():
+    # -b_{i-1} c_{i-1}, the coefficient of theta_{i-2} in theta_i
+    link = [Poly.zero()] + [-(m[i - 1, i] * m[i, i - 1]) for i in range(1, n)]
+    for start in range(n):
+        before, theta = Poly.zero(), Poly.one()  # theta_{start-2}, theta_{start-1}
+        for i in range(start, min(n, start + order)):
+            before, theta = theta, Poly.dot(((m[i, i], theta), (link[i], before)))
+            if not theta.is_coeffwise_nonneg():
                 return False
     return True
 

@@ -386,7 +386,7 @@ class Poly:
         return self if c == 1 else _product(self.terms, {0: c} if c else {})
 
     def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Poly.one()
         base = self
@@ -443,11 +443,12 @@ class Poly:
             return False
 
     def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact polynomial division; raises ExactDivisionError on remainder.
+        """Exact polynomial division over the rationals; raises
+        ExactDivisionError on a remainder.
 
-        Leading-term reduction, with terms ordered by (total degree, key);
-        exactness is exactly what fraction-free elimination and the
-        peak-factor removal guarantee, so failure signals a bug upstream.
+        Leading-term reduction, with terms ordered by (total degree, key).
+        A quotient coefficient stays an ``int`` when it is one, and becomes
+        a ``Fraction`` otherwise.
         """
         divisor = _as_poly(divisor)
         if divisor.is_zero():
@@ -456,9 +457,8 @@ class Poly:
             return Poly.zero()
         if divisor.is_constant():
             d = divisor.terms[0]
-            if type(d) is int and self.is_integral():
-                if any(c % d for c in self.terms.values()):
-                    raise ExactDivisionError(f"{divisor} does not divide {self} over the integers")
+            if (type(d) is int and self.is_integral()
+                    and not any(c % d for c in self.terms.values())):
                 return _poly({k: c // d for k, c in self.terms.items()})
             return self.scale(Fraction(1) / d)
         guard = _guard
@@ -478,9 +478,7 @@ class Poly:
             # (which no exact quotient produces), sets a guard bit
             if (le | qk) & guard:
                 raise ExactDivisionError("leading monomial not divisible")
-            if type(lc) is int and type(ld_coeff) is int:
-                if lc % ld_coeff:
-                    raise ExactDivisionError("leading coefficient not divisible")
+            if type(lc) is int and type(ld_coeff) is int and not lc % ld_coeff:
                 qc = lc // ld_coeff
             else:
                 qc = _norm_coeff(Fraction(lc) / Fraction(ld_coeff))

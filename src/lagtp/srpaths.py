@@ -15,8 +15,8 @@ bidiagonal product L_{j+1} ... L_m U_0 L_1 ... L_j.
 Coefficient conventions: alpha_i = 0 for i < m.  The kappa-families of
 bidiagonal factorizations of the univariate Laguerre production matrix use
 c_n = ((n-1)-(n-2) kappa)/(n-(n-1) kappa); for a symbolic kappa the
-verification multiplies through by the positive denominators n-(n-1) kappa
-instead of leaving the polynomial ring.
+verification multiplies every factor by the product C of the positive
+denominators n-(n-1) kappa instead of leaving the polynomial ring.
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Callable, Optional, Union
 
 from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
 from .laguerre import LaguerreParams, prodmat
 from .matrices import HessMatrix, Truncation
-from .polyring import ExactDivisionError, Poly, _p
+from .polyring import Poly, _p
 
 PolyLike = Union[Poly, int, Fraction]
 
@@ -191,57 +193,27 @@ def _weigh(coeffs: SRCoeffs, counter: Counter) -> Poly:
 # -- production matrices ------------------------------------------------------
 
 
-def _grid_mul(a: list, b: list, zero):
-    n = len(a)
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            x = a[i][k]
-            if isinstance(x, Poly) and x.is_zero():
-                continue
-            for jj in range(n):
-                y = b[k][jj]
-                if isinstance(y, Poly) and y.is_zero():
-                    continue
-                out[i][jj] = out[i][jj] + x * y
-    return out
-
-
-def _smj_grid(coeffs: SRCoeffs, j: int, size: int, alpha):
+def _smj_grid(coeffs: SRCoeffs, j: int, size: int, unit: Poly) -> Truncation:
     """P^(m;j) = L_{j+1}..L_m U_0 L_1..L_j on a size x size block.
 
-    ``alpha`` maps an index to the entry value (Poly, or any ring element
-    with +,* against Poly and int); the subdiagonal of L_r holds
-    alpha_{(m+1)i + r - 1} at row i, the diagonal of U_0 holds
-    alpha_{(m+1)(i+1) - 1}.
+    The subdiagonal of L_r holds alpha_{(m+1)i + r - 1} at row i, the
+    diagonal of U_0 holds alpha_{(m+1)(i+1) - 1}; the unit entries of the
+    factors (the diagonal of each L_r, the superdiagonal of U_0) hold
+    ``unit``.
     """
-    m = coeffs.m
+    m, al, zero = coeffs.m, coeffs.alpha, Poly.zero()
     if not 0 <= j <= m:
         raise ValueError(f"type j must satisfy 0 <= j <= m (got {j})")
-    zero, one = Poly.zero(), Poly.one()
 
     def l_factor(r):
-        g = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            g[i][i] = one
-            if i >= 1:
-                g[i][i - 1] = alpha((m + 1) * i + r - 1)
-        return g
+        return Truncation.from_fn(size, size, lambda i, k: (
+            unit if k == i else al((m + 1) * i + r - 1) if k == i - 1 else zero))
 
-    def u0_factor():
-        g = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            g[i][i] = alpha((m + 1) * (i + 1) - 1)
-            if i + 1 < size:
-                g[i][i + 1] = one
-        return g
-
-    factors = [l_factor(r) for r in range(j + 1, m + 1)] + [u0_factor()] + \
+    u0 = Truncation.from_fn(size, size, lambda i, k: (
+        al((m + 1) * (i + 1) - 1) if k == i else unit if k == i + 1 else zero))
+    factors = [l_factor(r) for r in range(j + 1, m + 1)] + [u0] + \
               [l_factor(r) for r in range(1, j + 1)]
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = _grid_mul(prod, f, zero)
-    return prod
+    return reduce(mul, factors)
 
 
 def prodmat_smj(coeffs: SRCoeffs, j: int, n: int) -> HessMatrix:
@@ -252,8 +224,7 @@ def prodmat_smj(coeffs: SRCoeffs, j: int, n: int) -> HessMatrix:
     explicit quadridiagonal formulas (a construction bug raises here).
     """
     m = coeffs.m
-    grid = _smj_grid(coeffs, j, n + m + 1, coeffs.alpha)
-    block = Truncation([row[:n] for row in grid[:n]])
+    block = _smj_grid(coeffs, j, n + m + 1, Poly.one()).top_left(n)
     if m == 2:
         for i in range(n):
             for k in range(max(0, i - 2), min(n, i + 2)):
@@ -326,70 +297,6 @@ def check_modified_from_type0(m: int, ell: int, n_max: int, prefix: str = "al") 
 # -- the factorization-table kappa families -------------------------------------
 
 
-class PolyFrac:
-    """Minimal exact fraction of polynomials, for symbolic-kappa entries.
-
-    Simplified opportunistically via exact division; equality is decided by
-    cross-multiplication, so no gcd machinery is needed.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = None):
-        den = Poly.one() if den is None else den
-        if den.is_zero():
-            raise ZeroDivisionError("PolyFrac with zero denominator")
-        if num.is_zero():
-            den = Poly.one()
-        elif not den.is_constant():
-            try:
-                num = num.exact_div(den)
-                den = Poly.one()
-            except ExactDivisionError:
-                pass
-        if den.is_constant() and den.as_constant() != 1:
-            num = num.scale(Fraction(1, 1) / Fraction(den.as_constant()))
-            den = Poly.one()
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def of(x) -> "PolyFrac":
-        if isinstance(x, PolyFrac):
-            return x
-        return PolyFrac(_p(x))
-
-    def __add__(self, other):
-        other = PolyFrac.of(other)
-        if self.den == other.den:
-            return PolyFrac(self.num + other.num, self.den)
-        return PolyFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = PolyFrac.of(other)
-        return PolyFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        other = PolyFrac.of(other)
-        return self + PolyFrac(-other.num, other.den)
-
-    def __eq__(self, other):
-        other = PolyFrac.of(other)
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __repr__(self):
-        return f"({self.num})/({self.den})" if self.den != Poly.one() else f"({self.num})"
-
-
 ADMISSIBLE_CELLS = {(0, -1), (1, -1), (2, -1), (1, 0), (2, 0), (2, 1)}
 KAPPA_CELLS = {(0, -1), (1, -1), (2, -1), (2, 1)}
 
@@ -408,8 +315,12 @@ class KappaFamily:
         if (self.j, self.alpha_lag) not in ADMISSIBLE_CELLS:
             raise InadmissibleCellError(
                 f"(j={self.j}, alpha={self.alpha_lag}) is not an admissible cell")
-        if (self.j, self.alpha_lag) in KAPPA_CELLS and self.kappa is None:
-            object.__setattr__(self, "kappa", Fraction(1))
+        if (self.j, self.alpha_lag) in KAPPA_CELLS:
+            if self.kappa is None:
+                object.__setattr__(self, "kappa", Fraction(1))
+            kappa = _p(self.kappa)
+            if kappa.is_constant() and not 0 <= kappa.as_constant() <= 1:
+                raise ValueError(f"kappa must lie in [0, 1] (got {self.kappa})")
 
     @property
     def cell_id(self) -> str:
@@ -417,89 +328,86 @@ class KappaFamily:
         return f"j{self.j}a{a}"
 
 
-def _cn_values(kappa) -> tuple:
-    """Return (D, symbolic) where D(n) = n - (n-1) kappa, with D(0) = kappa."""
-    if isinstance(kappa, Poly) and kappa.vars:
-        return (lambda n: Poly.const(n) - (kappa * (n - 1))), True
-    kq = Fraction(kappa if not isinstance(kappa, Poly) else kappa.as_constant())
-    return (lambda n: Fraction(n) - kq * (n - 1)), False
+# where the alpha-sequence of each cell starts
+_CELL_OFFSET = {(0, -1): 0, (1, -1): 1, (2, -1): 2, (2, 1): 0, (1, 0): 0, (2, 0): 1}
+
+
+def _kappa(fam: KappaFamily) -> Poly:
+    """The cell's kappa; the rook-type cells follow the kappa = 1 pattern."""
+    return _p(fam.kappa) if (fam.j, fam.alpha_lag) in KAPPA_CELLS else Poly.one()
+
+
+def _denominator(fam: KappaFamily) -> Callable[[int], Poly]:
+    """D(n) = n - (n-1) kappa."""
+    kappa = _kappa(fam)
+    return lambda n: Poly.const(n) - kappa * (n - 1)
+
+
+def _alpha_fraction(fam: KappaFamily) -> Callable[[int], tuple]:
+    """alpha_i of the cell as (numerator, denominator), the denominator D(n) or 1:
+    the alphas cycle through x, c_n n = n D(n-1)/D(n) and
+    (2 - c_n) n = n D(n+1)/D(n)."""
+    x, one = Poly.var(fam.x_name), Poly.one()
+    d = _denominator(fam)
+    offset = _CELL_OFFSET[(fam.j, fam.alpha_lag)]
+
+    def frac(i):
+        base = i - offset
+        if base < 2:
+            return Poly.zero(), one
+        n, r = divmod(base + 1, 3)
+        if r == 0:   # base = 3n - 1
+            return x, one
+        if r == 1:   # base = 3n
+            return d(n - 1) * n, d(n)
+        return d(n + 1) * n, d(n)  # base = 3n + 1
+
+    return frac
+
+
+def _scaled_coeffs(fam: KappaFamily, unit: Poly) -> SRCoeffs:
+    """The cell's alpha-sequence times ``unit``, which each denominator divides."""
+    frac = _alpha_fraction(fam)
+
+    def alpha(i):
+        num, den = frac(i)
+        return num * unit.exact_div(den)
+
+    return SRCoeffs(2, alpha)
 
 
 def kappa_family_coeffs(fam: KappaFamily) -> SRCoeffs:
     """The alpha-sequence of the given factorization-table cell (m = 2).
 
     For the kappa cells, alpha entries are c_n n = n D(n-1)/D(n) and
-    (2 - c_n) n = n D(n+1)/D(n) with D(n) = n-(n-1)kappa; a symbolic kappa
-    yields PolyFrac entries, an exact rational kappa yields Poly entries.
+    (2 - c_n) n = n D(n+1)/D(n) with D(n) = n-(n-1)kappa.  Only an exact
+    kappa gives polynomial alphas; a symbolic kappa raises ValueError
+    (``verify_factorization_cell`` checks those cells over the common
+    denominator instead).
     """
-    x = Poly.var(fam.x_name)
-    j, a = fam.j, fam.alpha_lag
-    if (j, a) in KAPPA_CELLS:
-        d, symbolic = _cn_values(fam.kappa)
-
-        def cn_n(n):  # c_n * n
-            if symbolic:
-                return PolyFrac(d(n - 1) * n, d(n))
-            return Poly.const(Fraction(n) * d(n - 1) / d(n))
-
-        def two_minus_cn_n(n):  # (2 - c_n) * n
-            if symbolic:
-                return PolyFrac(d(n + 1) * n, d(n))
-            return Poly.const(Fraction(n) * d(n + 1) / d(n))
-
-        offset = {(0, -1): 0, (1, -1): 1, (2, -1): 2, (2, 1): 0}[(j, a)]
-
-        def fn(i):
-            base = i - offset
-            if base < 2:
-                return Poly.zero()
-            n, r = divmod(base + 1, 3)
-            if r == 0:   # base = 3n - 1
-                return x
-            if r == 1:   # base = 3n
-                return cn_n(n)
-            return two_minus_cn_n(n)  # base = 3n + 1
-    else:
-        offset = {(1, 0): 0, (2, 0): 1}[(j, a)]
-
-        def fn(i):
-            base = i - offset
-            if base < 2:
-                return Poly.zero()
-            n, r = divmod(base + 1, 3)
-            if r == 0:
-                return x
-            return Poly.const(n)
-
-    return SRCoeffs(2, lambda i: fn(i) if i >= 2 else Poly.zero())
+    if not _kappa(fam).is_constant():
+        raise ValueError("a symbolic kappa gives rational-function alphas; "
+                         "kappa_family_coeffs needs an exact kappa")
+    return _scaled_coeffs(fam, Poly.one())
 
 
 def verify_factorization_cell(fam: KappaFamily, n: int) -> bool:
     """Check that P^(2;j) with the cell's alpha-sequence equals the
     univariate Laguerre production matrix, symbolically in x (and kappa).
 
-    Symbolic-kappa entries are compared after clearing the positive
-    denominators n - (n-1) kappa (cross-multiplication in PolyFrac)."""
-    coeffs = kappa_family_coeffs(fam)
-    params = LaguerreParams.of(fam.alpha_lag)
-    target = prodmat(params, "P", x=Poly.var(fam.x_name))
-    alpha = (lambda i: PolyFrac.of(coeffs.alpha(i))) if _has_polyfrac(coeffs, n) \
-        else coeffs.alpha
-    grid = _smj_grid(coeffs, fam.j, n + 3, alpha)
-    for i in range(n):
-        for k in range(n):
-            entry = grid[i][k]
-            want = target(i, k)
-            if isinstance(entry, PolyFrac):
-                if not (entry == want):
-                    return False
-            elif entry != want:
-                return False
-    return True
-
-
-def _has_polyfrac(coeffs: SRCoeffs, n: int) -> bool:
-    return any(isinstance(coeffs.alpha(i), PolyFrac) for i in range(2, 3 * n + 6))
+    With a symbolic kappa every entry of each of the three bidiagonal
+    factors, the unit entries included, is multiplied by
+    C = D(1) ... D(size), which every denominator on the working block
+    divides, and their product is compared with C^3 times the target;
+    C != 0, so this is the same identity, checked in Q[kappa, x]."""
+    size = n + 3
+    want = prodmat(LaguerreParams.of(fam.alpha_lag), "P", x=Poly.var(fam.x_name)).truncate(n)
+    unit = Poly.one()
+    if not _kappa(fam).is_constant():
+        d = _denominator(fam)
+        unit = reduce(mul, (d(k) for k in range(1, size + 1)))
+        want = want.scale(unit ** 3)
+    return _smj_grid(_scaled_coeffs(fam, unit), fam.j, size, unit).top_left(n) == want
 
 
 # -- negative control -----------------------------------------------------------

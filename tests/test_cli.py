@@ -49,6 +49,20 @@ def test_gen_smj_family(capsys):
     assert Poly.from_json_obj(obj["entries"][1][1]) == 3 + Poly.var("x")
 
 
+@pytest.mark.parametrize("kappa", ["sym", "abc", "1/0", "2", "-1", "3/2"])
+def test_gen_smj_bad_kappa_exits_2(capsys, kappa):
+    # not an exact rational, or outside [0, 1] (kappa = 2 makes D(2) = 0,
+    # kappa = -1 a negative alpha)
+    code, out, err = run(capsys, ["gen", "smj", "--family", "j0am1", "--kappa", kappa])
+    assert (code, out) == (2, "")
+    assert "--kappa" in err
+
+
+@pytest.mark.parametrize("kappa", ["0", "1", "1/2"])
+def test_gen_smj_kappa_in_unit_interval(capsys, kappa):
+    assert run(capsys, ["gen", "smj", "--family", "j2a1", "--kappa", kappa, "--n", "3"])[0] == 0
+
+
 def test_gen_csv_of_polynomials(capsys):
     code, out, _ = run(capsys, ["gen", "laguerre-coeff", "--alpha", "-1", "--n", "4",
                                 "--format", "csv"])
@@ -199,6 +213,16 @@ def test_tp_check_bool_entries_round_trip(tmp_path, capsys):
     assert '"True"' not in path.read_text()
     code, out, _ = run(capsys, ["tp-check", str(path), "--order", "2"])
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_tp_check_bool_shape_exits_2(tmp_path, capsys):
+    # a JSON true is no row or column count, although True == 1
+    obj = {"rows": True, "cols": True, "entries": [[Poly.one().to_json_obj()]]}
+    path = tmp_path / "bool_shape.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["tp-check", str(path), "--order", "1"])
+    assert (code, out) == (2, "")
+    assert "rows and cols" in err
 
 
 def _assert_tp_check_reports(capsys, path, matrix, order):

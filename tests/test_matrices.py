@@ -10,9 +10,10 @@ from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, NonUnitDiagonalError,
                             RiordanIntegralityError, Truncation, XorShift64, _minor_scan,
                             binomial_truncation,
                             bx_conjugate_eaz_identity_check, conjugate_by_binomial,
-                            delta_matrix, det_exact, eaz_matrix, hankel_truncation,
+                            delta_matrix, eaz_matrix, hankel_truncation,
                             output_matrix, production_of, riordan_matrix,
-                            tp_check_sampled, tp_check_symbolic, unit_lower_inverse)
+                            tp_check_sampled, tp_check_symbolic, tp_check_tridiagonal,
+                            unit_lower_inverse)
 from lagtp.polyring import Poly
 from lagtp.series import Series
 from lagtp.srpaths import SRCoeffs, SRTriangles
@@ -77,52 +78,27 @@ def test_conjugate_identity_matrix():
     assert conjugate_by_binomial(eye, Poly.var("xi"), 4) == Truncation.identity(4)
 
 
-def test_det_unit_triangular_product():
-    assert det_exact(Truncation([[1, 1], [x, 1 + x]])) == Poly.one()
+def _leibniz_det(m):
+    """Test-only reference determinant: the Leibniz sum over permutations,
+    folded with + and - (the minors compared here are at most 5x5)."""
+    total = Poly.zero()
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+        term = Poly.one()
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
-def test_det_lah_hankel():
-    assert det_exact(Truncation([[1, x], [x, 2 * x + x ** 2]])) == 2 * x
-
-
-def test_det_diagonal():
+def test_leibniz_reference_det():
     b, c = Poly.var("b"), Poly.var("c")
-    m = Truncation([[a, 0, 0], [0, b, 0], [0, 0, c]])
-    assert det_exact(m) == a * b * c
-
-
-@pytest.mark.parametrize("size,seed", [(5, 5), (6, 9), (7, 13)])
-def test_det_bareiss_path_matches_laplace(size, seed):
-    # sizes above 4 go through fraction-free elimination; compare against
-    # expansion along the first column into Laplace-sized minors
-    rng = XorShift64(seed)
-    vars_pool = [Poly.one(), 1 + x, a, x]
-    m = Truncation([[vars_pool[rng.next_small()] * (int(rng.next_u64() % 5) - 2)
-                     for _ in range(size)] for _ in range(size)])
-
-    def cofactor_det(t):
-        if t.rows <= 4:
-            return det_exact(t)
-        acc = Poly.zero()
-        for i in range(t.rows):
-            c = t[i, 0]
-            if c.is_zero():
-                continue
-            sub = t.submatrix([r for r in range(t.rows) if r != i], range(1, t.cols))
-            term = c * cofactor_det(sub)
-            acc = acc + term if i % 2 == 0 else acc - term
-        return acc
-
-    assert det_exact(m) == cofactor_det(m)
-
-
-def test_det_singular_with_zero_pivot():
-    m = Truncation([[0, 0, 0, 0, 1],
-                    [0, 0, 0, 1, 0],
-                    [0, 0, 0, 0, 0],
-                    [1, 0, 0, 0, 0],
-                    [0, 1, 0, 0, 0]])
-    assert det_exact(m).is_zero()
+    assert _leibniz_det(Truncation([[1, 1], [x, 1 + x]])) == Poly.one()
+    assert _leibniz_det(Truncation([[1, x], [x, 2 * x + x ** 2]])) == 2 * x
+    assert _leibniz_det(Truncation([[a, 0, 0], [0, b, 0], [0, 0, c]])) == a * b * c
+    # one transposition among rows 1, 2: sign -1
+    assert _leibniz_det(Truncation([[a, 0, 0], [0, 0, b], [0, c, 0]])) == -(a * b * c)
+    assert _leibniz_det(Truncation([])) == Poly.one()
 
 
 def test_tp_binomial_matrix_passes():
@@ -162,7 +138,7 @@ def test_tp_sampled_detects_violated_constraint():
     # the witness substitution really does produce a negative minor
     grid = m.substitute({k: Poly.const(v) for k, v in report.witness.assignment.items()})
     sub = grid.submatrix(report.witness.rows, report.witness.cols)
-    assert det_exact(sub).as_constant() == report.witness.minor < 0
+    assert _leibniz_det(sub).as_constant() == report.witness.minor < 0
 
 
 def test_tp_sampled_zero_matrix():
@@ -241,6 +217,28 @@ def test_matrix_json_round_trip():
     assert Truncation.from_json_obj(obj) == m
 
 
+@pytest.mark.parametrize("rows,cols", [(True, True), (True, 1), (1, True), (1.0, 1)])
+def test_matrix_json_rejects_non_integer_shape(rows, cols):
+    obj = {"rows": rows, "cols": cols, "entries": [[Poly.one().to_json_obj()]]}
+    with pytest.raises(ValueError):
+        Truncation.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_matches_a_fold_over_every_pair(seed):
+    # sparse operands (zero rows, zero columns, isolated entries) of several shapes
+    rng = random.Random(seed)
+    n, k, m = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
+    lhs = _random_matrix(rng, n, k, 0.3)
+    rhs = _random_matrix(rng, k, m, 0.3)
+    want = [[Poly.zero()] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            for t in range(k):
+                want[i][j] = want[i][j] + lhs[i, t] * rhs[t, j]
+    assert lhs * rhs == Truncation(want)
+
+
 def test_tp_report_json_fields():
     report = tp_check_symbolic(Truncation([[1, 2], [3, 1]]), 2)
     obj = report.to_json_obj()
@@ -290,10 +288,10 @@ def _fraction_det(grid):
 
 
 def _reference_symbolic(m, order):
-    """The per-minor scan: det_exact of each submatrix in colex order."""
+    """The per-minor scan: the Leibniz determinant of each submatrix in colex order."""
     checked = 0
     for rows, cols in _minors_in_scan_order(m.rows, m.cols, order):
-        minor = det_exact(m.submatrix(rows, cols))
+        minor = _leibniz_det(m.submatrix(rows, cols))
         checked += 1
         if not minor.is_coeffwise_nonneg():
             return False, checked, (rows, cols, minor, None, None)
@@ -409,7 +407,7 @@ def test_minor_scan_yields_every_minor_in_colex_order(name, m, order):
     got = list(_minor_scan(m.data, m.rows, m.cols, order))
     assert [(r, c) for r, c, _ in got] == list(_minors_in_scan_order(m.rows, m.cols, order))
     for rows, cols, minor in got:
-        assert minor == det_exact(m.submatrix(rows, cols)), (rows, cols)
+        assert minor == _leibniz_det(m.submatrix(rows, cols)), (rows, cols)
     grid = [[e.eval_numeric({v: 2 for v in m.variables()}) for e in row] for row in m.data]
     for rows, cols, minor in _minor_scan(grid, m.rows, m.cols, order):
         assert minor == _fraction_det([[grid[i][j] for j in cols] for i in rows]), (rows, cols)
@@ -426,3 +424,54 @@ def test_sampled_scan_matches_fraction_reference(name, m, order):
     assert _summary(report) == _reference_sampled(m, order, seed=7, samples=8)
     if report.witness is not None:
         assert type(report.witness.minor) is int
+
+
+# -- the tridiagonal criterion against the full symbolic scan -------------------
+
+
+def _tridiagonal_cases():
+    """Seeded symbolic tridiagonals with nonnegative off-diagonals; a small
+    diagonal against large off-diagonal products makes some contiguous
+    principal minor negative."""
+    rng = random.Random(4242)
+    cases = []
+    for trial in range(16):
+        n = 3 + trial % 3
+        big = trial % 2 == 1
+
+        def entry(i, j):
+            if i == j:
+                return _rand_poly(rng, 0) + (0 if big else rng.randrange(2, 5))
+            if abs(i - j) == 1:
+                return _rand_poly(rng, 0) + (rng.randrange(1, 4) if big else 0)
+            return 0
+
+        cases.append(Truncation.from_fn(n, n, entry))
+    # contiguous 2x2 minors 1 and x, but the 3x3 minor is -x
+    cases.append(Truncation([[1, 1, 0], [1, 2, 3 * x], [0, 1, 2 * x]]))
+    return cases
+
+
+TRIDIAGONAL_CASES = _tridiagonal_cases()
+
+
+def test_tridiagonal_cases_include_negative_contiguous_minors():
+    def contiguous_ok(m):
+        return all(_leibniz_det(m.submatrix(range(s, e), range(s, e))).is_coeffwise_nonneg()
+                   for s in range(m.rows) for e in range(s + 1, m.rows + 1))
+
+    verdicts = [contiguous_ok(m) for m in TRIDIAGONAL_CASES]
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("index", range(len(TRIDIAGONAL_CASES)))
+def test_tridiagonal_criterion_matches_symbolic_scan(index):
+    m = TRIDIAGONAL_CASES[index]
+    for order in (1, 2, 3, m.rows):
+        assert tp_check_tridiagonal(m, order) == tp_check_symbolic(m, order).ok, order
+
+
+def test_tridiagonal_criterion_rejects_negative_off_diagonal_and_non_tridiagonal():
+    assert not tp_check_tridiagonal(Truncation([[1, 1 - x], [1, 1]]), 2)
+    with pytest.raises(ValueError):
+        tp_check_tridiagonal(Truncation([[1, 0, 1], [0, 1, 0], [0, 0, 1]]), 2)

@@ -69,8 +69,13 @@ def test_exact_div():
     with pytest.raises(ExactDivisionError):
         (1 + x * x).exact_div(1 + x)
     assert (2 * x).exact_div(Poly.const(2)) == x
+    # over Q: a quotient coefficient need not be an integer
+    assert (1 + 2 * x).exact_div(Poly.const(2)) == x + Fraction(1, 2)
+    assert Poly.one().exact_div(Poly.const(2)) == Poly.const(Fraction(1, 2))
+    assert (1 + 2 * x).exact_div(2 + 4 * x) == Poly.const(Fraction(1, 2))
+    assert (x + a).exact_div(2 * x + 2 * a).as_constant() == Fraction(1, 2)
     with pytest.raises(ExactDivisionError):
-        (1 + 2 * x).exact_div(Poly.const(2))
+        (x + 2 * a).exact_div(2 * x + 2 * a)
 
 
 def test_divides():
@@ -167,6 +172,8 @@ def test_bad_exponent_rejected(exp):
         Poly.from_json_obj({"vars": ["x"], "terms": [{"exp": [exp], "coef": "1"}]})
     with pytest.raises(ValueError):
         Poly(("x",), {(exp,): 1})
+    with pytest.raises(ValueError):
+        x ** exp
 
 
 def test_exponent_past_field_limit_overflows():
@@ -220,13 +227,13 @@ def _canonical_coefficients(p):
 
 
 @st.composite
-def polys(draw, max_terms=6, coeff_min=-4, coeff_max=4, rational=True):
+def polys(draw, max_terms=6, coeff_min=-4, coeff_max=4):
     n_terms = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n_terms):
         exp = (draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3)))
         c = draw(st.integers(coeff_min, coeff_max))
-        terms[exp] = Fraction(c, draw(st.integers(1, 6))) if rational and draw(st.booleans()) else c
+        terms[exp] = Fraction(c, draw(st.integers(1, 6))) if draw(st.booleans()) else c
     p = Poly(("x", "y", "z"), terms)
     # any order of the names, in the constructor or in JSON, is the same polynomial
     order = draw(st.permutations(range(3)))
@@ -315,10 +322,8 @@ def test_substitution_composes_for_renamings(p):
     assert p.substitute(sigma).substitute(tau) == p.substitute(composed)
 
 
-# integer polynomials only: exact_div divides over the integers when both
-# operands are integral (2 does not divide 1 there, though it does over Q)
 @settings(max_examples=40, deadline=None)
-@given(polys(rational=False), polys(rational=False), polys(rational=False))
+@given(polys(), polys(), polys())
 def test_exact_division_inverts_multiplication(p, q, r):
     prod = p * q
     if not q.is_zero():

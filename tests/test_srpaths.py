@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lagtp import srpaths
 from lagtp.digraphs import LimitExceeded
 from lagtp.matrices import output_matrix
 from lagtp.polyring import Poly, rising
@@ -147,6 +148,49 @@ def test_factorization_table_cells(cell):
 
 def test_rook_cell_at_larger_truncation():
     assert verify_factorization_cell(KappaFamily(1, 0), 7)
+
+
+@pytest.mark.parametrize("cell", sorted(KAPPA_CELLS))
+def test_scaled_check_refuses_an_alpha_perturbed_by_kappa(cell, monkeypatch):
+    # the C-scaled symbolic-kappa check is no tautology: alpha_i + kappa for
+    # any one index i that reaches the 4x4 block makes it fail
+    kappa = Poly.var("kappa")
+    fam = KappaFamily(*cell, kappa)
+    assert verify_factorization_cell(fam, 4)
+    exact = srpaths._alpha_fraction
+    for index in range(2, 11):
+        def perturbed(f, index=index):
+            frac = exact(f)
+
+            def alpha(i):
+                num, den = frac(i)
+                return (num + kappa * den, den) if i == index else (num, den)
+
+            return alpha
+
+        monkeypatch.setattr(srpaths, "_alpha_fraction", perturbed)
+        assert not verify_factorization_cell(fam, 4), index
+
+
+def test_symbolic_kappa_alphas_are_not_polynomials():
+    with pytest.raises(ValueError):
+        kappa_family_coeffs(KappaFamily(0, -1, Poly.var("kappa")))
+    # an exact kappa may also come as a constant Poly
+    co = kappa_family_coeffs(KappaFamily(0, -1, Poly.const(Fraction(1, 2))))
+    # c_2 * 2 = 2 D(1)/D(2) = 2/(2 - kappa)
+    assert co.alpha(6) == Poly.const(Fraction(4, 3))
+
+
+@pytest.mark.parametrize("kappa", [Fraction(-1), Fraction(2), Fraction(3, 2), -1,
+                                   Poly.const(2)])
+def test_kappa_outside_unit_interval_rejected(kappa):
+    with pytest.raises(ValueError):
+        KappaFamily(0, -1, kappa)
+
+
+@pytest.mark.parametrize("kappa", [0, 1, Fraction(1, 3)])
+def test_kappa_in_unit_interval_accepted(kappa):
+    assert verify_factorization_cell(KappaFamily(2, 1, kappa), 5)
 
 
 @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 1)])

@@ -12,13 +12,9 @@ as the expensive cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
 from .matrices import HessMatrix, XorShift64, conjugate_by_binomial
 from .polyring import Poly, _p, falling
-
-PolyLike = Union[Poly, int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -68,33 +64,30 @@ def check_banded_criterion(spec: DiagonalPolySpec) -> bool:
     return all(spec.poly_degree(m) <= spec.r - m for m in range(spec.r + 1))
 
 
-def conjugate_and_measure_band(spec: DiagonalPolySpec, n: int, xi: PolyLike | None = None) -> int:
+def conjugate_and_measure_band(spec: DiagonalPolySpec, n: int) -> int:
     """Observed lower bandwidth of B_xi^{-1} P B_xi on the exact n x n block."""
-    xi = Poly.var("xi") if xi is None else _p(xi)
-    conj = conjugate_by_binomial(spec.to_hess(), xi, n)
-    return conj.lower_bandwidth()
+    return conjugate_by_binomial(spec.to_hess(), Poly.var("xi"), n).lower_bandwidth()
 
 
-def check_condition_b(spec: DiagonalPolySpec, n: int, xi: PolyLike | None = None) -> bool:
+def check_condition_b(spec: DiagonalPolySpec, n: int) -> bool:
     """Condition (b): the (r+1)-st subdiagonal of the conjugate vanishes."""
-    xi = Poly.var("xi") if xi is None else _p(xi)
-    conj = conjugate_by_binomial(spec.to_hess(), xi, n)
+    conj = conjugate_by_binomial(spec.to_hess(), Poly.var("xi"), n)
     t = spec.r + 1
     return all(conj[k + t, k].is_zero() for k in range(n - t))
 
 
-def random_spec(rng: XorShift64, max_r: int = 3, max_deg: int = 4) -> DiagonalPolySpec:
-    """Seeded random spec with r <= max_r and degrees <= max_deg.
+def random_spec(rng: XorShift64) -> DiagonalPolySpec:
+    """Seeded random spec with r <= 3 and degrees <= 4.
 
     Half the draws are built to satisfy the degree criterion and half are
     unconstrained (so usually violating it); leading coefficients are
     forced nonzero so the intended degree is the actual degree.
     """
-    r = int(rng.next_u64() % max_r) + 1
+    r = int(rng.next_u64() % 3) + 1
     compliant = rng.next_u64() % 2 == 0
     fs = []
     for m in range(-1, r + 1):
-        bound = max(0, r - max(m, 0)) if compliant else max_deg
+        bound = max(0, r - max(m, 0)) if compliant else 4
         deg = int(rng.next_u64() % (bound + 1))
         coeffs = [int(rng.next_u64() % 4) for _ in range(deg + 1)]
         coeffs[-1] = int(rng.next_u64() % 3) + 1

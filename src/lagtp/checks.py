@@ -308,8 +308,7 @@ def second_mv_peak_divisibility(ctx: Ctx) -> bool:
     params = _sym_params()
     w = VertexWeights.symbolic()
     flat = coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0)
-    weights = {"y_p": w.y_p, "y_v": w.y_v, "y_da": w.y_da, "y_dd": w.y_dd,
-               "y_fp": w.y_fp, "lam": params.lam}
+    weights = w.oracle_weights(params.lam)
     for i in range(n):
         for k in range(i + 1):
             entry = digraphs.oracle_entry(i, k, weights, "second_mv")
@@ -330,8 +329,7 @@ def cycle_statistics_egf(ctx: Ctx) -> bool:
     w = VertexWeights.symbolic()
     lam = Poly.var("lam")
     f = laguerre.second_mv_cycle_series(LaguerreParams(lam - 1), w, n)
-    weights = {"y_p": w.y_p, "y_v": w.y_v, "y_da": w.y_da, "y_dd": w.y_dd,
-               "y_fp": w.y_fp, "lam": lam}
+    weights = w.oracle_weights(lam)
     for i in range(n + 1):
         if f[i].scale(math.factorial(i)) != digraphs.permutation_oracles(i, "cyclic", weights):
             return False

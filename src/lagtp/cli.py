@@ -52,10 +52,12 @@ def _parse_family(cell_id: str, kappa_text: str | None) -> srpaths.KappaFamily:
         raise UsageError(f"unknown --family {cell_id!r}; choose from {', '.join(FAMILY_IDS)}")
     j = int(cell_id[1])
     alpha = -1 if "am1" in cell_id else int(cell_id[-1])
-    kappa = None
+    if (j, alpha) not in srpaths.KAPPA_CELLS:
+        if kappa_text is not None:
+            raise UsageError(f"--family {cell_id} has no kappa; drop --kappa")
+        return srpaths.KappaFamily(j, alpha)
     try:
-        if (j, alpha) in srpaths.KAPPA_CELLS:
-            kappa = Fraction(kappa_text) if kappa_text else Fraction(1)
+        kappa = Fraction(kappa_text) if kappa_text is not None else Fraction(1)
         return srpaths.KappaFamily(j, alpha, kappa)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --kappa value {kappa_text!r}: {exc}") from None
@@ -92,8 +94,13 @@ def _gen_matrix(args) -> Truncation:
                 raise UsageError("the table families are defined for --m 2")
             coeffs = srpaths.kappa_family_coeffs(fam)
             return srpaths.prodmat_smj(coeffs, fam.j, n).truncate(n)
-        coeffs = srpaths.SRCoeffs.symbolic(args.m)
-        return srpaths.prodmat_smj(coeffs, args.j or 0, n).truncate(n)
+        if args.kappa is not None:
+            raise UsageError("--kappa needs --family")
+        try:
+            coeffs = srpaths.SRCoeffs.symbolic(args.m)
+            return srpaths.prodmat_smj(coeffs, args.j or 0, n).truncate(n)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if sel == "quad-general":
         return quadtp.build_general_quad(quadtp.QuadFactorParams.symbolic()).truncate(n)
     if sel == "quad-variant":
@@ -147,6 +154,8 @@ def cmd_verify(args) -> int:
     # a malformed LAGTP_LIMIT is a usage error (exit 2), not an error in
     # every check that reads it
     digraphs._limit(digraphs.DEFAULT_DIGRAPH_LIMIT)
+    if args.max_n is not None and args.max_n < 1:
+        raise UsageError("--max-n must be at least 1")
     ctx = checks.Ctx(seed=args.seed, max_n=args.max_n)
     try:
         results = checks.run_suite(args.suite, ctx)
@@ -178,22 +187,18 @@ def cmd_oracle(args) -> int:
         params = _parse_alpha(args.alpha)
         if kind == "first-mv":
             w = EdgeWeights.symbolic()
-            weights = {"v_minus": w.v_minus, "v_zero": w.v_zero,
-                       "v_plus": w.v_plus, "lam": params.lam}
-            mode = "first_mv"
         else:
-            wv = VertexWeights.symbolic(with_z=(kind == "second-mv-general"))
-            weights = {"y_p": wv.y_p, "y_v": wv.y_v, "y_da": wv.y_da,
-                       "y_dd": wv.y_dd, "y_fp": wv.y_fp, "z_p": wv.zp,
-                       "z_v": wv.zv, "z_da": wv.zda, "z_dd": wv.zdd,
-                       "lam": params.lam}
-            mode = kind.replace("-", "_")
-        value = digraphs.oracle_entry(args.n, args.k, weights, mode)
+            w = VertexWeights.symbolic(with_z=(kind == "second-mv-general"))
+        value = digraphs.oracle_entry(args.n, args.k, w.oracle_weights(params.lam),
+                                      kind.replace("-", "_"))
     elif kind in ("cyclic", "linear00"):
         value = digraphs.permutation_oracles(args.n, kind)
     elif kind == "sr-path":
-        coeffs = srpaths.SRCoeffs.symbolic(args.m)
-        value = srpaths.sr_path_oracle(coeffs, args.j, args.n, args.k)
+        try:
+            coeffs = srpaths.SRCoeffs.symbolic(args.m)
+            value = srpaths.sr_path_oracle(coeffs, args.j, args.n, args.k)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     else:
         raise UsageError(f"unknown oracle kind {kind!r}")
     if args.format == "json":

@@ -7,6 +7,10 @@ multivariate family (vertex weights y_p, y_v, y_da, y_dd, y_fp, with an
 optional separate path-side z block) together with its 'flat' form in which
 the guaranteed peak factor per path is removed, the closed-form production
 matrices for all of them, and the bidiagonal factorization identities.
+The six production matrices are specializations of one closed form in the
+five vertex weights; each quadridiagonal one is the binomial conjugate
+B_x^{-1} P B_x of its tridiagonal one, which the checks recompute
+independently.
 
 The univariate coefficient matrix is an exponential Riordan array for
 F(t) = (1-t)^(-lam), G(t) = t/(1-t) (lam = 1 + alpha); the second
@@ -20,15 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from . import digraphs
 from .matrices import (HessMatrix, Truncation, binomial_truncation,
-                       riordan_matrix, unit_lower_inverse)
-from .polyring import Poly, _p, rising
+                       lower_bidiagonal, riordan_matrix, unit_lower_inverse,
+                       upper_bidiagonal)
+from .polyring import Poly, PolyLike, _p, rising
 from .series import Series, solve_logderiv, solve_riccati
-
-PolyLike = Union[Poly, int, Fraction]
 
 ALPHA_NAME = "a"
 X_NAME = "x"
@@ -68,6 +71,11 @@ class EdgeWeights:
     @staticmethod
     def symbolic() -> "EdgeWeights":
         return EdgeWeights(Poly.var("vm"), Poly.var("v0"), Poly.var("vp"))
+
+    def oracle_weights(self, lam: PolyLike) -> dict:
+        """The weights of the digraph oracle's 'first_mv' mode."""
+        return {"v_minus": self.v_minus, "v_zero": self.v_zero, "v_plus": self.v_plus,
+                "lam": lam}
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,13 @@ class VertexWeights:
     @property
     def zdd(self) -> Poly:
         return self.y_dd if self.z_dd is None else self.z_dd
+
+    def oracle_weights(self, lam: PolyLike) -> dict:
+        """The weights of the digraph oracle's 'second_mv' and
+        'second_mv_general' modes (each reads only its own keys)."""
+        return {"y_p": self.y_p, "y_v": self.y_v, "y_da": self.y_da, "y_dd": self.y_dd,
+                "y_fp": self.y_fp, "z_p": self.zp, "z_v": self.zv, "z_da": self.zda,
+                "z_dd": self.zdd, "lam": lam}
 
 
 # -- univariate family -------------------------------------------------------
@@ -168,8 +183,7 @@ def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Tru
     Laguerre digraphs with k paths; each entry is checked homogeneous of
     degree n-k in the edge weights.
     """
-    weights = {"v_minus": w.v_minus, "v_zero": w.v_zero, "v_plus": w.v_plus,
-               "lam": params.lam}
+    weights = w.oracle_weights(params.lam)
     rows = []
     for i in range(n):
         row = [digraphs.oracle_entry(i, k, weights, "first_mv") for k in range(i + 1)]
@@ -213,9 +227,7 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
     if oracle_rows is None:
         oracle_rows = min(n, SECOND_MV_ORACLE_LIMIT)
     if oracle_rows:
-        weights = {"y_p": w.y_p, "y_v": w.y_v, "y_da": w.y_da, "y_dd": w.y_dd,
-                   "y_fp": w.y_fp, "z_p": w.zp, "z_v": w.zv, "z_da": w.zda,
-                   "z_dd": w.zdd, "lam": params.lam}
+        weights = w.oracle_weights(params.lam)
         for i in range(min(oracle_rows, n)):
             for k in range(i + 1):
                 expected = digraphs.oracle_entry(i, k, weights, "second_mv_general")
@@ -246,112 +258,51 @@ def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = 
             'PFlat'      quadridiagonal, its binomial row-generating matrix;
             'PcircY'     tridiagonal, non-flat second multivariate matrix;
             'PY'         quadridiagonal, its binomial row-generating matrix.
+
+    All six are one form.  Row n of a tridiagonal matrix holds
+    t n (alpha + n), lam y_fp + n (y_da + y_dd) and s, where (s, t) is
+    (1, y_p y_v) for the flat and (y_p, y_v) for the non-flat matrices, and
+    s = t = y_fp = 1, y_da + y_dd = 2 for the univariate ones.  Its
+    quadridiagonal B_x^{-1} P-circ B_x adds s x to the diagonal,
+    x n (y_da + y_dd) to the subdiagonal and t x n (n-1) below that.
     """
-    al = params.alpha
-    lam = params.lam
-    if which in ("P", "PFlat", "PY"):
-        if x is None:
-            x = Poly.var(X_NAME)
-        x = _p(x)
-    if which in ("PcircFlat", "PFlat", "PcircY", "PY") and weights is None:
+    if which not in ("Pcirc", "P", "PcircFlat", "PFlat", "PcircY", "PY"):
+        raise ValueError(f"unknown production-matrix variant {which!r}")
+    if which in ("Pcirc", "P"):
+        s = t = fp = Poly.one()
+        d = Poly.const(2)
+    elif weights is None:
         raise ValueError(f"{which} needs vertex weights")
-    w = weights
+    else:
+        w = weights
+        s, t = (Poly.one(), w.y_p * w.y_v) if which.endswith("Flat") else (w.y_p, w.y_v)
+        fp, d = w.y_fp, w.y_da + w.y_dd
+    quad = "circ" not in which
+    x = (Poly.var(X_NAME) if x is None else _p(x)) if quad else Poly.zero()
+    al = params.alpha
+    diag0, dx, tx = params.lam * fp + s * x, d * x, t * x
 
-    if which == "Pcirc":
-        def fn(n, k):
-            if k == n + 1:
-                return 1
-            if k == n:
-                return al + (2 * n + 1)
-            if k == n - 1:
-                return (al + n) * n
-            return 0
-        return HessMatrix(fn, lower_band=1)
+    def fn(n, k):
+        if k == n + 1:
+            return s
+        if k == n:
+            return diag0 + d * n
+        if k == n - 1:
+            return t * ((al + n) * n) + dx * n
+        return tx * (n * (n - 1))  # k == n - 2, quadridiagonal only
 
-    if which == "P":
-        def fn(n, k):
-            if k == n + 1:
-                return 1
-            if k == n:
-                return al + (2 * n + 1) + x
-            if k == n - 1:
-                return (al + n) * n + x * (2 * n)
-            if k == n - 2:
-                return x * (n * (n - 1))
-            return 0
-        return HessMatrix(fn, lower_band=2)
-
-    if which == "PcircFlat":
-        def fn(n, k):
-            if k == n + 1:
-                return 1
-            if k == n:
-                return lam * w.y_fp + (w.y_da + w.y_dd) * n
-            if k == n - 1:
-                return w.y_p * w.y_v * ((al + n) * n)
-            return 0
-        return HessMatrix(fn, lower_band=1)
-
-    if which == "PFlat":
-        def fn(n, k):
-            if k == n + 1:
-                return 1
-            if k == n:
-                return lam * w.y_fp + (w.y_da + w.y_dd) * n + x
-            if k == n - 1:
-                return w.y_p * w.y_v * ((al + n) * n) + x * (w.y_da + w.y_dd) * n
-            if k == n - 2:
-                return w.y_p * w.y_v * x * (n * (n - 1))
-            return 0
-        return HessMatrix(fn, lower_band=2)
-
-    if which == "PcircY":
-        def fn(n, k):
-            if k == n + 1:
-                return w.y_p
-            if k == n:
-                return lam * w.y_fp + (w.y_da + w.y_dd) * n
-            if k == n - 1:
-                return w.y_v * ((al + n) * n)
-            return 0
-        return HessMatrix(fn, lower_band=1)
-
-    if which == "PY":
-        def fn(n, k):
-            if k == n + 1:
-                return w.y_p
-            if k == n:
-                return lam * w.y_fp + (w.y_da + w.y_dd) * n + w.y_p * x
-            if k == n - 1:
-                return w.y_v * ((al + n) * n) + x * (w.y_da + w.y_dd) * n
-            if k == n - 2:
-                return w.y_v * x * (n * (n - 1))
-            return 0
-        return HessMatrix(fn, lower_band=2)
-
-    raise ValueError(f"unknown production-matrix variant {which!r}")
+    return HessMatrix(fn, lower_band=2 if quad else 1)
 
 
 # -- factorizations and structural identities ---------------------------------
-
-
-def lower_bidiagonal(diag, sub, n: int) -> Truncation:
-    """Lower-bidiagonal truncation with diag(i) on the diagonal, sub(i) on row i."""
-    return Truncation.from_fn(
-        n, n, lambda i, j: diag(i) if j == i else (sub(i) if j == i - 1 else 0))
-
-
-def upper_bidiagonal(diag, sup, n: int) -> Truncation:
-    return Truncation.from_fn(
-        n, n, lambda i, j: diag(i) if j == i else (sup(i) if j == i + 1 else 0))
 
 
 def sfraction_production(alpha_fn, n: int) -> Truncation:
     """Tridiagonal S-fraction production matrix: LU of the two bidiagonal
     factors with alpha_2,alpha_4,... subdiagonal and alpha_1,alpha_3,... diagonal."""
     w = n + 2
-    lo = lower_bidiagonal(lambda i: Poly.one(), lambda i: _p(alpha_fn(2 * i)), w)
-    up = upper_bidiagonal(lambda i: _p(alpha_fn(2 * i + 1)), lambda i: Poly.one(), w)
+    lo = lower_bidiagonal(lambda i: 1, lambda i: alpha_fn(2 * i), w)
+    up = upper_bidiagonal(lambda i: alpha_fn(2 * i + 1), lambda i: 1, w)
     return (lo * up).top_left(n, n)
 
 
@@ -369,14 +320,14 @@ def factorization_check(which: str, params: LaguerreParams, n: int,
     """
     w = n + 2
     lam = params.lam
-    ell = lower_bidiagonal(lambda i: Poly.one(), lambda i: Poly.const(i), w)
+    ell = lower_bidiagonal(lambda i: 1, lambda i: i, w)
     if which == "tridiagonal_lu":
-        up = upper_bidiagonal(lambda i: lam + i, lambda i: Poly.one(), w)
+        up = upper_bidiagonal(lambda i: lam + i, lambda i: 1, w)
         lhs = prodmat(params, "Pcirc").truncate(n)
         return (ell * up).top_left(n, n) == lhs
     if which == "quadridiagonal_nested":
         x = Poly.var(X_NAME)
-        ux = upper_bidiagonal(lambda i: x, lambda i: Poly.one(), w)
+        ux = upper_bidiagonal(lambda i: x, lambda i: 1, w)
         lam_eye = Truncation.from_fn(w, w, lambda i, j: lam if i == j else 0)
         rhs = (ell * ((ell * ux) + lam_eye)).top_left(n, n)
         return rhs == prodmat(params, "P", x=x).truncate(n)

@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import Poly, _p
-
-PolyLike = Union[Poly, int, Fraction]
+from .polyring import Poly, PolyLike, _p
 
 
 class NonUnitDiagonalError(ValueError):
@@ -228,6 +226,18 @@ def delta_matrix() -> HessMatrix:
     return HessMatrix(lambda n, k: 1 if k == n + 1 else 0, lower_band=0)
 
 
+def lower_bidiagonal(diag, sub, n: int) -> Truncation:
+    """Lower-bidiagonal truncation with diag(i) on the diagonal, sub(i) on row i."""
+    return Truncation.from_fn(
+        n, n, lambda i, j: diag(i) if j == i else (sub(i) if j == i - 1 else 0))
+
+
+def upper_bidiagonal(diag, sup, n: int) -> Truncation:
+    """Upper-bidiagonal truncation with diag(i) on the diagonal, sup(i) on row i."""
+    return Truncation.from_fn(
+        n, n, lambda i, j: diag(i) if j == i else (sup(i) if j == i + 1 else 0))
+
+
 def binomial_truncation(x: PolyLike, n: int, y: PolyLike = 1) -> Truncation:
     """Weighted binomial matrix B_{x,y} with entries C(n,k) x^(n-k) y^k."""
     x = _p(x)
@@ -273,7 +283,7 @@ def output_matrix(p: Union[HessMatrix, Callable[[int, int], PolyLike]], rows: in
     cols = rows if cols is None else cols
     width = rows + cols
     prev = [Poly.one()] + [Poly.zero()] * (width - 1)
-    out = [prev[:cols]]
+    out = [prev[:cols]] if rows else []
     for n in range(1, rows):
         live = [(i, a) for i, a in enumerate(prev) if a]
         cur = [Poly.dot((a, entry(i, k)) for i, a in live) for k in range(width)]
@@ -518,14 +528,17 @@ def tp_check_tridiagonal(m: Truncation, order: int) -> bool:
 # -- exponential AZ matrices and Riordan arrays ------------------------------
 
 
-def _seq_fn(seq) -> Callable[[int], Poly]:
-    if callable(seq):
-        return lambda i: _p(seq(i))
-    vals = [_p(x) for x in seq]
-    return lambda i: vals[i] if 0 <= i < len(vals) else Poly.zero()
+def _seq_fn(values, start: int = 0) -> Callable[[int], Poly]:
+    """Index function of a sequence given as a list (its first value at
+    index ``start``) or as a callable; zero below ``start`` and past the
+    end of a list."""
+    if callable(values):
+        return lambda i: _p(values(i)) if i >= start else Poly.zero()
+    vals = [_p(v) for v in values]
+    return lambda i: vals[i - start] if 0 <= i - start < len(vals) else Poly.zero()
 
 
-def eaz_matrix(a, z, lower_band: Optional[int] = None) -> HessMatrix:
+def eaz_matrix(a, z) -> HessMatrix:
     """Exponential AZ matrix: entry (n,k) = (n!/k!) (z_{n-k} + k a_{n-k+1}).
 
     ``a`` and ``z`` are sequences (or callables) of Poly; z_{-1} = 0 by
@@ -540,12 +553,12 @@ def eaz_matrix(a, z, lower_band: Optional[int] = None) -> HessMatrix:
         ratio = math.perm(n, n - k)  # n!/k!
         return (zv(n - k) + av(n - k + 1) * k) * ratio
 
-    return HessMatrix(fn, lower_band=lower_band)
+    return HessMatrix(fn)
 
 
-def bx_conjugate_eaz_identity_check(a, z, n: int, var: str = "x") -> bool:
+def bx_conjugate_eaz_identity_check(a, z, n: int) -> bool:
     """Check B_x^{-1} EAZ(a,z) B_x = EAZ(a, z + x*a) on the n-truncation."""
-    x = Poly.var(var)
+    x = Poly.var("x")
     av = _seq_fn(a)
     zv = _seq_fn(z)
     lhs = conjugate_by_binomial(eaz_matrix(a, z), x, n)

@@ -567,6 +567,9 @@ def falling(base: Poly, n: int) -> Poly:
     return out
 
 
+PolyLike = Union[Poly, Scalar]
+
+
 def _p(x) -> Poly:
     """Coerce a Poly or an exact number to a Poly."""
     return x if isinstance(x, Poly) else Poly.const(x)

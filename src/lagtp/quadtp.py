@@ -17,27 +17,9 @@ specialization of family one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
-from .matrices import HessMatrix, Truncation
-from .polyring import Poly, _p
-
-PolyLike = Union[Poly, int, Fraction]
-
-
-def _seq(values, start: int):
-    """Sequence accessor: zero below ``start`` and for negative indices."""
-    if callable(values):
-        return lambda i: _p(values(i)) if i >= start else Poly.zero()
-    vals = [_p(v) for v in values]
-
-    def fn(i):
-        if i < start or i - start >= len(vals):
-            return Poly.zero()
-        return vals[i - start]
-
-    return fn
+from .matrices import HessMatrix, Truncation, _seq_fn, lower_bidiagonal, upper_bidiagonal
+from .polyring import Poly
 
 
 def symbolic_seq(prefix: str, start: int = 0):
@@ -69,8 +51,8 @@ class QuadFactorParams:
             g=symbolic_seq("g"), h=symbolic_seq("h"))
 
     def fns(self):
-        return (_seq(self.a, 0), _seq(self.b, 1), _seq(self.c, 1), _seq(self.d, 0),
-                _seq(self.e, 0), _seq(self.f, 1), _seq(self.g, 0), _seq(self.h, 0))
+        return (_seq_fn(self.a), _seq_fn(self.b, 1), _seq_fn(self.c, 1), _seq_fn(self.d),
+                _seq_fn(self.e), _seq_fn(self.f, 1), _seq_fn(self.g), _seq_fn(self.h))
 
 
 def build_general_quad(p: QuadFactorParams, with_h: bool = True) -> HessMatrix:
@@ -99,9 +81,9 @@ def general_quad_factors(p: QuadFactorParams, n: int) -> dict:
     """The factor truncations L1, U, L2, D1, D2 on an n x n block."""
     a, b, c, d, e, f, g, h = p.fns()
     return {
-        "L1": Truncation.from_fn(n, n, lambda i, j: a(i) if j == i else (b(i) if j == i - 1 else 0)),
-        "U": Truncation.from_fn(n, n, lambda i, j: d(i) if j == i else (c(i + 1) if j == i + 1 else 0)),
-        "L2": Truncation.from_fn(n, n, lambda i, j: e(i) if j == i else (f(i) if j == i - 1 else 0)),
+        "L1": lower_bidiagonal(a, b, n),
+        "U": upper_bidiagonal(d, lambda i: c(i + 1), n),
+        "L2": lower_bidiagonal(e, f, n),
         "D1": Truncation.from_fn(n, n, lambda i, j: g(i) if i == j else 0),
         "D2": Truncation.from_fn(n, n, lambda i, j: h(i) if i == j else 0),
     }
@@ -174,8 +156,8 @@ class QuadVariantParams:
             d=symbolic_seq("d"), e=symbolic_seq("e"), f=symbolic_seq("f"))
 
     def fns(self):
-        return (_seq(self.a, 0), _seq(self.b, 1), _seq(self.c, 1),
-                _seq(self.d, 0), _seq(self.e, 0), _seq(self.f, 0))
+        return (_seq_fn(self.a), _seq_fn(self.b, 1), _seq_fn(self.c, 1),
+                _seq_fn(self.d), _seq_fn(self.e), _seq_fn(self.f))
 
 
 def build_variant_quad(p: QuadVariantParams, with_f: bool = True) -> HessMatrix:
@@ -210,12 +192,12 @@ def build_variant_quad(p: QuadVariantParams, with_f: bool = True) -> HessMatrix:
 
 def variant_quad_factors(p: QuadVariantParams, n: int) -> dict:
     a, b, c, d, e, f = p.fns()
-    ell = Truncation.from_fn(n, n, lambda i, j: a(i) if j == i else (b(i) if j == i - 1 else 0))
+    ell = lower_bidiagonal(a, b, n)
     eye = Truncation.identity(n)
     return {
         "L1": eye.scale(p.alpha) + ell.scale(p.x),
         "L2": eye.scale(p.beta) + ell.scale(p.y),
-        "U": Truncation.from_fn(n, n, lambda i, j: d(i) if j == i else (c(i + 1) if j == i + 1 else 0)),
+        "U": upper_bidiagonal(d, lambda i: c(i + 1), n),
         "D1": Truncation.from_fn(n, n, lambda i, j: e(i) if i == j else 0),
         "D2": Truncation.from_fn(n, n, lambda i, j: f(i) if i == j else 0),
     }

@@ -12,11 +12,9 @@ coefficients, which keeps all intermediates inside the polynomial ring.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .polyring import Poly, _p
-
-PolyLike = Union[Poly, int, Fraction]
+from .polyring import Poly, PolyLike, _p
 
 
 class Series:

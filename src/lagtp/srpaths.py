@@ -31,10 +31,8 @@ from typing import Callable, Optional, Union
 
 from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
 from .laguerre import LaguerreParams, prodmat
-from .matrices import HessMatrix, Truncation
-from .polyring import Poly, _p
-
-PolyLike = Union[Poly, int, Fraction]
+from .matrices import HessMatrix, Truncation, lower_bidiagonal, upper_bidiagonal
+from .polyring import Poly, PolyLike, _p
 
 
 class InadmissibleCellError(ValueError):
@@ -43,11 +41,15 @@ class InadmissibleCellError(ValueError):
 
 @dataclass(frozen=True)
 class SRCoeffs:
-    """Branch order m >= 1 plus the coefficient sequence (alpha_i)_{i >= m};
-    alpha_i = 0 for i < m by convention."""
+    """Branch order m >= 1 (ValueError otherwise) plus the coefficient
+    sequence (alpha_i)_{i >= m}; alpha_i = 0 for i < m by convention."""
 
     m: int
     alpha_fn: Callable[[int], Poly]
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"branch order m must be at least 1 (got {self.m})")
 
     def alpha(self, i: int):
         if i < self.m:
@@ -55,8 +57,8 @@ class SRCoeffs:
         return self.alpha_fn(i)
 
     @staticmethod
-    def symbolic(m: int, prefix: str = "al") -> "SRCoeffs":
-        return SRCoeffs(m, lambda i: Poly.var(f"{prefix}{i}"))
+    def symbolic(m: int) -> "SRCoeffs":
+        return SRCoeffs(m, lambda i: Poly.var(f"al{i}"))
 
     @staticmethod
     def from_fn(m: int, fn: Callable[[int], PolyLike]) -> "SRCoeffs":
@@ -122,16 +124,14 @@ class SRTriangles:
 
 def sr_poly(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
     """Generalized m-Stieltjes-Rogers polynomial of type j, by recurrence."""
-    tri = SRTriangles(coeffs, max_j=min(j, coeffs.m))
-    if j <= tri.max_j:
-        return tri.value(j, n, k)
-    ell, jp = divmod(j, coeffs.m + 1)
-    return tri.value(jp, n + ell, k + ell)
+    return SRTriangles(coeffs).value(j, n, k)
 
 
 def sr_path_oracle(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
     """Direct enumeration of partial m-Dyck paths from (0,0) to
-    ((m+1)n+j, (m+1)k+j); must equal sr_poly."""
+    ((m+1)n+j, (m+1)k+j); must equal sr_poly.  ValueError for j < 0."""
+    if j < 0:
+        raise ValueError(f"type j must be at least 0 (got {j})")
     return _weigh(coeffs, _path_falls(coeffs.m, j, n, k, k)[k])
 
 
@@ -201,16 +201,14 @@ def _smj_grid(coeffs: SRCoeffs, j: int, size: int, unit: Poly) -> Truncation:
     factors (the diagonal of each L_r, the superdiagonal of U_0) hold
     ``unit``.
     """
-    m, al, zero = coeffs.m, coeffs.alpha, Poly.zero()
+    m, al = coeffs.m, coeffs.alpha
     if not 0 <= j <= m:
         raise ValueError(f"type j must satisfy 0 <= j <= m (got {j})")
 
     def l_factor(r):
-        return Truncation.from_fn(size, size, lambda i, k: (
-            unit if k == i else al((m + 1) * i + r - 1) if k == i - 1 else zero))
+        return lower_bidiagonal(lambda i: unit, lambda i: al((m + 1) * i + r - 1), size)
 
-    u0 = Truncation.from_fn(size, size, lambda i, k: (
-        al((m + 1) * (i + 1) - 1) if k == i else unit if k == i + 1 else zero))
+    u0 = upper_bidiagonal(lambda i: al((m + 1) * (i + 1) - 1), lambda i: unit, size)
     factors = [l_factor(r) for r in range(j + 1, m + 1)] + [u0] + \
               [l_factor(r) for r in range(1, j + 1)]
     return reduce(mul, factors)
@@ -274,21 +272,21 @@ def sfrac_tail_series(coeffs: SRCoeffs, j: int, order: int):
     return out
 
 
-def check_modified_from_type0(m: int, ell: int, n_max: int, prefix: str = "al") -> bool:
+def check_modified_from_type0(m: int, ell: int, n_max: int) -> bool:
     """The specialization identity S^(m;m-ell)_n =
     [S^(m)_{n+1} / alpha_m] at alpha_m..alpha_{m+ell-1} = 0, alpha_i -> alpha_{i-ell}."""
-    coeffs = SRCoeffs.symbolic(m, prefix)
-    env = {f"{prefix}{i}": Poly.zero() for i in range(m, m + ell)}
+    coeffs = SRCoeffs.symbolic(m)
+    env = {f"al{i}": Poly.zero() for i in range(m, m + ell)}
     tri = SRTriangles(coeffs)
     for n in range(n_max + 1):
         lhs = sr_poly(coeffs, m - ell, n, 0)
         top = tri.value(0, n + 1, 0)
-        quotient = top.exact_div(Poly.var(f"{prefix}{m}"))
+        quotient = top.exact_div(Poly.var(f"al{m}"))
         sub = dict(env)
         # rename the surviving variables downward by ell
         max_index = (m + 1) * (n + 1) + m
         for i in range(m + ell, max_index + 1):
-            sub[f"{prefix}{i}"] = Poly.var(f"{prefix}{i - ell}")
+            sub[f"al{i}"] = Poly.var(f"al{i - ell}")
         if quotient.substitute(sub) != lhs:
             return False
     return True
@@ -309,7 +307,6 @@ class KappaFamily:
     j: int
     alpha_lag: int
     kappa: Optional[Union[Fraction, int, Poly]] = None
-    x_name: str = "x"
 
     def __post_init__(self):
         if (self.j, self.alpha_lag) not in ADMISSIBLE_CELLS:
@@ -347,7 +344,7 @@ def _alpha_fraction(fam: KappaFamily) -> Callable[[int], tuple]:
     """alpha_i of the cell as (numerator, denominator), the denominator D(n) or 1:
     the alphas cycle through x, c_n n = n D(n-1)/D(n) and
     (2 - c_n) n = n D(n+1)/D(n)."""
-    x, one = Poly.var(fam.x_name), Poly.one()
+    x, one = Poly.var("x"), Poly.one()
     d = _denominator(fam)
     offset = _CELL_OFFSET[(fam.j, fam.alpha_lag)]
 
@@ -401,7 +398,7 @@ def verify_factorization_cell(fam: KappaFamily, n: int) -> bool:
     divides, and their product is compared with C^3 times the target;
     C != 0, so this is the same identity, checked in Q[kappa, x]."""
     size = n + 3
-    want = prodmat(LaguerreParams.of(fam.alpha_lag), "P", x=Poly.var(fam.x_name)).truncate(n)
+    want = prodmat(LaguerreParams.of(fam.alpha_lag), "P").truncate(n)
     unit = Poly.one()
     if not _kappa(fam).is_constant():
         d = _denominator(fam)
@@ -413,19 +410,18 @@ def verify_factorization_cell(fam: KappaFamily, n: int) -> bool:
 # -- negative control -----------------------------------------------------------
 
 
-def find_hankel_tp2_failure(m: int, n_max: int = 6, prefix: str = "al"):
-    """Search the Hankel matrix of the type j = m+1 modified sequence for a
-    2x2 minor with a negative coefficient.
+def find_hankel_tp2_failure(m: int):
+    """Search the 4x4 Hankel matrix of the type j = m+1 modified sequence
+    (its terms 0..6) for a 2x2 minor with a negative coefficient.
 
     The type-(m+1) sequence is not Hankel-totally positive; this returns a
     witness dict {rows, cols, minor} for the first offending minor found,
     or None if the search space is clean (it should never be).
     """
-    coeffs = SRCoeffs.symbolic(m, prefix)
-    seq = [sr_poly(coeffs, m + 1, i, 0) for i in range(n_max + 1)]
-    size = n_max // 2 + 1
-    for rows in itertools.combinations(range(size), 2):
-        for cols in itertools.combinations(range(size), 2):
+    tri = SRTriangles(SRCoeffs.symbolic(m))
+    seq = [tri.value(m + 1, i, 0) for i in range(7)]
+    for rows in itertools.combinations(range(4), 2):
+        for cols in itertools.combinations(range(4), 2):
             i1, i2 = rows
             j1, j2 = cols
             minor = seq[i1 + j1] * seq[i2 + j2] - seq[i1 + j2] * seq[i2 + j1]

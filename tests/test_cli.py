@@ -378,3 +378,50 @@ def test_oracle_k_beyond_n_is_zero(capsys):
     code, out, _ = run(capsys, ["oracle", "first-mv", "--n", "2", "--k", "5"])
     assert code == 0
     assert Poly.from_json_obj(json.loads(out)).is_zero()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "j1a0", "--kappa", "abc"],   # a cell without kappa
+    ["--family", "j2a0", "--kappa", "1/2"],
+    ["--kappa", "1/2"],                       # no --family
+])
+def test_gen_smj_kappa_without_kappa_cell_exits_2(capsys, argv):
+    code, out, err = run(capsys, ["gen", "smj"] + argv)
+    assert (code, out) == (2, "")
+    assert "--kappa" in err
+
+
+@pytest.mark.parametrize("argv", [["--m", "0"], ["--m", "-1"], ["--j", "5"], ["--j", "-1"],
+                                  ["--m", "1", "--j", "2"]])
+def test_gen_smj_bad_order_or_type_exits_2(capsys, argv):
+    code, out, err = run(capsys, ["gen", "smj"] + argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--m", "0"], ["--m", "-1"], ["--j", "-1"]])
+def test_oracle_sr_path_bad_order_or_type_exits_2(capsys, argv):
+    code, out, err = run(capsys, ["oracle", "sr-path", "--n", "2"] + argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_oracle_sr_path_type_beyond_m_runs(capsys):
+    # types j > m are defined (the submatrix identity); only j < 0 is refused
+    code, out, _ = run(capsys, ["oracle", "sr-path", "--m", "1", "--j", "3", "--n", "1",
+                                "--format", "str"])
+    assert code == 0
+    assert out.strip() == "al1+al2+al3+al4"
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_verify_max_n_below_one_exits_2(capsys, max_n):
+    code, out, err = run(capsys, ["verify", "univariate", "--max-n", max_n])
+    assert (code, out) == (2, "")
+    assert "--max-n" in err
+
+
+def test_verify_all_at_max_n_one_passes(capsys):
+    code, out, _ = run(capsys, ["verify", "all", "--max-n", "1"])
+    assert code == 0
+    assert json.loads(out)["ok"] is True

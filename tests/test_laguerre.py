@@ -130,3 +130,31 @@ def test_route_mismatch_raises(monkeypatch):
     with pytest.raises(RouteMismatchError):
         coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), 4, flat=True)
     assert second_mv_riordan_vs_oracle(Ctx(max_n=4)) is False
+
+
+INT_WEIGHTS = VertexWeights(*(Poly.const(c) for c in (2, 3, 1, 4, 5)))
+WEIGHTED_KINDS = ("PcircFlat", "PFlat", "PcircY", "PY")
+
+
+def _coefficient_matrix(params, which, w, n):
+    if which in ("Pcirc", "P"):
+        return coeff_matrix_uni(params, n)
+    return coeff_matrix_second_mv(params, w, n, flat="Flat" in which, oracle_rows=0)
+
+
+@pytest.mark.parametrize("params", [SYM, LaguerreParams.of(2)], ids=["sym", "2"])
+@pytest.mark.parametrize("w", [VertexWeights.symbolic(), INT_WEIGHTS], ids=["sym", "int"])
+@pytest.mark.parametrize("which", ["Pcirc", "P"] + list(WEIGHTED_KINDS))
+def test_output_of_each_prodmat_is_its_coefficient_matrix(params, w, which):
+    # O(P-circ) is the coefficient matrix; O(P) is that matrix times B_x
+    n = 6
+    want = _coefficient_matrix(params, which, w, n)
+    if "circ" not in which:
+        want = binomial_rowgen_matrix(want, x)
+    assert output_matrix(prodmat(params, which, weights=w), n) == want
+
+
+@pytest.mark.parametrize("which", WEIGHTED_KINDS)
+def test_weighted_prodmat_needs_vertex_weights(which):
+    with pytest.raises(ValueError, match="needs vertex weights"):
+        prodmat(SYM, which)

@@ -33,6 +33,12 @@ def test_output_of_zero():
     assert all(o[i, j].is_zero() for i in range(1, 4) for j in range(4))
 
 
+def test_output_of_no_rows_is_empty():
+    p = prodmat(LaguerreParams.symbolic(), "Pcirc")
+    assert (output_matrix(p, 0).rows, output_matrix(p, 0).cols) == (0, 0)
+    assert output_matrix(p, 1) == Truncation.identity(1)
+
+
 def test_output_pcirc_column_zero():
     o = output_matrix(prodmat(LaguerreParams.symbolic(), "Pcirc"), 4)
     assert o[3, 0] == (1 + a) * (2 + a) * (3 + a)

@@ -205,3 +205,25 @@ def test_hankel_tp2_failure_witness():
     assert any(c < 0 for c in w["minor"].coefficients())
     # first offending minor for m=1 also involves only the leading entries
     assert w["rows"] == (0, 1) and w["cols"] == (0, 1)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_branch_order_below_one_is_refused(m):
+    with pytest.raises(ValueError, match="branch order"):
+        SRCoeffs.symbolic(m)
+    with pytest.raises(ValueError, match="branch order"):
+        SRCoeffs.from_fn(m, lambda i: 1)
+
+
+def test_path_oracle_refuses_negative_type():
+    with pytest.raises(ValueError, match="type j"):
+        sr_path_oracle(CO2, -1, 2, 0)
+
+
+def test_sr_poly_reduces_types_beyond_m():
+    # S^(m;j) for j > m is the (n + ell, k + ell) entry of type j mod (m+1)
+    tri = SRTriangles(CO2, max_j=7)
+    for j in range(8):
+        for n in range(4):
+            for k in range(n + 1):
+                assert sr_poly(CO2, j, n, k) == tri.value(j, n, k)

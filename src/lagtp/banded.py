@@ -11,10 +11,11 @@ as the expensive cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .matrices import HessMatrix, XorShift64, conjugate_by_binomial
-from .polyring import Poly, _p, falling
+from .polyring import Poly, _p
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class DiagonalPolySpec:
                 return self.eval_f(-1, n)
             m = n - k
             if 0 <= m <= self.r:
-                return self.eval_f(m, n) * falling(Poly.const(n), m).as_constant()
+                return self.eval_f(m, n) * math.perm(n, m)
             return 0
         return HessMatrix(fn, lower_band=self.r)
 

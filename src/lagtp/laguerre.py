@@ -30,7 +30,7 @@ from . import digraphs
 from .matrices import (HessMatrix, Truncation, binomial_truncation,
                        lower_bidiagonal, riordan_matrix, unit_lower_inverse,
                        upper_bidiagonal)
-from .polyring import Poly, PolyLike, _p, rising
+from .polyring import Poly, PolyLike, _p, power_table
 from .series import Series, solve_logderiv, solve_riccati
 
 ALPHA_NAME = "a"
@@ -131,26 +131,34 @@ class VertexWeights:
 # -- univariate family -------------------------------------------------------
 
 
+def _laguerre_coeffs(n: int, params: LaguerreParams) -> list:
+    """[C(n,k) (1+alpha+k)^{rising n-k} for k = 0..n], the rising factorials
+    by the downward recurrence r_n = 1, r_k = (alpha+k+1) r_{k+1}."""
+    rs = [Poly.one()]
+    for k in range(n - 1, -1, -1):
+        rs.append(rs[-1] * (params.alpha + (k + 1)))
+    return [r.scale(math.comb(n, k)) for k, r in enumerate(reversed(rs))]
+
+
 def monic_laguerre(n: int, params: LaguerreParams, x: PolyLike) -> Poly:
     """Monic unsigned Laguerre polynomial: sum_k C(n,k) (1+alpha+k)^{rising n-k} x^k."""
-    x = _p(x)
-    return Poly.dot((rising(params.alpha + (k + 1), n - k) * math.comb(n, k), x ** k)
-                    for k in range(n + 1))
+    return Poly.dot(zip(_laguerre_coeffs(n, params), power_table(_p(x), n + 1)))
 
 
 def monic_laguerre_reversed(n: int, params: LaguerreParams, x: PolyLike) -> Poly:
     """Coefficient reversal x^n L(1/x): sum_k C(n,k) (1+alpha+k)^{rising n-k} x^{n-k}."""
-    x = _p(x)
-    return Poly.dot((rising(params.alpha + (k + 1), n - k) * math.comb(n, k), x ** (n - k))
-                    for k in range(n + 1))
+    return Poly.dot(zip(_laguerre_coeffs(n, params), power_table(_p(x), n + 1)[::-1]))
 
 
 def coeff_matrix_uni(params: LaguerreParams, n: int) -> Truncation:
-    """Unit-lower-triangular coefficient matrix with entries C(n,k)(1+alpha+k)^{rising n-k}."""
-    return Truncation.from_fn(
-        n, n,
-        lambda i, k: rising(params.alpha + (k + 1), i - k) * math.comb(i, k) if k <= i else 0,
-    )
+    """Unit-lower-triangular coefficient matrix with entries C(n,k)(1+alpha+k)^{rising n-k}.
+
+    Row i holds the coefficients of the i-th monic Laguerre polynomial, built
+    by the same downward recurrence, so each entry costs one product and one
+    integer scaling.
+    """
+    zero = Poly.zero()
+    return Truncation([_laguerre_coeffs(i, params) + [zero] * (n - i - 1) for i in range(n)])
 
 
 def laguerre_path_series(order: int) -> Series:
@@ -365,8 +373,8 @@ def unsigned_self_inverse_check(params: LaguerreParams, n: int) -> bool:
 
 def rowgen_polys(m: Truncation, x: PolyLike, reversed_form: bool = False) -> list:
     """Row-generating polynomials sum_k M[n,k] x^k (or x^(n-k) when reversed)."""
-    x = _p(x)
-    return [Poly.dot((m[i, k], x ** (i - k) if reversed_form else x ** k)
+    xp = power_table(_p(x), m.rows)
+    return [Poly.dot((m[i, k], xp[i - k] if reversed_form else xp[k])
                      for k in range(min(i, m.cols - 1) + 1))
             for i in range(m.rows)]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import Poly, PolyLike, _p
+from .polyring import Poly, PolyLike, _p, power_table
 
 
 class NonUnitDiagonalError(ValueError):
@@ -239,12 +239,16 @@ def upper_bidiagonal(diag, sup, n: int) -> Truncation:
 
 
 def binomial_truncation(x: PolyLike, n: int, y: PolyLike = 1) -> Truncation:
-    """Weighted binomial matrix B_{x,y} with entries C(n,k) x^(n-k) y^k."""
-    x = _p(x)
-    y = _p(y)
-    return Truncation.from_fn(
-        n, n, lambda i, j: (x ** (i - j)) * (y ** j) * math.comb(i, j) if j <= i else Poly.zero()
-    )
+    """Weighted binomial matrix B_{x,y} with entries C(n,k) x^(n-k) y^k.
+
+    The powers x^0..x^(n-1) and y^0..y^(n-1) are tabled once, so each
+    entry costs one product and one integer scaling.
+    """
+    xp = power_table(_p(x), n)
+    yp = power_table(_p(y), n)
+    zero = Poly.zero()
+    return Truncation([[(xp[i - j] * yp[j]).scale(math.comb(i, j)) if j <= i else zero
+                        for j in range(n)] for i in range(n)])
 
 
 def hankel_truncation(seq: Sequence[PolyLike], n: int) -> Truncation:
@@ -278,15 +282,30 @@ def output_matrix(p: Union[HessMatrix, Callable[[int, int], PolyLike]], rows: in
     be any callable (n,k) -> Poly that is row-finite on the working block;
     the internal working width is rows+cols so that column-finite inputs
     (e.g. transposes of Hessenberg matrices) also come out exact.
+
+    Row i of P is read once, over the working width, the first time entry i
+    of an output row is nonzero, and kept as its nonzero (k, p_ik); each
+    output entry is then one ``Poly.dot`` over the nonzero pairs, as in
+    ``Truncation.__mul__``.  So each entry of P is evaluated at most once,
+    and rows of P that never meet a nonzero output entry are never read.
     """
     entry = HessMatrix.from_truncation(p) if isinstance(p, Truncation) else p
     cols = rows if cols is None else cols
     width = rows + cols
-    prev = [Poly.one()] + [Poly.zero()] * (width - 1)
+    zero = Poly.zero()
+    prev = [Poly.one()] + [zero] * (width - 1)
     out = [prev[:cols]] if rows else []
+    p_rows: dict = {}  # i -> the nonzero (k, p_ik) of row i of P
     for n in range(1, rows):
-        live = [(i, a) for i, a in enumerate(prev) if a]
-        cur = [Poly.dot((a, entry(i, k)) for i, a in live) for k in range(width)]
+        pairs: dict = {}
+        for i, a in enumerate(prev):
+            if a:
+                if i not in p_rows:
+                    row = [entry(i, k) for k in range(width)]
+                    p_rows[i] = [(k, b) for k, b in enumerate(row) if b]
+                for k, b in p_rows[i]:
+                    pairs.setdefault(k, []).append((a, b))
+        cur = [Poly.dot(pairs[k]) if k in pairs else zero for k in range(width)]
         out.append(cur[:cols])
         prev = cur
     return Truncation(out)
@@ -314,16 +333,23 @@ def production_of(t: Truncation) -> Truncation:
 def conjugate_by_binomial(p: Union[HessMatrix, Truncation], xi: PolyLike, n: int) -> Truncation:
     """n x n truncation of B_xi^{-1} P B_xi, computed exactly.
 
-    Entry (i,k) of the conjugate depends only on the leading (i+2)-block of
-    P, so everything is evaluated on an (n+2) working block and cut back:
-    no silent truncation error.  Uses B_xi^{-1} = B_{-xi}.
+    Uses B_xi^{-1} = B_{-xi}.  P is read on its leading (n+2) block (a
+    smaller Truncation raises), and only the blocks that reach the result
+    are multiplied: B_{-xi} is lower-triangular, so rows i < n of the
+    conjugate meet only its leading n x n block and rows 0..n-1 of P; a
+    column k < n meets only the first n columns of B_xi.  So the result is
+    B_{-xi}[n x n] P[n x (n+2)] B_xi[(n+2) x n], exactly the corner of the
+    full (n+2)-block product for any P, Hessenberg or not, and equal to the
+    infinite conjugate when P is lower-Hessenberg.
     """
     xi = _p(xi)
     w = n + 2
     block = p.top_left(w, w) if isinstance(p, Truncation) else p.truncate(w, w)
-    left = binomial_truncation(-xi, w)
-    right = binomial_truncation(xi, w)
-    return (left * block * right).top_left(n, n)
+    if not n:
+        return Truncation([])  # a Truncation has no n x (n+2) shape for n = 0
+    left = binomial_truncation(-xi, n)
+    right = binomial_truncation(xi, w).top_left(w, n)
+    return left * block.top_left(n, w) * right
 
 
 # -- total positivity -------------------------------------------------------

@@ -567,6 +567,14 @@ def falling(base: Poly, n: int) -> Poly:
     return out
 
 
+def power_table(base: Poly, n: int) -> list:
+    """[base^0, base^1, ..., base^(n-1)], one product per power."""
+    out = [Poly.one()] if n > 0 else []
+    while len(out) < n:
+        out.append(out[-1] * base)
+    return out
+
+
 PolyLike = Union[Poly, Scalar]
 
 

@@ -106,6 +106,8 @@ class SRTriangles:
                 rows[j + 1].append(nxt)
 
     def value(self, j: int, n: int, k: int) -> Poly:
+        """S^(m;j)_{n,k}; ValueError for j < 0."""
+        _check_type(j)
         if k < 0 or k > n:
             return Poly.zero()
         if j > self.max_j:
@@ -118,8 +120,14 @@ class SRTriangles:
         return self._rows[j][n][k]
 
     def triangle(self, j: int, n: int) -> Truncation:
+        _check_type(j)
         self._extend_to(n - 1)
         return Truncation.from_fn(n, n, lambda i, k: self.value(j, i, k))
+
+
+def _check_type(j: int) -> None:
+    if j < 0:
+        raise ValueError(f"type j must be at least 0 (got {j})")
 
 
 def sr_poly(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
@@ -130,14 +138,14 @@ def sr_poly(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
 def sr_path_oracle(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
     """Direct enumeration of partial m-Dyck paths from (0,0) to
     ((m+1)n+j, (m+1)k+j); must equal sr_poly.  ValueError for j < 0."""
-    if j < 0:
-        raise ValueError(f"type j must be at least 0 (got {j})")
+    _check_type(j)
     return _weigh(coeffs, _path_falls(coeffs.m, j, n, k, k)[k])
 
 
 def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:
     """All of S^(m;j)_{n,0..n} from a single enumeration pass over the
-    partial m-Dyck paths of length (m+1)n+j."""
+    partial m-Dyck paths of length (m+1)n+j.  ValueError for j < 0."""
+    _check_type(j)
     counters = _path_falls(coeffs.m, j, n, 0, n)
     return [_weigh(coeffs, counters[k]) for k in range(n + 1)]
 

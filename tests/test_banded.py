@@ -5,7 +5,7 @@ from lagtp.banded import (DiagonalPolySpec, check_banded_criterion,
                           random_spec)
 from lagtp.laguerre import LaguerreParams, prodmat
 from lagtp.matrices import XorShift64, conjugate_by_binomial
-from lagtp.polyring import Poly
+from lagtp.polyring import Poly, falling
 
 a = Poly.var("a")
 one, zero = Poly.one(), Poly.zero()
@@ -66,3 +66,16 @@ def test_random_specs_cover_both_outcomes():
     rng = XorShift64(2024)
     outcomes = {check_banded_criterion(random_spec(rng)) for _ in range(20)}
     assert outcomes == {True, False}
+
+
+def test_to_hess_scales_each_subdiagonal_by_the_falling_factorial():
+    rng = XorShift64(5)
+    for _ in range(6):
+        spec = random_spec(rng)
+        p = spec.to_hess()
+        for n in range(8):
+            assert p(n, n + 1) == spec.eval_f(-1, n)
+            for m in range(spec.r + 1):
+                if n >= m:
+                    want = spec.eval_f(m, n) * falling(Poly.const(n), m)
+                    assert p(n, n - m) == want

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from lagtp.checks import Ctx, second_mv_riordan_vs_oracle
@@ -6,8 +9,8 @@ from lagtp.laguerre import (EdgeWeights, LaguerreParams, VertexWeights,
                             coeff_matrix_second_mv, coeff_matrix_uni,
                             monic_laguerre, monic_laguerre_reversed, prodmat,
                             rowgen_shifted_family_check, rowgen_polys)
-from lagtp.matrices import conjugate_by_binomial, output_matrix
-from lagtp.polyring import Poly
+from lagtp.matrices import Truncation, conjugate_by_binomial, output_matrix
+from lagtp.polyring import Poly, rising
 
 x = Poly.var("x")
 a = Poly.var("a")
@@ -84,6 +87,45 @@ def test_rowgen_polys():
     assert rowgen_polys(coeff_matrix_uni(LAH, 4), x)[3] == 6 * x + 6 * x ** 2 + x ** 3
     rev = rowgen_polys(coeff_matrix_uni(ROOK, 3), x, reversed_form=True)
     assert rev[2] == 1 + 4 * x + 2 * x ** 2
+
+
+ALPHAS = [SYM, ROOK, LAH, LaguerreParams.of(Fraction(3, 2))]
+
+
+def _coeff_reference(params, n, k):
+    """Test-only closed form C(n,k) (1+alpha+k)^{rising n-k}, one rising
+    factorial per entry."""
+    return rising(params.alpha + (k + 1), n - k) * math.comb(n, k)
+
+
+@pytest.mark.parametrize("params", ALPHAS, ids=["sym", "0", "-1", "3/2"])
+def test_coeff_matrix_uni_matches_rising_closed_form(params):
+    for n in (0, 1, 2, 7):
+        want = Truncation.from_fn(
+            n, n, lambda i, k: _coeff_reference(params, i, k) if k <= i else 0)
+        assert coeff_matrix_uni(params, n) == want
+
+
+@pytest.mark.parametrize("params", ALPHAS, ids=["sym", "0", "-1", "3/2"])
+@pytest.mark.parametrize("xv", [x, x + a, Fraction(1, 2) * x])
+def test_laguerre_polynomials_match_per_term_formula(params, xv):
+    for n in range(7):
+        terms = [(_coeff_reference(params, n, k), k) for k in range(n + 1)]
+        assert monic_laguerre(n, params, xv) == Poly.sum(c * xv ** k for c, k in terms)
+        assert monic_laguerre_reversed(n, params, xv) == Poly.sum(
+            c * xv ** (n - k) for c, k in terms)
+
+
+@pytest.mark.parametrize("reversed_form", [False, True])
+def test_rowgen_polys_match_per_term_formula(reversed_form):
+    m = Truncation.from_fn(5, 3, lambda i, k: Poly.var(f"m{i}{k}"))
+    got = rowgen_polys(m, x + 1, reversed_form)
+    for i in range(5):
+        want = Poly.sum(m[i, k] * (x + 1) ** (i - k if reversed_form else k)
+                        for k in range(min(i, 2) + 1))
+        assert got[i] == want
+    assert rowgen_polys(coeff_matrix_uni(SYM, 6), x) == [monic_laguerre(i, SYM, x)
+                                                       for i in range(6)]
 
 
 def test_first_mv_stirling_examples():

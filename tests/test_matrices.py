@@ -1,5 +1,7 @@
+import collections
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, NonUnitDiagonalError,
                             output_matrix, production_of, riordan_matrix,
                             tp_check_sampled, tp_check_symbolic, tp_check_tridiagonal,
                             unit_lower_inverse)
-from lagtp.polyring import Poly
+from lagtp.polyring import Poly, _p
 from lagtp.series import Series
 from lagtp.srpaths import SRCoeffs, SRTriangles
 
@@ -481,3 +483,135 @@ def test_tridiagonal_criterion_rejects_negative_off_diagonal_and_non_tridiagonal
     assert not tp_check_tridiagonal(Truncation([[1, 1 - x], [1, 1]]), 2)
     with pytest.raises(ValueError):
         tp_check_tridiagonal(Truncation([[1, 0, 1], [0, 1, 0], [0, 0, 1]]), 2)
+
+
+# -- binomial matrices, conjugation and output matrices against the direct forms --
+
+
+def _binomial_reference(xv, n, yv=1):
+    """Test-only C(i,j) x^(i-j) y^j, two powers and a product per entry."""
+    xv, yv = _p(xv), _p(yv)
+    return Truncation.from_fn(
+        n, n, lambda i, j: xv ** (i - j) * yv ** j * math.comb(i, j) if j <= i else 0)
+
+
+@pytest.mark.parametrize("xv,yv", [
+    (x, 1), (x, a), (0, 1), (0, a), (x + a + 1, 1), (x + a + 1, a - 2),
+    (Fraction(3, 2), 1), (Fraction(3, 2) * x, Fraction(-1, 3)), (-x, 1)])
+@pytest.mark.parametrize("n", [0, 1, 2, 6])
+def test_binomial_truncation_matches_entrywise_formula(xv, yv, n):
+    got = binomial_truncation(xv, n, yv)
+    assert got == _binomial_reference(xv, n, yv)
+    assert (got.rows, got.cols) == (n, n)
+
+
+def _conjugate_reference(p, xi, n):
+    """The full (n+2)-block product B_{-xi} P B_xi, cut back to n x n."""
+    w = n + 2
+    block = p.top_left(w, w) if isinstance(p, Truncation) else p.truncate(w, w)
+    return (_binomial_reference(-xi, w) * block * _binomial_reference(xi, w)).top_left(n, n)
+
+
+def _conjugation_inputs():
+    params, w = LaguerreParams.symbolic(), VertexWeights.symbolic()
+    rng = random.Random(9)
+    return [
+        ("delta", delta_matrix()),
+        ("Pcirc", prodmat(params, "Pcirc")),
+        ("PcircY", prodmat(params, "PcircY", weights=w)),
+        ("PFlat", prodmat(params, "PFlat", weights=w, x=x)),
+        ("unbounded-band", HessMatrix(lambda n, k: Poly.var(f"p{n}_{k}"))),
+        # not Hessenberg: every entry of the block can be nonzero
+        ("dense-truncation", _random_matrix(rng, 7, 7, 0.3)),
+        ("larger-truncation", _random_matrix(rng, 9, 10, 0.3)),
+    ]
+
+
+CONJUGATION_INPUTS = _conjugation_inputs()
+
+
+@pytest.mark.parametrize("name,p", CONJUGATION_INPUTS, ids=[c[0] for c in CONJUGATION_INPUTS])
+@pytest.mark.parametrize("xi", [Poly.var("xi"), x + 1, Fraction(1, 2)])
+def test_conjugate_matches_full_block_product(name, p, xi):
+    for n in (0, 1, 3, 5):
+        assert conjugate_by_binomial(p, xi, n) == _conjugate_reference(p, xi, n)
+
+
+def test_conjugate_of_too_small_truncation_raises_as_the_full_block_read():
+    small = _random_matrix(random.Random(3), 6, 7, 0.3)
+    for p in (small, small.transpose()):
+        with pytest.raises(ValueError, match="requested 7x7 block of a"):
+            _conjugate_reference(p, x, 5)
+        with pytest.raises(ValueError, match="requested 7x7 block of a"):
+            conjugate_by_binomial(p, x, 5)
+
+
+def _output_reference(p, rows, cols=None):
+    """O(P) by the direct row loop: every output row reads every entry of
+    each live row of P over the working width."""
+    entry = HessMatrix.from_truncation(p) if isinstance(p, Truncation) else p
+    cols = rows if cols is None else cols
+    width = rows + cols
+    prev = [Poly.one()] + [Poly.zero()] * (width - 1)
+    out = [prev[:cols]] if rows else []
+    for _ in range(1, rows):
+        cur = [Poly.zero()] * width
+        for i, a_i in enumerate(prev):
+            if a_i:
+                for k in range(width):
+                    cur[k] = cur[k] + a_i * entry(i, k)
+        out.append(cur[:cols])
+        prev = cur
+    return Truncation(out)
+
+
+def _output_inputs():
+    params = LaguerreParams.symbolic()
+    p_sym = HessMatrix(lambda n, k: Poly.var(f"p{n}_{k}"))
+    rng = random.Random(11)
+    hess = Truncation.from_fn(6, 6, lambda i, j: _rand_poly(rng, 0.3) if j <= i + 1 else 0)
+    return [
+        ("P", prodmat(params, "P", x=x)),
+        ("PcircY", prodmat(params, "PcircY", weights=VertexWeights.symbolic())),
+        ("symbolic-hessenberg", p_sym),
+        ("hessenberg-truncation", hess),
+        ("raw-transpose", lambda i, k: p_sym(k, i)),
+        ("raw-ints", lambda i, k: (i + 2 * k) % 3 if k <= i + 1 else 0),
+    ]
+
+
+OUTPUT_INPUTS = _output_inputs()
+
+
+@pytest.mark.parametrize("name,p", OUTPUT_INPUTS, ids=[c[0] for c in OUTPUT_INPUTS])
+def test_output_matrix_matches_direct_row_loop(name, p):
+    for rows, cols in ((0, 0), (0, 1), (1, 0), (1, 1), (0, None), (1, None), (2, 1),
+                       (6, None), (6, 1), (4, 6)):
+        got = output_matrix(p, rows, cols)
+        assert got == _output_reference(p, rows, cols), (rows, cols)
+
+
+def test_output_matrix_of_too_small_truncation_raises_as_the_row_loop():
+    small = Truncation([[1, 1], [1, 1]])
+    with pytest.raises(IndexError):
+        _output_reference(small, 4)
+    with pytest.raises(IndexError):
+        output_matrix(small, 4)
+
+
+@pytest.mark.parametrize("name,p", OUTPUT_INPUTS, ids=[c[0] for c in OUTPUT_INPUTS])
+def test_output_matrix_evaluates_each_entry_of_p_at_most_once(name, p):
+    if isinstance(p, Truncation):
+        p = HessMatrix.from_truncation(p)
+    for rows, cols in ((6, None), (6, 1), (4, 6)):
+        calls = collections.Counter()
+
+        def counted(i, k):
+            calls[i, k] += 1
+            return p(i, k)
+
+        output_matrix(counted, rows, cols)
+        assert calls and max(calls.values()) == 1
+        if name != "raw-transpose":
+            # for a Hessenberg P, row n of O(P) reads rows 0..n-1 of P only
+            assert max(i for i, _ in calls) <= rows - 2

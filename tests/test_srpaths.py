@@ -220,6 +220,20 @@ def test_path_oracle_refuses_negative_type():
         sr_path_oracle(CO2, -1, 2, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sr_poly(CO2, -1, 2, 0),
+    lambda: SRTriangles(CO2).value(-3, 2, 0),
+    lambda: SRTriangles(CO2).value(-1, 2, 5),
+    lambda: SRTriangles(CO1, max_j=3).triangle(-1, 3),
+    lambda: SRTriangles(CO1).triangle(-2, 0),
+    lambda: sr_path_oracle_row(CO2, -1, 2),
+], ids=["sr_poly", "value", "value-outside-row", "triangle", "empty-triangle", "oracle-row"])
+def test_recurrence_refuses_negative_type(call):
+    # a negative j once read another type through Python's negative indexing
+    with pytest.raises(ValueError, match="type j"):
+        call()
+
+
 def test_sr_poly_reduces_types_beyond_m():
     # S^(m;j) for j > m is the (n + ell, k + ell) entry of type j mod (m+1)
     tri = SRTriangles(CO2, max_j=7)

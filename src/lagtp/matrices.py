@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import Poly, PolyLike, _p, power_table
+from .polyring import Poly, PolyLike, _local_keys, _p, power_table
 
 
 class NonUnitDiagonalError(ValueError):
@@ -238,17 +238,20 @@ def upper_bidiagonal(diag, sup, n: int) -> Truncation:
         n, n, lambda i, j: diag(i) if j == i else (sup(i) if j == i + 1 else 0))
 
 
-def binomial_truncation(x: PolyLike, n: int, y: PolyLike = 1) -> Truncation:
-    """Weighted binomial matrix B_{x,y} with entries C(n,k) x^(n-k) y^k.
+def binomial_truncation(x: PolyLike, n: int, y: PolyLike = 1,
+                        cols: int | None = None) -> Truncation:
+    """Weighted binomial matrix B_{x,y} with entries C(n,k) x^(n-k) y^k,
+    truncated to n rows and ``cols`` columns (default n).
 
-    The powers x^0..x^(n-1) and y^0..y^(n-1) are tabled once, so each
+    The powers x^0..x^(n-1) and y^0..y^(cols-1) are tabled once, so each
     entry costs one product and one integer scaling.
     """
+    cols = n if cols is None else cols
     xp = power_table(_p(x), n)
-    yp = power_table(_p(y), n)
+    yp = power_table(_p(y), cols)
     zero = Poly.zero()
     return Truncation([[(xp[i - j] * yp[j]).scale(math.comb(i, j)) if j <= i else zero
-                        for j in range(n)] for i in range(n)])
+                        for j in range(cols)] for i in range(n)])
 
 
 def hankel_truncation(seq: Sequence[PolyLike], n: int) -> Truncation:
@@ -333,23 +336,26 @@ def production_of(t: Truncation) -> Truncation:
 def conjugate_by_binomial(p: Union[HessMatrix, Truncation], xi: PolyLike, n: int) -> Truncation:
     """n x n truncation of B_xi^{-1} P B_xi, computed exactly.
 
-    Uses B_xi^{-1} = B_{-xi}.  P is read on its leading (n+2) block (a
-    smaller Truncation raises), and only the blocks that reach the result
-    are multiplied: B_{-xi} is lower-triangular, so rows i < n of the
+    Uses B_xi^{-1} = B_{-xi}.  Only the blocks that reach the result are
+    read and multiplied: B_{-xi} is lower-triangular, so rows i < n of the
     conjugate meet only its leading n x n block and rows 0..n-1 of P; a
     column k < n meets only the first n columns of B_xi.  So the result is
     B_{-xi}[n x n] P[n x (n+2)] B_xi[(n+2) x n], exactly the corner of the
     full (n+2)-block product for any P, Hessenberg or not, and equal to the
-    infinite conjugate when P is lower-Hessenberg.
+    infinite conjugate when P is lower-Hessenberg.  A ``HessMatrix`` is
+    evaluated on its first n rows only; a ``Truncation`` must still hold
+    the leading (n+2) block (a smaller one raises ``ValueError``).
     """
     xi = _p(xi)
     w = n + 2
-    block = p.top_left(w, w) if isinstance(p, Truncation) else p.truncate(w, w)
+    if isinstance(p, Truncation):
+        p.top_left(w, w)  # the size check
+        block = p.top_left(n, w)
+    else:
+        block = p.truncate(n, w)
     if not n:
         return Truncation([])  # a Truncation has no n x (n+2) shape for n = 0
-    left = binomial_truncation(-xi, n)
-    right = binomial_truncation(xi, w).top_left(w, n)
-    return left * block.top_left(n, w) * right
+    return binomial_truncation(-xi, n) * block * binomial_truncation(xi, w, cols=n)
 
 
 # -- total positivity -------------------------------------------------------
@@ -452,20 +458,44 @@ def _minor_scan(grid, rows: int, cols: int, order: int):
         prev = cur
 
 
+def _first_negative_minor(grid, rows: int, cols: int, order: int) -> tuple:
+    """(minors checked, (rows, cols, minor) of the first minor with a
+    negative coefficient, or None) for a Poly grid."""
+    checked = 0
+    for r, c, minor in _minor_scan(grid, rows, cols, order):
+        checked += 1
+        if not minor.is_coeffwise_nonneg():
+            return checked, (r, c, minor)
+    return checked, None
+
+
 def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     """Check every minor of size <= order for coefficientwise nonnegativity.
 
     Minors come from _minor_scan in colex order and the scan short-circuits
     on the first offending minor, which is returned in the report.
+
+    The entries are re-keyed once onto the variables the matrix uses
+    (``polyring._local_keys``), so every product in the scan works on keys
+    of at most FIELD_BITS bits per variable of the matrix, however many
+    names the process has registered; only the witness minor is mapped
+    back.  An exponent overflow on local keys would name a local field, so
+    the scan is then run again on the process keys, where it overflows at
+    the same product and the error names the real variable.
     """
-    checked = 0
+    local, to_global = _local_keys(e for row in m.data for e in row)
+    grid = [local[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+    try:
+        checked, bad = _first_negative_minor(grid, m.rows, m.cols, order)
+    except OverflowError:
+        _first_negative_minor(m.data, m.rows, m.cols, order)
+        raise
     size_meta = {"rows": m.rows, "cols": m.cols}
-    for rows, cols, minor in _minor_scan(m.data, m.rows, m.cols, order):
-        checked += 1
-        if not minor.is_coeffwise_nonneg():
-            return TPReport(False, order, "symbolic", checked,
-                            TPWitness(rows, cols, minor), meta=size_meta)
-    return TPReport(True, order, "symbolic", checked, meta=size_meta)
+    if bad is None:
+        return TPReport(True, order, "symbolic", checked, meta=size_meta)
+    rows, cols, minor = bad
+    return TPReport(False, order, "symbolic", checked,
+                    TPWitness(rows, cols, to_global(minor)), meta=size_meta)
 
 
 class XorShift64:

@@ -17,6 +17,14 @@ top bit of each field is a guard: exponents run from 0 to ``MAX_EXPONENT``
 depend on the order in which names were first seen, so they never leave the
 process: printing and JSON go through variable names.
 
+A key is as wide as the highest field it uses, and a name registered late
+in a process gets a high field: after 95 names, a monomial in the last one
+is an integer of up to 1520 bits, and adding, hashing and comparing such keys costs
+several times what it costs on a key of one or two words.  A computation
+that reuses one set of Polys for many products (the symbolic TP scan) can
+re-key them once with ``_local_keys`` onto consecutive fields 0..v-1, v the
+number of variables they use, and map back only its result.
+
 Sums of products are accumulated, not folded (Monagan and Pearce again):
 ``Poly.dot(pairs)`` (the sum of a*b) and ``Poly.sum(polys)`` add every term
 pair into one dict and normalise it once at the end, so no product is built
@@ -32,8 +40,9 @@ sum with no guard bit set proves the product safe; only operands that fail
 this test have their term pairs checked one by one.
 
 ``Poly(vars, terms)`` builds a polynomial from exponent tuples parallel to
-``vars``.  The names may come in any order and may repeat (the exponents of
-a repeated name add); exponents must be nonnegative integers, not bools
+``vars``.  The names must be identifiers (``str.isidentifier``; ``ValueError``
+otherwise) and may come in any order and repeat (the exponents of a repeated
+name add); exponents must be nonnegative integers, not bools
 (``ValueError`` otherwise), no larger than ``MAX_EXPONENT``
 (``OverflowError``).  Coefficients are stored as ``int`` (a bool becomes
 0 or 1) or as a ``Fraction`` with denominator > 1.
@@ -74,10 +83,16 @@ class ExactDivisionError(ArithmeticError):
 
 
 def _offset(name: str) -> int:
-    """Bit offset of the field of ``name``, registering the name on first use."""
+    """Bit offset of the field of ``name``, registering the name on first use.
+
+    A name must be a ``str`` that is an identifier (``ValueError``
+    otherwise): names print unquoted between ``*`` and ``^``, and ``vars``
+    sorts them."""
     global _guard
-    off = _offsets.get(name)
+    off = _offsets.get(name) if isinstance(name, str) else None
     if off is None:
+        if not (isinstance(name, str) and name.isidentifier()):
+            raise ValueError(f"variable names must be identifiers, got {name!r}")
         with _register_lock:
             off = _offsets.get(name)
             if off is None:
@@ -550,6 +565,55 @@ def _poly(terms: dict) -> Poly:
     p = object.__new__(Poly)
     object.__setattr__(p, "terms", terms)
     return p
+
+
+def _local_keys(polys: Iterable[Poly]) -> tuple:
+    """Re-key ``polys`` onto consecutive fields: (local Polys, to_global).
+
+    The v distinct variables the Polys use keep their order but move to
+    fields 0..v-1, so each key is at most v * ``FIELD_BITS`` bits wide
+    however many names the process has registered.  Fields keep their
+    width and their guard bits, so ``+``, ``*`` and ``Poly.dot`` work on
+    local Polys unchanged.  ``to_global`` maps a local Poly back to the
+    process key space.
+
+    A local key means nothing outside the set it was made from: the
+    ``vars``, printing and JSON of a local Poly name the wrong variables,
+    and local Polys of two different sets must never meet.  So local Polys
+    stay inside the one computation that made them; only what it returns
+    goes back through ``to_global``.  An ``OverflowError`` raised on local
+    keys also names the wrong variable (see ``tp_check_symbolic``).
+    """
+    polys = list(polys)
+    used = 0
+    for p in polys:
+        for k in p.terms:
+            used |= k
+    # runs of consecutive used fields, each moved by one mask and one shift:
+    # (offset in the process key, offset in the local key, mask of the run)
+    runs = []
+    src = dst = 0
+    while used:
+        width = FIELD_BITS
+        if used & _FIELD_MASK:
+            while (used >> width) & _FIELD_MASK:
+                width += FIELD_BITS
+            runs.append((src, dst, (1 << width) - 1))
+            dst += width
+        used >>= width
+        src += width
+
+    def rekey(p: Poly, moves) -> Poly:
+        out = {}
+        for k, c in p.terms.items():
+            key = 0
+            for frm, to, mask in moves:
+                key |= ((k >> frm) & mask) << to
+            out[key] = c
+        return _poly(out)
+
+    back = [(dst, src, mask) for src, dst, mask in runs]
+    return [rekey(p, runs) for p in polys], lambda p: rekey(p, back)
 
 
 def rising(base: Poly, n: int) -> Poly:

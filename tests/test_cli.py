@@ -206,6 +206,17 @@ def test_tp_check_zero_denominator_exits_2(tmp_path, capsys):
     assert "1/0" in err
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_tp_check_non_string_variable_name_exits_2(tmp_path, capsys, mode):
+    # an int name beside a str one used to crash sorting the names (exit 1)
+    named = [{"vars": [name], "terms": [{"exp": [1], "coef": "1"}]} for name in (1, "x")]
+    path = tmp_path / "int_name.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [named]}))
+    code, out, err = run(capsys, ["tp-check", str(path), "--order", "2", "--mode", mode])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read matrix JSON: variable names must be identifiers, got 1\n"
+
+
 def test_tp_check_bool_entries_round_trip(tmp_path, capsys):
     m = Truncation([[True, 0], [1, 1]])
     path = tmp_path / "bool.json"

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import json
 import math
@@ -7,9 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from lagtp.laguerre import LaguerreParams, VertexWeights, coeff_matrix_uni, prodmat
+from lagtp import polyring
+from lagtp.laguerre import (LaguerreParams, VertexWeights, coeff_matrix_uni, monic_laguerre,
+                            prodmat)
 from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, NonUnitDiagonalError,
-                            RiordanIntegralityError, Truncation, XorShift64, _minor_scan,
+                            RiordanIntegralityError, TPReport, Truncation, TPWitness,
+                            XorShift64, _minor_scan,
                             binomial_truncation,
                             bx_conjugate_eaz_identity_check, conjugate_by_binomial,
                             delta_matrix, eaz_matrix, hankel_truncation,
@@ -503,6 +507,10 @@ def test_binomial_truncation_matches_entrywise_formula(xv, yv, n):
     got = binomial_truncation(xv, n, yv)
     assert got == _binomial_reference(xv, n, yv)
     assert (got.rows, got.cols) == (n, n)
+    for cols in (0, 1, n - 2, n + 2):
+        if cols >= 0:
+            want = _binomial_reference(xv, max(n, cols), yv).top_left(n, cols)
+            assert binomial_truncation(xv, n, yv, cols=cols) == want, cols
 
 
 def _conjugate_reference(p, xi, n):
@@ -615,3 +623,151 @@ def test_output_matrix_evaluates_each_entry_of_p_at_most_once(name, p):
         if name != "raw-transpose":
             # for a Hessenberg P, row n of O(P) reads rows 0..n-1 of P only
             assert max(i for i, _ in calls) <= rows - 2
+
+
+# -- the symbolic scan on local keys ---------------------------------------------
+
+PADDING_NAMES = 200
+
+
+def _wide(m, tag):
+    """m with each variable renamed to a fresh name, registered after the
+    padding names, so that its keys are wide in the process key space."""
+    for i in range(PADDING_NAMES):
+        Poly.var(f"pad{i}")
+    return m.substitute({v: Poly.var(f"{tag}_{v}") for v in m.variables()})
+
+
+def _reference_report(m, order):
+    ok, checked, bad = _reference_symbolic(m, order)
+    witness = TPWitness(*bad[:3]) if bad else None
+    return TPReport(ok, order, "symbolic", checked, witness,
+                    meta={"rows": m.rows, "cols": m.cols})
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_scan_cases():
+    """{name: (matrix on fresh wide names, order)}; built on first use, so
+    that the padding names are registered only when these tests run."""
+    rng = random.Random(808)
+    cases = []
+    for n in (4, 5):
+        b = _bidiagonal_product(rng, n)
+        cases.append((f"bidiagonal{n}", b, 4))
+        cases.append((f"bidiagonal{n}-swapped", _swap_adjacent_rows(b, rng.randrange(n - 1)), 3))
+    lam = Poly.var("lam")
+    seq = [monic_laguerre(i, LaguerreParams(lam - 1), x) for i in range(7)]
+    hankel = hankel_truncation(seq, 4)
+    cases.append(("laguerre-hankel", hankel, 3))
+    cases.append(("laguerre-hankel-swapped", _swap_adjacent_rows(hankel, 1), 2))
+    tri = SRTriangles(SRCoeffs.symbolic(2), max_j=2)
+    sr = hankel_truncation([tri.value(1, i, 0) for i in range(5)], 3)
+    cases.append(("sr-hankel", sr, 3))
+    cases.append(("sr-hankel-swapped", _swap_adjacent_rows(sr, 0), 3))
+    return {name: (_wide(m, f"wide{i}"), order) for i, (name, m, order) in enumerate(cases)}
+
+
+WIDE_SCAN_NAMES = [f"{kind}{suffix}" for kind in ("bidiagonal4", "bidiagonal5", "laguerre-hankel",
+                                                  "sr-hankel") for suffix in ("", "-swapped")]
+
+
+@pytest.mark.parametrize("name", WIDE_SCAN_NAMES)
+def test_symbolic_scan_on_wide_keys_matches_leibniz_reference(name):
+    m, order = _wide_scan_cases()[name]
+    report = tp_check_symbolic(m, order)
+    want = _reference_report(m, order)
+    assert report.to_json() == want.to_json()
+    assert report.ok == (not name.endswith("-swapped"))
+    if report.witness is not None:
+        assert report.witness.minor.vars == want.witness.minor.vars
+        assert str(report.witness.minor) == str(want.witness.minor)
+        assert report.witness.minor == want.witness.minor
+
+
+@pytest.mark.parametrize("name", WIDE_SCAN_NAMES)
+def test_symbolic_scan_multiplies_keys_no_wider_than_the_matrix_variables(name, monkeypatch):
+    m, order = _wide_scan_cases()[name]
+    widest = [0]
+    mul_into = polyring._mul_into
+
+    def recording(out, den, ta, tb):
+        widest[0] = max(widest[0], *(k.bit_length() for k in ta), *(k.bit_length() for k in tb))
+        return mul_into(out, den, ta, tb)
+
+    monkeypatch.setattr(polyring, "_mul_into", recording)
+    tp_check_symbolic(m, order)
+    assert 0 < widest[0] <= polyring.FIELD_BITS * len(m.variables())
+
+
+def test_symbolic_scan_overflow_names_the_real_variable(tmp_path, capsys):
+    from lagtp import cli
+    for i in range(40):
+        Poly.var(f"pad{i}")
+    zeta = Poly.var("zeta")
+    assert polyring._offsets["zeta"] >= 40 * polyring.FIELD_BITS
+    m = Truncation([[zeta ** 20000, 1], [1, zeta ** 20000]])
+    with pytest.raises(OverflowError, match="^exponent of zeta exceeds 32767$"):
+        tp_check_symbolic(m, 2)
+    path = tmp_path / "m.json"
+    path.write_text(m.to_json())
+    assert cli.main(["tp-check", str(path), "--order", "2"]) == 2
+    assert capsys.readouterr().err == "error: exponent of zeta exceeds 32767\n"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_local_keys_round_trip(seed):
+    rng = random.Random(seed)
+    for i in range(PADDING_NAMES):
+        Poly.var(f"pad{i}")
+    names = rng.sample([f"pad{i}" for i in range(PADDING_NAMES)] + ["x", "a", "y"],
+                       rng.randrange(1, 7))
+    pool = [Poly.one()] + [Poly.var(v) for v in names]
+    polys = []
+    for _ in range(rng.randrange(1, 8)):
+        p = Poly.zero()
+        for _ in range(rng.randrange(4)):
+            p = p + rng.choice(pool) ** rng.randrange(3) * rng.choice(pool) * rng.randint(-3, 3)
+        polys.append(p)
+    local, to_global = polyring._local_keys(polys)
+    assert [to_global(p) for p in local] == polys
+    used = {v for p in polys for v in p.vars}
+    assert all(k.bit_length() <= polyring.FIELD_BITS * len(used)
+               for p in local for k in p.terms)
+    # arithmetic on local keys maps back to the same arithmetic on process keys
+    assert to_global(Poly.dot(zip(local, local[::-1]))) == Poly.dot(zip(polys, polys[::-1]))
+
+
+@pytest.mark.parametrize("polys", [[], [Poly.zero()], [Poly.zero()] * 4,
+                                   [Poly.const(3), Poly.zero(), Poly.const(Fraction(-1, 2))]])
+def test_local_keys_of_constants_and_zeros(polys):
+    local, to_global = polyring._local_keys(polys)
+    assert local == polys
+    assert [to_global(p) for p in local] == polys
+
+
+# -- conjugation reads only the rows that reach the result -----------------------
+
+
+@pytest.mark.parametrize("name,p", CONJUGATION_INPUTS[:5], ids=[c[0] for c in CONJUGATION_INPUTS[:5]])
+def test_conjugate_evaluates_no_row_of_p_at_or_past_n(name, p):
+    for n in (1, 3, 5):
+        rows = set()
+
+        def counted(i, k):
+            rows.add(i)
+            return p(i, k)
+
+        got = conjugate_by_binomial(HessMatrix(counted), Poly.var("xi"), n)
+        assert max(rows) < n
+        assert got == _conjugate_reference(p, Poly.var("xi"), n)
+
+
+def test_conjugate_of_hessenberg_that_raises_past_row_n_succeeds():
+    def entry(i, k):
+        if i >= 4:
+            raise IndexError(i)
+        return Poly.var(f"p{i}_{k}")
+
+    got = conjugate_by_binomial(HessMatrix(entry), x, 4)
+    want = _conjugate_reference(HessMatrix(lambda i, k: Poly.var(f"p{i}_{k}")), x, 4)
+    assert got == want

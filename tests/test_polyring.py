@@ -176,6 +176,21 @@ def test_bad_exponent_rejected(exp):
         x ** exp
 
 
+@pytest.mark.parametrize("name", [1, True, None, ["x"], "", "x^2", "a*b", "2x", "x y"])
+def test_non_identifier_variable_name_rejected(name):
+    with pytest.raises(ValueError, match="variable names must be identifiers"):
+        Poly.from_json_obj({"vars": [name], "terms": [{"exp": [1], "coef": "1"}]})
+    with pytest.raises(ValueError, match="variable names must be identifiers"):
+        Poly((name,), {(1,): 1})
+    with pytest.raises(ValueError, match="variable names must be identifiers"):
+        Poly.var(name)
+
+
+def test_identifier_variable_names_accepted():
+    for name in ("x", "y_p", "al10", "_t", "ζ"):
+        assert Poly.var(name).vars == (name,)
+
+
 def test_exponent_past_field_limit_overflows():
     y = Poly.var("y")
     top = x ** MAX_EXPONENT * y

@@ -8,7 +8,7 @@ minors, and brute-force combinatorial oracles cross-validating every
 closed form.
 """
 
-from .polyring import ExactDivisionError, Poly, falling, rising
+from .polyring import ExactDivisionError, Poly, rising
 from .series import (Series, series_pow_sym, series_reciprocal,
                      solve_logderiv, solve_riccati)
 from .matrices import (HessMatrix, Truncation, TPReport, TPWitness,

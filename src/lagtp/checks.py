@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import banded, digraphs, laguerre, quadtp, srpaths
@@ -611,18 +611,22 @@ def binomial_matrix_example(ctx: Ctx) -> bool:
 
 
 def sr_poly_matches_path_oracle(ctx: Ctx) -> bool:
+    """Every entry of the types 0..m+1 against the path oracle; type m+1
+    both by the first recurrence (``direct``) and through the submatrix
+    identity (``reduced``, the route ``sr_poly`` takes)."""
     cap = ctx.cap(18)
     for m in (1, 2, 3):
         coeffs = srpaths.SRCoeffs.symbolic(m)
+        direct = srpaths.SRTriangles(coeffs, max_j=m + 1)
+        reduced = srpaths.SRTriangles(coeffs)
         for j in range(m + 2):
-            tri = srpaths.SRTriangles(coeffs, max_j=j)
             n = 0
             while (m + 1) * n + j <= cap:
                 row = srpaths.sr_path_oracle_row(coeffs, j, n)
                 for k in range(n + 1):
-                    if srpaths.sr_poly(coeffs, j, n, k) != row[k]:
+                    if direct.value(j, n, k) != row[k]:
                         return False
-                    if tri.value(j, n, k) != row[k]:
+                    if j == m + 1 and reduced.value(j, n, k) != row[k]:
                         return False
                 n += 1
     # spot checks through the single-entry oracle
@@ -768,7 +772,7 @@ def general_quad_structure(ctx: Ctx) -> bool:
     full = quadtp.build_general_quad(p)
     if full.truncate(6) != quadtp.general_quad_from_factors(p, 6):
         return False
-    q = quadtp.build_general_quad(p, with_h=False)
+    q = quadtp.build_general_quad(replace(p, h=()))
     for n in range(6):
         corr = quadtp.general_quad_row_correction(p, n, 6)
         nonzero = [k for k, v in enumerate(corr) if not v.is_zero()]
@@ -819,7 +823,7 @@ def variant_quad_structure(ctx: Ctx) -> bool:
         return False
     w = quadtp.variant_quad_factors(p, 8)
     q_expect = (w["L1"] * (w["L2"] * w["U"] + w["D1"])).top_left(6, 6)
-    return quadtp.build_variant_quad(p, with_f=False).truncate(6) == q_expect
+    return quadtp.build_variant_quad(replace(p, f=())).truncate(6) == q_expect
 
 
 def variant_quad_tp_desk_scale(ctx: Ctx) -> bool:

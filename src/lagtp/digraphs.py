@@ -73,9 +73,6 @@ class LaguerreDigraph:
                 raise ValueError("vertices out of range")
         object.__setattr__(self, "succ", succ)
 
-    def predecessors(self) -> dict:
-        return {j: i for i, j in self.succ.items()}
-
 
 @dataclass(frozen=True)
 class DigraphStats:

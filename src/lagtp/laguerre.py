@@ -180,7 +180,6 @@ def laguerre_rowgen_egf(params: LaguerreParams, x: PolyLike, order: int) -> Seri
 
 # -- multivariate families ---------------------------------------------------
 
-FIRST_MV_ORACLE_LIMIT = 9
 SECOND_MV_ORACLE_LIMIT = 7
 
 
@@ -188,8 +187,11 @@ def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Tru
     """First multivariate coefficient matrix, built by digraph-oracle summation.
 
     Entry (n,k) sums v_-^{e_-} v_0^{e_0} v_+^{e_+} (1+alpha)^{cyc} over the
-    Laguerre digraphs with k paths; each entry is checked homogeneous of
-    degree n-k in the edge weights.
+    Laguerre digraphs with k paths.  When each edge weight is a linear form
+    (or zero) in the edge-weight variables and none of them occurs in alpha
+    (distinct bare variables, say), each entry is checked homogeneous of
+    degree n-k in them; other weights, such as vm + 1, vm^2 or a weight in
+    alpha's variable, make no such promise.
     """
     weights = w.oracle_weights(params.lam)
     rows = []
@@ -198,11 +200,13 @@ def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Tru
         row += [Poly.zero()] * (n - i - 1)
         rows.append(row)
     t = Truncation(rows)
-    sym_edge_vars = {v for wpoly in (w.v_minus, w.v_zero, w.v_plus) for v in wpoly.vars}
-    if sym_edge_vars:
+    edge = (w.v_minus, w.v_zero, w.v_plus)
+    edge_vars = {v for wpoly in edge for v in wpoly.vars}
+    if (edge_vars and not edge_vars & set(params.alpha.vars)
+            and all(_is_homogeneous(wpoly, edge_vars, 1) for wpoly in edge)):
         for i in range(n):
             for k in range(i + 1):
-                if not _is_homogeneous(t[i, k], sym_edge_vars, i - k):
+                if not _is_homogeneous(t[i, k], edge_vars, i - k):
                     raise AssertionError(f"entry ({i},{k}) not homogeneous of degree {i-k}")
     return t
 

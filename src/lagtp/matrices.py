@@ -124,12 +124,6 @@ class Truncation:
             raise ValueError(f"requested {rows}x{cols} block of a {self.rows}x{self.cols} matrix")
         return Truncation([row[:cols] for row in self.data[:rows]])
 
-    def map(self, fn: Callable[[Poly], Poly]) -> "Truncation":
-        return Truncation([[fn(e) for e in row] for row in self.data])
-
-    def substitute(self, env) -> "Truncation":
-        return self.map(lambda e: e.substitute(env))
-
     def is_unit_lower_triangular(self) -> bool:
         for i in range(self.rows):
             for j in range(self.cols):

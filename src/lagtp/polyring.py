@@ -294,16 +294,6 @@ class Poly:
             raise ValueError(f"not a constant: {self}")
         return self.terms.get(0, 0)
 
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial gets -1."""
-        return max(map(_degree, self.terms), default=-1)
-
-    def degree_in(self, name: str) -> int:
-        if name not in self.vars:
-            return 0 if self.terms else -1
-        off = _offsets[name]
-        return max((k >> off) & _FIELD_MASK for k in self.terms)
-
     def is_coeffwise_nonneg(self) -> bool:
         """True iff every stored coefficient is >= 0 (the coefficientwise order)."""
         return all(c >= 0 for c in self.terms.values())
@@ -449,13 +439,6 @@ class Poly:
         return _norm_coeff(total)
 
     # -- exact division --------------------------------------------------
-
-    def divides(self, other: "Poly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except ExactDivisionError:
-            return False
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division over the rationals; raises
@@ -621,13 +604,6 @@ def rising(base: Poly, n: int) -> Poly:
     out = Poly.one()
     for i in range(n):
         out = out * (base + i)
-    return out
-
-
-def falling(base: Poly, n: int) -> Poly:
-    out = Poly.one()
-    for i in range(n):
-        out = out * (base - i)
     return out
 
 

@@ -55,11 +55,9 @@ class QuadFactorParams:
                 _seq_fn(self.e), _seq_fn(self.f, 1), _seq_fn(self.g), _seq_fn(self.h))
 
 
-def build_general_quad(p: QuadFactorParams, with_h: bool = True) -> HessMatrix:
-    """Quadridiagonal P (or Q = P with h = 0) by the closed row formulas."""
+def build_general_quad(p: QuadFactorParams) -> HessMatrix:
+    """Quadridiagonal P by the closed row formulas (Q: pass ``replace(p, h=())``)."""
     a, b, c, d, e, f, g, h = p.fns()
-    if not with_h:
-        h = lambda i: Poly.zero()
 
     def fn(n, k):
         if k == n + 1:
@@ -160,12 +158,10 @@ class QuadVariantParams:
                 _seq_fn(self.d), _seq_fn(self.e), _seq_fn(self.f))
 
 
-def build_variant_quad(p: QuadVariantParams, with_f: bool = True) -> HessMatrix:
-    """Quadridiagonal variant P (or Q = P with f = 0) via the column formulas."""
+def build_variant_quad(p: QuadVariantParams) -> HessMatrix:
+    """Quadridiagonal variant P via the column formulas (Q: pass ``replace(p, f=())``)."""
     a, b, c, d, e, f = p.fns()
     al, be, x, y = p.alpha, p.beta, p.x, p.y
-    if not with_f:
-        f = lambda i: Poly.zero()
 
     def l1(i):  # diagonal of L1
         return al + x * a(i)

@@ -106,13 +106,6 @@ class Series:
             return Series.zero(0)
         return Series([self.coefs[i].scale(i) for i in range(1, self.order + 1)], self.order - 1)
 
-    def integrate(self) -> "Series":
-        """Antiderivative with zero constant term, one order higher."""
-        out = [Poly.zero()]
-        for i, c in enumerate(self.coefs):
-            out.append(c.scale(Fraction(1, i + 1)))
-        return Series(out, self.order + 1)
-
     def reciprocal(self) -> "Series":
         """Multiplicative inverse; requires an invertible constant term."""
         c0 = self.coefs[0]

@@ -9,7 +9,11 @@ height i.  They are computed by the two-step recurrence
     S(j; n+1, k) = S(j+m; n, k-1) + alpha_{(m+1)k+j+m} S(j+m; n, k)
 
 with S(j; 0, k) = [k == 0], and cross-validated against a direct path
-enumeration oracle.  The production matrix of the type-j triangle is the
+enumeration oracle.  Like the digraph oracles, the path oracle is a
+weight-free count table followed by one weighting step: the walk counts
+the paths by their fall heights (an exponent vector with one entry per
+height), and ``digraphs._weighted_sum`` weighs that table with alpha_h
+for height h.  The production matrix of the type-j triangle is the
 bidiagonal product L_{j+1} ... L_m U_0 L_1 ... L_j.
 
 Coefficient conventions: alpha_i = 0 for i < m.  The kappa-families of
@@ -21,7 +25,6 @@ denominators n-(n-1) kappa instead of leaving the polynomial ring.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,9 +32,10 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Optional, Union
 
-from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
+from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit, _weighted_sum
 from .laguerre import LaguerreParams, prodmat
-from .matrices import HessMatrix, Truncation, lower_bidiagonal, upper_bidiagonal
+from .matrices import (HessMatrix, Truncation, hankel_truncation, lower_bidiagonal,
+                       tp_check_symbolic, upper_bidiagonal)
 from .polyring import Poly, PolyLike, _p
 
 
@@ -139,7 +143,8 @@ def sr_path_oracle(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
     """Direct enumeration of partial m-Dyck paths from (0,0) to
     ((m+1)n+j, (m+1)k+j); must equal sr_poly.  ValueError for j < 0."""
     _check_type(j)
-    return _weigh(coeffs, _path_falls(coeffs.m, j, n, k, k)[k])
+    counters = _path_falls(coeffs.m, j, n, k, k)
+    return _weighted_sum(counters[k], _fall_weights(coeffs, j, n))
 
 
 def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:
@@ -147,12 +152,19 @@ def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:
     partial m-Dyck paths of length (m+1)n+j.  ValueError for j < 0."""
     _check_type(j)
     counters = _path_falls(coeffs.m, j, n, 0, n)
-    return [_weigh(coeffs, counters[k]) for k in range(n + 1)]
+    weights = _fall_weights(coeffs, j, n)
+    return [_weighted_sum(counters[k], weights) for k in range(n + 1)]
+
+
+def _fall_weights(coeffs: SRCoeffs, j: int, n: int) -> list:
+    """alpha_h for every height h a path of length (m+1)n+j can fall from."""
+    return [coeffs.alpha(h) for h in range((coeffs.m + 1) * n + j + 1)]
 
 
 def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> dict:
-    """For each k in k_lo..k_hi, a Counter of the sorted fall heights of the
-    partial m-Dyck paths from (0,0) to ((m+1)n+j, (m+1)k+j).
+    """For each k in k_lo..k_hi, a Counter of the fall-height exponent
+    vectors (entry h: the number of falls from height h) of the partial
+    m-Dyck paths from (0,0) to ((m+1)n+j, (m+1)k+j).
 
     The walk prunes every prefix that can no longer end between the lowest
     and the highest target height.
@@ -163,13 +175,13 @@ def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> dict:
         raise LimitExceeded(f"path oracle capped at {cap} steps (got {steps})")
     lo, hi = (m + 1) * k_lo + j, (m + 1) * k_hi + j
     counters = {k: Counter() for k in range(k_lo, k_hi + 1)}
-    falls: list[int] = []
+    falls = [0] * (steps + 1)
 
     def walk(pos: int, height: int) -> None:
         if pos == steps:
             k, r = divmod(height - j, m + 1)
             if r == 0 and k in counters:
-                counters[k][tuple(sorted(falls))] += 1
+                counters[k][tuple(falls)] += 1
             return
         rem = steps - pos - 1
         # rise
@@ -179,23 +191,12 @@ def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> dict:
         # m-fall
         h = height - m
         if h >= 0 and h + rem >= lo and h - m * rem <= hi:
-            falls.append(height)
+            falls[height] += 1
             walk(pos + 1, h)
-            falls.pop()
+            falls[height] -= 1
 
     walk(0, 0)
     return counters
-
-
-def _weigh(coeffs: SRCoeffs, counter: Counter) -> Poly:
-    """Sum over fall-height multisets of count * prod alpha_height."""
-    def term(heights, count):
-        out = Poly.const(count)
-        for h in heights:
-            out = out * coeffs.alpha(h)
-        return out
-
-    return Poly.sum(term(heights, count) for heights, count in sorted(counter.items()))
 
 
 # -- production matrices ------------------------------------------------------
@@ -287,7 +288,7 @@ def check_modified_from_type0(m: int, ell: int, n_max: int) -> bool:
     env = {f"al{i}": Poly.zero() for i in range(m, m + ell)}
     tri = SRTriangles(coeffs)
     for n in range(n_max + 1):
-        lhs = sr_poly(coeffs, m - ell, n, 0)
+        lhs = tri.value(m - ell, n, 0)
         top = tri.value(0, n + 1, 0)
         quotient = top.exact_div(Poly.var(f"al{m}"))
         sub = dict(env)
@@ -420,19 +421,15 @@ def verify_factorization_cell(fam: KappaFamily, n: int) -> bool:
 
 def find_hankel_tp2_failure(m: int):
     """Search the 4x4 Hankel matrix of the type j = m+1 modified sequence
-    (its terms 0..6) for a 2x2 minor with a negative coefficient.
+    (its terms 0..6) for a minor of size <= 2 with a negative coefficient,
+    by the symbolic TP scan (its entries are nonnegative, so the witness
+    is a 2x2 minor).
 
     The type-(m+1) sequence is not Hankel-totally positive; this returns a
-    witness dict {rows, cols, minor} for the first offending minor found,
-    or None if the search space is clean (it should never be).
+    witness dict {rows, cols, minor} for the first offending minor in scan
+    order, or None if the search space is clean (it should never be).
     """
     tri = SRTriangles(SRCoeffs.symbolic(m))
     seq = [tri.value(m + 1, i, 0) for i in range(7)]
-    for rows in itertools.combinations(range(4), 2):
-        for cols in itertools.combinations(range(4), 2):
-            i1, i2 = rows
-            j1, j2 = cols
-            minor = seq[i1 + j1] * seq[i2 + j2] - seq[i1 + j2] * seq[i2 + j1]
-            if not minor.is_coeffwise_nonneg():
-                return {"rows": rows, "cols": cols, "minor": minor}
-    return None
+    w = tp_check_symbolic(hankel_truncation(seq, 4), 2).witness
+    return None if w is None else {"rows": w.rows, "cols": w.cols, "minor": w.minor}

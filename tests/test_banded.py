@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from lagtp.banded import (DiagonalPolySpec, check_banded_criterion,
@@ -5,7 +7,7 @@ from lagtp.banded import (DiagonalPolySpec, check_banded_criterion,
                           random_spec)
 from lagtp.laguerre import LaguerreParams, prodmat
 from lagtp.matrices import XorShift64, conjugate_by_binomial
-from lagtp.polyring import Poly, falling
+from lagtp.polyring import Poly
 
 a = Poly.var("a")
 one, zero = Poly.one(), Poly.zero()
@@ -77,5 +79,5 @@ def test_to_hess_scales_each_subdiagonal_by_the_falling_factorial():
             assert p(n, n + 1) == spec.eval_f(-1, n)
             for m in range(spec.r + 1):
                 if n >= m:
-                    want = spec.eval_f(m, n) * falling(Poly.const(n), m)
+                    want = spec.eval_f(m, n) * math.perm(n, m)
                     assert p(n, n - m) == want

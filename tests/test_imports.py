@@ -1,8 +1,10 @@
-"""Every name a ``lagtp`` module imports is used in that module.
+"""Every name a ``lagtp`` module imports is used in that module, and every
+public function or method it defines has a caller outside the tests.
 
-A stdlib ``ast`` stand-in for a linter's unused-import rule: deleting code
-tends to leave imports behind.  ``__init__.py`` only re-exports, so it is
-exempt.
+Stdlib ``ast`` stand-ins for a linter's unused-import rule and a dead-code
+finder: deleting code tends to leave imports behind, and public API that
+only tests call is code to delete.  ``__init__.py`` only re-exports, so it
+is exempt from both.
 """
 
 import ast
@@ -10,8 +12,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lagtp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lagtp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# where a public name counts as called: the library, the benchmark harness
+# (its own tests excluded) and the demos
+CALLERS = MODULES + sorted(p for p in (ROOT / "perfbench").rglob("*.py")
+                           if "tests" not in p.relative_to(ROOT).parts) \
+    + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _annotation_names(node) -> set:
@@ -61,3 +69,46 @@ def test_the_guard_sees_unused_and_used_imports():
               "from .polyring import Poly as P, _p\n"
               "def f(x: 'Union[int, None]') -> P:\n    return _p(x)\n")
     assert unused_imports(source) == [(1, "Fraction"), (3, "os")]
+
+
+def public_defs(source: str) -> set:
+    """Names of the public module-level functions and class methods."""
+    tree = ast.parse(source)
+    defs = list(tree.body)
+    defs += [sub for node in tree.body if isinstance(node, ast.ClassDef) for sub in node.body]
+    return {node.name for node in defs
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
+def referenced_names(source: str) -> set:
+    """Every name the source refers to: names, attributes, imported names,
+    and the parts of dotted-name strings (a tracer's "srpaths.sr_poly").
+    A def's own name is not a reference."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names |= set(parts)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    defined = set().union(*(public_defs(p.read_text()) for p in MODULES))
+    called = set().union(*(referenced_names(p.read_text()) for p in CALLERS))
+    assert sorted(defined - called) == []
+
+
+def test_the_guard_sees_uncalled_and_called_functions():
+    library = ("def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
+               "class C:\n    def method(self): pass\n    def traced(self): pass\n"
+               "    def dead(self): pass\n")
+    caller = "from m import used\nC().method()\nTRACED = ('m.C.traced',)\n"
+    assert public_defs(library) - referenced_names(caller) == {"unused", "dead"}

@@ -142,6 +142,17 @@ def test_first_mv_uniform_scaling_entry():
     assert m[3, 1] == uni[3, 1] * v ** 2
 
 
+@pytest.mark.parametrize("value", [Poly.var("vm") + 1, Poly.var("vm") ** 2, a],
+                         ids=["vm+1", "vm^2", "alpha-variable"])
+def test_first_mv_takes_any_edge_weight(value):
+    """Weights other than distinct bare edge variables (the last one is
+    alpha's own variable) give the generic matrix with vm substituted."""
+    generic = EdgeWeights.symbolic()
+    got = coeff_matrix_first_mv(SYM, EdgeWeights(value, generic.v_zero, generic.v_plus), 5)
+    want = coeff_matrix_first_mv(SYM, generic, 5)
+    assert got == Truncation.from_fn(5, 5, lambda i, k: want[i, k].substitute({"vm": value}))
+
+
 def test_second_mv_small_entries():
     w = VertexWeights.symbolic()
     full = coeff_matrix_second_mv(SYM, w, 3, flat=False)

@@ -90,6 +90,11 @@ def test_conjugate_identity_matrix():
     assert conjugate_by_binomial(eye, Poly.var("xi"), 4) == Truncation.identity(4)
 
 
+def _substitute(m, env):
+    """m with env substituted into every entry."""
+    return Truncation([[e.substitute(env) for e in row] for row in m.data])
+
+
 def _leibniz_det(m):
     """Test-only reference determinant: the Leibniz sum over permutations,
     folded with + and - (the minors compared here are at most 5x5)."""
@@ -135,8 +140,8 @@ def test_tp_sampled_flat_quadridiagonal_passes():
     w = VertexWeights(y_p=yp, y_v=yv, y_da=yda, y_dd=ydd, y_fp=yp)
     # substitute y_da -> y_p + s, y_dd -> y_v + t to satisfy the constraint
     m = prodmat(LaguerreParams.symbolic(), "PFlat", weights=w, x=x).truncate(7)
-    m = m.substitute({"yda": yp + Poly.var("s"), "ydd": yv + Poly.var("t"),
-                      "a": Poly.var("lam") - 1})
+    m = _substitute(m, {"yda": yp + Poly.var("s"), "ydd": yv + Poly.var("t"),
+                        "a": Poly.var("lam") - 1})
     assert tp_check_sampled(m, 4, seed=11, samples=50).ok
 
 
@@ -148,7 +153,7 @@ def test_tp_sampled_detects_violated_constraint():
     assert not report.ok
     assert report.witness.assignment is not None
     # the witness substitution really does produce a negative minor
-    grid = m.substitute({k: Poly.const(v) for k, v in report.witness.assignment.items()})
+    grid = _substitute(m, {k: Poly.const(v) for k, v in report.witness.assignment.items()})
     sub = grid.submatrix(report.witness.rows, report.witness.cols)
     assert _leibniz_det(sub).as_constant() == report.witness.minor < 0
 
@@ -635,7 +640,7 @@ def _wide(m, tag):
     padding names, so that its keys are wide in the process key space."""
     for i in range(PADDING_NAMES):
         Poly.var(f"pad{i}")
-    return m.substitute({v: Poly.var(f"{tag}_{v}") for v in m.variables()})
+    return _substitute(m, {v: Poly.var(f"{tag}_{v}") for v in m.variables()})
 
 
 def _reference_report(m, order):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from lagtp.polyring import Poly
 from lagtp.quadtp import (QuadFactorParams, QuadVariantParams, build_general_quad,
                           build_variant_quad, general_quad_from_factors,
@@ -16,7 +18,7 @@ def test_general_entries_equal_factor_product():
 
 def test_q_superdiagonal_formula():
     p = QuadFactorParams.symbolic()
-    q = build_general_quad(p, with_h=False)
+    q = build_general_quad(replace(p, h=()))
     assert q(1, 2) == v("a1") * v("c2") * v("e2")
     assert q(0, 1) == v("a0") * v("c1") * v("e1")
 
@@ -26,7 +28,7 @@ def test_q_equals_nested_factor_product():
     p = QuadFactorParams.symbolic()
     m = general_quad_factors(p, 8)
     expect = (m["L1"] * (m["U"] * m["L2"] + m["D1"])).top_left(6, 6)
-    assert build_general_quad(p, with_h=False).truncate(6) == expect
+    assert build_general_quad(replace(p, h=())).truncate(6) == expect
 
 
 def test_general_subsub_entry():
@@ -38,7 +40,7 @@ def test_general_subsub_entry():
 def test_p_equals_q_plus_correction_rows():
     p = QuadFactorParams.symbolic()
     full = build_general_quad(p)
-    q = build_general_quad(p, with_h=False)
+    q = build_general_quad(replace(p, h=()))
     for n in range(6):
         corr = general_quad_row_correction(p, n, 6)
         support = {k for k, val in enumerate(corr) if not val.is_zero()}
@@ -82,7 +84,7 @@ def test_variant_q_is_f_zero():
     p = QuadVariantParams.symbolic()
     w = variant_quad_factors(p, 8)
     expect = (w["L1"] * (w["L2"] * w["U"] + w["D1"])).top_left(6, 6)
-    assert build_variant_quad(p, with_f=False).truncate(6) == expect
+    assert build_variant_quad(replace(p, f=())).truncate(6) == expect
 
 
 def test_variant_bottom_entry():

@@ -55,7 +55,7 @@ class DiagonalPolySpec:
             if 0 <= m <= self.r:
                 return self.eval_f(m, n) * math.perm(n, m)
             return 0
-        return HessMatrix(fn, lower_band=self.r)
+        return HessMatrix(fn)
 
 
 def check_banded_criterion(spec: DiagonalPolySpec) -> bool:

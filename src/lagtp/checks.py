@@ -23,12 +23,12 @@ from .laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError, VertexWe
                        rowgen_polys, unsigned_self_inverse_check)
 from .matrices import (HessMatrix, Truncation, XorShift64,
                        binomial_truncation, bx_conjugate_eaz_identity_check,
-                       conjugate_by_binomial, delta_matrix, eaz_matrix,
+                       conjugate_by_binomial, delta_matrix, diagonal, eaz_matrix,
                        hankel_truncation, output_matrix, production_of,
                        riordan_matrix, tp_check_sampled, tp_check_symbolic,
                        tp_check_tridiagonal)
 from .polyring import Poly, rising
-from .series import Series, solve_logderiv, solve_riccati
+from .series import Series, series_pow_sym, solve_logderiv, solve_riccati
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,6 @@ def cycle_statistics_egf(ctx: Ctx) -> bool:
         if f[i].scale(math.factorial(i)) != digraphs.permutation_oracles(i, "cyclic", weights):
             return False
     # lemma: F(lam) = F(1)^lam
-    from .series import series_pow_sym
     f1 = laguerre.second_mv_cycle_series(LaguerreParams.of(0), w, n)
     return series_pow_sym(f1, lam, n) == f
 
@@ -539,7 +538,7 @@ def truncation_exactness(ctx: Ctx) -> bool:
         val = base(i, k)
         return val + bump if i >= n - 1 else val
 
-    return output_matrix(base, n) == output_matrix(HessMatrix(perturbed, lower_band=None), n)
+    return output_matrix(base, n) == output_matrix(HessMatrix(perturbed), n)
 
 
 def production_output_roundtrip(ctx: Ctx) -> bool:
@@ -584,7 +583,7 @@ def tridiagonal_diagonal_comparison(ctx: Ctx) -> bool:
         up = Truncation.from_fn(
             n, n, lambda i, j: int(rng.next_u64() % 4) if j == i or j == i + 1 else 0)
         a = lo * up
-        d = Truncation.from_fn(n, n, lambda i, j: int(rng.next_u64() % 4) if i == j else 0)
+        d = diagonal(lambda i: int(rng.next_u64() % 4), n)
         if not tp_check_symbolic(a + d, n).ok:
             return False
     return True
@@ -601,7 +600,7 @@ def tp_negative_control(ctx: Ctx) -> bool:
 def binomial_matrix_example(ctx: Ctx) -> bool:
     """O(xI + y Delta) = B_{x,y} and B_x is totally positive at small order."""
     x, y = _x(), Poly.var("y")
-    p = HessMatrix(lambda n, k: x if k == n else (y if k == n + 1 else 0), lower_band=0)
+    p = HessMatrix(lambda n, k: x if k == n else (y if k == n + 1 else 0))
     if output_matrix(p, 5) != binomial_truncation(x, 5, y):
         return False
     return tp_check_symbolic(binomial_truncation(x, 5), 3).ok

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .polyring import Poly
+from .polyring import Poly, _power_sum
 
 DEFAULT_DIGRAPH_LIMIT = 9
 SYMBOLIC_ORACLE_LIMIT = 7
@@ -112,8 +112,8 @@ def _injections(n: int, e: int) -> Iterator[tuple]:
                 yield domain, perm
 
 
-def enumerate_digraphs(n: int, k: int | None = None) -> Iterator[LaguerreDigraph]:
-    """All Laguerre digraphs on {1..n}, optionally only those with k paths.
+def enumerate_digraphs(n: int) -> Iterator[LaguerreDigraph]:
+    """All Laguerre digraphs on {1..n}, by edge count.
 
     Every partial injection is a valid Laguerre digraph; a digraph with e
     edges has n - e paths.
@@ -121,8 +121,7 @@ def enumerate_digraphs(n: int, k: int | None = None) -> Iterator[LaguerreDigraph
     cap = _limit(DEFAULT_DIGRAPH_LIMIT)
     if n > cap:
         raise LimitExceeded(f"digraph enumeration capped at n <= {cap} (got {n})")
-    edge_counts = range(n + 1) if k is None else [n - k] if 0 <= n - k <= n else []
-    for e in edge_counts:
+    for e in range(n + 1):
         for domain, perm in _injections(n, e):
             yield LaguerreDigraph(n, dict(zip(domain, perm)))
 
@@ -251,27 +250,7 @@ def _digraph_sum(n: int, k: int, mode: str, weights: Mapping[str, Poly]) -> Poly
     counter: Counter = Counter()
     for stats, count in _stat_table(n, k):
         counter[tuple(sum(stats[i] for i in f) for f in fields)] += count
-    return _weighted_sum(counter, values)
-
-
-def _weighted_sum(counter: Mapping, values) -> Poly:
-    values = [v if isinstance(v, Poly) else Poly.const(v) for v in values]
-    powers = [dict() for _ in values]
-
-    def power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = values[i] ** e
-        return cache[e]
-
-    def term(exps, count):
-        out = Poly.const(count)
-        for i, e in enumerate(exps):
-            if e:
-                out = out * power(i, e)
-        return out
-
-    return Poly.sum(term(exps, count) for exps, count in sorted(counter.items()))
+    return _power_sum(counter.items(), values)
 
 
 def permutation_oracles(n: int, kind: str, weights: Mapping[str, Poly] | None = None) -> Poly:
@@ -297,7 +276,7 @@ def permutation_oracles(n: int, kind: str, weights: Mapping[str, Poly] | None = 
         return _digraph_sum(n, 0, "second_mv", weights)
     values = [weights[k] for k in keys]
     _check_oracle_limit(n, values)
-    return _weighted_sum(dict(_linear00_table(n)), values)
+    return _power_sum(_linear00_table(n), values)
 
 
 @functools.lru_cache(maxsize=None)

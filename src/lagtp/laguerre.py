@@ -27,13 +27,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digraphs
-from .matrices import (HessMatrix, Truncation, binomial_truncation,
+from .matrices import (HessMatrix, Truncation, binomial_truncation, diagonal,
                        lower_bidiagonal, riordan_matrix, unit_lower_inverse,
                        upper_bidiagonal)
 from .polyring import Poly, PolyLike, _p, power_table
 from .series import Series, solve_logderiv, solve_riccati
 
-ALPHA_NAME = "a"
 X_NAME = "x"
 
 
@@ -48,8 +47,8 @@ class LaguerreParams:
     alpha: Poly
 
     @staticmethod
-    def symbolic(name: str = ALPHA_NAME) -> "LaguerreParams":
-        return LaguerreParams(Poly.var(name))
+    def symbolic() -> "LaguerreParams":
+        return LaguerreParams(Poly.var("a"))
 
     @staticmethod
     def of(value) -> "LaguerreParams":
@@ -301,9 +300,11 @@ def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = 
             return diag0 + d * n
         if k == n - 1:
             return t * ((al + n) * n) + dx * n
-        return tx * (n * (n - 1))  # k == n - 2, quadridiagonal only
+        if k == n - 2:
+            return tx * (n * (n - 1))  # zero for the tridiagonal matrices
+        return 0
 
-    return HessMatrix(fn, lower_band=2 if quad else 1)
+    return HessMatrix(fn)
 
 
 # -- factorizations and structural identities ---------------------------------
@@ -340,8 +341,7 @@ def factorization_check(which: str, params: LaguerreParams, n: int,
     if which == "quadridiagonal_nested":
         x = Poly.var(X_NAME)
         ux = upper_bidiagonal(lambda i: x, lambda i: 1, w)
-        lam_eye = Truncation.from_fn(w, w, lambda i, j: lam if i == j else 0)
-        rhs = (ell * ((ell * ux) + lam_eye)).top_left(n, n)
+        rhs = (ell * ((ell * ux) + diagonal(lambda i: lam, w))).top_left(n, n)
         return rhs == prodmat(params, "P", x=x).truncate(n)
     if which == "flat_split":
         if weights is None:
@@ -357,10 +357,8 @@ def factorization_check(which: str, params: LaguerreParams, n: int,
             return yw.y_v * k
 
         q = sfraction_production(alpha_fn, n)
-        d = Truncation.from_fn(
-            n, n,
-            lambda i, j: lam * (yw.y_fp - yw.y_p) + (yw.y_da + yw.y_dd - yw.y_p - yw.y_v) * i
-            if i == j else 0)
+        d = diagonal(
+            lambda i: lam * (yw.y_fp - yw.y_p) + (yw.y_da + yw.y_dd - yw.y_p - yw.y_v) * i, n)
         return q + d == prodmat(params, "PcircFlat", weights=yw).truncate(n)
     raise ValueError(f"unknown factorization {which!r}")
 
@@ -388,9 +386,8 @@ def binomial_rowgen_matrix(m: Truncation, x: PolyLike) -> Truncation:
     return m * binomial_truncation(_p(x), m.rows)
 
 
-def rowgen_shifted_family_check(params: LaguerreParams, n: int, x: PolyLike | None = None) -> bool:
+def rowgen_shifted_family_check(params: LaguerreParams, n: int, x: PolyLike) -> bool:
     """(L^(alpha) B_x)_{n,k} = C(n,k) L_{n-k}^{(alpha+k)}(x), entrywise."""
-    x = Poly.var(X_NAME) if x is None else _p(x)
     lhs = binomial_rowgen_matrix(coeff_matrix_uni(params, n), x)
     for i in range(n):
         for k in range(n):

@@ -57,7 +57,7 @@ class Truncation:
 
     @staticmethod
     def identity(n: int) -> "Truncation":
-        return Truncation.from_fn(n, n, lambda i, j: 1 if i == j else 0)
+        return diagonal(lambda i: 1, n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Truncation":
@@ -93,20 +93,8 @@ class Truncation:
     def __mul__(self, other: "Truncation") -> "Truncation":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        # sum only over the nonzero pairs: row i meets the nonzero entries of
-        # row k of other for each nonzero (i, k)
         live = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
-        zero = Poly.zero()
-        out = []
-        for row in self.data:
-            pairs: dict = {}
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in live[k]:
-                        pairs.setdefault(j, []).append((a, b))
-            out.append([Poly.dot(pairs[j]) if j in pairs else zero
-                        for j in range(other.cols)])
-        return Truncation(out)
+        return Truncation([_row_times(row, live.__getitem__, other.cols) for row in self.data])
 
     def scale(self, c: PolyLike) -> "Truncation":
         c = _p(c)
@@ -178,24 +166,20 @@ class Truncation:
 class HessMatrix:
     """Lazily generated lower-Hessenberg matrix: entry(n, k) -> Poly.
 
-    ``lower_band`` is the bandwidth r of an (r,1)-banded matrix, or None
-    when unbounded below.  Entries above the first superdiagonal are zero
-    by construction.
+    Entries above the first superdiagonal are zero by construction; below
+    it, ``entry_fn`` gives every entry, the zeros of a band included.
     """
 
-    __slots__ = ("entry_fn", "lower_band")
+    __slots__ = ("entry_fn",)
 
-    def __init__(self, entry_fn: Callable[[int, int], PolyLike], lower_band: Optional[int] = None):
+    def __init__(self, entry_fn: Callable[[int, int], PolyLike]):
         object.__setattr__(self, "entry_fn", entry_fn)
-        object.__setattr__(self, "lower_band", lower_band)
 
     def __setattr__(self, *a):
         raise AttributeError("HessMatrix is immutable")
 
     def __call__(self, n: int, k: int) -> Poly:
         if k > n + 1 or k < 0 or n < 0:
-            return Poly.zero()
-        if self.lower_band is not None and k < n - self.lower_band:
             return Poly.zero()
         return _p(self.entry_fn(n, k))
 
@@ -217,7 +201,12 @@ class HessMatrix:
 
 def delta_matrix() -> HessMatrix:
     """The shift matrix with 1 on the superdiagonal."""
-    return HessMatrix(lambda n, k: 1 if k == n + 1 else 0, lower_band=0)
+    return HessMatrix(lambda n, k: 1 if k == n + 1 else 0)
+
+
+def diagonal(diag, n: int) -> Truncation:
+    """Diagonal truncation with diag(i) at (i, i)."""
+    return Truncation.from_fn(n, n, lambda i, j: diag(i) if j == i else 0)
 
 
 def lower_bidiagonal(diag, sub, n: int) -> Truncation:
@@ -282,30 +271,42 @@ def output_matrix(p: Union[HessMatrix, Callable[[int, int], PolyLike]], rows: in
 
     Row i of P is read once, over the working width, the first time entry i
     of an output row is nonzero, and kept as its nonzero (k, p_ik); each
-    output entry is then one ``Poly.dot`` over the nonzero pairs, as in
-    ``Truncation.__mul__``.  So each entry of P is evaluated at most once,
-    and rows of P that never meet a nonzero output entry are never read.
+    output row is then one ``_row_times``, as in ``Truncation.__mul__``.
+    So each entry of P is evaluated at most once, and rows of P that never
+    meet a nonzero output entry are never read.
     """
     entry = HessMatrix.from_truncation(p) if isinstance(p, Truncation) else p
     cols = rows if cols is None else cols
     width = rows + cols
-    zero = Poly.zero()
-    prev = [Poly.one()] + [zero] * (width - 1)
+
+    @functools.cache
+    def p_row(i: int) -> list:
+        row = [entry(i, k) for k in range(width)]
+        return [(k, b) for k, b in enumerate(row) if b]
+
+    prev = [Poly.one()] + [Poly.zero()] * (width - 1)
     out = [prev[:cols]] if rows else []
-    p_rows: dict = {}  # i -> the nonzero (k, p_ik) of row i of P
-    for n in range(1, rows):
-        pairs: dict = {}
-        for i, a in enumerate(prev):
-            if a:
-                if i not in p_rows:
-                    row = [entry(i, k) for k in range(width)]
-                    p_rows[i] = [(k, b) for k, b in enumerate(row) if b]
-                for k, b in p_rows[i]:
-                    pairs.setdefault(k, []).append((a, b))
-        cur = [Poly.dot(pairs[k]) if k in pairs else zero for k in range(width)]
-        out.append(cur[:cols])
-        prev = cur
+    for _ in range(1, rows):
+        prev = _row_times(prev, p_row, width)
+        out.append(prev[:cols])
     return Truncation(out)
+
+
+def _row_times(row: Sequence[Poly], live: Callable[[int], list], width: int) -> list:
+    """The row vector ``row`` times the matrix whose row k has the nonzero
+    entries (j, b) = live(k), over ``width`` columns.
+
+    Only nonzero pairs are summed: each nonzero row[k] meets the nonzero
+    entries of row k, and each output entry is one ``Poly.dot``.  ``live``
+    is called only for the k where row[k] is nonzero.
+    """
+    pairs: dict = {}
+    for k, a in enumerate(row):
+        if a:
+            for j, b in live(k):
+                pairs.setdefault(j, []).append((a, b))
+    zero = Poly.zero()
+    return [Poly.dot(pairs[j]) if j in pairs else zero for j in range(width)]
 
 
 def production_of(t: Truncation) -> Truncation:

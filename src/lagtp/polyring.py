@@ -406,21 +406,15 @@ class Poly:
 
     def substitute(self, env: Mapping[str, Union["Poly", Scalar]]) -> "Poly":
         """Substitute variables by polynomials; unmapped variables pass through."""
-        hit = [(_offsets[v], _p(env[v]), [Poly.one()]) for v in self.vars if v in env]
+        hit = [v for v in self.vars if v in env]
         if not hit:
             return self
-        cleared = ~sum(_FIELD_MASK << off for off, _, _ in hit)
-
-        def image(k, c):
-            factor = _poly({k & cleared: c})
-            for off, val, powers in hit:
-                e = (k >> off) & _FIELD_MASK
-                while len(powers) <= e:
-                    powers.append(powers[-1] * val)
-                factor = factor * powers[e]
-            return factor
-
-        return Poly.sum(image(k, c) for k, c in self.terms.items())
+        offsets = [_offsets[v] for v in hit]
+        cleared = ~sum(_FIELD_MASK << off for off in offsets)
+        return _power_sum(
+            ((tuple((k >> off) & _FIELD_MASK for off in offsets), _poly({k & cleared: c}))
+             for k, c in self.terms.items()),
+            [env[v] for v in hit])
 
     def eval_numeric(self, env: Mapping[str, Scalar]) -> Coeff:
         """Evaluate with every variable bound to an exact number."""
@@ -597,6 +591,27 @@ def _local_keys(polys: Iterable[Poly]) -> tuple:
 
     back = [(dst, src, mask) for src, dst, mask in runs]
     return [rekey(p, runs) for p in polys], lambda p: rekey(p, back)
+
+
+def _power_sum(items: Iterable, values) -> Poly:
+    """The sum of start * values[0]^e_0 * values[1]^e_1 * ... over the
+    (exponents, start) pairs of ``items``; values and starts are Polys or
+    exact numbers.  Each power of each value is computed once per call, by
+    one product from the power below it."""
+    values = [_p(v) for v in values]
+    powers = [[Poly.one()] for _ in values]
+
+    def term(exps, start):
+        out = _p(start)
+        for i, e in enumerate(exps):
+            if e:
+                table = powers[i]
+                while len(table) <= e:
+                    table.append(table[-1] * values[i])
+                out = out * table[e]
+        return out
+
+    return Poly.sum(term(exps, start) for exps, start in items)
 
 
 def rising(base: Poly, n: int) -> Poly:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import HessMatrix, Truncation, _seq_fn, lower_bidiagonal, upper_bidiagonal
+from .matrices import (HessMatrix, Truncation, _seq_fn, diagonal, lower_bidiagonal,
+                       upper_bidiagonal)
 from .polyring import Poly
 
 
@@ -72,7 +73,7 @@ def build_general_quad(p: QuadFactorParams) -> HessMatrix:
             return b(n) * d(n - 1) * f(n - 1)
         return 0
 
-    return HessMatrix(fn, lower_band=2)
+    return HessMatrix(fn)
 
 
 def general_quad_factors(p: QuadFactorParams, n: int) -> dict:
@@ -82,8 +83,8 @@ def general_quad_factors(p: QuadFactorParams, n: int) -> dict:
         "L1": lower_bidiagonal(a, b, n),
         "U": upper_bidiagonal(d, lambda i: c(i + 1), n),
         "L2": lower_bidiagonal(e, f, n),
-        "D1": Truncation.from_fn(n, n, lambda i, j: g(i) if i == j else 0),
-        "D2": Truncation.from_fn(n, n, lambda i, j: h(i) if i == j else 0),
+        "D1": diagonal(g, n),
+        "D2": diagonal(h, n),
     }
 
 
@@ -183,7 +184,7 @@ def build_variant_quad(p: QuadVariantParams) -> HessMatrix:
             return x * y * b(k + 2) * b(k + 1) * d(k)
         return 0
 
-    return HessMatrix(fn, lower_band=2)
+    return HessMatrix(fn)
 
 
 def variant_quad_factors(p: QuadVariantParams, n: int) -> dict:
@@ -194,8 +195,8 @@ def variant_quad_factors(p: QuadVariantParams, n: int) -> dict:
         "L1": eye.scale(p.alpha) + ell.scale(p.x),
         "L2": eye.scale(p.beta) + ell.scale(p.y),
         "U": upper_bidiagonal(d, lambda i: c(i + 1), n),
-        "D1": Truncation.from_fn(n, n, lambda i, j: e(i) if i == j else 0),
-        "D2": Truncation.from_fn(n, n, lambda i, j: f(i) if i == j else 0),
+        "D1": diagonal(e, n),
+        "D2": diagonal(f, n),
     }
 
 

@@ -153,14 +153,7 @@ class Series:
         """exp(self); requires constant term 0.  Solves E' = self' * E."""
         if not self.coefs[0].is_zero():
             raise ValueError("series exp needs constant term 0")
-        if self.order == 0:
-            return Series.one(0)
-        d = self.derivative()
-        out = [Poly.one()]
-        for n in range(1, self.order + 1):
-            acc = Poly.dot((d.coefs[n - 1 - i], out[i]) for i in range(n))
-            out.append(acc.scale(Fraction(1, n)))
-        return Series(out, self.order)
+        return _solve_linear(self.derivative().coefs, self.order)
 
 
 def series_reciprocal(s: Series) -> Series:
@@ -185,7 +178,8 @@ def solve_logderiv(z_coeffs: Sequence[PolyLike], g: Series, lam: PolyLike, order
 
     Standard logarithmic-derivative recurrence:
     (n+1) f_{n+1} = [t^n] (lam * Z(G) * F), usable because the right side at
-    order n only involves f_0..f_n.
+    order n only involves f_0..f_n.  F to order N needs G to order N - 1
+    (unless Z is constant); a shorter G raises ValueError.
     """
     lam = _p(lam)
     g = g.truncate(min(g.order, order))
@@ -195,27 +189,37 @@ def solve_logderiv(z_coeffs: Sequence[PolyLike], g: Series, lam: PolyLike, order
     zs = [_p(z) * lam for z in z_coeffs]
     w = [Poly.dot((z, power.coefs[i]) for z, power in zip(zs, powers))
          for i in range(powers[-1].order + 1)]
-    f = [Poly.one()]
-    for n in range(order):
-        acc = Poly.dot((w[n - i], f[i]) for i in range(n + 1))
-        f.append(acc.scale(Fraction(1, n + 1)))
-    return Series(f, order)
+    return _solve_linear(w, order)
 
 
 def series_pow_sym(f1: Series, lam: PolyLike, order: int) -> Series:
     """f1^lam = exp(lam * log f1) with a symbolic exponent; needs f1(0) = 1.
 
     Computed from F' = lam * (f1'/f1) * F, so the coefficients are
-    polynomials in lam.
+    polynomials in lam.  The result to order N needs f1 to order N; a
+    shorter f1 raises ValueError.
     """
     c0 = f1.coefs[0]
     if not (c0.is_constant() and c0.as_constant() == 1):
         raise ValueError("series_pow_sym needs constant term 1")
-    lam = _p(lam)
     f1 = f1.truncate(min(f1.order, order))
-    w = f1.derivative() * f1.reciprocal() if order > 0 else Series.zero(0)
+    # f1 to order N fixes f1'/f1 to order N - 1: N coefficients (a
+    # derivative of order 0 is stored as the order-0 zero, hence the slice)
+    w = (f1.derivative() * f1.reciprocal()).coefs[:f1.order]
+    return _solve_linear([c * lam for c in w], order)
+
+
+def _solve_linear(w: Sequence[Poly], order: int) -> Series:
+    """The F with F(0) = 1 and F' = W F, to the given order, from
+    (n+1) f_{n+1} = sum_{i<=n} w_{n-i} f_i.
+
+    ``w`` lists the coefficients of W that its input determines; F to order
+    N needs w_0..w_{N-1}, and a shorter ``w`` raises ValueError.
+    """
+    if len(w) < order:
+        raise ValueError("series truncated below the requested order")
     f = [Poly.one()]
     for n in range(order):
-        acc = Poly.dot((w.coefs[n - i], f[i]) for i in range(n + 1) if n - i <= w.order)
-        f.append((acc * lam).scale(Fraction(1, n + 1)))
+        acc = Poly.dot((w[n - i], f[i]) for i in range(n + 1))
+        f.append(acc.scale(Fraction(1, n + 1)))
     return Series(f, order)

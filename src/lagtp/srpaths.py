@@ -12,9 +12,10 @@ with S(j; 0, k) = [k == 0], and cross-validated against a direct path
 enumeration oracle.  Like the digraph oracles, the path oracle is a
 weight-free count table followed by one weighting step: the walk counts
 the paths by their fall heights (an exponent vector with one entry per
-height), and ``digraphs._weighted_sum`` weighs that table with alpha_h
-for height h.  The production matrix of the type-j triangle is the
-bidiagonal product L_{j+1} ... L_m U_0 L_1 ... L_j.
+height), and ``polyring._power_sum`` (the weighting step of every oracle
+and of ``Poly.substitute``) weighs that table with alpha_h for height h.
+The production matrix of the type-j triangle is the bidiagonal product
+L_{j+1} ... L_m U_0 L_1 ... L_j.
 
 Coefficient conventions: alpha_i = 0 for i < m.  The kappa-families of
 bidiagonal factorizations of the univariate Laguerre production matrix use
@@ -32,11 +33,12 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Optional, Union
 
-from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit, _weighted_sum
+from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
 from .laguerre import LaguerreParams, prodmat
 from .matrices import (HessMatrix, Truncation, hankel_truncation, lower_bidiagonal,
                        tp_check_symbolic, upper_bidiagonal)
-from .polyring import Poly, PolyLike, _p
+from .polyring import Poly, PolyLike, _p, _power_sum
+from .series import Series
 
 
 class InadmissibleCellError(ValueError):
@@ -117,8 +119,6 @@ class SRTriangles:
         if j > self.max_j:
             # reduce via the submatrix identity
             ell, jp = divmod(j, self.m + 1)
-            if jp > self.max_j:
-                raise ValueError("triangle type out of range")
             return self.value(jp, n + ell, k + ell)
         self._extend_to(n)
         return self._rows[j][n][k]
@@ -144,7 +144,7 @@ def sr_path_oracle(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
     ((m+1)n+j, (m+1)k+j); must equal sr_poly.  ValueError for j < 0."""
     _check_type(j)
     counters = _path_falls(coeffs.m, j, n, k, k)
-    return _weighted_sum(counters[k], _fall_weights(coeffs, j, n))
+    return _power_sum(counters[k].items(), _fall_weights(coeffs, j, n))
 
 
 def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:
@@ -153,7 +153,7 @@ def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:
     _check_type(j)
     counters = _path_falls(coeffs.m, j, n, 0, n)
     weights = _fall_weights(coeffs, j, n)
-    return [_weighted_sum(counters[k], weights) for k in range(n + 1)]
+    return [_power_sum(counters[k].items(), weights) for k in range(n + 1)]
 
 
 def _fall_weights(coeffs: SRCoeffs, j: int, n: int) -> list:
@@ -264,8 +264,6 @@ def sfrac_tail_series(coeffs: SRCoeffs, j: int, order: int):
     Tails deeper than k_max = m*order + j + 1 cannot influence order
     ``order``, so they are taken to be 1.
     """
-    from .series import Series
-
     m = coeffs.m
     k_max = m * order + j + 1
     tails = {k: Series.one(order) for k in range(k_max, k_max + m + 1)}

@@ -1,10 +1,12 @@
-"""Every name a ``lagtp`` module imports is used in that module, and every
-public function or method it defines has a caller outside the tests.
+"""Every name a ``lagtp`` module imports is used in that module and is
+imported at module level, and every public function or method it defines
+has a caller outside the tests.
 
-Stdlib ``ast`` stand-ins for a linter's unused-import rule and a dead-code
-finder: deleting code tends to leave imports behind, and public API that
-only tests call is code to delete.  ``__init__.py`` only re-exports, so it
-is exempt from both.
+Stdlib ``ast`` stand-ins for a linter's unused-import and import-position
+rules and a dead-code finder: deleting code tends to leave imports behind,
+an import inside a function hides a module's dependencies, and public API
+that only tests call is code to delete.  ``__init__.py`` only re-exports,
+so it is exempt from the unused-import and dead-code checks.
 """
 
 import ast
@@ -71,44 +73,86 @@ def test_the_guard_sees_unused_and_used_imports():
     assert unused_imports(source) == [(1, "Fraction"), (3, "os")]
 
 
-def public_defs(source: str) -> set:
-    """Names of the public module-level functions and class methods."""
+def local_imports(source: str) -> list:
+    """(line, function) of every import inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(sub.lineno, node.name) for sub in ast.walk(node)
+                      if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert local_imports(path.read_text()) == []
+
+
+def test_the_guard_sees_function_local_imports():
+    source = ("import math\ndef f():\n    from .series import Series\n"
+              "    def g():\n        import os\n    return Series\n")
+    assert local_imports(source) == [(3, "f"), (5, "f"), (5, "g")]
+
+
+def public_defs(source: str) -> tuple:
+    """(names of the public module-level functions, names of the public
+    class methods)."""
     tree = ast.parse(source)
-    defs = list(tree.body)
-    defs += [sub for node in tree.body if isinstance(node, ast.ClassDef) for sub in node.body]
-    return {node.name for node in defs
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not node.name.startswith("_")}
+    methods = [sub for node in tree.body if isinstance(node, ast.ClassDef) for sub in node.body]
+
+    def public(defs):
+        return {node.name for node in defs
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")}
+
+    return public(tree.body), public(methods)
 
 
-def referenced_names(source: str) -> set:
-    """Every name the source refers to: names, attributes, imported names,
-    and the parts of dotted-name strings (a tracer's "srpaths.sr_poly").
-    A def's own name is not a reference."""
-    names = set()
+def referenced_names(source: str) -> tuple:
+    """(bare names, attribute names) the source refers to.  Bare: names and
+    imported names.  Attribute: ``x.name`` accesses and the parts of
+    dotted-name strings (a tracer's "srpaths.sr_poly").  A def's own name
+    is not a reference."""
+    bare, attrs = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            names |= {alias.name for alias in node.names}
+            bare |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
-                names |= set(parts)
-    return names
+                attrs |= set(parts)
+    return bare, attrs
+
+
+def uncalled(library_sources, caller_sources) -> set:
+    """Public functions no caller names and public methods no caller
+    reaches through an attribute or a dotted string (a bare name such as
+    the builtin ``map`` does not call a method ``map``)."""
+    functions, methods, bare, attrs = set(), set(), set(), set()
+    for source in library_sources:
+        f, m = public_defs(source)
+        functions |= f
+        methods |= m
+    for source in caller_sources:
+        b, a = referenced_names(source)
+        bare |= b
+        attrs |= a
+    return (functions - bare - attrs) | (methods - attrs)
 
 
 def test_every_public_function_has_a_caller():
-    defined = set().union(*(public_defs(p.read_text()) for p in MODULES))
-    called = set().union(*(referenced_names(p.read_text()) for p in CALLERS))
-    assert sorted(defined - called) == []
+    assert sorted(uncalled([p.read_text() for p in MODULES],
+                           [p.read_text() for p in CALLERS])) == []
 
 
 def test_the_guard_sees_uncalled_and_called_functions():
     library = ("def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
                "class C:\n    def method(self): pass\n    def traced(self): pass\n"
-               "    def dead(self): pass\n")
-    caller = "from m import used\nC().method()\nTRACED = ('m.C.traced',)\n"
-    assert public_defs(library) - referenced_names(caller) == {"unused", "dead"}
+               "    def dead(self): pass\n    def map(self): pass\n")
+    caller = ("from m import used\nC().method()\nTRACED = ('m.C.traced',)\n"
+              "print(list(map(str, [])))\n")
+    assert uncalled([library], [caller]) == {"unused", "dead", "map"}

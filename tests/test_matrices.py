@@ -29,7 +29,7 @@ a = Poly.var("a")
 
 
 def test_output_of_bidiagonal_toeplitz_is_binomial():
-    p = HessMatrix(lambda n, k: x if k == n else (1 if k == n + 1 else 0), lower_band=0)
+    p = HessMatrix(lambda n, k: x if k == n else (1 if k == n + 1 else 0))
     assert output_matrix(p, 6) == binomial_truncation(x, 6)
 
 
@@ -86,7 +86,7 @@ def test_conjugate_pcirc_gives_quadridiagonal():
 
 
 def test_conjugate_identity_matrix():
-    eye = HessMatrix(lambda n, k: 1 if n == k else 0, lower_band=0)
+    eye = HessMatrix(lambda n, k: 1 if n == k else 0)
     assert conjugate_by_binomial(eye, Poly.var("xi"), 4) == Truncation.identity(4)
 
 

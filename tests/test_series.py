@@ -89,6 +89,28 @@ def test_pow_sym_exponent_one():
     assert series_pow_sym(f1, 1, 3) == f1
 
 
+def test_solvers_refuse_input_truncated_below_the_order():
+    lam = Poly.var("lam")
+    # 1 + t known mod t^2 fixes (1 + t)^lam only mod t^2
+    with pytest.raises(ValueError, match="truncated below"):
+        series_pow_sym(Series([1, 1], 1), lam, 3)
+    with pytest.raises(ValueError, match="truncated below"):
+        series_pow_sym(Series([1], 0), lam, 1)
+    with pytest.raises(ValueError, match="truncated below"):
+        solve_logderiv([1, 1], solve_riccati(1, 2, 1, 1), lam, 3)
+
+
+def test_solvers_accept_input_to_one_below_the_order():
+    lam = Poly.var("lam")
+    assert series_pow_sym(Series([1, 1], 1), lam, 1) == Series([1, lam], 1)
+    # G to order 2 fixes F to order 3
+    assert (solve_logderiv([1, 1], solve_riccati(1, 2, 1, 2), lam, 3)
+            == solve_logderiv([1, 1], solve_riccati(1, 2, 1, 3), lam, 3))
+    # a constant Z needs no coefficient of G
+    assert solve_logderiv([1], solve_riccati(1, 2, 1, 1), lam, 3) == (Series.t(3) * lam).exp()
+    assert Series.zero(0).exp() == Series.one(0)
+
+
 def test_truncation_commutes_with_operations():
     a = Series([1, Poly.var("a"), 2, Poly.var("b"), 1], 4)
     b = Series([1, 3, Poly.var("a"), 1, 2], 4)

@@ -18,11 +18,12 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import Poly, PolyLike, _local_keys, _p, power_table
+from .polyring import Poly, PolyLike, _local_keys, _p, _values, power_table
 
 
 class NonUnitDiagonalError(ValueError):
@@ -400,28 +401,28 @@ class TPReport:
 
 @functools.lru_cache(maxsize=128)
 def _index_sets_colex(n: int, size: int) -> tuple:
-    """Size-subsets of range(n) in colexicographic order (cached: the
-    sampled mode scans the same sets once per sample)."""
+    """Size-subsets of range(n) in colexicographic order (cached: every
+    scan of an n-row or n-column matrix walks the same sets)."""
     return tuple(sorted(itertools.combinations(range(n), size), key=lambda c: c[::-1]))
 
 
-def _minor_scan(grid, rows: int, cols: int, order: int):
+def _minor_scan(grid, rows: int, cols: int, order: int, dot=Poly.dot, neg=operator.neg):
     """Yield (rows, cols, minor) for every minor of size <= order of a
     rows x cols grid: by size, then colex row sets, then colex column sets.
 
     A minor of size s > 1 is expanded along its first column,
     M(r, c) = sum_t (-1)^t g[r_t][c_0] M(r - r_t, c[1:]), over the size-(s-1)
-    minors kept from the previous size; a term whose entry or cached minor
-    is zero is skipped.  Only one level is kept, and the largest size is not
-    kept at all.  The same scan serves Poly grids (symbolic mode), where each
-    expansion is one ``Poly.dot``, and int grids (sampled mode), where it is
-    an inline loop.
+    minors kept from the previous size, as one ``dot`` of (entry, minor)
+    pairs; ``neg`` negates an entry.  Only one level is kept, and the
+    largest size is not kept at all.  The same scan serves Poly grids
+    (symbolic mode, ``Poly.dot``) and grids of sample lists (sampled mode,
+    ``_sample_dot``: each minor is the list of its values over a block of
+    samples).
     """
     top = min(order, rows, cols)
     if top < 1:
         return
-    symbolic = isinstance(grid[0][0], Poly)
-    neg = [[-e for e in row] for row in grid] if top > 1 else None
+    negated = [[neg(e) for e in row] for row in grid] if top > 1 else None
     prev: dict = {}
     for size in range(1, top + 1):
         keep = size < top
@@ -430,27 +431,34 @@ def _minor_scan(grid, rows: int, cols: int, order: int):
         for r in _index_sets_colex(rows, size):
             kept = cur[r] = {}
             # ((-1)^t times row r_t, the cached minors on the rows r - r_t)
-            drops = [(neg[r[t]] if t & 1 else grid[r[t]], prev[r[:t] + r[t + 1:]])
+            drops = [(negated[r[t]] if t & 1 else grid[r[t]], prev[r[:t] + r[t + 1:]])
                      for t in range(size)] if size > 1 else ()
             for c in colsets:
                 if size == 1:
                     minor = grid[r[0]][c[0]]
-                elif symbolic:
-                    c0, rest = c[0], c[1:]
-                    minor = Poly.dot((row[c0], below[rest]) for row, below in drops)
                 else:
                     c0, rest = c[0], c[1:]
-                    minor = 0
-                    for row, below in drops:
-                        e = row[c0]
-                        if e:
-                            sub = below[rest]
-                            if sub:
-                                minor += e * sub
+                    minor = dot((row[c0], below[rest]) for row, below in drops)
                 if keep:
                     kept[c] = minor
                 yield r, c, minor
         prev = cur
+
+
+def _sample_dot(pairs) -> list:
+    """The sum of a * b over (a, b) pairs of equal-length lists of numbers,
+    elementwise; a pair with an all-zero list is skipped, as ``Poly.dot``
+    skips a zero Poly."""
+    acc = None
+    for a, b in pairs:
+        if any(a) and any(b):
+            prod = map(operator.mul, a, b)
+            acc = list(prod if acc is None else map(operator.add, acc, prod))
+    return [0] * len(a) if acc is None else acc
+
+
+def _sample_neg(values: list) -> list:
+    return list(map(operator.neg, values))
 
 
 def _first_negative_minor(grid, rows: int, cols: int, order: int) -> tuple:
@@ -478,6 +486,8 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     the scan is then run again on the process keys, where it overflows at
     the same product and the error names the real variable.
     """
+    if order < 1:  # an empty scan would certify any matrix
+        raise ValueError("order must be at least 1")
     local, to_global = _local_keys(e for row in m.data for e in row)
     grid = [local[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
     try:
@@ -519,35 +529,64 @@ class XorShift64:
 
 
 SAMPLE_VALUES = (0, 1, 2, 3)
+_SAMPLE_BLOCK = 64  # samples scanned together: bounds the kept minors' lists
 
 
 def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50) -> TPReport:
     """Sampled TP check: substitute seeded pseudo-random values from {0,1,2,3}
     for every variable, then verify all integer minors of size <= order.
 
-    Any failure reports the witness substitution along with the minor.
+    A failure reports the first negative minor by sample, then in colex
+    order, with its substitution; ``checked`` and the witness are those of
+    a scan sample by sample.  A non-integer entry raises ``ValueError``
+    once every earlier sample has passed.  The samples are scanned in
+    blocks of ``_SAMPLE_BLOCK``: the entries are evaluated once per block
+    (``polyring._values``), and each minor is one ``_sample_dot`` over the
+    block.
     """
+    if order < 1 or samples < 1:  # an empty scan would certify any matrix
+        raise ValueError("order and samples must be at least 1")
     names = m.variables()
     rng = XorShift64(seed)
     meta = {"seed": seed, "samples": samples, "rows": m.rows, "cols": m.cols}
-    checked = 0
-    for s_index in range(samples):
-        env = {v: SAMPLE_VALUES[rng.next_small()] for v in names}
-        grid = []
-        for row in m.data:
-            vals = []
-            for e in row:
-                v = e.eval_numeric(env)
-                if not isinstance(v, int):
-                    raise ValueError("sampled TP check needs integer-valued entries")
-                vals.append(v)
-            grid.append(vals)
-        for rows, cols, val in _minor_scan(grid, m.rows, m.cols, order):
-            checked += 1
-            if val < 0:
-                return TPReport(False, order, "sampled", checked,
-                                TPWitness(rows, cols, val, env, s_index), meta=meta)
-    return TPReport(True, order, "sampled", checked, meta=meta)
+    entries = [e for row in m.data for e in row]
+    rational = [i for i, e in enumerate(entries) if not e.is_integral()]
+    top = min(order, m.rows, m.cols)
+    per_sample = sum(math.comb(m.rows, s) * math.comb(m.cols, s) for s in range(1, top + 1))
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        envs = [{v: SAMPLE_VALUES[rng.next_small()] for v in names}
+                for _ in range(min(_SAMPLE_BLOCK, samples - start))]
+        values = _values(entries, envs)
+        # the first sample of the block with a non-integer entry, if any
+        cut = min((s for i in rational for s, v in enumerate(values[i]) if type(v) is not int),
+                  default=len(envs))
+        if cut:
+            grid = [[v[:cut] for v in values[i * m.cols:(i + 1) * m.cols]]
+                    for i in range(m.rows)]
+            bad = _first_negative_sample(grid, m.rows, m.cols, order)
+            if bad is not None:
+                s, position, rows, cols, val = bad
+                return TPReport(False, order, "sampled", (start + s) * per_sample + position + 1,
+                                TPWitness(rows, cols, val, envs[s], start + s), meta=meta)
+        if cut < len(envs):
+            raise ValueError("sampled TP check needs integer-valued entries")
+    return TPReport(True, order, "sampled", samples * per_sample, meta=meta)
+
+
+def _first_negative_sample(grid, rows: int, cols: int, order: int):
+    """(sample, position in the scan, rows, cols, value) of the first
+    negative minor of a grid of sample lists, by sample and then in scan
+    order; None if every minor is nonnegative under every sample."""
+    best = None
+    scan = _minor_scan(grid, rows, cols, order, _sample_dot, _sample_neg)
+    for position, (r, c, minor) in enumerate(scan):
+        if min(minor) < 0:
+            s = next(s for s, v in enumerate(minor) if v < 0)
+            if best is None or s < best[0]:
+                best = (s, position, r, c, minor[s])
+                if not s:
+                    break
+    return best
 
 
 def tp_check_tridiagonal(m: Truncation, order: int) -> bool:

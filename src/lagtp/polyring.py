@@ -62,8 +62,10 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from typing import Iterable, Mapping, Union
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Scalar = Union[int, Fraction]
@@ -402,7 +404,7 @@ class Poly:
             n >>= 1
         return result
 
-    # -- substitution and evaluation ------------------------------------
+    # -- substitution ----------------------------------------------------
 
     def substitute(self, env: Mapping[str, Union["Poly", Scalar]]) -> "Poly":
         """Substitute variables by polynomials; unmapped variables pass through."""
@@ -415,22 +417,6 @@ class Poly:
             ((tuple((k >> off) & _FIELD_MASK for off in offsets), _poly({k & cleared: c}))
              for k, c in self.terms.items()),
             [env[v] for v in hit])
-
-    def eval_numeric(self, env: Mapping[str, Scalar]) -> Coeff:
-        """Evaluate with every variable bound to an exact number."""
-        missing = [v for v in self.vars if v not in env]
-        if missing:
-            raise ValueError(f"unbound variables: {missing}")
-        vals = [(_offsets[v], env[v]) for v in self.vars]
-        total: Coeff = 0
-        for k, c in self.terms.items():
-            t = c
-            for off, x in vals:
-                e = (k >> off) & _FIELD_MASK
-                if e:
-                    t *= x ** e
-            total += t
-        return _norm_coeff(total)
 
     # -- exact division --------------------------------------------------
 
@@ -591,6 +577,51 @@ def _local_keys(polys: Iterable[Poly]) -> tuple:
 
     back = [(dst, src, mask) for src, dst, mask in runs]
     return [rekey(p, runs) for p in polys], lambda p: rekey(p, back)
+
+
+def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:
+    """The values of each Poly under each assignment: one list per Poly,
+    parallel to ``envs``, of exact numbers (an int when integral, else a
+    Fraction).  Every variable the Polys use must be bound in every
+    assignment (``KeyError`` otherwise).
+
+    Each distinct monomial is evaluated once, as the list of its values
+    over ``envs``, from one list per power of each variable; a Poly's list
+    is then the sum of its coefficients times its monomials' lists, taken
+    over integers and divided once by the lcm of its denominators.
+    """
+    used = 0
+    for p in polys:
+        for k in p.terms:
+            used |= k
+    fields = []  # (offset, name) of each field the Polys use
+    for i, name in enumerate(_names[:used.bit_length() // FIELD_BITS + 1]):
+        if (used >> (i * FIELD_BITS)) & _FIELD_MASK:
+            fields.append((i * FIELD_BITS, name))
+    powers: dict = {}  # (name, e) -> the values of name^e
+    monomials: dict = {0: [1] * len(envs)}
+
+    def monomial(key: int) -> list:
+        vec = monomials.get(key)
+        if vec is None:
+            for off, name in fields:
+                e = (key >> off) & _FIELD_MASK
+                if e:
+                    power = powers.get((name, e))
+                    if power is None:
+                        power = powers[name, e] = [env[name] ** e for env in envs]
+                    vec = power if vec is None else list(map(mul, vec, power))
+            monomials[key] = vec
+        return vec
+
+    out = []
+    for p in polys:
+        d, terms = _over_ints(p.terms)
+        acc = [0] * len(envs)
+        for k, c in terms.items():
+            acc = list(map(add, acc, map(mul, repeat(c), monomial(k))))
+        out.append(acc if d == 1 else [Fraction(v, d) if v % d else v // d for v in acc])
+    return out
 
 
 def _power_sum(items: Iterable, values) -> Poly:

@@ -102,8 +102,10 @@ class Series:
         raise TypeError(f"cannot combine Series with {type(other)!r}")
 
     def derivative(self) -> "Series":
+        """d/dt, to order N - 1; an order-0 series determines no coefficient
+        of its derivative, so it raises ValueError."""
         if self.order == 0:
-            return Series.zero(0)
+            raise ValueError("the derivative of an order-0 series is undetermined")
         return Series([self.coefs[i].scale(i) for i in range(1, self.order + 1)], self.order - 1)
 
     def reciprocal(self) -> "Series":
@@ -153,7 +155,7 @@ class Series:
         """exp(self); requires constant term 0.  Solves E' = self' * E."""
         if not self.coefs[0].is_zero():
             raise ValueError("series exp needs constant term 0")
-        return _solve_linear(self.derivative().coefs, self.order)
+        return _solve_linear(self.derivative().coefs if self.order else [], self.order)
 
 
 def series_reciprocal(s: Series) -> Series:
@@ -203,9 +205,8 @@ def series_pow_sym(f1: Series, lam: PolyLike, order: int) -> Series:
     if not (c0.is_constant() and c0.as_constant() == 1):
         raise ValueError("series_pow_sym needs constant term 1")
     f1 = f1.truncate(min(f1.order, order))
-    # f1 to order N fixes f1'/f1 to order N - 1: N coefficients (a
-    # derivative of order 0 is stored as the order-0 zero, hence the slice)
-    w = (f1.derivative() * f1.reciprocal()).coefs[:f1.order]
+    # f1 to order N fixes f1'/f1 to order N - 1: N coefficients, none for N = 0
+    w = (f1.derivative() * f1.reciprocal()).coefs if f1.order else []
     return _solve_linear([c * lam for c in w], order)
 
 

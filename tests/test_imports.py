@@ -1,12 +1,13 @@
 """Every name a ``lagtp`` module imports is used in that module and is
-imported at module level, and every public function or method it defines
-has a caller outside the tests.
+imported at module level, and every function or method it defines, private
+ones included, has a caller outside the tests.
 
 Stdlib ``ast`` stand-ins for a linter's unused-import and import-position
 rules and a dead-code finder: deleting code tends to leave imports behind,
 an import inside a function hides a module's dependencies, and public API
-that only tests call is code to delete.  ``__init__.py`` only re-exports,
-so it is exempt from the unused-import and dead-code checks.
+that only tests call, or a private helper a refactor left behind, is code
+to delete.  ``__init__.py`` only re-exports, so it is exempt from the
+unused-import and dead-code checks.
 """
 
 import ast
@@ -17,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lagtp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-# where a public name counts as called: the library, the benchmark harness
+# where a function name counts as called: the library, the benchmark harness
 # (its own tests excluded) and the demos
 CALLERS = MODULES + sorted(p for p in (ROOT / "perfbench").rglob("*.py")
                            if "tests" not in p.relative_to(ROOT).parts) \
@@ -94,18 +95,19 @@ def test_the_guard_sees_function_local_imports():
     assert local_imports(source) == [(3, "f"), (5, "f"), (5, "g")]
 
 
-def public_defs(source: str) -> tuple:
-    """(names of the public module-level functions, names of the public
-    class methods)."""
+def defined_names(source: str) -> tuple:
+    """(names of the module-level functions, names of the class methods),
+    private ones included; dunders are left out, since the language calls
+    them and no source names them."""
     tree = ast.parse(source)
     methods = [sub for node in tree.body if isinstance(node, ast.ClassDef) for sub in node.body]
 
-    def public(defs):
+    def named(defs):
         return {node.name for node in defs
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not node.name.startswith("_")}
+                and not (node.name.startswith("__") and node.name.endswith("__"))}
 
-    return public(tree.body), public(methods)
+    return named(tree.body), named(methods)
 
 
 def referenced_names(source: str) -> tuple:
@@ -129,12 +131,12 @@ def referenced_names(source: str) -> tuple:
 
 
 def uncalled(library_sources, caller_sources) -> set:
-    """Public functions no caller names and public methods no caller
-    reaches through an attribute or a dotted string (a bare name such as
-    the builtin ``map`` does not call a method ``map``)."""
+    """Functions no caller names and methods no caller reaches through an
+    attribute or a dotted string (a bare name such as the builtin ``map``
+    does not call a method ``map``)."""
     functions, methods, bare, attrs = set(), set(), set(), set()
     for source in library_sources:
-        f, m = public_defs(source)
+        f, m = defined_names(source)
         functions |= f
         methods |= m
     for source in caller_sources:
@@ -144,15 +146,18 @@ def uncalled(library_sources, caller_sources) -> set:
     return (functions - bare - attrs) | (methods - attrs)
 
 
-def test_every_public_function_has_a_caller():
+def test_every_function_and_method_has_a_caller():
     assert sorted(uncalled([p.read_text() for p in MODULES],
                            [p.read_text() for p in CALLERS])) == []
 
 
 def test_the_guard_sees_uncalled_and_called_functions():
     library = ("def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
+               "def _helper(): pass\ndef __getattr__(name): pass\n"
                "class C:\n    def method(self): pass\n    def traced(self): pass\n"
-               "    def dead(self): pass\n    def map(self): pass\n")
+               "    def dead(self): pass\n    def map(self): pass\n"
+               "    def _step(self): pass\n    def _stale(self): pass\n"
+               "    def __len__(self): return 0\n")
     caller = ("from m import used\nC().method()\nTRACED = ('m.C.traced',)\n"
-              "print(list(map(str, [])))\n")
-    assert uncalled([library], [caller]) == {"unused", "dead", "map"}
+              "print(list(map(str, [])))\n_helper()\nC()._step()\n")
+    assert uncalled([library], [caller]) == {"unused", "dead", "map", "_private", "_stale"}

@@ -13,7 +13,8 @@ from lagtp.laguerre import (LaguerreParams, VertexWeights, coeff_matrix_uni, mon
                             prodmat)
 from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, NonUnitDiagonalError,
                             RiordanIntegralityError, TPReport, Truncation, TPWitness,
-                            XorShift64, _minor_scan,
+                            XorShift64, _SAMPLE_BLOCK, _minor_scan, _sample_dot,
+                            _sample_neg,
                             binomial_truncation,
                             bx_conjugate_eaz_identity_check, conjugate_by_binomial,
                             delta_matrix, eaz_matrix, hankel_truncation,
@@ -315,14 +316,23 @@ def _reference_symbolic(m, order):
     return True, checked, None
 
 
+def _evaluate(m, env):
+    """The entries of m under env, by substitution: an independent route
+    from the sampled scan's own evaluation."""
+    return [[e.substitute(env).as_constant() for e in row] for row in m.data]
+
+
 def _reference_sampled(m, order, seed, samples):
-    """The per-minor sampled scan, with a Fraction determinant per minor."""
+    """The per-minor sampled scan, sample by sample, with a Fraction
+    determinant per minor."""
     names = m.variables()
     rng = XorShift64(seed)
     checked = 0
     for s_index in range(samples):
         env = {v: SAMPLE_VALUES[rng.next_small()] for v in names}
-        grid = [[e.eval_numeric(env) for e in row] for row in m.data]
+        grid = _evaluate(m, env)
+        if any(type(v) is not int for row in grid for v in row):
+            raise ValueError("sampled TP check needs integer-valued entries")
         for rows, cols in _minors_in_scan_order(m.rows, m.cols, order):
             val = _fraction_det([[grid[i][j] for j in cols] for i in rows])
             checked += 1
@@ -425,9 +435,12 @@ def test_minor_scan_yields_every_minor_in_colex_order(name, m, order):
     assert [(r, c) for r, c, _ in got] == list(_minors_in_scan_order(m.rows, m.cols, order))
     for rows, cols, minor in got:
         assert minor == _leibniz_det(m.submatrix(rows, cols)), (rows, cols)
-    grid = [[e.eval_numeric({v: 2 for v in m.variables()}) for e in row] for row in m.data]
-    for rows, cols, minor in _minor_scan(grid, m.rows, m.cols, order):
-        assert minor == _fraction_det([[grid[i][j] for j in cols] for i in rows]), (rows, cols)
+    # one-sample lists, as the sampled mode scans them
+    grid = _evaluate(m, {v: 2 for v in m.variables()})
+    samples = [[[v] for v in row] for row in grid]
+    for rows, cols, minor in _minor_scan(samples, m.rows, m.cols, order,
+                                         _sample_dot, _sample_neg):
+        assert minor == [_fraction_det([[grid[i][j] for j in cols] for i in rows])], (rows, cols)
 
 
 @pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
@@ -441,6 +454,137 @@ def test_sampled_scan_matches_fraction_reference(name, m, order):
     assert _summary(report) == _reference_sampled(m, order, seed=7, samples=8)
     if report.witness is not None:
         assert type(report.witness.minor) is int
+
+
+# -- the sampled scan's block structure -------------------------------------------
+
+
+def _sampled_outcome(run):
+    """The summary a sampled scan returns, or the ValueError it raises."""
+    try:
+        return run()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _first_sample_where(m, seed, samples, pred):
+    """Index of the first sample whose assignment satisfies pred, or None."""
+    names = m.variables()
+    rng = XorShift64(seed)
+    for s_index in range(samples):
+        if pred({v: SAMPLE_VALUES[rng.next_small()] for v in names}):
+            return s_index
+    return None
+
+
+def _sampled_agrees(m, order, seed, samples):
+    got = _sampled_outcome(lambda: _summary(tp_check_sampled(m, order, seed, samples)))
+    assert got == _sampled_outcome(lambda: _reference_sampled(m, order, seed, samples))
+    return got
+
+
+@pytest.mark.parametrize("check", [tp_check_symbolic, tp_check_sampled])
+def test_tp_checks_refuse_an_order_below_one(check):
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order"):
+            check(Truncation([[1, 2], [3, 1]]), order)
+    assert check(Truncation([]), 1).ok  # an empty matrix is TP of every order
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_tp_check_sampled_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        tp_check_sampled(Truncation([[1, 2], [3, 1]]), 2, samples=samples)
+
+
+def test_sampled_scan_with_rational_entries():
+    half = Fraction(1, 2)
+    y = Poly.var("y")
+    # x/2 is an integer at even x only; the determinant 6y + x/2 - 6 is
+    # negative at y = 0, x even
+    may_fail = Truncation([[1, 2], [3, 6 * y + x.scale(half)]])
+    passes_when_integral = Truncation([[1, x.scale(half)], [0, 1]])
+    seen = collections.Counter()
+    # large seeds: the first draws of a small seed are all 0
+    seeds = [random.Random(i).getrandbits(64) for i in range(30)]
+    for m in (may_fail, passes_when_integral):
+        for seed in seeds:
+            got = _sampled_agrees(m, 2, seed, 10)
+            first_rational = _first_sample_where(m, seed, 10, lambda env: env["x"] % 2)
+            if got[0] == "ValueError":
+                seen["raises at sample 0" if first_rational == 0 else "raises later"] += 1
+            elif not got[0] and first_rational is not None:
+                assert got[2][4] < first_rational
+                seen["witness before a rational sample"] += 1
+    assert set(seen) == {"raises at sample 0", "raises later",
+                         "witness before a rational sample"}, seen
+    # integer-valued at every sample: x(x+1)/2, with det 1 and det (x^2+x)/2 - 1
+    tri = (x ** 2 + x).scale(half)
+    assert _sampled_agrees(Truncation([[1, tri], [x, 1 + x * tri]]), 2, 3, 40)[0]
+    assert not _sampled_agrees(Truncation([[tri, 1], [1, 1]]), 2, 3, 40)[0]
+
+
+@pytest.mark.parametrize("n_rows,n_cols,order", [(3, 4, 2), (4, 4, 4), (5, 3, 9), (1, 1, 1)])
+@pytest.mark.parametrize("samples", [1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 2])
+def test_passing_sampled_scan_counts_every_minor_of_every_sample(n_rows, n_cols, order,
+                                                                 samples):
+    m = _bidiagonal_product(random.Random(n_rows * 10 + n_cols), max(n_rows, n_cols))
+    m = m.top_left(n_rows, n_cols)
+    report = tp_check_sampled(m, order, seed=5, samples=samples)
+    per_sample = sum(math.comb(n_rows, s) * math.comb(n_cols, s) for s in range(1, order + 1))
+    assert report.ok and report.checked == samples * per_sample
+
+
+def _rare(names):
+    """1 when every named variable is 3, else 0, at the sample values."""
+    out = Poly.one()
+    for v in names:
+        v = Poly.var(v)
+        out = out * (v * (v - 1) * (v - 2)).scale(Fraction(1, 6))
+    return out
+
+
+def _rare_failure_matrix(rng, rational):
+    """[[1, 1], [1, 2 - 3R]] beside a seeded 1 x 1 TP block, R = 1 when u0..u2
+    are all 3 (else 0), rows and columns scaled by seeded integers 1..3;
+    with ``rational``, the TP block then gains R'/2, R' = 1 when w0..w2 are
+    all 3."""
+    r = _rare([f"u{i}" for i in range(3)])
+    grid = [[1, 1, 0], [1, 2 - 3 * r, 0], [0, 0, _bidiagonal_product(rng, 1)[0, 0]]]
+    row_f = [rng.randrange(1, 4) for _ in range(3)]
+    col_f = [rng.randrange(1, 4) for _ in range(3)]
+    grid = [[grid[i][j] * (row_f[i] * col_f[j]) for j in range(3)] for i in range(3)]
+    if rational:
+        grid[2][2] = grid[2][2] + _rare([f"w{i}" for i in range(3)]).scale(Fraction(1, 2))
+    return Truncation(grid)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_sampled_scan_finds_a_first_failure_in_a_later_block(rational):
+    """Seeds whose first failing or rational sample lies past the first
+    block: the blocked scan agrees with the sample-by-sample reference."""
+    rng = random.Random(404)
+    samples = 2 * _SAMPLE_BLOCK + 10
+    u3 = lambda env: all(env[f"u{i}"] == 3 for i in range(3))
+    w3 = lambda env: rational and all(env[f"w{i}"] == 3 for i in range(3))
+    outcomes = []
+    for _ in range(2):
+        m = _rare_failure_matrix(rng, rational)
+        found = 0
+        for seed in range(1, 1000):
+            first = _first_sample_where(m, seed, samples, lambda env: u3(env) or w3(env))
+            if first is None or first < _SAMPLE_BLOCK:
+                continue
+            got = _sampled_agrees(m, 3, seed, samples)
+            outcomes.append(got[0])
+            if got[0] != "ValueError":
+                assert not got[0] and got[2][4] == first
+            found += 1
+            if found == 2:
+                break
+        assert found == 2
+    if rational:  # both endings occur: a later rational sample, a later failure
+        assert "ValueError" in outcomes and False in outcomes, outcomes
 
 
 # -- the tridiagonal criterion against the full symbolic scan -------------------

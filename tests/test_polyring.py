@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagtp.polyring import MAX_EXPONENT, ExactDivisionError, Poly, rising
+from lagtp.polyring import MAX_EXPONENT, ExactDivisionError, Poly, _values, rising
 
 x = Poly.var("x")
 a = Poly.var("a")
@@ -50,11 +50,24 @@ def test_substitute_unmapped_pass_through():
     assert p.substitute({"a": 3}) == 3 * x + x ** 2
 
 
-def test_eval_numeric():
+def test_substitute_numbers_gives_a_constant():
     p = 2 + a * x ** 2
-    assert p.eval_numeric({"a": 3, "x": 2}) == 14
+    assert p.substitute({"a": 3, "x": 2}).as_constant() == 14
     with pytest.raises(ValueError):
-        p.eval_numeric({"a": 1})
+        p.substitute({"a": 1}).as_constant()
+
+
+def test_values_under_many_assignments():
+    half = Fraction(1, 2)
+    polys = [2 + a * x ** 2, (x ** 2 + x).scale(half), x.scale(half), Poly.zero(), Poly.const(7)]
+    envs = [{"a": 3, "x": 2}, {"a": 0, "x": 1}, {"a": 1, "x": 3}]
+    assert _values(polys, envs) == [[14, 2, 11], [3, 1, 6], [1, half, Fraction(3, 2)],
+                                    [0, 0, 0], [7, 7, 7]]
+    # an integral value of a rational Poly comes back as an int
+    assert [type(v) for v in _values(polys[1:2], envs)[0]] == [int, int, int]
+    assert _values(polys, []) == [[]] * len(polys)
+    with pytest.raises(KeyError):
+        _values([a * x], [{"x": 1}])
 
 
 def test_exact_div():
@@ -306,7 +319,19 @@ def test_dot_and_sum_equal_the_naive_fold(pairs):
 @given(polys(), polys())
 def test_mul_agrees_with_numeric_evaluation(p, q):
     env = {"x": 2, "y": 3, "z": 5}
-    assert (p * q).eval_numeric(env) == p.eval_numeric(env) * q.eval_numeric(env)
+    value = lambda poly: poly.substitute(env).as_constant()
+    assert value(p * q) == value(p) * value(q)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(polys(), max_size=4),
+       st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=5))
+def test_values_agree_with_substitution(ps, points):
+    envs = [dict(zip("xyz", point)) for point in points]
+    expected = [[p.substitute(env).as_constant() for env in envs] for p in ps]
+    got = _values(ps, envs)
+    assert got == expected
+    assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in expected]
 
 
 @settings(max_examples=40, deadline=None)

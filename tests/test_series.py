@@ -109,6 +109,9 @@ def test_solvers_accept_input_to_one_below_the_order():
     # a constant Z needs no coefficient of G
     assert solve_logderiv([1], solve_riccati(1, 2, 1, 1), lam, 3) == (Series.t(3) * lam).exp()
     assert Series.zero(0).exp() == Series.one(0)
+    # order 0 needs no coefficient of W: f1'/f1 is never formed
+    assert series_pow_sym(Series([1], 0), lam, 0) == Series.one(0)
+    assert series_pow_sym(Series([1, 1], 1), lam, 0) == Series.one(0)
 
 
 def test_truncation_commutes_with_operations():
@@ -122,7 +125,8 @@ def test_truncation_commutes_with_operations():
 def test_derivative():
     a = Poly.var("a")
     assert Series([0, 1, a, 5], 3).derivative() == Series([1, 2 * a, 15], 2)
-    assert Series([7], 0).derivative() == Series.zero(0)
+    with pytest.raises(ValueError):
+        Series([7], 0).derivative()
 
 
 def test_exp_exponential():

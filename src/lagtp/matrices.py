@@ -508,7 +508,11 @@ class XorShift64:
 
     Update rule (64-bit wrapping): x ^= x << 13; x ^= x >> 7; x ^= x << 17.
     A zero seed is replaced by the constant 0x9E3779B97F4A7C15.  Values in
-    {0,1,2,3} are read from the top two bits of the state.
+    {0,1,2,3} are read from the top two bits of the state.  For every seed
+    from 1 to 2^32 - 1 the first ``next_small()`` is 0 (three shifts of a
+    state below 2^32 cannot reach its top two bits), so sample 0 of a
+    sampled check with such a seed sets the alphabetically first variable
+    to 0; changing the generator would change every sampled output.
     """
 
     MASK = (1 << 64) - 1

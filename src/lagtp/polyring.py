@@ -26,18 +26,22 @@ re-key them once with ``_local_keys`` onto consecutive fields 0..v-1, v the
 number of variables they use, and map back only its result.
 
 Sums of products are accumulated, not folded (Monagan and Pearce again):
-``Poly.dot(pairs)`` (the sum of a*b) and ``Poly.sum(polys)`` add every term
-pair into one dict and normalise it once at the end, so no product is built
-only to be merged and no partial sum is copied; ``*`` and ``scale`` are the
-one-pair case of the same multiply-add.  The accumulator holds integers over
-one common denominator: an operand with ``Fraction`` coefficients is scaled
-by the lcm of its denominators, so every term pair multiplies integers and
-each result term is divided once, at the end.  The overflow guard tests the
-operands of each product, not the accumulated result, where products may
-already have cancelled: in every field OR-of-keys(a) + OR-of-keys(b) is at
-least the largest exponent sum and cannot carry into the next field, so a
-sum with no guard bit set proves the product safe; only operands that fail
-this test have their term pairs checked one by one.
+``Poly.dot(pairs)`` (the sum of a*b) adds every term pair into one dict and
+normalises it once at the end, so no product is built only to be merged and
+no partial sum is copied; ``*`` and ``scale`` are the one-pair case of the
+same multiply-add, or one pass over the terms when a side is a monomial.
+The weighting step of the oracles and of ``substitute`` (``_power_sum``)
+raises monomials by key arithmetic: a term whose weights are monomials is
+one key sum and one coefficient product, not a ``Poly`` product.  The
+accumulator holds integers over one common denominator: an operand with
+``Fraction`` coefficients is scaled by the lcm of its denominators, so every
+term pair multiplies integers and each result term is divided once, at the
+end.  The overflow guard tests the operands of each product, not the
+accumulated result, where products may already have cancelled: in every
+field OR-of-keys(a) + OR-of-keys(b) is at least the largest exponent sum and
+cannot carry into the next field, so a sum with no guard bit set proves the
+product safe; only operands that fail this test have their term pairs
+checked one by one.
 
 ``Poly(vars, terms)`` builds a polynomial from exponent tuples parallel to
 ``vars``.  The names must be identifiers (``str.isidentifier``; ``ValueError``
@@ -62,6 +66,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from math import lcm
 from operator import add, mul
@@ -190,16 +195,44 @@ def _mul_into(out: dict, den: int, ta: dict, tb: dict) -> int:
 
 
 def _product(ta: dict, tb: dict) -> "Poly":
-    """The Poly ta * tb: the multiply-add with one pair."""
-    if len(ta) == 1 == len(tb):  # a monomial times a monomial
-        [(ka, ca)], [(kb, cb)] = ta.items(), tb.items()
-        if (ka + kb) & _guard:
-            raise _overflow(ka + kb)
-        return _poly({ka + kb: _norm_coeff(ca * cb)})
-    if not ta or not tb:
+    """The Poly ta * tb: the multiply-add with one pair, or one pass when a
+    side is a monomial (its products cannot merge or cancel)."""
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    if not tb:
         return _poly({})
-    out: dict = {}
-    return _finish(out, _mul_into(out, 1, ta, tb))
+    if len(tb) > 1:
+        out: dict = {}
+        return _finish(out, _mul_into(out, 1, ta, tb))
+    [(kb, cb)] = tb.items()
+    out = {ka + kb: ca * cb if type(ca) is int is type(cb) else _fraction_product(ca, cb)
+           for ka, ca in ta.items()}
+    used = 0
+    for k in out:
+        used |= k
+    if used & _guard:
+        raise _overflow(used)
+    return _poly(out)
+
+
+def _fraction_product(a: Coeff, b: Coeff) -> Coeff:
+    """a * b as a stored coefficient, a or b a Fraction: one gcd, in the
+    constructor, where ``Fraction.__mul__`` takes two and may return n/1."""
+    n, d = a.numerator * b.numerator, a.denominator * b.denominator
+    return Fraction(n, d) if n % d else n // d
+
+
+def _power_guard(terms: dict, n: int) -> None:
+    """Raise the ``OverflowError`` of p ** n (``terms`` those of p) before any
+    product: over Q an exponent e of p gives n e in p^n, past ``MAX_EXPONENT``
+    iff adding MAX_EXPONENT - MAX_EXPONENT // n to its field sets the guard."""
+    if n > 1:
+        pad = (MAX_EXPONENT - MAX_EXPONENT // n) * (_guard >> (FIELD_BITS - 1))
+        used = 0
+        for k in terms:
+            used |= k + pad
+        if used & _guard:
+            raise _overflow(used)
 
 
 def _finish(out: dict, den: int) -> "Poly":
@@ -382,11 +415,6 @@ class Poly:
                 den = _mul_into(out, den, ta, tb)
         return _finish(out, den)
 
-    @staticmethod
-    def sum(polys: Iterable) -> "Poly":
-        """The sum of Polys or exact numbers, accumulated in one term map."""
-        return Poly.dot((p, 1) for p in polys)
-
     def scale(self, c: Scalar) -> "Poly":
         """Multiply by an exact scalar (used by series code for 1/n factors)."""
         c = _norm_coeff(c)
@@ -395,6 +423,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        _power_guard(self.terms, n)
         result = Poly.one()
         base = self
         while n:
@@ -626,23 +655,45 @@ def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:
 
 def _power_sum(items: Iterable, values) -> Poly:
     """The sum of start * values[0]^e_0 * values[1]^e_1 * ... over the
-    (exponents, start) pairs of ``items``; values and starts are Polys or
-    exact numbers.  Each power of each value is computed once per call, by
-    one product from the power below it."""
-    values = [_p(v) for v in values]
-    powers = [[Poly.one()] for _ in values]
+    (exponents, start) pairs of ``items``; values are Polys or exact
+    numbers, starts exact numbers or monomial Polys.
 
-    def term(exps, start):
-        out = _p(start)
+    A monomial v = c X is raised by key arithmetic: v^e is c^e times e
+    additions of the key of X, each tested as ``*`` tests a monomial
+    product.  A term, its start times those powers, goes into the term map
+    of its group: the terms that raise the other values (several terms, or
+    zero) to the same exponents.  A group's map takes one product by those
+    powers, each formed once per call by ``power_table``.
+    """
+    values = [_p(v).terms for v in values]
+    tables = [[(0, 1), *t.items()] if len(t) == 1 else None for t in values]  # (key, c) of v^e
+    other = [i for i, t in enumerate(tables) if t is None]
+    groups: dict = {}  # exponents of the other values -> {key: coefficient}
+    for exps, start in items:
+        [(key, c)] = start.terms.items() if type(start) is Poly else [(0, start)]
         for i, e in enumerate(exps):
-            if e:
-                table = powers[i]
+            if e and tables[i] is not None:
+                table = tables[i]
                 while len(table) <= e:
-                    table.append(table[-1] * values[i])
-                out = out * table[e]
-        return out
+                    (k, v), (k1, v1) = table[-1], table[1]
+                    if (k + k1) & _guard:
+                        raise _overflow(k + k1)
+                    table.append((k + k1, v * v1))
+                key += table[e][0]
+                if key & _guard:
+                    raise _overflow(key)
+                c *= table[e][1]
+        acc = groups.setdefault(tuple([exps[i] for i in other]), {})
+        acc[key] = acc.get(key, 0) + c
+    powers = [power_table(_poly(values[i]), max((r[j] for r in groups), default=0) + 1)
+              for j, i in enumerate(other)]
 
-    return Poly.sum(term(exps, start) for exps, start in items)
+    def poly(acc):
+        return _poly({k: _norm_coeff(c) for k, c in acc.items() if c})
+
+    return poly(groups.pop((0,) * len(other), {})) + Poly.dot(
+        (poly(acc), reduce(mul, [powers[j][e] for j, e in enumerate(rest) if e]))
+        for rest, acc in groups.items())
 
 
 def rising(base: Poly, n: int) -> Poly:
@@ -654,7 +705,9 @@ def rising(base: Poly, n: int) -> Poly:
 
 
 def power_table(base: Poly, n: int) -> list:
-    """[base^0, base^1, ..., base^(n-1)], one product per power."""
+    """[base^0, base^1, ..., base^(n-1)], one product per power, refused
+    by ``_power_guard`` before any product when base^(n-1) would overflow."""
+    _power_guard(base.terms, n - 1)
     out = [Poly.one()] if n > 0 else []
     while len(out) < n:
         out.append(out[-1] * base)

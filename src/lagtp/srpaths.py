@@ -13,7 +13,9 @@ enumeration oracle.  Like the digraph oracles, the path oracle is a
 weight-free count table followed by one weighting step: the walk counts
 the paths by their fall heights (an exponent vector with one entry per
 height), and ``polyring._power_sum`` (the weighting step of every oracle
-and of ``Poly.substitute``) weighs that table with alpha_h for height h.
+and of ``Poly.substitute``) weighs that table with alpha_h for height h
+(for monomial alphas, by key sums and no ``Poly`` product).
+``SRTriangles`` reads each alpha_i once and keeps it.
 The production matrix of the type-j triangle is the bidiagonal product
 L_{j+1} ... L_m U_0 L_1 ... L_j.
 
@@ -88,12 +90,15 @@ class SRTriangles:
         self.m = coeffs.m
         self.max_j = max(coeffs.m, max_j)
         self._rows: list[list[list[Poly]]] = [[[Poly.one()]] for _ in range(self.max_j + 1)]
+        self._alphas: list[Poly] = []  # alpha_0, alpha_1, ..., each read once
 
     def _extend_to(self, n: int) -> None:
-        m, al = self.m, self.coeffs.alpha
+        m, al = self.m, self._alphas
         rows = self._rows
         while len(rows[0]) <= n:
             cur = len(rows[0])  # building row index cur
+            while len(al) < (m + 1) * (cur + 1) + self.max_j:  # the alphas row cur reads
+                al.append(self.coeffs.alpha(len(al)))
             top = rows[m][cur - 1]
 
             def at(row, k):
@@ -101,14 +106,14 @@ class SRTriangles:
 
             new0 = []
             for k in range(cur + 1):
-                val = at(top, k - 1) + al((m + 1) * k + m) * at(top, k)
+                val = at(top, k - 1) + al[(m + 1) * k + m] * at(top, k)
                 new0.append(val)
             rows[0].append(new0)
             for j in range(self.max_j):
                 base = rows[j][cur]
                 nxt = []
                 for k in range(cur + 1):
-                    nxt.append(at(base, k) + al((m + 1) * (k + 1) + j) * at(base, k + 1))
+                    nxt.append(at(base, k) + al[(m + 1) * (k + 1) + j] * at(base, k + 1))
                 rows[j + 1].append(nxt)
 
     def value(self, j: int, n: int, k: int) -> Poly:

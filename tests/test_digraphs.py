@@ -1,13 +1,16 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
+from lagtp import polyring
 from lagtp.digraphs import (DEFAULT_VAR_NAMES, BadLimitSetting, LaguerreDigraph,
                             LimitExceeded, _linear00_table, _stat_table, classify,
                             enumerate_digraphs, oracle_entry, permutation_oracles)
 from lagtp.polyring import Poly
+from lagtp.srpaths import SRCoeffs, sr_path_oracle
 
 lam = Poly.var("lam")
 
@@ -377,3 +380,34 @@ def test_statistics_are_enumerated_once_per_n_k(monkeypatch):
         permutation_oracles(4, "cyclic")
     monkeypatch.delenv("LAGTP_LIMIT")
     assert oracle_entry(5, 2, SYMBOLIC, "second_mv_general") == first
+
+
+def test_monomial_weights_are_weighed_without_products(monkeypatch):
+    ints = {k: Poly.const(i + 2) for i, k in enumerate(DEFAULT_VAR_NAMES)}
+    scaled = {k: Poly.var(v).scale(Fraction(i + 1, 2)) for i, (k, v) in
+              enumerate(DEFAULT_VAR_NAMES.items())}
+    coeffs = SRCoeffs.symbolic(2)
+    two_terms = dict(SYMBOLIC, lam=1 + Poly.var("a"))
+    calls = []
+    product = polyring._product
+
+    def counted(ta, tb):
+        calls.append(1)
+        return product(ta, tb)
+
+    monkeypatch.setattr(polyring, "_product", counted)
+    for weights in (SYMBOLIC, ints, scaled):
+        oracle_entry(5, 2, weights, "second_mv_general")
+        permutation_oracles(5, "linear00", weights)
+    sr_path_oracle(coeffs, 1, 4, 1)
+    assert calls == []
+    # one weight with two terms: at most one product per exponent it takes
+    for n, k in ((4, 0), (4, 1), (5, 2), (3, 3)):
+        cycles = {classify(g).cyc for g in enumerate_digraphs(n) if classify(g).pa == k}
+        for mode in ("first_mv", "second_mv_general"):
+            calls.clear()
+            oracle_entry(n, k, two_terms, mode)
+            assert len(calls) <= len(cycles)
+    calls.clear()
+    permutation_oracles(5, "cyclic", two_terms)
+    assert len(calls) <= 5  # a permutation of 5 has 1..5 cycles

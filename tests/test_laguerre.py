@@ -111,9 +111,10 @@ def test_coeff_matrix_uni_matches_rising_closed_form(params):
 def test_laguerre_polynomials_match_per_term_formula(params, xv):
     for n in range(7):
         terms = [(_coeff_reference(params, n, k), k) for k in range(n + 1)]
-        assert monic_laguerre(n, params, xv) == Poly.sum(c * xv ** k for c, k in terms)
-        assert monic_laguerre_reversed(n, params, xv) == Poly.sum(
-            c * xv ** (n - k) for c, k in terms)
+        assert monic_laguerre(n, params, xv) == sum((c * xv ** k for c, k in terms),
+                                                    Poly.zero())
+        assert monic_laguerre_reversed(n, params, xv) == sum(
+            (c * xv ** (n - k) for c, k in terms), Poly.zero())
 
 
 @pytest.mark.parametrize("reversed_form", [False, True])
@@ -121,8 +122,8 @@ def test_rowgen_polys_match_per_term_formula(reversed_form):
     m = Truncation.from_fn(5, 3, lambda i, k: Poly.var(f"m{i}{k}"))
     got = rowgen_polys(m, x + 1, reversed_form)
     for i in range(5):
-        want = Poly.sum(m[i, k] * (x + 1) ** (i - k if reversed_form else k)
-                        for k in range(min(i, 2) + 1))
+        want = sum((m[i, k] * (x + 1) ** (i - k if reversed_form else k)
+                    for k in range(min(i, 2) + 1)), Poly.zero())
         assert got[i] == want
     assert rowgen_polys(coeff_matrix_uni(SYM, 6), x) == [monic_laguerre(i, SYM, x)
                                                        for i in range(6)]

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagtp.polyring import MAX_EXPONENT, ExactDivisionError, Poly, _values, rising
+from lagtp import polyring
+from lagtp.polyring import (MAX_EXPONENT, ExactDivisionError, Poly, _p, _power_sum, _values,
+                           rising)
 
 x = Poly.var("x")
 a = Poly.var("a")
@@ -222,6 +224,47 @@ def test_operand_guard_is_exact():
     assert p.sorted_terms()[-1] == ((MAX_EXPONENT,), 1)
 
 
+def test_power_overflow_is_refused_before_any_product(monkeypatch):
+    base, poly = x + x ** 2, x ** 20000 + 1
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("a product was made before the overflow was seen")
+
+    monkeypatch.setattr(polyring, "_mul_into", refuse)
+    with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
+        base ** 20000
+    with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
+        poly.substitute({"x": base})
+    assert calls == []
+    # the test is exact: n times the top exponent of x reaches MAX_EXPONENT, no further
+    assert (x ** 3) ** (MAX_EXPONENT // 3) == x ** (MAX_EXPONENT - MAX_EXPONENT % 3)
+    with pytest.raises(OverflowError, match="^exponent of a exceeds"):
+        (1 + a ** 3 * x) ** 11000  # a reaches 33000, x only 11000
+    assert Poly.zero() ** 40000 == Poly.zero() and (x + 1) ** 0 == Poly.one()
+
+
+def test_monomial_times_polynomial():
+    h = Fraction(1, 2)
+    half_sum = x.scale(h) + h  # x/2 + 1/2
+    for p in (half_sum * 2, 2 * half_sum, half_sum * Poly.const(2)):
+        assert p.terms == (x + 1).terms and p.is_integral()
+    third = x.scale(Fraction(2, 3))
+    for p in (third * (x + 3), (x + 3) * third):  # Fraction times int, either order
+        assert p == (x ** 2).scale(Fraction(2, 3)) + 2 * x
+        assert [type(c) for _, c in p.sorted_terms()] == [int, Fraction]
+    for p in (2 * x * (x.scale(h) + a.scale(Fraction(1, 3))),
+              (x.scale(h) + a.scale(Fraction(1, 3))) * (2 * x)):  # int times Fraction
+        assert p == x ** 2 + (a * x).scale(Fraction(2, 3))
+        assert _canonical_coefficients(p)
+    for p in (Poly.zero() * (x + 1), (x + 1) * 0, x * Poly.zero(), Poly.zero() * Poly.zero()):
+        assert p.is_zero() and p.terms == {}
+    for p, q in ((x ** 16000, x ** 17000 + 1), (x ** 17000 + 1, x ** 16000)):
+        with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
+            p * q
+
+
 def test_rational_products_over_a_common_denominator():
     h, t = Fraction(1, 2), Fraction(1, 3)
     p = x.scale(h) + a.scale(t)
@@ -309,9 +352,9 @@ def test_dot_and_sum_equal_the_naive_fold(pairs):
     # cancellation: the negated pairs take every product back out
     assert Poly.dot(pairs + [(-u, v) for u, v in pairs]).is_zero()
     firsts = [u for u, _ in pairs]
-    total = Poly.sum(firsts)
+    total = Poly.dot((u, 1) for u in firsts)
     assert _monomial_terms(total) == _reference_dot([(u, Poly.one()) for u in firsts])
-    assert Poly.sum(firsts + [-u for u in firsts]).is_zero()
+    assert Poly.dot((u, 1) for u in firsts + [-u for u in firsts]).is_zero()
     assert _canonical_coefficients(dot) and _canonical_coefficients(total)
 
 
@@ -370,3 +413,64 @@ def test_exact_division_inverts_multiplication(p, q, r):
 def test_json_round_trip(p):
     # polys() also round-trips each polynomial through JSON with its vars permuted
     assert Poly.from_json_obj(p.to_json_obj()) == p
+
+
+def _reference_power_sum(items, values):
+    """The sum of start * v**e products, folded one term at a time."""
+    total = Poly.zero()
+    for exps, start in items:
+        term = _p(start)
+        for v, e in zip(values, exps):
+            term = term * _p(v) ** e
+        total = total + term
+    return total
+
+
+coefficients = st.one_of(st.integers(-3, 3).filter(bool),
+                         st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 4)))
+
+
+@st.composite
+def monomials(draw):
+    exps = tuple(draw(st.integers(0, 2)) for _ in "xyz")
+    return Poly(("x", "y", "z"), {exps: draw(coefficients)})
+
+
+weights = st.one_of(monomials(), polys(max_terms=3), st.just(Poly.zero()), st.just(0),
+                    coefficients)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(weights, min_size=1, max_size=4).flatmap(lambda values: st.tuples(
+    st.just(values),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * len(values)),
+                       st.one_of(monomials(), coefficients, st.just(0))), max_size=6))),
+    st.booleans())
+def test_power_sum_equals_the_reference_fold(case, cancel):
+    values, items = case
+    if cancel:  # every term again with its start negated: the sum is zero
+        items = items + [(exps, -start) for exps, start in items]
+    got = _power_sum(items, values)
+    assert got == _reference_power_sum(items, values)
+    assert _canonical_coefficients(got)
+    assert not cancel or got.is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), weights)
+def test_substitute_equals_the_reference_fold(p, value):
+    # p in x with coefficients in y, z: one monomial start per term of p
+    items = []
+    for exps, c in p.sorted_terms():
+        e = dict(zip(p.vars, exps))
+        items.append(((e.get("x", 0),), Poly(("y", "z"), {(e.get("y", 0), e.get("z", 0)): c})))
+    got = p.substitute({"x": value})
+    assert got == _reference_power_sum(items, [value])
+    assert _canonical_coefficients(got)
+
+
+def test_power_sum_monomial_power_overflow():
+    with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
+        _power_sum([((2,), 1)], [x ** 20000])
+    with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
+        _power_sum([((1, 1), x ** 20000)], [a, x ** 20000])

@@ -241,3 +241,22 @@ def test_sr_poly_reduces_types_beyond_m():
         for n in range(4):
             for k in range(n + 1):
                 assert sr_poly(CO2, j, n, k) == tri.value(j, n, k)
+
+
+def test_each_alpha_is_read_once_per_triangle():
+    reads = []
+
+    def alpha_fn(i):
+        reads.append(i)
+        return al(i)
+
+    coeffs = SRCoeffs(2, alpha_fn)
+    for _ in range(2):
+        reads.clear()
+        tri = SRTriangles(coeffs, max_j=4)
+        tri.value(0, 5, 0)
+        tri.triangle(2, 6)
+        tri.value(7, 3, 1)
+        tri.value(4, 7, 2)
+        assert reads and len(reads) == len(set(reads))
+        assert tri.value(1, 4, 1) == sr_path_oracle(CO2, 1, 4, 1)

@@ -70,13 +70,6 @@ def conjugate_and_measure_band(spec: DiagonalPolySpec, n: int) -> int:
     return conjugate_by_binomial(spec.to_hess(), Poly.var("xi"), n).lower_bandwidth()
 
 
-def check_condition_b(spec: DiagonalPolySpec, n: int) -> bool:
-    """Condition (b): the (r+1)-st subdiagonal of the conjugate vanishes."""
-    conj = conjugate_by_binomial(spec.to_hess(), Poly.var("xi"), n)
-    t = spec.r + 1
-    return all(conj[k + t, k].is_zero() for k in range(n - t))
-
-
 def random_spec(rng: XorShift64) -> DiagonalPolySpec:
     """Seeded random spec with r <= 3 and degrees <= 4.
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import banded, digraphs, laguerre, quadtp, srpaths
-from .laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError, VertexWeights,
-                       coeff_matrix_first_mv, coeff_matrix_second_mv,
+from .laguerre import (UNIT_WEIGHTS, EdgeWeights, LaguerreParams, RouteMismatchError,
+                       VertexWeights, coeff_matrix_first_mv, coeff_matrix_second_mv,
                        coeff_matrix_uni, factorization_check,
                        laguerre_rowgen_egf, monic_laguerre,
                        monic_laguerre_reversed, prodmat, rowgen_shifted_family_check,
@@ -38,14 +38,6 @@ class Ctx:
 
     def cap(self, default: int) -> int:
         return default if self.max_n is None else min(default, self.max_n)
-
-
-def _sym_params() -> LaguerreParams:
-    return LaguerreParams.symbolic()
-
-
-def _x() -> Poly:
-    return Poly.var("x")
 
 
 # ---------------------------------------------------------------- univariate
@@ -74,7 +66,7 @@ GOLDEN_LAH = [
 
 
 def golden_polynomials(ctx: Ctx) -> bool:
-    params, x = _sym_params(), _x()
+    params, x = LaguerreParams.symbolic(), Poly.var("x")
     ok = all(str(monic_laguerre(n, params, x)) == GOLDEN_MONIC[n] for n in range(4))
     p0 = LaguerreParams.of(0)
     ok &= all(str(monic_laguerre_reversed(n, p0, x)) == GOLDEN_ROOK[n] for n in range(5))
@@ -88,35 +80,35 @@ def golden_polynomials(ctx: Ctx) -> bool:
 
 def tridiagonal_output_is_coeff_matrix(ctx: Ctx) -> bool:
     n = ctx.cap(9)
-    params = _sym_params()
+    params = LaguerreParams.symbolic()
     return output_matrix(prodmat(params, "Pcirc"), n) == coeff_matrix_uni(params, n)
 
 
 def quadridiagonal_output_is_rowgen_matrix(ctx: Ctx) -> bool:
     n = ctx.cap(8)
-    params, x = _sym_params(), _x()
+    params, x = LaguerreParams.symbolic(), Poly.var("x")
     got = output_matrix(prodmat(params, "P", x=x), n)
     rowgen = laguerre.binomial_rowgen_matrix(coeff_matrix_uni(params, n), x)
     return got == rowgen and rowgen_shifted_family_check(params, n, x)
 
 
+def _univariate_hankel() -> Truncation:
+    """The 5x5 Hankel matrix of L_0..L_8 in x and lam = 1 + alpha."""
+    params = LaguerreParams(Poly.var("lam") - 1)
+    return hankel_truncation([monic_laguerre(n, params, Poly.var("x")) for n in range(9)], 5)
+
+
 def univariate_hankel_tp3_symbolic(ctx: Ctx) -> bool:
-    lam = Poly.var("lam")
-    params = LaguerreParams(lam - 1)
-    seq = [monic_laguerre(n, params, _x()) for n in range(9)]
-    return tp_check_symbolic(hankel_truncation(seq, 5), 3).ok
+    return tp_check_symbolic(_univariate_hankel(), 3).ok
 
 
 def univariate_hankel_tp4_sampled(ctx: Ctx) -> bool:
-    lam = Poly.var("lam")
-    params = LaguerreParams(lam - 1)
-    seq = [monic_laguerre(n, params, _x()) for n in range(9)]
-    return tp_check_sampled(hankel_truncation(seq, 5), 4, seed=ctx.seed, samples=100).ok
+    return tp_check_sampled(_univariate_hankel(), 4, seed=ctx.seed, samples=100).ok
 
 
 def unsigned_self_inverse(ctx: Ctx) -> bool:
-    return (unsigned_self_inverse_check(_sym_params(), 6)
-            and unsigned_self_inverse_check(_sym_params(), 1)
+    return (unsigned_self_inverse_check(LaguerreParams.symbolic(), 6)
+            and unsigned_self_inverse_check(LaguerreParams.symbolic(), 1)
             and unsigned_self_inverse_check(LaguerreParams.of(0), 8))
 
 
@@ -124,14 +116,8 @@ def coeff_matrix_is_sfraction_triangle(ctx: Ctx) -> bool:
     """The coefficient matrix is the m=1 S-fraction triangle with
     alpha_{2k-1} = k+alpha, alpha_{2k} = k; its zeroth column is lam^rising."""
     n = ctx.cap(8)
-    params = _sym_params()
-
-    def alpha_fn(i):
-        if i < 1:
-            return Poly.zero()
-        k = (i + 1) // 2
-        return params.alpha + k if i % 2 == 1 else Poly.const(k)
-
+    params = LaguerreParams.symbolic()
+    alpha_fn = laguerre._sfraction_coeffs(params, 1, 1)
     coeffs = srpaths.SRCoeffs.from_fn(1, alpha_fn)
     tri = srpaths.SRTriangles(coeffs).triangle(0, n)
     uni = coeff_matrix_uni(params, n)
@@ -158,22 +144,18 @@ def direct_tp_scaling_route(ctx: Ctx) -> bool:
 
 
 def univariate_bidiagonal_factorizations(ctx: Ctx) -> bool:
-    params = _sym_params()
+    params = LaguerreParams.symbolic()
     return (factorization_check("tridiagonal_lu", params, 7)
             and factorization_check("quadridiagonal_nested", params, 7))
 
 
 def flat_tridiagonal_split(ctx: Ctx) -> bool:
-    params = _sym_params()
-    if not factorization_check("flat_split", params, 6):
-        return False
+    params = LaguerreParams.symbolic()
     # equality case: y_fp = y_p and y_da + y_dd = y_p + y_v force D = 0
     yp, yv = Poly.var("yp"), Poly.var("yv")
     w = VertexWeights(y_p=yp, y_v=yv, y_da=yp, y_dd=yv, y_fp=yp)
-    q = laguerre.sfraction_production(
-        lambda i: ((params.alpha + (i + 1) // 2) * yp if i % 2 == 1 else yv * (i // 2))
-        if i > 0 else Poly.zero(), 6)
-    return q == prodmat(params, "PcircFlat", weights=w).truncate(6)
+    return (factorization_check("flat_split", params, 6)
+            and factorization_check("flat_split", params, 6, weights=w))
 
 
 # ------------------------------------------------------------- multivariate
@@ -212,7 +194,7 @@ def first_mv_stirling_identities(ctx: Ctx) -> bool:
 
 def first_mv_uniform_scaling(ctx: Ctx) -> bool:
     n = ctx.cap(6)
-    params = _sym_params()
+    params = LaguerreParams.symbolic()
     v = Poly.var("v")
     m = coeff_matrix_first_mv(params, EdgeWeights(v, v, v), n)
     uni = coeff_matrix_uni(params, n)
@@ -223,7 +205,7 @@ def first_mv_uniform_scaling(ctx: Ctx) -> bool:
 def first_mv_rooks_decreasing(ctx: Ctx) -> bool:
     """v_+ = 0: entries are sums of loop choices times Stirling partitions."""
     n = ctx.cap(8)
-    params = _sym_params()
+    params = LaguerreParams.symbolic()
     vm, v0 = Poly.var("vm"), Poly.var("v0")
     m = coeff_matrix_first_mv(params, EdgeWeights(vm, v0, Poly.zero()), n)
     lam = params.lam
@@ -253,7 +235,7 @@ def first_mv_eulerian_column(ctx: Ctx) -> bool:
 def second_mv_riordan_vs_oracle(ctx: Ctx) -> bool:
     """Both routes agree (the constructor raises RouteMismatchError when not)."""
     n = ctx.cap(7)
-    params = _sym_params()
+    params = LaguerreParams.symbolic()
     w = VertexWeights.symbolic()
     wz = VertexWeights.symbolic(with_z=True)
     try:
@@ -267,7 +249,7 @@ def second_mv_riordan_vs_oracle(ctx: Ctx) -> bool:
 
 def flat_tridiagonal_output_is_flat_matrix(ctx: Ctx) -> bool:
     n = ctx.cap(7)
-    params = _sym_params()
+    params = LaguerreParams.symbolic()
     w = VertexWeights.symbolic()
     got = output_matrix(prodmat(params, "PcircFlat", weights=w), n)
     return got == coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0)
@@ -275,7 +257,7 @@ def flat_tridiagonal_output_is_flat_matrix(ctx: Ctx) -> bool:
 
 def conjugation_links_production_matrices(ctx: Ctx) -> bool:
     n = ctx.cap(6)
-    params, x = _sym_params(), _x()
+    params, x = LaguerreParams.symbolic(), Poly.var("x")
     w = VertexWeights.symbolic()
     conj = conjugate_by_binomial(prodmat(params, "PcircFlat", weights=w), x, n)
     if conj != prodmat(params, "PFlat", weights=w, x=x).truncate(n):
@@ -286,7 +268,7 @@ def conjugation_links_production_matrices(ctx: Ctx) -> bool:
 
 def second_mv_homogeneity(ctx: Ctx) -> bool:
     n = ctx.cap(6)
-    params = _sym_params()
+    params = LaguerreParams.symbolic()
     w = VertexWeights.symbolic()
     names = {"yp", "yv", "yda", "ydd", "yfp"}
     flat = coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0)
@@ -305,7 +287,7 @@ def second_mv_peak_divisibility(ctx: Ctx) -> bool:
     the digraph-oracle entries themselves, with the quotient matching the
     flat Riordan route."""
     n = ctx.cap(6)
-    params = _sym_params()
+    params = LaguerreParams.symbolic()
     w = VertexWeights.symbolic()
     flat = coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0)
     weights = w.oracle_weights(params.lam)
@@ -319,9 +301,7 @@ def second_mv_peak_divisibility(ctx: Ctx) -> bool:
 
 def first_specializations(ctx: Ctx) -> bool:
     n = ctx.cap(5)
-    params = _sym_params()
-    return (laguerre.first_mv_specialization_check(params, n, 1)
-            and laguerre.first_mv_specialization_check(params, n, 2))
+    return laguerre.first_mv_specialization_check(LaguerreParams.symbolic(), n)
 
 
 def cycle_statistics_egf(ctx: Ctx) -> bool:
@@ -351,7 +331,7 @@ def word_statistics_egf(ctx: Ctx) -> bool:
 
 def laguerre_egf_check(ctx: Ctx) -> bool:
     n = ctx.cap(8)
-    params, x = _sym_params(), _x()
+    params, x = LaguerreParams.symbolic(), Poly.var("x")
     egf = laguerre_rowgen_egf(params, x, n)
     return all(egf[i].scale(math.factorial(i)) == monic_laguerre(i, params, x)
                for i in range(n + 1))
@@ -371,7 +351,7 @@ def first_mv_egf_bivariate(ctx: Ctx) -> bool:
     """The bivariate EGF F(t) e^{u G-flat(t)} matches the first multivariate
     matrix entries to order 6, with u tracked as a variable."""
     n = ctx.cap(6)
-    params = _sym_params()
+    params = LaguerreParams.symbolic()
     vm, v0, vp, u = Poly.var("vm"), Poly.var("v0"), Poly.var("vp"), Poly.var("u")
     gflat = solve_riccati(Poly.one(), vm + vp, vm * vp, n)
     f = solve_logderiv([v0, vm * vp], gflat, params.lam, n)
@@ -386,6 +366,12 @@ def first_mv_egf_bivariate(ctx: Ctx) -> bool:
 
 
 # ------------------------------------------------------------------ riordan
+
+
+def _univariate_pair(n: int) -> tuple:
+    """The univariate (F, G) at symbolic alpha: the cycle and path EGFs at y = 1."""
+    return (laguerre.second_mv_cycle_series(LaguerreParams.symbolic(), UNIT_WEIGHTS, n),
+            laguerre.second_mv_path_series(UNIT_WEIGHTS, n, flat=False))
 
 
 def eaz_conjugation_identity(ctx: Ctx) -> bool:
@@ -416,7 +402,7 @@ def eaz_spot_values(ctx: Ctx) -> bool:
     zero = eaz_matrix([0], [0])
     if any(not zero(i, k).is_zero() for i in range(4) for k in range(5)):
         return False
-    params = _sym_params()
+    params = LaguerreParams.symbolic()
     lam = params.lam
     pcirc = eaz_matrix([1, 2, 1], [lam, lam])
     return pcirc.truncate(6) == prodmat(params, "Pcirc").truncate(6)
@@ -424,10 +410,9 @@ def eaz_spot_values(ctx: Ctx) -> bool:
 
 def riordan_constructions(ctx: Ctx) -> bool:
     n = ctx.cap(6)
-    params, x = _sym_params(), _x()
-    f = laguerre.laguerre_cycle_series(params, n)
-    g = laguerre.laguerre_path_series(n)
-    if riordan_matrix(f, g, n) != coeff_matrix_uni(params, n):
+    x = Poly.var("x")
+    f, g = _univariate_pair(n)
+    if riordan_matrix(f, g, n) != coeff_matrix_uni(LaguerreParams.symbolic(), n):
         return False
     # B_x = R[e^{xt}, t]
     ex = (Series.t(n) * x).exp()
@@ -439,11 +424,8 @@ def riordan_constructions(ctx: Ctx) -> bool:
 def riordan_vector_action(ctx: Ctx) -> bool:
     """R[F,G] b has EGF F(t) B(G(t)), for two different (F,G) pairs."""
     n = ctx.cap(6)
-    params, x = _sym_params(), _x()
-    pairs = [
-        (laguerre.laguerre_cycle_series(params, n), laguerre.laguerre_path_series(n)),
-        ((Series.t(n) * x).exp(), Series.t(n)),
-    ]
+    x = Poly.var("x")
+    pairs = [_univariate_pair(n), ((Series.t(n) * x).exp(), Series.t(n))]
     b = [Poly.var(f"b{i}") for i in range(n)]
     begf = Series([b[i].scale(Fraction(1, math.factorial(i))) for i in range(n)], n - 1)
     for f, g in pairs:
@@ -459,11 +441,8 @@ def riordan_vector_action(ctx: Ctx) -> bool:
 def riordan_product_rule(ctx: Ctx) -> bool:
     """R[F1,G1] R[F2,G2] = R[(F2 o G1) F1, G2 o G1] on truncations."""
     n = ctx.cap(6)
-    params, x = _sym_params(), _x()
-    pairs = [
-        (laguerre.laguerre_cycle_series(params, n), laguerre.laguerre_path_series(n)),
-        ((Series.t(n) * x).exp(), Series.t(n)),
-    ]
+    x = Poly.var("x")
+    pairs = [_univariate_pair(n), ((Series.t(n) * x).exp(), Series.t(n))]
     f2, g2 = pairs[0]
     for f1, g1 in pairs:
         lhs = riordan_matrix(f1, g1, n) * riordan_matrix(f2, g2, n)
@@ -476,11 +455,10 @@ def riordan_product_rule(ctx: Ctx) -> bool:
 def riordan_production_is_eaz(ctx: Ctx) -> bool:
     """production_of(R[F,G]) = EAZ(A,Z) with A = G' o Ginv, Z = (F'/F) o Ginv."""
     n = ctx.cap(7)
-    params = _sym_params()
     w = VertexWeights.symbolic()
     pairs = [
-        (laguerre.laguerre_cycle_series(params, n), laguerre.laguerre_path_series(n)),
-        (laguerre.second_mv_cycle_series(params, w, n),
+        _univariate_pair(n),
+        (laguerre.second_mv_cycle_series(LaguerreParams.symbolic(), w, n),
          laguerre.second_mv_path_series(w, n, flat=True)),
     ]
     for f, g in pairs:
@@ -530,7 +508,7 @@ def hankel_factorization_identity(ctx: Ctx) -> bool:
 def truncation_exactness(ctx: Ctx) -> bool:
     """Row n of O(P) ignores rows >= n of P: perturbing them changes nothing."""
     n = ctx.cap(6)
-    params, x = _sym_params(), _x()
+    params, x = LaguerreParams.symbolic(), Poly.var("x")
     base = prodmat(params, "P", x=x)
     bump = Poly.var("bump")
 
@@ -543,7 +521,7 @@ def truncation_exactness(ctx: Ctx) -> bool:
 
 def production_output_roundtrip(ctx: Ctx) -> bool:
     n = ctx.cap(8)
-    params, x = _sym_params(), _x()
+    params, x = LaguerreParams.symbolic(), Poly.var("x")
     for which in ("Pcirc", "P"):
         p = prodmat(params, which, x=x)
         block = p.truncate(n - 1, n)
@@ -599,7 +577,7 @@ def tp_negative_control(ctx: Ctx) -> bool:
 
 def binomial_matrix_example(ctx: Ctx) -> bool:
     """O(xI + y Delta) = B_{x,y} and B_x is totally positive at small order."""
-    x, y = _x(), Poly.var("y")
+    x, y = Poly.var("x"), Poly.var("y")
     p = HessMatrix(lambda n, k: x if k == n else (y if k == n + 1 else 0))
     if output_matrix(p, 5) != binomial_truncation(x, 5, y):
         return False
@@ -673,21 +651,16 @@ def classical_recurrences(ctx: Ctx) -> bool:
     coeffs = srpaths.SRCoeffs.symbolic(1)
     al = coeffs.alpha
 
-    def s(nn, k):
+    def s(j, nn, k):
         if k < 0 or k > nn:
             return Poly.zero()
-        return srpaths.sr_path_oracle(coeffs, 0, nn, k)
-
-    def sp(nn, k):
-        if k < 0 or k > nn:
-            return Poly.zero()
-        return srpaths.sr_path_oracle(coeffs, 1, nn, k)
+        return srpaths.sr_path_oracle(coeffs, j, nn, k)
 
     for nn in range(n):
         for k in range(nn + 1):
-            if sp(nn, k) != s(nn, k) + al(2 * k + 2) * s(nn, k + 1):
+            if s(1, nn, k) != s(0, nn, k) + al(2 * k + 2) * s(0, nn, k + 1):
                 return False
-            if s(nn + 1, k) != sp(nn, k - 1) + al(2 * k + 1) * sp(nn, k):
+            if s(0, nn + 1, k) != s(1, nn, k - 1) + al(2 * k + 1) * s(1, nn, k):
                 return False
     return True
 
@@ -771,16 +744,10 @@ def general_quad_structure(ctx: Ctx) -> bool:
     full = quadtp.build_general_quad(p)
     if full.truncate(6) != quadtp.general_quad_from_factors(p, 6):
         return False
+    # P - Q = D2 L2 with Q = P at h = 0
     q = quadtp.build_general_quad(replace(p, h=()))
-    for n in range(6):
-        corr = quadtp.general_quad_row_correction(p, n, 6)
-        nonzero = [k for k, v in enumerate(corr) if not v.is_zero()]
-        if not set(nonzero) <= {n - 1, n}:
-            return False
-        for k in range(6):
-            if full(n, k) != q(n, k) + corr[k]:
-                return False
-    return True
+    m = quadtp.general_quad_factors(p, 6)
+    return full.truncate(6) - q.truncate(6) == m["D2"] * m["L2"]
 
 
 def _tp3_symbolic_tp4_sampled(m: HessMatrix, ctx: Ctx) -> bool:
@@ -843,13 +810,14 @@ def pcirc_banded_criterion(ctx: Ctx) -> bool:
     ))
     if not banded.check_banded_criterion(spec):
         return False
-    if spec.to_hess().truncate(7) != prodmat(_sym_params(), "Pcirc").truncate(7):
+    params = LaguerreParams.symbolic()
+    if spec.to_hess().truncate(7) != prodmat(params, "Pcirc").truncate(7):
         return False
     conj = conjugate_by_binomial(spec.to_hess(), Poly.var("xi"), 7)
-    target = prodmat(_sym_params(), "P", x=Poly.var("xi")).truncate(7)
+    target = prodmat(params, "P", x=Poly.var("xi")).truncate(7)
     if conj != target:
         return False
-    if banded.conjugate_and_measure_band(spec, 7) != 2:
+    if conj.lower_bandwidth() != 2:
         return False
     # degree-violating spec: the band grows
     bad = banded.DiagonalPolySpec(2, (
@@ -874,9 +842,11 @@ def banded_random_agreement(ctx: Ctx) -> bool:
     for _ in range(20):
         spec = banded.random_spec(rng)
         crit = banded.check_banded_criterion(spec)
-        measured = banded.conjugate_and_measure_band(spec, 9)
-        cond_b = banded.check_condition_b(spec, 9)
-        if crit != (measured <= spec.r) or crit != cond_b:
+        conj = conjugate_by_binomial(spec.to_hess(), Poly.var("xi"), 9)
+        # condition (b): the (r+1)-st subdiagonal of the conjugate vanishes
+        t = spec.r + 1
+        cond_b = all(conj[k + t, k].is_zero() for k in range(9 - t))
+        if crit != (conj.lower_bandwidth() <= spec.r) or crit != cond_b:
             return False
     return True
 

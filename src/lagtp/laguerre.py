@@ -12,11 +12,13 @@ five vertex weights; each quadridiagonal one is the binomial conjugate
 B_x^{-1} P B_x of its tridiagonal one, which the checks recompute
 independently.
 
-The univariate coefficient matrix is an exponential Riordan array for
-F(t) = (1-t)^(-lam), G(t) = t/(1-t) (lam = 1 + alpha); the second
-multivariate matrix is an exponential Riordan array for the cycle and
-path generating functions.  Both series are produced by ODE recurrences
-(see the series module), never from closed forms.
+The second multivariate matrix is an exponential Riordan array for the
+cycle and path generating functions F and G.  The univariate family is the
+five-variable one at y = 1 (UNIT_WEIGHTS): there F(t) = (1-t)^(-lam) and
+G(t) = t/(1-t) (lam = 1 + alpha), and the S-fraction alpha_{2k-1} =
+(k+alpha) y_p, alpha_{2k} = k y_v of the flat tridiagonal matrix becomes
+k+alpha, k.  All series are produced by ODE recurrences (see the series
+module), never from closed forms.
 """
 
 from __future__ import annotations
@@ -127,6 +129,10 @@ class VertexWeights:
                 "z_dd": self.zdd, "lam": lam}
 
 
+# All five vertex weights 1: the five-variable family reduces to the univariate one.
+UNIT_WEIGHTS = VertexWeights(*[Poly.one()] * 5)
+
+
 # -- univariate family -------------------------------------------------------
 
 
@@ -160,26 +166,7 @@ def coeff_matrix_uni(params: LaguerreParams, n: int) -> Truncation:
     return Truncation([_laguerre_coeffs(i, params) + [zero] * (n - i - 1) for i in range(n)])
 
 
-def laguerre_path_series(order: int) -> Series:
-    """G(t) = t/(1-t) from its Riccati form G' = (1+G)^2."""
-    one = Poly.one()
-    return solve_riccati(one, Poly.const(2), one, order)
-
-
-def laguerre_cycle_series(params: LaguerreParams, order: int) -> Series:
-    """F(t) = (1-t)^(-(1+alpha)) from F'/F = (1+alpha)(1+G)."""
-    return solve_logderiv([1, 1], laguerre_path_series(order), params.lam, order)
-
-
-def laguerre_rowgen_egf(params: LaguerreParams, x: PolyLike, order: int) -> Series:
-    """EGF of the monic unsigned Laguerre polynomials: (1-t)^(-(1+alpha)) e^{xt/(1-t)}."""
-    g = laguerre_path_series(order)
-    return laguerre_cycle_series(params, order) * (g * _p(x)).exp()
-
-
 # -- multivariate families ---------------------------------------------------
-
-SECOND_MV_ORACLE_LIMIT = 7
 
 
 def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Truncation:
@@ -223,20 +210,28 @@ def second_mv_cycle_series(params: LaguerreParams, w: VertexWeights, order: int)
     return solve_logderiv([w.y_fp, w.y_v], g_y, params.lam, order)
 
 
+def laguerre_rowgen_egf(params: LaguerreParams, x: PolyLike, order: int) -> Series:
+    """EGF of the monic unsigned Laguerre polynomials, (1-t)^(-(1+alpha)) e^{xt/(1-t)}:
+    F e^{xG} with the cycle and path EGFs at y = 1."""
+    g = second_mv_path_series(UNIT_WEIGHTS, order, flat=False)
+    return second_mv_cycle_series(params, UNIT_WEIGHTS, order) * (g * _p(x)).exp()
+
+
 def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
                            flat: bool = False, oracle_rows: int | None = None) -> Truncation:
     """Second multivariate coefficient matrix (generalized z block supported).
 
     Primary route: exponential Riordan array R[F, G] with the cycle
     EGF F and the path EGF G (G-flat for the flat form).  The digraph
-    oracle recomputes the leading rows as a cross-check; a mismatch raises
+    oracle recomputes the leading rows as a cross-check (by default as many
+    as its symbolic cap: 7, or LAGTP_LIMIT); a mismatch raises
     RouteMismatchError since it signals a series or oracle bug.
     """
     f = second_mv_cycle_series(params, w, n - 1)
     g = second_mv_path_series(w, n - 1, flat)
     t = riordan_matrix(f, g, n)
     if oracle_rows is None:
-        oracle_rows = min(n, SECOND_MV_ORACLE_LIMIT)
+        oracle_rows = digraphs._limit(digraphs.SYMBOLIC_ORACLE_LIMIT)
     if oracle_rows:
         weights = w.oracle_weights(params.lam)
         for i in range(min(oracle_rows, n)):
@@ -310,6 +305,17 @@ def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = 
 # -- factorizations and structural identities ---------------------------------
 
 
+def _sfraction_coeffs(params: LaguerreParams, y_p: PolyLike, y_v: PolyLike):
+    """The Laguerre S-fraction: alpha_0 = 0, alpha_{2k-1} = (k+alpha) y_p,
+    alpha_{2k} = k y_v (y_p = y_v = 1 for the univariate family)."""
+    def alpha_fn(i):
+        if i <= 0:
+            return Poly.zero()
+        k = (i + 1) // 2
+        return (params.alpha + k) * y_p if i % 2 == 1 else _p(y_v) * k
+    return alpha_fn
+
+
 def sfraction_production(alpha_fn, n: int) -> Truncation:
     """Tridiagonal S-fraction production matrix: LU of the two bidiagonal
     factors with alpha_2,alpha_4,... subdiagonal and alpha_1,alpha_3,... diagonal."""
@@ -324,39 +330,28 @@ def factorization_check(which: str, params: LaguerreParams, n: int,
     """Entrywise verification of the bidiagonal factorization identities.
 
     'tridiagonal_lu':        P-circ = L U with subdiagonal 1,2,3,... and
-                             diagonal lam, lam+1, ...;
+                             diagonal lam, lam+1, ...: the S-fraction
+                             matrix below at y_p = y_v = 1;
     'quadridiagonal_nested': P = L (L U_x + lam I) with U_x = Delta + x I;
     'flat_split':            flat tridiagonal = S-fraction matrix with
                              alpha_{2k-1} = (k+alpha) y_p, alpha_{2k} = k y_v,
                              plus the nonnegative diagonal
                              (1+alpha)(y_fp - y_p) + n(y_da + y_dd - y_p - y_v).
     """
-    w = n + 2
     lam = params.lam
-    ell = lower_bidiagonal(lambda i: 1, lambda i: i, w)
     if which == "tridiagonal_lu":
-        up = upper_bidiagonal(lambda i: lam + i, lambda i: 1, w)
-        lhs = prodmat(params, "Pcirc").truncate(n)
-        return (ell * up).top_left(n, n) == lhs
+        lu = sfraction_production(_sfraction_coeffs(params, 1, 1), n)
+        return lu == prodmat(params, "Pcirc").truncate(n)
     if which == "quadridiagonal_nested":
+        w = n + 2
         x = Poly.var(X_NAME)
+        ell = lower_bidiagonal(lambda i: 1, lambda i: i, w)
         ux = upper_bidiagonal(lambda i: x, lambda i: 1, w)
         rhs = (ell * ((ell * ux) + diagonal(lambda i: lam, w))).top_left(n, n)
         return rhs == prodmat(params, "P", x=x).truncate(n)
     if which == "flat_split":
-        if weights is None:
-            weights = VertexWeights.symbolic()
-        yw = weights
-
-        def alpha_fn(i):
-            if i <= 0:
-                return Poly.zero()
-            k = (i + 1) // 2
-            if i % 2 == 1:
-                return (params.alpha + k) * yw.y_p
-            return yw.y_v * k
-
-        q = sfraction_production(alpha_fn, n)
+        yw = VertexWeights.symbolic() if weights is None else weights
+        q = sfraction_production(_sfraction_coeffs(params, yw.y_p, yw.y_v), n)
         d = diagonal(
             lambda i: lam * (yw.y_fp - yw.y_p) + (yw.y_da + yw.y_dd - yw.y_p - yw.y_v) * i, n)
         return q + d == prodmat(params, "PcircFlat", weights=yw).truncate(n)
@@ -401,25 +396,17 @@ def rowgen_shifted_family_check(params: LaguerreParams, n: int, x: PolyLike) -> 
     return True
 
 
-def first_mv_specialization_check(params: LaguerreParams, n: int, variant: int) -> bool:
+def first_mv_specialization_check(params: LaguerreParams, n: int) -> bool:
     """The two reductions of the second multivariate matrix to the first:
 
-    variant 1: y_p=y_dd=v-, y_v=y_da=v+, y_fp=v0  gives  first_mv * v-^k;
-    variant 2: y_v=y_dd=v-, y_p=y_da=v+, y_fp=v0  gives  first_mv * v+^k.
+    y_p=y_dd=v-, y_v=y_da=v+, y_fp=v0  gives  first_mv * v-^k;
+    y_v=y_dd=v-, y_p=y_da=v+, y_fp=v0  gives  first_mv * v+^k.
     """
     vm, v0, vp = Poly.var("vm"), Poly.var("v0"), Poly.var("vp")
-    if variant == 1:
-        w = VertexWeights(y_p=vm, y_v=vp, y_da=vp, y_dd=vm, y_fp=v0)
-        factor = vm
-    elif variant == 2:
-        w = VertexWeights(y_p=vp, y_v=vm, y_da=vp, y_dd=vm, y_fp=v0)
-        factor = vp
-    else:
-        raise ValueError("variant must be 1 or 2")
-    hat = coeff_matrix_second_mv(params, w, n, flat=False)
     first = coeff_matrix_first_mv(params, EdgeWeights(vm, v0, vp), n)
-    for i in range(n):
-        for k in range(i + 1):
-            if hat[i, k] != first[i, k] * factor ** k:
-                return False
+    for w, factor in ((VertexWeights(y_p=vm, y_v=vp, y_da=vp, y_dd=vm, y_fp=v0), vm),
+                      (VertexWeights(y_p=vp, y_v=vm, y_da=vp, y_dd=vm, y_fp=v0), vp)):
+        hat = coeff_matrix_second_mv(params, w, n, flat=False)
+        if any(hat[i, k] != first[i, k] * factor ** k for i in range(n) for k in range(i + 1)):
+            return False
     return True

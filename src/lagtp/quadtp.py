@@ -97,18 +97,6 @@ def general_quad_from_factors(p: QuadFactorParams, n: int) -> Truncation:
     return full.top_left(n, n)
 
 
-def general_quad_row_correction(p: QuadFactorParams, n_row: int, cols: int) -> list:
-    """The row vector h_n * ell_n with ell_n = (.., f_n at n-1, e_n at n, ..);
-    P and Q differ exactly by these rows."""
-    a, b, c, d, e, f, g, h = p.fns()
-    row = [Poly.zero()] * cols
-    if n_row < cols:
-        row[n_row] = h(n_row) * e(n_row)
-    if 0 <= n_row - 1 < cols:
-        row[n_row - 1] = h(n_row) * f(n_row)
-    return row
-
-
 def laguerre_flat_params(y_p: Poly, y_v: Poly, y_da: Poly, y_dd: Poly,
                          lam: Poly, x: Poly) -> QuadFactorParams:
     """The specialization that reproduces the flat second-multivariate

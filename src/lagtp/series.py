@@ -37,10 +37,6 @@ class Series:
         raise AttributeError("Series is immutable")
 
     @staticmethod
-    def zero(order: int) -> "Series":
-        return Series([], order)
-
-    @staticmethod
     def one(order: int) -> "Series":
         return Series([Poly.one()], order)
 

@@ -99,22 +99,16 @@ class SRTriangles:
             cur = len(rows[0])  # building row index cur
             while len(al) < (m + 1) * (cur + 1) + self.max_j:  # the alphas row cur reads
                 al.append(self.coeffs.alpha(len(al)))
+            # entry k reads two entries of an earlier row; at the row's ends
+            # only the one inside that row, so no product has a zero operand
             top = rows[m][cur - 1]
-
-            def at(row, k):
-                return row[k] if 0 <= k < len(row) else Poly.zero()
-
-            new0 = []
-            for k in range(cur + 1):
-                val = at(top, k - 1) + al[(m + 1) * k + m] * at(top, k)
-                new0.append(val)
-            rows[0].append(new0)
+            rows[0].append([al[m] * top[0]]
+                           + [top[k - 1] + al[(m + 1) * k + m] * top[k] for k in range(1, cur)]
+                           + [top[cur - 1]])
             for j in range(self.max_j):
                 base = rows[j][cur]
-                nxt = []
-                for k in range(cur + 1):
-                    nxt.append(at(base, k) + al[(m + 1) * (k + 1) + j] * at(base, k + 1))
-                rows[j + 1].append(nxt)
+                rows[j + 1].append([base[k] + al[(m + 1) * (k + 1) + j] * base[k + 1]
+                                    for k in range(cur)] + [base[cur]])
 
     def value(self, j: int, n: int, k: int) -> Poly:
         """S^(m;j)_{n,k}; ValueError for j < 0."""

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from lagtp.banded import (DiagonalPolySpec, check_banded_criterion,
-                          check_condition_b, conjugate_and_measure_band,
-                          random_spec)
+                          conjugate_and_measure_band, random_spec)
 from lagtp.laguerre import LaguerreParams, prodmat
 from lagtp.matrices import XorShift64, conjugate_by_binomial
 from lagtp.polyring import Poly
@@ -38,7 +37,9 @@ def test_cubic_diagonal_fails_and_band_grows():
     bad = DiagonalPolySpec(2, ((one,), (zero, zero, zero, one), (zero,), (zero,)))
     assert not check_banded_criterion(bad)
     assert conjugate_and_measure_band(bad, 7) >= 3
-    assert not check_condition_b(bad, 7)
+    # condition (b), read from the conjugate: its 3rd subdiagonal does not vanish
+    conj = conjugate_by_binomial(bad.to_hess(), Poly.var("xi"), 7)
+    assert not all(conj[k + 3, k].is_zero() for k in range(7 - 3))
 
 
 def test_linear_superdiagonal_allowed():

@@ -367,6 +367,16 @@ def test_malformed_limit_exits_2(capsys, monkeypatch, value):
     assert "LAGTP_LIMIT" in err
 
 
+def test_second_mv_cross_check_follows_a_lowered_oracle_cap(capsys, monkeypatch):
+    # the oracle cross-checks as many rows as LAGTP_LIMIT lets it; the
+    # Riordan route builds the rest without it
+    argv = ["gen", "second-mv", "--n", "5", "--flat"]
+    code, want, _ = run(capsys, argv)
+    assert code == 0
+    monkeypatch.setenv("LAGTP_LIMIT", "3")
+    assert run(capsys, argv) == (0, want, "")
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_verify_with_malformed_limit_exits_2_before_any_check(capsys, monkeypatch, value):
     monkeypatch.setenv("LAGTP_LIMIT", value)

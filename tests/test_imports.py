@@ -95,55 +95,78 @@ def test_the_guard_sees_function_local_imports():
     assert local_imports(source) == [(3, "f"), (5, "f"), (5, "g")]
 
 
+def _is_def(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def _is_static(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+
+
 def defined_names(source: str) -> tuple:
-    """(names of the module-level functions, names of the class methods),
-    private ones included; dunders are left out, since the language calls
-    them and no source names them."""
+    """(names of the module-level functions, names of the other class
+    methods, (class, name) of the static methods), private ones included;
+    dunders are left out, since the language calls them and no source
+    names them."""
     tree = ast.parse(source)
-    methods = [sub for node in tree.body if isinstance(node, ast.ClassDef) for sub in node.body]
-
-    def named(defs):
-        return {node.name for node in defs
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not (node.name.startswith("__") and node.name.endswith("__"))}
-
-    return named(tree.body), named(methods)
+    functions = {node.name for node in tree.body if _is_def(node)}
+    methods, statics = set(), set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in filter(_is_def, cls.body):
+                if _is_static(node):
+                    statics.add((cls.name, node.name))
+                else:
+                    methods.add(node.name)
+    return functions, methods, statics
 
 
 def referenced_names(source: str) -> tuple:
-    """(bare names, attribute names) the source refers to.  Bare: names and
-    imported names.  Attribute: ``x.name`` accesses and the parts of
-    dotted-name strings (a tracer's "srpaths.sr_poly").  A def's own name
+    """(bare names, attribute names, (owner, attribute) pairs) the source
+    refers to.  Bare: names and imported names.  Attribute: ``x.name``
+    accesses and the parts of dotted-name strings (a tracer's
+    "srpaths.sr_poly").  Pairs: ``Owner.name`` and ``m.Owner.name``
+    accesses and adjacent parts of dotted-name strings.  A def's own name
     is not a reference."""
-    bare, attrs = set(), set()
+    bare, attrs, pairs = set(), set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             bare.add(node.id)
         elif isinstance(node, ast.Attribute):
             attrs.add(node.attr)
+            owner = node.value
+            if isinstance(owner, (ast.Name, ast.Attribute)):
+                pairs.add((owner.id if isinstance(owner, ast.Name) else owner.attr, node.attr))
         elif isinstance(node, ast.ImportFrom):
             bare |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
                 attrs |= set(parts)
-    return bare, attrs
+                pairs |= set(zip(parts, parts[1:]))
+    return bare, attrs, pairs
 
 
 def uncalled(library_sources, caller_sources) -> set:
-    """Functions no caller names and methods no caller reaches through an
+    """Functions no caller names, methods no caller reaches through an
     attribute or a dotted string (a bare name such as the builtin ``map``
-    does not call a method ``map``)."""
-    functions, methods, bare, attrs = set(), set(), set(), set()
+    does not call a method ``map``), and, as "Class.name", static methods
+    no caller reaches through their own class (``Poly.zero`` does not call
+    ``Series.zero``)."""
+    functions, methods, statics, bare, attrs, pairs = (set() for _ in range(6))
     for source in library_sources:
-        f, m = defined_names(source)
+        f, m, s = defined_names(source)
         functions |= f
         methods |= m
+        statics |= s
     for source in caller_sources:
-        b, a = referenced_names(source)
+        b, a, p = referenced_names(source)
         bare |= b
         attrs |= a
-    return (functions - bare - attrs) | (methods - attrs)
+        pairs |= p
+    return ((functions - bare - attrs) | (methods - attrs)
+            | {f"{cls}.{name}" for cls, name in statics - pairs})
 
 
 def test_every_function_and_method_has_a_caller():
@@ -157,7 +180,14 @@ def test_the_guard_sees_uncalled_and_called_functions():
                "class C:\n    def method(self): pass\n    def traced(self): pass\n"
                "    def dead(self): pass\n    def map(self): pass\n"
                "    def _step(self): pass\n    def _stale(self): pass\n"
-               "    def __len__(self): return 0\n")
-    caller = ("from m import used\nC().method()\nTRACED = ('m.C.traced',)\n"
-              "print(list(map(str, [])))\n_helper()\nC()._step()\n")
-    assert uncalled([library], [caller]) == {"unused", "dead", "map", "_private", "_stale"}
+               "    def __len__(self): return 0\n"
+               "    @staticmethod\n    def build(): pass\n"
+               "    @staticmethod\n    def traced_static(): pass\n"
+               "    @staticmethod\n    def zero(): pass\n"
+               "class D:\n    @staticmethod\n    def zero(): pass\n")
+    caller = ("from m import used\nC().method()\nTRACED = ('m.C.traced', 'm.C.traced_static')\n"
+              "print(list(map(str, [])))\n_helper()\nC()._step()\n"
+              "m.C.build()\nD.zero()\nC().zero\n")
+    # C.zero is reached only through D and an instance, not through C
+    assert uncalled([library], [caller]) == {"unused", "dead", "map", "_private", "_stale",
+                                             "C.zero"}

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from lagtp import digraphs, laguerre
 from lagtp.checks import Ctx, second_mv_riordan_vs_oracle
-from lagtp.laguerre import (EdgeWeights, LaguerreParams, VertexWeights,
-                            binomial_rowgen_matrix, coeff_matrix_first_mv,
+from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
+                            VertexWeights, binomial_rowgen_matrix, coeff_matrix_first_mv,
                             coeff_matrix_second_mv, coeff_matrix_uni,
                             monic_laguerre, monic_laguerre_reversed, prodmat,
                             rowgen_shifted_family_check, rowgen_polys)
@@ -169,11 +170,7 @@ def test_flat_conjugation():
     assert conj == prodmat(SYM, "PFlat", weights=w, x=x).truncate(6)
 
 
-def test_route_mismatch_raises(monkeypatch):
-    # sabotage the oracle: the constructor must notice the disagreement, and
-    # the verify check reports it as a failed check, not as an error
-    from lagtp import digraphs, laguerre
-    from lagtp.laguerre import RouteMismatchError
+def _sabotage_oracle_at_2_1(monkeypatch):
     real = digraphs.oracle_entry
 
     def lying(n, k, weights, mode):
@@ -181,9 +178,23 @@ def test_route_mismatch_raises(monkeypatch):
         return value + weights["z_p"] if (n, k) == (2, 1) else value
 
     monkeypatch.setattr(laguerre.digraphs, "oracle_entry", lying)
+
+
+def test_route_mismatch_raises(monkeypatch):
+    # sabotage the oracle: the constructor must notice the disagreement, and
+    # the verify check reports it as a failed check, not as an error
+    _sabotage_oracle_at_2_1(monkeypatch)
     with pytest.raises(RouteMismatchError):
         coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), 4, flat=True)
     assert second_mv_riordan_vs_oracle(Ctx(max_n=4)) is False
+
+
+def test_route_mismatch_raises_under_a_lowered_oracle_cap(monkeypatch):
+    # with LAGTP_LIMIT = 3 the default cross-check covers rows 0..2
+    monkeypatch.setenv("LAGTP_LIMIT", "3")
+    _sabotage_oracle_at_2_1(monkeypatch)
+    with pytest.raises(RouteMismatchError):
+        coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), 5, flat=True)
 
 
 INT_WEIGHTS = VertexWeights(*(Poly.const(c) for c in (2, 3, 1, 4, 5)))

@@ -194,10 +194,11 @@ def test_bx_conjugate_eaz_identity():
 
 
 def test_riordan_laguerre_pair():
-    from lagtp.laguerre import laguerre_cycle_series, laguerre_path_series
+    # the five-variable cycle and path EGFs at y = 1
+    from lagtp.laguerre import UNIT_WEIGHTS, second_mv_cycle_series, second_mv_path_series
     params = LaguerreParams.symbolic()
-    f = laguerre_cycle_series(params, 5)
-    g = laguerre_path_series(5)
+    f = second_mv_cycle_series(params, UNIT_WEIGHTS, 5)
+    g = second_mv_path_series(UNIT_WEIGHTS, 5, flat=False)
     assert riordan_matrix(f, g, 5) == coeff_matrix_uni(params, 5)
 
 

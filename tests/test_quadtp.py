@@ -2,8 +2,8 @@ from dataclasses import replace
 
 from lagtp.polyring import Poly
 from lagtp.quadtp import (QuadFactorParams, QuadVariantParams, build_general_quad,
-                          build_variant_quad, general_quad_from_factors,
-                          general_quad_row_correction, laguerre_flat_params,
+                          build_variant_quad, general_quad_factors,
+                          general_quad_from_factors, laguerre_flat_params,
                           variant_quad_factors, variant_quad_from_factors)
 
 
@@ -24,7 +24,6 @@ def test_q_superdiagonal_formula():
 
 
 def test_q_equals_nested_factor_product():
-    from lagtp.quadtp import general_quad_factors
     p = QuadFactorParams.symbolic()
     m = general_quad_factors(p, 8)
     expect = (m["L1"] * (m["U"] * m["L2"] + m["D1"])).top_left(6, 6)
@@ -41,12 +40,14 @@ def test_p_equals_q_plus_correction_rows():
     p = QuadFactorParams.symbolic()
     full = build_general_quad(p)
     q = build_general_quad(replace(p, h=()))
+    m = general_quad_factors(p, 6)
+    corr = m["D2"] * m["L2"]  # row n: h_n f_n at n-1, h_n e_n at n
+    assert full.truncate(6) - q.truncate(6) == corr
     for n in range(6):
-        corr = general_quad_row_correction(p, n, 6)
-        support = {k for k, val in enumerate(corr) if not val.is_zero()}
+        support = {k for k in range(6) if not corr[n, k].is_zero()}
         assert support <= {n - 1, n}
         for k in range(6):
-            assert full(n, k) == q(n, k) + corr[k]
+            assert full(n, k) == q(n, k) + corr[n, k]
 
 
 def test_delta_degenerate():

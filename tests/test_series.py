@@ -108,7 +108,7 @@ def test_solvers_accept_input_to_one_below_the_order():
             == solve_logderiv([1, 1], solve_riccati(1, 2, 1, 3), lam, 3))
     # a constant Z needs no coefficient of G
     assert solve_logderiv([1], solve_riccati(1, 2, 1, 1), lam, 3) == (Series.t(3) * lam).exp()
-    assert Series.zero(0).exp() == Series.one(0)
+    assert Series([], 0).exp() == Series.one(0)
     # order 0 needs no coefficient of W: f1'/f1 is never formed
     assert series_pow_sym(Series([1], 0), lam, 0) == Series.one(0)
     assert series_pow_sym(Series([1, 1], 1), lam, 0) == Series.one(0)

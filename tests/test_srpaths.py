@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lagtp import srpaths
+from lagtp import polyring, srpaths
 from lagtp.digraphs import LimitExceeded
 from lagtp.matrices import output_matrix
 from lagtp.polyring import Poly, rising
@@ -241,6 +241,22 @@ def test_sr_poly_reduces_types_beyond_m():
         for n in range(4):
             for k in range(n + 1):
                 assert sr_poly(CO2, j, n, k) == tri.value(j, n, k)
+
+
+def test_the_recurrence_multiplies_no_zero_operand(monkeypatch):
+    # the last entry of a row reads one entry of an earlier row, not a
+    # product with the zero past its end
+    sizes = []
+    product = polyring._product
+
+    def recorded(ta, tb):
+        sizes.append((len(ta), len(tb)))
+        return product(ta, tb)
+
+    monkeypatch.setattr(polyring, "_product", recorded)
+    for m in (1, 2, 3):
+        SRTriangles(SRCoeffs.symbolic(m), max_j=m + 1).value(0, 8, 0)
+    assert sizes and all(a and b for a, b in sizes)
 
 
 def test_each_alpha_is_read_once_per_triangle():

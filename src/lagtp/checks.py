@@ -25,8 +25,8 @@ from .matrices import (HessMatrix, Truncation, XorShift64,
                        binomial_truncation, bx_conjugate_eaz_identity_check,
                        conjugate_by_binomial, delta_matrix, diagonal, eaz_matrix,
                        hankel_truncation, output_matrix, production_of,
-                       riordan_matrix, tp_check_sampled, tp_check_symbolic,
-                       tp_check_tridiagonal)
+                       riordan_matrix, sfraction_word, tp_check_sampled,
+                       tp_check_symbolic, tp_check_tridiagonal)
 from .polyring import Poly, rising
 from .series import Series, series_pow_sym, solve_logderiv, solve_riccati
 
@@ -123,7 +123,7 @@ def coeff_matrix_is_sfraction_triangle(ctx: Ctx) -> bool:
     uni = coeff_matrix_uni(params, n)
     if tri != uni:
         return False
-    if production_of(uni) != laguerre.sfraction_production(alpha_fn, n).top_left(n - 1, n):
+    if production_of(uni) != sfraction_word(alpha_fn, 1, 0).block(n).top_left(n - 1, n):
         return False
     lam = params.lam
     if any(uni[i, 0] != rising(lam, i) for i in range(n)):
@@ -561,7 +561,7 @@ def tridiagonal_diagonal_comparison(ctx: Ctx) -> bool:
         up = Truncation.from_fn(
             n, n, lambda i, j: int(rng.next_u64() % 4) if j == i or j == i + 1 else 0)
         a = lo * up
-        d = diagonal(lambda i: int(rng.next_u64() % 4), n)
+        d = diagonal(lambda i: int(rng.next_u64() % 4)).block(n)
         if not tp_check_symbolic(a + d, n).ok:
             return False
     return True
@@ -742,12 +742,12 @@ def inadmissible_cells_rejected(ctx: Ctx) -> bool:
 def general_quad_structure(ctx: Ctx) -> bool:
     p = quadtp.QuadFactorParams.symbolic()
     full = quadtp.build_general_quad(p)
-    if full.truncate(6) != quadtp.general_quad_from_factors(p, 6):
+    m = quadtp.general_quad_factors(p)
+    if full.truncate(6) != m["P"].block(6):
         return False
     # P - Q = D2 L2 with Q = P at h = 0
     q = quadtp.build_general_quad(replace(p, h=()))
-    m = quadtp.general_quad_factors(p, 6)
-    return full.truncate(6) - q.truncate(6) == m["D2"] * m["L2"]
+    return full.truncate(6) - q.truncate(6) == (m["D2"] * m["L2"]).block(6)
 
 
 def _tp3_symbolic_tp4_sampled(m: HessMatrix, ctx: Ctx) -> bool:
@@ -781,14 +781,12 @@ def laguerre_quad_constrained_tp(ctx: Ctx) -> bool:
 
 def variant_quad_structure(ctx: Ctx) -> bool:
     p = quadtp.QuadVariantParams.symbolic()
-    full = quadtp.build_variant_quad(p)
-    if full.truncate(6) != quadtp.variant_quad_from_factors(p, 6):
+    m = quadtp.variant_quad_factors(p)
+    if quadtp.build_variant_quad(p).truncate(6) != m["P"].block(6):
         return False
-    m = quadtp.variant_quad_factors(p, 6)
-    if m["L1"] * m["L2"] != m["L2"] * m["L1"]:
+    if (m["L1"] * m["L2"]).block(6) != (m["L2"] * m["L1"]).block(6):
         return False
-    w = quadtp.variant_quad_factors(p, 8)
-    q_expect = (w["L1"] * (w["L2"] * w["U"] + w["D1"])).top_left(6, 6)
+    q_expect = (m["L1"] * (m["L2"] * m["U"] + m["D1"])).block(6)
     return quadtp.build_variant_quad(replace(p, f=())).truncate(6) == q_expect
 
 

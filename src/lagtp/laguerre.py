@@ -30,8 +30,8 @@ from typing import Optional
 
 from . import digraphs
 from .matrices import (HessMatrix, Truncation, binomial_truncation, diagonal,
-                       lower_bidiagonal, riordan_matrix, unit_lower_inverse,
-                       upper_bidiagonal)
+                       lower_bidiagonal, riordan_matrix, sfraction_word,
+                       unit_lower_inverse, upper_bidiagonal)
 from .polyring import Poly, PolyLike, _p, power_table
 from .series import Series, solve_logderiv, solve_riccati
 
@@ -316,22 +316,13 @@ def _sfraction_coeffs(params: LaguerreParams, y_p: PolyLike, y_v: PolyLike):
     return alpha_fn
 
 
-def sfraction_production(alpha_fn, n: int) -> Truncation:
-    """Tridiagonal S-fraction production matrix: LU of the two bidiagonal
-    factors with alpha_2,alpha_4,... subdiagonal and alpha_1,alpha_3,... diagonal."""
-    w = n + 2
-    lo = lower_bidiagonal(lambda i: 1, lambda i: alpha_fn(2 * i), w)
-    up = upper_bidiagonal(lambda i: alpha_fn(2 * i + 1), lambda i: 1, w)
-    return (lo * up).top_left(n, n)
-
-
 def factorization_check(which: str, params: LaguerreParams, n: int,
                         weights: VertexWeights | None = None) -> bool:
     """Entrywise verification of the bidiagonal factorization identities.
 
     'tridiagonal_lu':        P-circ = L U with subdiagonal 1,2,3,... and
                              diagonal lam, lam+1, ...: the S-fraction
-                             matrix below at y_p = y_v = 1;
+                             word L_1 U_0 below at y_p = y_v = 1;
     'quadridiagonal_nested': P = L (L U_x + lam I) with U_x = Delta + x I;
     'flat_split':            flat tridiagonal = S-fraction matrix with
                              alpha_{2k-1} = (k+alpha) y_p, alpha_{2k} = k y_v,
@@ -340,21 +331,20 @@ def factorization_check(which: str, params: LaguerreParams, n: int,
     """
     lam = params.lam
     if which == "tridiagonal_lu":
-        lu = sfraction_production(_sfraction_coeffs(params, 1, 1), n)
+        lu = sfraction_word(_sfraction_coeffs(params, 1, 1), 1, 0).block(n)
         return lu == prodmat(params, "Pcirc").truncate(n)
     if which == "quadridiagonal_nested":
-        w = n + 2
         x = Poly.var(X_NAME)
-        ell = lower_bidiagonal(lambda i: 1, lambda i: i, w)
-        ux = upper_bidiagonal(lambda i: x, lambda i: 1, w)
-        rhs = (ell * ((ell * ux) + diagonal(lambda i: lam, w))).top_left(n, n)
+        ell = lower_bidiagonal(lambda i: 1, lambda i: i)
+        ux = upper_bidiagonal(lambda i: x, lambda i: 1)
+        rhs = (ell * (ell * ux + diagonal(lambda i: lam))).block(n)
         return rhs == prodmat(params, "P", x=x).truncate(n)
     if which == "flat_split":
         yw = VertexWeights.symbolic() if weights is None else weights
-        q = sfraction_production(_sfraction_coeffs(params, yw.y_p, yw.y_v), n)
+        q = sfraction_word(_sfraction_coeffs(params, yw.y_p, yw.y_v), 1, 0)
         d = diagonal(
-            lambda i: lam * (yw.y_fp - yw.y_p) + (yw.y_da + yw.y_dd - yw.y_p - yw.y_v) * i, n)
-        return q + d == prodmat(params, "PcircFlat", weights=yw).truncate(n)
+            lambda i: lam * (yw.y_fp - yw.y_p) + (yw.y_da + yw.y_dd - yw.y_p - yw.y_v) * i)
+        return (q + d).block(n) == prodmat(params, "PcircFlat", weights=yw).truncate(n)
     raise ValueError(f"unknown factorization {which!r}")
 
 

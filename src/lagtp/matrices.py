@@ -1,10 +1,10 @@
 """Band-bounded lower-Hessenberg matrices of polynomials and their toolkit.
 
 Covers the production-matrix machinery (output-matrix iteration and its
-inverse), binomial conjugation, exact minors, total positivity
-certification (symbolic and sampled, plus the continuant criterion for
-tridiagonal matrices), the exponential AZ matrix, and exponential Riordan
-array construction.
+inverse), bidiagonal factor expressions (``Banded``), binomial
+conjugation, exact minors, total positivity certification (symbolic and
+sampled, plus the continuant criterion for tridiagonal matrices), the
+exponential AZ matrix, and exponential Riordan array construction.
 
 All matrices here are finite truncations with exact ``Poly`` entries; the
 iteration and conjugation routines are arranged so that every returned
@@ -58,7 +58,7 @@ class Truncation:
 
     @staticmethod
     def identity(n: int) -> "Truncation":
-        return diagonal(lambda i: 1, n)
+        return diagonal(lambda i: 1).block(n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Truncation":
@@ -109,7 +109,7 @@ class Truncation:
 
     def top_left(self, rows: int, cols: int | None = None) -> "Truncation":
         cols = rows if cols is None else cols
-        if rows > self.rows or cols > self.cols:
+        if not (0 <= rows <= self.rows and 0 <= cols <= self.cols):
             raise ValueError(f"requested {rows}x{cols} block of a {self.rows}x{self.cols} matrix")
         return Truncation([row[:cols] for row in self.data[:rows]])
 
@@ -205,21 +205,69 @@ def delta_matrix() -> HessMatrix:
     return HessMatrix(lambda n, k: 1 if k == n + 1 else 0)
 
 
-def diagonal(diag, n: int) -> Truncation:
-    """Diagonal truncation with diag(i) at (i, i)."""
-    return Truncation.from_fn(n, n, lambda i, j: diag(i) if j == i else 0)
+@dataclass(frozen=True, eq=False)
+class Banded:
+    """A sum of products of diagonal and bidiagonal matrices, kept as an
+    expression until ``block`` evaluates it.
+
+    ``up`` is the upper bandwidth: 0 for a diagonal or lower-bidiagonal
+    leaf, 1 for an upper-bidiagonal one, the larger of the two sides for a
+    sum and their sum for a product.  Row i of a w x w product is exact
+    when i + up < w: each factor reaches at most its own upper bandwidth
+    past the row it is given.
+    """
+
+    up: int
+    _on: Callable[[int], Truncation]  # w -> the expression on the w x w block
+
+    def __add__(self, other: "Banded") -> "Banded":
+        return Banded(max(self.up, other.up), lambda w: self._on(w) + other._on(w))
+
+    def __mul__(self, other: "Banded") -> "Banded":
+        return Banded(self.up + other.up, lambda w: self._on(w) * other._on(w))
+
+    def block(self, n: int) -> Truncation:
+        """The exact n x n corner: every leaf is evaluated on n + up rows."""
+        return self._on(n + self.up).top_left(n)
 
 
-def lower_bidiagonal(diag, sub, n: int) -> Truncation:
-    """Lower-bidiagonal truncation with diag(i) on the diagonal, sub(i) on row i."""
-    return Truncation.from_fn(
-        n, n, lambda i, j: diag(i) if j == i else (sub(i) if j == i - 1 else 0))
+def _leaf(up: int, entry: Callable[[int, int], PolyLike]) -> Banded:
+    return Banded(up, lambda w: Truncation.from_fn(w, w, entry))
 
 
-def upper_bidiagonal(diag, sup, n: int) -> Truncation:
-    """Upper-bidiagonal truncation with diag(i) on the diagonal, sup(i) on row i."""
-    return Truncation.from_fn(
-        n, n, lambda i, j: diag(i) if j == i else (sup(i) if j == i + 1 else 0))
+def diagonal(diag) -> Banded:
+    """Diagonal matrix with diag(i) at (i, i)."""
+    return _leaf(0, lambda i, j: diag(i) if j == i else 0)
+
+
+def lower_bidiagonal(diag, sub) -> Banded:
+    """Lower-bidiagonal matrix with diag(i) on the diagonal, sub(i) on row i."""
+    return _leaf(0, lambda i, j: diag(i) if j == i else (sub(i) if j == i - 1 else 0))
+
+
+def upper_bidiagonal(diag, sup) -> Banded:
+    """Upper-bidiagonal matrix with diag(i) on the diagonal, sup(i) on row i."""
+    return _leaf(1, lambda i, j: diag(i) if j == i else (sup(i) if j == i + 1 else 0))
+
+
+def sfraction_word(alpha, m: int, j: int, unit: PolyLike = 1) -> Banded:
+    """The production matrix L_{j+1}..L_m U_0 L_1..L_j of the type-j
+    triangle of an m-branched S-fraction (Petreolle-Sokal-Zhu); m = 1,
+    j = 0 is the tridiagonal S-fraction matrix L_1 U_0.  The subdiagonal
+    of L_r holds alpha_{(m+1)i + r - 1} at row i, the diagonal of U_0
+    holds alpha_{(m+1)(i+1) - 1}; the unit entries of the factors (the
+    diagonal of each L_r, the superdiagonal of U_0) hold ``unit``.
+    """
+    if not 0 <= j <= m:
+        raise ValueError(f"type j must satisfy 0 <= j <= m (got {j})")
+
+    def l_factor(r):
+        return lower_bidiagonal(lambda i: unit, lambda i: alpha((m + 1) * i + r - 1))
+
+    u0 = upper_bidiagonal(lambda i: alpha((m + 1) * (i + 1) - 1), lambda i: unit)
+    factors = [l_factor(r) for r in range(j + 1, m + 1)] + [u0] + \
+              [l_factor(r) for r in range(1, j + 1)]
+    return functools.reduce(operator.mul, factors)
 
 
 def binomial_truncation(x: PolyLike, n: int, y: PolyLike = 1,

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import (HessMatrix, Truncation, _seq_fn, diagonal, lower_bidiagonal,
-                       upper_bidiagonal)
+from .matrices import HessMatrix, _seq_fn, diagonal, lower_bidiagonal, upper_bidiagonal
 from .polyring import Poly
 
 
@@ -76,25 +75,14 @@ def build_general_quad(p: QuadFactorParams) -> HessMatrix:
     return HessMatrix(fn)
 
 
-def general_quad_factors(p: QuadFactorParams, n: int) -> dict:
-    """The factor truncations L1, U, L2, D1, D2 on an n x n block."""
+def general_quad_factors(p: QuadFactorParams) -> dict:
+    """The factors L1, U, L2, D1, D2 and the expression
+    P = L1 U L2 + L1 D1 + D2 L2, as ``matrices.Banded`` expressions."""
     a, b, c, d, e, f, g, h = p.fns()
-    return {
-        "L1": lower_bidiagonal(a, b, n),
-        "U": upper_bidiagonal(d, lambda i: c(i + 1), n),
-        "L2": lower_bidiagonal(e, f, n),
-        "D1": diagonal(g, n),
-        "D2": diagonal(h, n),
-    }
-
-
-def general_quad_from_factors(p: QuadFactorParams, n: int) -> Truncation:
-    """P = L1 U L2 + L1 D1 + D2 L2 assembled from factor products (working
-    block one larger, then cut, so band boundary terms are exact)."""
-    w = n + 2
-    m = general_quad_factors(p, w)
-    full = m["L1"] * m["U"] * m["L2"] + m["L1"] * m["D1"] + m["D2"] * m["L2"]
-    return full.top_left(n, n)
+    l1, l2 = lower_bidiagonal(a, b), lower_bidiagonal(e, f)
+    u, d1, d2 = upper_bidiagonal(d, lambda i: c(i + 1)), diagonal(g), diagonal(h)
+    return {"L1": l1, "U": u, "L2": l2, "D1": d1, "D2": d2,
+            "P": l1 * u * l2 + l1 * d1 + d2 * l2}
 
 
 def laguerre_flat_params(y_p: Poly, y_v: Poly, y_da: Poly, y_dd: Poly,
@@ -175,21 +163,13 @@ def build_variant_quad(p: QuadVariantParams) -> HessMatrix:
     return HessMatrix(fn)
 
 
-def variant_quad_factors(p: QuadVariantParams, n: int) -> dict:
+def variant_quad_factors(p: QuadVariantParams) -> dict:
+    """The factors L1 = alpha I + x L, L2 = beta I + y L, U, D1, D2 and the
+    expression P = L1 L2 U + L1 D1 + L2 D2, as ``matrices.Banded``
+    expressions."""
     a, b, c, d, e, f = p.fns()
-    ell = lower_bidiagonal(a, b, n)
-    eye = Truncation.identity(n)
-    return {
-        "L1": eye.scale(p.alpha) + ell.scale(p.x),
-        "L2": eye.scale(p.beta) + ell.scale(p.y),
-        "U": upper_bidiagonal(d, lambda i: c(i + 1), n),
-        "D1": diagonal(e, n),
-        "D2": diagonal(f, n),
-    }
-
-
-def variant_quad_from_factors(p: QuadVariantParams, n: int) -> Truncation:
-    w = n + 2
-    m = variant_quad_factors(p, w)
-    full = m["L1"] * m["L2"] * m["U"] + m["L1"] * m["D1"] + m["L2"] * m["D2"]
-    return full.top_left(n, n)
+    l1 = lower_bidiagonal(lambda i: p.alpha + p.x * a(i), lambda i: p.x * b(i))
+    l2 = lower_bidiagonal(lambda i: p.beta + p.y * a(i), lambda i: p.y * b(i))
+    u, d1, d2 = upper_bidiagonal(d, lambda i: c(i + 1)), diagonal(e), diagonal(f)
+    return {"L1": l1, "L2": l2, "U": u, "D1": d1, "D2": d2,
+            "P": l1 * l2 * u + l1 * d1 + l2 * d2}

@@ -17,7 +17,7 @@ and of ``Poly.substitute``) weighs that table with alpha_h for height h
 (for monomial alphas, by key sums and no ``Poly`` product).
 ``SRTriangles`` reads each alpha_i once and keeps it.
 The production matrix of the type-j triangle is the bidiagonal product
-L_{j+1} ... L_m U_0 L_1 ... L_j.
+L_{j+1} ... L_m U_0 L_1 ... L_j, ``matrices.sfraction_word``.
 
 Coefficient conventions: alpha_i = 0 for i < m.  The kappa-families of
 bidiagonal factorizations of the univariate Laguerre production matrix use
@@ -37,8 +37,8 @@ from typing import Callable, Optional, Union
 
 from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
 from .laguerre import LaguerreParams, prodmat
-from .matrices import (HessMatrix, Truncation, hankel_truncation, lower_bidiagonal,
-                       tp_check_symbolic, upper_bidiagonal)
+from .matrices import (HessMatrix, Truncation, hankel_truncation, sfraction_word,
+                       tp_check_symbolic)
 from .polyring import Poly, PolyLike, _p, _power_sum
 from .series import Series
 
@@ -201,36 +201,16 @@ def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> dict:
 # -- production matrices ------------------------------------------------------
 
 
-def _smj_grid(coeffs: SRCoeffs, j: int, size: int, unit: Poly) -> Truncation:
-    """P^(m;j) = L_{j+1}..L_m U_0 L_1..L_j on a size x size block.
-
-    The subdiagonal of L_r holds alpha_{(m+1)i + r - 1} at row i, the
-    diagonal of U_0 holds alpha_{(m+1)(i+1) - 1}; the unit entries of the
-    factors (the diagonal of each L_r, the superdiagonal of U_0) hold
-    ``unit``.
-    """
-    m, al = coeffs.m, coeffs.alpha
-    if not 0 <= j <= m:
-        raise ValueError(f"type j must satisfy 0 <= j <= m (got {j})")
-
-    def l_factor(r):
-        return lower_bidiagonal(lambda i: unit, lambda i: al((m + 1) * i + r - 1), size)
-
-    u0 = upper_bidiagonal(lambda i: al((m + 1) * (i + 1) - 1), lambda i: unit, size)
-    factors = [l_factor(r) for r in range(j + 1, m + 1)] + [u0] + \
-              [l_factor(r) for r in range(1, j + 1)]
-    return reduce(mul, factors)
-
-
 def prodmat_smj(coeffs: SRCoeffs, j: int, n: int) -> HessMatrix:
     """Production matrix P^(m;j) of the type-j triangle, as an (m,1)-banded
-    HessMatrix valid on the n x n block.
+    HessMatrix valid on the n x n block: the block of
+    ``matrices.sfraction_word(coeffs.alpha, m, j)``.
 
     For m = 2 the entries are additionally cross-checked against the
     explicit quadridiagonal formulas (a construction bug raises here).
     """
     m = coeffs.m
-    block = _smj_grid(coeffs, j, n + m + 1, Poly.one()).top_left(n)
+    block = sfraction_word(coeffs.alpha, m, j).block(n)
     if m == 2:
         for i in range(n):
             for k in range(max(0, i - 2), min(n, i + 2)):
@@ -400,17 +380,17 @@ def verify_factorization_cell(fam: KappaFamily, n: int) -> bool:
 
     With a symbolic kappa every entry of each of the three bidiagonal
     factors, the unit entries included, is multiplied by
-    C = D(1) ... D(size), which every denominator on the working block
-    divides, and their product is compared with C^3 times the target;
-    C != 0, so this is the same identity, checked in Q[kappa, x]."""
-    size = n + 3
+    C = D(1) ... D(n+1), and their product is compared with C^3 times the
+    target; C != 0, so this is the same identity, checked in Q[kappa, x].
+    The n x n block evaluates the factors on n + 1 rows, which read only
+    alpha_i with i < 3(n+1), whose denominators are among D(1) ... D(n+1)."""
     want = prodmat(LaguerreParams.of(fam.alpha_lag), "P").truncate(n)
     unit = Poly.one()
     if not _kappa(fam).is_constant():
         d = _denominator(fam)
-        unit = reduce(mul, (d(k) for k in range(1, size + 1)))
+        unit = reduce(mul, (d(k + 1) for k in range(n + 1)))
         want = want.scale(unit ** 3)
-    return _smj_grid(_scaled_coeffs(fam, unit), fam.j, size, unit).top_left(n) == want
+    return sfraction_word(_scaled_coeffs(fam, unit).alpha, 2, fam.j, unit).block(n) == want
 
 
 # -- negative control -----------------------------------------------------------

@@ -17,11 +17,13 @@ from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, NonUnitDiagonalError,
                             _sample_neg,
                             binomial_truncation,
                             bx_conjugate_eaz_identity_check, conjugate_by_binomial,
-                            delta_matrix, eaz_matrix, hankel_truncation,
-                            output_matrix, production_of, riordan_matrix,
-                            tp_check_sampled, tp_check_symbolic, tp_check_tridiagonal,
-                            unit_lower_inverse)
+                            delta_matrix, diagonal, eaz_matrix, hankel_truncation,
+                            lower_bidiagonal, output_matrix, production_of, riordan_matrix,
+                            sfraction_word, tp_check_sampled, tp_check_symbolic,
+                            tp_check_tridiagonal, unit_lower_inverse, upper_bidiagonal)
 from lagtp.polyring import Poly, _p
+from lagtp.quadtp import (QuadFactorParams, QuadVariantParams, general_quad_factors,
+                          variant_quad_factors)
 from lagtp.series import Series
 from lagtp.srpaths import SRCoeffs, SRTriangles
 
@@ -131,8 +133,7 @@ def test_tp_fails_with_witness():
 
 
 def test_tp_sfraction_production_factorization():
-    from lagtp.laguerre import sfraction_production
-    m = sfraction_production(lambda i: Poly.var(f"al{i}") if i >= 1 else Poly.zero(), 5)
+    m = sfraction_word(lambda i: Poly.var(f"al{i}") if i >= 1 else Poly.zero(), 1, 0).block(5)
     assert tp_check_symbolic(m, 4).ok
 
 
@@ -921,3 +922,126 @@ def test_conjugate_of_hessenberg_that_raises_past_row_n_succeeds():
     got = conjugate_by_binomial(HessMatrix(entry), x, 4)
     want = _conjugate_reference(HessMatrix(lambda i, k: Poly.var(f"p{i}_{k}")), x, 4)
     assert got == want
+
+
+# -- Banded expressions: the working block -------------------------------------
+
+
+def _sym(prefix):
+    return lambda i: Poly.var(f"{prefix}{i}")
+
+
+def _guarded(fn, limit, row=lambda i: i):
+    """fn, raising for every index whose row is ``limit`` or more."""
+    def at(i):
+        if row(i) >= limit:
+            raise IndexError(f"index {i} is on row {row(i)}, past the working block {limit}")
+        return fn(i)
+    return at
+
+
+def _plain_leaves(w):
+    """The diagonal, lower- and upper-bidiagonal builders as plain w x w
+    truncations: the reference the expressions are checked against."""
+    def diag(d):
+        return Truncation.from_fn(w, w, lambda i, j: d(i) if j == i else 0)
+
+    def lower(d, s):
+        return Truncation.from_fn(w, w, lambda i, j: d(i) if j == i else (s(i) if j == i - 1 else 0))
+
+    def upper(d, s):
+        return Truncation.from_fn(w, w, lambda i, j: d(i) if j == i else (s(i) if j == i + 1 else 0))
+
+    return diag, lower, upper
+
+
+# name -> (upper bandwidth, the expression from leaf builders and a sequence maker)
+BANDED_CASES = {
+    "LUL": (1, lambda dg, lo, up, s: lo(s("a"), s("b")) * up(s("c"), s("d")) * lo(s("e"), s("f"))),
+    "UU": (2, lambda dg, lo, up, s: up(s("a"), s("b")) * up(s("c"), s("d"))),
+    "mixed-sum": (2, lambda dg, lo, up, s: lo(s("a"), s("b")) + up(s("c"), s("d")) * dg(s("g"))
+                  + up(s("e"), s("f")) * up(s("h"), s("k")) + dg(s("m"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BANDED_CASES))
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_block_reads_n_plus_up_rows_and_matches_a_larger_product(name, n):
+    up, build = BANDED_CASES[name]
+    expr = build(diagonal, lower_bidiagonal, upper_bidiagonal,
+                 lambda prefix: _guarded(_sym(prefix), n + up))
+    assert expr.up == up
+    assert expr.block(n) == build(*_plain_leaves(n + up + 3), _sym).top_left(n)
+    with pytest.raises(IndexError):  # the guard is live one row further
+        expr.block(n + 1)
+
+
+def _quad_general(seq):
+    return QuadFactorParams(*(seq(name) for name in "abcdefgh"))
+
+
+def _quad_variant(seq):
+    return QuadVariantParams(*(Poly.var(name) for name in ("alpha", "beta", "x", "y")),
+                             *(seq(name) for name in "abcdef"))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_general_quad_expression_reads_n_plus_one_rows(n):
+    # U's superdiagonal on row i reads c_{i+1}, still below the guard
+    m = general_quad_factors(_quad_general(lambda prefix: _guarded(_sym(prefix), n + 1)))
+    dg, lo, upb = _plain_leaves(n + 4)
+    a, b, c, d, e, f, g, h = _quad_general(_sym).fns()
+    l1, l2 = lo(a, b), lo(e, f)
+    want = l1 * upb(d, lambda i: c(i + 1)) * l2 + l1 * dg(g) + dg(h) * l2
+    assert m["P"].up == 1
+    assert m["P"].block(n) == want.top_left(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_variant_quad_expression_reads_n_plus_one_rows(n):
+    m = variant_quad_factors(_quad_variant(lambda prefix: _guarded(_sym(prefix), n + 1)))
+    w = n + 4
+    dg, lo, upb = _plain_leaves(w)
+    p = _quad_variant(_sym)
+    a, b, c, d, e, f = p.fns()
+    ell, eye = lo(a, b), Truncation.identity(w)
+    l1, l2 = eye.scale(p.alpha) + ell.scale(p.x), eye.scale(p.beta) + ell.scale(p.y)
+    want = l1 * l2 * upb(d, lambda i: c(i + 1)) + l1 * dg(e) + l2 * dg(f)
+    assert m["P"].up == 1
+    assert m["P"].block(n) == want.top_left(n)
+
+
+@pytest.mark.parametrize("m,j", [(m, j) for m in (1, 2, 3) for j in range(m + 1)])
+@pytest.mark.parametrize("unit", [1, Poly.var("u")])
+def test_sfraction_word_reads_n_plus_one_rows(m, j, unit):
+    n = 4
+    # alpha_i sits on row i // (m+1) of its factor
+    word = sfraction_word(_guarded(_sym("al"), n + 1, lambda i: i // (m + 1)), m, j, unit)
+    dg, lo, upb = _plain_leaves(n + m + 3)
+    al = _sym("al")
+
+    def l_factor(r):
+        return lo(lambda i: unit, lambda i: al((m + 1) * i + r - 1))
+
+    want = upb(lambda i: al((m + 1) * (i + 1) - 1), lambda i: unit)
+    for r in range(m, j, -1):
+        want = l_factor(r) * want
+    for r in range(1, j + 1):
+        want = want * l_factor(r)
+    assert word.up == 1
+    assert word.block(n) == want.top_left(n)
+
+
+def test_sfraction_word_refuses_a_type_outside_0_to_m():
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match="type j"):
+            sfraction_word(_sym("al"), 2, j)
+
+
+def test_top_left_refuses_a_negative_size():
+    eye = Truncation.identity(3)
+    for rows, cols in ((-1, None), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="requested"):
+            eye.top_left(rows, cols)
+    with pytest.raises(ValueError, match="requested"):
+        diagonal(lambda i: 1).block(-1)

@@ -2,9 +2,8 @@ from dataclasses import replace
 
 from lagtp.polyring import Poly
 from lagtp.quadtp import (QuadFactorParams, QuadVariantParams, build_general_quad,
-                          build_variant_quad, general_quad_factors,
-                          general_quad_from_factors, laguerre_flat_params,
-                          variant_quad_factors, variant_quad_from_factors)
+                          build_variant_quad, general_quad_factors, laguerre_flat_params,
+                          variant_quad_factors)
 
 
 def v(name):
@@ -13,7 +12,7 @@ def v(name):
 
 def test_general_entries_equal_factor_product():
     p = QuadFactorParams.symbolic()
-    assert build_general_quad(p).truncate(6) == general_quad_from_factors(p, 6)
+    assert build_general_quad(p).truncate(6) == general_quad_factors(p)["P"].block(6)
 
 
 def test_q_superdiagonal_formula():
@@ -25,8 +24,8 @@ def test_q_superdiagonal_formula():
 
 def test_q_equals_nested_factor_product():
     p = QuadFactorParams.symbolic()
-    m = general_quad_factors(p, 8)
-    expect = (m["L1"] * (m["U"] * m["L2"] + m["D1"])).top_left(6, 6)
+    m = general_quad_factors(p)
+    expect = (m["L1"] * (m["U"] * m["L2"] + m["D1"])).block(6)
     assert build_general_quad(replace(p, h=())).truncate(6) == expect
 
 
@@ -40,8 +39,8 @@ def test_p_equals_q_plus_correction_rows():
     p = QuadFactorParams.symbolic()
     full = build_general_quad(p)
     q = build_general_quad(replace(p, h=()))
-    m = general_quad_factors(p, 6)
-    corr = m["D2"] * m["L2"]  # row n: h_n f_n at n-1, h_n e_n at n
+    m = general_quad_factors(p)
+    corr = (m["D2"] * m["L2"]).block(6)  # row n: h_n f_n at n-1, h_n e_n at n
     assert full.truncate(6) - q.truncate(6) == corr
     for n in range(6):
         support = {k for k in range(6) if not corr[n, k].is_zero()}
@@ -73,18 +72,18 @@ def test_laguerre_specialization_entries():
 
 def test_variant_entries_equal_factor_product():
     p = QuadVariantParams.symbolic()
-    assert build_variant_quad(p).truncate(6) == variant_quad_from_factors(p, 6)
+    assert build_variant_quad(p).truncate(6) == variant_quad_factors(p)["P"].block(6)
 
 
 def test_variant_l1_l2_commute():
-    m = variant_quad_factors(QuadVariantParams.symbolic(), 6)
-    assert m["L1"] * m["L2"] == m["L2"] * m["L1"]
+    m = variant_quad_factors(QuadVariantParams.symbolic())
+    assert (m["L1"] * m["L2"]).block(6) == (m["L2"] * m["L1"]).block(6)
 
 
 def test_variant_q_is_f_zero():
     p = QuadVariantParams.symbolic()
-    w = variant_quad_factors(p, 8)
-    expect = (w["L1"] * (w["L2"] * w["U"] + w["D1"])).top_left(6, 6)
+    w = variant_quad_factors(p)
+    expect = (w["L1"] * (w["L2"] * w["U"] + w["D1"])).block(6)
     assert build_variant_quad(replace(p, f=())).truncate(6) == expect
 
 

@@ -276,3 +276,8 @@ def test_each_alpha_is_read_once_per_triangle():
         tri.value(4, 7, 2)
         assert reads and len(reads) == len(set(reads))
         assert tri.value(1, 4, 1) == sr_path_oracle(CO2, 1, 4, 1)
+
+
+def test_prodmat_smj_refuses_a_negative_size():
+    with pytest.raises(ValueError, match="requested"):
+        prodmat_smj(SRCoeffs.symbolic(2), 0, -1)

@@ -28,7 +28,7 @@ from .matrices import (HessMatrix, Truncation, XorShift64,
                        riordan_matrix, sfraction_word, tp_check_sampled,
                        tp_check_symbolic, tp_check_tridiagonal)
 from .polyring import Poly, rising
-from .series import Series, series_pow_sym, solve_logderiv, solve_riccati
+from .series import Series, series_pow_sym, solve_riccati
 
 
 @dataclass(frozen=True)
@@ -308,13 +308,14 @@ def cycle_statistics_egf(ctx: Ctx) -> bool:
     n = ctx.cap(7)
     w = VertexWeights.symbolic()
     lam = Poly.var("lam")
-    f = laguerre.second_mv_cycle_series(LaguerreParams(lam - 1), w, n)
+    # F does not depend on flat; the flat G is H itself, with no scaling
+    f, _ = laguerre.riordan_pair(LaguerreParams(lam - 1), w, n, flat=True)
     weights = w.oracle_weights(lam)
     for i in range(n + 1):
         if f[i].scale(math.factorial(i)) != digraphs.permutation_oracles(i, "cyclic", weights):
             return False
     # lemma: F(lam) = F(1)^lam
-    f1 = laguerre.second_mv_cycle_series(LaguerreParams.of(0), w, n)
+    f1, _ = laguerre.riordan_pair(LaguerreParams.of(0), w, n, flat=True)
     return series_pow_sym(f1, lam, n) == f
 
 
@@ -352,11 +353,10 @@ def first_mv_egf_bivariate(ctx: Ctx) -> bool:
     matrix entries to order 6, with u tracked as a variable."""
     n = ctx.cap(6)
     params = LaguerreParams.symbolic()
-    vm, v0, vp, u = Poly.var("vm"), Poly.var("v0"), Poly.var("vp"), Poly.var("u")
-    gflat = solve_riccati(Poly.one(), vm + vp, vm * vp, n)
-    f = solve_logderiv([v0, vm * vp], gflat, params.lam, n)
+    edge, u = EdgeWeights.symbolic(), Poly.var("u")
+    f, gflat = laguerre.riordan_pair(params, edge.vertex_weights(), n, flat=True)
     egf = f * (gflat * u).exp()
-    m = coeff_matrix_first_mv(params, EdgeWeights(vm, v0, vp), n + 1)
+    m = coeff_matrix_first_mv(params, edge, n + 1)
     for i in range(n + 1):
         coef = egf[i].scale(math.factorial(i))
         for k in range(i + 1):
@@ -366,12 +366,6 @@ def first_mv_egf_bivariate(ctx: Ctx) -> bool:
 
 
 # ------------------------------------------------------------------ riordan
-
-
-def _univariate_pair(n: int) -> tuple:
-    """The univariate (F, G) at symbolic alpha: the cycle and path EGFs at y = 1."""
-    return (laguerre.second_mv_cycle_series(LaguerreParams.symbolic(), UNIT_WEIGHTS, n),
-            laguerre.second_mv_path_series(UNIT_WEIGHTS, n, flat=False))
 
 
 def eaz_conjugation_identity(ctx: Ctx) -> bool:
@@ -410,9 +404,9 @@ def eaz_spot_values(ctx: Ctx) -> bool:
 
 def riordan_constructions(ctx: Ctx) -> bool:
     n = ctx.cap(6)
-    x = Poly.var("x")
-    f, g = _univariate_pair(n)
-    if riordan_matrix(f, g, n) != coeff_matrix_uni(LaguerreParams.symbolic(), n):
+    params, x = LaguerreParams.symbolic(), Poly.var("x")
+    f, g = laguerre.riordan_pair(params, UNIT_WEIGHTS, n)
+    if riordan_matrix(f, g, n) != coeff_matrix_uni(params, n):
         return False
     # B_x = R[e^{xt}, t]
     ex = (Series.t(n) * x).exp()
@@ -424,8 +418,8 @@ def riordan_constructions(ctx: Ctx) -> bool:
 def riordan_vector_action(ctx: Ctx) -> bool:
     """R[F,G] b has EGF F(t) B(G(t)), for two different (F,G) pairs."""
     n = ctx.cap(6)
-    x = Poly.var("x")
-    pairs = [_univariate_pair(n), ((Series.t(n) * x).exp(), Series.t(n))]
+    pairs = [laguerre.riordan_pair(LaguerreParams.symbolic(), UNIT_WEIGHTS, n),
+             ((Series.t(n) * Poly.var("x")).exp(), Series.t(n))]
     b = [Poly.var(f"b{i}") for i in range(n)]
     begf = Series([b[i].scale(Fraction(1, math.factorial(i))) for i in range(n)], n - 1)
     for f, g in pairs:
@@ -441,8 +435,8 @@ def riordan_vector_action(ctx: Ctx) -> bool:
 def riordan_product_rule(ctx: Ctx) -> bool:
     """R[F1,G1] R[F2,G2] = R[(F2 o G1) F1, G2 o G1] on truncations."""
     n = ctx.cap(6)
-    x = Poly.var("x")
-    pairs = [_univariate_pair(n), ((Series.t(n) * x).exp(), Series.t(n))]
+    pairs = [laguerre.riordan_pair(LaguerreParams.symbolic(), UNIT_WEIGHTS, n),
+             ((Series.t(n) * Poly.var("x")).exp(), Series.t(n))]
     f2, g2 = pairs[0]
     for f1, g1 in pairs:
         lhs = riordan_matrix(f1, g1, n) * riordan_matrix(f2, g2, n)
@@ -455,12 +449,9 @@ def riordan_product_rule(ctx: Ctx) -> bool:
 def riordan_production_is_eaz(ctx: Ctx) -> bool:
     """production_of(R[F,G]) = EAZ(A,Z) with A = G' o Ginv, Z = (F'/F) o Ginv."""
     n = ctx.cap(7)
-    w = VertexWeights.symbolic()
-    pairs = [
-        _univariate_pair(n),
-        (laguerre.second_mv_cycle_series(LaguerreParams.symbolic(), w, n),
-         laguerre.second_mv_path_series(w, n, flat=True)),
-    ]
+    params, w = LaguerreParams.symbolic(), VertexWeights.symbolic()
+    pairs = [laguerre.riordan_pair(params, UNIT_WEIGHTS, n),
+             laguerre.riordan_pair(params, w, n, flat=True)]
     for f, g in pairs:
         ginv = g.reversion()
         a_series = g.derivative().compose(ginv.truncate(n - 1))

@@ -78,6 +78,11 @@ class EdgeWeights:
         return {"v_minus": self.v_minus, "v_zero": self.v_zero, "v_plus": self.v_plus,
                 "lam": lam}
 
+    def vertex_weights(self) -> "VertexWeights":
+        """The edge specialization y_p = y_dd = v_-, y_v = y_da = v_+, y_fp = v_0."""
+        vm, vp = self.v_minus, self.v_plus
+        return VertexWeights(y_p=vm, y_v=vp, y_da=vp, y_dd=vm, y_fp=self.v_zero)
+
 
 @dataclass(frozen=True)
 class VertexWeights:
@@ -197,24 +202,26 @@ def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Tru
     return t
 
 
-def second_mv_path_series(w: VertexWeights, order: int, flat: bool) -> Series:
-    """Path EGF G (or G-flat = G/z_p) from its Riccati equation."""
-    if flat:
-        return solve_riccati(Poly.one(), w.zda + w.zdd, w.zp * w.zv, order)
-    return solve_riccati(w.zp, w.zda + w.zdd, w.zv, order)
-
-
-def second_mv_cycle_series(params: LaguerreParams, w: VertexWeights, order: int) -> Series:
-    """Cycle-statistics EGF F = F(t; y, 1)^(1+alpha), from its logarithmic derivative."""
-    g_y = solve_riccati(w.y_p, w.y_da + w.y_dd, w.y_v, order)
-    return solve_logderiv([w.y_fp, w.y_v], g_y, params.lam, order)
+def riordan_pair(params: LaguerreParams, w: VertexWeights, order: int,
+                 flat: bool = False) -> tuple:
+    """The cycle and path EGFs (F, G) to the given order (G-flat = G/z_p when
+    ``flat``), from one Riccati solution H = G_y/y_p,
+    H' = 1 + (y_da + y_dd) H + y_p y_v H^2: F'/F = lam (y_fp + y_p y_v H) and
+    G = z_p H, with H solved again only for a z block of other coefficients."""
+    q, r = w.y_da + w.y_dd, w.y_p * w.y_v
+    h = solve_riccati(Poly.one(), q, r, order)
+    f = solve_logderiv([w.y_fp, r], h, params.lam, order)
+    qz, rz = w.zda + w.zdd, w.zp * w.zv
+    if (qz, rz) != (q, r):
+        h = solve_riccati(Poly.one(), qz, rz, order)
+    return f, (h if flat else h * w.zp)
 
 
 def laguerre_rowgen_egf(params: LaguerreParams, x: PolyLike, order: int) -> Series:
     """EGF of the monic unsigned Laguerre polynomials, (1-t)^(-(1+alpha)) e^{xt/(1-t)}:
     F e^{xG} with the cycle and path EGFs at y = 1."""
-    g = second_mv_path_series(UNIT_WEIGHTS, order, flat=False)
-    return second_mv_cycle_series(params, UNIT_WEIGHTS, order) * (g * _p(x)).exp()
+    f, g = riordan_pair(params, UNIT_WEIGHTS, order)
+    return f * (g * _p(x)).exp()
 
 
 def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
@@ -227,9 +234,7 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
     as its symbolic cap: 7, or LAGTP_LIMIT); a mismatch raises
     RouteMismatchError since it signals a series or oracle bug.
     """
-    f = second_mv_cycle_series(params, w, n - 1)
-    g = second_mv_path_series(w, n - 1, flat)
-    t = riordan_matrix(f, g, n)
+    t = riordan_matrix(*riordan_pair(params, w, n - 1, flat), n)
     if oracle_rows is None:
         oracle_rows = digraphs._limit(digraphs.SYMBOLIC_ORACLE_LIMIT)
     if oracle_rows:
@@ -267,22 +272,18 @@ def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = 
 
     All six are one form.  Row n of a tridiagonal matrix holds
     t n (alpha + n), lam y_fp + n (y_da + y_dd) and s, where (s, t) is
-    (1, y_p y_v) for the flat and (y_p, y_v) for the non-flat matrices, and
-    s = t = y_fp = 1, y_da + y_dd = 2 for the univariate ones.  Its
+    (1, y_p y_v) for the flat and (y_p, y_v) for the non-flat matrices; the
+    univariate ones are the non-flat ones at UNIT_WEIGHTS.  Its
     quadridiagonal B_x^{-1} P-circ B_x adds s x to the diagonal,
     x n (y_da + y_dd) to the subdiagonal and t x n (n-1) below that.
     """
     if which not in ("Pcirc", "P", "PcircFlat", "PFlat", "PcircY", "PY"):
         raise ValueError(f"unknown production-matrix variant {which!r}")
-    if which in ("Pcirc", "P"):
-        s = t = fp = Poly.one()
-        d = Poly.const(2)
-    elif weights is None:
+    w = UNIT_WEIGHTS if which in ("Pcirc", "P") else weights
+    if w is None:
         raise ValueError(f"{which} needs vertex weights")
-    else:
-        w = weights
-        s, t = (Poly.one(), w.y_p * w.y_v) if which.endswith("Flat") else (w.y_p, w.y_v)
-        fp, d = w.y_fp, w.y_da + w.y_dd
+    s, t = (Poly.one(), w.y_p * w.y_v) if which.endswith("Flat") else (w.y_p, w.y_v)
+    fp, d = w.y_fp, w.y_da + w.y_dd
     quad = "circ" not in which
     x = (Poly.var(X_NAME) if x is None else _p(x)) if quad else Poly.zero()
     al = params.alpha
@@ -392,9 +393,10 @@ def first_mv_specialization_check(params: LaguerreParams, n: int) -> bool:
     y_p=y_dd=v-, y_v=y_da=v+, y_fp=v0  gives  first_mv * v-^k;
     y_v=y_dd=v-, y_p=y_da=v+, y_fp=v0  gives  first_mv * v+^k.
     """
-    vm, v0, vp = Poly.var("vm"), Poly.var("v0"), Poly.var("vp")
-    first = coeff_matrix_first_mv(params, EdgeWeights(vm, v0, vp), n)
-    for w, factor in ((VertexWeights(y_p=vm, y_v=vp, y_da=vp, y_dd=vm, y_fp=v0), vm),
+    edge = EdgeWeights.symbolic()
+    vm, v0, vp = edge.v_minus, edge.v_zero, edge.v_plus
+    first = coeff_matrix_first_mv(params, edge, n)
+    for w, factor in ((edge.vertex_weights(), vm),
                       (VertexWeights(y_p=vp, y_v=vm, y_da=vp, y_dd=vm, y_fp=v0), vp)):
         hat = coeff_matrix_second_mv(params, w, n, flat=False)
         if any(hat[i, k] != first[i, k] * factor ** k for i in range(n) for k in range(i + 1)):

@@ -232,7 +232,8 @@ class Banded:
 
 
 def _leaf(up: int, entry: Callable[[int, int], PolyLike]) -> Banded:
-    return Banded(up, lambda w: Truncation.from_fn(w, w, entry))
+    # cached per width: a leaf shared by several terms is evaluated once
+    return Banded(up, functools.cache(lambda w: Truncation.from_fn(w, w, entry)))
 
 
 def diagonal(diag) -> Banded:
@@ -649,6 +650,8 @@ def tp_check_tridiagonal(m: Truncation, order: int) -> bool:
     theta_i = a_i theta_{i-1} - b_{i-1} c_{i-1} theta_{i-2}, with a the
     diagonal, b the super- and c the subdiagonal.
     """
+    if order < 1:  # an empty scan would certify any matrix
+        raise ValueError("order must be at least 1")
     n = min(m.rows, m.cols)
     for i in range(m.rows):
         for j in range(m.cols):

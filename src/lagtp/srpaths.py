@@ -241,8 +241,9 @@ def sfrac_tail_series(coeffs: SRCoeffs, j: int, order: int):
     f_k = 1/(1 - alpha_{k+m} t f_{k+1} ... f_{k+m}).
 
     Tails deeper than k_max = m*order + j + 1 cannot influence order
-    ``order``, so they are taken to be 1.
+    ``order``, so they are taken to be 1.  ValueError for j < 0.
     """
+    _check_type(j)
     m = coeffs.m
     k_max = m * order + j + 1
     tails = {k: Series.one(order) for k in range(k_max, k_max + m + 1)}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
                             rowgen_shifted_family_check, rowgen_polys)
 from lagtp.matrices import Truncation, conjugate_by_binomial, output_matrix
 from lagtp.polyring import Poly, rising
+from lagtp.series import solve_logderiv, solve_riccati
 
 x = Poly.var("x")
 a = Poly.var("a")
@@ -223,3 +225,71 @@ def test_output_of_each_prodmat_is_its_coefficient_matrix(params, w, which):
 def test_weighted_prodmat_needs_vertex_weights(which):
     with pytest.raises(ValueError, match="needs vertex weights"):
         prodmat(SYM, which)
+
+
+# -- the Riordan pair of the five-variable family -------------------------------
+
+
+def _reference_pair(params, w, order, flat):
+    """The two-solve formulas: G from its own Riccati equation in the z
+    weights, F from the y-block G_y = y_p H."""
+    if flat:
+        g = solve_riccati(Poly.one(), w.zda + w.zdd, w.zp * w.zv, order)
+    else:
+        g = solve_riccati(w.zp, w.zda + w.zdd, w.zv, order)
+    g_y = solve_riccati(w.y_p, w.y_da + w.y_dd, w.y_v, order)
+    return solve_logderiv([w.y_fp, w.y_v], g_y, params.lam, order), g
+
+
+PAIR_PARAMS = {"sym": SYM, "int": LaguerreParams.of(2),
+               "lam-1": LaguerreParams(Poly.var("lam") - 1)}
+PAIR_WEIGHTS = {
+    "sym": VertexWeights.symbolic(),
+    "z-block": VertexWeights.symbolic(with_z=True),
+    "unit": laguerre.UNIT_WEIGHTS,
+    "edge": EdgeWeights.symbolic().vertex_weights(),
+    "yp=0": replace(VertexWeights.symbolic(), y_p=Poly.zero()),
+}
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["full", "flat"])
+@pytest.mark.parametrize("wname", sorted(PAIR_WEIGHTS))
+@pytest.mark.parametrize("pname", sorted(PAIR_PARAMS))
+def test_riordan_pair_matches_the_two_solve_formulas(pname, wname, flat):
+    params, w = PAIR_PARAMS[pname], PAIR_WEIGHTS[wname]
+    assert laguerre.riordan_pair(params, w, 6, flat) == _reference_pair(params, w, 6, flat)
+
+
+def test_edge_vertex_weights_are_the_edge_specialization():
+    vm, v0, vp = Poly.var("vm"), Poly.var("v0"), Poly.var("vp")
+    assert (EdgeWeights(vm, v0, vp).vertex_weights()
+            == VertexWeights(y_p=vm, y_v=vp, y_da=vp, y_dd=vm, y_fp=v0))
+
+
+def _count_riccati_solves(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_riccati(*args)
+
+    monkeypatch.setattr(laguerre, "solve_riccati", counted)
+    return calls
+
+
+@pytest.mark.parametrize("w,flat,solves", [
+    (VertexWeights.symbolic(), False, 1),
+    (VertexWeights.symbolic(), True, 1),
+    (VertexWeights.symbolic(with_z=True), False, 2),
+    (VertexWeights.symbolic(with_z=True), True, 2),
+], ids=["full", "flat", "z-full", "z-flat"])
+def test_second_mv_matrix_solves_each_riccati_equation_once(monkeypatch, w, flat, solves):
+    calls = _count_riccati_solves(monkeypatch)
+    coeff_matrix_second_mv(SYM, w, 6, flat=flat, oracle_rows=0)
+    assert len(calls) == solves
+
+
+def test_laguerre_egf_solves_one_riccati_equation(monkeypatch):
+    calls = _count_riccati_solves(monkeypatch)
+    laguerre.laguerre_rowgen_egf(SYM, x, 8)
+    assert len(calls) == 1

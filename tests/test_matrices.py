@@ -196,10 +196,9 @@ def test_bx_conjugate_eaz_identity():
 
 def test_riordan_laguerre_pair():
     # the five-variable cycle and path EGFs at y = 1
-    from lagtp.laguerre import UNIT_WEIGHTS, second_mv_cycle_series, second_mv_path_series
+    from lagtp.laguerre import UNIT_WEIGHTS, riordan_pair
     params = LaguerreParams.symbolic()
-    f = second_mv_cycle_series(params, UNIT_WEIGHTS, 5)
-    g = second_mv_path_series(UNIT_WEIGHTS, 5, flat=False)
+    f, g = riordan_pair(params, UNIT_WEIGHTS, 5)
     assert riordan_matrix(f, g, 5) == coeff_matrix_uni(params, 5)
 
 
@@ -634,6 +633,13 @@ def test_tridiagonal_criterion_matches_symbolic_scan(index):
         assert tp_check_tridiagonal(m, order) == tp_check_symbolic(m, order).ok, order
 
 
+def test_tridiagonal_criterion_refuses_an_order_below_one():
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            tp_check_tridiagonal(Truncation([[-1]]), order)
+    assert tp_check_tridiagonal(Truncation([]), 1)  # an empty matrix is TP of every order
+
+
 def test_tridiagonal_criterion_rejects_negative_off_diagonal_and_non_tridiagonal():
     assert not tp_check_tridiagonal(Truncation([[1, 1 - x], [1, 1]]), 2)
     with pytest.raises(ValueError):
@@ -995,6 +1001,22 @@ def test_general_quad_expression_reads_n_plus_one_rows(n):
     want = l1 * upb(d, lambda i: c(i + 1)) * l2 + l1 * dg(g) + dg(h) * l2
     assert m["P"].up == 1
     assert m["P"].block(n) == want.top_left(n)
+
+
+def test_block_evaluates_a_shared_leaf_once_per_width():
+    # L1 and L2 each appear in two terms of P = L1 U L2 + L1 D1 + D2 L2,
+    # yet each leaf is built once on the 7 rows of block(6)
+    reads = collections.Counter()
+
+    def counted(prefix):
+        def at(i):
+            reads[prefix] += 1
+            return Poly.var(f"{prefix}{i}")
+        return at
+
+    got = general_quad_factors(_quad_general(counted))["P"].block(6)
+    assert (reads["a"], reads["e"], reads["b"], reads["f"]) == (7, 7, 6, 6)
+    assert got == general_quad_factors(_quad_general(_sym))["P"].block(6)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])

@@ -227,7 +227,9 @@ def test_path_oracle_refuses_negative_type():
     lambda: SRTriangles(CO1, max_j=3).triangle(-1, 3),
     lambda: SRTriangles(CO1).triangle(-2, 0),
     lambda: sr_path_oracle_row(CO2, -1, 2),
-], ids=["sr_poly", "value", "value-outside-row", "triangle", "empty-triangle", "oracle-row"])
+    lambda: sfrac_tail_series(CO1, -1, 3),
+], ids=["sr_poly", "value", "value-outside-row", "triangle", "empty-triangle", "oracle-row",
+        "tail-series"])
 def test_recurrence_refuses_negative_type(call):
     # a negative j once read another type through Python's negative indexing
     with pytest.raises(ValueError, match="type j"):

@@ -15,6 +15,7 @@ be raised with the LAGTP_LIMIT environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -208,7 +209,10 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and building it costs about a millisecond per ``main`` call."""
     top = argparse.ArgumentParser(
         prog="lagtp",
         description="Exact Laguerre/rook/Lah production matrices and total positivity checks.")

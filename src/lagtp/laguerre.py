@@ -234,7 +234,7 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
     as its symbolic cap: 7, or LAGTP_LIMIT); a mismatch raises
     RouteMismatchError since it signals a series or oracle bug.
     """
-    t = riordan_matrix(*riordan_pair(params, w, n - 1, flat), n)
+    t = riordan_matrix(*riordan_pair(params, w, max(n - 1, 0), flat), n)
     if oracle_rows is None:
         oracle_rows = digraphs._limit(digraphs.SYMBOLIC_ORACLE_LIMIT)
     if oracle_rows:

@@ -10,6 +10,13 @@ All matrices here are finite truncations with exact ``Poly`` entries; the
 iteration and conjugation routines are arranged so that every returned
 entry is independent of anything outside the working block (truncation is
 exact, never approximate).
+
+The symbolic TP scan runs on one of two representations, chosen from the
+matrix.  When every coefficient is an integer and the exponent box read off
+the rows is small (at most ``_PACK_BITS`` bits when packed), each entry is
+packed into one integer, a coefficient per fixed-width slot, and a minor's
+signs are read with one addition and one AND; every other matrix is
+scanned as dicts of local monomial keys.  Both give the same reports.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import Poly, PolyLike, _local_keys, _p, _values, power_table
+from .polyring import (FIELD_BITS, Poly, PolyLike, _FIELD_MASK, _local_keys, _p, _poly, _values,
+                       power_table)
 
 
 class NonUnitDiagonalError(ValueError):
@@ -510,15 +518,104 @@ def _sample_neg(values: list) -> list:
     return list(map(operator.neg, values))
 
 
-def _first_negative_minor(grid, rows: int, cols: int, order: int) -> tuple:
-    """(minors checked, (rows, cols, minor) of the first minor with a
-    negative coefficient, or None) for a Poly grid."""
+def _first_negative_minor(grid, rows: int, cols: int, order: int, dot=Poly.dot,
+                          neg=operator.neg, nonneg=Poly.is_coeffwise_nonneg) -> tuple:
+    """(minors checked, (rows, cols, minor) of the first minor that fails
+    ``nonneg``, or None); the defaults scan a Poly grid."""
     checked = 0
-    for r, c, minor in _minor_scan(grid, rows, cols, order):
+    for r, c, minor in _minor_scan(grid, rows, cols, order, dot, neg):
         checked += 1
-        if not minor.is_coeffwise_nonneg():
+        if not nonneg(minor):
             return checked, (r, c, minor)
     return checked, None
+
+
+# The largest packed minor, in bits.  Past it a big-integer product costs
+# more than the dict products it replaces: on the symbolic tp_scan matrices
+# of perfbench the packed scan ran 1.5-5x faster below 2^15 bits, about as
+# fast from 2^15 to 2^17 bits, and 6x slower or worse from 2^18 bits on.
+_PACK_BITS = 1 << 16
+
+
+def _packing(grid, top: int) -> Optional[tuple]:
+    """(width, dims): the packing of every minor of size <= top of a grid
+    of local-key Polys as one integer, or None when it does not pay.
+
+    Slot i of ``width`` bits holds the coefficient of the monomial with
+    mixed-radix index i over ``dims``.  dims[v] - 1, the sum of the top
+    largest row maxima of the exponent of local field v, bounds that
+    exponent in every such minor.  Every coefficient of such a minor is at
+    most N in magnitude, N the product of the top largest row L1 norms,
+    each taken as at least 1 (the Leibniz expansion), so width =
+    N.bit_length() + 1 keeps |c| < 2^(width - 1).  None unless every
+    coefficient is an int and the packed minor, box = prod(dims) slots of
+    ``width`` bits, has at most ``_PACK_BITS`` bits; since width >= 2, that
+    cap also keeps every dims[v] - 1 at most MAX_EXPONENT.
+    """
+    keys, norms = [], []  # per row: the keys of its terms, its L1 norm
+    for row in grid:
+        coeffs = [c for e in row for c in e.terms.values()]
+        if any(type(c) is not int for c in coeffs):
+            return None
+        keys.append([k for e in row for k in e.terms])
+        norms.append(max(1, sum(map(abs, coeffs))))
+    used = 0
+    for row in keys:
+        for k in row:
+            used |= k
+    dims = []
+    box = 1
+    for off in range(0, used.bit_length(), FIELD_BITS):
+        maxima = sorted((max((k >> off & _FIELD_MASK for k in row), default=0) for row in keys),
+                        reverse=True)
+        dims.append(1 + sum(maxima[:top]))
+        box *= dims[-1]
+        if 2 * box > _PACK_BITS:
+            return None
+    width = math.prod(sorted(norms, reverse=True)[:top]).bit_length() + 1
+    return (width, tuple(dims)) if box * width <= _PACK_BITS else None
+
+
+def _pack(p: Poly, width: int, dims: tuple) -> int:
+    """The local-key Poly p as the integer sum of c << width * slot."""
+    out = 0
+    for k, c in p.terms.items():
+        slot, stride = 0, 1
+        for v, d in enumerate(dims):
+            slot += (k >> (v * FIELD_BITS) & _FIELD_MASK) * stride
+            stride *= d
+        out += c << (width * slot)
+    return out
+
+
+def _unpack(value: int, width: int, dims: tuple, off: int) -> Poly:
+    """The local-key Poly of a packed minor, ``off`` holding 2^(width-1)
+    in every slot; only the occupied slots are read."""
+    digits = value + off  # slot i now holds c_i + 2^(width-1), in (0, 2^width)
+    live = digits ^ off  # nonzero exactly in the slots with c_i != 0
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    terms = {}
+    slot = 0
+    while live:
+        skip = ((live & -live).bit_length() - 1) // width
+        slot += skip
+        digits >>= width * skip
+        live >>= width * (skip + 1)
+        key, rest = 0, slot
+        for v, d in enumerate(dims):
+            rest, e = divmod(rest, d)
+            key |= e << (v * FIELD_BITS)
+        terms[key] = (digits & mask) - half
+        digits >>= width
+        slot += 1
+    return _poly(terms)
+
+
+def _int_dot(pairs) -> int:
+    """The sum of a * b over (a, b) pairs of packed integers; a pair with
+    a zero is skipped, as ``Poly.dot`` skips a zero Poly."""
+    return sum(a * b for a, b in pairs if a and b)
 
 
 def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
@@ -531,19 +628,40 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     (``polyring._local_keys``), so every product in the scan works on keys
     of at most FIELD_BITS bits per variable of the matrix, however many
     names the process has registered; only the witness minor is mapped
-    back.  An exponent overflow on local keys would name a local field, so
-    the scan is then run again on the process keys, where it overflows at
-    the same product and the error names the real variable.
+    back.
+
+    When ``_packing`` finds a small enough box, each entry becomes one
+    integer (a Kronecker substitution: slot i of ``width`` bits holds a
+    coefficient) and the scan multiplies integers.  No carry crosses a
+    slot, so with OFF holding 2^(width-1) in every slot a minor has no
+    negative coefficient iff (minor + OFF) & OFF == OFF: one addition and
+    one AND, and only the witness is unpacked.  Other matrices (a
+    ``Fraction`` coefficient, many variables, high degrees) are scanned
+    as dicts of local keys.  An exponent overflow on local keys would name
+    a local field, so that scan is then run again on the process keys,
+    where it overflows at the same product and the error names the real
+    variable.
     """
     if order < 1:  # an empty scan would certify any matrix
         raise ValueError("order must be at least 1")
     local, to_global = _local_keys(e for row in m.data for e in row)
     grid = [local[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
-    try:
-        checked, bad = _first_negative_minor(grid, m.rows, m.cols, order)
-    except OverflowError:
-        _first_negative_minor(m.data, m.rows, m.cols, order)
-        raise
+    plan = _packing(grid, min(order, m.rows, m.cols))
+    if plan is None:
+        try:
+            checked, bad = _first_negative_minor(grid, m.rows, m.cols, order)
+        except OverflowError:
+            _first_negative_minor(m.data, m.rows, m.cols, order)
+            raise
+    else:
+        width, dims = plan
+        off = ((1 << width * math.prod(dims)) - 1) // ((1 << width) - 1) << (width - 1)
+        packed = [[_pack(e, width, dims) for e in row] for row in grid]
+        checked, bad = _first_negative_minor(packed, m.rows, m.cols, order, _int_dot,
+                                             operator.neg, lambda v: (v + off) & off == off)
+        if bad is not None:
+            rows, cols, value = bad
+            bad = rows, cols, _unpack(value, width, dims, off)
     size_meta = {"rows": m.rows, "cols": m.cols}
     if bad is None:
         return TPReport(True, order, "symbolic", checked, meta=size_meta)

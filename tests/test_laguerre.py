@@ -166,6 +166,14 @@ def test_second_mv_small_entries():
     assert flat[1, 1] == Poly.one()
 
 
+@pytest.mark.parametrize("w", [VertexWeights.symbolic(), VertexWeights.symbolic(with_z=True)],
+                         ids=["y", "z"])
+@pytest.mark.parametrize("flat", [False, True])
+def test_second_mv_matrix_of_size_zero_is_empty(w, flat):
+    # as the univariate matrix: the pair is asked for to order 0, not -1
+    assert coeff_matrix_second_mv(SYM, w, 0, flat=flat) == Truncation([]) == coeff_matrix_uni(SYM, 0)
+
+
 def test_flat_conjugation():
     w = VertexWeights.symbolic()
     conj = conjugate_by_binomial(prodmat(SYM, "PcircFlat", weights=w), x, 6)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from lagtp import polyring
+from lagtp import matrices, polyring
 from lagtp.laguerre import (LaguerreParams, VertexWeights, coeff_matrix_uni, monic_laguerre,
                             prodmat)
 from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, NonUnitDiagonalError,
@@ -789,10 +789,13 @@ PADDING_NAMES = 200
 
 def _wide(m, tag):
     """m with each variable renamed to a fresh name, registered after the
-    padding names, so that its keys are wide in the process key space."""
+    padding names, so that its keys are wide in the process key space.
+    The fresh names are registered in the order of the old ones, so both
+    matrices have the same local keys."""
     for i in range(PADDING_NAMES):
         Poly.var(f"pad{i}")
-    return _substitute(m, {v: Poly.var(f"{tag}_{v}") for v in m.variables()})
+    names = sorted(m.variables(), key=polyring._offsets.__getitem__)
+    return _substitute(m, {v: Poly.var(f"{tag}_{v}") for v in names})
 
 
 def _reference_report(m, order):
@@ -804,8 +807,9 @@ def _reference_report(m, order):
 
 @functools.lru_cache(maxsize=None)
 def _wide_scan_cases():
-    """{name: (matrix on fresh wide names, order)}; built on first use, so
-    that the padding names are registered only when these tests run."""
+    """{name: (matrix on fresh wide names, order, the matrix it renames)};
+    built on first use, so that the padding names are registered only
+    when these tests run."""
     rng = random.Random(808)
     cases = []
     for n in (4, 5):
@@ -821,7 +825,7 @@ def _wide_scan_cases():
     sr = hankel_truncation([tri.value(1, i, 0) for i in range(5)], 3)
     cases.append(("sr-hankel", sr, 3))
     cases.append(("sr-hankel-swapped", _swap_adjacent_rows(sr, 0), 3))
-    return {name: (_wide(m, f"wide{i}"), order) for i, (name, m, order) in enumerate(cases)}
+    return {name: (_wide(m, f"wide{i}"), order, m) for i, (name, m, order) in enumerate(cases)}
 
 
 WIDE_SCAN_NAMES = [f"{kind}{suffix}" for kind in ("bidiagonal4", "bidiagonal5", "laguerre-hankel",
@@ -830,7 +834,7 @@ WIDE_SCAN_NAMES = [f"{kind}{suffix}" for kind in ("bidiagonal4", "bidiagonal5", 
 
 @pytest.mark.parametrize("name", WIDE_SCAN_NAMES)
 def test_symbolic_scan_on_wide_keys_matches_leibniz_reference(name):
-    m, order = _wide_scan_cases()[name]
+    m, order, _ = _wide_scan_cases()[name]
     report = tp_check_symbolic(m, order)
     want = _reference_report(m, order)
     assert report.to_json() == want.to_json()
@@ -843,7 +847,8 @@ def test_symbolic_scan_on_wide_keys_matches_leibniz_reference(name):
 
 @pytest.mark.parametrize("name", WIDE_SCAN_NAMES)
 def test_symbolic_scan_multiplies_keys_no_wider_than_the_matrix_variables(name, monkeypatch):
-    m, order = _wide_scan_cases()[name]
+    # on the dict path; the packed path makes no key product at all
+    m, order, _ = _wide_scan_cases()[name]
     widest = [0]
     mul_into = polyring._mul_into
 
@@ -852,19 +857,48 @@ def test_symbolic_scan_multiplies_keys_no_wider_than_the_matrix_variables(name, 
         return mul_into(out, den, ta, tb)
 
     monkeypatch.setattr(polyring, "_mul_into", recording)
+    monkeypatch.setattr(matrices, "_packing", lambda grid, top: None)
     tp_check_symbolic(m, order)
     assert 0 < widest[0] <= polyring.FIELD_BITS * len(m.variables())
 
 
-def test_symbolic_scan_overflow_names_the_real_variable(tmp_path, capsys):
+def _record_plans(mp):
+    """The list of the packing plans the symbolic scan draws up from now
+    on (None: the dict path)."""
+    plans = []
+    packing = matrices._packing
+    mp.setattr(matrices, "_packing", lambda grid, top: plans.append(packing(grid, top))
+               or plans[-1])
+    return plans
+
+
+def _plan(m, order):
+    with pytest.MonkeyPatch.context() as mp:
+        plans = _record_plans(mp)
+        tp_check_symbolic(m, order)
+    [plan] = plans
+    return plan
+
+
+@pytest.mark.parametrize("name", WIDE_SCAN_NAMES)
+def test_packing_plan_does_not_depend_on_the_name_registry(name):
+    wide, order, m = _wide_scan_cases()[name]
+    plan = _plan(m, order)
+    assert _plan(wide, order) == plan
+    assert (plan is None) == name.startswith("sr-hankel")
+
+
+def test_symbolic_scan_overflow_names_the_real_variable(tmp_path, capsys, monkeypatch):
     from lagtp import cli
     for i in range(40):
         Poly.var(f"pad{i}")
     zeta = Poly.var("zeta")
     assert polyring._offsets["zeta"] >= 40 * polyring.FIELD_BITS
     m = Truncation([[zeta ** 20000, 1], [1, zeta ** 20000]])
+    plans = _record_plans(monkeypatch)
     with pytest.raises(OverflowError, match="^exponent of zeta exceeds 32767$"):
         tp_check_symbolic(m, 2)
+    assert plans == [None]  # the dict path: an exponent bound of 40000 does not fit the box
     path = tmp_path / "m.json"
     path.write_text(m.to_json())
     assert cli.main(["tp-check", str(path), "--order", "2"]) == 2
@@ -900,6 +934,94 @@ def test_local_keys_of_constants_and_zeros(polys):
     local, to_global = polyring._local_keys(polys)
     assert local == polys
     assert [to_global(p) for p in local] == polys
+
+
+# -- the symbolic scan on packed integers ----------------------------------------
+
+# large enough to pack every scan case but the m = 2 type-3 Hankel (2^29 bits)
+FORCED_PACK_BITS = 1 << 24
+
+
+def _dict_path_json(m, order):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "_packing", lambda grid, top: None)
+        return tp_check_symbolic(m, order).to_json()
+
+
+def _packed_path_json(m, order):
+    """The report JSON with the size cap raised, and whether the scan packed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "_PACK_BITS", FORCED_PACK_BITS)
+        plans = _record_plans(mp)
+        return tp_check_symbolic(m, order).to_json(), plans != [None]
+
+
+@pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_symbolic_scan_reports_the_same_on_both_paths(name, m, order):
+    packed, packs = _packed_path_json(m, order)
+    assert packed == _dict_path_json(m, order) == tp_check_symbolic(m, order).to_json()
+    assert packs == (name != "type-3-hankel-m2")
+
+
+@pytest.mark.parametrize("name", WIDE_SCAN_NAMES)
+def test_symbolic_scan_on_wide_keys_reports_the_same_on_both_paths(name):
+    m, order, _ = _wide_scan_cases()[name]
+    packed, packs = _packed_path_json(m, order)
+    assert packed == _dict_path_json(m, order)
+    assert packs
+
+
+@functools.lru_cache(maxsize=None)
+def _path_cases():
+    """{name: (matrix, order, whether the size rule packs it)}"""
+    lam = Poly.var("lam")
+    laguerre = hankel_truncation(
+        [monic_laguerre(i, LaguerreParams(lam - 1), x) for i in range(7)], 4)
+    tri = SRTriangles(SRCoeffs.symbolic(2), max_j=2)
+    return {
+        "bidiagonal5": ({c[0]: c[1] for c in SCAN_CASES}["bidiagonal5"], 3, True),
+        "laguerre-hankel4": (laguerre, 4, True),
+        "sr-hankel-m2": (hankel_truncation([tri.value(1, i, 0) for i in range(5)], 3), 3, False),
+        "fraction-entry": (Truncation([[x, Fraction(1, 2)], [1, x]]), 2, False),
+    }
+
+
+@pytest.mark.parametrize("name", ["bidiagonal5", "laguerre-hankel4", "sr-hankel-m2",
+                                  "fraction-entry"])
+def test_symbolic_scan_packs_small_integer_matrices_only(name, monkeypatch):
+    m, order, packs = _path_cases()[name]
+    assert (_plan(m, order) is not None) == packs
+    calls = []
+    mul_into = polyring._mul_into
+    monkeypatch.setattr(polyring, "_mul_into", lambda *args: calls.append(1) or mul_into(*args))
+    tp_check_symbolic(m, order)
+    assert (not calls) == packs
+
+
+@pytest.mark.parametrize("tp", [True, False])
+def test_packed_coefficient_bound_holds_at_its_edge(tp):
+    # the 2x2 minor is +-15*x*y: magnitude N = 3 * 5 = 2^4 - 1, the product
+    # of the row norms and the largest value a slot of width 5 holds
+    y = Poly.var("y")
+    m = Truncation([[3 * x, 0], [0, 5 * y]] if tp else [[0, 3 * x], [5 * y, 0]])
+    width, dims = _plan(m, 2)
+    assert (width, dims) == (5, (2, 2))
+    report = tp_check_symbolic(m, 2)
+    assert report.ok == tp
+    if not tp:
+        assert report.witness.minor == -15 * x * y
+    assert report.to_json() == _dict_path_json(m, 2)
+
+
+def test_packed_witness_decodes_its_first_and_last_slots():
+    # the 2x2 minor is -1 - 3*x*y - x^2*y^2: slot 0 and the last slot of
+    # the 3 x 3 box both hold a negative coefficient
+    y = Poly.var("y")
+    m = Truncation([[1, 2 + x * y], [1 + x * y, 1]])
+    assert _plan(m, 2)[1] == (3, 3)
+    report = tp_check_symbolic(m, 2)
+    assert report.witness.minor == -1 - 3 * x * y - x ** 2 * y ** 2
+    assert report.to_json() == _dict_path_json(m, 2)
 
 
 # -- conjugation reads only the rows that reach the result -----------------------

@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
         "checks": [
             {"suite": s, "name": n, "ok": passed}
             | ({"error": error} if error else {})
-            | ({"seconds": round(secs, 3)} if args.timings else {})
+            | ({"seconds": round(secs, 6)} if args.timings else {})
             for s, n, passed, secs, error in results
         ],
     }

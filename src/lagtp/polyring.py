@@ -30,9 +30,12 @@ Sums of products are accumulated, not folded (Monagan and Pearce again):
 normalises it once at the end, so no product is built only to be merged and
 no partial sum is copied; ``*`` and ``scale`` are the one-pair case of the
 same multiply-add, or one pass over the terms when a side is a monomial.
-The weighting step of the oracles and of ``substitute`` (``_power_sum``)
-raises monomials by key arithmetic: a term whose weights are monomials is
-one key sum and one coefficient product, not a ``Poly`` product.  The
+``_mul_add(a, c, b)``, a + c*b for a monomial c (the row step of the
+m-Stieltjes-Rogers recurrence), adds the shifted terms of b into one copy
+of a's terms.  The weighting step of the oracles and of ``substitute``
+(``_power_sum``) raises monomials by key arithmetic: a term whose weights are
+monomials is one key sum and one coefficient product, not a ``Poly``
+product.  The
 accumulator holds integers over one common denominator: an operand with
 ``Fraction`` coefficients is scaled by the lcm of its denominators, so every
 term pair multiplies integers and each result term is divided once, at the
@@ -210,6 +213,28 @@ def _product(ta: dict, tb: dict) -> "Poly":
     used = 0
     for k in out:
         used |= k
+    if used & _guard:
+        raise _overflow(used)
+    return _poly(out)
+
+
+def _mul_add(a: "Poly", c: "Poly", b: "Poly") -> "Poly":
+    """a + c * b.  When c is a monomial with an integer coefficient, the
+    shifted terms of b go straight into one copy of a's terms, so no
+    product is built only to be merged; otherwise ``a + c * b``."""
+    if len(c.terms) != 1:
+        return a + c * b
+    [(kc, cc)] = c.terms.items()
+    if type(cc) is not int:
+        return a + c * b
+    out = dict(a.terms)
+    used = 0
+    for kb, cb in b.terms.items():
+        k = kb + kc
+        used |= k
+        s = out.pop(k, 0) + cb * cc
+        if s:
+            out[k] = s if type(s) is int else _norm_coeff(s)
     if used & _guard:
         raise _overflow(used)
     return _poly(out)

@@ -14,8 +14,13 @@ weight-free count table followed by one weighting step: the walk counts
 the paths by their fall heights (an exponent vector with one entry per
 height), and ``polyring._power_sum`` (the weighting step of every oracle
 and of ``Poly.substitute``) weighs that table with alpha_h for height h
-(for monomial alphas, by key sums and no ``Poly`` product).
-``SRTriangles`` reads each alpha_i once and keeps it.
+(for monomial alphas, by key sums and no ``Poly`` product).  So the walk
+is made once per process for each (m, j, n, k range) and kept as an
+immutable table (``_path_table``); the step cap is checked on every
+call, before the table is looked up.
+``SRTriangles`` computes its entries on demand: a request computes only
+the entries its result depends on, each at most once, row by row with no
+recursion, and each alpha_i is read once and kept.
 The production matrix of the type-j triangle is the bidiagonal product
 L_{j+1} ... L_m U_0 L_1 ... L_j, ``matrices.sfraction_word``.
 
@@ -31,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 from typing import Callable, Optional, Union
 
@@ -39,7 +44,7 @@ from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
 from .laguerre import LaguerreParams, prodmat
 from .matrices import (HessMatrix, Truncation, hankel_truncation, sfraction_word,
                        tp_check_symbolic)
-from .polyring import Poly, PolyLike, _p, _power_sum
+from .polyring import Poly, PolyLike, _mul_add, _p, _power_sum
 from .series import Series
 
 
@@ -83,32 +88,55 @@ class SRTriangles:
     Types 0..m come from the two recurrences above; types beyond m continue
     upward via the first recurrence (so the submatrix identity relating
     them to types mod m+1 stays an independent check).
+
+    Entries are computed on demand, each at most once, into a memo keyed
+    by (j, n, k).  A request computes only the entries its result depends
+    on.  That dependency cone of S(j; n, k) has a closed form: at row n the
+    types t <= j with k' in [k, k + j - t], at each row r < n the types
+    t <= m with k' in [k - (n - r), k + j + (n - r) m - t], every range
+    clipped to [0, r].
     """
 
     def __init__(self, coeffs: SRCoeffs, max_j: int = 0):
         self.coeffs = coeffs
         self.m = coeffs.m
         self.max_j = max(coeffs.m, max_j)
-        self._rows: list[list[list[Poly]]] = [[[Poly.one()]] for _ in range(self.max_j + 1)]
+        self._memo: dict = {(0, 0, 0): Poly.one()}  # (j, n, k) -> S(j; n, k)
         self._alphas: list[Poly] = []  # alpha_0, alpha_1, ..., each read once
 
-    def _extend_to(self, n: int) -> None:
-        m, al = self.m, self._alphas
-        rows = self._rows
-        while len(rows[0]) <= n:
-            cur = len(rows[0])  # building row index cur
-            while len(al) < (m + 1) * (cur + 1) + self.max_j:  # the alphas row cur reads
-                al.append(self.coeffs.alpha(len(al)))
-            # entry k reads two entries of an earlier row; at the row's ends
-            # only the one inside that row, so no product has a zero operand
-            top = rows[m][cur - 1]
-            rows[0].append([al[m] * top[0]]
-                           + [top[k - 1] + al[(m + 1) * k + m] * top[k] for k in range(1, cur)]
-                           + [top[cur - 1]])
-            for j in range(self.max_j):
-                base = rows[j][cur]
-                rows[j + 1].append([base[k] + al[(m + 1) * (k + 1) + j] * base[k + 1]
-                                    for k in range(cur)] + [base[cur]])
+    def _fill(self, blocks) -> None:
+        """Compute the entries (t, r, k), lo <= k <= hi, of each block
+        (t, r, lo, hi) that are not in the memo yet.  Blocks come row by
+        row and, within a row, by type, so every entry an entry reads is
+        already there."""
+        m, memo, al = self.m, self._memo, self._alphas
+        for t, r, lo, hi in blocks:
+            for k in range(lo, hi + 1):
+                if (t, r, k) in memo:
+                    continue
+                # an entry at an end of its row reads only the one of its two
+                # entries inside a triangle, so no product has a zero operand
+                if t == 0:
+                    if k == r:
+                        v = memo[m, r - 1, k - 1]
+                    elif k == 0:
+                        v = al[m] * memo[m, r - 1, 0]
+                    else:
+                        v = _mul_add(memo[m, r - 1, k - 1], al[(m + 1) * k + m],
+                                     memo[m, r - 1, k])
+                elif k == r:
+                    v = memo[t - 1, r, k]
+                else:
+                    v = _mul_add(memo[t - 1, r, k], al[(m + 1) * (k + 1) + t - 1],
+                                 memo[t - 1, r, k + 1])
+                memo[t, r, k] = v
+
+    def _read_alphas(self, n: int, j: int) -> None:
+        """Read the alphas that the entries of rows <= n read for types <= j
+        (and, below row n, for types <= max(j, m)): alpha_i, i < (m+1)n + j."""
+        al = self._alphas
+        while len(al) < (self.m + 1) * n + j:
+            al.append(self.coeffs.alpha(len(al)))
 
     def value(self, j: int, n: int, k: int) -> Poly:
         """S^(m;j)_{n,k}; ValueError for j < 0."""
@@ -119,13 +147,28 @@ class SRTriangles:
             # reduce via the submatrix identity
             ell, jp = divmod(j, self.m + 1)
             return self.value(jp, n + ell, k + ell)
-        self._extend_to(n)
-        return self._rows[j][n][k]
+        m = self.m
+        self._read_alphas(n, j)
+        self._fill((t, r, max(k - (n - r), 0), min(k + j + (n - r) * m - t, r))
+                   for r in range(n + 1) for t in range(m + 1 if r < n else j + 1))
+        return self._memo[j, n, k]
 
     def triangle(self, j: int, n: int) -> Truncation:
+        """The n x n block of S^(m;j); ValueError for j < 0 or n < 0."""
         _check_type(j)
-        self._extend_to(n - 1)
-        return Truncation.from_fn(n, n, lambda i, k: self.value(j, i, k))
+        if n < 0:
+            raise ValueError(f"requested a {n}x{n} triangle")
+        ell, jp = divmod(j, self.m + 1) if j > self.max_j else (0, j)
+        rows = n + ell
+        # every entry of rows < rows - 1 for the types up to max(jp, m),
+        # every entry of the last row for the types up to jp
+        top = max(jp, self.m)
+        self._read_alphas(rows - 1, jp)
+        self._fill((t, r, 0, r) for r in range(rows)
+                   for t in range(top + 1 if r < rows - 1 else jp + 1))
+        memo, zero = self._memo, Poly.zero()
+        return Truncation.from_fn(n, n, lambda i, k: memo[jp, i + ell, k + ell]
+                                  if k <= i else zero)
 
 
 def _check_type(j: int) -> None:
@@ -142,17 +185,16 @@ def sr_path_oracle(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
     """Direct enumeration of partial m-Dyck paths from (0,0) to
     ((m+1)n+j, (m+1)k+j); must equal sr_poly.  ValueError for j < 0."""
     _check_type(j)
-    counters = _path_falls(coeffs.m, j, n, k, k)
-    return _power_sum(counters[k].items(), _fall_weights(coeffs, j, n))
+    [falls] = _path_falls(coeffs.m, j, n, k, k)
+    return _power_sum(falls, _fall_weights(coeffs, j, n))
 
 
 def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:
     """All of S^(m;j)_{n,0..n} from a single enumeration pass over the
     partial m-Dyck paths of length (m+1)n+j.  ValueError for j < 0."""
     _check_type(j)
-    counters = _path_falls(coeffs.m, j, n, 0, n)
     weights = _fall_weights(coeffs, j, n)
-    return [_power_sum(counters[k].items(), weights) for k in range(n + 1)]
+    return [_power_sum(falls, weights) for falls in _path_falls(coeffs.m, j, n, 0, n)]
 
 
 def _fall_weights(coeffs: SRCoeffs, j: int, n: int) -> list:
@@ -160,18 +202,27 @@ def _fall_weights(coeffs: SRCoeffs, j: int, n: int) -> list:
     return [coeffs.alpha(h) for h in range((coeffs.m + 1) * n + j + 1)]
 
 
-def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> dict:
-    """For each k in k_lo..k_hi, a Counter of the fall-height exponent
-    vectors (entry h: the number of falls from height h) of the partial
-    m-Dyck paths from (0,0) to ((m+1)n+j, (m+1)k+j).
+def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> tuple:
+    """``_path_table(m, j, n, k_lo, k_hi)``, refused (``LimitExceeded``)
+    on every call whose paths are longer than the cap."""
+    steps = (m + 1) * n + j
+    cap = _limit(PATH_ORACLE_STEP_LIMIT)
+    if steps > cap:
+        raise LimitExceeded(f"path oracle capped at {cap} steps (got {steps})")
+    return _path_table(m, j, n, k_lo, k_hi)
+
+
+@lru_cache(maxsize=None)
+def _path_table(m: int, j: int, n: int, k_lo: int, k_hi: int) -> tuple:
+    """For each k in k_lo..k_hi, in order, the ((fall vector, count), ...)
+    items of the partial m-Dyck paths from (0,0) to ((m+1)n+j, (m+1)k+j):
+    entry h of a fall vector is the number of falls from height h.  Walked
+    once per process for each argument tuple; callers check the cap first.
 
     The walk prunes every prefix that can no longer end between the lowest
     and the highest target height.
     """
     steps = (m + 1) * n + j
-    cap = _limit(PATH_ORACLE_STEP_LIMIT)
-    if steps > cap:
-        raise LimitExceeded(f"path oracle capped at {cap} steps (got {steps})")
     lo, hi = (m + 1) * k_lo + j, (m + 1) * k_hi + j
     counters = {k: Counter() for k in range(k_lo, k_hi + 1)}
     falls = [0] * (steps + 1)
@@ -195,7 +246,7 @@ def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> dict:
             falls[height] -= 1
 
     walk(0, 0)
-    return counters
+    return tuple(tuple(counter.items()) for counter in counters.values())
 
 
 # -- production matrices ------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -302,6 +303,16 @@ def test_verify_timings_flag(capsys):
     code, out, _ = run(capsys, ["verify", "banded", "--timings"])
     assert code == 0
     assert all("seconds" in c for c in json.loads(out)["checks"])
+
+
+def test_verify_timings_resolve_microseconds(capsys, monkeypatch):
+    # only the clock run_suite reads is faked: every check takes 0.0001234 s
+    ticks = iter([0.0, 0.0001234] * len(checks.CHECKS))
+    monkeypatch.setattr(checks, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    code, out, _ = run(capsys, ["verify", "banded", "--timings"])
+    assert code == 0
+    assert [c["seconds"] for c in json.loads(out)["checks"]] == [0.000123] * len(
+        [s for s, _, _ in checks.CHECKS if s == "banded"])
 
 
 def _boom(ctx):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagtp import polyring
-from lagtp.polyring import (MAX_EXPONENT, ExactDivisionError, Poly, _p, _power_sum, _values,
-                           rising)
+from lagtp.polyring import (MAX_EXPONENT, ExactDivisionError, Poly, _mul_add, _p, _power_sum,
+                            _values, rising)
 
 x = Poly.var("x")
 a = Poly.var("a")
@@ -474,3 +474,33 @@ def test_power_sum_monomial_power_overflow():
         _power_sum([((2,), 1)], [x ** 20000])
     with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
         _power_sum([((1, 1), x ** 20000)], [a, x ** 20000])
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), st.one_of(monomials(), polys(max_terms=3), st.just(Poly.zero())), polys(),
+       st.booleans())
+def test_mul_add_equals_the_reference_sum(p, c, q, cancel):
+    # a + c * b, on the monomial one-pass path or the fallback
+    start = -(c * q) if cancel else p
+    got = _mul_add(start, c, q)
+    assert _monomial_terms(got) == _reference_dot([(start, Poly.one()), (c, q)])
+    assert got == start + c * q and _canonical_coefficients(got)
+    assert not cancel or got.is_zero()
+    # the operands are not changed
+    assert start == (-(c * q) if cancel else p)
+
+
+def test_mul_add_overflow():
+    for c, q in ((x ** 20000, x ** 16000 + a), (x ** 16000 + 1, x ** 17000)):
+        with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
+            _mul_add(a, c, q)
+    # at the limit, and a product that cancels a term of a
+    assert _mul_add(x ** MAX_EXPONENT, -x, x ** (MAX_EXPONENT - 1)).is_zero()
+
+
+def test_mul_add_normalizes_integral_fractions():
+    h, t = Fraction(1, 2), Fraction(1, 3)
+    for got, want in ((_mul_add(x, 2 * a, x.scale(h) + 1), x + a * x + 2 * a),
+                      (_mul_add(x.scale(t), Poly.one(), x.scale(2 * t)), x),
+                      (_mul_add(a.scale(h), x, a.scale(h)), (a + a * x).scale(h))):
+        assert got == want and _canonical_coefficients(got)

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from lagtp import polyring, srpaths
 from lagtp.digraphs import LimitExceeded
-from lagtp.matrices import output_matrix
+from lagtp.matrices import Truncation, output_matrix
 from lagtp.polyring import Poly, rising
 from lagtp.series import Series
 from lagtp.srpaths import (ADMISSIBLE_CELLS, KAPPA_CELLS, InadmissibleCellError,
@@ -247,18 +249,27 @@ def test_sr_poly_reduces_types_beyond_m():
 
 def test_the_recurrence_multiplies_no_zero_operand(monkeypatch):
     # the last entry of a row reads one entry of an earlier row, not a
-    # product with the zero past its end
+    # product with the zero past its end; most of the row work is done by
+    # _mul_add, so its operands are recorded too
     sizes = []
-    product = polyring._product
+    product, mul_add = polyring._product, srpaths._mul_add
 
     def recorded(ta, tb):
         sizes.append((len(ta), len(tb)))
         return product(ta, tb)
 
+    def recorded_mul_add(a, c, b):
+        sizes.append((len(a.terms), len(c.terms), len(b.terms)))
+        return mul_add(a, c, b)
+
     monkeypatch.setattr(polyring, "_product", recorded)
+    monkeypatch.setattr(srpaths, "_mul_add", recorded_mul_add)
     for m in (1, 2, 3):
-        SRTriangles(SRCoeffs.symbolic(m), max_j=m + 1).value(0, 8, 0)
-    assert sizes and all(a and b for a, b in sizes)
+        tri = SRTriangles(SRCoeffs.symbolic(m), max_j=m + 1)
+        tri.value(0, 8, 0)
+        tri.triangle(m + 1, 6)
+    assert any(len(s) == 2 for s in sizes) and any(len(s) == 3 for s in sizes)
+    assert all(all(s) for s in sizes)
 
 
 def test_each_alpha_is_read_once_per_triangle():
@@ -283,3 +294,154 @@ def test_each_alpha_is_read_once_per_triangle():
 def test_prodmat_smj_refuses_a_negative_size():
     with pytest.raises(ValueError, match="requested"):
         prodmat_smj(SRCoeffs.symbolic(2), 0, -1)
+
+
+def test_triangle_refuses_a_negative_size():
+    for j in (0, 5):
+        with pytest.raises(ValueError, match="requested"):
+            SRTriangles(CO2).triangle(j, -1)
+    assert SRTriangles(CO2).triangle(5, 0).rows == 0
+
+
+# -- on-demand entries --------------------------------------------------------
+
+
+def _eager(coeffs, top, n_max):
+    """{(j, n): [S(j; n, 0), ..., S(j; n, n)]} for j <= top and n <= n_max,
+    every row built in full from the two recurrences of the module
+    docstring, with zeros outside the triangle."""
+    m, al, zero = coeffs.m, coeffs.alpha, Poly.zero()
+    rows = {(j, 0): [Poly.one()] for j in range(top + 1)}
+    for n in range(1, n_max + 1):
+        below = [zero] + rows[m, n - 1] + [zero]  # below[k + 1] = S(m; n-1, k)
+        rows[0, n] = [below[k] + al((m + 1) * k + m) * below[k + 1] for k in range(n + 1)]
+        for j in range(top):
+            base = rows[j, n] + [zero]
+            rows[j + 1, n] = [base[k] + al((m + 1) * (k + 1) + j) * base[k + 1]
+                              for k in range(n + 1)]
+    return rows
+
+
+def _reads(m, t, r, k):
+    """The entries that S(t; r, k) reads in the recurrence, inside their triangles."""
+    if t == 0:
+        cand = [(m, r - 1, k - 1), (m, r - 1, k)] if r else []
+    else:
+        cand = [(t - 1, r, k), (t - 1, r, k + 1)]
+    return [(tt, rr, kk) for tt, rr, kk in cand if 0 <= kk <= rr]
+
+
+def _cone(m, j, n, k):
+    """Every entry S(j; n, k) depends on, itself included, by the recurrence."""
+    seen, todo = set(), [(j, n, k)]
+    while todo:
+        entry = todo.pop()
+        if entry not in seen:
+            seen.add(entry)
+            todo.extend(_reads(m, *entry))
+    return seen
+
+
+def _is_row_step(m, t, r, k):
+    """Whether the entry is a multiply-add of two entries (not at a row end)."""
+    return len(_reads(m, t, r, k)) == 2
+
+
+_COEFFS = {
+    "symbolic": SRCoeffs.symbolic,
+    # zeros, ones and twos among symbolic alphas
+    "mixed": lambda m: SRCoeffs.from_fn(m, lambda i: (0, 2, al(i), 1, al(i))[i % 5]),
+    "rational": lambda m: SRCoeffs.from_fn(
+        m, lambda i: Fraction(1, i) if i % 3 == 0 else al(i)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFS))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_on_demand_entries_equal_the_eager_rows(kind, m, monkeypatch):
+    coeffs = _COEFFS[kind](m)
+    top = m + 2
+    want = _eager(coeffs, top, 8)
+    queries = [(j, n, k) for j in range(top + 1) for n in range(8) for k in range(n + 1)]
+    random.Random(m).shuffle(queries)
+    steps = []
+    mul_add = srpaths._mul_add
+    monkeypatch.setattr(srpaths, "_mul_add", lambda *ops: steps.append(ops) or mul_add(*ops))
+    # the types past m directly, and by the submatrix identity
+    for tri in (SRTriangles(coeffs, max_j=top), SRTriangles(coeffs)):
+        steps.clear()
+        for j, n, k in queries:
+            assert tri.value(j, n, k) == want[j, n][k], (j, n, k)
+        # every entry was computed once
+        assert len(steps) == sum(_is_row_step(m, *e) for e in tri._memo)
+        for j in range(top + 1):
+            block = Truncation.from_fn(8, 8, lambda i, k: want[j, i][k] if k <= i else 0)
+            assert tri.triangle(j, 8) == block, j
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_request_computes_exactly_its_cone(m, monkeypatch):
+    steps = []
+    mul_add = srpaths._mul_add
+    monkeypatch.setattr(srpaths, "_mul_add", lambda *ops: steps.append(ops) or mul_add(*ops))
+    coeffs = SRCoeffs.from_fn(m, lambda i: 1)
+    for j in range(m + 3):
+        for n in range(7):
+            for k in range(n + 1):
+                tri = SRTriangles(coeffs, max_j=m + 2)
+                steps.clear()
+                tri.value(j, n, k)
+                cone = _cone(m, j, n, k)
+                assert set(tri._memo) == cone, (j, n, k)
+                assert len(steps) == sum(_is_row_step(m, *e) for e in cone)
+                # asked again, nothing is computed
+                tri.value(j, n, k)
+                assert len(steps) == sum(_is_row_step(m, *e) for e in cone)
+
+
+def test_a_deep_request_is_not_recursive():
+    # Fuss-Catalan: (1/(3n+1)) binom(4n, n) 3-Dyck paths of length 4n
+    tri = SRTriangles(SRCoeffs.from_fn(3, lambda i: 1))
+    assert tri.value(0, 300, 0) == comb(1200, 300) // 901
+
+
+# -- path tables ----------------------------------------------------------------
+
+
+def test_the_path_oracle_walks_each_argument_tuple_once():
+    counts = SRCoeffs.from_fn(1, lambda i: i)
+    srpaths._path_table.cache_clear()
+    calls = [(CO1, 0, 3, 1), (CO2, 1, 2, 0), (CO1, 0, 3, 1), (counts, 0, 3, 1), (CO2, 1, 2, 0)]
+    for call in calls:
+        assert sr_path_oracle(*call) == sr_poly(*call)
+    for _ in range(2):
+        assert sr_path_oracle_row(CO2, 1, 2) == [sr_poly(CO2, 1, 2, k) for k in range(3)]
+    # (m, j, n, k_lo, k_hi) = (1, 0, 3, 1, 1), (2, 1, 2, 0, 0) and (2, 1, 2, 0, 2)
+    info = srpaths._path_table.cache_info()
+    assert (info.misses, info.hits) == (3, 4)
+
+
+def test_a_lower_limit_refuses_a_cached_walk(monkeypatch):
+    assert sr_path_oracle(CO1, 0, 3, 0) == sr_poly(CO1, 0, 3, 0)
+    assert len(sr_path_oracle_row(CO1, 0, 3)) == 4
+    monkeypatch.setenv("LAGTP_LIMIT", "5")  # the paths have 6 steps
+    with pytest.raises(LimitExceeded):
+        sr_path_oracle(CO1, 0, 3, 0)
+    with pytest.raises(LimitExceeded):
+        sr_path_oracle_row(CO1, 0, 3)
+
+
+def test_a_cached_path_table_is_immutable():
+    table = srpaths._path_falls(2, 1, 2, 0, 2)
+    assert srpaths._path_falls(2, 1, 2, 0, 2) is table
+    assert type(table) is tuple and len(table) == 3
+    for items in table:
+        assert type(items) is tuple
+        for falls, count in items:
+            assert type(falls) is tuple and type(count) is int
+    with pytest.raises(TypeError):
+        table[0] = ()
+    # a caller's row is its own list
+    row = sr_path_oracle_row(CO2, 1, 2)
+    row.clear()
+    assert sr_path_oracle_row(CO2, 1, 2) == [sr_poly(CO2, 1, 2, k) for k in range(3)]

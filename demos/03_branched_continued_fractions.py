@@ -55,4 +55,4 @@ print("the j=0 cell also verifies with kappa fully symbolic "
 print("\nBeyond type m the Hankel-total-positivity claim fails; a searched")
 print("witness minor with a negative coefficient:")
 w = find_hankel_tp2_failure(2)
-print("  rows", w["rows"], "cols", w["cols"], "minor:", w["minor"])
+print("  rows", w.rows, "cols", w.cols, "minor:", w.minor)

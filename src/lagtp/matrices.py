@@ -11,12 +11,15 @@ iteration and conjugation routines are arranged so that every returned
 entry is independent of anything outside the working block (truncation is
 exact, never approximate).
 
-The symbolic TP scan runs on one of two representations, chosen from the
+Every TP scan, symbolic or sampled, is one minor scan,
+``_first_negative_minor``, given its product, negation and sign test.
+The symbolic scan runs on one of two representations, chosen from the
 matrix.  When every coefficient is an integer and the exponent box read off
 the rows is small (at most ``_PACK_BITS`` bits when packed), each entry is
 packed into one integer, a coefficient per fixed-width slot, and a minor's
-signs are read with one addition and one AND; every other matrix is
-scanned as dicts of local monomial keys.  Both give the same reports.
+signs are read with one addition and one AND; the failing minor, if any,
+is recomputed as a Poly.  Every other matrix is scanned as dicts of local
+monomial keys.  Both give the same reports.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import (FIELD_BITS, Poly, PolyLike, _FIELD_MASK, _local_keys, _p, _poly, _values,
+from .polyring import (FIELD_BITS, Poly, PolyLike, _FIELD_MASK, _local_keys, _p, _values,
                        power_table)
 
 
@@ -463,45 +466,6 @@ def _index_sets_colex(n: int, size: int) -> tuple:
     return tuple(sorted(itertools.combinations(range(n), size), key=lambda c: c[::-1]))
 
 
-def _minor_scan(grid, rows: int, cols: int, order: int, dot=Poly.dot, neg=operator.neg):
-    """Yield (rows, cols, minor) for every minor of size <= order of a
-    rows x cols grid: by size, then colex row sets, then colex column sets.
-
-    A minor of size s > 1 is expanded along its first column,
-    M(r, c) = sum_t (-1)^t g[r_t][c_0] M(r - r_t, c[1:]), over the size-(s-1)
-    minors kept from the previous size, as one ``dot`` of (entry, minor)
-    pairs; ``neg`` negates an entry.  Only one level is kept, and the
-    largest size is not kept at all.  The same scan serves Poly grids
-    (symbolic mode, ``Poly.dot``) and grids of sample lists (sampled mode,
-    ``_sample_dot``: each minor is the list of its values over a block of
-    samples).
-    """
-    top = min(order, rows, cols)
-    if top < 1:
-        return
-    negated = [[neg(e) for e in row] for row in grid] if top > 1 else None
-    prev: dict = {}
-    for size in range(1, top + 1):
-        keep = size < top
-        cur: dict = {}
-        colsets = _index_sets_colex(cols, size)
-        for r in _index_sets_colex(rows, size):
-            kept = cur[r] = {}
-            # ((-1)^t times row r_t, the cached minors on the rows r - r_t)
-            drops = [(negated[r[t]] if t & 1 else grid[r[t]], prev[r[:t] + r[t + 1:]])
-                     for t in range(size)] if size > 1 else ()
-            for c in colsets:
-                if size == 1:
-                    minor = grid[r[0]][c[0]]
-                else:
-                    c0, rest = c[0], c[1:]
-                    minor = dot((row[c0], below[rest]) for row, below in drops)
-                if keep:
-                    kept[c] = minor
-                yield r, c, minor
-        prev = cur
-
-
 def _sample_dot(pairs) -> list:
     """The sum of a * b over (a, b) pairs of equal-length lists of numbers,
     elementwise; a pair with an all-zero list is skipped, as ``Poly.dot``
@@ -518,15 +482,45 @@ def _sample_neg(values: list) -> list:
     return list(map(operator.neg, values))
 
 
-def _first_negative_minor(grid, rows: int, cols: int, order: int, dot=Poly.dot,
-                          neg=operator.neg, nonneg=Poly.is_coeffwise_nonneg) -> tuple:
+def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, neg, nonneg) -> tuple:
     """(minors checked, (rows, cols, minor) of the first minor that fails
-    ``nonneg``, or None); the defaults scan a Poly grid."""
+    ``nonneg``, or None), over the minors of size <= order of a rows x cols
+    grid: by size, then colex row sets, then colex column sets.
+
+    A minor of size s > 1 is expanded along its first column,
+    M(r, c) = sum_t (-1)^t g[r_t][c_0] M(r - r_t, c[1:]), over the size-(s-1)
+    minors kept from the previous size, as one ``dot`` of (entry, minor)
+    pairs; ``neg`` negates an entry.  Only one level is kept, and the
+    largest size is not kept at all.  The same scan serves Poly grids
+    (``Poly.dot``), packed integers (``_int_dot``) and grids of sample
+    lists (``_sample_dot``: each minor is the list of its values over a
+    block of samples).
+    """
+    top = min(order, rows, cols)
+    negated = [[neg(e) for e in row] for row in grid] if top > 1 else None
     checked = 0
-    for r, c, minor in _minor_scan(grid, rows, cols, order, dot, neg):
-        checked += 1
-        if not nonneg(minor):
-            return checked, (r, c, minor)
+    prev: dict = {}
+    for size in range(1, top + 1):
+        keep = size < top
+        cur: dict = {}
+        colsets = _index_sets_colex(cols, size)
+        for r in _index_sets_colex(rows, size):
+            kept = cur[r] = {}
+            # ((-1)^t times row r_t, the cached minors on the rows r - r_t)
+            drops = [(negated[r[t]] if t & 1 else grid[r[t]], prev[r[:t] + r[t + 1:]])
+                     for t in range(size)] if size > 1 else ()
+            for c in colsets:
+                if size == 1:
+                    minor = grid[r[0]][c[0]]
+                else:
+                    c0, rest = c[0], c[1:]
+                    minor = dot((row[c0], below[rest]) for row, below in drops)
+                checked += 1
+                if not nonneg(minor):
+                    return checked, (r, c, minor)
+                if keep:
+                    kept[c] = minor
+        prev = cur
     return checked, None
 
 
@@ -588,30 +582,6 @@ def _pack(p: Poly, width: int, dims: tuple) -> int:
     return out
 
 
-def _unpack(value: int, width: int, dims: tuple, off: int) -> Poly:
-    """The local-key Poly of a packed minor, ``off`` holding 2^(width-1)
-    in every slot; only the occupied slots are read."""
-    digits = value + off  # slot i now holds c_i + 2^(width-1), in (0, 2^width)
-    live = digits ^ off  # nonzero exactly in the slots with c_i != 0
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    terms = {}
-    slot = 0
-    while live:
-        skip = ((live & -live).bit_length() - 1) // width
-        slot += skip
-        digits >>= width * skip
-        live >>= width * (skip + 1)
-        key, rest = 0, slot
-        for v, d in enumerate(dims):
-            rest, e = divmod(rest, d)
-            key |= e << (v * FIELD_BITS)
-        terms[key] = (digits & mask) - half
-        digits >>= width
-        slot += 1
-    return _poly(terms)
-
-
 def _int_dot(pairs) -> int:
     """The sum of a * b over (a, b) pairs of packed integers; a pair with
     a zero is skipped, as ``Poly.dot`` skips a zero Poly."""
@@ -621,8 +591,9 @@ def _int_dot(pairs) -> int:
 def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     """Check every minor of size <= order for coefficientwise nonnegativity.
 
-    Minors come from _minor_scan in colex order and the scan short-circuits
-    on the first offending minor, which is returned in the report.
+    Minors come from ``_first_negative_minor`` in colex order and the scan
+    short-circuits on the first offending minor, which is returned in the
+    report.
 
     The entries are re-keyed once onto the variables the matrix uses
     (``polyring._local_keys``), so every product in the scan works on keys
@@ -635,23 +606,25 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     coefficient) and the scan multiplies integers.  No carry crosses a
     slot, so with OFF holding 2^(width-1) in every slot a minor has no
     negative coefficient iff (minor + OFF) & OFF == OFF: one addition and
-    one AND, and only the witness is unpacked.  Other matrices (a
-    ``Fraction`` coefficient, many variables, high degrees) are scanned
-    as dicts of local keys.  An exponent overflow on local keys would name
-    a local field, so that scan is then run again on the process keys,
-    where it overflows at the same product and the error names the real
-    variable.
+    one AND.  The failing minor is recomputed: the same scan runs on its
+    own submatrix of local-key Polys, where it fails first, since every
+    smaller minor passed.  Other matrices (a ``Fraction`` coefficient,
+    many variables, high degrees) are scanned as dicts of local keys.  An
+    exponent overflow on local keys would name a local field, so that scan
+    is then run again on the process keys, where it overflows at the same
+    product and the error names the real variable.
     """
     if order < 1:  # an empty scan would certify any matrix
         raise ValueError("order must be at least 1")
     local, to_global = _local_keys(e for row in m.data for e in row)
     grid = [local[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+    kernels = Poly.dot, operator.neg, Poly.is_coeffwise_nonneg
     plan = _packing(grid, min(order, m.rows, m.cols))
     if plan is None:
         try:
-            checked, bad = _first_negative_minor(grid, m.rows, m.cols, order)
+            checked, bad = _first_negative_minor(grid, m.rows, m.cols, order, *kernels)
         except OverflowError:
-            _first_negative_minor(m.data, m.rows, m.cols, order)
+            _first_negative_minor(m.data, m.rows, m.cols, order, *kernels)
             raise
     else:
         width, dims = plan
@@ -660,8 +633,10 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
         checked, bad = _first_negative_minor(packed, m.rows, m.cols, order, _int_dot,
                                              operator.neg, lambda v: (v + off) & off == off)
         if bad is not None:
-            rows, cols, value = bad
-            bad = rows, cols, _unpack(value, width, dims, off)
+            rows, cols, _ = bad
+            size = len(rows)
+            sub = [[grid[i][j] for j in cols] for i in rows]
+            bad = rows, cols, _first_negative_minor(sub, size, size, size, *kernels)[1][2]
     size_meta = {"rows": m.rows, "cols": m.cols}
     if bad is None:
         return TPReport(True, order, "symbolic", checked, meta=size_meta)
@@ -713,7 +688,8 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
     once every earlier sample has passed.  The samples are scanned in
     blocks of ``_SAMPLE_BLOCK``: the entries are evaluated once per block
     (``polyring._values``), and each minor is one ``_sample_dot`` over the
-    block.
+    block.  A scan that fails at a sample s > 0 is run again on the samples
+    before s.
     """
     if order < 1 or samples < 1:  # an empty scan would certify any matrix
         raise ValueError("order and samples must be at least 1")
@@ -731,33 +707,26 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
         # the first sample of the block with a non-integer entry, if any
         cut = min((s for i in rational for s, v in enumerate(values[i]) if type(v) is not int),
                   default=len(envs))
-        if cut:
-            grid = [[v[:cut] for v in values[i * m.cols:(i + 1) * m.cols]]
+        # the scan stops at the first minor negative under some sample s; an
+        # earlier sample can fail only later in the scan, so the samples
+        # before s are scanned again until none of them fails
+        found, limit = None, cut
+        while limit:
+            grid = [[v[:limit] for v in values[i * m.cols:(i + 1) * m.cols]]
                     for i in range(m.rows)]
-            bad = _first_negative_sample(grid, m.rows, m.cols, order)
-            if bad is not None:
-                s, position, rows, cols, val = bad
-                return TPReport(False, order, "sampled", (start + s) * per_sample + position + 1,
-                                TPWitness(rows, cols, val, envs[s], start + s), meta=meta)
+            checked, bad = _first_negative_minor(grid, m.rows, m.cols, order, _sample_dot,
+                                                 _sample_neg, lambda v: min(v) >= 0)
+            if bad is None:
+                break
+            limit = next(s for s, v in enumerate(bad[2]) if v < 0)
+            found = limit, checked, bad
+        if found is not None:
+            s, checked, (rows, cols, minor) = found
+            return TPReport(False, order, "sampled", (start + s) * per_sample + checked,
+                            TPWitness(rows, cols, minor[s], envs[s], start + s), meta=meta)
         if cut < len(envs):
             raise ValueError("sampled TP check needs integer-valued entries")
     return TPReport(True, order, "sampled", samples * per_sample, meta=meta)
-
-
-def _first_negative_sample(grid, rows: int, cols: int, order: int):
-    """(sample, position in the scan, rows, cols, value) of the first
-    negative minor of a grid of sample lists, by sample and then in scan
-    order; None if every minor is nonnegative under every sample."""
-    best = None
-    scan = _minor_scan(grid, rows, cols, order, _sample_dot, _sample_neg)
-    for position, (r, c, minor) in enumerate(scan):
-        if min(minor) < 0:
-            s = next(s for s, v in enumerate(minor) if v < 0)
-            if best is None or s < best[0]:
-                best = (s, position, r, c, minor[s])
-                if not s:
-                    break
-    return best
 
 
 def tp_check_tridiagonal(m: Truncation, order: int) -> bool:

@@ -158,17 +158,7 @@ class SRTriangles:
         _check_type(j)
         if n < 0:
             raise ValueError(f"requested a {n}x{n} triangle")
-        ell, jp = divmod(j, self.m + 1) if j > self.max_j else (0, j)
-        rows = n + ell
-        # every entry of rows < rows - 1 for the types up to max(jp, m),
-        # every entry of the last row for the types up to jp
-        top = max(jp, self.m)
-        self._read_alphas(rows - 1, jp)
-        self._fill((t, r, 0, r) for r in range(rows)
-                   for t in range(top + 1 if r < rows - 1 else jp + 1))
-        memo, zero = self._memo, Poly.zero()
-        return Truncation.from_fn(n, n, lambda i, k: memo[jp, i + ell, k + ell]
-                                  if k <= i else zero)
+        return Truncation.from_fn(n, n, lambda i, k: self.value(j, i, k))
 
 
 def _check_type(j: int) -> None:
@@ -454,11 +444,11 @@ def find_hankel_tp2_failure(m: int):
     by the symbolic TP scan (its entries are nonnegative, so the witness
     is a 2x2 minor).
 
-    The type-(m+1) sequence is not Hankel-totally positive; this returns a
-    witness dict {rows, cols, minor} for the first offending minor in scan
-    order, or None if the search space is clean (it should never be).
+    The type-(m+1) sequence is not Hankel-totally positive; this returns
+    the scan's ``TPWitness`` (rows, cols, minor) of the first offending
+    minor in scan order, or None if the search space is clean (it should
+    never be).
     """
     tri = SRTriangles(SRCoeffs.symbolic(m))
     seq = [tri.value(m + 1, i, 0) for i in range(7)]
-    w = tp_check_symbolic(hankel_truncation(seq, 4), 2).witness
-    return None if w is None else {"rows": w.rows, "cols": w.cols, "minor": w.minor}
+    return tp_check_symbolic(hankel_truncation(seq, 4), 2).witness

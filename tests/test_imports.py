@@ -95,6 +95,33 @@ def test_the_guard_sees_function_local_imports():
     assert local_imports(source) == [(3, "f"), (5, "f"), (5, "g")]
 
 
+def attribute_defaults(source: str) -> list:
+    """(line, function) of every parameter default that is an attribute,
+    such as ``dot=Poly.dot``: the default is read once, when the def runs
+    at import, so a later wrapper or patch of ``Poly.dot`` (a tracer's,
+    say) never reaches the function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found += [(d.lineno, getattr(node, "name", "<lambda>"))
+                      for d in node.args.defaults + node.args.kw_defaults
+                      if isinstance(d, ast.Attribute)]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_attribute_defaults(path):
+    assert attribute_defaults(path.read_text()) == []
+
+
+def test_the_guard_sees_attribute_defaults():
+    source = ("import operator\nfrom .polyring import Poly\n"
+              "def f(grid, dot=Poly.dot, order=2, *, neg=operator.neg, name=None):\n"
+              "    return (lambda v, test=Poly.is_zero: test(v))(dot(grid))\n"
+              "def g(grid, dot, seed=1, names=(), kind='x'):\n    return Poly.dot(grid)\n")
+    assert attribute_defaults(source) == [(3, "f"), (3, "f"), (4, "<lambda>")]
+
+
 def _is_def(node) -> bool:
     return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not (node.name.startswith("__") and node.name.endswith("__")))

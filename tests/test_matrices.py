@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,9 +14,8 @@ from lagtp.laguerre import (LaguerreParams, VertexWeights, coeff_matrix_uni, mon
                             prodmat)
 from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, NonUnitDiagonalError,
                             RiordanIntegralityError, TPReport, Truncation, TPWitness,
-                            XorShift64, _SAMPLE_BLOCK, _minor_scan, _sample_dot,
-                            _sample_neg,
-                            binomial_truncation,
+                            XorShift64, _SAMPLE_BLOCK, _first_negative_minor, _sample_dot,
+                            _sample_neg, binomial_truncation,
                             bx_conjugate_eaz_identity_check, conjugate_by_binomial,
                             delta_matrix, diagonal, eaz_matrix, hankel_truncation,
                             lower_bidiagonal, output_matrix, production_of, riordan_matrix,
@@ -430,17 +430,29 @@ def _scan_cases():
 SCAN_CASES = _scan_cases()
 
 
+def _scanned_minors(grid, rows, cols, order, dot, neg):
+    """Every minor the scan builds, in scan order, collected by a sign
+    test that records each minor and passes it."""
+    seen = []
+    checked, bad = _first_negative_minor(grid, rows, cols, order, dot, neg,
+                                         lambda minor: seen.append(minor) or True)
+    assert (checked, bad) == (len(seen), None)
+    return seen
+
+
 @pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
 def test_minor_scan_yields_every_minor_in_colex_order(name, m, order):
-    got = list(_minor_scan(m.data, m.rows, m.cols, order))
-    assert [(r, c) for r, c, _ in got] == list(_minors_in_scan_order(m.rows, m.cols, order))
-    for rows, cols, minor in got:
+    want = list(_minors_in_scan_order(m.rows, m.cols, order))
+    got = _scanned_minors(m.data, m.rows, m.cols, order, Poly.dot, operator.neg)
+    assert len(got) == len(want)
+    for (rows, cols), minor in zip(want, got):
         assert minor == _leibniz_det(m.submatrix(rows, cols)), (rows, cols)
     # one-sample lists, as the sampled mode scans them
     grid = _evaluate(m, {v: 2 for v in m.variables()})
     samples = [[[v] for v in row] for row in grid]
-    for rows, cols, minor in _minor_scan(samples, m.rows, m.cols, order,
-                                         _sample_dot, _sample_neg):
+    got = _scanned_minors(samples, m.rows, m.cols, order, _sample_dot, _sample_neg)
+    assert len(got) == len(want)
+    for (rows, cols), minor in zip(want, got):
         assert minor == [_fraction_det([[grid[i][j] for j in cols] for i in rows])], (rows, cols)
 
 
@@ -586,6 +598,33 @@ def test_sampled_scan_finds_a_first_failure_in_a_later_block(rational):
         assert found == 2
     if rational:  # both endings occur: a later rational sample, a later failure
         assert "ValueError" in outcomes and False in outcomes, outcomes
+
+
+def test_sampled_scan_rescans_the_samples_before_a_later_first_failure():
+    # sample 0 (x = y = 0) fails only at the 2x2 minor, the fifth in scan
+    # order; sample 1 (x = 2, y = 3) fails earlier, at the fourth, x - y.
+    # The scan of the block meets sample 1's failure first, so only the
+    # rescan of sample 0 finds the earliest failing sample.
+    y = Poly.var("y")
+    m = Truncation([[1, 1], [1, x - y]])
+    rng = XorShift64(1)
+    envs = [{v: SAMPLE_VALUES[rng.next_small()] for v in ("x", "y")} for _ in range(2)]
+    assert envs == [{"x": 0, "y": 0}, {"x": 2, "y": 3}]
+    report = tp_check_sampled(m, 2, seed=1, samples=8)
+    w = report.witness
+    assert (report.checked, w.sample_index, w.minor) == (5, 0, -1)
+    assert _summary(report) == _reference_sampled(m, 2, seed=1, samples=8)
+
+
+def test_symbolic_scan_looks_its_product_up_at_call_time(monkeypatch):
+    # one Fraction coefficient keeps the matrix on the dict path, where
+    # every minor of size 2 is one Poly.dot
+    m = Truncation([[x, Fraction(1, 2)], [1, x]])
+    calls = []
+    dot = Poly.dot
+    monkeypatch.setattr(Poly, "dot", staticmethod(lambda pairs: calls.append(1) or dot(pairs)))
+    assert _plan(m, 2) is None
+    assert calls
 
 
 # -- the tridiagonal criterion against the full symbolic scan -------------------

@@ -204,9 +204,9 @@ def test_inadmissible_cells(cell):
 def test_hankel_tp2_failure_witness():
     w = find_hankel_tp2_failure(1)
     assert w is not None
-    assert any(c < 0 for c in w["minor"].coefficients())
+    assert any(c < 0 for c in w.minor.coefficients())
     # first offending minor for m=1 also involves only the leading entries
-    assert w["rows"] == (0, 1) and w["cols"] == (0, 1)
+    assert w.rows == (0, 1) and w.cols == (0, 1)
 
 
 @pytest.mark.parametrize("m", [0, -1])

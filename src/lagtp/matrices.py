@@ -548,10 +548,10 @@ def _packing(grid, top: int) -> Optional[tuple]:
     """
     keys, norms = [], []  # per row: the keys of its terms, its L1 norm
     for row in grid:
-        coeffs = [c for e in row for c in e.terms.values()]
-        if any(type(c) is not int for c in coeffs):
+        if any(e.den != 1 for e in row):
             return None
-        keys.append([k for e in row for k in e.terms])
+        coeffs = [c for e in row for c in e.num.values()]
+        keys.append([k for e in row for k in e.num])
         norms.append(max(1, sum(map(abs, coeffs))))
     used = 0
     for row in keys:
@@ -573,7 +573,7 @@ def _packing(grid, top: int) -> Optional[tuple]:
 def _pack(p: Poly, width: int, dims: tuple) -> int:
     """The local-key Poly p as the integer sum of c << width * slot."""
     out = 0
-    for k, c in p.terms.items():
+    for k, c in p.num.items():
         slot, stride = 0, 1
         for v, d in enumerate(dims):
             slot += (k >> (v * FIELD_BITS) & _FIELD_MASK) * stride

@@ -1,9 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic.
 
-A polynomial is a sparse map from monomial keys to nonzero coefficients.
-Coefficients are arbitrary-precision integers, or exact rationals
-(``fractions.Fraction``) where truncated power series need them; a Fraction
-that collapses to an integer is always normalized back to ``int``.
+A polynomial is a sparse map from monomial keys to nonzero integer
+numerators over one positive denominator (rationals appear where truncated
+power series carry 1/n factors), and the arithmetic works on numerators
+alone.  ``terms``, each coefficient as an ``int`` or a ``Fraction``, serves
+printing, JSON and the routines that read single coefficients.
 
 Monomial keys are packed exponent vectors (Monagan and Pearce).  A
 process-wide registry gives every variable name, on first use, its own
@@ -35,24 +36,22 @@ m-Stieltjes-Rogers recurrence), adds the shifted terms of b into one copy
 of a's terms.  The weighting step of the oracles and of ``substitute``
 (``_power_sum``) raises monomials by key arithmetic: a term whose weights are
 monomials is one key sum and one coefficient product, not a ``Poly``
-product.  The
-accumulator holds integers over one common denominator: an operand with
-``Fraction`` coefficients is scaled by the lcm of its denominators, so every
-term pair multiplies integers and each result term is divided once, at the
-end.  The overflow guard tests the operands of each product, not the
-accumulated result, where products may already have cancelled: in every
-field OR-of-keys(a) + OR-of-keys(b) is at least the largest exponent sum and
-cannot carry into the next field, so a sum with no guard bit set proves the
-product safe; only operands that fail this test have their term pairs
-checked one by one.
+product.  The accumulator, like a Poly, holds numerators over one
+denominator, grown to the lcm only when den(a) den(b) does not divide it,
+so every term pair multiplies integers and the result is reduced once, at
+the end, by one gcd of its denominator and numerators.  The overflow guard
+tests the operands of each product, not the accumulated result, where
+products may already have cancelled: in every field OR-of-keys(a) +
+OR-of-keys(b) is at least the largest exponent sum and cannot carry into
+the next field, so a sum with no guard bit set proves the product safe;
+only operands that fail this test have their term pairs checked one by one.
 
 ``Poly(vars, terms)`` builds a polynomial from exponent tuples parallel to
 ``vars``.  The names must be identifiers (``str.isidentifier``; ``ValueError``
 otherwise) and may come in any order and repeat (the exponents of a repeated
 name add); exponents must be nonnegative integers, not bools
 (``ValueError`` otherwise), no larger than ``MAX_EXPONENT``
-(``OverflowError``).  Coefficients are stored as ``int`` (a bool becomes
-0 or 1) or as a ``Fraction`` with denominator > 1.
+(``OverflowError``).  Coefficients are exact numbers (a bool counts as 0 or 1).
 
 Conventions, fixed for the process lifetime:
 
@@ -60,18 +59,20 @@ Conventions, fixed for the process lifetime:
 * the canonical term order is graded lex: ascending total degree, then
   descending lexicographic comparison of exponent vectors (so within one
   degree, powers of the alphabetically-first variable come first);
-* no zero coefficients are ever stored and every key is canonical, hence
-  structural equality coincides with mathematical equality.
+* no zero numerator is ever stored, every key is canonical and gcd(den,
+  every numerator) = 1 (zero has den 1), hence structural equality
+  coincides with mathematical equality.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -131,47 +132,31 @@ def _degree(key: int) -> int:
 
 
 def _norm_coeff(c) -> Coeff:
-    """An exact scalar as a stored coefficient: int (bools included) when
-    integral, else Fraction."""
+    """An exact scalar as an int when integral (bools included), else a Fraction."""
     if type(c) is int:
         return c
-    if type(c) is not Fraction:
-        if isinstance(c, int):
-            return int(c)
-        c = Fraction(c)
+    c = c if type(c) is Fraction else Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
-def _over_ints(terms: dict) -> tuple:
-    """(d, terms * d), d the lcm of the coefficient denominators."""
-    d = 1
-    for c in terms.values():
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    if d == 1:
-        return 1, terms
-    return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
-
-
-def _mul_into(out: dict, den: int, ta: dict, tb: dict) -> int:
-    """Add ta * tb (nonempty term maps) to out / den, where ``out`` holds
-    integers over the common denominator ``den``; returns the new ``den``.
-    ``_finish`` divides once per term and drops the zeros."""
+def _mul_into(out: dict, den: int, a: "Poly", b: "Poly") -> int:
+    """Add a * b (nonzero Polys) to out / den, where ``out`` holds integer
+    numerators over the common denominator ``den``; returns the new
+    ``den``.  ``_finish`` drops the zeros and reduces once."""
+    ta, tb = a.num, b.num
     if len(ta) < len(tb):
         ta, tb = tb, ta
-    da, ta = _over_ints(ta)
-    db, tb = _over_ints(tb)
-    d = da * db
+    d = a.den * b.den
     if den % d:
-        grow = lcm(den, d) // den
+        grow = d // gcd(den, d)
         for k in out:
             out[k] *= grow
         den *= grow
-    if den != d:
-        tb = {k: c * (den // d) for k, c in tb.items()}
+    scale = den // d
     get = out.get
     if len(tb) == 1:
         [(kb, cb)] = tb.items()
+        cb *= scale
         used = 0
         for ka, ca in ta.items():
             k = ka + kb
@@ -180,6 +165,8 @@ def _mul_into(out: dict, den: int, ta: dict, tb: dict) -> int:
         if used & _guard:
             raise _overflow(used)
         return den
+    if scale != 1:
+        tb = {k: c * scale for k, c in tb.items()}
     ora = orb = 0
     for k in ta:
         ora |= k
@@ -197,54 +184,48 @@ def _mul_into(out: dict, den: int, ta: dict, tb: dict) -> int:
     return den
 
 
-def _product(ta: dict, tb: dict) -> "Poly":
-    """The Poly ta * tb: the multiply-add with one pair, or one pass when a
+def _product(a: "Poly", b: "Poly") -> "Poly":
+    """The Poly a * b: the multiply-add with one pair, or one pass when a
     side is a monomial (its products cannot merge or cancel)."""
+    ta, tb = a.num, b.num
     if len(ta) < len(tb):
         ta, tb = tb, ta
     if not tb:
         return _poly({})
     if len(tb) > 1:
         out: dict = {}
-        return _finish(out, _mul_into(out, 1, ta, tb))
+        return _finish(out, _mul_into(out, 1, a, b))
     [(kb, cb)] = tb.items()
-    out = {ka + kb: ca * cb if type(ca) is int is type(cb) else _fraction_product(ca, cb)
-           for ka, ca in ta.items()}
+    out = {ka + kb: ca * cb for ka, ca in ta.items()}
     used = 0
     for k in out:
         used |= k
     if used & _guard:
         raise _overflow(used)
-    return _poly(out)
+    return _reduced(out, a.den * b.den)
 
 
 def _mul_add(a: "Poly", c: "Poly", b: "Poly") -> "Poly":
-    """a + c * b.  When c is a monomial with an integer coefficient, the
-    shifted terms of b go straight into one copy of a's terms, so no
+    """a + c * b.  When c is a monomial, the shifted terms of b go straight
+    into one copy of a's numerators over the common denominator, so no
     product is built only to be merged; otherwise ``a + c * b``."""
-    if len(c.terms) != 1:
+    if len(c.num) != 1:
         return a + c * b
-    [(kc, cc)] = c.terms.items()
-    if type(cc) is not int:
-        return a + c * b
-    out = dict(a.terms)
+    [(kc, cc)] = c.num.items()
+    den = lcm(a.den, c.den * b.den)
+    grow = den // a.den
+    out = dict(a.num) if grow == 1 else {k: v * grow for k, v in a.num.items()}
+    cc *= den // (c.den * b.den)
     used = 0
-    for kb, cb in b.terms.items():
+    for kb, cb in b.num.items():
         k = kb + kc
         used |= k
         s = out.pop(k, 0) + cb * cc
         if s:
-            out[k] = s if type(s) is int else _norm_coeff(s)
+            out[k] = s
     if used & _guard:
         raise _overflow(used)
-    return _poly(out)
-
-
-def _fraction_product(a: Coeff, b: Coeff) -> Coeff:
-    """a * b as a stored coefficient, a or b a Fraction: one gcd, in the
-    constructor, where ``Fraction.__mul__`` takes two and may return n/1."""
-    n, d = a.numerator * b.numerator, a.denominator * b.denominator
-    return Fraction(n, d) if n % d else n // d
+    return _reduced(out, den)
 
 
 def _power_guard(terms: dict, n: int) -> None:
@@ -260,23 +241,39 @@ def _power_guard(terms: dict, n: int) -> None:
             raise _overflow(used)
 
 
+def _reduced(num: dict, den: int) -> "Poly":
+    """The Poly num / den (``num`` holds nonzero integers), reduced by one
+    gcd of the denominator and the numerators."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: c // g for k, c in num.items()}
+    return _poly(num, den)
+
+
 def _finish(out: dict, den: int) -> "Poly":
-    """The Poly of the term map ``out`` / ``den`` (integer values)."""
-    if den == 1:
-        return _poly({k: c for k, c in out.items() if c})
-    return _poly({k: Fraction(c, den) if c % den else c // den
-                  for k, c in out.items() if c})
+    """The Poly of the integer term map ``out`` / ``den``, zeros dropped."""
+    return _reduced({k: c for k, c in out.items() if c}, den)
+
+
+def _from_terms(terms: dict) -> "Poly":
+    """The Poly of a map from keys to ints and Fractions, zeros dropped:
+    the numerators over the lcm of the denominators, a canonical pair."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return _poly({k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}, den)
 
 
 class Poly:
-    """Immutable sparse multivariate polynomial.
+    """Immutable sparse multivariate polynomial num / den.
 
-    ``terms`` maps monomial keys (see the module docstring) to nonzero
-    coefficients; ``vars`` is the sorted tuple of the variable names that
-    occur.  The zero polynomial has ``vars == ()`` and ``terms == {}``.
+    ``num`` maps monomial keys (see the module docstring) to nonzero
+    integers, coprime to the positive ``den``; ``terms`` is the read-only
+    key -> coefficient view and ``vars`` the sorted tuple of the variable
+    names that occur.  Zero has ``vars == ()``, ``num == {}``, ``den == 1``.
     """
 
-    __slots__ = ("terms", "_vars")
+    __slots__ = ("num", "den", "_vars")
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping | None = None):
         vars = tuple(vars)
@@ -296,11 +293,20 @@ class Poly:
                 if key & _guard:
                     raise _overflow(key)
             out[key] = out.get(key, 0) + c
-        object.__setattr__(self, "terms",
-                           {k: _norm_coeff(c) for k, c in out.items() if c != 0})
+        p = _from_terms({k: _norm_coeff(c) for k, c in out.items()})
+        _set_num(self, p.num)
+        _set_den(self, p.den)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """key -> coefficient: an ``int`` when integral, else a reduced
+        ``Fraction``.  Do not mutate it: for den 1 it is ``num`` itself."""
+        den = self.den
+        return self.num if den == 1 else {k: Fraction(c, den) if c % den else c // den
+                                          for k, c in self.num.items()}
 
     @property
     def vars(self) -> tuple:
@@ -309,7 +315,7 @@ class Poly:
         except AttributeError:
             pass
         used = 0
-        for k in self.terms:
+        for k in self.num:
             used |= k
         names = []
         i = 0
@@ -327,7 +333,7 @@ class Poly:
     @staticmethod
     def const(c: Scalar) -> "Poly":
         c = _norm_coeff(c)
-        return _poly({0: c} if c else {})
+        return _poly({0: c.numerator}, c.denominator) if c else _poly({})
 
     @staticmethod
     def var(name: str) -> "Poly":
@@ -344,19 +350,19 @@ class Poly:
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return not any(self.terms)
+        return not any(self.num)
 
     def as_constant(self) -> Coeff:
-        if any(self.terms):
+        if any(self.num):
             raise ValueError(f"not a constant: {self}")
         return self.terms.get(0, 0)
 
     def is_coeffwise_nonneg(self) -> bool:
-        """True iff every stored coefficient is >= 0 (the coefficientwise order)."""
-        return all(c >= 0 for c in self.terms.values())
+        """True iff every coefficient is >= 0 (the coefficientwise order)."""
+        return all(c >= 0 for c in self.num.values())
 
     def coeff_of_var(self, name: str, power: int) -> "Poly":
         """The coefficient of name**power, a polynomial in the other variables."""
@@ -364,23 +370,23 @@ class Poly:
             return self if power == 0 else Poly.zero()
         off = _offsets[name]
         mono = power << off
-        return _poly({k - mono: c for k, c in self.terms.items()
-                      if (k >> off) & _FIELD_MASK == power})
+        return _reduced({k - mono: c for k, c in self.num.items()
+                         if (k >> off) & _FIELD_MASK == power}, self.den)
 
     def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.terms.values())
+        return self.den == 1
 
     def coefficients(self) -> Iterable[Coeff]:
         return self.terms.values()
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     __hash__ = None  # mutable-dict backed; not hashable
 
@@ -390,24 +396,26 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for k, c in small.items():
+        big, small = (self, other) if len(self.num) >= len(other.num) else (other, self)
+        if not small.num:
+            return big
+        den = big.den
+        if den == small.den:
+            out, terms = dict(big.num), small.num
+        else:
+            den = lcm(den, small.den)
+            out = {k: c * (den // big.den) for k, c in big.num.items()}
+            terms = {k: c * (den // small.den) for k, c in small.num.items()}
+        for k, c in terms.items():
             s = out.pop(k, 0) + c
             if s:
-                out[k] = _norm_coeff(s)
-        return _poly(out)
+                out[k] = s
+        return _reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _poly({k: -c for k, c in self.terms.items()})
+        return _poly({k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         other = _as_poly(other)
@@ -423,32 +431,32 @@ class Poly:
             other = _as_poly(other)
             if other is NotImplemented:
                 return NotImplemented
-        return _product(self.terms, other.terms)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
     @staticmethod
     def dot(pairs: Iterable) -> "Poly":
         """The sum of a * b over (a, b) pairs of Polys or exact numbers,
-        accumulated in one term map."""
+        accumulated in one numerator map and reduced once."""
         out: dict = {}
         den = 1
         for a, b in pairs:
-            ta = (a if type(a) is Poly else _p(a)).terms
-            tb = (b if type(b) is Poly else _p(b)).terms
-            if ta and tb:
-                den = _mul_into(out, den, ta, tb)
+            a = a if type(a) is Poly else _p(a)
+            b = b if type(b) is Poly else _p(b)
+            if a.num and b.num:
+                den = _mul_into(out, den, a, b)
         return _finish(out, den)
 
     def scale(self, c: Scalar) -> "Poly":
         """Multiply by an exact scalar (used by series code for 1/n factors)."""
-        c = _norm_coeff(c)
-        return self if c == 1 else _product(self.terms, {0: c} if c else {})
+        c = Poly.const(c)
+        return self if c.num == {0: 1} and c.den == 1 else _product(self, c)
 
     def __pow__(self, n: int) -> "Poly":
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        _power_guard(self.terms, n)
+        _power_guard(self.num, n)
         result = Poly.one()
         base = self
         while n:
@@ -468,8 +476,8 @@ class Poly:
         offsets = [_offsets[v] for v in hit]
         cleared = ~sum(_FIELD_MASK << off for off in offsets)
         return _power_sum(
-            ((tuple((k >> off) & _FIELD_MASK for off in offsets), _poly({k & cleared: c}))
-             for k, c in self.terms.items()),
+            ((tuple((k >> off) & _FIELD_MASK for off in offsets),
+              _reduced({k & cleared: c}, self.den)) for k, c in self.num.items()),
             [env[v] for v in hit])
 
     # -- exact division --------------------------------------------------
@@ -488,11 +496,7 @@ class Poly:
         if self.is_zero():
             return Poly.zero()
         if divisor.is_constant():
-            d = divisor.terms[0]
-            if (type(d) is int and self.is_integral()
-                    and not any(c % d for c in self.terms.values())):
-                return _poly({k: c // d for k, c in self.terms.items()})
-            return self.scale(Fraction(1) / d)
+            return self.scale(Fraction(divisor.den, divisor.num[0]))
         guard = _guard
         dterms = [(k, c, _degree(k)) for k, c in divisor.terms.items()]
         ld, ld_coeff, ld_deg = max(dterms, key=lambda t: (t[2], t[0]))
@@ -524,7 +528,7 @@ class Poly:
                     bucket[key] = _norm_coeff(s)
             for d in [d for d, bucket in rem.items() if not bucket]:
                 del rem[d]
-        return _poly(quot)
+        return _from_terms(quot)
 
     # -- canonical order, printing, JSON ---------------------------------
 
@@ -537,7 +541,7 @@ class Poly:
         return sorted(terms, key=lambda ec: (sum(ec[0]), tuple(-x for x in ec[0])))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -568,8 +572,11 @@ class Poly:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Poly":
-        """Inverse of ``to_json_obj``; accepts any input the constructor does,
-        adding the coefficients of terms listed twice."""
+        """Inverse of ``to_json_obj``, adding the coefficients of terms listed
+        twice; ``vars`` must be a list and each ``coef`` the text of an int or
+        a fraction (``ValueError`` naming the field otherwise)."""
+        if type(obj["vars"]) is not list:
+            raise ValueError(f"vars must be a list of variable names, got {obj['vars']!r}")
         terms: dict = {}
         for t in obj["terms"]:
             e = tuple(t["exp"])
@@ -577,10 +584,14 @@ class Poly:
         return Poly(obj["vars"], terms)
 
 
-def _poly(terms: dict) -> Poly:
-    """Wrap a term map that is already canonical (no zero, normalized coefficients)."""
+_set_num, _set_den = Poly.num.__set__, Poly.den.__set__
+
+
+def _poly(num: dict, den: int = 1) -> Poly:
+    """Wrap a canonical pair: ``num`` holds nonzero integers, coprime to ``den``."""
     p = object.__new__(Poly)
-    object.__setattr__(p, "terms", terms)
+    _set_num(p, num)
+    _set_den(p, den)
     return p
 
 
@@ -604,7 +615,7 @@ def _local_keys(polys: Iterable[Poly]) -> tuple:
     polys = list(polys)
     used = 0
     for p in polys:
-        for k in p.terms:
+        for k in p.num:
             used |= k
     # runs of consecutive used fields, each moved by one mask and one shift:
     # (offset in the process key, offset in the local key, mask of the run)
@@ -622,12 +633,12 @@ def _local_keys(polys: Iterable[Poly]) -> tuple:
 
     def rekey(p: Poly, moves) -> Poly:
         out = {}
-        for k, c in p.terms.items():
+        for k, c in p.num.items():
             key = 0
             for frm, to, mask in moves:
                 key |= ((k >> frm) & mask) << to
             out[key] = c
-        return _poly(out)
+        return _poly(out, p.den)
 
     back = [(dst, src, mask) for src, dst, mask in runs]
     return [rekey(p, runs) for p in polys], lambda p: rekey(p, back)
@@ -642,11 +653,11 @@ def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:
     Each distinct monomial is evaluated once, as the list of its values
     over ``envs``, from one list per power of each variable; a Poly's list
     is then the sum of its coefficients times its monomials' lists, taken
-    over integers and divided once by the lcm of its denominators.
+    over its numerators and divided once by its denominator.
     """
     used = 0
     for p in polys:
-        for k in p.terms:
+        for k in p.num:
             used |= k
     fields = []  # (offset, name) of each field the Polys use
     for i, name in enumerate(_names[:used.bit_length() // FIELD_BITS + 1]):
@@ -670,9 +681,9 @@ def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:
 
     out = []
     for p in polys:
-        d, terms = _over_ints(p.terms)
+        d = p.den
         acc = [0] * len(envs)
-        for k, c in terms.items():
+        for k, c in p.num.items():
             acc = list(map(add, acc, map(mul, repeat(c), monomial(k))))
         out.append(acc if d == 1 else [Fraction(v, d) if v % d else v // d for v in acc])
     return out
@@ -690,8 +701,8 @@ def _power_sum(items: Iterable, values) -> Poly:
     zero) to the same exponents.  A group's map takes one product by those
     powers, each formed once per call by ``power_table``.
     """
-    values = [_p(v).terms for v in values]
-    tables = [[(0, 1), *t.items()] if len(t) == 1 else None for t in values]  # (key, c) of v^e
+    values = [_p(v) for v in values]  # tables[i]: (key, c) of v^e for a monomial v
+    tables = [[(0, 1), *v.terms.items()] if len(v.num) == 1 else None for v in values]
     other = [i for i, t in enumerate(tables) if t is None]
     groups: dict = {}  # exponents of the other values -> {key: coefficient}
     for exps, start in items:
@@ -710,14 +721,10 @@ def _power_sum(items: Iterable, values) -> Poly:
                 c *= table[e][1]
         acc = groups.setdefault(tuple([exps[i] for i in other]), {})
         acc[key] = acc.get(key, 0) + c
-    powers = [power_table(_poly(values[i]), max((r[j] for r in groups), default=0) + 1)
+    powers = [power_table(values[i], max((r[j] for r in groups), default=0) + 1)
               for j, i in enumerate(other)]
-
-    def poly(acc):
-        return _poly({k: _norm_coeff(c) for k, c in acc.items() if c})
-
-    return poly(groups.pop((0,) * len(other), {})) + Poly.dot(
-        (poly(acc), reduce(mul, [powers[j][e] for j, e in enumerate(rest) if e]))
+    return _from_terms(groups.pop((0,) * len(other), {})) + Poly.dot(
+        (_from_terms(acc), reduce(mul, [powers[j][e] for j, e in enumerate(rest) if e]))
         for rest, acc in groups.items())
 
 
@@ -732,7 +739,7 @@ def rising(base: Poly, n: int) -> Poly:
 def power_table(base: Poly, n: int) -> list:
     """[base^0, base^1, ..., base^(n-1)], one product per power, refused
     by ``_power_guard`` before any product when base^(n-1) would overflow."""
-    _power_guard(base.terms, n - 1)
+    _power_guard(base.num, n - 1)
     out = [Poly.one()] if n > 0 else []
     while len(out) < n:
         out.append(out[-1] * base)
@@ -759,7 +766,13 @@ def _as_poly(x) -> Poly:
     return NotImplemented
 
 
-def _parse_coeff(s: str) -> Coeff:
+_COEFF_TEXT = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_coeff(s) -> Coeff:
+    """A JSON coefficient: only the text of an int or a fraction, in ASCII digits."""
+    if type(s) is not str or not _COEFF_TEXT.fullmatch(s):
+        raise ValueError(f"coef must be a string matching -?[0-9]+(/[0-9]+)?, got {s!r}")
     if "/" in s:
         try:
             return _norm_coeff(Fraction(s))

@@ -20,7 +20,8 @@ immutable table (``_path_table``); the step cap is checked on every
 call, before the table is looked up.
 ``SRTriangles`` computes its entries on demand: a request computes only
 the entries its result depends on, each at most once, row by row with no
-recursion, and each alpha_i is read once and kept.
+recursion, returns a memo hit without a walk, and each alpha_i is read
+once and kept.
 The production matrix of the type-j triangle is the bidiagonal product
 L_{j+1} ... L_m U_0 L_1 ... L_j, ``matrices.sfraction_word``.
 
@@ -147,6 +148,9 @@ class SRTriangles:
             # reduce via the submatrix identity
             ell, jp = divmod(j, self.m + 1)
             return self.value(jp, n + ell, k + ell)
+        v = self._memo.get((j, n, k))
+        if v is not None:
+            return v
         m = self.m
         self._read_alphas(n, j)
         self._fill((t, r, max(k - (n - r), 0), min(k + j + (n - r) * m - t, r))
@@ -158,6 +162,8 @@ class SRTriangles:
         _check_type(j)
         if n < 0:
             raise ValueError(f"requested a {n}x{n} triangle")
+        for k in range(n):  # the last row first: for j <= m its cones hold the rest
+            self.value(j, n - 1, k)
         return Truncation.from_fn(n, n, lambda i, k: self.value(j, i, k))
 
 

@@ -218,6 +218,21 @@ def test_tp_check_non_string_variable_name_exits_2(tmp_path, capsys, mode):
     assert err == "error: cannot read matrix JSON: variable names must be identifiers, got 1\n"
 
 
+@pytest.mark.parametrize("entry, field", [
+    ({"vars": "xy", "terms": [{"exp": [1, 1], "coef": "1"}]}, "vars"),
+    ({"vars": ["x"], "terms": [{"exp": [1], "coef": "1_000"}]}, "coef"),
+    ({"vars": ["x"], "terms": [{"exp": [1], "coef": " 3 "}]}, "coef"),
+    ({"vars": ["x"], "terms": [{"exp": [1], "coef": "\u0661\u0662"}]}, "coef"),
+    ({"vars": ["x"], "terms": [{"exp": [1], "coef": 1}]}, "coef"),
+], ids=["vars-string", "underscore-digits", "padded", "arabic-indic-digits", "numeric-coef"])
+def test_tp_check_lenient_polynomial_json_exits_2(tmp_path, capsys, entry, field):
+    path = tmp_path / "lenient.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
+    code, out, err = run(capsys, ["tp-check", str(path), "--order", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read matrix JSON: {field} must be")
+
+
 def test_tp_check_bool_entries_round_trip(tmp_path, capsys):
     m = Truncation([[True, 0], [1, 1]])
     path = tmp_path / "bool.json"

@@ -391,9 +391,9 @@ def test_monomial_weights_are_weighed_without_products(monkeypatch):
     calls = []
     product = polyring._product
 
-    def counted(ta, tb):
+    def counted(a, b):
         calls.append(1)
-        return product(ta, tb)
+        return product(a, b)
 
     monkeypatch.setattr(polyring, "_product", counted)
     for weights in (SYMBOLIC, ints, scaled):

@@ -891,9 +891,10 @@ def test_symbolic_scan_multiplies_keys_no_wider_than_the_matrix_variables(name, 
     widest = [0]
     mul_into = polyring._mul_into
 
-    def recording(out, den, ta, tb):
-        widest[0] = max(widest[0], *(k.bit_length() for k in ta), *(k.bit_length() for k in tb))
-        return mul_into(out, den, ta, tb)
+    def recording(out, den, a, b):
+        widest[0] = max(widest[0], *(k.bit_length() for k in a.num),
+                        *(k.bit_length() for k in b.num))
+        return mul_into(out, den, a, b)
 
     monkeypatch.setattr(polyring, "_mul_into", recording)
     monkeypatch.setattr(matrices, "_packing", lambda grid, top: None)

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagtp import polyring
+from lagtp.series import Series
 from lagtp.polyring import (MAX_EXPONENT, ExactDivisionError, Poly, _mul_add, _p, _power_sum,
                             _values, rising)
 
@@ -504,3 +506,106 @@ def test_mul_add_normalizes_integral_fractions():
                       (_mul_add(x.scale(t), Poly.one(), x.scale(2 * t)), x),
                       (_mul_add(a.scale(h), x, a.scale(h)), (a + a * x).scale(h))):
         assert got == want and _canonical_coefficients(got)
+
+
+# -- the numerator / denominator form ---------------------------------------------
+
+
+def _canonical_form(p):
+    """num / den in lowest terms (zero has den 1), den 1 exactly when every
+    coefficient of the terms view is an int."""
+    nums = list(p.num.values())
+    return (all(type(c) is int and c for c in nums) and type(p.den) is int and p.den >= 1
+            and math.gcd(p.den, *nums) == 1
+            and (p.den == 1) == p.is_integral() == all(type(c) is int for c in p.terms.values()))
+
+
+@st.composite
+def rational_polys(draw):
+    """A Poly in x, y with Fraction coefficients, and its terms keyed by sets
+    of (name, exponent), taken from the drawn Fractions alone."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        terms[exps] = draw(st.fractions(-4, 4, max_denominator=12))
+    named = {frozenset((v, e) for v, e in zip("xy", exps) if e): c
+             for exps, c in terms.items() if c}
+    return Poly(("x", "y"), terms), named
+
+
+def _fold(pairs):
+    """The sum of products of name-keyed term maps, one Fraction product per term pair."""
+    out = Counter()
+    for ta, tb in pairs:
+        for ma, ca in ta.items():
+            for mb, cb in tb.items():
+                out[frozenset((Counter(dict(ma)) + Counter(dict(mb))).items())] += ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(rational_polys(), min_size=2, max_size=6),
+       st.fractions(-3, 3, max_denominator=10))
+def test_rational_arithmetic_equals_a_fraction_fold(drawn, s):
+    polys_, named = zip(*drawn)
+    (p, q), (tp, tq) = polys_[:2], named[:2]
+    one = {frozenset(): 1}
+    cases = [(p * q, _fold([(tp, tq)])),
+             (p + q, _fold([(tp, one), (tq, one)])),
+             (p.scale(s), _fold([(tp, {frozenset(): s})])),
+             (Poly.dot(zip(polys_[0::2], polys_[1::2])), _fold(zip(named[0::2], named[1::2])))]
+    for got, want in cases:
+        assert _monomial_terms(got) == want
+        assert _canonical_form(got) and _canonical_coefficients(got)
+
+
+def test_rational_form_is_canonical():
+    half = x.scale(Fraction(1, 2))
+    assert (half.num, half.den) == (x.num, 2)
+    total = half + half
+    assert total == x and (total.num, total.den) == (x.num, 1)
+    p = half + 3 * a
+    for q in (-p, p - p, p, p * p, Poly.dot([(p, 2)])):
+        assert _canonical_form(q) and _canonical_coefficients(q)
+        assert all(type(c) is int or type(c) is Fraction and c.denominator > 1
+                   for c in q.terms.values())
+    assert (-p).terms == {k: -c for k, c in p.terms.items()}
+    assert {type(c) for c in (-p).terms.values()} == {int, Fraction}
+    assert ((p - p).num, (p - p).den) == ({}, 1)
+
+
+def test_rational_arithmetic_builds_no_fraction(monkeypatch):
+    p = x.scale(Fraction(1, 2)) + a.scale(Fraction(1, 3)) + 1
+    q = (x * a).scale(Fraction(2, 5)) - x.scale(Fraction(1, 3))
+    s = Series([p, q, p * q], 2)
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(polyring, "Fraction", Counted)
+    dot, product, total, square = Poly.dot([(p, q), (q, p), (p, 3)]), p * q, p + q, s * s
+    assert made == []
+    monkeypatch.undo()
+    assert _monomial_terms(dot) == _reference_dot([(p, q), (q, p), (p, Poly.const(3))])
+    assert (product, total) == (p * q, p + q) and square.coefs[2] == 2 * p * p * q + q * q
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"vars": "xy", "terms": [{"exp": [1, 1], "coef": "1"}]}, "vars"),
+    ({"vars": ["x"], "terms": [{"exp": [1], "coef": "1_000"}]}, "coef"),
+    ({"vars": ["x"], "terms": [{"exp": [1], "coef": " 3 "}]}, "coef"),
+    ({"vars": ["x"], "terms": [{"exp": [1], "coef": "\u0661\u0662"}]}, "coef"),
+    ({"vars": ["x"], "terms": [{"exp": [1], "coef": 1}]}, "coef"),
+], ids=["vars-string", "underscore-digits", "padded", "arabic-indic-digits", "numeric-coef"])
+def test_json_accepts_only_canonical_text(entry, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        Poly.from_json_obj(entry)
+
+
+def test_json_canonical_coefficients_still_read():
+    terms = [{"exp": [e], "coef": c} for e, c in enumerate(["-3", "0", "7/2", "-1/6", "010"])]
+    p = Poly.from_json_obj({"vars": ["x"], "terms": terms})
+    assert p == -3 + (x ** 2).scale(Fraction(7, 2)) - (x ** 3).scale(Fraction(1, 6)) + 10 * x ** 4

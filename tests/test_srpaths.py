@@ -254,9 +254,9 @@ def test_the_recurrence_multiplies_no_zero_operand(monkeypatch):
     sizes = []
     product, mul_add = polyring._product, srpaths._mul_add
 
-    def recorded(ta, tb):
-        sizes.append((len(ta), len(tb)))
-        return product(ta, tb)
+    def recorded(a, b):
+        sizes.append((len(a.num), len(b.num)))
+        return product(a, b)
 
     def recorded_mul_add(a, c, b):
         sizes.append((len(a.terms), len(c.terms), len(b.terms)))
@@ -289,6 +289,25 @@ def test_each_alpha_is_read_once_per_triangle():
         tri.value(4, 7, 2)
         assert reads and len(reads) == len(set(reads))
         assert tri.value(1, 4, 1) == sr_path_oracle(CO2, 1, 4, 1)
+
+
+def test_triangle_walks_only_the_cones_of_its_last_row(monkeypatch):
+    # at m = 1 the cone of S(0; 5, k) is both types at rows 0..4 and type 0
+    # at row 5: 11 blocks; the cones of the last row's 6 entries hold every
+    # other entry, which a memo hit then returns without a walk
+    walks = []
+    fill = SRTriangles._fill
+
+    def recording(self, blocks):
+        blocks = list(blocks)
+        walks.append(len(blocks))
+        fill(self, blocks)
+
+    monkeypatch.setattr(SRTriangles, "_fill", recording)
+    got = SRTriangles(CO1).triangle(0, 6)
+    assert walks == [11] * 6
+    monkeypatch.undo()
+    assert got == Truncation.from_fn(6, 6, lambda i, k: SRTriangles(CO1).value(0, i, k))
 
 
 def test_prodmat_smj_refuses_a_negative_size():

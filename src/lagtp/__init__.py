@@ -11,10 +11,10 @@ closed form.
 from .polyring import ExactDivisionError, Poly, rising
 from .series import (Series, series_pow_sym, series_reciprocal,
                      solve_logderiv, solve_riccati)
-from .matrices import (HessMatrix, Truncation, TPReport, TPWitness,
+from .matrices import (HessMatrix, Mismatch, Truncation, TPReport, TPWitness,
                        XorShift64, binomial_truncation,
                        bx_conjugate_eaz_identity_check, conjugate_by_binomial,
-                       delta_matrix, eaz_matrix, hankel_truncation,
+                       delta_matrix, eaz_matrix, first_difference, hankel_truncation,
                        output_matrix, production_of, riordan_matrix,
                        tp_check_sampled, tp_check_symbolic,
                        tp_check_tridiagonal, unit_lower_inverse)

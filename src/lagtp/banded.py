@@ -38,11 +38,7 @@ class DiagonalPolySpec:
 
     def poly_degree(self, m: int) -> int:
         """Degree in n of f_m (m from -1 to r); -1 for the zero polynomial."""
-        coeffs = self.fs[m + 1]
-        for d in range(len(coeffs) - 1, -1, -1):
-            if not coeffs[d].is_zero():
-                return d
-        return -1
+        return max((d for d, c in enumerate(self.fs[m + 1]) if c), default=-1)
 
     def eval_f(self, m: int, n: int) -> Poly:
         return Poly.dot((c, n ** d) for d, c in enumerate(self.fs[m + 1]))

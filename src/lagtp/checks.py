@@ -1,10 +1,13 @@
 """Verification suites: every structural identity the library promises,
-written as boolean checks so the batch front end and the test suite can
-drive the same code.
+written as checks so the batch front end and the test suite can drive the
+same code.
 
-Each check returns True/False; a check that raises is reported as an error,
-not as a failure.  CHECKS registers every check once, with its suite and its
-acceptance criterion; CRITERIA gives each criterion its time budget.
+A check returns True, or on failure the first falsy value of its chained
+comparisons: the ``Mismatch`` of ``first_difference`` at the first differing
+entry, a failed ``TPReport`` with its witness minor, or a predicate's False.
+A check that raises is reported as an error, not as a failure.  CHECKS
+registers every check once, with its suite and its acceptance criterion;
+CRITERIA gives each criterion its time budget.
 """
 
 from __future__ import annotations
@@ -21,14 +24,18 @@ from .laguerre import (UNIT_WEIGHTS, EdgeWeights, LaguerreParams, RouteMismatchE
                        laguerre_rowgen_egf, monic_laguerre,
                        monic_laguerre_reversed, prodmat, rowgen_shifted_family_check,
                        rowgen_polys, unsigned_self_inverse_check)
-from .matrices import (HessMatrix, Truncation, XorShift64,
+from .matrices import (HessMatrix, Mismatch, TPReport, Truncation, XorShift64,
                        binomial_truncation, bx_conjugate_eaz_identity_check,
                        conjugate_by_binomial, delta_matrix, diagonal, eaz_matrix,
-                       hankel_truncation, output_matrix, production_of,
+                       first_difference, hankel_truncation, output_matrix, production_of,
                        riordan_matrix, sfraction_word, tp_check_sampled,
                        tp_check_symbolic, tp_check_tridiagonal)
 from .polyring import Poly, rising
 from .series import Series, series_pow_sym, solve_riccati
+
+
+# What a check returns: True, or a falsy Mismatch, TPReport or False.
+Outcome = bool | Mismatch | TPReport
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,21 @@ class Ctx:
 
     def cap(self, default: int) -> int:
         return default if self.max_n is None else min(default, self.max_n)
+
+
+def _first_failure(results) -> Outcome:
+    """The first falsy value of ``results``, taken lazily, or True."""
+    return next((r for r in results if not r), True)
+
+
+def _lower(n: int, fn) -> Truncation:
+    """The n x n lower-triangular matrix with entries fn(i, k), k <= i."""
+    return Truncation.from_fn(n, n, lambda i, k: fn(i, k) if k <= i else 0)
+
+
+def _egf_terms(series: Series, count: int) -> list:
+    """n! [t^n] series for n = 0..count-1."""
+    return [series[i].scale(math.factorial(i)) for i in range(count)]
 
 
 # ---------------------------------------------------------------- univariate
@@ -65,31 +87,34 @@ GOLDEN_LAH = [
 ]
 
 
-def golden_polynomials(ctx: Ctx) -> bool:
-    params, x = LaguerreParams.symbolic(), Poly.var("x")
-    ok = all(str(monic_laguerre(n, params, x)) == GOLDEN_MONIC[n] for n in range(4))
-    p0 = LaguerreParams.of(0)
-    ok &= all(str(monic_laguerre_reversed(n, p0, x)) == GOLDEN_ROOK[n] for n in range(5))
-    pm1 = LaguerreParams.of(-1)
-    ok &= all(str(monic_laguerre(n, pm1, x)) == GOLDEN_LAH[n] for n in range(5))
-    # the same families as row-generating polynomials of the coefficient matrix
-    ok &= str(rowgen_polys(coeff_matrix_uni(pm1, 4), x)[3]) == GOLDEN_LAH[3]
-    ok &= str(rowgen_polys(coeff_matrix_uni(p0, 3), x, reversed_form=True)[2]) == GOLDEN_ROOK[2]
-    return ok
+def golden_polynomials(ctx: Ctx) -> Outcome:
+    x, sym = Poly.var("x"), LaguerreParams.symbolic()
+    p0, pm1 = LaguerreParams.of(0), LaguerreParams.of(-1)
+    # the last two: the same families as row-generating polynomials
+    families = (("monic Laguerre", [monic_laguerre(n, sym, x) for n in range(4)], GOLDEN_MONIC),
+                ("rook", [monic_laguerre_reversed(n, p0, x) for n in range(5)], GOLDEN_ROOK),
+                ("Lah", [monic_laguerre(n, pm1, x) for n in range(5)], GOLDEN_LAH),
+                ("Lah row", rowgen_polys(coeff_matrix_uni(pm1, 4), x), GOLDEN_LAH[:4]),
+                ("rook row", rowgen_polys(coeff_matrix_uni(p0, 3), x, reversed_form=True),
+                 GOLDEN_ROOK[:3]))
+    return _first_failure(first_difference([str(p) for p in polys], golden, f"{name} polynomials")
+                          for name, polys, golden in families)
 
 
-def tridiagonal_output_is_coeff_matrix(ctx: Ctx) -> bool:
+def tridiagonal_output_is_coeff_matrix(ctx: Ctx) -> Outcome:
     n = ctx.cap(9)
     params = LaguerreParams.symbolic()
-    return output_matrix(prodmat(params, "Pcirc"), n) == coeff_matrix_uni(params, n)
+    return first_difference(output_matrix(prodmat(params, "Pcirc"), n),
+                            coeff_matrix_uni(params, n), "O(P-circ) vs coefficient matrix")
 
 
-def quadridiagonal_output_is_rowgen_matrix(ctx: Ctx) -> bool:
+def quadridiagonal_output_is_rowgen_matrix(ctx: Ctx) -> Outcome:
     n = ctx.cap(8)
     params, x = LaguerreParams.symbolic(), Poly.var("x")
     got = output_matrix(prodmat(params, "P", x=x), n)
     rowgen = laguerre.binomial_rowgen_matrix(coeff_matrix_uni(params, n), x)
-    return got == rowgen and rowgen_shifted_family_check(params, n, x)
+    return (first_difference(got, rowgen, "O(P) vs L B_x")
+            and rowgen_shifted_family_check(params, n, x))
 
 
 def _univariate_hankel() -> Truncation:
@@ -98,21 +123,21 @@ def _univariate_hankel() -> Truncation:
     return hankel_truncation([monic_laguerre(n, params, Poly.var("x")) for n in range(9)], 5)
 
 
-def univariate_hankel_tp3_symbolic(ctx: Ctx) -> bool:
-    return tp_check_symbolic(_univariate_hankel(), 3).ok
+def univariate_hankel_tp3_symbolic(ctx: Ctx) -> Outcome:
+    return tp_check_symbolic(_univariate_hankel(), 3)
 
 
-def univariate_hankel_tp4_sampled(ctx: Ctx) -> bool:
-    return tp_check_sampled(_univariate_hankel(), 4, seed=ctx.seed, samples=100).ok
+def univariate_hankel_tp4_sampled(ctx: Ctx) -> Outcome:
+    return tp_check_sampled(_univariate_hankel(), 4, seed=ctx.seed, samples=100)
 
 
-def unsigned_self_inverse(ctx: Ctx) -> bool:
+def unsigned_self_inverse(ctx: Ctx) -> Outcome:
     return (unsigned_self_inverse_check(LaguerreParams.symbolic(), 6)
             and unsigned_self_inverse_check(LaguerreParams.symbolic(), 1)
             and unsigned_self_inverse_check(LaguerreParams.of(0), 8))
 
 
-def coeff_matrix_is_sfraction_triangle(ctx: Ctx) -> bool:
+def coeff_matrix_is_sfraction_triangle(ctx: Ctx) -> Outcome:
     """The coefficient matrix is the m=1 S-fraction triangle with
     alpha_{2k-1} = k+alpha, alpha_{2k} = k; its zeroth column is lam^rising."""
     n = ctx.cap(8)
@@ -121,35 +146,34 @@ def coeff_matrix_is_sfraction_triangle(ctx: Ctx) -> bool:
     coeffs = srpaths.SRCoeffs.from_fn(1, alpha_fn)
     tri = srpaths.SRTriangles(coeffs).triangle(0, n)
     uni = coeff_matrix_uni(params, n)
-    if tri != uni:
-        return False
-    if production_of(uni) != sfraction_word(alpha_fn, 1, 0).block(n).top_left(n - 1, n):
-        return False
-    lam = params.lam
-    if any(uni[i, 0] != rising(lam, i) for i in range(n)):
-        return False
-    euler_gf = srpaths.sfrac_tail_series(coeffs, 0, n - 1)
-    return all(euler_gf[i] == rising(lam, i) for i in range(n))
+    lam_rising = [rising(params.lam, i) for i in range(n)]
+    return (first_difference(tri, uni, "S-fraction triangle vs coefficient matrix")
+            and first_difference(production_of(uni),
+                                 sfraction_word(alpha_fn, 1, 0).block(n).top_left(n - 1, n),
+                                 "production matrix vs S-fraction word")
+            and first_difference([uni[i, 0] for i in range(n)], lam_rising,
+                                 "column 0 vs lam^rising")
+            and first_difference(srpaths.sfrac_tail_series(coeffs, 0, n - 1).coefs, lam_rising,
+                                 "S-fraction series vs lam^rising"))
 
 
-def direct_tp_scaling_route(ctx: Ctx) -> bool:
+def direct_tp_scaling_route(ctx: Ctx) -> Outcome:
     """Row-scaling the binomial matrix by x_i = lam+i-1 rebuilds the
     coefficient matrix at alpha = -1+lam."""
     n = ctx.cap(7)
     lam = Poly.var("lam")
-    scaled = Truncation.from_fn(
-        n, n,
-        lambda i, k: rising(lam + k, i - k) * math.comb(i, k) if k <= i else 0)
-    return scaled == coeff_matrix_uni(LaguerreParams(lam - 1), n)
+    scaled = _lower(n, lambda i, k: rising(lam + k, i - k) * math.comb(i, k))
+    return first_difference(scaled, coeff_matrix_uni(LaguerreParams(lam - 1), n),
+                            "row-scaled binomial matrix vs coefficient matrix")
 
 
-def univariate_bidiagonal_factorizations(ctx: Ctx) -> bool:
+def univariate_bidiagonal_factorizations(ctx: Ctx) -> Outcome:
     params = LaguerreParams.symbolic()
     return (factorization_check("tridiagonal_lu", params, 7)
             and factorization_check("quadridiagonal_nested", params, 7))
 
 
-def flat_tridiagonal_split(ctx: Ctx) -> bool:
+def flat_tridiagonal_split(ctx: Ctx) -> Outcome:
     params = LaguerreParams.symbolic()
     # equality case: y_fp = y_p and y_da + y_dd = y_p + y_v force D = 0
     yp, yv = Poly.var("yp"), Poly.var("yv")
@@ -177,62 +201,52 @@ def _eulerian(n: int, j: int) -> int:
     return (j + 1) * _eulerian(n - 1, j) + (n - j) * _eulerian(n - 1, j - 1)
 
 
-def first_mv_stirling_identities(ctx: Ctx) -> bool:
+def first_mv_stirling_identities(ctx: Ctx) -> Outcome:
     """v = (1,0,0) gives the Stirling subset triangle; v = (1,1,0) shifts it."""
     n = ctx.cap(8)
     p0 = LaguerreParams.of(0)
     m1 = coeff_matrix_first_mv(p0, EdgeWeights(Poly.one(), Poly.zero(), Poly.zero()), n)
     m2 = coeff_matrix_first_mv(p0, EdgeWeights(Poly.one(), Poly.one(), Poly.zero()), n)
-    for i in range(n):
-        for k in range(i + 1):
-            if m1[i, k] != Poly.const(_stirling2(i, k)):
-                return False
-            if m2[i, k] != Poly.const(_stirling2(i + 1, k + 1)):
-                return False
-    return True
+    shifted = Truncation.from_fn(n, n, lambda i, k: _stirling2(i + 1, k + 1))
+    return (first_difference(m1, Truncation.from_fn(n, n, _stirling2), "v = (1,0,0) vs S(n,k)")
+            and first_difference(m2, shifted, "v = (1,1,0) vs S(n+1,k+1)"))
 
 
-def first_mv_uniform_scaling(ctx: Ctx) -> bool:
+def first_mv_uniform_scaling(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     params = LaguerreParams.symbolic()
     v = Poly.var("v")
     m = coeff_matrix_first_mv(params, EdgeWeights(v, v, v), n)
     uni = coeff_matrix_uni(params, n)
-    return all(m[i, k] == uni[i, k] * v ** (i - k)
-               for i in range(n) for k in range(i + 1))
+    return first_difference(m, _lower(n, lambda i, k: uni[i, k] * v ** (i - k)),
+                            "v = (v,v,v) vs coefficient matrix * v^(n-k)")
 
 
-def first_mv_rooks_decreasing(ctx: Ctx) -> bool:
+def first_mv_rooks_decreasing(ctx: Ctx) -> Outcome:
     """v_+ = 0: entries are sums of loop choices times Stirling partitions."""
     n = ctx.cap(8)
     params = LaguerreParams.symbolic()
     vm, v0 = Poly.var("vm"), Poly.var("v0")
     m = coeff_matrix_first_mv(params, EdgeWeights(vm, v0, Poly.zero()), n)
     lam = params.lam
-    for nn in range(n):
-        for k in range(nn + 1):
-            acc = Poly.dot(((lam * v0) ** i * math.comb(nn, i),
-                            vm ** (nn - i - k) * _stirling2(nn - i, k))
-                           for i in range(nn - k + 1))
-            if m[nn, k] != acc:
-                return False
-    return True
+    want = _lower(n, lambda nn, k: Poly.dot(((lam * v0) ** i * math.comb(nn, i),
+                                             vm ** (nn - i - k) * _stirling2(nn - i, k))
+                                            for i in range(nn - k + 1)))
+    return first_difference(m, want, "v_+ = 0 vs loops times Stirling partitions")
 
 
-def first_mv_eulerian_column(ctx: Ctx) -> bool:
+def first_mv_eulerian_column(ctx: Ctx) -> Outcome:
     """alpha = 0, v_0 = v_-: column zero generates permutations by excedances."""
     n = ctx.cap(6)
     p0 = LaguerreParams.of(0)
     vm, vp = Poly.var("vm"), Poly.var("vp")
     m = coeff_matrix_first_mv(p0, EdgeWeights(vm, vm, vp), n)
-    for nn in range(1, n):
-        expect = Poly.dot((vp ** j * _eulerian(nn, j), vm ** (nn - j)) for j in range(nn))
-        if m[nn, 0] != expect:
-            return False
-    return True
+    want = [Poly.dot((vp ** j * _eulerian(nn, j), vm ** (nn - j)) for j in range(nn + 1))
+            for nn in range(n)]
+    return first_difference([m[nn, 0] for nn in range(n)], want, "column 0 vs Eulerian")
 
 
-def second_mv_riordan_vs_oracle(ctx: Ctx) -> bool:
+def second_mv_riordan_vs_oracle(ctx: Ctx) -> Outcome:
     """Both routes agree (the constructor raises RouteMismatchError when not)."""
     n = ctx.cap(7)
     params = LaguerreParams.symbolic()
@@ -242,47 +256,46 @@ def second_mv_riordan_vs_oracle(ctx: Ctx) -> bool:
         coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=n)
         coeff_matrix_second_mv(params, w, min(n, 5), flat=False, oracle_rows=min(n, 5))
         coeff_matrix_second_mv(params, wz, min(n, 5), flat=True, oracle_rows=min(n, 5))
-    except RouteMismatchError:
-        return False
+    except RouteMismatchError as exc:
+        return exc.args[0]
     return True
 
 
-def flat_tridiagonal_output_is_flat_matrix(ctx: Ctx) -> bool:
+def flat_tridiagonal_output_is_flat_matrix(ctx: Ctx) -> Outcome:
     n = ctx.cap(7)
     params = LaguerreParams.symbolic()
     w = VertexWeights.symbolic()
     got = output_matrix(prodmat(params, "PcircFlat", weights=w), n)
-    return got == coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0)
+    return first_difference(got, coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0),
+                            "O(flat P-circ) vs flat Riordan route")
 
 
-def conjugation_links_production_matrices(ctx: Ctx) -> bool:
+def conjugation_links_production_matrices(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     params, x = LaguerreParams.symbolic(), Poly.var("x")
     w = VertexWeights.symbolic()
-    conj = conjugate_by_binomial(prodmat(params, "PcircFlat", weights=w), x, n)
-    if conj != prodmat(params, "PFlat", weights=w, x=x).truncate(n):
-        return False
-    conj_y = conjugate_by_binomial(prodmat(params, "PcircY", weights=w), x, n)
-    return conj_y == prodmat(params, "PY", weights=w, x=x).truncate(n)
+
+    def linked(circ, quad):
+        return first_difference(conjugate_by_binomial(prodmat(params, circ, weights=w), x, n),
+                                prodmat(params, quad, weights=w, x=x).truncate(n),
+                                f"B_x^-1 {circ} B_x vs {quad}")
+
+    return linked("PcircFlat", "PFlat") and linked("PcircY", "PY")
 
 
-def second_mv_homogeneity(ctx: Ctx) -> bool:
+def second_mv_homogeneity(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     params = LaguerreParams.symbolic()
     w = VertexWeights.symbolic()
     names = {"yp", "yv", "yda", "ydd", "yfp"}
     flat = coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0)
     full = coeff_matrix_second_mv(params, w, n, flat=False, oracle_rows=0)
-    for i in range(n):
-        for k in range(i + 1):
-            if not laguerre._is_homogeneous(flat[i, k], names, i - k):
-                return False
-            if not laguerre._is_homogeneous(full[i, k], names, i):
-                return False
-    return True
+    return all(laguerre._is_homogeneous(flat[i, k], names, i - k)
+               and laguerre._is_homogeneous(full[i, k], names, i)
+               for i in range(n) for k in range(i + 1))
 
 
-def second_mv_peak_divisibility(ctx: Ctx) -> bool:
+def second_mv_peak_divisibility(ctx: Ctx) -> Outcome:
     """Every entry of the non-flat matrix is divisible by y_p^k; checked on
     the digraph-oracle entries themselves, with the quotient matching the
     flat Riordan route."""
@@ -291,64 +304,57 @@ def second_mv_peak_divisibility(ctx: Ctx) -> bool:
     w = VertexWeights.symbolic()
     flat = coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0)
     weights = w.oracle_weights(params.lam)
-    for i in range(n):
-        for k in range(i + 1):
-            entry = digraphs.oracle_entry(i, k, weights, "second_mv")
-            if entry.exact_div(w.y_p ** k) != flat[i, k]:
-                return False
-    return True
+    quotients = _lower(n, lambda i, k: digraphs.oracle_entry(i, k, weights, "second_mv")
+                       .exact_div(w.y_p ** k))
+    return first_difference(quotients, flat, "oracle entries / y_p^k vs flat Riordan route")
 
 
-def first_specializations(ctx: Ctx) -> bool:
+def first_specializations(ctx: Ctx) -> Outcome:
     n = ctx.cap(5)
     return laguerre.first_mv_specialization_check(LaguerreParams.symbolic(), n)
 
 
-def cycle_statistics_egf(ctx: Ctx) -> bool:
+def cycle_statistics_egf(ctx: Ctx) -> Outcome:
     n = ctx.cap(7)
     w = VertexWeights.symbolic()
     lam = Poly.var("lam")
     # F does not depend on flat; the flat G is H itself, with no scaling
     f, _ = laguerre.riordan_pair(LaguerreParams(lam - 1), w, n, flat=True)
     weights = w.oracle_weights(lam)
-    for i in range(n + 1):
-        if f[i].scale(math.factorial(i)) != digraphs.permutation_oracles(i, "cyclic", weights):
-            return False
-    # lemma: F(lam) = F(1)^lam
+    oracle = [digraphs.permutation_oracles(i, "cyclic", weights) for i in range(n + 1)]
     f1, _ = laguerre.riordan_pair(LaguerreParams.of(0), w, n, flat=True)
-    return series_pow_sym(f1, lam, n) == f
+    return (first_difference(_egf_terms(f, n + 1), oracle, "F vs cyclic oracle")
+            # lemma: F(lam) = F(1)^lam
+            and first_difference(series_pow_sym(f1, lam, n).coefs, f.coefs, "F(1)^lam vs F"))
 
 
-def word_statistics_egf(ctx: Ctx) -> bool:
+def word_statistics_egf(ctx: Ctx) -> Outcome:
     n = ctx.cap(7)
     zs = {k: Poly.var(v) for k, v in
           (("z_p", "zp"), ("z_v", "zv"), ("z_da", "zda"), ("z_dd", "zdd"))}
     g = solve_riccati(zs["z_p"], zs["z_da"] + zs["z_dd"], zs["z_v"], n)
-    for i in range(1, n + 1):
-        if g[i].scale(math.factorial(i)) != digraphs.permutation_oracles(i, "linear00", zs):
-            return False
-    return g[0].is_zero()
+    oracle = [digraphs.permutation_oracles(i, "linear00", zs) for i in range(1, n + 1)]
+    return first_difference(_egf_terms(g, n + 1), [Poly.zero()] + oracle, "G vs linear oracle")
 
 
-def laguerre_egf_check(ctx: Ctx) -> bool:
+def laguerre_egf_check(ctx: Ctx) -> Outcome:
     n = ctx.cap(8)
     params, x = LaguerreParams.symbolic(), Poly.var("x")
     egf = laguerre_rowgen_egf(params, x, n)
-    return all(egf[i].scale(math.factorial(i)) == monic_laguerre(i, params, x)
-               for i in range(n + 1))
+    return first_difference(_egf_terms(egf, n + 1),
+                            [monic_laguerre(i, params, x) for i in range(n + 1)], "EGF vs L_n")
 
 
-def riccati_consistency(ctx: Ctx) -> bool:
+def riccati_consistency(ctx: Ctx) -> Outcome:
     """d/dt of the Riccati solution re-satisfies the ODE termwise."""
     n = ctx.cap(8)
     p, q, r = Poly.var("zp"), Poly.var("zda") + Poly.var("zdd"), Poly.var("zv")
     g = solve_riccati(p, q, r, n)
-    lhs = g.derivative()
     rhs = (Series.one(n) * p + g * q + (g * g) * r).truncate(n - 1)
-    return lhs == rhs
+    return first_difference(g.derivative().coefs, rhs.coefs, "G' vs p + q G + r G^2")
 
 
-def first_mv_egf_bivariate(ctx: Ctx) -> bool:
+def first_mv_egf_bivariate(ctx: Ctx) -> Outcome:
     """The bivariate EGF F(t) e^{u G-flat(t)} matches the first multivariate
     matrix entries to order 6, with u tracked as a variable."""
     n = ctx.cap(6)
@@ -356,115 +362,104 @@ def first_mv_egf_bivariate(ctx: Ctx) -> bool:
     edge, u = EdgeWeights.symbolic(), Poly.var("u")
     f, gflat = laguerre.riordan_pair(params, edge.vertex_weights(), n, flat=True)
     egf = f * (gflat * u).exp()
-    m = coeff_matrix_first_mv(params, edge, n + 1)
-    for i in range(n + 1):
-        coef = egf[i].scale(math.factorial(i))
-        for k in range(i + 1):
-            if coef.coeff_of_var("u", k) != m[i, k]:
-                return False
-    return True
+    rows = _egf_terms(egf, n + 1)
+    return first_difference(_lower(n + 1, lambda i, k: rows[i].coeff_of_var("u", k)),
+                            coeff_matrix_first_mv(params, edge, n + 1), "EGF vs first_mv")
 
 
 # ------------------------------------------------------------------ riordan
 
 
-def eaz_conjugation_identity(ctx: Ctx) -> bool:
+def eaz_conjugation_identity(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     a = [Poly.var(f"a{i}") for i in range(6)]
     z = [Poly.var(f"z{i}") for i in range(6)]
-    if not bx_conjugate_eaz_identity_check(a, z, n):
-        return False
-    # a = 0: conjugation leaves EAZ(0,z) fixed
-    x = Poly.var("x")
-    zero_a = [Poly.zero()] * 6
-    lhs = conjugate_by_binomial(eaz_matrix(zero_a, z), x, n)
-    if lhs != eaz_matrix(zero_a, z).truncate(n):
-        return False
-    # x -> 0 degenerates to the identity conjugation
-    lhs0 = conjugate_by_binomial(eaz_matrix(a, z), Poly.zero(), n)
-    return lhs0 == eaz_matrix(a, z).truncate(n)
+    x, zero_a = Poly.var("x"), [Poly.zero()] * 6
+    return (bx_conjugate_eaz_identity_check(a, z, n)
+            # a = 0: conjugation leaves EAZ(0,z) fixed
+            and first_difference(conjugate_by_binomial(eaz_matrix(zero_a, z), x, n),
+                                 eaz_matrix(zero_a, z).truncate(n), "conjugated EAZ(0,z)")
+            # x -> 0 degenerates to the identity conjugation
+            and first_difference(conjugate_by_binomial(eaz_matrix(a, z), Poly.zero(), n),
+                                 eaz_matrix(a, z).truncate(n), "EAZ(a,z) conjugated at x=0"))
 
 
-def eaz_spot_values(ctx: Ctx) -> bool:
+def eaz_spot_values(ctx: Ctx) -> Outcome:
     a = [Poly.var(f"a{i}") for i in range(4)]
     z = [Poly.var(f"z{i}") for i in range(4)]
     m = eaz_matrix(a, z)
-    if m(2, 1) != (Poly.var("z1") + Poly.var("a2")) * 2:
-        return False
-    if m(3, 4) != Poly.var("a0"):
-        return False
-    zero = eaz_matrix([0], [0])
-    if any(not zero(i, k).is_zero() for i in range(4) for k in range(5)):
-        return False
     params = LaguerreParams.symbolic()
     lam = params.lam
-    pcirc = eaz_matrix([1, 2, 1], [lam, lam])
-    return pcirc.truncate(6) == prodmat(params, "Pcirc").truncate(6)
+    zero = eaz_matrix([0], [0]).truncate(4, 5)
+    return (first_difference([m(2, 1), m(3, 4)], [(z[1] + a[2]) * 2, a[0]], "EAZ (2,1), (3,4)")
+            and first_difference(zero, Truncation.zero(4, 5), "EAZ(0,0)")
+            and first_difference(eaz_matrix([1, 2, 1], [lam, lam]).truncate(6),
+                                 prodmat(params, "Pcirc").truncate(6), "EAZ vs P-circ"))
 
 
-def riordan_constructions(ctx: Ctx) -> bool:
+def riordan_constructions(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     params, x = LaguerreParams.symbolic(), Poly.var("x")
     f, g = laguerre.riordan_pair(params, UNIT_WEIGHTS, n)
-    if riordan_matrix(f, g, n) != coeff_matrix_uni(params, n):
-        return False
-    # B_x = R[e^{xt}, t]
-    ex = (Series.t(n) * x).exp()
-    if riordan_matrix(ex, Series.t(n), n) != binomial_truncation(x, n):
-        return False
-    return riordan_matrix(Series.one(n), Series.t(n), n) == Truncation.identity(n)
+    return (first_difference(riordan_matrix(f, g, n), coeff_matrix_uni(params, n),
+                             "R[F,G] vs coefficient matrix")
+            # B_x = R[e^{xt}, t]
+            and first_difference(riordan_matrix((Series.t(n) * x).exp(), Series.t(n), n),
+                                 binomial_truncation(x, n), "R[e^(xt), t] vs B_x")
+            and first_difference(riordan_matrix(Series.one(n), Series.t(n), n),
+                                 Truncation.identity(n), "R[1, t] vs I"))
 
 
-def riordan_vector_action(ctx: Ctx) -> bool:
+def riordan_vector_action(ctx: Ctx) -> Outcome:
     """R[F,G] b has EGF F(t) B(G(t)), for two different (F,G) pairs."""
     n = ctx.cap(6)
     pairs = [laguerre.riordan_pair(LaguerreParams.symbolic(), UNIT_WEIGHTS, n),
              ((Series.t(n) * Poly.var("x")).exp(), Series.t(n))]
     b = [Poly.var(f"b{i}") for i in range(n)]
     begf = Series([b[i].scale(Fraction(1, math.factorial(i))) for i in range(n)], n - 1)
-    for f, g in pairs:
+
+    def acts(f, g):
         r = riordan_matrix(f, g, n)
         rhs = f.truncate(n - 1) * begf.compose(g.truncate(n - 1))
-        for i in range(n):
-            got = Poly.dot((r[i, k], b[k]) for k in range(i + 1))
-            if got != rhs[i].scale(math.factorial(i)):
-                return False
-    return True
+        return first_difference([Poly.dot((r[i, k], b[k]) for k in range(i + 1)) for i in range(n)],
+                                _egf_terms(rhs, n), "R[F,G] b vs F B(G)")
+
+    return _first_failure(acts(f, g) for f, g in pairs)
 
 
-def riordan_product_rule(ctx: Ctx) -> bool:
+def riordan_product_rule(ctx: Ctx) -> Outcome:
     """R[F1,G1] R[F2,G2] = R[(F2 o G1) F1, G2 o G1] on truncations."""
     n = ctx.cap(6)
     pairs = [laguerre.riordan_pair(LaguerreParams.symbolic(), UNIT_WEIGHTS, n),
              ((Series.t(n) * Poly.var("x")).exp(), Series.t(n))]
     f2, g2 = pairs[0]
-    for f1, g1 in pairs:
-        lhs = riordan_matrix(f1, g1, n) * riordan_matrix(f2, g2, n)
-        rhs = riordan_matrix(f2.compose(g1) * f1, g2.compose(g1), n)
-        if lhs != rhs:
-            return False
-    return True
+    return _first_failure(
+        first_difference(riordan_matrix(f1, g1, n) * riordan_matrix(f2, g2, n),
+                         riordan_matrix(f2.compose(g1) * f1, g2.compose(g1), n),
+                         "R[F1,G1] R[F2,G2] vs R[(F2 o G1) F1, G2 o G1]")
+        for f1, g1 in pairs)
 
 
-def riordan_production_is_eaz(ctx: Ctx) -> bool:
+def riordan_production_is_eaz(ctx: Ctx) -> Outcome:
     """production_of(R[F,G]) = EAZ(A,Z) with A = G' o Ginv, Z = (F'/F) o Ginv."""
     n = ctx.cap(7)
     params, w = LaguerreParams.symbolic(), VertexWeights.symbolic()
     pairs = [laguerre.riordan_pair(params, UNIT_WEIGHTS, n),
              laguerre.riordan_pair(params, w, n, flat=True)]
-    for f, g in pairs:
+
+    def is_eaz(f, g):
         ginv = g.reversion()
         a_series = g.derivative().compose(ginv.truncate(n - 1))
         z_series = (f.derivative() * f.reciprocal()).compose(ginv.truncate(n - 1))
-        got = production_of(riordan_matrix(f, g, n))
         want = eaz_matrix(lambda i: a_series[i] if i <= a_series.order else Poly.zero(),
                           lambda i: z_series[i] if i <= z_series.order else Poly.zero())
-        if got != want.truncate(n - 1, n):
-            return False
-    return True
+        return first_difference(production_of(riordan_matrix(f, g, n)),
+                                want.truncate(n - 1, n), "production vs EAZ(A,Z)")
+
+    return _first_failure(is_eaz(f, g) for f, g in pairs)
 
 
-def binomial_shift_of_production(ctx: Ctx) -> bool:
+def binomial_shift_of_production(ctx: Ctx) -> Outcome:
     """O(aI + bP) = B_{a,b} O(P), symbolically in a and b."""
     n = ctx.cap(5)
     a, b = Poly.var("s"), Poly.var("u")
@@ -472,171 +467,156 @@ def binomial_shift_of_production(ctx: Ctx) -> bool:
     p = Truncation.from_fn(n, n, lambda i, j: int(rng.next_u64() % 4) if j <= i + 1 else 0)
     shifted = HessMatrix(lambda i, j: (a if i == j else Poly.zero()) + b * p[i, j]
                          if i < n and j < n else Poly.zero())
-    lhs = output_matrix(shifted, n)
-    rhs = binomial_truncation(a, n, b) * output_matrix(p, n)
-    return lhs == rhs
+    return first_difference(output_matrix(shifted, n),
+                            binomial_truncation(a, n, b) * output_matrix(p, n), "O(aI + bP)")
 
 
-def hankel_factorization_identity(ctx: Ctx) -> bool:
+def hankel_factorization_identity(ctx: Ctx) -> Outcome:
     """H(O_0(P)) = O(P) O(P^T)^T for a fully symbolic Hessenberg P."""
     n = ctx.cap(5)
-    vars_cache: dict = {}
 
     def p(i, k):
-        if k > i + 1:
-            return Poly.zero()
-        if (i, k) not in vars_cache:
-            vars_cache[(i, k)] = Poly.var(f"p{i}_{k}")
-        return vars_cache[(i, k)]
+        return Poly.var(f"p{i}_{k}") if k <= i + 1 else Poly.zero()
 
     col0 = [output_matrix(p, 2 * n - 1, 1)[i, 0] for i in range(2 * n - 1)]
-    lhs = hankel_truncation(col0, n)
     a = output_matrix(p, n, n)
     b = output_matrix(lambda i, k: p(k, i), n, n)
-    return lhs == a * b.transpose()
+    return first_difference(hankel_truncation(col0, n), a * b.transpose(), "H(O_0(P))")
 
 
-def truncation_exactness(ctx: Ctx) -> bool:
+def truncation_exactness(ctx: Ctx) -> Outcome:
     """Row n of O(P) ignores rows >= n of P: perturbing them changes nothing."""
     n = ctx.cap(6)
     params, x = LaguerreParams.symbolic(), Poly.var("x")
-    base = prodmat(params, "P", x=x)
-    bump = Poly.var("bump")
-
-    def perturbed(i, k):
-        val = base(i, k)
-        return val + bump if i >= n - 1 else val
-
-    return output_matrix(base, n) == output_matrix(HessMatrix(perturbed), n)
+    base, bump = prodmat(params, "P", x=x), Poly.var("bump")
+    perturbed = HessMatrix(lambda i, k: base(i, k) + bump if i >= n - 1 else base(i, k))
+    return first_difference(output_matrix(base, n), output_matrix(perturbed, n),
+                            "O(P) vs O(perturbed P)")
 
 
-def production_output_roundtrip(ctx: Ctx) -> bool:
+def production_output_roundtrip(ctx: Ctx) -> Outcome:
     n = ctx.cap(8)
     params, x = LaguerreParams.symbolic(), Poly.var("x")
-    for which in ("Pcirc", "P"):
+
+    def roundtrip(which):
         p = prodmat(params, which, x=x)
-        block = p.truncate(n - 1, n)
         o = output_matrix(p, n)
-        if production_of(o) != block:
-            return False
-        if output_matrix(production_of(o), n - 1) != o.top_left(n - 1, n - 1):
-            return False
-    if production_of(Truncation.identity(5)) != delta_matrix().truncate(4, 5):
-        return False
-    x5 = binomial_truncation(x, 5)
-    want = HessMatrix(lambda i, k: x if i == k else (1 if k == i + 1 else 0))
-    return production_of(x5) == want.truncate(4, 5)
+        prod = production_of(o)
+        return (first_difference(prod, p.truncate(n - 1, n), f"production of O({which})")
+                and first_difference(output_matrix(prod, n - 1), o.top_left(n - 1, n - 1),
+                                     f"O(production of O({which}))"))
+
+    x_shift = HessMatrix(lambda i, k: x if i == k else (1 if k == i + 1 else 0))
+    return (_first_failure(map(roundtrip, ("Pcirc", "P")))
+            and first_difference(production_of(Truncation.identity(5)),
+                                 delta_matrix().truncate(4, 5), "production of I vs Delta")
+            and first_difference(production_of(binomial_truncation(x, 5)),
+                                 x_shift.truncate(4, 5), "production of B_x vs xI + Delta"))
 
 
-def tridiagonal_minor_criterion(ctx: Ctx) -> bool:
+def tridiagonal_minor_criterion(ctx: Ctx) -> Outcome:
     """The off-diagonal/contiguous-minor criterion agrees with brute force
     on random nonnegative tridiagonal integer matrices."""
     rng = XorShift64(ctx.seed)
-    for trial in range(12):
+
+    def trial(index):
         n = 3 + int(rng.next_u64() % 5)  # up to 7x7
         m = Truncation.from_fn(
             n, n, lambda i, j: int(rng.next_u64() % 4) if abs(i - j) <= 1 else 0)
-        for order in (2, 3, n):
-            if tp_check_tridiagonal(m, order) != tp_check_symbolic(m, order).ok:
-                return False
-    return True
+        orders = (2, 3, n)
+        return first_difference([tp_check_tridiagonal(m, order) for order in orders],
+                                [tp_check_symbolic(m, order).ok for order in orders],
+                                f"criterion vs minor scan at orders {orders}, trial {index}")
+
+    return _first_failure(map(trial, range(12)))
 
 
-def tridiagonal_diagonal_comparison(ctx: Ctx) -> bool:
+def tridiagonal_diagonal_comparison(ctx: Ctx) -> Outcome:
     """TP tridiagonal plus nonnegative diagonal stays TP."""
     rng = XorShift64(ctx.seed)
-    for trial in range(10):
+
+    def trial(_):
         n = 3 + int(rng.next_u64() % 4)  # up to 6x6
         lo = Truncation.from_fn(
             n, n, lambda i, j: int(rng.next_u64() % 4) if j == i or j == i - 1 else 0)
         up = Truncation.from_fn(
             n, n, lambda i, j: int(rng.next_u64() % 4) if j == i or j == i + 1 else 0)
-        a = lo * up
         d = diagonal(lambda i: int(rng.next_u64() % 4)).block(n)
-        if not tp_check_symbolic(a + d, n).ok:
-            return False
-    return True
+        return tp_check_symbolic(lo * up + d, n)
+
+    return _first_failure(map(trial, range(10)))
 
 
-def tp_negative_control(ctx: Ctx) -> bool:
+def tp_negative_control(ctx: Ctx) -> Outcome:
     report = tp_check_symbolic(Truncation([[1, 2], [3, 1]]), 2)
-    if report.ok or report.witness.minor != Poly.const(-5):
-        return False
-    zero = tp_check_sampled(Truncation.zero(3, 3), 2, seed=ctx.seed, samples=3)
-    return zero.ok
+    return (not report
+            and first_difference([report.witness.minor], [Poly.const(-5)], "negative-control minor")
+            and tp_check_sampled(Truncation.zero(3, 3), 2, seed=ctx.seed, samples=3))
 
 
-def binomial_matrix_example(ctx: Ctx) -> bool:
+def binomial_matrix_example(ctx: Ctx) -> Outcome:
     """O(xI + y Delta) = B_{x,y} and B_x is totally positive at small order."""
     x, y = Poly.var("x"), Poly.var("y")
     p = HessMatrix(lambda n, k: x if k == n else (y if k == n + 1 else 0))
-    if output_matrix(p, 5) != binomial_truncation(x, 5, y):
-        return False
-    return tp_check_symbolic(binomial_truncation(x, 5), 3).ok
+    return (first_difference(output_matrix(p, 5), binomial_truncation(x, 5, y), "O(xI + y Delta)")
+            and tp_check_symbolic(binomial_truncation(x, 5), 3))
 
 
 # ------------------------------------------------------------------ srpaths
 
 
-def sr_poly_matches_path_oracle(ctx: Ctx) -> bool:
+def sr_poly_matches_path_oracle(ctx: Ctx) -> Outcome:
     """Every entry of the types 0..m+1 against the path oracle; type m+1
     both by the first recurrence (``direct``) and through the submatrix
     identity (``reduced``, the route ``sr_poly`` takes)."""
     cap = ctx.cap(18)
-    for m in (1, 2, 3):
-        coeffs = srpaths.SRCoeffs.symbolic(m)
-        direct = srpaths.SRTriangles(coeffs, max_j=m + 1)
-        reduced = srpaths.SRTriangles(coeffs)
-        for j in range(m + 2):
-            n = 0
-            while (m + 1) * n + j <= cap:
-                row = srpaths.sr_path_oracle_row(coeffs, j, n)
-                for k in range(n + 1):
-                    if direct.value(j, n, k) != row[k]:
-                        return False
-                    if j == m + 1 and reduced.value(j, n, k) != row[k]:
-                        return False
-                n += 1
-    # spot checks through the single-entry oracle
-    co2 = srpaths.SRCoeffs.symbolic(2)
-    if srpaths.sr_path_oracle(co2, 0, 1, 0) != Poly.var("al2"):
-        return False
-    co1 = srpaths.SRCoeffs.symbolic(1)
+
+    def rows():
+        for m in (1, 2, 3):
+            coeffs = srpaths.SRCoeffs.symbolic(m)
+            routes = {"direct": srpaths.SRTriangles(coeffs, max_j=m + 1),
+                      "reduced": srpaths.SRTriangles(coeffs)}
+            for j in range(m + 2):
+                for n in range((cap - j) // (m + 1) + 1):
+                    row = srpaths.sr_path_oracle_row(coeffs, j, n)
+                    for name in ("direct", "reduced") if j == m + 1 else ("direct",):
+                        yield first_difference(
+                            [routes[name].value(j, n, k) for k in range(n + 1)], row,
+                            f"S^({m};{j}) row {n} ({name}) vs path oracle")
+
+    co1, co2 = srpaths.SRCoeffs.symbolic(1), srpaths.SRCoeffs.symbolic(2)
     a1, a2 = Poly.var("al1"), Poly.var("al2")
-    if srpaths.sr_path_oracle(co1, 0, 2, 0) != a1 * a1 + a1 * a2:
-        return False
-    return srpaths.sr_path_oracle(co1, 0, 0, 0) == Poly.one()
+    return (_first_failure(rows())
+            # spot checks through the single-entry oracle
+            and first_difference([srpaths.sr_path_oracle(co2, 0, 1, 0),
+                                  srpaths.sr_path_oracle(co1, 0, 2, 0),
+                                  srpaths.sr_path_oracle(co1, 0, 0, 0)],
+                                 [a2, a1 * a1 + a1 * a2, Poly.one()], "path oracle spot values"))
 
 
-def smj_output_matches_triangle(ctx: Ctx) -> bool:
+def smj_output_matches_triangle(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
-    for m in (1, 2):
-        coeffs = srpaths.SRCoeffs.symbolic(m)
-        tri = srpaths.SRTriangles(coeffs, max_j=m)
-        for j in range(m + 1):
-            if output_matrix(srpaths.prodmat_smj(coeffs, j, n), n) != tri.triangle(j, n):
-                return False
-    return True
+    coeffs = {m: srpaths.SRCoeffs.symbolic(m) for m in (1, 2)}
+    tris = {m: srpaths.SRTriangles(coeffs[m], max_j=m) for m in coeffs}
+    return _first_failure(first_difference(output_matrix(srpaths.prodmat_smj(coeffs[m], j, n), n),
+                                           tris[m].triangle(j, n), f"O(P^({m};{j})) vs S^({m};{j})")
+                          for m in coeffs for j in range(m + 1))
 
 
-def smj_shift_identities(ctx: Ctx) -> bool:
+def smj_shift_identities(ctx: Ctx) -> Outcome:
     n = ctx.cap(5)
     coeffs = srpaths.SRCoeffs.symbolic(2)
-    for j in range(2):
-        lhs = srpaths.prodmat_smj(coeffs, j, n).truncate(n)
-        rhs = srpaths.prodmat_smj(coeffs.shifted_up(), j + 1, n).truncate(n)
-        if lhs != rhs:
-            return False
     tri = srpaths.SRTriangles(coeffs, max_j=5)
-    for jp in (0, 1):
-        for nn in range(4):
-            for k in range(nn + 1):
-                if tri.value(jp + 3, nn, k) != tri.value(jp, nn + 1, k + 1):
-                    return False
-    return True
+    shifts = (first_difference(srpaths.prodmat_smj(coeffs, j, n).truncate(n),
+                               srpaths.prodmat_smj(coeffs.shifted_up(), j + 1, n).truncate(n),
+                               f"P^(2;{j}) vs shifted P^(2;{j + 1})") for j in range(2))
+    drops = (first_difference(_lower(4, lambda nn, k: tri.value(jp + 3, nn, k)),
+                              _lower(4, lambda nn, k: tri.value(jp, nn + 1, k + 1)),
+                              f"S^(2;{jp + 3})_(n,k) vs S^(2;{jp})_(n+1,k+1)") for jp in (0, 1))
+    return _first_failure(shifts) and _first_failure(drops)
 
 
-def classical_recurrences(ctx: Ctx) -> bool:
+def classical_recurrences(ctx: Ctx) -> Outcome:
     """The joint first/second-kind recurrences, on oracle-built triangles."""
     n = ctx.cap(6)
     coeffs = srpaths.SRCoeffs.symbolic(1)
@@ -647,141 +627,128 @@ def classical_recurrences(ctx: Ctx) -> bool:
             return Poly.zero()
         return srpaths.sr_path_oracle(coeffs, j, nn, k)
 
-    for nn in range(n):
-        for k in range(nn + 1):
-            if s(1, nn, k) != s(0, nn, k) + al(2 * k + 2) * s(0, nn, k + 1):
-                return False
-            if s(0, nn + 1, k) != s(1, nn, k - 1) + al(2 * k + 1) * s(1, nn, k):
-                return False
-    return True
+    first_kind = _lower(n, lambda nn, k: s(0, nn, k) + al(2 * k + 2) * s(0, nn, k + 1))
+    second_kind = _lower(n, lambda nn, k: s(1, nn, k - 1) + al(2 * k + 1) * s(1, nn, k))
+    return (first_difference(_lower(n, lambda nn, k: s(1, nn, k)), first_kind, "first kind")
+            and first_difference(_lower(n, lambda nn, k: s(0, nn + 1, k)), second_kind,
+                                 "second kind"))
 
 
-def type_drop_specializations(ctx: Ctx) -> bool:
+def type_drop_specializations(ctx: Ctx) -> Outcome:
     n = ctx.cap(5)
-    return all(srpaths.check_modified_from_type0(2, ell, n) for ell in (0, 1, 2))
+    return _first_failure(srpaths.check_modified_from_type0(2, ell, n) for ell in (0, 1, 2))
 
 
-def tail_series_match(ctx: Ctx) -> bool:
+def tail_series_match(ctx: Ctx) -> Outcome:
     """Prop: sum_n S^(m;j)_n t^n = f_0 ... f_j; plus the alternate form."""
     n = ctx.cap(5)
-    for m in (1, 2):
-        coeffs = srpaths.SRCoeffs.symbolic(m)
-        tri = srpaths.SRTriangles(coeffs, max_j=m)
-        for j in range(m + 1):
-            gf = srpaths.sfrac_tail_series(coeffs, j, n)
-            if any(gf[i] != tri.value(j, i, 0) for i in range(n + 1)):
-                return False
-    zero = srpaths.SRCoeffs.from_fn(1, lambda i: 0)
-    if srpaths.sfrac_tail_series(zero, 0, 4) != Series.one(4):
-        return False
-    return True
+    coeffs = {m: srpaths.SRCoeffs.symbolic(m) for m in (1, 2)}
+    tris = {m: srpaths.SRTriangles(coeffs[m], max_j=m) for m in coeffs}
+    tails = (first_difference(srpaths.sfrac_tail_series(coeffs[m], j, n).coefs,
+                              [tris[m].value(j, i, 0) for i in range(n + 1)],
+                              f"f_0 ... f_{j} vs S^({m};{j})_(n,0)")
+             for m in coeffs for j in range(m + 1))
+    zero = srpaths.sfrac_tail_series(srpaths.SRCoeffs.from_fn(1, lambda i: 0), 0, 4)
+    return (_first_failure(tails)
+            and first_difference(zero.coefs, Series.one(4).coefs, "series at alpha = 0"))
 
 
-def smj_production_tp(ctx: Ctx) -> bool:
+def smj_production_tp(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     coeffs = srpaths.SRCoeffs.symbolic(2)
-    return all(tp_check_symbolic(srpaths.prodmat_smj(coeffs, j, n).truncate(n), 3).ok
-               for j in range(3))
+    return _first_failure(tp_check_symbolic(srpaths.prodmat_smj(coeffs, j, n).truncate(n), 3)
+                          for j in range(3))
 
 
-def modified_hankel_tp(ctx: Ctx) -> bool:
-    coeffs = srpaths.SRCoeffs.symbolic(2)
-    tri = srpaths.SRTriangles(coeffs, max_j=2)
-    for j in range(3):
-        seq = [tri.value(j, i, 0) for i in range(7)]
-        if not tp_check_symbolic(hankel_truncation(seq, 4), 3).ok:
-            return False
-    return True
+def modified_hankel_tp(ctx: Ctx) -> Outcome:
+    tri = srpaths.SRTriangles(srpaths.SRCoeffs.symbolic(2), max_j=2)
+    return _first_failure(
+        tp_check_symbolic(hankel_truncation([tri.value(j, i, 0) for i in range(7)], 4), 3)
+        for j in range(3))
 
 
-def hankel_tp2_failure_beyond_type_m(ctx: Ctx) -> bool:
-    for m in (1, 2):
-        witness = srpaths.find_hankel_tp2_failure(m)
-        if witness is None:
-            return False
-    return True
+def hankel_tp2_failure_beyond_type_m(ctx: Ctx) -> Outcome:
+    return all(srpaths.find_hankel_tp2_failure(m) is not None for m in (1, 2))
 
 
-def factorization_table_all_cells(ctx: Ctx) -> bool:
+def factorization_table_all_cells(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     kappa = Poly.var("kappa")
-    for j, a in sorted(srpaths.ADMISSIBLE_CELLS):
+
+    def families(j, a):
         if (j, a) in srpaths.KAPPA_CELLS:
-            fams = [srpaths.KappaFamily(j, a, kappa),
-                    srpaths.KappaFamily(j, a, Fraction(1, 2))]
-        else:
-            fams = [srpaths.KappaFamily(j, a)]
-        for fam in fams:
-            if not srpaths.verify_factorization_cell(fam, n):
-                return False
-    return True
+            return [srpaths.KappaFamily(j, a, kappa), srpaths.KappaFamily(j, a, Fraction(1, 2))]
+        return [srpaths.KappaFamily(j, a)]
+
+    return _first_failure(srpaths.verify_factorization_cell(fam, n)
+                          for cell in sorted(srpaths.ADMISSIBLE_CELLS) for fam in families(*cell))
 
 
-def inadmissible_cells_rejected(ctx: Ctx) -> bool:
-    for j, a in ((0, 0), (0, 1), (1, 1)):
+def inadmissible_cells_rejected(ctx: Ctx) -> Outcome:
+    def rejected(j, a):
         try:
             srpaths.KappaFamily(j, a)
-            return False
         except srpaths.InadmissibleCellError:
-            pass
-    return True
+            return True
+        return False
+
+    return all(rejected(j, a) for j, a in ((0, 0), (0, 1), (1, 1)))
 
 
 # -------------------------------------------------------------------- quadtp
 
 
-def general_quad_structure(ctx: Ctx) -> bool:
+def general_quad_structure(ctx: Ctx) -> Outcome:
     p = quadtp.QuadFactorParams.symbolic()
-    full = quadtp.build_general_quad(p)
+    full = quadtp.build_general_quad(p).truncate(6)
     m = quadtp.general_quad_factors(p)
-    if full.truncate(6) != m["P"].block(6):
-        return False
     # P - Q = D2 L2 with Q = P at h = 0
-    q = quadtp.build_general_quad(replace(p, h=()))
-    return full.truncate(6) - q.truncate(6) == (m["D2"] * m["L2"]).block(6)
+    return (first_difference(full, m["P"].block(6), "P vs its factors")
+            and first_difference(full - quadtp.build_general_quad(replace(p, h=())).truncate(6),
+                                 (m["D2"] * m["L2"]).block(6), "P - Q vs D2 L2"))
 
 
-def _tp3_symbolic_tp4_sampled(m: HessMatrix, ctx: Ctx) -> bool:
+def _tp3_symbolic_tp4_sampled(m: HessMatrix, ctx: Ctx) -> Outcome:
     """Symbolic TP3 on the 6x6 block, then sampled TP4 on the 7x7 block."""
-    if not tp_check_symbolic(m.truncate(6), 3).ok:
-        return False
-    return tp_check_sampled(m.truncate(7), 4, seed=ctx.seed, samples=100).ok
+    return (tp_check_symbolic(m.truncate(6), 3)
+            and tp_check_sampled(m.truncate(7), 4, seed=ctx.seed, samples=100))
 
 
-def general_quad_tp_desk_scale(ctx: Ctx) -> bool:
+def general_quad_tp_desk_scale(ctx: Ctx) -> Outcome:
     return _tp3_symbolic_tp4_sampled(
         quadtp.build_general_quad(quadtp.QuadFactorParams.symbolic()), ctx)
 
 
-def laguerre_specialization_quad(ctx: Ctx) -> bool:
+def laguerre_specialization_quad(ctx: Ctx) -> Outcome:
     n = ctx.cap(8)
     yp, yv, yda, ydd, lam, x = (Poly.var(v) for v in ("yp", "yv", "yda", "ydd", "lam", "x"))
     spec = quadtp.laguerre_flat_params(yp, yv, yda, ydd, lam, x)
     got = quadtp.build_general_quad(spec).truncate(n)
     params = LaguerreParams(lam - 1)
     w = VertexWeights(y_p=yp, y_v=yv, y_da=yda, y_dd=ydd, y_fp=yp)
-    return got == prodmat(params, "PFlat", weights=w, x=x).truncate(n)
+    return first_difference(got, prodmat(params, "PFlat", weights=w, x=x).truncate(n), "P-flat")
 
 
-def laguerre_quad_constrained_tp(ctx: Ctx) -> bool:
+def laguerre_quad_constrained_tp(ctx: Ctx) -> Outcome:
     """TP of the flat quadridiagonal under y_fp = y_da = y_p, y_dd = y_v + w."""
     yp, yv, w_extra, lam, x = (Poly.var(v) for v in ("yp", "yv", "w", "lam", "x"))
     spec = quadtp.laguerre_flat_params(yp, yv, yp, yv + w_extra, lam, x)
     return _tp3_symbolic_tp4_sampled(quadtp.build_general_quad(spec), ctx)
 
 
-def variant_quad_structure(ctx: Ctx) -> bool:
+def variant_quad_structure(ctx: Ctx) -> Outcome:
     p = quadtp.QuadVariantParams.symbolic()
     m = quadtp.variant_quad_factors(p)
-    if quadtp.build_variant_quad(p).truncate(6) != m["P"].block(6):
-        return False
-    if (m["L1"] * m["L2"]).block(6) != (m["L2"] * m["L1"]).block(6):
-        return False
-    q_expect = (m["L1"] * (m["L2"] * m["U"] + m["D1"])).block(6)
-    return quadtp.build_variant_quad(replace(p, f=())).truncate(6) == q_expect
+    return (first_difference(quadtp.build_variant_quad(p).truncate(6), m["P"].block(6),
+                             "variant P vs its factors")
+            and first_difference((m["L1"] * m["L2"]).block(6), (m["L2"] * m["L1"]).block(6),
+                                 "L1 L2 vs L2 L1")
+            and first_difference(quadtp.build_variant_quad(replace(p, f=())).truncate(6),
+                                 (m["L1"] * (m["L2"] * m["U"] + m["D1"])).block(6),
+                                 "variant Q vs L1 (L2 U + D1)"))
 
 
-def variant_quad_tp_desk_scale(ctx: Ctx) -> bool:
+def variant_quad_tp_desk_scale(ctx: Ctx) -> Outcome:
     return _tp3_symbolic_tp4_sampled(
         quadtp.build_variant_quad(quadtp.QuadVariantParams.symbolic()), ctx)
 
@@ -789,55 +756,49 @@ def variant_quad_tp_desk_scale(ctx: Ctx) -> bool:
 # -------------------------------------------------------------------- banded
 
 
-def pcirc_banded_criterion(ctx: Ctx) -> bool:
-    a = Poly.var("a")
+def pcirc_banded_criterion(ctx: Ctx) -> Outcome:
+    a, xi = Poly.var("a"), Poly.var("xi")
     spec = banded.DiagonalPolySpec(2, (
         (Poly.one(),),                       # f_-1 = 1
         (a + 1, Poly.const(2)),              # f_0 = 1+a+2n
         (a, Poly.one()),                     # f_1 = a+n
         (Poly.zero(),),                      # f_2 = 0
     ))
-    if not banded.check_banded_criterion(spec):
-        return False
-    params = LaguerreParams.symbolic()
-    if spec.to_hess().truncate(7) != prodmat(params, "Pcirc").truncate(7):
-        return False
-    conj = conjugate_by_binomial(spec.to_hess(), Poly.var("xi"), 7)
-    target = prodmat(params, "P", x=Poly.var("xi")).truncate(7)
-    if conj != target:
-        return False
-    if conj.lower_bandwidth() != 2:
-        return False
     # degree-violating spec: the band grows
     bad = banded.DiagonalPolySpec(2, (
         (Poly.one(),),
         (Poly.zero(), Poly.zero(), Poly.zero(), Poly.one()),  # f_0 = n^3
         (Poly.zero(),), (Poly.zero(),),
     ))
-    if banded.check_banded_criterion(bad) or banded.conjugate_and_measure_band(bad, 7) < 3:
-        return False
     # f_-1 = n with r = 1 passes (degree 1 <= r)
     edge = banded.DiagonalPolySpec(1, (
         (Poly.zero(), Poly.one()), (Poly.one(),), (Poly.zero(),)))
-    if not banded.check_banded_criterion(edge):
-        return False
     # Delta: conjugate is Delta + xi I, lower bandwidth 0
     delta_spec = banded.DiagonalPolySpec(0, ((Poly.one(),), (Poly.zero(),)))
-    return banded.conjugate_and_measure_band(delta_spec, 6) == 0
+    params = LaguerreParams.symbolic()
+    conj = conjugate_by_binomial(spec.to_hess(), xi, 7)
+    return (banded.check_banded_criterion(spec)
+            and first_difference(spec.to_hess().truncate(7), prodmat(params, "Pcirc").truncate(7),
+                                 "spec vs P-circ")
+            and first_difference(conj, prodmat(params, "P", x=xi).truncate(7), "conjugate vs P")
+            and conj.lower_bandwidth() == 2
+            and not banded.check_banded_criterion(bad)
+            and banded.conjugate_and_measure_band(bad, 7) >= 3
+            and banded.check_banded_criterion(edge)
+            and banded.conjugate_and_measure_band(delta_spec, 6) == 0)
 
 
-def banded_random_agreement(ctx: Ctx) -> bool:
+def banded_random_agreement(ctx: Ctx) -> Outcome:
     rng = XorShift64(ctx.seed)
-    for _ in range(20):
-        spec = banded.random_spec(rng)
-        crit = banded.check_banded_criterion(spec)
+
+    def agrees(spec):
         conj = conjugate_by_binomial(spec.to_hess(), Poly.var("xi"), 9)
         # condition (b): the (r+1)-st subdiagonal of the conjugate vanishes
         t = spec.r + 1
         cond_b = all(conj[k + t, k].is_zero() for k in range(9 - t))
-        if crit != (conj.lower_bandwidth() <= spec.r) or crit != cond_b:
-            return False
-    return True
+        return banded.check_banded_criterion(spec) == (conj.lower_bandwidth() <= spec.r) == cond_b
+
+    return all(agrees(banded.random_spec(rng)) for _ in range(20))
 
 
 # ------------------------------------------------------------------ registry
@@ -928,10 +889,14 @@ CRITERIA = {
 
 
 def run_suite(name: str, ctx: Ctx | None = None) -> list:
-    """Run one suite (or 'all'); returns [(suite, check, ok, seconds, error)].
+    """Run one suite (or 'all'); returns [(suite, check, ok, seconds, error,
+    witness)].
 
     A check that raises is not ok, and its error is "<ExceptionType>: <message>";
-    error is None for a check that returned.
+    error is None for a check that returned.  witness is the JSON object of
+    the falsy value a failed check returned (a ``Mismatch`` or a
+    ``TPReport``), and None when it has none (a plain False) or the check
+    passed or raised.
     """
     ctx = ctx or Ctx()
     if name != "all" and name not in SUITE_NAMES:
@@ -942,8 +907,10 @@ def run_suite(name: str, ctx: Ctx | None = None) -> list:
             continue
         start = time.perf_counter()
         try:
-            ok, error = bool(fn(ctx)), None
+            outcome, error = fn(ctx), None
         except Exception as exc:
-            ok, error = False, f"{type(exc).__name__}: {exc}"
-        results.append((suite, fn.__name__, ok, time.perf_counter() - start, error))
+            outcome, error = False, f"{type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - start
+        witness = None if outcome or not hasattr(outcome, "to_json_obj") else outcome.to_json_obj()
+        results.append((suite, fn.__name__, bool(outcome), seconds, error, witness))
     return results

@@ -170,12 +170,13 @@ def cmd_verify(args) -> int:
         "checks": [
             {"suite": s, "name": n, "ok": passed}
             | ({"error": error} if error else {})
+            | ({"witness": witness} if witness is not None else {})
             | ({"seconds": round(secs, 6)} if args.timings else {})
-            for s, n, passed, secs, error in results
+            for s, n, passed, secs, error, witness in results
         ],
     }
     print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
-    if any(not passed and error is None for _, _, passed, _, error in results):
+    if any(not passed and error is None for _, _, passed, _, error, _ in results):
         return 1
     return 0 if ok else 3
 

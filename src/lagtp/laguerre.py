@@ -29,8 +29,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digraphs
-from .matrices import (HessMatrix, Truncation, binomial_truncation, diagonal,
-                       lower_bidiagonal, riordan_matrix, sfraction_word,
+from .matrices import (HessMatrix, Mismatch, Truncation, binomial_truncation, diagonal,
+                       first_difference, lower_bidiagonal, riordan_matrix, sfraction_word,
                        unit_lower_inverse, upper_bidiagonal)
 from .polyring import Poly, PolyLike, _p, power_table
 from .series import Series, solve_logderiv, solve_riccati
@@ -39,7 +39,7 @@ X_NAME = "x"
 
 
 class RouteMismatchError(AssertionError):
-    """Riordan route and digraph oracle disagreed; a series or oracle bug."""
+    """Riordan route and digraph oracle disagreed (a series or oracle bug); holds the Mismatch."""
 
 
 @dataclass(frozen=True)
@@ -237,17 +237,20 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
     t = riordan_matrix(*riordan_pair(params, w, max(n - 1, 0), flat), n)
     if oracle_rows is None:
         oracle_rows = digraphs._limit(digraphs.SYMBOLIC_ORACLE_LIMIT)
-    if oracle_rows:
-        weights = w.oracle_weights(params.lam)
-        for i in range(min(oracle_rows, n)):
-            for k in range(i + 1):
-                expected = digraphs.oracle_entry(i, k, weights, "second_mv_general")
-                if flat and k:
-                    expected = expected.exact_div(w.zp ** k)
-                if t[i, k] != expected:
-                    raise RouteMismatchError(
-                        f"Riordan route and digraph oracle disagree at ({i},{k}): "
-                        f"{t[i, k]} vs {expected}")
+    weights = w.oracle_weights(params.lam)
+
+    def oracle(i, k):
+        if k > i:
+            return 0
+        entry = digraphs.oracle_entry(i, k, weights, "second_mv_general")
+        return entry.exact_div(w.zp ** k) if flat and k else entry
+
+    rows = min(oracle_rows, n)
+    if rows > 0:
+        mismatch = first_difference(t.top_left(rows, n), Truncation.from_fn(rows, n, oracle),
+                                    "Riordan route and digraph oracle")
+        if not mismatch:
+            raise RouteMismatchError(mismatch)
     return t
 
 
@@ -318,7 +321,7 @@ def _sfraction_coeffs(params: LaguerreParams, y_p: PolyLike, y_v: PolyLike):
 
 
 def factorization_check(which: str, params: LaguerreParams, n: int,
-                        weights: VertexWeights | None = None) -> bool:
+                        weights: VertexWeights | None = None) -> bool | Mismatch:
     """Entrywise verification of the bidiagonal factorization identities.
 
     'tridiagonal_lu':        P-circ = L U with subdiagonal 1,2,3,... and
@@ -333,30 +336,33 @@ def factorization_check(which: str, params: LaguerreParams, n: int,
     lam = params.lam
     if which == "tridiagonal_lu":
         lu = sfraction_word(_sfraction_coeffs(params, 1, 1), 1, 0).block(n)
-        return lu == prodmat(params, "Pcirc").truncate(n)
+        return first_difference(lu, prodmat(params, "Pcirc").truncate(n), "L U vs P-circ")
     if which == "quadridiagonal_nested":
         x = Poly.var(X_NAME)
         ell = lower_bidiagonal(lambda i: 1, lambda i: i)
         ux = upper_bidiagonal(lambda i: x, lambda i: 1)
         rhs = (ell * (ell * ux + diagonal(lambda i: lam))).block(n)
-        return rhs == prodmat(params, "P", x=x).truncate(n)
+        return first_difference(rhs, prodmat(params, "P", x=x).truncate(n),
+                                "L (L U_x + lam I) vs P")
     if which == "flat_split":
         yw = VertexWeights.symbolic() if weights is None else weights
         q = sfraction_word(_sfraction_coeffs(params, yw.y_p, yw.y_v), 1, 0)
         d = diagonal(
             lambda i: lam * (yw.y_fp - yw.y_p) + (yw.y_da + yw.y_dd - yw.y_p - yw.y_v) * i)
-        return (q + d).block(n) == prodmat(params, "PcircFlat", weights=yw).truncate(n)
+        return first_difference((q + d).block(n),
+                                prodmat(params, "PcircFlat", weights=yw).truncate(n),
+                                "S-fraction matrix + diagonal vs flat P-circ")
     raise ValueError(f"unknown factorization {which!r}")
 
 
-def unsigned_self_inverse_check(params: LaguerreParams, n: int) -> bool:
+def unsigned_self_inverse_check(params: LaguerreParams, n: int) -> bool | Mismatch:
     """The coefficient matrix equals its own unsigned inverse:
     L = Q L^{-1} Q with Q = diag((-1)^i)."""
     t = coeff_matrix_uni(params, n)
     inv = unit_lower_inverse(t)
     signed = Truncation.from_fn(
         n, n, lambda i, j: inv[i, j] if (i + j) % 2 == 0 else -inv[i, j])
-    return signed == t
+    return first_difference(signed, t, "Q L^-1 Q vs L")
 
 
 def rowgen_polys(m: Truncation, x: PolyLike, reversed_form: bool = False) -> list:
@@ -372,22 +378,16 @@ def binomial_rowgen_matrix(m: Truncation, x: PolyLike) -> Truncation:
     return m * binomial_truncation(_p(x), m.rows)
 
 
-def rowgen_shifted_family_check(params: LaguerreParams, n: int, x: PolyLike) -> bool:
+def rowgen_shifted_family_check(params: LaguerreParams, n: int,
+                                x: PolyLike) -> bool | Mismatch:
     """(L^(alpha) B_x)_{n,k} = C(n,k) L_{n-k}^{(alpha+k)}(x), entrywise."""
-    lhs = binomial_rowgen_matrix(coeff_matrix_uni(params, n), x)
-    for i in range(n):
-        for k in range(n):
-            if k > i:
-                expected = Poly.zero()
-            else:
-                shifted = LaguerreParams(params.alpha + k)
-                expected = monic_laguerre(i - k, shifted, x) * math.comb(i, k)
-            if lhs[i, k] != expected:
-                return False
-    return True
+    want = Truncation.from_fn(n, n, lambda i, k: monic_laguerre(
+        i - k, LaguerreParams(params.alpha + k), x) * math.comb(i, k) if k <= i else 0)
+    return first_difference(binomial_rowgen_matrix(coeff_matrix_uni(params, n), x), want,
+                            "L B_x vs C(n,k) L_(n-k)^(alpha+k)")
 
 
-def first_mv_specialization_check(params: LaguerreParams, n: int) -> bool:
+def first_mv_specialization_check(params: LaguerreParams, n: int) -> bool | Mismatch:
     """The two reductions of the second multivariate matrix to the first:
 
     y_p=y_dd=v-, y_v=y_da=v+, y_fp=v0  gives  first_mv * v-^k;
@@ -396,9 +396,11 @@ def first_mv_specialization_check(params: LaguerreParams, n: int) -> bool:
     edge = EdgeWeights.symbolic()
     vm, v0, vp = edge.v_minus, edge.v_zero, edge.v_plus
     first = coeff_matrix_first_mv(params, edge, n)
-    for w, factor in ((edge.vertex_weights(), vm),
-                      (VertexWeights(y_p=vp, y_v=vm, y_da=vp, y_dd=vm, y_fp=v0), vp)):
-        hat = coeff_matrix_second_mv(params, w, n, flat=False)
-        if any(hat[i, k] != first[i, k] * factor ** k for i in range(n) for k in range(i + 1)):
-            return False
-    return True
+
+    def reduces(w, factor, name):
+        want = Truncation.from_fn(n, n, lambda i, k: first[i, k] * factor ** k)
+        return first_difference(coeff_matrix_second_mv(params, w, n, flat=False), want,
+                                f"second_mv vs first_mv * {name}^k")
+
+    return (reduces(edge.vertex_weights(), vm, "v-")
+            and reduces(VertexWeights(y_p=vp, y_v=vm, y_da=vp, y_dd=vm, y_fp=v0), vp, "v+"))

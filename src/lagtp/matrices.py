@@ -4,7 +4,9 @@ Covers the production-matrix machinery (output-matrix iteration and its
 inverse), bidiagonal factor expressions (``Banded``), binomial
 conjugation, exact minors, total positivity certification (symbolic and
 sampled, plus the continuant criterion for tridiagonal matrices), the
-exponential AZ matrix, and exponential Riordan array construction.
+exponential AZ matrix, exponential Riordan array construction, and the
+entrywise comparison every check makes (``first_difference``, which names
+the first differing entry in a falsy ``Mismatch``).
 
 All matrices here are finite truncations with exact ``Poly`` entries; the
 iteration and conjugation routines are arranged so that every returned
@@ -86,21 +88,16 @@ class Truncation:
 
     __hash__ = None
 
-    def __add__(self, other: "Truncation") -> "Truncation":
+    def _entrywise(self, op, other: "Truncation") -> "Truncation":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Truncation([
-            [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ])
+        return Truncation([list(map(op, a, b)) for a, b in zip(self.data, other.data)])
+
+    def __add__(self, other: "Truncation") -> "Truncation":
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: "Truncation") -> "Truncation":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Truncation([
-            [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ])
+        return self._entrywise(operator.sub, other)
 
     def __mul__(self, other: "Truncation") -> "Truncation":
         if self.cols != other.rows:
@@ -125,23 +122,13 @@ class Truncation:
         return Truncation([row[:cols] for row in self.data[:rows]])
 
     def is_unit_lower_triangular(self) -> bool:
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.data[i][j]
-                if j == i and e != Poly.one():
-                    return False
-                if j > i and not e.is_zero():
-                    return False
-        return True
+        return all(row[j] == (1 if j == i else 0)
+                   for i, row in enumerate(self.data) for j in range(i, self.cols))
 
     def lower_bandwidth(self) -> int:
         """Largest t >= 0 with a nonzero entry (k+t, k); 0 for upper-triangular."""
-        band = 0
-        for i in range(self.rows):
-            for j in range(min(i, self.cols - 1) + 1):
-                if not self.data[i][j].is_zero() and i - j > band:
-                    band = i - j
-        return band
+        return max((i - j for i, row in enumerate(self.data) for j, e in enumerate(row[:i]) if e),
+                   default=0)
 
     def variables(self) -> tuple:
         names: set = set()
@@ -173,6 +160,48 @@ class Truncation:
     def __repr__(self) -> str:
         rows = "\n".join("  [" + ", ".join(str(e) for e in row) + "]" for row in self.data)
         return f"Truncation {self.rows}x{self.cols}\n{rows}"
+
+
+@dataclass(frozen=True)
+class Mismatch:
+    """A failed comparison: in ``what``, ``got`` differs from ``want`` at
+    ``where`` ((i, k) in a matrix, an index in a sequence, or "shape").
+    It is falsy, so a check returns it where it would return False."""
+
+    what: str
+    where: object
+    got: object
+    want: object
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __str__(self) -> str:
+        where = "({},{})".format(*self.where) if isinstance(self.where, tuple) else self.where
+        return f"{self.what} disagree at {where}: {self.got} vs {self.want}"
+
+    def to_json_obj(self) -> dict:
+        got, want = (v.to_json_obj() if isinstance(v, Poly) else v for v in (self.got, self.want))
+        return {"what": self.what, "where": self.where, "got": got, "want": want}
+
+
+def first_difference(got, want, what: str) -> bool | Mismatch:
+    """True when ``got`` equals ``want``, else the ``Mismatch`` at their
+    first differing entry.  Two ``Truncation``s are compared in row-major
+    order, two sequences index by index; a difference in shape (or in
+    length) is reported at ``where="shape"``."""
+    if isinstance(got, Truncation):
+        if got == want:
+            return True
+        shape = (got.rows, got.cols), (want.rows, want.cols)
+        cells = (((i, k), a, b) for i, (row_a, row_b) in enumerate(zip(got.data, want.data))
+                 for k, (a, b) in enumerate(zip(row_a, row_b)))
+    else:
+        shape = len(got), len(want)
+        cells = zip(itertools.count(), got, want)
+    if shape[0] != shape[1]:
+        return Mismatch(what, "shape", *shape)
+    return next((Mismatch(what, where, a, b) for where, a, b in cells if a != b), True)
 
 
 class HessMatrix:
@@ -454,6 +483,9 @@ class TPReport:
         }
         out.update(self.meta)
         return out
+
+    def __bool__(self) -> bool:
+        return self.ok
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"), sort_keys=True)
@@ -788,14 +820,14 @@ def eaz_matrix(a, z) -> HessMatrix:
     return HessMatrix(fn)
 
 
-def bx_conjugate_eaz_identity_check(a, z, n: int) -> bool:
+def bx_conjugate_eaz_identity_check(a, z, n: int) -> bool | Mismatch:
     """Check B_x^{-1} EAZ(a,z) B_x = EAZ(a, z + x*a) on the n-truncation."""
     x = Poly.var("x")
     av = _seq_fn(a)
     zv = _seq_fn(z)
     lhs = conjugate_by_binomial(eaz_matrix(a, z), x, n)
     rhs = eaz_matrix(av, lambda i: zv(i) + x * av(i)).truncate(n)
-    return lhs == rhs
+    return first_difference(lhs, rhs, "B_x^-1 EAZ(a,z) B_x vs EAZ(a, z + x a)")
 
 
 def riordan_matrix(f, g, n: int) -> Truncation:

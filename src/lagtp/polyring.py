@@ -573,12 +573,14 @@ class Poly:
     @staticmethod
     def from_json_obj(obj: dict) -> "Poly":
         """Inverse of ``to_json_obj``, adding the coefficients of terms listed
-        twice; ``vars`` must be a list and each ``coef`` the text of an int or
-        a fraction (``ValueError`` naming the field otherwise)."""
+        twice; ``vars`` and each ``exp`` must be lists, ``exp`` of ints (not bools), each ``coef``
+        the text of an int or a fraction (``ValueError`` naming the field otherwise)."""
         if type(obj["vars"]) is not list:
             raise ValueError(f"vars must be a list of variable names, got {obj['vars']!r}")
         terms: dict = {}
         for t in obj["terms"]:
+            if type(t["exp"]) is not list or any(type(e) is not int for e in t["exp"]):
+                raise ValueError(f"exp must be a list of integer exponents, got {t['exp']!r}")
             e = tuple(t["exp"])
             terms[e] = terms.get(e, 0) + _parse_coeff(t["coef"])
         return Poly(obj["vars"], terms)

@@ -43,8 +43,8 @@ from typing import Callable, Optional, Union
 
 from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
 from .laguerre import LaguerreParams, prodmat
-from .matrices import (HessMatrix, Truncation, hankel_truncation, sfraction_word,
-                       tp_check_symbolic)
+from .matrices import (HessMatrix, Mismatch, Truncation, first_difference, hankel_truncation,
+                       sfraction_word, tp_check_symbolic)
 from .polyring import Poly, PolyLike, _mul_add, _p, _power_sum
 from .series import Series
 
@@ -306,24 +306,21 @@ def sfrac_tail_series(coeffs: SRCoeffs, j: int, order: int):
     return out
 
 
-def check_modified_from_type0(m: int, ell: int, n_max: int) -> bool:
+def check_modified_from_type0(m: int, ell: int, n_max: int) -> bool | Mismatch:
     """The specialization identity S^(m;m-ell)_n =
     [S^(m)_{n+1} / alpha_m] at alpha_m..alpha_{m+ell-1} = 0, alpha_i -> alpha_{i-ell}."""
-    coeffs = SRCoeffs.symbolic(m)
-    env = {f"al{i}": Poly.zero() for i in range(m, m + ell)}
-    tri = SRTriangles(coeffs)
-    for n in range(n_max + 1):
-        lhs = tri.value(m - ell, n, 0)
-        top = tri.value(0, n + 1, 0)
-        quotient = top.exact_div(Poly.var(f"al{m}"))
-        sub = dict(env)
+    tri = SRTriangles(SRCoeffs.symbolic(m))
+
+    def specialized(n):
+        sub = {f"al{i}": Poly.zero() for i in range(m, m + ell)}
         # rename the surviving variables downward by ell
-        max_index = (m + 1) * (n + 1) + m
-        for i in range(m + ell, max_index + 1):
-            sub[f"al{i}"] = Poly.var(f"al{i - ell}")
-        if quotient.substitute(sub) != lhs:
-            return False
-    return True
+        sub.update((f"al{i}", Poly.var(f"al{i - ell}"))
+                   for i in range(m + ell, (m + 1) * (n + 1) + m + 1))
+        return tri.value(0, n + 1, 0).exact_div(Poly.var(f"al{m}")).substitute(sub)
+
+    return first_difference([specialized(n) for n in range(n_max + 1)],
+                            [tri.value(m - ell, n, 0) for n in range(n_max + 1)],
+                            f"specialized S^({m})_(n+1) / al{m} vs S^({m};{m - ell})_n")
 
 
 # -- the factorization-table kappa families -------------------------------------
@@ -422,7 +419,7 @@ def kappa_family_coeffs(fam: KappaFamily) -> SRCoeffs:
     return _scaled_coeffs(fam, Poly.one())
 
 
-def verify_factorization_cell(fam: KappaFamily, n: int) -> bool:
+def verify_factorization_cell(fam: KappaFamily, n: int) -> bool | Mismatch:
     """Check that P^(2;j) with the cell's alpha-sequence equals the
     univariate Laguerre production matrix, symbolically in x (and kappa).
 
@@ -438,7 +435,9 @@ def verify_factorization_cell(fam: KappaFamily, n: int) -> bool:
         d = _denominator(fam)
         unit = reduce(mul, (d(k + 1) for k in range(n + 1)))
         want = want.scale(unit ** 3)
-    return sfraction_word(_scaled_coeffs(fam, unit).alpha, 2, fam.j, unit).block(n) == want
+    got = sfraction_word(_scaled_coeffs(fam, unit).alpha, 2, fam.j, unit).block(n)
+    return first_difference(got, want, f"bidiagonal word of cell (j={fam.j}, "
+                            f"alpha={fam.alpha_lag}, kappa={fam.kappa}) vs Laguerre P")
 
 
 # -- negative control -----------------------------------------------------------

@@ -80,7 +80,8 @@ def test_run_suite_walks_the_table_in_order(monkeypatch, suite):
     assert [(s, name) for s, name, *_ in results] == want
     assert [name for name, _ in calls] == [name for _, name in want]
     assert all(got is ctx for _, got in calls)
-    assert all(ok and error is None for _, _, ok, _, error in results)
+    assert all(ok and error is None and witness is None
+               for _, _, ok, _, error, witness in results)
 
 
 def test_run_suite_rejects_unknown_suite():

@@ -224,7 +224,11 @@ def test_tp_check_non_string_variable_name_exits_2(tmp_path, capsys, mode):
     ({"vars": ["x"], "terms": [{"exp": [1], "coef": " 3 "}]}, "coef"),
     ({"vars": ["x"], "terms": [{"exp": [1], "coef": "\u0661\u0662"}]}, "coef"),
     ({"vars": ["x"], "terms": [{"exp": [1], "coef": 1}]}, "coef"),
-], ids=["vars-string", "underscore-digits", "padded", "arabic-indic-digits", "numeric-coef"])
+    ({"vars": ["x"], "terms": [{"exp": 5, "coef": "1"}]}, "exp"),
+    ({"vars": ["x"], "terms": [{"exp": "12", "coef": "1"}]}, "exp"),
+    ({"vars": ["x"], "terms": [{"exp": [True], "coef": "1"}]}, "exp"),
+], ids=["vars-string", "underscore-digits", "padded", "arabic-indic-digits", "numeric-coef",
+        "int-exp", "string-exp", "bool-exp"])
 def test_tp_check_lenient_polynomial_json_exits_2(tmp_path, capsys, entry, field):
     path = tmp_path / "lenient.json"
     path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
@@ -357,6 +361,55 @@ def test_verify_error_is_not_a_failure(capsys, monkeypatch, extra, code):
     if _counterexample in extra:
         assert entries["_counterexample"] == {
             "suite": "banded", "name": "_counterexample", "ok": False}
+
+
+def _verify_check(capsys, suite, name):
+    """Exit code of `lagtp verify suite` and the report entry of one check."""
+    code, out, _ = run(capsys, ["verify", suite])
+    return code, {c["name"]: c for c in json.loads(out)["checks"]}[name]
+
+
+def test_verify_witness_names_the_entry_of_a_matrix_mismatch(capsys, monkeypatch):
+    # a coefficient matrix wrong at (3, 1) alone
+    real, bug = checks.coeff_matrix_uni, Poly.var("bug")
+
+    def planted(params, n):
+        m = real(params, n)
+        return Truncation.from_fn(n, n, lambda i, k: m[i, k] + (bug if (i, k) == (3, 1) else 0))
+
+    monkeypatch.setattr(checks, "coeff_matrix_uni", planted)
+    code, entry = _verify_check(capsys, "univariate", "tridiagonal_output_is_coeff_matrix")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    witness = entry["witness"]
+    assert witness["where"] == [3, 1]
+    got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
+    assert want - got == bug
+
+
+def test_verify_witness_names_the_failing_minor_of_a_tp_check(capsys, monkeypatch):
+    # the Hankel matrix with a zero at (1, 1): its leading 2x2 minor is -h_1^2
+    hankel = checks._univariate_hankel()
+    planted = Truncation.from_fn(5, 5, lambda i, k: 0 if (i, k) == (1, 1) else hankel[i, k])
+    monkeypatch.setattr(checks, "_univariate_hankel", lambda: planted)
+    code, entry = _verify_check(capsys, "univariate", "univariate_hankel_tp3_symbolic")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    report = entry["witness"]
+    assert report["ok"] is False and report["mode"] == "symbolic"
+    assert (report["witness"]["rows"], report["witness"]["cols"]) == ([0, 1], [0, 1])
+    assert Poly.from_json_obj(report["witness"]["minor"]) == -(hankel[0, 1] ** 2)
+
+
+def test_verify_witness_names_the_index_of_a_sequence_mismatch(capsys, monkeypatch):
+    # L_5 wrong by one term
+    real, bug = checks.monic_laguerre, Poly.var("bug")
+    monkeypatch.setattr(checks, "monic_laguerre",
+                        lambda n, params, x: real(n, params, x) + (bug if n == 5 else 0))
+    code, entry = _verify_check(capsys, "multivariate", "laguerre_egf_check")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    witness = entry["witness"]
+    assert witness["where"] == 5
+    got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
+    assert want - got == bug
 
 
 def test_verify_max_n(capsys):

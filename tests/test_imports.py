@@ -1,13 +1,16 @@
 """Every name a ``lagtp`` module imports is used in that module and is
 imported at module level, and every function or method it defines, private
-ones included, has a caller outside the tests.
+ones included, has a caller outside the tests.  No check in ``checks.py``
+compares entries in a hand-written loop.
 
 Stdlib ``ast`` stand-ins for a linter's unused-import and import-position
 rules and a dead-code finder: deleting code tends to leave imports behind,
 an import inside a function hides a module's dependencies, and public API
 that only tests call, or a private helper a refactor left behind, is code
 to delete.  ``__init__.py`` only re-exports, so it is exempt from the
-unused-import and dead-code checks.
+unused-import and dead-code checks.  A ``return False`` inside a loop is
+the mark of a hand-written comparison, which reports no witness; the
+checks compare through ``matrices.first_difference`` instead.
 """
 
 import ast
@@ -120,6 +123,30 @@ def test_the_guard_sees_attribute_defaults():
               "    return (lambda v, test=Poly.is_zero: test(v))(dot(grid))\n"
               "def g(grid, dot, seed=1, names=(), kind='x'):\n    return Poly.dot(grid)\n")
     assert attribute_defaults(source) == [(3, "f"), (3, "f"), (4, "<lambda>")]
+
+
+def loop_false_returns(source: str) -> list:
+    """Lines of every ``return False`` inside the body of a ``for`` or
+    ``while`` loop (its ``else`` block excluded)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            found |= {sub.lineno for stmt in node.body for sub in ast.walk(stmt)
+                      if isinstance(sub, ast.Return) and isinstance(sub.value, ast.Constant)
+                      and sub.value.value is False}
+    return sorted(found)
+
+
+def test_no_false_returns_in_check_loops():
+    assert loop_false_returns((SRC / "checks.py").read_text()) == []
+
+
+def test_the_guard_sees_false_returns_in_loops():
+    source = ("def f(rows):\n    for row in rows:\n        if row:\n            return False\n"
+              "    else:\n        return False\n    while rows:\n        return False\n"
+              "    for row in rows:\n        return True\n    return False\n"
+              "def g(rows):\n    return all(r == 0 for r in rows)\n")
+    assert loop_false_returns(source) == [4, 8]
 
 
 def _is_def(node) -> bool:

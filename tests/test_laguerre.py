@@ -196,7 +196,9 @@ def test_route_mismatch_raises(monkeypatch):
     _sabotage_oracle_at_2_1(monkeypatch)
     with pytest.raises(RouteMismatchError):
         coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), 4, flat=True)
-    assert second_mv_riordan_vs_oracle(Ctx(max_n=4)) is False
+    failed = second_mv_riordan_vs_oracle(Ctx(max_n=4))
+    assert not failed and failed.where == (2, 1)
+    assert failed.want - failed.got == Poly.one()  # the planted z_p, over z_p^k
 
 
 def test_route_mismatch_raises_under_a_lowered_oracle_cap(monkeypatch):

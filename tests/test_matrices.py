@@ -12,12 +12,13 @@ import pytest
 from lagtp import matrices, polyring
 from lagtp.laguerre import (LaguerreParams, VertexWeights, coeff_matrix_uni, monic_laguerre,
                             prodmat)
-from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, NonUnitDiagonalError,
+from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, Mismatch, NonUnitDiagonalError,
                             RiordanIntegralityError, TPReport, Truncation, TPWitness,
                             XorShift64, _SAMPLE_BLOCK, _first_negative_minor, _sample_dot,
                             _sample_neg, binomial_truncation,
                             bx_conjugate_eaz_identity_check, conjugate_by_binomial,
-                            delta_matrix, diagonal, eaz_matrix, hankel_truncation,
+                            delta_matrix, diagonal, eaz_matrix, first_difference,
+                            hankel_truncation,
                             lower_bidiagonal, output_matrix, production_of, riordan_matrix,
                             sfraction_word, tp_check_sampled, tp_check_symbolic,
                             tp_check_tridiagonal, unit_lower_inverse, upper_bidiagonal)
@@ -29,6 +30,33 @@ from lagtp.srpaths import SRCoeffs, SRTriangles
 
 x = Poly.var("x")
 a = Poly.var("a")
+
+
+def test_first_difference_is_true_on_equal_inputs():
+    x = Poly.var("x")
+    assert first_difference(binomial_truncation(x, 4), binomial_truncation(x, 4), "B_x") is True
+    assert first_difference([x, 1], (x, Poly.one()), "seq") is True
+
+
+def test_first_difference_names_the_first_differing_entry():
+    x = Poly.var("x")
+    got = Truncation([[1, 0, 0], [x, 1, 0], [x, x, 2]])
+    want = Truncation([[1, 0, 0], [x, 1, 0], [x, 2 * x, 1]])
+    mismatch = first_difference(got, want, "rows")
+    assert not mismatch
+    assert mismatch == Mismatch("rows", (2, 1), x, 2 * x)
+    assert str(mismatch) == "rows disagree at (2,1): x vs 2*x"
+    assert json.loads(json.dumps(mismatch.to_json_obj())) == {
+        "what": "rows", "where": [2, 1], "got": x.to_json_obj(), "want": (2 * x).to_json_obj()}
+    assert first_difference([x, x, 1], [x, x], "seq") == Mismatch("seq", "shape", 3, 2)
+    assert first_difference([x, 1], [x, 2], "seq") == Mismatch("seq", 1, Poly.one(), 2)
+    assert first_difference(got, got.top_left(2, 3), "rows") == Mismatch(
+        "rows", "shape", (3, 3), (2, 3))
+
+
+def test_tp_report_is_truthy_exactly_when_ok():
+    assert tp_check_symbolic(Truncation([[1, 1], [1, 2]]), 2)
+    assert not tp_check_symbolic(Truncation([[1, 2], [3, 1]]), 2)
 
 
 def test_output_of_bidiagonal_toeplitz_is_binomial():

@@ -52,6 +52,12 @@ def _first_failure(results) -> Outcome:
     return next((r for r in results if not r), True)
 
 
+def _named(report: TPReport, what: str) -> TPReport:
+    """``report``, with ``what`` (the matrix it scanned) added to its meta
+    when it failed, for checks that scan several matrices."""
+    return report or replace(report, meta={**report.meta, "what": what})
+
+
 def _lower(n: int, fn) -> Truncation:
     """The n x n lower-triangular matrix with entries fn(i, k), k <= i."""
     return Truncation.from_fn(n, n, lambda i, k: fn(i, k) if k <= i else 0)
@@ -656,15 +662,16 @@ def tail_series_match(ctx: Ctx) -> Outcome:
 def smj_production_tp(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     coeffs = srpaths.SRCoeffs.symbolic(2)
-    return _first_failure(tp_check_symbolic(srpaths.prodmat_smj(coeffs, j, n).truncate(n), 3)
-                          for j in range(3))
+    return _first_failure(
+        _named(tp_check_symbolic(srpaths.prodmat_smj(coeffs, j, n).truncate(n), 3),
+               f"type-{j} production matrix, {n}x{n}") for j in range(3))
 
 
 def modified_hankel_tp(ctx: Ctx) -> Outcome:
     tri = srpaths.SRTriangles(srpaths.SRCoeffs.symbolic(2), max_j=2)
     return _first_failure(
-        tp_check_symbolic(hankel_truncation([tri.value(j, i, 0) for i in range(7)], 4), 3)
-        for j in range(3))
+        _named(tp_check_symbolic(hankel_truncation([tri.value(j, i, 0) for i in range(7)], 4), 3),
+               f"type-{j} modified Hankel, 4x4") for j in range(3))
 
 
 def hankel_tp2_failure_beyond_type_m(ctx: Ctx) -> Outcome:
@@ -710,8 +717,8 @@ def general_quad_structure(ctx: Ctx) -> Outcome:
 
 def _tp3_symbolic_tp4_sampled(m: HessMatrix, ctx: Ctx) -> Outcome:
     """Symbolic TP3 on the 6x6 block, then sampled TP4 on the 7x7 block."""
-    return (tp_check_symbolic(m.truncate(6), 3)
-            and tp_check_sampled(m.truncate(7), 4, seed=ctx.seed, samples=100))
+    return (_named(tp_check_symbolic(m.truncate(6), 3), "6x6 block")
+            and _named(tp_check_sampled(m.truncate(7), 4, seed=ctx.seed, samples=100), "7x7 block"))
 
 
 def general_quad_tp_desk_scale(ctx: Ctx) -> Outcome:

@@ -363,10 +363,13 @@ def output_matrix(p: Union[HessMatrix, Callable[[int, int], PolyLike]], rows: in
     of an output row is nonzero, and kept as its nonzero (k, p_ik); each
     output row is then one ``_row_times``, as in ``Truncation.__mul__``.
     So each entry of P is evaluated at most once, and rows of P that never
-    meet a nonzero output entry are never read.
+    meet a nonzero output entry are never read.  A negative size raises
+    ``ValueError``.
     """
-    entry = HessMatrix.from_truncation(p) if isinstance(p, Truncation) else p
     cols = rows if cols is None else cols
+    if rows < 0 or cols < 0:
+        raise ValueError(f"requested a {rows}x{cols} output matrix")
+    entry = HessMatrix.from_truncation(p) if isinstance(p, Truncation) else p
     width = rows + cols
 
     @functools.cache
@@ -429,8 +432,10 @@ def conjugate_by_binomial(p: Union[HessMatrix, Truncation], xi: PolyLike, n: int
     full (n+2)-block product for any P, Hessenberg or not, and equal to the
     infinite conjugate when P is lower-Hessenberg.  A ``HessMatrix`` is
     evaluated on its first n rows only; a ``Truncation`` must still hold
-    the leading (n+2) block (a smaller one raises ``ValueError``).
+    the leading (n+2) block (a smaller one, or n < 0, raises ``ValueError``).
     """
+    if n < 0:
+        raise ValueError(f"requested a {n}x{n} conjugate")
     xi = _p(xi)
     w = n + 2
     if isinstance(p, Truncation):

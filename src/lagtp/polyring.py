@@ -26,25 +26,26 @@ that reuses one set of Polys for many products (the symbolic TP scan) can
 re-key them once with ``_local_keys`` onto consecutive fields 0..v-1, v the
 number of variables they use, and map back only its result.
 
-Sums of products are accumulated, not folded (Monagan and Pearce again):
-``Poly.dot(pairs)`` (the sum of a*b) adds every term pair into one dict and
+Sums of products are accumulated, not folded (Monagan and Pearce again),
+and one kernel, ``_mul_into``, multiplies the terms of one Poly by those of
+another: it adds every term pair of a*b into a numerator map.
+``Poly.dot(pairs)`` (the sum of a*b) runs it once per pair into one dict and
 normalises it once at the end, so no product is built only to be merged and
-no partial sum is copied; ``*`` and ``scale`` are the one-pair case of the
-same multiply-add, or one pass over the terms when a side is a monomial.
-``_mul_add(a, c, b)``, a + c*b for a monomial c (the row step of the
-m-Stieltjes-Rogers recurrence), adds the shifted terms of b into one copy
-of a's terms.  The weighting step of the oracles and of ``substitute``
-(``_power_sum``) raises monomials by key arithmetic: a term whose weights are
-monomials is one key sum and one coefficient product, not a ``Poly``
-product.  The accumulator, like a Poly, holds numerators over one
-denominator, grown to the lcm only when den(a) den(b) does not divide it,
-so every term pair multiplies integers and the result is reduced once, at
-the end, by one gcd of its denominator and numerators.  The overflow guard
-tests the operands of each product, not the accumulated result, where
-products may already have cancelled: in every field OR-of-keys(a) +
-OR-of-keys(b) is at least the largest exponent sum and cannot carry into
-the next field, so a sum with no guard bit set proves the product safe;
-only operands that fail this test have their term pairs checked one by one.
+no partial sum is copied; ``*`` and ``scale`` are the one-pair case, and
+``_mul_add(a, c, b)``, a + c*b (the row step of the m-Stieltjes-Rogers
+recurrence), is the one pair added into one copy of a's numerators.  The
+weighting step of the oracles and of ``substitute`` (``_power_sum``) raises
+monomials by key arithmetic: a term whose weights are monomials is one key
+sum and one coefficient product, not a ``Poly`` product.  The accumulator,
+like a Poly, holds numerators over one denominator, grown to the lcm only
+when den(a) den(b) does not divide it, so every term pair multiplies
+integers and the result is reduced once, at the end, by one gcd of its
+denominator and numerators.  The overflow guard tests the operands of each
+product, not the accumulated result, where products may already have
+cancelled: in every field OR-of-keys(a) + OR-of-keys(b) is at least the
+largest exponent sum and cannot carry into the next field, so a sum with no
+guard bit set proves the product safe; only operands that fail this test
+have their term pairs checked one by one.
 
 ``Poly(vars, terms)`` builds a polynomial from exponent tuples parallel to
 ``vars``.  The names must be identifiers (``str.isidentifier``; ``ValueError``
@@ -140,9 +141,9 @@ def _norm_coeff(c) -> Coeff:
 
 
 def _mul_into(out: dict, den: int, a: "Poly", b: "Poly") -> int:
-    """Add a * b (nonzero Polys) to out / den, where ``out`` holds integer
-    numerators over the common denominator ``den``; returns the new
-    ``den``.  ``_finish`` drops the zeros and reduces once."""
+    """Add a * b to out / den, where ``out`` holds integer numerators over
+    the common denominator ``den``; returns the new ``den``.  ``_finish``
+    drops the zeros and reduces once."""
     ta, tb = a.num, b.num
     if len(ta) < len(tb):
         ta, tb = tb, ta
@@ -185,47 +186,16 @@ def _mul_into(out: dict, den: int, a: "Poly", b: "Poly") -> int:
 
 
 def _product(a: "Poly", b: "Poly") -> "Poly":
-    """The Poly a * b: the multiply-add with one pair, or one pass when a
-    side is a monomial (its products cannot merge or cancel)."""
-    ta, tb = a.num, b.num
-    if len(ta) < len(tb):
-        ta, tb = tb, ta
-    if not tb:
-        return _poly({})
-    if len(tb) > 1:
-        out: dict = {}
-        return _finish(out, _mul_into(out, 1, a, b))
-    [(kb, cb)] = tb.items()
-    out = {ka + kb: ca * cb for ka, ca in ta.items()}
-    used = 0
-    for k in out:
-        used |= k
-    if used & _guard:
-        raise _overflow(used)
-    return _reduced(out, a.den * b.den)
+    """The Poly a * b: the multiply-add of one pair."""
+    out: dict = {}
+    return _finish(out, _mul_into(out, 1, a, b))
 
 
 def _mul_add(a: "Poly", c: "Poly", b: "Poly") -> "Poly":
-    """a + c * b.  When c is a monomial, the shifted terms of b go straight
-    into one copy of a's numerators over the common denominator, so no
-    product is built only to be merged; otherwise ``a + c * b``."""
-    if len(c.num) != 1:
-        return a + c * b
-    [(kc, cc)] = c.num.items()
-    den = lcm(a.den, c.den * b.den)
-    grow = den // a.den
-    out = dict(a.num) if grow == 1 else {k: v * grow for k, v in a.num.items()}
-    cc *= den // (c.den * b.den)
-    used = 0
-    for kb, cb in b.num.items():
-        k = kb + kc
-        used |= k
-        s = out.pop(k, 0) + cb * cc
-        if s:
-            out[k] = s
-    if used & _guard:
-        raise _overflow(used)
-    return _reduced(out, den)
+    """a + c * b: the multiply-add of c * b into a copy of a's numerators,
+    so no product is built only to be merged."""
+    out = dict(a.num)
+    return _finish(out, _mul_into(out, a.den, c, b))
 
 
 def _power_guard(terms: dict, n: int) -> None:
@@ -253,8 +223,10 @@ def _reduced(num: dict, den: int) -> "Poly":
 
 
 def _finish(out: dict, den: int) -> "Poly":
-    """The Poly of the integer term map ``out`` / ``den``, zeros dropped."""
-    return _reduced({k: c for k, c in out.items() if c}, den)
+    """The Poly of the integer term map ``out`` / ``den``, zeros dropped.
+    ``out`` itself may become the Poly's map (every caller passes a map of
+    its own), so it is copied only when it holds a zero."""
+    return _reduced(out if 0 not in out.values() else {k: c for k, c in out.items() if c}, den)
 
 
 def _from_terms(terms: dict) -> "Poly":
@@ -424,7 +396,7 @@ class Poly:
         return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> "Poly":
         if type(other) is not Poly:

@@ -399,6 +399,25 @@ def test_verify_witness_names_the_failing_minor_of_a_tp_check(capsys, monkeypatc
     assert Poly.from_json_obj(report["witness"]["minor"]) == -(hankel[0, 1] ** 2)
 
 
+def test_verify_witness_names_which_of_several_scanned_matrices_failed(capsys, monkeypatch):
+    # modified_hankel_tp scans the Hankels of j = 0, 1, 2; the third gets a zero at (1, 1)
+    real, built = checks.hankel_truncation, []
+
+    def planted(seq, n):
+        h = real(seq, n)
+        built.append(h)
+        return h if len(built) < 3 else Truncation.from_fn(
+            n, n, lambda i, k: 0 if (i, k) == (1, 1) else h[i, k])
+
+    monkeypatch.setattr(checks, "hankel_truncation", planted)
+    code, entry = _verify_check(capsys, "srpaths", "modified_hankel_tp")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    report = entry["witness"]
+    assert report["what"] == "type-2 modified Hankel, 4x4"
+    assert (report["witness"]["rows"], report["witness"]["cols"]) == ([0, 1], [0, 1])
+    assert Poly.from_json_obj(report["witness"]["minor"]) == -(built[2][0, 1] ** 2)
+
+
 def test_verify_witness_names_the_index_of_a_sequence_mismatch(capsys, monkeypatch):
     # L_5 wrong by one term
     real, bug = checks.monic_laguerre, Poly.var("bug")

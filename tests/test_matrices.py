@@ -1257,3 +1257,16 @@ def test_top_left_refuses_a_negative_size():
             eye.top_left(rows, cols)
     with pytest.raises(ValueError, match="requested"):
         diagonal(lambda i: 1).block(-1)
+
+
+def test_output_matrix_and_conjugate_refuse_a_negative_size_before_any_read():
+    reads = []
+    delta = delta_matrix()
+    p = HessMatrix(lambda n, k: reads.append((n, k)) or delta(n, k))
+    for rows, cols in ((3, -1), (-2, None), (-1, 2), (-1, -1)):
+        with pytest.raises(ValueError, match="^requested"):
+            output_matrix(p, rows, cols)
+    for q in (p, delta.truncate(3)):
+        with pytest.raises(ValueError, match="^requested"):
+            conjugate_by_binomial(q, x, -1)
+    assert reads == []

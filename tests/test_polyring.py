@@ -240,6 +240,7 @@ def test_power_overflow_is_refused_before_any_product(monkeypatch):
     with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
         poly.substitute({"x": base})
     assert calls == []
+    monkeypatch.undo()
     # the test is exact: n times the top exponent of x reaches MAX_EXPONENT, no further
     assert (x ** 3) ** (MAX_EXPONENT // 3) == x ** (MAX_EXPONENT - MAX_EXPONENT % 3)
     with pytest.raises(OverflowError, match="^exponent of a exceeds"):
@@ -275,6 +276,33 @@ def test_rational_products_over_a_common_denominator():
     # summed over the common denominator 6, the coefficients come out integral
     q = Poly.dot([(x.scale(h), 1), (x.scale(t), 1), (x.scale(Fraction(1, 6)), 7)])
     assert q == 2 * x and q.is_integral()
+
+
+def test_every_product_goes_through_the_one_kernel(monkeypatch):
+    # one kernel call per nonzero pair, a monomial side included
+    m, p, q = 3 * x * a, x + 2 * a + 1, x ** 2 - a.scale(Fraction(1, 2))
+    ops = {"p * m": lambda: p * m, "p * q": lambda: p * q, "p.scale(3)": lambda: p.scale(3),
+           "_mul_add(p, m, q)": lambda: _mul_add(p, m, q),
+           "_mul_add(p, q, q)": lambda: _mul_add(p, q, q),
+           "dot of two pairs": lambda: Poly.dot([(p, q), (q, p)])}
+    calls = []
+    mul_into = polyring._mul_into
+    monkeypatch.setattr(polyring, "_mul_into", lambda *args: calls.append(1) or mul_into(*args))
+    counts = {}
+    for name, op in ops.items():
+        calls.clear()
+        op()
+        counts[name] = len(calls)
+    assert counts == {"p * m": 1, "p * q": 1, "p.scale(3)": 1, "_mul_add(p, m, q)": 1,
+                      "_mul_add(p, q, q)": 1, "dot of two pairs": 2}
+
+
+def test_subtraction_from_a_foreign_operand_is_refused_by_python():
+    for other, name in ((1.5, "float"), (None, "NoneType")):
+        message = rf"^unsupported operand type\(s\) for -: '{name}' and 'Poly'$"
+        with pytest.raises(TypeError, match=message):
+            other - x
+    assert 3 - x == 3 + -x and Fraction(1, 2) - x == (1 - 2 * x).scale(Fraction(1, 2))
 
 
 # -- property tests -----------------------------------------------------------

@@ -4,9 +4,12 @@ For a lower-Hessenberg matrix whose diagonals are polynomial in the row
 index -- superdiagonal p_{n,n+1} = f_{-1}(n) and m-th subdiagonal
 p_{n,n-m} = n(n-1)...(n-m+1) f_m(n) -- the conjugate B_xi^{-1} P B_xi is
 again (r,1)-banded exactly when deg f_{-1} <= r and deg f_m <= r-m for
-0 <= m <= r.  The degree test is the cheap criterion; the conjugation
-itself is computed exactly over integer polynomials (B_xi^{-1} = B_{-xi})
-as the expensive cross-check.
+0 <= m <= r.  The degree test is the cheap criterion.  The cross-check
+is the conjugate itself, computed exactly by ``conjugate_by_binomial``
+from its Taylor layers in xi (commutators with the binomial generator,
+stopped at the first zero one); it never consults the degree test, so the
+two stay independent, and its measured lower bandwidth is compared with
+the test's verdict.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ class DiagonalPolySpec:
         if len(fs) != self.r + 2:
             raise ValueError(f"need {self.r + 2} polynomials f_-1..f_{self.r}")
         object.__setattr__(self, "fs", fs)
+
+    def __str__(self) -> str:
+        fs = "; ".join("[" + ", ".join(map(str, f)) + "]" for f in self.fs)
+        return f"spec r={self.r}, f_-1..f_{self.r} by coefficients in n: {fs}"
 
     def poly_degree(self, m: int) -> int:
         """Degree in n of f_m (m from -1 to r); -1 for the zero polynomial."""

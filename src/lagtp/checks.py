@@ -763,6 +763,20 @@ def variant_quad_tp_desk_scale(ctx: Ctx) -> Outcome:
 # -------------------------------------------------------------------- banded
 
 
+def _degree_test_vs_band(spec: banded.DiagonalPolySpec, conj: Truncation) -> bool | Mismatch:
+    """True when the degree test on ``spec`` agrees with ``conj``, the n x n
+    conjugate of its matrix: it passes iff the lower bandwidth is at most r,
+    and iff condition (b) holds, a zero (r+1)-st subdiagonal.  Else the
+    ``Mismatch`` at the first of [bandwidth <= r, condition (b)] that differs
+    from the verdict; ``what`` names the spec and the measured bandwidth."""
+    r, passes = spec.r, banded.check_banded_criterion(spec)
+    band = conj.lower_bandwidth()
+    cond_b = all(conj[k + r + 1, k].is_zero() for k in range(conj.rows - r - 1))
+    return first_difference([band <= r, cond_b], [passes, passes],
+                            f"conjugate of {spec} (lower bandwidth {band}) vs degree test: "
+                            f"[bandwidth <= {r}, condition (b)]")
+
+
 def pcirc_banded_criterion(ctx: Ctx) -> Outcome:
     a, xi = Poly.var("a"), Poly.var("xi")
     spec = banded.DiagonalPolySpec(2, (
@@ -784,28 +798,24 @@ def pcirc_banded_criterion(ctx: Ctx) -> Outcome:
     delta_spec = banded.DiagonalPolySpec(0, ((Poly.one(),), (Poly.zero(),)))
     params = LaguerreParams.symbolic()
     conj = conjugate_by_binomial(spec.to_hess(), xi, 7)
-    return (banded.check_banded_criterion(spec)
-            and first_difference(spec.to_hess().truncate(7), prodmat(params, "Pcirc").truncate(7),
-                                 "spec vs P-circ")
+    return (first_difference(spec.to_hess().truncate(7), prodmat(params, "Pcirc").truncate(7),
+                             "spec vs P-circ")
             and first_difference(conj, prodmat(params, "P", x=xi).truncate(7), "conjugate vs P")
-            and conj.lower_bandwidth() == 2
-            and not banded.check_banded_criterion(bad)
-            and banded.conjugate_and_measure_band(bad, 7) >= 3
-            and banded.check_banded_criterion(edge)
-            and banded.conjugate_and_measure_band(delta_spec, 6) == 0)
+            and first_difference([banded.check_banded_criterion(s) for s in (spec, bad, edge)],
+                                 [True, False, True],
+                                 "degree test on the P-circ, n^3, f_-1 = n specs")
+            and first_difference([conj.lower_bandwidth()], [2],
+                                 f"lower bandwidth of the conjugate of {spec}")
+            and _degree_test_vs_band(bad, conjugate_by_binomial(bad.to_hess(), xi, 7))
+            and _degree_test_vs_band(delta_spec,
+                                     conjugate_by_binomial(delta_spec.to_hess(), xi, 6)))
 
 
 def banded_random_agreement(ctx: Ctx) -> Outcome:
-    rng = XorShift64(ctx.seed)
-
-    def agrees(spec):
-        conj = conjugate_by_binomial(spec.to_hess(), Poly.var("xi"), 9)
-        # condition (b): the (r+1)-st subdiagonal of the conjugate vanishes
-        t = spec.r + 1
-        cond_b = all(conj[k + t, k].is_zero() for k in range(9 - t))
-        return banded.check_banded_criterion(spec) == (conj.lower_bandwidth() <= spec.r) == cond_b
-
-    return all(agrees(banded.random_spec(rng)) for _ in range(20))
+    rng, xi = XorShift64(ctx.seed), Poly.var("xi")
+    specs = (banded.random_spec(rng) for _ in range(20))
+    return _first_failure(_degree_test_vs_band(s, conjugate_by_binomial(s.to_hess(), xi, 9))
+                          for s in specs)
 
 
 # ------------------------------------------------------------------ registry

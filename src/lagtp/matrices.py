@@ -2,11 +2,12 @@
 
 Covers the production-matrix machinery (output-matrix iteration and its
 inverse), bidiagonal factor expressions (``Banded``), binomial
-conjugation, exact minors, total positivity certification (symbolic and
-sampled, plus the continuant criterion for tridiagonal matrices), the
-exponential AZ matrix, exponential Riordan array construction, and the
-entrywise comparison every check makes (``first_difference``, which names
-the first differing entry in a falsy ``Mismatch``).
+conjugation (summed over its Taylor layers in xi), exact minors, total
+positivity certification (symbolic and sampled, plus the continuant
+criterion for tridiagonal matrices), the exponential AZ matrix,
+exponential Riordan array construction, and the entrywise comparison
+every check makes (``first_difference``, which names the first differing
+entry in a falsy ``Mismatch``).
 
 All matrices here are finite truncations with exact ``Poly`` entries; the
 iteration and conjugation routines are arranged so that every returned
@@ -26,6 +27,7 @@ monomial keys.  Both give the same reports.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -317,9 +319,12 @@ def binomial_truncation(x: PolyLike, n: int, y: PolyLike = 1,
     truncated to n rows and ``cols`` columns (default n).
 
     The powers x^0..x^(n-1) and y^0..y^(cols-1) are tabled once, so each
-    entry costs one product and one integer scaling.
+    entry costs one product and one integer scaling.  A negative size
+    raises ``ValueError``.
     """
     cols = n if cols is None else cols
+    if n < 0 or cols < 0:
+        raise ValueError(f"requested a {n}x{cols} binomial matrix")
     xp = power_table(_p(x), n)
     yp = power_table(_p(y), cols)
     zero = Poly.zero()
@@ -328,7 +333,10 @@ def binomial_truncation(x: PolyLike, n: int, y: PolyLike = 1,
 
 
 def hankel_truncation(seq: Sequence[PolyLike], n: int) -> Truncation:
-    """n x n Hankel matrix (a_{i+j}) of the given sequence (needs len >= 2n-1)."""
+    """n x n Hankel matrix (a_{i+j}) of the given sequence (needs len >= 2n-1);
+    a negative n raises ``ValueError``."""
+    if n < 0:
+        raise ValueError(f"requested a {n}x{n} Hankel matrix")
     if len(seq) < 2 * n - 1:
         raise ValueError("sequence too short for requested Hankel truncation")
     return Truncation.from_fn(n, n, lambda i, j: seq[i + j])
@@ -422,17 +430,25 @@ def production_of(t: Truncation) -> Truncation:
 
 
 def conjugate_by_binomial(p: Union[HessMatrix, Truncation], xi: PolyLike, n: int) -> Truncation:
-    """n x n truncation of B_xi^{-1} P B_xi, computed exactly.
+    """n x n truncation of B_xi^{-1} P B_xi, summed exactly over its Taylor
+    layers in xi.
 
-    Uses B_xi^{-1} = B_{-xi}.  Only the blocks that reach the result are
-    read and multiplied: B_{-xi} is lower-triangular, so rows i < n of the
-    conjugate meet only its leading n x n block and rows 0..n-1 of P; a
-    column k < n meets only the first n columns of B_xi.  So the result is
-    B_{-xi}[n x n] P[n x (n+2)] B_xi[(n+2) x n], exactly the corner of the
-    full (n+2)-block product for any P, Hessenberg or not, and equal to the
-    infinite conjugate when P is lower-Hessenberg.  A ``HessMatrix`` is
-    evaluated on its first n rows only; a ``Truncation`` must still hold
-    the leading (n+2) block (a smaller one, or n < 0, raises ``ValueError``).
+    B_xi = exp(xi N) with N[i][i-1] = i, so the conjugate is the sum of
+    xi^k / k! X_k, where X_0 = P and X_{k+1} = X_k N - N X_k, that is
+    X_{k+1}[i][c] = (c+1) X_k[i][c+1] - i X_k[i-1][c].  A row reads only
+    rows above it and a column only the column after it, so the layers
+    are taken on the n x (n+2) block of P with zeros past it: the result
+    is the corner of the full (n+2)-block product B_{-xi} P B_xi for any P,
+    and the infinite conjugate when P is lower-Hessenberg.  The loop stops
+    at the first layer that is zero on the block (every later one is
+    zero too): after 2-6 layers for diagonals polynomial in the row index
+    (``prodmat``, ``DiagonalPolySpec``, ``eaz_matrix``), after at most
+    2n + 1 for any block.  Each nonzero layer entry is scaled by two
+    integers into the next layer, each entry of which is one ``Poly.dot``,
+    and each result entry is one ``Poly.dot`` against the weights
+    xi^k / k!, so no matrix is multiplied.  A ``HessMatrix`` is evaluated
+    on its first n rows only; a ``Truncation`` must still hold the leading
+    (n+2) block (a smaller one, or n < 0, raises ``ValueError``).
     """
     if n < 0:
         raise ValueError(f"requested a {n}x{n} conjugate")
@@ -443,9 +459,28 @@ def conjugate_by_binomial(p: Union[HessMatrix, Truncation], xi: PolyLike, n: int
         block = p.top_left(n, w)
     else:
         block = p.truncate(n, w)
-    if not n:
-        return Truncation([])  # a Truncation has no n x (n+2) shape for n = 0
-    return binomial_truncation(-xi, n) * block * binomial_truncation(xi, w, cols=n)
+    # each layer as its nonzero entries {(i, c): X_k[i][c]}
+    layer = {(i, c): e for i, row in enumerate(block.data) for c, e in enumerate(row) if e}
+    layers = []
+    while layer:
+        layers.append(layer)
+        # X N - N X: X[i][c] adds c X[i][c] at (i, c-1) and -(i+1) X[i][c] at (i+1, c)
+        # (row n is past the block)
+        pairs = collections.defaultdict(list)
+        for (i, c), e in layer.items():
+            if c:
+                pairs[i, c - 1].append((c, e))
+            if i + 1 < n:
+                pairs[i + 1, c].append((-i - 1, e))
+        layer = {ic: v for ic, ps in pairs.items() if (v := Poly.dot(ps))}
+    weights = [t.scale(Fraction(1, math.factorial(k)))
+               for k, t in enumerate(power_table(xi, len(layers)))]
+    terms = collections.defaultdict(list)
+    for x, t in zip(layers, weights):
+        for (i, c), e in x.items():
+            if c < n:
+                terms[i, c].append((e, t))
+    return Truncation.from_fn(n, n, lambda i, c: Poly.dot(terms.get((i, c), ())))
 
 
 # -- total positivity -------------------------------------------------------

@@ -4,8 +4,9 @@ import pytest
 
 from lagtp.banded import (DiagonalPolySpec, check_banded_criterion,
                           conjugate_and_measure_band, random_spec)
+from lagtp.checks import _degree_test_vs_band
 from lagtp.laguerre import LaguerreParams, prodmat
-from lagtp.matrices import XorShift64, conjugate_by_binomial
+from lagtp.matrices import Mismatch, Truncation, XorShift64, conjugate_by_binomial
 from lagtp.polyring import Poly
 
 a = Poly.var("a")
@@ -82,3 +83,29 @@ def test_to_hess_scales_each_subdiagonal_by_the_falling_factorial():
                 if n >= m:
                     want = spec.eval_f(m, n) * math.perm(n, m)
                     assert p(n, n - m) == want
+
+
+def test_spec_prints_its_order_and_coefficient_lists():
+    assert str(pcirc_spec()) == "spec r=2, f_-1..f_2 by coefficients in n: [1]; [1+a, 2]; [a, 1]; [0]"
+
+
+def test_degree_test_vs_band_names_the_spec_and_both_sides():
+    xi = Poly.var("xi")
+    good, bad = pcirc_spec(), DiagonalPolySpec(2, ((one,), (zero, zero, zero, one), (zero,), (zero,)))
+    conj = conjugate_by_binomial(good.to_hess(), xi, 7)
+    assert _degree_test_vs_band(good, conj) is True
+    assert _degree_test_vs_band(bad, conjugate_by_binomial(bad.to_hess(), xi, 7)) is True
+    # a band the degree test does not allow
+    wide = Truncation.from_fn(7, 7, lambda i, k: 1 if (i, k) == (5, 1) else conj[i, k])
+    assert _degree_test_vs_band(good, wide) == Mismatch(
+        f"conjugate of {good} (lower bandwidth 4) vs degree test: [bandwidth <= 2, condition (b)]",
+        0, False, True)
+    # a band the degree test says must grow
+    assert _degree_test_vs_band(bad, conj) == Mismatch(
+        f"conjugate of {bad} (lower bandwidth 2) vs degree test: [bandwidth <= 2, condition (b)]",
+        0, True, False)
+    # a wide band whose (r+1)-st subdiagonal vanishes: condition (b) disagrees
+    gap = Truncation.from_fn(7, 7, lambda i, k: 1 if i - k == 4 else (0 if i - k == 3 else conj[i, k]))
+    assert _degree_test_vs_band(bad, gap) == Mismatch(
+        f"conjugate of {bad} (lower bandwidth 4) vs degree test: [bandwidth <= 2, condition (b)]",
+        1, True, False)

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import pytest
 
 from lagtp import checks, cli
+from lagtp.banded import check_banded_criterion, random_spec
 from lagtp.laguerre import LaguerreParams, monic_laguerre
-from lagtp.matrices import Truncation, hankel_truncation, tp_check_symbolic
+from lagtp.matrices import Truncation, XorShift64, hankel_truncation, tp_check_symbolic
 from lagtp.polyring import Poly
 
 
@@ -416,6 +417,29 @@ def test_verify_witness_names_which_of_several_scanned_matrices_failed(capsys, m
     assert report["what"] == "type-2 modified Hankel, 4x4"
     assert (report["witness"]["rows"], report["witness"]["cols"]) == ([0, 1], [0, 1])
     assert Poly.from_json_obj(report["witness"]["minor"]) == -(built[2][0, 1] ** 2)
+
+
+def test_verify_witness_names_the_spec_whose_band_disagrees_with_the_degree_test(capsys,
+                                                                                monkeypatch):
+    # every conjugate gets a 1 at (n-1, 0), so its lower bandwidth is n - 1 = 8
+    real = checks.conjugate_by_binomial
+
+    def planted(p, xi, n):
+        conj = real(p, xi, n)
+        return Truncation.from_fn(n, n, lambda i, k: 1 if (i, k) == (n - 1, 0) else conj[i, k])
+
+    monkeypatch.setattr(checks, "conjugate_by_binomial", planted)
+    code, entry = _verify_check(capsys, "banded", "banded_random_agreement")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    # the first spec of the default seed that passes the degree test is the one reported
+    rng = XorShift64(42)
+    spec = next(s for s in (random_spec(rng) for _ in range(20)) if check_banded_criterion(s))
+    assert entry["witness"] == {
+        "what": f"conjugate of {spec} (lower bandwidth 8) vs degree test: "
+                f"[bandwidth <= {spec.r}, condition (b)]",
+        "where": 0, "got": False, "want": True}
+    assert f"conjugate of spec r={spec.r}, f_-1..f_{spec.r} by coefficients in n: [" in \
+        entry["witness"]["what"]
 
 
 def test_verify_witness_names_the_index_of_a_sequence_mismatch(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from lagtp import matrices, polyring
+from lagtp.banded import DiagonalPolySpec
 from lagtp.laguerre import (LaguerreParams, VertexWeights, coeff_matrix_uni, monic_laguerre,
                             prodmat)
 from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, Mismatch, NonUnitDiagonalError,
@@ -753,20 +754,43 @@ def _conjugation_inputs():
         ("PcircY", prodmat(params, "PcircY", weights=w)),
         ("PFlat", prodmat(params, "PFlat", weights=w, x=x)),
         ("unbounded-band", HessMatrix(lambda n, k: Poly.var(f"p{n}_{k}"))),
+        # degree-4 diagonals, far from the degree criterion: the most Taylor layers
+        ("degree-4-spec", DiagonalPolySpec(2, (
+            (a, 0, 0, 0, 1), (1, 0, 0, 0, 1), (0, -2, 0, 0, 1), (0, 0, a, 0, 3))).to_hess()),
+        ("eaz", eaz_matrix([Poly.var(f"a{i}") for i in range(12)],
+                           [Poly.var(f"z{i}") for i in range(12)])),
         # not Hessenberg: every entry of the block can be nonzero
         ("dense-truncation", _random_matrix(rng, 7, 7, 0.3)),
         ("larger-truncation", _random_matrix(rng, 9, 10, 0.3)),
+        ("largest-truncation", _random_matrix(rng, 11, 11, 0.3)),
     ]
 
 
 CONJUGATION_INPUTS = _conjugation_inputs()
+HESSENBERG_INPUTS = [(name, p) for name, p in CONJUGATION_INPUTS if isinstance(p, HessMatrix)]
 
 
 @pytest.mark.parametrize("name,p", CONJUGATION_INPUTS, ids=[c[0] for c in CONJUGATION_INPUTS])
-@pytest.mark.parametrize("xi", [Poly.var("xi"), x + 1, Fraction(1, 2)])
+@pytest.mark.parametrize("xi", [Poly.var("xi"), x + 1, Fraction(1, 2), 0])
 def test_conjugate_matches_full_block_product(name, p, xi):
-    for n in (0, 1, 3, 5):
-        assert conjugate_by_binomial(p, xi, n) == _conjugate_reference(p, xi, n)
+    for n in (0, 1, 3, 5, 7, 9):
+        if isinstance(p, HessMatrix) or n + 2 <= p.rows:
+            assert conjugate_by_binomial(p, xi, n) == _conjugate_reference(p, xi, n), n
+
+
+def test_conjugation_makes_no_block_product(monkeypatch):
+    # B_x^-1 P-circ-flat B_x at n = 9: the full-block product made 598 kernel calls
+    params, w = LaguerreParams.symbolic(), VertexWeights.symbolic()
+    p, want = prodmat(params, "PcircFlat", weights=w), prodmat(params, "PFlat", weights=w, x=x)
+    calls, products = [], []
+    mul_into = polyring._mul_into
+    monkeypatch.setattr(polyring, "_mul_into", lambda *args: calls.append(1) or mul_into(*args))
+    monkeypatch.setattr(matrices, "binomial_truncation", lambda *args: products.append(args))
+    monkeypatch.setattr(Truncation, "__mul__", lambda *args: products.append(args))
+    got = conjugate_by_binomial(p, x, 9)
+    assert (len(calls), products) == (179, [])
+    monkeypatch.undo()
+    assert got == want.truncate(9)
 
 
 def test_conjugate_of_too_small_truncation_raises_as_the_full_block_read():
@@ -1095,7 +1119,7 @@ def test_packed_witness_decodes_its_first_and_last_slots():
 # -- conjugation reads only the rows that reach the result -----------------------
 
 
-@pytest.mark.parametrize("name,p", CONJUGATION_INPUTS[:5], ids=[c[0] for c in CONJUGATION_INPUTS[:5]])
+@pytest.mark.parametrize("name,p", HESSENBERG_INPUTS, ids=[c[0] for c in HESSENBERG_INPUTS])
 def test_conjugate_evaluates_no_row_of_p_at_or_past_n(name, p):
     for n in (1, 3, 5):
         rows = set()
@@ -1270,3 +1294,36 @@ def test_output_matrix_and_conjugate_refuse_a_negative_size_before_any_read():
         with pytest.raises(ValueError, match="^requested"):
             conjugate_by_binomial(q, x, -1)
     assert reads == []
+
+
+class _ReadRecorder(collections.UserList):
+    """A sequence that records every read of its length or an entry."""
+
+    def __init__(self, data, reads):
+        super().__init__(data)
+        self.reads = reads
+
+    def __len__(self):
+        self.reads.append("len")
+        return super().__len__()
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def test_binomial_and_hankel_refuse_a_negative_size_before_any_read(monkeypatch):
+    reads = []
+    real = matrices.power_table
+    monkeypatch.setattr(matrices, "power_table", lambda *args: reads.append(args) or real(*args))
+    for n, cols in ((-1, None), (3, -2), (-2, 3), (-1, -1), (0, -1)):
+        with pytest.raises(ValueError, match=r"^requested a -?\d+x-?\d+ binomial matrix$"):
+            binomial_truncation(x, n, cols=cols)
+    seq = _ReadRecorder([Poly.const(i) for i in range(9)], reads)
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=rf"^requested a {n}x{n} Hankel matrix$"):
+            hankel_truncation(seq, n)
+    assert reads == []
+    # size zero is still the empty matrix
+    assert binomial_truncation(x, 0) == hankel_truncation(seq, 0) == Truncation([])
+    assert binomial_truncation(x, 3, cols=0).rows == 3

@@ -510,7 +510,7 @@ def test_power_sum_monomial_power_overflow():
 @given(polys(), st.one_of(monomials(), polys(max_terms=3), st.just(Poly.zero())), polys(),
        st.booleans())
 def test_mul_add_equals_the_reference_sum(p, c, q, cancel):
-    # a + c * b, on the monomial one-pass path or the fallback
+    # a + c * b: one _mul_into call into a copy of a's numerators
     start = -(c * q) if cancel else p
     got = _mul_add(start, c, q)
     assert _monomial_terms(got) == _reference_dot([(start, Poly.one()), (c, q)])

@@ -11,7 +11,7 @@ closed form.
 from .polyring import ExactDivisionError, Poly, rising
 from .series import (Series, series_pow_sym, series_reciprocal,
                      solve_logderiv, solve_riccati)
-from .matrices import (HessMatrix, Mismatch, Truncation, TPReport, TPWitness,
+from .matrices import (DiagonalPolySpec, HessMatrix, Mismatch, Truncation, TPReport, TPWitness,
                        XorShift64, binomial_truncation,
                        bx_conjugate_eaz_identity_check, conjugate_by_binomial,
                        delta_matrix, eaz_matrix, first_difference, hankel_truncation,
@@ -31,7 +31,6 @@ from .srpaths import (InadmissibleCellError, KappaFamily, SRCoeffs,
                       verify_factorization_cell)
 from .quadtp import (QuadFactorParams, QuadVariantParams, build_general_quad,
                      build_variant_quad)
-from .banded import (DiagonalPolySpec, check_banded_criterion,
-                     conjugate_and_measure_band)
+from .banded import check_banded_criterion, conjugate_and_measure_band
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ same code.
 
 A check returns True, or on failure the first falsy value of its chained
 comparisons: the ``Mismatch`` of ``first_difference`` at the first differing
-entry, a failed ``TPReport`` with its witness minor, or a predicate's False.
+entry (or key: an m, a table cell), or a failed ``TPReport`` with its
+witness minor.
 A check that raises is reported as an error, not as a failure.  CHECKS
 registers every check once, with its suite and its acceptance criterion;
 CRITERIA gives each criterion its time budget.
@@ -24,8 +25,8 @@ from .laguerre import (UNIT_WEIGHTS, EdgeWeights, LaguerreParams, RouteMismatchE
                        laguerre_rowgen_egf, monic_laguerre,
                        monic_laguerre_reversed, prodmat, rowgen_shifted_family_check,
                        rowgen_polys, unsigned_self_inverse_check)
-from .matrices import (HessMatrix, Mismatch, TPReport, Truncation, XorShift64,
-                       binomial_truncation, bx_conjugate_eaz_identity_check,
+from .matrices import (DiagonalPolySpec, HessMatrix, Mismatch, TPReport, Truncation,
+                       XorShift64, binomial_truncation, bx_conjugate_eaz_identity_check,
                        conjugate_by_binomial, delta_matrix, diagonal, eaz_matrix,
                        first_difference, hankel_truncation, output_matrix, production_of,
                        riordan_matrix, sfraction_word, tp_check_sampled,
@@ -34,7 +35,7 @@ from .polyring import Poly, rising
 from .series import Series, series_pow_sym, solve_riccati
 
 
-# What a check returns: True, or a falsy Mismatch, TPReport or False.
+# What a check returns: True, or a falsy Mismatch or TPReport.
 Outcome = bool | Mismatch | TPReport
 
 
@@ -290,15 +291,21 @@ def conjugation_links_production_matrices(ctx: Ctx) -> Outcome:
 
 
 def second_mv_homogeneity(ctx: Ctx) -> Outcome:
+    """Entry (i,k) is homogeneous in the five vertex weights: of degree
+    i - k in the flat matrix and of degree i in the non-flat one."""
     n = ctx.cap(6)
-    params = LaguerreParams.symbolic()
-    w = VertexWeights.symbolic()
+    params, w = LaguerreParams.symbolic(), VertexWeights.symbolic()
     names = {"yp", "yv", "yda", "ydd", "yfp"}
-    flat = coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0)
-    full = coeff_matrix_second_mv(params, w, n, flat=False, oracle_rows=0)
-    return all(laguerre._is_homogeneous(flat[i, k], names, i - k)
-               and laguerre._is_homogeneous(full[i, k], names, i)
-               for i in range(n) for k in range(i + 1))
+    cells = [(i, k) for i in range(n) for k in range(i + 1)]
+
+    def degrees(flat):
+        m = coeff_matrix_second_mv(params, w, n, flat=flat, oracle_rows=0)
+        label = "flat" if flat else "non-flat"
+        return first_difference({c: laguerre._degrees(m[c], names) for c in cells},
+                                {(i, k): [i - k if flat else i] for i, k in cells},
+                                f"vertex-weight degrees of the {label} entries")
+
+    return degrees(True) and degrees(False)
 
 
 def second_mv_peak_divisibility(ctx: Ctx) -> Outcome:
@@ -457,8 +464,7 @@ def riordan_production_is_eaz(ctx: Ctx) -> Outcome:
         ginv = g.reversion()
         a_series = g.derivative().compose(ginv.truncate(n - 1))
         z_series = (f.derivative() * f.reciprocal()).compose(ginv.truncate(n - 1))
-        want = eaz_matrix(lambda i: a_series[i] if i <= a_series.order else Poly.zero(),
-                          lambda i: z_series[i] if i <= z_series.order else Poly.zero())
+        want = eaz_matrix(a_series.coefs, z_series.coefs)
         return first_difference(production_of(riordan_matrix(f, g, n)),
                                 want.truncate(n - 1, n), "production vs EAZ(A,Z)")
 
@@ -512,7 +518,7 @@ def production_output_roundtrip(ctx: Ctx) -> Outcome:
                 and first_difference(output_matrix(prod, n - 1), o.top_left(n - 1, n - 1),
                                      f"O(production of O({which}))"))
 
-    x_shift = HessMatrix(lambda i, k: x if i == k else (1 if k == i + 1 else 0))
+    x_shift = DiagonalPolySpec(0, ((1,), (x,))).to_hess()
     return (_first_failure(map(roundtrip, ("Pcirc", "P")))
             and first_difference(production_of(Truncation.identity(5)),
                                  delta_matrix().truncate(4, 5), "production of I vs Delta")
@@ -555,15 +561,16 @@ def tridiagonal_diagonal_comparison(ctx: Ctx) -> Outcome:
 
 def tp_negative_control(ctx: Ctx) -> Outcome:
     report = tp_check_symbolic(Truncation([[1, 2], [3, 1]]), 2)
-    return (not report
-            and first_difference([report.witness.minor], [Poly.const(-5)], "negative-control minor")
+    minor = report.witness.minor if report.witness else None
+    return (first_difference([report.ok, minor], [False, Poly.const(-5)],
+                             "TP2 scan of [[1,2],[3,1]]: [ok, witness minor]")
             and tp_check_sampled(Truncation.zero(3, 3), 2, seed=ctx.seed, samples=3))
 
 
 def binomial_matrix_example(ctx: Ctx) -> Outcome:
     """O(xI + y Delta) = B_{x,y} and B_x is totally positive at small order."""
     x, y = Poly.var("x"), Poly.var("y")
-    p = HessMatrix(lambda n, k: x if k == n else (y if k == n + 1 else 0))
+    p = DiagonalPolySpec(0, ((y,), (x,))).to_hess()
     return (first_difference(output_matrix(p, 5), binomial_truncation(x, 5, y), "O(xI + y Delta)")
             and tp_check_symbolic(binomial_truncation(x, 5), 3))
 
@@ -675,7 +682,9 @@ def modified_hankel_tp(ctx: Ctx) -> Outcome:
 
 
 def hankel_tp2_failure_beyond_type_m(ctx: Ctx) -> Outcome:
-    return all(srpaths.find_hankel_tp2_failure(m) is not None for m in (1, 2))
+    return first_difference({m: srpaths.find_hankel_tp2_failure(m) is not None for m in (1, 2)},
+                            {1: True, 2: True},
+                            "negative 2x2 minor found in the type-(m+1) Hankel matrix, by m")
 
 
 def factorization_table_all_cells(ctx: Ctx) -> Outcome:
@@ -699,7 +708,9 @@ def inadmissible_cells_rejected(ctx: Ctx) -> Outcome:
             return True
         return False
 
-    return all(rejected(j, a) for j, a in ((0, 0), (0, 1), (1, 1)))
+    cells = ((0, 0), (0, 1), (1, 1))
+    return first_difference({cell: rejected(*cell) for cell in cells}, dict.fromkeys(cells, True),
+                            "InadmissibleCellError raised, by cell (j, alpha)")
 
 
 # -------------------------------------------------------------------- quadtp
@@ -763,7 +774,7 @@ def variant_quad_tp_desk_scale(ctx: Ctx) -> Outcome:
 # -------------------------------------------------------------------- banded
 
 
-def _degree_test_vs_band(spec: banded.DiagonalPolySpec, conj: Truncation) -> bool | Mismatch:
+def _degree_test_vs_band(spec: DiagonalPolySpec, conj: Truncation) -> bool | Mismatch:
     """True when the degree test on ``spec`` agrees with ``conj``, the n x n
     conjugate of its matrix: it passes iff the lower bandwidth is at most r,
     and iff condition (b) holds, a zero (r+1)-st subdiagonal.  Else the
@@ -779,23 +790,23 @@ def _degree_test_vs_band(spec: banded.DiagonalPolySpec, conj: Truncation) -> boo
 
 def pcirc_banded_criterion(ctx: Ctx) -> Outcome:
     a, xi = Poly.var("a"), Poly.var("xi")
-    spec = banded.DiagonalPolySpec(2, (
+    spec = DiagonalPolySpec(2, (
         (Poly.one(),),                       # f_-1 = 1
         (a + 1, Poly.const(2)),              # f_0 = 1+a+2n
         (a, Poly.one()),                     # f_1 = a+n
         (Poly.zero(),),                      # f_2 = 0
     ))
     # degree-violating spec: the band grows
-    bad = banded.DiagonalPolySpec(2, (
+    bad = DiagonalPolySpec(2, (
         (Poly.one(),),
         (Poly.zero(), Poly.zero(), Poly.zero(), Poly.one()),  # f_0 = n^3
         (Poly.zero(),), (Poly.zero(),),
     ))
     # f_-1 = n with r = 1 passes (degree 1 <= r)
-    edge = banded.DiagonalPolySpec(1, (
+    edge = DiagonalPolySpec(1, (
         (Poly.zero(), Poly.one()), (Poly.one(),), (Poly.zero(),)))
     # Delta: conjugate is Delta + xi I, lower bandwidth 0
-    delta_spec = banded.DiagonalPolySpec(0, ((Poly.one(),), (Poly.zero(),)))
+    delta_spec = DiagonalPolySpec(0, ((Poly.one(),), (Poly.zero(),)))
     params = LaguerreParams.symbolic()
     conj = conjugate_by_binomial(spec.to_hess(), xi, 7)
     return (first_difference(spec.to_hess().truncate(7), prodmat(params, "Pcirc").truncate(7),

@@ -32,9 +32,6 @@ GEN_SELECTORS = (
     "smj", "quad-general", "quad-variant",
 )
 
-FAMILY_IDS = ("j0am1", "j1am1", "j2am1", "j1a0", "j2a0", "j2a1")
-
-
 class UsageError(Exception):
     pass
 
@@ -49,10 +46,10 @@ def _parse_alpha(text: str) -> LaguerreParams:
 
 
 def _parse_family(cell_id: str, kappa_text: str | None) -> srpaths.KappaFamily:
-    if cell_id not in FAMILY_IDS:
-        raise UsageError(f"unknown --family {cell_id!r}; choose from {', '.join(FAMILY_IDS)}")
-    j = int(cell_id[1])
-    alpha = -1 if "am1" in cell_id else int(cell_id[-1])
+    if cell_id not in srpaths.CELLS_BY_ID:
+        raise UsageError(f"unknown --family {cell_id!r}; "
+                         f"choose from {', '.join(srpaths.CELLS_BY_ID)}")
+    j, alpha = srpaths.CELLS_BY_ID[cell_id]
     if (j, alpha) not in srpaths.KAPPA_CELLS:
         if kappa_text is not None:
             raise UsageError(f"--family {cell_id} has no kappa; drop --kappa")
@@ -225,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=5, help="truncation size")
     gen.add_argument("--m", type=int, default=2, help="branch order for smj")
     gen.add_argument("--j", type=int, default=None, help="type for smj (from --family when given)")
-    gen.add_argument("--family", help=f"table cell for smj: {', '.join(FAMILY_IDS)}")
+    gen.add_argument("--family", help=f"table cell for smj: {', '.join(srpaths.CELLS_BY_ID)}")
     gen.add_argument("--kappa", help="rational kappa in [0, 1] for the kappa-family cells "
                      "(default 1)")
     gen.add_argument("--flat", action="store_true", help="flat second-mv matrix")

@@ -29,9 +29,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digraphs
-from .matrices import (HessMatrix, Mismatch, Truncation, binomial_truncation, diagonal,
-                       first_difference, lower_bidiagonal, riordan_matrix, sfraction_word,
-                       unit_lower_inverse, upper_bidiagonal)
+from .matrices import (DiagonalPolySpec, HessMatrix, Mismatch, Truncation, binomial_truncation,
+                       diagonal, first_difference, lower_bidiagonal, riordan_matrix,
+                       sfraction_word, unit_lower_inverse, upper_bidiagonal)
 from .polyring import Poly, PolyLike, _p, power_table
 from .series import Series, solve_logderiv, solve_riccati
 
@@ -54,7 +54,9 @@ class LaguerreParams:
 
     @staticmethod
     def of(value) -> "LaguerreParams":
-        return LaguerreParams(_p(value if isinstance(value, (int, Fraction, Poly)) else Fraction(value)))
+        """From an int, a Fraction, a Poly or rational text such as "1/2";
+        any other type, a float say, raises ``TypeError``."""
+        return LaguerreParams(_p(Fraction(value) if isinstance(value, str) else value))
 
     @property
     def lam(self) -> Poly:
@@ -194,10 +196,10 @@ def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Tru
     edge = (w.v_minus, w.v_zero, w.v_plus)
     edge_vars = {v for wpoly in edge for v in wpoly.vars}
     if (edge_vars and not edge_vars & set(params.alpha.vars)
-            and all(_is_homogeneous(wpoly, edge_vars, 1) for wpoly in edge)):
+            and all(_degrees(wpoly, edge_vars) in ([], [1]) for wpoly in edge)):
         for i in range(n):
             for k in range(i + 1):
-                if not _is_homogeneous(t[i, k], edge_vars, i - k):
+                if _degrees(t[i, k], edge_vars) not in ([], [i - k]):
                     raise AssertionError(f"entry ({i},{k}) not homogeneous of degree {i-k}")
     return t
 
@@ -254,9 +256,10 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
     return t
 
 
-def _is_homogeneous(p: Poly, names: set, deg: int) -> bool:
+def _degrees(p: Poly, names: set) -> list:
+    """The distinct total degrees in ``names`` of the terms of p, ascending."""
     idx = [i for i, v in enumerate(p.vars) if v in names]
-    return all(sum(e[i] for i in idx) == deg for e, _ in p.sorted_terms())
+    return sorted({sum(e[i] for i in idx) for e, _ in p.sorted_terms()})
 
 
 # -- closed-form production matrices ------------------------------------------
@@ -273,8 +276,8 @@ def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = 
             'PcircY'     tridiagonal, non-flat second multivariate matrix;
             'PY'         quadridiagonal, its binomial row-generating matrix.
 
-    All six are one form.  Row n of a tridiagonal matrix holds
-    t n (alpha + n), lam y_fp + n (y_da + y_dd) and s, where (s, t) is
+    All six are one ``DiagonalPolySpec``.  Row n of a tridiagonal matrix
+    holds t n (alpha + n), lam y_fp + n (y_da + y_dd) and s, where (s, t) is
     (1, y_p y_v) for the flat and (y_p, y_v) for the non-flat matrices; the
     univariate ones are the non-flat ones at UNIT_WEIGHTS.  Its
     quadridiagonal B_x^{-1} P-circ B_x adds s x to the diagonal,
@@ -286,24 +289,11 @@ def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = 
     if w is None:
         raise ValueError(f"{which} needs vertex weights")
     s, t = (Poly.one(), w.y_p * w.y_v) if which.endswith("Flat") else (w.y_p, w.y_v)
-    fp, d = w.y_fp, w.y_da + w.y_dd
-    quad = "circ" not in which
-    x = (Poly.var(X_NAME) if x is None else _p(x)) if quad else Poly.zero()
-    al = params.alpha
-    diag0, dx, tx = params.lam * fp + s * x, d * x, t * x
-
-    def fn(n, k):
-        if k == n + 1:
-            return s
-        if k == n:
-            return diag0 + d * n
-        if k == n - 1:
-            return t * ((al + n) * n) + dx * n
-        if k == n - 2:
-            return tx * (n * (n - 1))  # zero for the tridiagonal matrices
-        return 0
-
-    return HessMatrix(fn)
+    d = w.y_da + w.y_dd
+    x = (Poly.var(X_NAME) if x is None else _p(x)) if "circ" not in which else Poly.zero()
+    # f_-1 = s, f_0 = lam y_fp + s x + d n, f_1 = t alpha + d x + t n, f_2 = t x
+    return DiagonalPolySpec(2, ((s,), (params.lam * w.y_fp + s * x, d),
+                                (t * params.alpha + d * x, t), (t * x,))).to_hess()
 
 
 # -- factorizations and structural identities ---------------------------------

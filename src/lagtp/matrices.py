@@ -1,13 +1,15 @@
 """Band-bounded lower-Hessenberg matrices of polynomials and their toolkit.
 
-Covers the production-matrix machinery (output-matrix iteration and its
-inverse), bidiagonal factor expressions (``Banded``), binomial
+Covers the matrices whose diagonals are polynomial in the row index
+(``DiagonalPolySpec``, which builds ``prodmat``, the exponential AZ matrix
+and Delta), the production-matrix machinery (output-matrix iteration and
+its inverse), bidiagonal factor expressions (``Banded``), binomial
 conjugation (summed over its Taylor layers in xi), exact minors, total
 positivity certification (symbolic and sampled, plus the continuant
-criterion for tridiagonal matrices), the exponential AZ matrix,
-exponential Riordan array construction, and the entrywise comparison
-every check makes (``first_difference``, which names the first differing
-entry in a falsy ``Mismatch``).
+criterion for tridiagonal matrices), exponential Riordan array
+construction, and the entrywise comparison every check makes
+(``first_difference``, which names the first differing entry, or key, in a
+falsy ``Mismatch``).
 
 All matrices here are finite truncations with exact ``Poly`` entries; the
 iteration and conjugation routines are arranged so that every returned
@@ -179,7 +181,7 @@ class Mismatch:
         return False
 
     def __str__(self) -> str:
-        where = "({},{})".format(*self.where) if isinstance(self.where, tuple) else self.where
+        where = f"({','.join(map(str, self.where))})" if isinstance(self.where, tuple) else self.where
         return f"{self.what} disagree at {where}: {self.got} vs {self.want}"
 
     def to_json_obj(self) -> dict:
@@ -190,14 +192,18 @@ class Mismatch:
 def first_difference(got, want, what: str) -> bool | Mismatch:
     """True when ``got`` equals ``want``, else the ``Mismatch`` at their
     first differing entry.  Two ``Truncation``s are compared in row-major
-    order, two sequences index by index; a difference in shape (or in
-    length) is reported at ``where="shape"``."""
+    order, two dicts key by key in the order of ``got`` (``where`` is the
+    key), two sequences index by index; a difference in shape (in length,
+    or in the list of keys) is reported at ``where="shape"``."""
     if isinstance(got, Truncation):
         if got == want:
             return True
         shape = (got.rows, got.cols), (want.rows, want.cols)
         cells = (((i, k), a, b) for i, (row_a, row_b) in enumerate(zip(got.data, want.data))
                  for k, (a, b) in enumerate(zip(row_a, row_b)))
+    elif isinstance(got, dict):
+        shape = list(got), list(want)
+        cells = ((key, a, want[key]) for key, a in got.items())
     else:
         shape = len(got), len(want)
         cells = zip(itertools.count(), got, want)
@@ -242,9 +248,52 @@ class HessMatrix:
 # -- special matrices ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DiagonalPolySpec:
+    """An (r,1)-banded lower-Hessenberg matrix whose diagonals are polynomial
+    in the row index n: entry (n, n+1) is f_{-1}(n) and entry (n, n-m) is
+    n(n-1)...(n-m+1) f_m(n) for 0 <= m <= r.
+
+    ``fs`` lists the polynomials f_{-1}, f_0, ..., f_r, each given by its
+    coefficient list in n (constant coefficient first, Poly coefficients
+    allowed).
+    """
+
+    r: int
+    fs: tuple
+
+    def __post_init__(self):
+        fs = tuple(tuple(_p(c) for c in f) for f in self.fs)
+        if len(fs) != self.r + 2:
+            raise ValueError(f"need {self.r + 2} polynomials f_-1..f_{self.r}")
+        object.__setattr__(self, "fs", fs)
+
+    def __str__(self) -> str:
+        fs = "; ".join("[" + ", ".join(map(str, f)) + "]" for f in self.fs)
+        return f"spec r={self.r}, f_-1..f_{self.r} by coefficients in n: {fs}"
+
+    def poly_degree(self, m: int) -> int:
+        """Degree in n of f_m (m from -1 to r); -1 for the zero polynomial."""
+        return max((d for d, c in enumerate(self.fs[m + 1]) if c), default=-1)
+
+    def to_hess(self) -> HessMatrix:
+        """The matrix.  Entry (n, n-m) is one ``Poly.dot`` of the
+        coefficients c_d of f_m with the integer weights
+        n(n-1)...(n-m+1) n^d; a lone coefficient of weight 1 is the entry."""
+        def fn(n, k):
+            m = n - k
+            if m > self.r:
+                return 0
+            f, fall = self.fs[m + 1], math.perm(n, m) if m >= 0 else 1
+            if len(f) == 1 and fall == 1:
+                return f[0]
+            return Poly.dot((c, fall * n ** d) for d, c in enumerate(f))
+        return HessMatrix(fn)
+
+
 def delta_matrix() -> HessMatrix:
     """The shift matrix with 1 on the superdiagonal."""
-    return HessMatrix(lambda n, k: 1 if k == n + 1 else 0)
+    return DiagonalPolySpec(0, ((1,), (0,))).to_hess()
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,23 +362,21 @@ def sfraction_word(alpha, m: int, j: int, unit: PolyLike = 1) -> Banded:
     return functools.reduce(operator.mul, factors)
 
 
-def binomial_truncation(x: PolyLike, n: int, y: PolyLike = 1,
-                        cols: int | None = None) -> Truncation:
+def binomial_truncation(x: PolyLike, n: int, y: PolyLike = 1) -> Truncation:
     """Weighted binomial matrix B_{x,y} with entries C(n,k) x^(n-k) y^k,
-    truncated to n rows and ``cols`` columns (default n).
+    truncated to n x n.
 
-    The powers x^0..x^(n-1) and y^0..y^(cols-1) are tabled once, so each
+    The powers x^0..x^(n-1) and y^0..y^(n-1) are tabled once, so each
     entry costs one product and one integer scaling.  A negative size
     raises ``ValueError``.
     """
-    cols = n if cols is None else cols
-    if n < 0 or cols < 0:
-        raise ValueError(f"requested a {n}x{cols} binomial matrix")
+    if n < 0:
+        raise ValueError(f"requested a {n}x{n} binomial matrix")
     xp = power_table(_p(x), n)
-    yp = power_table(_p(y), cols)
+    yp = power_table(_p(y), n)
     zero = Poly.zero()
     return Truncation([[(xp[i - j] * yp[j]).scale(math.comb(i, j)) if j <= i else zero
-                        for j in range(cols)] for i in range(n)])
+                        for j in range(n)] for i in range(n)])
 
 
 def hankel_truncation(seq: Sequence[PolyLike], n: int) -> Truncation:
@@ -429,7 +476,7 @@ def production_of(t: Truncation) -> Truncation:
     return Truncation(prows) if prows else Truncation.zero(0, m)
 
 
-def conjugate_by_binomial(p: Union[HessMatrix, Truncation], xi: PolyLike, n: int) -> Truncation:
+def conjugate_by_binomial(p: HessMatrix, xi: PolyLike, n: int) -> Truncation:
     """n x n truncation of B_xi^{-1} P B_xi, summed exactly over its Taylor
     layers in xi.
 
@@ -437,28 +484,21 @@ def conjugate_by_binomial(p: Union[HessMatrix, Truncation], xi: PolyLike, n: int
     xi^k / k! X_k, where X_0 = P and X_{k+1} = X_k N - N X_k, that is
     X_{k+1}[i][c] = (c+1) X_k[i][c+1] - i X_k[i-1][c].  A row reads only
     rows above it and a column only the column after it, so the layers
-    are taken on the n x (n+2) block of P with zeros past it: the result
-    is the corner of the full (n+2)-block product B_{-xi} P B_xi for any P,
-    and the infinite conjugate when P is lower-Hessenberg.  The loop stops
-    at the first layer that is zero on the block (every later one is
-    zero too): after 2-6 layers for diagonals polynomial in the row index
-    (``prodmat``, ``DiagonalPolySpec``, ``eaz_matrix``), after at most
-    2n + 1 for any block.  Each nonzero layer entry is scaled by two
-    integers into the next layer, each entry of which is one ``Poly.dot``,
-    and each result entry is one ``Poly.dot`` against the weights
-    xi^k / k!, so no matrix is multiplied.  A ``HessMatrix`` is evaluated
-    on its first n rows only; a ``Truncation`` must still hold the leading
-    (n+2) block (a smaller one, or n < 0, raises ``ValueError``).
+    are taken on the n x (n+2) block of the lower-Hessenberg P (its first
+    n rows only): the result is the corner of the infinite conjugate.  The
+    loop stops at the first layer that is zero on the block (every later
+    one is zero too): after 2-6 layers for the diagonals polynomial in the
+    row index of a ``DiagonalPolySpec`` (``prodmat``, ``eaz_matrix``),
+    after at most 2n + 1 for any P.  Each nonzero layer entry is scaled by
+    two integers into the next layer, each entry of which is one
+    ``Poly.dot``, and each result entry is one ``Poly.dot`` against the
+    weights xi^k / k!, so no matrix is multiplied.  A negative n raises
+    ``ValueError``.
     """
     if n < 0:
         raise ValueError(f"requested a {n}x{n} conjugate")
     xi = _p(xi)
-    w = n + 2
-    if isinstance(p, Truncation):
-        p.top_left(w, w)  # the size check
-        block = p.top_left(n, w)
-    else:
-        block = p.truncate(n, w)
+    block = p.truncate(n, n + 2)
     # each layer as its nonzero entries {(i, c): X_k[i][c]}
     layer = {(i, c): e for i, row in enumerate(block.data) for c, e in enumerate(row) if e}
     layers = []
@@ -842,32 +882,27 @@ def _seq_fn(values, start: int = 0) -> Callable[[int], Poly]:
     return lambda i: vals[i - start] if 0 <= i - start < len(vals) else Poly.zero()
 
 
-def eaz_matrix(a, z) -> HessMatrix:
+def eaz_matrix(a: Sequence[PolyLike], z: Sequence[PolyLike]) -> HessMatrix:
     """Exponential AZ matrix: entry (n,k) = (n!/k!) (z_{n-k} + k a_{n-k+1}).
 
-    ``a`` and ``z`` are sequences (or callables) of Poly; z_{-1} = 0 by
-    convention, which makes the superdiagonal equal a_0.
+    ``a`` and ``z`` are finite sequences of Poly, zero past their ends;
+    z_{-1} = 0 by convention, which makes the superdiagonal equal a_0.
+    With k = n - m, diagonal m is n(n-1)...(n-m+1) (z_m - m a_{m+1} + a_{m+1} n).
     """
-    av = _seq_fn(a)
-    zv = _seq_fn(z)
-
-    def fn(n, k):
-        if k == n + 1:
-            return av(0)
-        ratio = math.perm(n, n - k)  # n!/k!
-        return (zv(n - k) + av(n - k + 1) * k) * ratio
-
-    return HessMatrix(fn)
+    r = max(len(z), len(a) - 1, 1) - 1
+    a = [_p(v) for v in a] + [Poly.zero()] * (r + 2 - len(a))
+    z = [_p(v) for v in z] + [Poly.zero()] * (r + 1 - len(z))
+    fs = [(a[0],)] + [(z[m] - a[m + 1] * m, a[m + 1]) for m in range(r + 1)]
+    return DiagonalPolySpec(r, fs).to_hess()
 
 
 def bx_conjugate_eaz_identity_check(a, z, n: int) -> bool | Mismatch:
     """Check B_x^{-1} EAZ(a,z) B_x = EAZ(a, z + x*a) on the n-truncation."""
     x = Poly.var("x")
-    av = _seq_fn(a)
-    zv = _seq_fn(z)
-    lhs = conjugate_by_binomial(eaz_matrix(a, z), x, n)
-    rhs = eaz_matrix(av, lambda i: zv(i) + x * av(i)).truncate(n)
-    return first_difference(lhs, rhs, "B_x^-1 EAZ(a,z) B_x vs EAZ(a, z + x a)")
+    zx = [x * ai + zi for zi, ai in itertools.zip_longest(z, a, fillvalue=0)]
+    return first_difference(conjugate_by_binomial(eaz_matrix(a, z), x, n),
+                            eaz_matrix(a, zx).truncate(n),
+                            "B_x^-1 EAZ(a,z) B_x vs EAZ(a, z + x a)")
 
 
 def riordan_matrix(f, g, n: int) -> Truncation:

@@ -133,9 +133,13 @@ def _degree(key: int) -> int:
 
 
 def _norm_coeff(c) -> Coeff:
-    """An exact scalar as an int when integral (bools included), else a Fraction."""
+    """An exact scalar, an int (bools included) or a Fraction, as an int when
+    integral, else a Fraction.  Any other type, a float say, raises
+    ``TypeError``: a float would become its binary fraction."""
     if type(c) is int:
         return c
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
     c = c if type(c) is Fraction else Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

@@ -326,7 +326,11 @@ def check_modified_from_type0(m: int, ell: int, n_max: int) -> bool | Mismatch:
 # -- the factorization-table kappa families -------------------------------------
 
 
-ADMISSIBLE_CELLS = {(0, -1), (1, -1), (2, -1), (1, 0), (2, 0), (2, 1)}
+# The admissible cells (j, alpha) of the table, in table order, each with
+# where its alpha-sequence starts; CELLS_BY_ID keys them by id ("j0am1", ...).
+_CELL_OFFSET = {(0, -1): 0, (1, -1): 1, (2, -1): 2, (1, 0): 0, (2, 0): 1, (2, 1): 0}
+ADMISSIBLE_CELLS = tuple(_CELL_OFFSET)
+CELLS_BY_ID = {f"j{j}a{str(a).replace('-', 'm')}": (j, a) for j, a in ADMISSIBLE_CELLS}
 KAPPA_CELLS = {(0, -1), (1, -1), (2, -1), (2, 1)}
 
 
@@ -352,12 +356,7 @@ class KappaFamily:
 
     @property
     def cell_id(self) -> str:
-        a = str(self.alpha_lag).replace("-", "m")
-        return f"j{self.j}a{a}"
-
-
-# where the alpha-sequence of each cell starts
-_CELL_OFFSET = {(0, -1): 0, (1, -1): 1, (2, -1): 2, (2, 1): 0, (1, 0): 0, (2, 0): 1}
+        return next(i for i, cell in CELLS_BY_ID.items() if cell == (self.j, self.alpha_lag))
 
 
 def _kappa(fam: KappaFamily) -> Poly:

@@ -72,17 +72,23 @@ def test_random_specs_cover_both_outcomes():
     assert outcomes == {True, False}
 
 
+def _eval_f(spec, m, n):
+    """f_m(n), term by term: the reference for the folded weights of to_hess."""
+    return sum((c * n ** d for d, c in enumerate(spec.fs[m + 1])), Poly.zero())
+
+
 def test_to_hess_scales_each_subdiagonal_by_the_falling_factorial():
     rng = XorShift64(5)
     for _ in range(6):
         spec = random_spec(rng)
         p = spec.to_hess()
         for n in range(8):
-            assert p(n, n + 1) == spec.eval_f(-1, n)
+            assert p(n, n + 1) == _eval_f(spec, -1, n)
             for m in range(spec.r + 1):
                 if n >= m:
-                    want = spec.eval_f(m, n) * math.perm(n, m)
+                    want = _eval_f(spec, m, n) * math.perm(n, m)
                     assert p(n, n - m) == want
+            assert all(p(n, k).is_zero() for k in range(n - spec.r))
 
 
 def test_spec_prints_its_order_and_coefficient_lists():

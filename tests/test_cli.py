@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from lagtp import checks, cli
+from lagtp import checks, cli, srpaths
 from lagtp.banded import check_banded_criterion, random_spec
 from lagtp.laguerre import LaguerreParams, monic_laguerre
-from lagtp.matrices import Truncation, XorShift64, hankel_truncation, tp_check_symbolic
+from lagtp.matrices import (TPReport, Truncation, XorShift64, hankel_truncation,
+                            tp_check_symbolic)
 from lagtp.polyring import Poly
 
 
@@ -453,6 +454,50 @@ def test_verify_witness_names_the_index_of_a_sequence_mismatch(capsys, monkeypat
     assert witness["where"] == 5
     got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
     assert want - got == bug
+
+
+def test_verify_witness_names_the_entry_of_a_second_mv_matrix_that_is_not_homogeneous(
+        capsys, monkeypatch):
+    # a stray degree-1 term y_p at (3, 1) of the flat matrix, whose entries there have degree 2
+    real = checks.coeff_matrix_second_mv
+
+    def planted(params, w, n, flat=False, oracle_rows=None):
+        m = real(params, w, n, flat=flat, oracle_rows=oracle_rows)
+        return Truncation.from_fn(
+            n, n, lambda i, k: m[i, k] + (w.y_p if flat and (i, k) == (3, 1) else 0))
+
+    monkeypatch.setattr(checks, "coeff_matrix_second_mv", planted)
+    code, entry = _verify_check(capsys, "multivariate", "second_mv_homogeneity")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    assert entry["witness"] == {"what": "vertex-weight degrees of the flat entries",
+                                "where": [3, 1], "got": [1, 2], "want": [2]}
+
+
+def test_verify_witness_names_the_m_whose_hankel_shows_no_tp2_failure(capsys, monkeypatch):
+    real = srpaths.find_hankel_tp2_failure
+    monkeypatch.setattr(srpaths, "find_hankel_tp2_failure", lambda m: None if m == 2 else real(m))
+    code, entry = _verify_check(capsys, "srpaths", "hankel_tp2_failure_beyond_type_m")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    assert entry["witness"] == {
+        "what": "negative 2x2 minor found in the type-(m+1) Hankel matrix, by m",
+        "where": 2, "got": False, "want": True}
+
+
+def test_verify_witness_names_an_inadmissible_cell_that_was_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(srpaths, "ADMISSIBLE_CELLS", srpaths.ADMISSIBLE_CELLS + ((0, 1),))
+    code, entry = _verify_check(capsys, "srpaths", "inadmissible_cells_rejected")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    assert entry["witness"] == {"what": "InadmissibleCellError raised, by cell (j, alpha)",
+                                "where": [0, 1], "got": False, "want": True}
+
+
+def test_verify_witness_names_a_tp_scan_that_passes_the_negative_control(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "tp_check_symbolic",
+                        lambda m, order: TPReport(True, order, "symbolic", 0))
+    code, entry = _verify_check(capsys, "riordan", "tp_negative_control")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    assert entry["witness"] == {"what": "TP2 scan of [[1,2],[3,1]]: [ok, witness minor]",
+                                "where": 0, "got": True, "want": False}
 
 
 def test_verify_max_n(capsys):

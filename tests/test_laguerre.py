@@ -11,7 +11,7 @@ from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
                             coeff_matrix_second_mv, coeff_matrix_uni,
                             monic_laguerre, monic_laguerre_reversed, prodmat,
                             rowgen_shifted_family_check, rowgen_polys)
-from lagtp.matrices import Truncation, conjugate_by_binomial, output_matrix
+from lagtp.matrices import HessMatrix, Truncation, conjugate_by_binomial, output_matrix
 from lagtp.polyring import Poly, rising
 from lagtp.series import solve_logderiv, solve_riccati
 
@@ -62,6 +62,14 @@ def test_prodmat_rows():
     w = VertexWeights.symbolic()
     pflat = prodmat(SYM, "PFlat", weights=w, x=x)
     assert pflat(1, 0) == (1 + a) * w.y_p * w.y_v + (w.y_da + w.y_dd) * x
+
+
+def test_params_take_exact_values_and_refuse_a_float():
+    half = LaguerreParams(Poly.const(Fraction(1, 2)))
+    assert LaguerreParams.of("1/2") == LaguerreParams.of(Fraction(1, 2)) == half
+    assert LaguerreParams.of(2).alpha == 2 and LaguerreParams.of(a).alpha == a
+    with pytest.raises(TypeError, match="float"):
+        LaguerreParams.of(0.5)
 
 
 def test_prodmat_unknown_variant():
@@ -229,6 +237,40 @@ def test_output_of_each_prodmat_is_its_coefficient_matrix(params, w, which):
     if "circ" not in which:
         want = binomial_rowgen_matrix(want, x)
     assert output_matrix(prodmat(params, which, weights=w), n) == want
+
+
+def _prodmat_reference(params, which, w, x_value=None):
+    """prodmat's old hand-written entry function, kept as a test oracle:
+    each entry is built from the row index on every call."""
+    w = laguerre.UNIT_WEIGHTS if which in ("Pcirc", "P") else w
+    s, t = (Poly.one(), w.y_p * w.y_v) if which.endswith("Flat") else (w.y_p, w.y_v)
+    fp, d = w.y_fp, w.y_da + w.y_dd
+    quad = "circ" not in which
+    xv = (x if x_value is None else Poly.const(x_value)) if quad else Poly.zero()
+    al = params.alpha
+    diag0, dx, tx = params.lam * fp + s * xv, d * xv, t * xv
+
+    def fn(n, k):
+        if k == n + 1:
+            return s
+        if k == n:
+            return diag0 + d * n
+        if k == n - 1:
+            return t * ((al + n) * n) + dx * n
+        if k == n - 2:
+            return tx * (n * (n - 1))
+        return 0
+
+    return HessMatrix(fn)
+
+
+@pytest.mark.parametrize("params", [SYM, LaguerreParams.of(2)], ids=["sym", "2"])
+@pytest.mark.parametrize("w", [VertexWeights.symbolic(), INT_WEIGHTS], ids=["sym", "int"])
+@pytest.mark.parametrize("x_value", [None, 3], ids=["x", "x=3"])
+@pytest.mark.parametrize("which", ["Pcirc", "P"] + list(WEIGHTED_KINDS))
+def test_each_prodmat_matches_the_entry_function_reference(params, w, x_value, which):
+    got = prodmat(params, which, weights=w, x=x_value)
+    assert got.truncate(12) == _prodmat_reference(params, which, w, x_value).truncate(12)
 
 
 @pytest.mark.parametrize("which", WEIGHTED_KINDS)

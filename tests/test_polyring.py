@@ -305,6 +305,22 @@ def test_subtraction_from_a_foreign_operand_is_refused_by_python():
     assert 3 - x == 3 + -x and Fraction(1, 2) - x == (1 - 2 * x).scale(Fraction(1, 2))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: _p(0.1), lambda: Poly.const(0.5), lambda: x.scale(0.5), lambda: x * 0.5,
+    lambda: x + 0.5, lambda: Poly.dot([(x, 0.5)]), lambda: Poly(["x"], {(1,): 0.5})],
+    ids=["_p", "const", "scale", "mul", "add", "dot", "terms"])
+def test_a_float_is_refused_not_read_as_its_binary_fraction(make):
+    # _p(0.1) once gave 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        make()
+
+
+def test_exact_scalars_still_coerce():
+    assert _p(True) == 1 and _p(False).is_zero()
+    assert Poly.const(Fraction(4, 2)).terms == {0: 2}
+    assert Poly.const(Fraction(1, 3)).as_constant() == Fraction(1, 3)
+
+
 # -- property tests -----------------------------------------------------------
 
 names = st.sampled_from(["x", "y", "z"])

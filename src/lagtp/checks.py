@@ -518,7 +518,7 @@ def production_output_roundtrip(ctx: Ctx) -> Outcome:
                 and first_difference(output_matrix(prod, n - 1), o.top_left(n - 1, n - 1),
                                      f"O(production of O({which}))"))
 
-    x_shift = DiagonalPolySpec(0, ((1,), (x,))).to_hess()
+    x_shift = DiagonalPolySpec(0, ((1,), (x,)))
     return (_first_failure(map(roundtrip, ("Pcirc", "P")))
             and first_difference(production_of(Truncation.identity(5)),
                                  delta_matrix().truncate(4, 5), "production of I vs Delta")
@@ -570,7 +570,7 @@ def tp_negative_control(ctx: Ctx) -> Outcome:
 def binomial_matrix_example(ctx: Ctx) -> Outcome:
     """O(xI + y Delta) = B_{x,y} and B_x is totally positive at small order."""
     x, y = Poly.var("x"), Poly.var("y")
-    p = DiagonalPolySpec(0, ((y,), (x,))).to_hess()
+    p = DiagonalPolySpec(0, ((y,), (x,)))
     return (first_difference(output_matrix(p, 5), binomial_truncation(x, 5, y), "O(xI + y Delta)")
             and tp_check_symbolic(binomial_truncation(x, 5), 3))
 
@@ -805,11 +805,9 @@ def pcirc_banded_criterion(ctx: Ctx) -> Outcome:
     # f_-1 = n with r = 1 passes (degree 1 <= r)
     edge = DiagonalPolySpec(1, (
         (Poly.zero(), Poly.one()), (Poly.one(),), (Poly.zero(),)))
-    # Delta: conjugate is Delta + xi I, lower bandwidth 0
-    delta_spec = DiagonalPolySpec(0, ((Poly.one(),), (Poly.zero(),)))
     params = LaguerreParams.symbolic()
-    conj = conjugate_by_binomial(spec.to_hess(), xi, 7)
-    return (first_difference(spec.to_hess().truncate(7), prodmat(params, "Pcirc").truncate(7),
+    conj = conjugate_by_binomial(spec, xi, 7)
+    return (first_difference(spec.truncate(7), prodmat(params, "Pcirc").truncate(7),
                              "spec vs P-circ")
             and first_difference(conj, prodmat(params, "P", x=xi).truncate(7), "conjugate vs P")
             and first_difference([banded.check_banded_criterion(s) for s in (spec, bad, edge)],
@@ -817,15 +815,15 @@ def pcirc_banded_criterion(ctx: Ctx) -> Outcome:
                                  "degree test on the P-circ, n^3, f_-1 = n specs")
             and first_difference([conj.lower_bandwidth()], [2],
                                  f"lower bandwidth of the conjugate of {spec}")
-            and _degree_test_vs_band(bad, conjugate_by_binomial(bad.to_hess(), xi, 7))
-            and _degree_test_vs_band(delta_spec,
-                                     conjugate_by_binomial(delta_spec.to_hess(), xi, 6)))
+            and _degree_test_vs_band(bad, conjugate_by_binomial(bad, xi, 7))
+            # Delta: conjugate is Delta + xi I, lower bandwidth 0
+            and _degree_test_vs_band(delta_matrix(), conjugate_by_binomial(delta_matrix(), xi, 6)))
 
 
 def banded_random_agreement(ctx: Ctx) -> Outcome:
     rng, xi = XorShift64(ctx.seed), Poly.var("xi")
     specs = (banded.random_spec(rng) for _ in range(20))
-    return _first_failure(_degree_test_vs_band(s, conjugate_by_binomial(s.to_hess(), xi, 9))
+    return _first_failure(_degree_test_vs_band(s, conjugate_by_binomial(s, xi, 9))
                           for s in specs)
 
 

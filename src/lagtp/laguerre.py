@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digraphs
-from .matrices import (DiagonalPolySpec, HessMatrix, Mismatch, Truncation, binomial_truncation,
+from .matrices import (DiagonalPolySpec, Mismatch, Truncation, binomial_truncation,
                        diagonal, first_difference, lower_bidiagonal, riordan_matrix,
                        sfraction_word, unit_lower_inverse, upper_bidiagonal)
 from .polyring import Poly, PolyLike, _p, power_table
@@ -266,7 +266,7 @@ def _degrees(p: Poly, names: set) -> list:
 
 
 def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = None,
-            x: PolyLike | None = None) -> HessMatrix:
+            x: PolyLike | None = None) -> DiagonalPolySpec:
     """Closed-form production matrices for the Laguerre families.
 
     which = 'Pcirc'      tridiagonal, univariate coefficient matrix;
@@ -293,7 +293,7 @@ def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = 
     x = (Poly.var(X_NAME) if x is None else _p(x)) if "circ" not in which else Poly.zero()
     # f_-1 = s, f_0 = lam y_fp + s x + d n, f_1 = t alpha + d x + t n, f_2 = t x
     return DiagonalPolySpec(2, ((s,), (params.lam * w.y_fp + s * x, d),
-                                (t * params.alpha + d * x, t), (t * x,))).to_hess()
+                                (t * params.alpha + d * x, t), (t * x,)))
 
 
 # -- factorizations and structural identities ---------------------------------

@@ -1,10 +1,10 @@
 """Band-bounded lower-Hessenberg matrices of polynomials and their toolkit.
 
 Covers the matrices whose diagonals are polynomial in the row index
-(``DiagonalPolySpec``, which builds ``prodmat``, the exponential AZ matrix
-and Delta), the production-matrix machinery (output-matrix iteration and
-its inverse), bidiagonal factor expressions (``Banded``), binomial
-conjugation (summed over its Taylor layers in xi), exact minors, total
+(``DiagonalPolySpec``: ``prodmat``, the exponential AZ matrix and Delta),
+the production-matrix machinery (output-matrix iteration and its inverse),
+bidiagonal factor expressions (``Banded``), binomial conjugation (from spec
+to spec, by Taylor layers in xi on the diagonals), exact minors, total
 positivity certification (symbolic and sampled, plus the continuant
 criterion for tridiagonal matrices), exponential Riordan array
 construction, and the entrywise comparison every check makes
@@ -29,7 +29,6 @@ monomial keys.  Both give the same reports.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import json
@@ -213,7 +212,7 @@ def first_difference(got, want, what: str) -> bool | Mismatch:
 
 
 class HessMatrix:
-    """Lazily generated lower-Hessenberg matrix: entry(n, k) -> Poly.
+    """Lower-Hessenberg matrix given by an entry function: entry(n, k) -> Poly.
 
     Entries above the first superdiagonal are zero by construction; below
     it, ``entry_fn`` gives every entry, the zeros of a band included.
@@ -251,18 +250,21 @@ class HessMatrix:
 @dataclass(frozen=True)
 class DiagonalPolySpec:
     """An (r,1)-banded lower-Hessenberg matrix whose diagonals are polynomial
-    in the row index n: entry (n, n+1) is f_{-1}(n) and entry (n, n-m) is
-    n(n-1)...(n-m+1) f_m(n) for 0 <= m <= r.
+    in the row index n: entry (n, n+1) is f_{-1}(n), entry (n, n-m) is
+    n(n-1)...(n-m+1) f_m(n) for 0 <= m <= r, and every other entry is zero.
 
     ``fs`` lists the polynomials f_{-1}, f_0, ..., f_r, each given by its
     coefficient list in n (constant coefficient first, Poly coefficients
-    allowed).
+    allowed); r is an int >= -1.  A spec is unhashable, as ``Poly`` is.
     """
 
     r: int
     fs: tuple
+    __hash__ = None
 
     def __post_init__(self):
+        if type(self.r) is not int or self.r < -1:
+            raise ValueError(f"spec order r must be an int >= -1 (got {self.r!r})")
         fs = tuple(tuple(_p(c) for c in f) for f in self.fs)
         if len(fs) != self.r + 2:
             raise ValueError(f"need {self.r + 2} polynomials f_-1..f_{self.r}")
@@ -276,24 +278,28 @@ class DiagonalPolySpec:
         """Degree in n of f_m (m from -1 to r); -1 for the zero polynomial."""
         return max((d for d, c in enumerate(self.fs[m + 1]) if c), default=-1)
 
-    def to_hess(self) -> HessMatrix:
-        """The matrix.  Entry (n, n-m) is one ``Poly.dot`` of the
-        coefficients c_d of f_m with the integer weights
-        n(n-1)...(n-m+1) n^d; a lone coefficient of weight 1 is the entry."""
-        def fn(n, k):
-            m = n - k
-            if m > self.r:
-                return 0
-            f, fall = self.fs[m + 1], math.perm(n, m) if m >= 0 else 1
-            if len(f) == 1 and fall == 1:
-                return f[0]
-            return Poly.dot((c, fall * n ** d) for d, c in enumerate(f))
-        return HessMatrix(fn)
+    def __call__(self, n: int, k: int) -> Poly:
+        """Entry (n, k).  On the band, m = n - k, it is one ``Poly.dot`` of the
+        coefficients c_d of f_m with the integer weights n(n-1)...(n-m+1) n^d;
+        a lone coefficient of weight 1 is the entry."""
+        m = n - k
+        if n < 0 or k < 0 or not -1 <= m <= self.r:
+            return Poly.zero()
+        f, fall = self.fs[m + 1], math.perm(n, m) if m >= 0 else 1
+        if len(f) == 1 and fall == 1:
+            return f[0]
+        return Poly.dot((c, fall * n ** d) for d, c in enumerate(f))
+
+    def truncate(self, rows: int, cols: int | None = None) -> Truncation:
+        """The rows x cols block; only the entries of the band are read."""
+        cols, zero = rows if cols is None else cols, Poly.zero()
+        return Truncation([[self(n, k) if n - self.r <= k <= n + 1 else zero for k in range(cols)]
+                           for n in range(rows)])
 
 
-def delta_matrix() -> HessMatrix:
+def delta_matrix() -> DiagonalPolySpec:
     """The shift matrix with 1 on the superdiagonal."""
-    return DiagonalPolySpec(0, ((1,), (0,))).to_hess()
+    return DiagonalPolySpec(0, ((1,), (0,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,51 +482,46 @@ def production_of(t: Truncation) -> Truncation:
     return Truncation(prows) if prows else Truncation.zero(0, m)
 
 
-def conjugate_by_binomial(p: HessMatrix, xi: PolyLike, n: int) -> Truncation:
-    """n x n truncation of B_xi^{-1} P B_xi, summed exactly over its Taylor
-    layers in xi.
+def _backward_difference(h: list) -> list:
+    """Coefficients in n of h(n) - h(n-1), given those of h (constant first)."""
+    return [Poly.dot((h[d], (-1) ** (d - j + 1) * math.comb(d, j)) for d in range(j + 1, len(h)))
+            for j in range(len(h) - 1)]
+
+
+def conjugate_by_binomial(p: DiagonalPolySpec, xi: PolyLike, n: int) -> Truncation:
+    """n x n truncation of B_xi^{-1} P B_xi, computed on the diagonals of P.
 
     B_xi = exp(xi N) with N[i][i-1] = i, so the conjugate is the sum of
-    xi^k / k! X_k, where X_0 = P and X_{k+1} = X_k N - N X_k, that is
-    X_{k+1}[i][c] = (c+1) X_k[i][c+1] - i X_k[i-1][c].  A row reads only
-    rows above it and a column only the column after it, so the layers
-    are taken on the n x (n+2) block of the lower-Hessenberg P (its first
-    n rows only): the result is the corner of the infinite conjugate.  The
-    loop stops at the first layer that is zero on the block (every later
-    one is zero too): after 2-6 layers for the diagonals polynomial in the
-    row index of a ``DiagonalPolySpec`` (``prodmat``, ``eaz_matrix``),
-    after at most 2n + 1 for any P.  Each nonzero layer entry is scaled by
-    two integers into the next layer, each entry of which is one
-    ``Poly.dot``, and each result entry is one ``Poly.dot`` against the
-    weights xi^k / k!, so no matrix is multiplied.  A negative n raises
-    ``ValueError``.
+    xi^k / k! X_k, where X_0 = P and X_{k+1} = X_k N - N X_k.  With g_m = f_m
+    for m >= 0 and g_{-1} = (n+1) f_{-1}, one layer is a backward difference
+    on each diagonal, moved down by one: diagonal m of X_{k+1} is
+    n(n-1)...(n-m+1) nabla h, nabla h(n) = h(n) - h(n-1), where h is the
+    polynomial of diagonal m-1 of X_k.  So the conjugate is the spec with
+    the same f_{-1} and f'_M = sum_k xi^k / k! nabla^k g_{M-k}, of order
+    max_m (m + deg g_m) whether or not P passes the degree test.  The result
+    is its n x n block.  A negative n raises ``ValueError``.
     """
     if n < 0:
         raise ValueError(f"requested a {n}x{n} conjugate")
-    xi = _p(xi)
-    block = p.truncate(n, n + 2)
-    # each layer as its nonzero entries {(i, c): X_k[i][c]}
-    layer = {(i, c): e for i, row in enumerate(block.data) for c, e in enumerate(row) if e}
-    layers = []
-    while layer:
-        layers.append(layer)
-        # X N - N X: X[i][c] adds c X[i][c] at (i, c-1) and -(i+1) X[i][c] at (i+1, c)
-        # (row n is past the block)
-        pairs = collections.defaultdict(list)
-        for (i, c), e in layer.items():
-            if c:
-                pairs[i, c - 1].append((c, e))
-            if i + 1 < n:
-                pairs[i + 1, c].append((-i - 1, e))
-        layer = {ic: v for ic, ps in pairs.items() if (v := Poly.dot(ps))}
+    zero, up = Poly.zero(), list(p.fs[0])
+    chains = []  # chains[m + 1][k] = nabla^k g_m, down to its constant
+    for h in [[a + b for a, b in zip(up + [zero], [zero] + up)], *map(list, p.fs[1:])]:
+        while h and not h[-1]:
+            h.pop()
+        chains.append([])
+        while h:
+            chains[-1].append(h)
+            h = _backward_difference(h)
+    r = max((m + len(chain) - 1 for m, chain in enumerate(chains, -1) if chain), default=-1)
     weights = [t.scale(Fraction(1, math.factorial(k)))
-               for k, t in enumerate(power_table(xi, len(layers)))]
-    terms = collections.defaultdict(list)
-    for x, t in zip(layers, weights):
-        for (i, c), e in x.items():
-            if c < n:
-                terms[i, c].append((e, t))
-    return Truncation.from_fn(n, n, lambda i, c: Poly.dot(terms.get((i, c), ())))
+               for k, t in enumerate(power_table(_p(xi), r + 2))]
+    sums = [{} for _ in range(r + 2)]  # sums[M + 1][j]: the pairs summed into coefficient j of f'_M
+    for m, chain in enumerate(chains, -1):
+        for k, h in enumerate(chain):
+            for j, c in enumerate(h):
+                sums[m + k + 1].setdefault(j, []).append((c, weights[k]))
+    fs = [p.fs[0]] + [[Poly.dot(s[j]) for j in range(len(s))] for s in sums[1:]]
+    return DiagonalPolySpec(r, fs).truncate(n)
 
 
 # -- total positivity -------------------------------------------------------
@@ -882,7 +883,7 @@ def _seq_fn(values, start: int = 0) -> Callable[[int], Poly]:
     return lambda i: vals[i - start] if 0 <= i - start < len(vals) else Poly.zero()
 
 
-def eaz_matrix(a: Sequence[PolyLike], z: Sequence[PolyLike]) -> HessMatrix:
+def eaz_matrix(a: Sequence[PolyLike], z: Sequence[PolyLike]) -> DiagonalPolySpec:
     """Exponential AZ matrix: entry (n,k) = (n!/k!) (z_{n-k} + k a_{n-k+1}).
 
     ``a`` and ``z`` are finite sequences of Poly, zero past their ends;
@@ -893,7 +894,7 @@ def eaz_matrix(a: Sequence[PolyLike], z: Sequence[PolyLike]) -> HessMatrix:
     a = [_p(v) for v in a] + [Poly.zero()] * (r + 2 - len(a))
     z = [_p(v) for v in z] + [Poly.zero()] * (r + 1 - len(z))
     fs = [(a[0],)] + [(z[m] - a[m + 1] * m, a[m + 1]) for m in range(r + 1)]
-    return DiagonalPolySpec(r, fs).to_hess()
+    return DiagonalPolySpec(r, fs)
 
 
 def bx_conjugate_eaz_identity_check(a, z, n: int) -> bool | Mismatch:

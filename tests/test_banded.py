@@ -1,3 +1,4 @@
+import collections.abc
 import math
 
 import pytest
@@ -23,12 +24,12 @@ def test_pcirc_satisfies_condition_c():
 
 
 def test_pcirc_spec_builds_the_tridiagonal():
-    assert pcirc_spec().to_hess().truncate(7) == prodmat(
+    assert pcirc_spec().truncate(7) == prodmat(
         LaguerreParams.symbolic(), "Pcirc").truncate(7)
 
 
 def test_pcirc_conjugate_is_the_quadridiagonal():
-    conj = conjugate_by_binomial(pcirc_spec().to_hess(), Poly.var("xi"), 7)
+    conj = conjugate_by_binomial(pcirc_spec(), Poly.var("xi"), 7)
     want = prodmat(LaguerreParams.symbolic(), "P", x=Poly.var("xi")).truncate(7)
     assert conj == want
     assert conjugate_and_measure_band(pcirc_spec(), 7) == 2
@@ -39,7 +40,7 @@ def test_cubic_diagonal_fails_and_band_grows():
     assert not check_banded_criterion(bad)
     assert conjugate_and_measure_band(bad, 7) >= 3
     # condition (b), read from the conjugate: its 3rd subdiagonal does not vanish
-    conj = conjugate_by_binomial(bad.to_hess(), Poly.var("xi"), 7)
+    conj = conjugate_by_binomial(bad, Poly.var("xi"), 7)
     assert not all(conj[k + 3, k].is_zero() for k in range(7 - 3))
 
 
@@ -73,22 +74,62 @@ def test_random_specs_cover_both_outcomes():
 
 
 def _eval_f(spec, m, n):
-    """f_m(n), term by term: the reference for the folded weights of to_hess."""
+    """f_m(n), term by term: the reference for the folded weights of an entry."""
     return sum((c * n ** d for d, c in enumerate(spec.fs[m + 1])), Poly.zero())
 
 
-def test_to_hess_scales_each_subdiagonal_by_the_falling_factorial():
+def test_spec_entry_scales_each_subdiagonal_by_the_falling_factorial():
     rng = XorShift64(5)
     for _ in range(6):
         spec = random_spec(rng)
-        p = spec.to_hess()
         for n in range(8):
-            assert p(n, n + 1) == _eval_f(spec, -1, n)
+            assert spec(n, n + 1) == _eval_f(spec, -1, n)
             for m in range(spec.r + 1):
                 if n >= m:
                     want = _eval_f(spec, m, n) * math.perm(n, m)
-                    assert p(n, n - m) == want
-            assert all(p(n, k).is_zero() for k in range(n - spec.r))
+                    assert spec(n, n - m) == want
+            assert all(spec(n, k).is_zero() for k in range(n - spec.r))
+            assert all(spec(n, k).is_zero() for k in range(n + 2, n + 5))
+            # no entry above row 0 or left of column 0
+            assert spec(-1, 0).is_zero() and spec(-1, n).is_zero()
+            assert spec(n, -1).is_zero() and spec(0, -1).is_zero()
+
+
+def test_spec_truncate_reads_only_the_band(monkeypatch):
+    rng = XorShift64(6)
+    for _ in range(6):
+        spec = random_spec(rng)
+        for rows, cols in ((0, None), (1, None), (7, None), (7, 3), (3, 7), (5, 0)):
+            reads = []
+            entry = DiagonalPolySpec.__call__
+            monkeypatch.setattr(DiagonalPolySpec, "__call__",
+                                lambda s, n, k: reads.append(n - k) or entry(s, n, k))
+            got = spec.truncate(rows, cols)
+            monkeypatch.undo()
+            cols = rows if cols is None else cols
+            assert got == Truncation.from_fn(rows, cols, spec)
+            assert all(-1 <= m <= spec.r for m in reads)
+
+
+@pytest.mark.parametrize("r,count", [(-2, 0), (-5, 0), (1.0, 3), (True, 3), ("1", 3), (None, 3)])
+def test_spec_refuses_an_order_that_is_not_an_int_at_least_minus_one(r, count):
+    # count is the number of polynomials f_-1..f_r that the order asks for (none below -1)
+    with pytest.raises(ValueError, match="order r"):
+        DiagonalPolySpec(r, ((one,),) * count)
+
+
+def test_spec_of_order_minus_one_is_its_superdiagonal():
+    spec = DiagonalPolySpec(-1, ((zero, one),))
+    assert spec.truncate(3, 4) == Truncation([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    assert not check_banded_criterion(spec)
+    assert conjugate_and_measure_band(spec, 5) == 1
+
+
+def test_spec_is_unhashable_as_it_says():
+    spec = pcirc_spec()
+    assert not isinstance(spec, collections.abc.Hashable)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(spec)
 
 
 def test_spec_prints_its_order_and_coefficient_lists():
@@ -98,9 +139,9 @@ def test_spec_prints_its_order_and_coefficient_lists():
 def test_degree_test_vs_band_names_the_spec_and_both_sides():
     xi = Poly.var("xi")
     good, bad = pcirc_spec(), DiagonalPolySpec(2, ((one,), (zero, zero, zero, one), (zero,), (zero,)))
-    conj = conjugate_by_binomial(good.to_hess(), xi, 7)
+    conj = conjugate_by_binomial(good, xi, 7)
     assert _degree_test_vs_band(good, conj) is True
-    assert _degree_test_vs_band(bad, conjugate_by_binomial(bad.to_hess(), xi, 7)) is True
+    assert _degree_test_vs_band(bad, conjugate_by_binomial(bad, xi, 7)) is True
     # a band the degree test does not allow
     wide = Truncation.from_fn(7, 7, lambda i, k: 1 if (i, k) == (5, 1) else conj[i, k])
     assert _degree_test_vs_band(good, wide) == Mismatch(

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from lagtp import matrices, polyring
-from lagtp.banded import DiagonalPolySpec
+from lagtp.banded import DiagonalPolySpec, random_spec
 from lagtp.laguerre import (LaguerreParams, VertexWeights, coeff_matrix_uni, monic_laguerre,
                             prodmat)
 from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, Mismatch, NonUnitDiagonalError,
@@ -129,7 +129,7 @@ def test_conjugate_pcirc_gives_quadridiagonal():
 
 
 def test_conjugate_identity_matrix():
-    eye = HessMatrix(lambda n, k: 1 if n == k else 0)
+    eye = DiagonalPolySpec(0, ((0,), (1,)))
     assert conjugate_by_binomial(eye, Poly.var("xi"), 4) == Truncation.identity(4)
 
 
@@ -782,42 +782,49 @@ def _conjugate_reference(p, xi, n):
 
 def _conjugation_inputs():
     params, w = LaguerreParams.symbolic(), VertexWeights.symbolic()
-    rng = random.Random(9)
     return [
         ("delta", delta_matrix()),
-        ("Pcirc", prodmat(params, "Pcirc")),
-        ("PcircY", prodmat(params, "PcircY", weights=w)),
-        ("PFlat", prodmat(params, "PFlat", weights=w, x=x)),
-        ("unbounded-band", HessMatrix(lambda n, k: Poly.var(f"p{n}_{k}"))),
+        *((kind, prodmat(params, kind, weights=w, x=x))
+          for kind in ("Pcirc", "P", "PcircFlat", "PFlat", "PcircY", "PY")),
         # degree-4 diagonals, far from the degree criterion: the most Taylor layers
         ("degree-4-spec", DiagonalPolySpec(2, (
-            (a, 0, 0, 0, 1), (1, 0, 0, 0, 1), (0, -2, 0, 0, 1), (0, 0, a, 0, 3))).to_hess()),
+            (a, 0, 0, 0, 1), (1, 0, 0, 0, 1), (0, -2, 0, 0, 1), (0, 0, a, 0, 3)))),
         ("eaz", eaz_matrix([Poly.var(f"a{i}") for i in range(12)],
                            [Poly.var(f"z{i}") for i in range(12)])),
-        # random truncations, read as Hessenberg matrices that are zero past
-        # the block: every entry of the band can be nonzero, none is polynomial
-        ("dense-truncation", _hessenberg_part(_random_matrix(rng, 7, 7, 0.3))),
-        ("larger-truncation", _hessenberg_part(_random_matrix(rng, 9, 10, 0.3))),
-        ("largest-truncation", _hessenberg_part(_random_matrix(rng, 11, 11, 0.3))),
+        # only a superdiagonal, f_-1 = 1 + a n
+        ("superdiagonal-only", DiagonalPolySpec(-1, ((1, a),))),
+        # empty coefficient lists are the zero polynomial
+        ("empty-coefficients", DiagonalPolySpec(1, ((), (a, 2), ()))),
     ]
 
 
-def _hessenberg_part(t):
-    return HessMatrix(lambda n, k: t[n, k] if n < t.rows and k < t.cols else 0)
-
-
 CONJUGATION_INPUTS = _conjugation_inputs()
+CONJUGATION_XIS = [Poly.var("xi"), x + 1, Fraction(1, 2), 0]
 
 
 @pytest.mark.parametrize("name,p", CONJUGATION_INPUTS, ids=[c[0] for c in CONJUGATION_INPUTS])
-@pytest.mark.parametrize("xi", [Poly.var("xi"), x + 1, Fraction(1, 2), 0])
+@pytest.mark.parametrize("xi", CONJUGATION_XIS)
 def test_conjugate_matches_full_block_product(name, p, xi):
-    for n in (0, 1, 3, 5, 7, 9):
-        assert conjugate_by_binomial(p, xi, n) == _conjugate_reference(p, xi, n), n
+    # the reference's n x n corner is the reference at n: it reads rows < n of P only
+    want = _conjugate_reference(p, xi, 9)
+    for n in range(10):
+        assert conjugate_by_binomial(p, xi, n) == want.top_left(n), n
+
+
+@pytest.mark.parametrize("xi", CONJUGATION_XIS)
+def test_conjugate_of_random_specs_matches_full_block_product(xi):
+    # seed 42 is the default seed of banded_random_agreement, which checks the first 20
+    rng = XorShift64(42)
+    for i in range(30):
+        p = random_spec(rng)
+        want = _conjugate_reference(p, xi, 9)
+        for n in range(10):
+            assert conjugate_by_binomial(p, xi, n) == want.top_left(n), (i, n)
 
 
 def test_conjugation_makes_no_block_product(monkeypatch):
-    # B_x^-1 P-circ-flat B_x at n = 9: the full-block product made 598 kernel calls
+    # B_x^-1 P-circ-flat B_x at n = 9: the full-block product made 598 kernel calls,
+    # the Taylor layers taken entry by entry on the n x (n+2) block 172
     params, w = LaguerreParams.symbolic(), VertexWeights.symbolic()
     p, want = prodmat(params, "PcircFlat", weights=w), prodmat(params, "PFlat", weights=w, x=x)
     calls, products = [], []
@@ -826,7 +833,7 @@ def test_conjugation_makes_no_block_product(monkeypatch):
     monkeypatch.setattr(matrices, "binomial_truncation", lambda *args: products.append(args))
     monkeypatch.setattr(Truncation, "__mul__", lambda *args: products.append(args))
     got = conjugate_by_binomial(p, x, 9)
-    assert (len(calls), products) == (172, [])
+    assert (len(calls), products) == (55, [])
     monkeypatch.undo()
     assert got == want.truncate(9)
 
@@ -1145,32 +1152,21 @@ def test_packed_witness_decodes_its_first_and_last_slots():
     assert report.to_json() == _dict_path_json(m, 2)
 
 
-# -- conjugation reads only the rows that reach the result -----------------------
+# -- conjugation reads no entry of P ----------------------------------------------
 
 
 @pytest.mark.parametrize("name,p", CONJUGATION_INPUTS, ids=[c[0] for c in CONJUGATION_INPUTS])
-def test_conjugate_evaluates_no_row_of_p_at_or_past_n(name, p):
+def test_conjugate_evaluates_no_row_of_p_at_or_past_n(name, p, monkeypatch):
+    # the conjugate is taken on the diagonals of P, so no entry of P is read at all
+    reads = []
+    entry, truncate = DiagonalPolySpec.__call__, DiagonalPolySpec.truncate
+    monkeypatch.setattr(DiagonalPolySpec, "__call__",
+                        lambda s, i, k: (s is p and reads.append(i)) or entry(s, i, k))
+    monkeypatch.setattr(DiagonalPolySpec, "truncate",
+                        lambda s, *size: (s is p and reads.append(size)) or truncate(s, *size))
     for n in (1, 3, 5):
-        rows = set()
-
-        def counted(i, k):
-            rows.add(i)
-            return p(i, k)
-
-        got = conjugate_by_binomial(HessMatrix(counted), Poly.var("xi"), n)
-        assert max(rows) < n
-        assert got == _conjugate_reference(p, Poly.var("xi"), n)
-
-
-def test_conjugate_of_hessenberg_that_raises_past_row_n_succeeds():
-    def entry(i, k):
-        if i >= 4:
-            raise IndexError(i)
-        return Poly.var(f"p{i}_{k}")
-
-    got = conjugate_by_binomial(HessMatrix(entry), x, 4)
-    want = _conjugate_reference(HessMatrix(lambda i, k: Poly.var(f"p{i}_{k}")), x, 4)
-    assert got == want
+        conjugate_by_binomial(p, Poly.var("xi"), n)
+    assert reads == []
 
 
 # -- Banded expressions: the working block -------------------------------------
@@ -1320,7 +1316,7 @@ def test_output_matrix_and_conjugate_refuse_a_negative_size_before_any_read():
         with pytest.raises(ValueError, match="^requested"):
             output_matrix(p, rows, cols)
     with pytest.raises(ValueError, match="^requested"):
-        conjugate_by_binomial(p, x, -1)
+        conjugate_by_binomial(delta, x, -1)
     assert reads == []
 
 

@@ -56,7 +56,7 @@ class Truncation:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence[PolyLike]]):
-        data = tuple(tuple(map(_p, row)) for row in data)
+        data = tuple([tuple([e if type(e) is Poly else _p(e) for e in row]) for row in data])
         rows = len(data)
         cols = len(data[0]) if rows else 0
         if any(len(r) != cols for r in data):
@@ -105,7 +105,7 @@ class Truncation:
     def __mul__(self, other: "Truncation") -> "Truncation":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        live = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        live = [[(j, b) for j, b in enumerate(row) if b.num] for row in other.data]
         return Truncation([_row_times(row, live.__getitem__, other.cols) for row in self.data])
 
     def scale(self, c: PolyLike) -> "Truncation":
@@ -232,7 +232,9 @@ class HessMatrix:
         return _p(self.entry_fn(n, k))
 
     def truncate(self, rows: int, cols: int | None = None) -> Truncation:
+        """The rows x cols block; a negative size raises ``ValueError``."""
         cols = rows if cols is None else cols
+        _check_size(rows, cols)
         return Truncation.from_fn(rows, cols, self)
 
     @staticmethod
@@ -242,6 +244,11 @@ class HessMatrix:
                 return t[n, k]
             raise IndexError(f"entry ({n},{k}) outside stored {t.rows}x{t.cols} block")
         return HessMatrix(fn)
+
+
+def _check_size(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError(f"requested a {rows}x{cols} block")
 
 
 # -- special matrices ------------------------------------------------------
@@ -291,8 +298,10 @@ class DiagonalPolySpec:
         return Poly.dot((c, fall * n ** d) for d, c in enumerate(f))
 
     def truncate(self, rows: int, cols: int | None = None) -> Truncation:
-        """The rows x cols block; only the entries of the band are read."""
+        """The rows x cols block; only the entries of the band are read.  A
+        negative size raises ``ValueError``."""
         cols, zero = rows if cols is None else cols, Poly.zero()
+        _check_size(rows, cols)
         return Truncation([[self(n, k) if n - self.r <= k <= n + 1 else zero for k in range(cols)]
                            for n in range(rows)])
 
@@ -456,7 +465,7 @@ def _row_times(row: Sequence[Poly], live: Callable[[int], list], width: int) -> 
     """
     pairs: dict = {}
     for k, a in enumerate(row):
-        if a:
+        if a.num:
             for j, b in live(k):
                 pairs.setdefault(j, []).append((a, b))
     zero = Poly.zero()
@@ -925,8 +934,8 @@ def riordan_matrix(f, g, n: int) -> Truncation:
     for k in range(n):
         if k > 0:
             col = col * g
-        for i in range(n):
-            entry = col[i].scale(Fraction(factorial[i], factorial[k]))
+        for i in range(k, n):  # G^k starts at t^k, so rows i < k stay zero
+            entry = col[i].scale(factorial[i] // factorial[k])
             if not entry.is_integral():
                 raise RiordanIntegralityError(
                     f"entry ({i},{k}) = {entry} is not integral; F or G is wrong")

@@ -34,6 +34,14 @@ normalises it once at the end, so no product is built only to be merged and
 no partial sum is copied; ``*`` and ``scale`` are the one-pair case, and
 ``_mul_add(a, c, b)``, a + c*b (the row step of the m-Stieltjes-Rogers
 recurrence), is the one pair added into one copy of a's numerators.  The
+second operand of the kernel may be an exact scalar, an int or a
+``Fraction``, taken as one term on the constant key 0 (which moves no key,
+so it needs no overflow test): an integer weight, a binomial or an n!/k!
+goes into ``scale``, ``*`` and ``Poly.dot`` as it is, with no ``Poly``
+built to carry it.  Every result is built by one call, ``_finish``, which
+drops zeros, reduces and wraps the map.  No routine mutates the ``num`` of
+a Poly it did not just build, so ``Poly.zero()`` and ``Poly.one()`` return
+one shared instance each.  The
 weighting step of the oracles and of ``substitute`` (``_power_sum``) raises
 monomials by key arithmetic: a term whose weights are monomials is one key
 sum and one coefficient product, not a ``Poly`` product.  The accumulator,
@@ -144,14 +152,23 @@ def _norm_coeff(c) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
-def _mul_into(out: dict, den: int, a: "Poly", b: "Poly") -> int:
+def _mul_into(out: dict, den: int, a: "Poly", b: "Poly | Scalar") -> int:
     """Add a * b to out / den, where ``out`` holds integer numerators over
-    the common denominator ``den``; returns the new ``den``.  ``_finish``
-    drops the zeros and reduces once."""
-    ta, tb = a.num, b.num
-    if len(ta) < len(tb):
-        ta, tb = tb, ta
-    d = a.den * b.den
+    the common denominator ``den``; returns the new ``den``.  ``b`` is a
+    Poly or an exact scalar (an int or a ``Fraction``), which multiplies
+    like a Poly of one term on the constant key 0.  ``_finish`` drops the
+    zeros and reduces once."""
+    ta = a.num
+    if type(b) is Poly:
+        tb, d = b.num, a.den * b.den
+        if len(ta) < len(tb):
+            ta, tb = tb, ta
+        one = len(tb) == 1
+        if one:
+            [(kb, cb)] = tb.items()
+    else:
+        kb, one = 0, True
+        cb, d = (b, a.den) if type(b) is int else (b.numerator, a.den * b.denominator)
     if den % d:
         grow = d // gcd(den, d)
         for k in out:
@@ -159,16 +176,19 @@ def _mul_into(out: dict, den: int, a: "Poly", b: "Poly") -> int:
         den *= grow
     scale = den // d
     get = out.get
-    if len(tb) == 1:
-        [(kb, cb)] = tb.items()
+    if one:
         cb *= scale
-        used = 0
-        for ka, ca in ta.items():
-            k = ka + kb
-            used |= k
-            out[k] = get(k, 0) + ca * cb
-        if used & _guard:
-            raise _overflow(used)
+        if kb:
+            used = 0
+            for ka, ca in ta.items():
+                k = ka + kb
+                used |= k
+                out[k] = get(k, 0) + ca * cb
+            if used & _guard:
+                raise _overflow(used)
+        else:  # the constant key moves no key, so no product can overflow
+            for ka, ca in ta.items():
+                out[ka] = get(ka, 0) + ca * cb
         return den
     if scale != 1:
         tb = {k: c * scale for k, c in tb.items()}
@@ -189,8 +209,9 @@ def _mul_into(out: dict, den: int, a: "Poly", b: "Poly") -> int:
     return den
 
 
-def _product(a: "Poly", b: "Poly") -> "Poly":
-    """The Poly a * b: the multiply-add of one pair."""
+def _product(a: "Poly", b: "Poly | Scalar") -> "Poly":
+    """The Poly a * b (``b`` a Poly or an exact scalar): the multiply-add
+    of one pair into an empty map."""
     out: dict = {}
     return _finish(out, _mul_into(out, 1, a, b))
 
@@ -215,29 +236,30 @@ def _power_guard(terms: dict, n: int) -> None:
             raise _overflow(used)
 
 
-def _reduced(num: dict, den: int) -> "Poly":
-    """The Poly num / den (``num`` holds nonzero integers), reduced by one
-    gcd of the denominator and the numerators."""
+def _finish(out: dict, den: int = 1) -> "Poly":
+    """The Poly of the integer term map ``out`` / ``den``, zeros dropped and
+    reduced by one gcd of the denominator and the numerators: the one
+    constructor of every Poly.  ``out`` itself may become the Poly's map
+    (every caller passes a map of its own), so it is copied only when it
+    holds a zero or a common factor."""
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
     if den != 1:
-        g = gcd(den, *num.values())
+        g = gcd(den, *out.values())
         if g != 1:
             den //= g
-            num = {k: c // g for k, c in num.items()}
-    return _poly(num, den)
-
-
-def _finish(out: dict, den: int) -> "Poly":
-    """The Poly of the integer term map ``out`` / ``den``, zeros dropped.
-    ``out`` itself may become the Poly's map (every caller passes a map of
-    its own), so it is copied only when it holds a zero."""
-    return _reduced(out if 0 not in out.values() else {k: c for k, c in out.items() if c}, den)
+            out = {k: c // g for k, c in out.items()}
+    p = object.__new__(Poly)
+    _set_num(p, out)
+    _set_den(p, den)
+    return p
 
 
 def _from_terms(terms: dict) -> "Poly":
     """The Poly of a map from keys to ints and Fractions, zeros dropped:
     the numerators over the lcm of the denominators, a canonical pair."""
     den = lcm(*[c.denominator for c in terms.values()])
-    return _poly({k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}, den)
+    return _finish({k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
 
 
 class Poly:
@@ -309,19 +331,19 @@ class Poly:
     @staticmethod
     def const(c: Scalar) -> "Poly":
         c = _norm_coeff(c)
-        return _poly({0: c.numerator}, c.denominator) if c else _poly({})
+        return _finish({0: c.numerator}, c.denominator) if c else _ZERO
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return _poly({1 << _offset(name): 1})
+        return _finish({1 << _offset(name): 1})
 
     @staticmethod
     def zero() -> "Poly":
-        return _poly({})
+        return _ZERO
 
     @staticmethod
     def one() -> "Poly":
-        return _poly({0: 1})
+        return _ONE
 
     # -- basic queries -------------------------------------------------
 
@@ -346,8 +368,8 @@ class Poly:
             return self if power == 0 else Poly.zero()
         off = _offsets[name]
         mono = power << off
-        return _reduced({k - mono: c for k, c in self.num.items()
-                         if (k >> off) & _FIELD_MASK == power}, self.den)
+        return _finish({k - mono: c for k, c in self.num.items()
+                        if (k >> off) & _FIELD_MASK == power}, self.den)
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -386,12 +408,12 @@ class Poly:
             s = out.pop(k, 0) + c
             if s:
                 out[k] = s
-        return _reduced(out, den)
+        return _finish(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _poly({k: -c for k, c in self.num.items()}, self.den)
+        return _finish({k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         other = _as_poly(other)
@@ -403,7 +425,7 @@ class Poly:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "Poly":
-        if type(other) is not Poly:
+        if type(other) not in _OPERANDS:
             other = _as_poly(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -418,16 +440,21 @@ class Poly:
         out: dict = {}
         den = 1
         for a, b in pairs:
-            a = a if type(a) is Poly else _p(a)
-            b = b if type(b) is Poly else _p(b)
-            if a.num and b.num:
+            if type(a) is not Poly:
+                a, b = b, a
+                if type(a) is not Poly:
+                    a = _p(a)
+            if type(b) not in _OPERANDS:
+                b = _p(b)
+            if a.num and (b.num if type(b) is Poly else b):
                 den = _mul_into(out, den, a, b)
         return _finish(out, den)
 
     def scale(self, c: Scalar) -> "Poly":
         """Multiply by an exact scalar (used by series code for 1/n factors)."""
-        c = Poly.const(c)
-        return self if c.num == {0: 1} and c.den == 1 else _product(self, c)
+        if type(c) is not int:
+            c = _norm_coeff(c)
+        return self if c == 1 else _product(self, c)
 
     def __pow__(self, n: int) -> "Poly":
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
@@ -453,7 +480,7 @@ class Poly:
         cleared = ~sum(_FIELD_MASK << off for off in offsets)
         return _power_sum(
             ((tuple((k >> off) & _FIELD_MASK for off in offsets),
-              _reduced({k & cleared: c}, self.den)) for k, c in self.num.items()),
+              _finish({k & cleared: c}, self.den)) for k, c in self.num.items()),
             [env[v] for v in hit])
 
     # -- exact division --------------------------------------------------
@@ -563,14 +590,9 @@ class Poly:
 
 
 _set_num, _set_den = Poly.num.__set__, Poly.den.__set__
-
-
-def _poly(num: dict, den: int = 1) -> Poly:
-    """Wrap a canonical pair: ``num`` holds nonzero integers, coprime to ``den``."""
-    p = object.__new__(Poly)
-    _set_num(p, num)
-    _set_den(p, den)
-    return p
+# shared, as no routine mutates the map of a Poly it did not just build
+_ZERO, _ONE = _finish({}), _finish({0: 1})
+_OPERANDS = (Poly, int, Fraction)  # the types the kernel takes as its second operand
 
 
 def _local_keys(polys: Iterable[Poly]) -> tuple:
@@ -616,7 +638,7 @@ def _local_keys(polys: Iterable[Poly]) -> tuple:
             for frm, to, mask in moves:
                 key |= ((k >> frm) & mask) << to
             out[key] = c
-        return _poly(out, p.den)
+        return _finish(out, p.den)
 
     back = [(dst, src, mask) for src, dst, mask in runs]
     return [rekey(p, runs) for p in polys], lambda p: rekey(p, back)
@@ -729,7 +751,7 @@ PolyLike = Union[Poly, Scalar]
 
 def _p(x) -> Poly:
     """Coerce a Poly or an exact number to a Poly."""
-    return x if isinstance(x, Poly) else Poly.const(x)
+    return x if type(x) is Poly else Poly.const(x)
 
 
 def _as_poly(x) -> Poly:
@@ -738,7 +760,7 @@ def _as_poly(x) -> Poly:
     if type(x) is Poly:
         return x
     if type(x) is int:
-        return _poly({0: x} if x else {})
+        return _finish({0: x})
     if isinstance(x, (int, Fraction, Poly)):
         return _p(x)
     return NotImplemented

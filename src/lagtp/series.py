@@ -23,7 +23,7 @@ class Series:
     __slots__ = ("order", "coefs")
 
     def __init__(self, coefs: Sequence[PolyLike], order: int | None = None):
-        coefs = [_p(c) for c in coefs]
+        coefs = [c if type(c) is Poly else _p(c) for c in coefs]
         if order is None:
             order = len(coefs) - 1
         if order < 0:
@@ -131,20 +131,30 @@ class Series:
     def reversion(self) -> "Series":
         """Compositional inverse H with self(H(t)) = t.
 
-        Requires constant term 0 and an invertible linear coefficient.
-        Solved coefficient by coefficient.
+        Requires order >= 1, constant term 0 and an invertible linear
+        coefficient.  Solved coefficient by coefficient: [t^n] self(H) = 0
+        gives h_n = -(1/g_1) sum_{2<=k<=n} g_k [t^n] H^k, and [t^n] H^k
+        reads only h_1..h_{n-1}.  The table pw[k][i] = [t^i] H^k gains
+        column n at step n, [t^n] H^k = sum_j h_j [t^(n-j)] H^(k-1), so each
+        power of H is built once: O(n^3) products where recomposing self for
+        every coefficient took O(n^4) (cf. Brent and Kung, "Fast algorithms
+        for manipulating formal power series", J. ACM 1978).
         """
-        if not self.coefs[0].is_zero():
+        if self.order == 0:
+            raise ValueError("the reversion of an order-0 series is undetermined")
+        g = self.coefs
+        if not g[0].is_zero():
             raise ValueError("reversion needs constant term 0")
-        g1 = self.coefs[1]
-        if not g1.is_constant() or g1.as_constant() == 0:
+        if not g[1].is_constant() or g[1].as_constant() == 0:
             raise ValueError("reversion needs an invertible linear coefficient")
-        inv1 = Fraction(1, 1) / Fraction(g1.as_constant())
+        inv1 = Fraction(1) / Fraction(g[1].as_constant())
         h = [Poly.zero(), Poly.const(inv1)]
+        pw = [None, h]  # pw[k][i] = [t^i] H^k, zero for i < k
         for n in range(2, self.order + 1):
-            partial = Series(h + [Poly.zero()], n)
-            val = self.compose(partial)[n]
-            h.append((-val).scale(inv1))
+            pw.append([Poly.zero()] * n)
+            for k in range(2, n + 1):
+                pw[k].append(Poly.dot((h[j], pw[k - 1][n - j]) for j in range(1, n - k + 2)))
+            h.append((-Poly.dot((g[k], pw[k][n]) for k in range(2, n + 1))).scale(inv1))
         return Series(h, self.order)
 
     def exp(self) -> "Series":

@@ -162,8 +162,15 @@ class SRTriangles:
         _check_type(j)
         if n < 0:
             raise ValueError(f"requested a {n}x{n} triangle")
-        for k in range(n):  # the last row first: for j <= m its cones hold the rest
-            self.value(j, n - 1, k)
+        if j > self.max_j:  # the submatrix identity, as in ``value``
+            ell, jp = divmod(j, self.m + 1)
+            block = range(ell, n + ell)
+            return self.triangle(jp, n + ell).submatrix(block, block)
+        if n:  # one walk, row by row: types <= max(j, m) below the last row, <= j in it
+            self._read_alphas(n - 1, j)
+            top = max(j, self.m)
+            self._fill((t, r, 0, r) for r in range(n)
+                       for t in range(top + 1 if r < n - 1 else j + 1))
         return Truncation.from_fn(n, n, lambda i, k: self.value(j, i, k))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lagtp import digraphs, laguerre
+from lagtp import digraphs, laguerre, polyring
 from lagtp.checks import Ctx, second_mv_riordan_vs_oracle
 from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
                             VertexWeights, binomial_rowgen_matrix, coeff_matrix_first_mv,
@@ -172,6 +172,17 @@ def test_second_mv_small_entries():
     assert full[1, 1] == w.y_p
     flat = coeff_matrix_second_mv(SYM, w, 3, flat=True)
     assert flat[1, 1] == Poly.one()
+
+
+def test_second_mv_matrix_kernel_call_count(monkeypatch):
+    # a guard against per-operation overhead creeping back: the 9 x 9 matrix
+    # takes 381 kernel calls (416 while the zero entries above the diagonal
+    # of the Riordan array were scaled by n!/k! too)
+    calls = []
+    mul_into = polyring._mul_into
+    monkeypatch.setattr(polyring, "_mul_into", lambda *args: calls.append(1) or mul_into(*args))
+    coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), 9)
+    assert len(calls) == 381
 
 
 @pytest.mark.parametrize("w", [VertexWeights.symbolic(), VertexWeights.symbolic(with_z=True)],

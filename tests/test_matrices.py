@@ -1355,3 +1355,20 @@ def test_binomial_and_hankel_refuse_a_negative_size_before_any_read(monkeypatch)
     assert reads == []
     # size zero is still the empty matrix
     assert binomial_truncation(x, 0) == hankel_truncation(seq, 0) == Truncation([])
+
+
+def test_spec_and_hess_truncate_refuse_a_negative_size_before_any_read(monkeypatch):
+    reads = []
+    delta = delta_matrix()
+    hess = HessMatrix(lambda n, k: reads.append((n, k)) or delta(n, k))
+    monkeypatch.setattr(DiagonalPolySpec, "__call__", lambda self, n, k: reads.append((n, k)))
+    for rows, cols in ((-1, None), (2, -1), (-1, 2), (-2, -3)):
+        shape = f"{rows}x{rows if cols is None else cols}"
+        for m in (delta, hess):
+            with pytest.raises(ValueError, match=rf"^requested a {shape} block$"):
+                m.truncate(rows, cols)
+    assert reads == []
+    monkeypatch.undo()
+    # size zero is still the empty matrix
+    assert delta.truncate(0) == hess.truncate(0) == Truncation([])
+    assert delta.truncate(2, 0).rows == hess.truncate(2, 0).rows == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lagtp import polyring
 from lagtp.series import Series
 from lagtp.polyring import (MAX_EXPONENT, ExactDivisionError, Poly, _mul_add, _p, _power_sum,
-                            _values, rising)
+                            _values, power_table, rising)
 
 x = Poly.var("x")
 a = Poly.var("a")
@@ -375,13 +376,20 @@ def _monomial_terms(p):
             for exps, c in p.sorted_terms()}
 
 
+def _operand_terms(v):
+    """A Poly's ``_monomial_terms``; an exact scalar as a constant term."""
+    if type(v) is Poly:
+        return _monomial_terms(v)
+    return {frozenset(): Fraction(v)} if v else {}
+
+
 def _reference_dot(pairs):
     """Sum of products on name-keyed monomials with Fraction arithmetic,
-    independent of the packed-key kernel."""
+    independent of the packed-key kernel; an operand may be an exact scalar."""
     out = Counter()
     for u, v in pairs:
-        for ma, ca in _monomial_terms(u).items():
-            for mb, cb in _monomial_terms(v).items():
+        for ma, ca in _operand_terms(u).items():
+            for mb, cb in _operand_terms(v).items():
                 out[frozenset((Counter(dict(ma)) + Counter(dict(mb))).items())] += Fraction(ca) * cb
     return {m: c for m, c in out.items() if c}
 
@@ -653,3 +661,78 @@ def test_json_canonical_coefficients_still_read():
     terms = [{"exp": [e], "coef": c} for e, c in enumerate(["-3", "0", "7/2", "-1/6", "010"])]
     p = Poly.from_json_obj({"vars": ["x"], "terms": terms})
     assert p == -3 + (x ** 2).scale(Fraction(7, 2)) - (x ** 3).scale(Fraction(1, 6)) + 10 * x ** 4
+
+
+# -- the kernel on exact scalars and one-term operands --------------------------
+
+
+def _random_scalar(rng):
+    n = rng.randint(-5, 5)
+    return Fraction(n, rng.randint(2, 6)) if rng.random() < 0.4 else n
+
+
+def _random_poly(rng):
+    terms = {}
+    for _ in range(rng.choice((0, 1, 1, 1, 2, 3, 5))):
+        exps = tuple(rng.randint(0, 3) for _ in "axy")
+        terms[exps] = terms.get(exps, 0) + _random_scalar(rng)
+    return Poly(("a", "x", "y"), terms)
+
+
+def _random_operand(rng):
+    return _random_scalar(rng) if rng.random() < 0.3 else _random_poly(rng)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_operations_equal_the_term_pair_reference(seed):
+    # ints, Fractions and Polys of 0..5 terms (one-term sides, constants and
+    # rational denominators among them), each operation against the reference
+    rng = random.Random(seed)
+    for _ in range(40):
+        p, q, c = _random_poly(rng), _random_operand(rng), _random_scalar(rng)
+        for got in (p * q, q * p):
+            assert _monomial_terms(got) == _reference_dot([(p, q)])
+            assert _canonical_coefficients(got)
+        got = p.scale(c)
+        assert _monomial_terms(got) == _reference_dot([(p, c)]) and _canonical_coefficients(got)
+        pairs = [(_random_operand(rng), _random_operand(rng)) for _ in range(rng.randint(0, 5))]
+        got = Poly.dot(pairs)
+        assert _monomial_terms(got) == _reference_dot(pairs) and _canonical_coefficients(got)
+        # the negated pairs take every product back out
+        assert Poly.dot(pairs + [(u, -v) for u, v in pairs]).is_zero()
+        b, m = _random_poly(rng), _random_poly(rng)
+        for start in (p, -(m * b)):
+            got = _mul_add(start, m, b)
+            assert _monomial_terms(got) == _reference_dot([(start, 1), (m, b)])
+            assert _canonical_coefficients(got)
+        assert _mul_add(-(m * b), m, b).is_zero()
+
+
+def test_one_term_products_still_refuse_an_overflow():
+    big = x ** 20000
+    for p, q in ((big, big), (big, big + 1), (big + 1, big), (big, x ** 12768 * a)):
+        with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
+            p * q
+        with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
+            Poly.dot([(a, 1), (p, q)])
+    # up to the limit, and through a constant (key 0) on either side
+    assert x ** 16384 * x ** 16383 == x ** MAX_EXPONENT
+    assert (x ** MAX_EXPONENT * 3).scale(Fraction(1, 3)) == x ** MAX_EXPONENT
+
+
+def test_no_operation_changes_the_shared_zero_and_one():
+    zero, one = Poly.zero(), Poly.one()
+    assert zero is Poly.zero() and one is Poly.one()
+    p = x.scale(Fraction(1, 2)) + a
+    results = [zero + p, p + zero, one * p, p * one, zero * p, p * 0, p.scale(1), p.scale(0),
+               one.scale(3), zero.scale(2), -zero, -one, one - one, one + one, one * one,
+               Poly.dot([]), Poly.dot([(one, one), (one, -1)]), Poly.dot([(zero, p), (p, 0)]),
+               _mul_add(zero, p, p), _mul_add(one, p, one), _mul_add(one, zero, p),
+               p ** 0, one ** 5, zero ** 3, rising(p, 0), rising(p, 3), Poly.const(0),
+               Poly.const(1), one.substitute({"x": p}), one.coeff_of_var("x", 0), p.exact_div(one),
+               zero.exact_div(p), *power_table(p, 3), *power_table(one, 3),
+               *(Series.one(3) * Series([one, p, zero, one])).coefs]
+    assert all(type(r) is Poly for r in results)
+    assert zero.num == {} and zero.den == 1
+    assert one.num == {0: 1} and one.den == 1
+    assert Poly.zero() == 0 and Poly.one() == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lagtp import polyring
 from lagtp.polyring import Poly, rising
 from lagtp.series import (Series, series_pow_sym, series_reciprocal,
                           solve_logderiv, solve_riccati)
@@ -143,6 +144,57 @@ def test_compose_and_reversion():
     assert ginv.compose(g) == Series.t(6)
     # t/(1+t) explicitly
     assert ginv == Series([0, 1, -1, 1, -1, 1, -1], 6)
+
+
+def _reversion_reference(g):
+    """H with g(H) = t by recomposing g with the partial H for every
+    coefficient: [t^n] g(h_1 t + ... + h_{n-1} t^(n-1)) = -g_1 h_n."""
+    inv1 = 1 / Fraction(g[1].as_constant())
+    h = [Poly.zero(), Poly.const(inv1)]
+    for n in range(2, g.order + 1):
+        h.append((-g.compose(Series(h + [Poly.zero()], n))[n]).scale(inv1))
+    return Series(h, g.order)
+
+
+def _reversion_cases(order):
+    x, y = Poly.var("x"), Poly.var("y")
+    symbolic = [Poly.var(f"g{i}") for i in range(order + 1)]
+    return {
+        "symbolic": Series([0, 1] + symbolic[2:], order),
+        "symbolic-g1=-2": Series([0, -2] + [c * (x + 1) for c in symbolic[2:]], order),
+        "rational": Series([0, Fraction(3, 2)] + [Fraction((-1) ** i * i, i + 1)
+                                                  for i in range(2, order + 1)], order),
+        "rational-poly": Series([0, Fraction(1, 3)] + [x.scale(Fraction(1, i)) - y * i
+                                                       for i in range(2, order + 1)], order),
+        "sparse": Series([0, 1, 0, x, 0, 0, y, 0, 0, 1][:order + 1], order),
+    }
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_reversion_equals_the_compose_reference(order):
+    for name, g in _reversion_cases(order).items():
+        h = g.reversion()
+        assert h == _reversion_reference(g), name
+        assert g.compose(h) == Series.t(order), name
+
+
+def test_reversion_of_an_order_0_series_is_refused():
+    # order 0 fixes no linear coefficient to invert (the series read coefs[1])
+    for g in (Series([0], 0), Series([0, 1], 0)):
+        with pytest.raises(ValueError, match="order-0"):
+            g.reversion()
+
+
+def test_reversion_builds_each_power_once(monkeypatch):
+    # order 8, g_1 = 1: [t^n] H^k for 2 <= k <= n <= 8 is one product per
+    # h_j (84 in all) and h_n one per g_k (28); recomposing g for every
+    # coefficient made 350 kernel calls
+    g = _reversion_cases(8)["symbolic"]
+    calls = []
+    mul_into = polyring._mul_into
+    monkeypatch.setattr(polyring, "_mul_into", lambda *args: calls.append(1) or mul_into(*args))
+    g.reversion()
+    assert len(calls) == 112
 
 
 def test_compose_requires_zero_constant():

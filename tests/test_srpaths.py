@@ -292,9 +292,13 @@ def test_each_alpha_is_read_once_per_triangle():
 
 
 def test_triangle_walks_only_the_cones_of_its_last_row(monkeypatch):
-    # at m = 1 the cone of S(0; 5, k) is both types at rows 0..4 and type 0
-    # at row 5: 11 blocks; the cones of the last row's 6 entries hold every
-    # other entry, which a memo hit then returns without a walk
+    # at m = 1 the cones of S(0; 5, k) are both types at rows 0..4 and type 0
+    # at row 5: 11 blocks, walked once for the whole triangle; every other
+    # entry is then a memo hit.  For m < j <= max_j the rows below the last
+    # need types <= j as well: at m = 2, j = 3 that is 4 types at rows 0..4
+    # and at row 5, 24 blocks (the cones of the last row made 21 walks).
+    # Past max_j the triangle is a block of the type-(j mod (m+1)) one, at m = 2,
+    # j = 5 the 7 x 7 type-2 triangle: 3 types at rows 0..6, 21 blocks.
     walks = []
     fill = SRTriangles._fill
 
@@ -304,10 +308,16 @@ def test_triangle_walks_only_the_cones_of_its_last_row(monkeypatch):
         fill(self, blocks)
 
     monkeypatch.setattr(SRTriangles, "_fill", recording)
-    got = SRTriangles(CO1).triangle(0, 6)
-    assert walks == [11] * 6
+    cases = [(CO1, 0, 0, [11]), (CO2, 3, 3, [24]), (CO2, 0, 5, [21])]
+    got = []
+    for coeffs, max_j, j, want in cases:
+        walks.clear()
+        got.append(SRTriangles(coeffs, max_j=max_j).triangle(j, 6))
+        assert walks == want, (coeffs.m, j)
     monkeypatch.undo()
-    assert got == Truncation.from_fn(6, 6, lambda i, k: SRTriangles(CO1).value(0, i, k))
+    for (coeffs, max_j, j, _), tri in zip(cases, got):
+        assert tri == Truncation.from_fn(
+            6, 6, lambda i, k: SRTriangles(coeffs, max_j=max_j).value(j, i, k))
 
 
 def test_prodmat_smj_refuses_a_negative_size():

@@ -27,7 +27,7 @@ print("output matrix regenerates the triangle:")
 p = prodmat_smj(co, 0, 5)
 assert output_matrix(p, 5) == tri.triangle(0, 5)
 print("  O(P^(2;0)) == S^(2;0):", True)
-print("  P^(2;0) row 2:", [str(p(2, k)) for k in range(4)])
+print("  P^(2;0) row 2:", [str(p[2, k]) for k in range(4)])
 
 print("\nThe modified polynomials have ordinary generating function")
 print("f_0 f_1 ... f_j with f_k = 1/(1 - alpha_{k+2} t f_{k+1} f_{k+2}):")

@@ -11,7 +11,7 @@ closed form.
 from .polyring import ExactDivisionError, Poly, rising
 from .series import (Series, series_pow_sym, series_reciprocal,
                      solve_logderiv, solve_riccati)
-from .matrices import (DiagonalPolySpec, HessMatrix, Mismatch, Truncation, TPReport, TPWitness,
+from .matrices import (DiagonalPolySpec, Mismatch, Truncation, TPReport, TPWitness,
                        XorShift64, binomial_truncation,
                        bx_conjugate_eaz_identity_check, conjugate_by_binomial,
                        delta_matrix, eaz_matrix, first_difference, hankel_truncation,

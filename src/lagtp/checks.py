@@ -25,7 +25,7 @@ from .laguerre import (UNIT_WEIGHTS, EdgeWeights, LaguerreParams, RouteMismatchE
                        laguerre_rowgen_egf, monic_laguerre,
                        monic_laguerre_reversed, prodmat, rowgen_shifted_family_check,
                        rowgen_polys, unsigned_self_inverse_check)
-from .matrices import (DiagonalPolySpec, HessMatrix, Mismatch, TPReport, Truncation,
+from .matrices import (Banded, DiagonalPolySpec, Mismatch, TPReport, Truncation,
                        XorShift64, binomial_truncation, bx_conjugate_eaz_identity_check,
                        conjugate_by_binomial, delta_matrix, diagonal, eaz_matrix,
                        first_difference, hankel_truncation, output_matrix, production_of,
@@ -156,7 +156,7 @@ def coeff_matrix_is_sfraction_triangle(ctx: Ctx) -> Outcome:
     lam_rising = [rising(params.lam, i) for i in range(n)]
     return (first_difference(tri, uni, "S-fraction triangle vs coefficient matrix")
             and first_difference(production_of(uni),
-                                 sfraction_word(alpha_fn, 1, 0).block(n).top_left(n - 1, n),
+                                 sfraction_word(alpha_fn, 1, 0).truncate(n - 1, n),
                                  "production matrix vs S-fraction word")
             and first_difference([uni[i, 0] for i in range(n)], lam_rising,
                                  "column 0 vs lam^rising")
@@ -477,9 +477,7 @@ def binomial_shift_of_production(ctx: Ctx) -> Outcome:
     a, b = Poly.var("s"), Poly.var("u")
     rng = XorShift64(ctx.seed)
     p = Truncation.from_fn(n, n, lambda i, j: int(rng.next_u64() % 4) if j <= i + 1 else 0)
-    shifted = HessMatrix(lambda i, j: (a if i == j else Poly.zero()) + b * p[i, j]
-                         if i < n and j < n else Poly.zero())
-    return first_difference(output_matrix(shifted, n),
+    return first_difference(output_matrix(Truncation.identity(n).scale(a) + p.scale(b), n),
                             binomial_truncation(a, n, b) * output_matrix(p, n), "O(aI + bP)")
 
 
@@ -501,7 +499,10 @@ def truncation_exactness(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     params, x = LaguerreParams.symbolic(), Poly.var("x")
     base, bump = prodmat(params, "P", x=x), Poly.var("bump")
-    perturbed = HessMatrix(lambda i, k: base(i, k) + bump if i >= n - 1 else base(i, k))
+
+    def perturbed(i, k):
+        return base(i, k) + bump if i >= n - 1 and k <= i + 1 else base(i, k)
+
     return first_difference(output_matrix(base, n), output_matrix(perturbed, n),
                             "O(P) vs O(perturbed P)")
 
@@ -515,7 +516,7 @@ def production_output_roundtrip(ctx: Ctx) -> Outcome:
         o = output_matrix(p, n)
         prod = production_of(o)
         return (first_difference(prod, p.truncate(n - 1, n), f"production of O({which})")
-                and first_difference(output_matrix(prod, n - 1), o.top_left(n - 1, n - 1),
+                and first_difference(output_matrix(prod, n - 1), o.truncate(n - 1, n - 1),
                                      f"O(production of O({which}))"))
 
     x_shift = DiagonalPolySpec(0, ((1,), (x,)))
@@ -553,7 +554,7 @@ def tridiagonal_diagonal_comparison(ctx: Ctx) -> Outcome:
             n, n, lambda i, j: int(rng.next_u64() % 4) if j == i or j == i - 1 else 0)
         up = Truncation.from_fn(
             n, n, lambda i, j: int(rng.next_u64() % 4) if j == i or j == i + 1 else 0)
-        d = diagonal(lambda i: int(rng.next_u64() % 4)).block(n)
+        d = diagonal(lambda i: int(rng.next_u64() % 4)).truncate(n)
         return tp_check_symbolic(lo * up + d, n)
 
     return _first_failure(map(trial, range(10)))
@@ -620,8 +621,8 @@ def smj_shift_identities(ctx: Ctx) -> Outcome:
     n = ctx.cap(5)
     coeffs = srpaths.SRCoeffs.symbolic(2)
     tri = srpaths.SRTriangles(coeffs, max_j=5)
-    shifts = (first_difference(srpaths.prodmat_smj(coeffs, j, n).truncate(n),
-                               srpaths.prodmat_smj(coeffs.shifted_up(), j + 1, n).truncate(n),
+    shifts = (first_difference(srpaths.prodmat_smj(coeffs, j, n),
+                               srpaths.prodmat_smj(coeffs.shifted_up(), j + 1, n),
                                f"P^(2;{j}) vs shifted P^(2;{j + 1})") for j in range(2))
     drops = (first_difference(_lower(4, lambda nn, k: tri.value(jp + 3, nn, k)),
                               _lower(4, lambda nn, k: tri.value(jp, nn + 1, k + 1)),
@@ -670,7 +671,7 @@ def smj_production_tp(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     coeffs = srpaths.SRCoeffs.symbolic(2)
     return _first_failure(
-        _named(tp_check_symbolic(srpaths.prodmat_smj(coeffs, j, n).truncate(n), 3),
+        _named(tp_check_symbolic(srpaths.prodmat_smj(coeffs, j, n), 3),
                f"type-{j} production matrix, {n}x{n}") for j in range(3))
 
 
@@ -721,12 +722,12 @@ def general_quad_structure(ctx: Ctx) -> Outcome:
     full = quadtp.build_general_quad(p).truncate(6)
     m = quadtp.general_quad_factors(p)
     # P - Q = D2 L2 with Q = P at h = 0
-    return (first_difference(full, m["P"].block(6), "P vs its factors")
+    return (first_difference(full, m["P"].truncate(6), "P vs its factors")
             and first_difference(full - quadtp.build_general_quad(replace(p, h=())).truncate(6),
-                                 (m["D2"] * m["L2"]).block(6), "P - Q vs D2 L2"))
+                                 (m["D2"] * m["L2"]).truncate(6), "P - Q vs D2 L2"))
 
 
-def _tp3_symbolic_tp4_sampled(m: HessMatrix, ctx: Ctx) -> Outcome:
+def _tp3_symbolic_tp4_sampled(m: Banded, ctx: Ctx) -> Outcome:
     """Symbolic TP3 on the 6x6 block, then sampled TP4 on the 7x7 block."""
     return (_named(tp_check_symbolic(m.truncate(6), 3), "6x6 block")
             and _named(tp_check_sampled(m.truncate(7), 4, seed=ctx.seed, samples=100), "7x7 block"))
@@ -757,12 +758,12 @@ def laguerre_quad_constrained_tp(ctx: Ctx) -> Outcome:
 def variant_quad_structure(ctx: Ctx) -> Outcome:
     p = quadtp.QuadVariantParams.symbolic()
     m = quadtp.variant_quad_factors(p)
-    return (first_difference(quadtp.build_variant_quad(p).truncate(6), m["P"].block(6),
+    return (first_difference(quadtp.build_variant_quad(p).truncate(6), m["P"].truncate(6),
                              "variant P vs its factors")
-            and first_difference((m["L1"] * m["L2"]).block(6), (m["L2"] * m["L1"]).block(6),
+            and first_difference((m["L1"] * m["L2"]).truncate(6), (m["L2"] * m["L1"]).truncate(6),
                                  "L1 L2 vs L2 L1")
             and first_difference(quadtp.build_variant_quad(replace(p, f=())).truncate(6),
-                                 (m["L1"] * (m["L2"] * m["U"] + m["D1"])).block(6),
+                                 (m["L1"] * (m["L2"] * m["U"] + m["D1"])).truncate(6),
                                  "variant Q vs L1 (L2 U + D1)"))
 
 

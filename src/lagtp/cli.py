@@ -91,12 +91,12 @@ def _gen_matrix(args) -> Truncation:
             if args.m != 2:
                 raise UsageError("the table families are defined for --m 2")
             coeffs = srpaths.kappa_family_coeffs(fam)
-            return srpaths.prodmat_smj(coeffs, fam.j, n).truncate(n)
+            return srpaths.prodmat_smj(coeffs, fam.j, n)
         if args.kappa is not None:
             raise UsageError("--kappa needs --family")
         try:
             coeffs = srpaths.SRCoeffs.symbolic(args.m)
-            return srpaths.prodmat_smj(coeffs, args.j or 0, n).truncate(n)
+            return srpaths.prodmat_smj(coeffs, args.j or 0, n)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if sel == "quad-general":

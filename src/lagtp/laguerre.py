@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digraphs
-from .matrices import (DiagonalPolySpec, Mismatch, Truncation, binomial_truncation,
+from .matrices import (DiagonalPolySpec, Mismatch, Truncation, _check_size, binomial_truncation,
                        diagonal, first_difference, lower_bidiagonal, riordan_matrix,
                        sfraction_word, unit_lower_inverse, upper_bidiagonal)
 from .polyring import Poly, PolyLike, _p, power_table
@@ -167,8 +167,9 @@ def coeff_matrix_uni(params: LaguerreParams, n: int) -> Truncation:
 
     Row i holds the coefficients of the i-th monic Laguerre polynomial, built
     by the same downward recurrence, so each entry costs one product and one
-    integer scaling.
+    integer scaling.  A negative size raises ``ValueError``.
     """
+    _check_size(n, n)
     zero = Poly.zero()
     return Truncation([_laguerre_coeffs(i, params) + [zero] * (n - i - 1) for i in range(n)])
 
@@ -184,8 +185,9 @@ def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Tru
     (or zero) in the edge-weight variables and none of them occurs in alpha
     (distinct bare variables, say), each entry is checked homogeneous of
     degree n-k in them; other weights, such as vm + 1, vm^2 or a weight in
-    alpha's variable, make no such promise.
+    alpha's variable, make no such promise.  A negative size raises ValueError.
     """
+    _check_size(n, n)
     weights = w.oracle_weights(params.lam)
     rows = []
     for i in range(n):
@@ -234,8 +236,10 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
     EGF F and the path EGF G (G-flat for the flat form).  The digraph
     oracle recomputes the leading rows as a cross-check (by default as many
     as its symbolic cap: 7, or LAGTP_LIMIT); a mismatch raises
-    RouteMismatchError since it signals a series or oracle bug.
+    RouteMismatchError since it signals a series or oracle bug, and a
+    negative size raises ValueError.
     """
+    _check_size(n, n)
     t = riordan_matrix(*riordan_pair(params, w, max(n - 1, 0), flat), n)
     if oracle_rows is None:
         oracle_rows = digraphs._limit(digraphs.SYMBOLIC_ORACLE_LIMIT)
@@ -249,7 +253,7 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
 
     rows = min(oracle_rows, n)
     if rows > 0:
-        mismatch = first_difference(t.top_left(rows, n), Truncation.from_fn(rows, n, oracle),
+        mismatch = first_difference(t.truncate(rows, n), Truncation.from_fn(rows, n, oracle),
                                     "Riordan route and digraph oracle")
         if not mismatch:
             raise RouteMismatchError(mismatch)
@@ -325,13 +329,13 @@ def factorization_check(which: str, params: LaguerreParams, n: int,
     """
     lam = params.lam
     if which == "tridiagonal_lu":
-        lu = sfraction_word(_sfraction_coeffs(params, 1, 1), 1, 0).block(n)
+        lu = sfraction_word(_sfraction_coeffs(params, 1, 1), 1, 0).truncate(n)
         return first_difference(lu, prodmat(params, "Pcirc").truncate(n), "L U vs P-circ")
     if which == "quadridiagonal_nested":
         x = Poly.var(X_NAME)
         ell = lower_bidiagonal(lambda i: 1, lambda i: i)
         ux = upper_bidiagonal(lambda i: x, lambda i: 1)
-        rhs = (ell * (ell * ux + diagonal(lambda i: lam))).block(n)
+        rhs = (ell * (ell * ux + diagonal(lambda i: lam))).truncate(n)
         return first_difference(rhs, prodmat(params, "P", x=x).truncate(n),
                                 "L (L U_x + lam I) vs P")
     if which == "flat_split":
@@ -339,7 +343,7 @@ def factorization_check(which: str, params: LaguerreParams, n: int,
         q = sfraction_word(_sfraction_coeffs(params, yw.y_p, yw.y_v), 1, 0)
         d = diagonal(
             lambda i: lam * (yw.y_fp - yw.y_p) + (yw.y_da + yw.y_dd - yw.y_p - yw.y_v) * i)
-        return first_difference((q + d).block(n),
+        return first_difference((q + d).truncate(n),
                                 prodmat(params, "PcircFlat", weights=yw).truncate(n),
                                 "S-fraction matrix + diagonal vs flat P-circ")
     raise ValueError(f"unknown factorization {which!r}")

@@ -1,15 +1,16 @@
 """Band-bounded lower-Hessenberg matrices of polynomials and their toolkit.
 
-Covers the matrices whose diagonals are polynomial in the row index
-(``DiagonalPolySpec``: ``prodmat``, the exponential AZ matrix and Delta),
-the production-matrix machinery (output-matrix iteration and its inverse),
-bidiagonal factor expressions (``Banded``), binomial conjugation (from spec
-to spec, by Taylor layers in xi on the diagonals), exact minors, total
-positivity certification (symbolic and sampled, plus the continuant
-criterion for tridiagonal matrices), exponential Riordan array
-construction, and the entrywise comparison every check makes
-(``first_difference``, which names the first differing entry, or key, in a
-falsy ``Mismatch``).
+Three matrix types answer ``truncate(rows, cols=None)``, their top-left
+block, and refuse a negative size before any read: ``Truncation``, a finite
+grid; ``DiagonalPolySpec``, diagonals polynomial in the row index
+(``prodmat``, the exponential AZ matrix and Delta); and ``Banded``, lazy
+leaves (``hessenberg``, the bidiagonals) and their sums and products.
+Around them: output-matrix iteration and its inverse, binomial conjugation
+(spec to spec, by Taylor layers in xi on the diagonals), exact minors,
+total positivity certification (symbolic and sampled, plus the continuant
+criterion for tridiagonal matrices), exponential Riordan arrays, and
+``first_difference``, the entrywise comparison every check makes (it names
+the first differing entry, or key, in a falsy ``Mismatch``).
 
 All matrices here are finite truncations with exact ``Poly`` entries; the
 iteration and conjugation routines are arranged so that every returned
@@ -70,15 +71,16 @@ class Truncation:
 
     @staticmethod
     def from_fn(rows: int, cols: int, fn: Callable[[int, int], PolyLike]) -> "Truncation":
+        _check_size(rows, cols)
         return Truncation([[fn(n, k) for k in range(cols)] for n in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "Truncation":
-        return diagonal(lambda i: 1).block(n)
+        return diagonal(lambda i: Poly.one()).truncate(n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Truncation":
-        return Truncation.from_fn(rows, cols, lambda i, j: 0)
+        return Truncation.from_fn(rows, cols, lambda i, j: Poly.zero())
 
     def __getitem__(self, ij) -> Poly:
         i, j = ij
@@ -118,9 +120,11 @@ class Truncation:
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Truncation":
         return Truncation([[self.data[i][j] for j in cols] for i in rows])
 
-    def top_left(self, rows: int, cols: int | None = None) -> "Truncation":
+    def truncate(self, rows: int, cols: int | None = None) -> "Truncation":
+        """The top-left rows x cols block; a negative or too large size raises ``ValueError``."""
         cols = rows if cols is None else cols
-        if not (0 <= rows <= self.rows and 0 <= cols <= self.cols):
+        _check_size(rows, cols)
+        if rows > self.rows or cols > self.cols:
             raise ValueError(f"requested {rows}x{cols} block of a {self.rows}x{self.cols} matrix")
         return Truncation([row[:cols] for row in self.data[:rows]])
 
@@ -211,41 +215,6 @@ def first_difference(got, want, what: str) -> bool | Mismatch:
     return next((Mismatch(what, where, a, b) for where, a, b in cells if a != b), True)
 
 
-class HessMatrix:
-    """Lower-Hessenberg matrix given by an entry function: entry(n, k) -> Poly.
-
-    Entries above the first superdiagonal are zero by construction; below
-    it, ``entry_fn`` gives every entry, the zeros of a band included.
-    """
-
-    __slots__ = ("entry_fn",)
-
-    def __init__(self, entry_fn: Callable[[int, int], PolyLike]):
-        object.__setattr__(self, "entry_fn", entry_fn)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HessMatrix is immutable")
-
-    def __call__(self, n: int, k: int) -> Poly:
-        if k > n + 1 or k < 0 or n < 0:
-            return Poly.zero()
-        return _p(self.entry_fn(n, k))
-
-    def truncate(self, rows: int, cols: int | None = None) -> Truncation:
-        """The rows x cols block; a negative size raises ``ValueError``."""
-        cols = rows if cols is None else cols
-        _check_size(rows, cols)
-        return Truncation.from_fn(rows, cols, self)
-
-    @staticmethod
-    def from_truncation(t: Truncation) -> "HessMatrix":
-        def fn(n, k):
-            if n < t.rows and k < t.cols:
-                return t[n, k]
-            raise IndexError(f"entry ({n},{k}) outside stored {t.rows}x{t.cols} block")
-        return HessMatrix(fn)
-
-
 def _check_size(rows: int, cols: int) -> None:
     if rows < 0 or cols < 0:
         raise ValueError(f"requested a {rows}x{cols} block")
@@ -313,48 +282,63 @@ def delta_matrix() -> DiagonalPolySpec:
 
 @dataclass(frozen=True, eq=False)
 class Banded:
-    """A sum of products of diagonal and bidiagonal matrices, kept as an
-    expression until ``block`` evaluates it.
+    """A lazy banded matrix: a leaf given by its entries (``hessenberg``,
+    ``diagonal``, the bidiagonals), or a sum or product of such matrices,
+    kept as an expression until ``truncate`` evaluates it.
 
     ``up`` is the upper bandwidth: 0 for a diagonal or lower-bidiagonal
-    leaf, 1 for an upper-bidiagonal one, the larger of the two sides for a
-    sum and their sum for a product.  Row i of a w x w product is exact
-    when i + up < w: each factor reaches at most its own upper bandwidth
-    past the row it is given.
+    leaf, 1 for an upper-bidiagonal or Hessenberg one, the larger of the
+    two sides for a sum and their sum for a product.  Row i of a w x w
+    product is exact when i + up < w: each factor reaches at most its own
+    upper bandwidth past the row it is given.  ``slack``, the rows past a
+    block it is evaluated on, is ``up`` once it holds a product and 0 for
+    leaves and their sums, which are exact on any block.
     """
 
     up: int
+    slack: int
     _on: Callable[[int], Truncation]  # w -> the expression on the w x w block
 
     def __add__(self, other: "Banded") -> "Banded":
-        return Banded(max(self.up, other.up), lambda w: self._on(w) + other._on(w))
+        return Banded(max(self.up, other.up), max(self.slack, other.slack),
+                      lambda w: self._on(w) + other._on(w))
 
     def __mul__(self, other: "Banded") -> "Banded":
-        return Banded(self.up + other.up, lambda w: self._on(w) * other._on(w))
+        up = self.up + other.up
+        return Banded(up, up, lambda w: self._on(w) * other._on(w))
 
-    def block(self, n: int) -> Truncation:
-        """The exact n x n corner: every leaf is evaluated on n + up rows."""
-        return self._on(n + self.up).top_left(n)
+    def truncate(self, rows: int, cols: int | None = None) -> Truncation:
+        """The exact rows x cols block: every leaf is evaluated on
+        max(rows, cols) + slack rows.  A negative size raises ``ValueError``."""
+        cols = rows if cols is None else cols
+        _check_size(rows, cols)
+        return self._on(max(rows, cols) + self.slack).truncate(rows, cols)
 
 
 def _leaf(up: int, entry: Callable[[int, int], PolyLike]) -> Banded:
     # cached per width: a leaf shared by several terms is evaluated once
-    return Banded(up, functools.cache(lambda w: Truncation.from_fn(w, w, entry)))
+    return Banded(up, 0, functools.cache(lambda w: Truncation.from_fn(w, w, entry)))
+
+
+def hessenberg(entry: Callable[[int, int], PolyLike]) -> Banded:
+    """Lower-Hessenberg matrix with entry(n, k) at k <= n + 1 (the zeros of
+    a band included) and zero above the superdiagonal."""
+    return _leaf(1, lambda n, k: entry(n, k) if k <= n + 1 else Poly.zero())
 
 
 def diagonal(diag) -> Banded:
     """Diagonal matrix with diag(i) at (i, i)."""
-    return _leaf(0, lambda i, j: diag(i) if j == i else 0)
+    return _leaf(0, lambda i, j: diag(i) if j == i else Poly.zero())
 
 
 def lower_bidiagonal(diag, sub) -> Banded:
     """Lower-bidiagonal matrix with diag(i) on the diagonal, sub(i) on row i."""
-    return _leaf(0, lambda i, j: diag(i) if j == i else (sub(i) if j == i - 1 else 0))
+    return _leaf(0, lambda i, j: diag(i) if j == i else (sub(i) if j == i - 1 else Poly.zero()))
 
 
 def upper_bidiagonal(diag, sup) -> Banded:
     """Upper-bidiagonal matrix with diag(i) on the diagonal, sup(i) on row i."""
-    return _leaf(1, lambda i, j: diag(i) if j == i else (sup(i) if j == i + 1 else 0))
+    return _leaf(1, lambda i, j: diag(i) if j == i else (sup(i) if j == i + 1 else Poly.zero()))
 
 
 def sfraction_word(alpha, m: int, j: int, unit: PolyLike = 1) -> Banded:
@@ -367,6 +351,7 @@ def sfraction_word(alpha, m: int, j: int, unit: PolyLike = 1) -> Banded:
     """
     if not 0 <= j <= m:
         raise ValueError(f"type j must satisfy 0 <= j <= m (got {j})")
+    unit = _p(unit)
 
     def l_factor(r):
         return lower_bidiagonal(lambda i: unit, lambda i: alpha((m + 1) * i + r - 1))
@@ -420,14 +405,16 @@ def unit_lower_inverse(t: Truncation) -> Truncation:
 # -- production-matrix machinery -------------------------------------------
 
 
-def output_matrix(p: Union[HessMatrix, Callable[[int, int], PolyLike]], rows: int,
+def output_matrix(p: Union[Truncation, Callable[[int, int], PolyLike]], rows: int,
                   cols: int | None = None) -> Truncation:
     """Output matrix O(P) truncated to rows x cols via a_{nk} = sum_i a_{n-1,i} p_{ik}.
 
     Row n only consults rows 0..n-1 of P, so the truncation is exact.  P may
     be any callable (n,k) -> Poly that is row-finite on the working block;
     the internal working width is rows+cols so that column-finite inputs
-    (e.g. transposes of Hessenberg matrices) also come out exact.
+    (e.g. transposes of Hessenberg matrices) also come out exact.  A
+    ``Truncation`` is read on and below its superdiagonal only, and a read
+    past its stored block raises ``IndexError``.
 
     Row i of P is read once, over the working width, the first time entry i
     of an output row is nonzero, and kept as its nonzero (k, p_ik); each
@@ -437,14 +424,17 @@ def output_matrix(p: Union[HessMatrix, Callable[[int, int], PolyLike]], rows: in
     ``ValueError``.
     """
     cols = rows if cols is None else cols
-    if rows < 0 or cols < 0:
-        raise ValueError(f"requested a {rows}x{cols} output matrix")
-    entry = HessMatrix.from_truncation(p) if isinstance(p, Truncation) else p
+    _check_size(rows, cols)
+    if isinstance(p, Truncation):
+        stored, zero = p.data, Poly.zero()
+
+        def p(i: int, k: int) -> Poly:  # nothing above the superdiagonal is read
+            return stored[i][k] if k <= i + 1 else zero
     width = rows + cols
 
     @functools.cache
     def p_row(i: int) -> list:
-        row = [entry(i, k) for k in range(width)]
+        row = [p(i, k) for k in range(width)]
         return [(k, b) for k, b in enumerate(row) if b]
 
     prev = [Poly.one()] + [Poly.zero()] * (width - 1)
@@ -510,8 +500,7 @@ def conjugate_by_binomial(p: DiagonalPolySpec, xi: PolyLike, n: int) -> Truncati
     max_m (m + deg g_m) whether or not P passes the degree test.  The result
     is its n x n block.  A negative n raises ``ValueError``.
     """
-    if n < 0:
-        raise ValueError(f"requested a {n}x{n} conjugate")
+    _check_size(n, n)
     zero, up = Poly.zero(), list(p.fs[0])
     chains = []  # chains[m + 1][k] = nabla^k g_m, down to its constant
     for h in [[a + b for a, b in zip(up + [zero], [zero] + up)], *map(list, p.fs[1:])]:
@@ -920,8 +909,9 @@ def riordan_matrix(f, g, n: int) -> Truncation:
 
     Requires G(0)=0 and F(0)=1; every entry must come out integral (the
     incoming EGFs are exponential), otherwise RiordanIntegralityError is
-    raised to flag a wrong F or G.
+    raised to flag a wrong F or G.  A negative size raises ``ValueError``.
     """
+    _check_size(n, n)
     if not g[0].is_zero():
         raise ValueError("riordan_matrix needs G(0) = 0")
     if not (f[0].is_constant() and f[0].as_constant() == 1):

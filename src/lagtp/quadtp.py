@@ -11,14 +11,15 @@ commute; setting f = 0 gives Q = L1 (L2 U + D1).
 
 Both are totally positive coefficientwise in all the indeterminate
 sequences; the Laguerre quadridiagonal production matrices arise by
-specialization of family one.
+specialization of family one.  The closed forms (Hessenberg leaves) and
+the factor expressions they are checked against are all ``matrices.Banded``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import HessMatrix, _seq_fn, diagonal, lower_bidiagonal, upper_bidiagonal
+from .matrices import Banded, _seq_fn, diagonal, hessenberg, lower_bidiagonal, upper_bidiagonal
 from .polyring import Poly
 
 
@@ -55,8 +56,9 @@ class QuadFactorParams:
                 _seq_fn(self.e), _seq_fn(self.f, 1), _seq_fn(self.g), _seq_fn(self.h))
 
 
-def build_general_quad(p: QuadFactorParams) -> HessMatrix:
-    """Quadridiagonal P by the closed row formulas (Q: pass ``replace(p, h=())``)."""
+def build_general_quad(p: QuadFactorParams) -> Banded:
+    """Quadridiagonal P by the closed row formulas, as a Hessenberg leaf
+    (Q: pass ``replace(p, h=())``)."""
     a, b, c, d, e, f, g, h = p.fns()
 
     def fn(n, k):
@@ -70,9 +72,9 @@ def build_general_quad(p: QuadFactorParams) -> HessMatrix:
                     + b(n) * d(n - 1) * e(n - 1) + b(n) * g(n - 1) + h(n) * f(n))
         if k == n - 2:
             return b(n) * d(n - 1) * f(n - 1)
-        return 0
+        return Poly.zero()
 
-    return HessMatrix(fn)
+    return hessenberg(fn)
 
 
 def general_quad_factors(p: QuadFactorParams) -> dict:
@@ -135,8 +137,9 @@ class QuadVariantParams:
                 _seq_fn(self.d), _seq_fn(self.e), _seq_fn(self.f))
 
 
-def build_variant_quad(p: QuadVariantParams) -> HessMatrix:
-    """Quadridiagonal variant P via the column formulas (Q: pass ``replace(p, f=())``)."""
+def build_variant_quad(p: QuadVariantParams) -> Banded:
+    """Quadridiagonal variant P via the column formulas, as a Hessenberg
+    leaf (Q: pass ``replace(p, f=())``)."""
     a, b, c, d, e, f = p.fns()
     al, be, x, y = p.alpha, p.beta, p.x, p.y
 
@@ -158,9 +161,9 @@ def build_variant_quad(p: QuadVariantParams) -> HessMatrix:
                     + y * b(k + 1) * f(k))
         if n == k + 2:
             return x * y * b(k + 2) * b(k + 1) * d(k)
-        return 0
+        return Poly.zero()
 
-    return HessMatrix(fn)
+    return hessenberg(fn)
 
 
 def variant_quad_factors(p: QuadVariantParams) -> dict:

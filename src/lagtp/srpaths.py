@@ -43,8 +43,8 @@ from typing import Callable, Optional, Union
 
 from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
 from .laguerre import LaguerreParams, prodmat
-from .matrices import (HessMatrix, Mismatch, Truncation, first_difference, hankel_truncation,
-                       sfraction_word, tp_check_symbolic)
+from .matrices import (Mismatch, Truncation, first_difference, hankel_truncation, sfraction_word,
+                       tp_check_symbolic)
 from .polyring import Poly, PolyLike, _mul_add, _p, _power_sum
 from .series import Series
 
@@ -255,23 +255,23 @@ def _path_table(m: int, j: int, n: int, k_lo: int, k_hi: int) -> tuple:
 # -- production matrices ------------------------------------------------------
 
 
-def prodmat_smj(coeffs: SRCoeffs, j: int, n: int) -> HessMatrix:
-    """Production matrix P^(m;j) of the type-j triangle, as an (m,1)-banded
-    HessMatrix valid on the n x n block: the block of
+def prodmat_smj(coeffs: SRCoeffs, j: int, n: int) -> Truncation:
+    """The n x n block of the production matrix P^(m;j) of the type-j
+    triangle, an (m,1)-banded matrix: the block of
     ``matrices.sfraction_word(coeffs.alpha, m, j)``.
 
     For m = 2 the entries are additionally cross-checked against the
     explicit quadridiagonal formulas (a construction bug raises here).
     """
     m = coeffs.m
-    block = sfraction_word(coeffs.alpha, m, j).block(n)
+    block = sfraction_word(coeffs.alpha, m, j).truncate(n)
     if m == 2:
         for i in range(n):
             for k in range(max(0, i - 2), min(n, i + 2)):
                 if block[i, k] != _p2_explicit(coeffs, j, i, k):
                     raise AssertionError(
                         f"bidiagonal product disagrees with explicit m=2 formula at ({i},{k})")
-    return HessMatrix.from_truncation(block)
+    return block
 
 
 def _p2_explicit(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
@@ -441,7 +441,7 @@ def verify_factorization_cell(fam: KappaFamily, n: int) -> bool | Mismatch:
         d = _denominator(fam)
         unit = reduce(mul, (d(k + 1) for k in range(n + 1)))
         want = want.scale(unit ** 3)
-    got = sfraction_word(_scaled_coeffs(fam, unit).alpha, 2, fam.j, unit).block(n)
+    got = sfraction_word(_scaled_coeffs(fam, unit).alpha, 2, fam.j, unit).truncate(n)
     return first_difference(got, want, f"bidiagonal word of cell (j={fam.j}, "
                             f"alpha={fam.alpha_lag}, kappa={fam.kappa}) vs Laguerre P")
 

@@ -11,7 +11,7 @@ from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
                             coeff_matrix_second_mv, coeff_matrix_uni,
                             monic_laguerre, monic_laguerre_reversed, prodmat,
                             rowgen_shifted_family_check, rowgen_polys)
-from lagtp.matrices import HessMatrix, Truncation, conjugate_by_binomial, output_matrix
+from lagtp.matrices import Truncation, conjugate_by_binomial, hessenberg, output_matrix
 from lagtp.polyring import Poly, rising
 from lagtp.series import solve_logderiv, solve_riccati
 
@@ -250,6 +250,19 @@ def test_output_of_each_prodmat_is_its_coefficient_matrix(params, w, which):
     assert output_matrix(prodmat(params, which, weights=w), n) == want
 
 
+def test_coefficient_matrices_refuse_a_negative_size_before_any_work(monkeypatch):
+    work = []
+    for module, name in ((laguerre, "_laguerre_coeffs"), (laguerre, "riordan_pair"),
+                         (digraphs, "oracle_entry")):
+        monkeypatch.setattr(module, name, lambda *args: work.append(args))
+    for make in (lambda: coeff_matrix_uni(SYM, -1),
+                 lambda: coeff_matrix_first_mv(SYM, EdgeWeights.symbolic(), -1),
+                 lambda: coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), -1)):
+        with pytest.raises(ValueError, match=r"^requested a -1x-1 block$"):
+            make()
+    assert work == []
+
+
 def _prodmat_reference(params, which, w, x_value=None):
     """prodmat's old hand-written entry function, kept as a test oracle:
     each entry is built from the row index on every call."""
@@ -272,7 +285,7 @@ def _prodmat_reference(params, which, w, x_value=None):
             return tx * (n * (n - 1))
         return 0
 
-    return HessMatrix(fn)
+    return hessenberg(fn)
 
 
 @pytest.mark.parametrize("params", [SYM, LaguerreParams.of(2)], ids=["sym", "2"])

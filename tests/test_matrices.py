@@ -13,24 +13,40 @@ from lagtp import matrices, polyring
 from lagtp.banded import DiagonalPolySpec, random_spec
 from lagtp.laguerre import (LaguerreParams, VertexWeights, coeff_matrix_uni, monic_laguerre,
                             prodmat)
-from lagtp.matrices import (SAMPLE_VALUES, HessMatrix, Mismatch, NonUnitDiagonalError,
+from lagtp.matrices import (SAMPLE_VALUES, Mismatch, NonUnitDiagonalError,
                             RiordanIntegralityError, TPReport, Truncation, TPWitness,
                             XorShift64, _SAMPLE_BLOCK, _first_negative_minor, _sample_dot,
                             _sample_neg, binomial_truncation,
                             bx_conjugate_eaz_identity_check, conjugate_by_binomial,
                             delta_matrix, diagonal, eaz_matrix, first_difference,
-                            hankel_truncation,
+                            hankel_truncation, hessenberg,
                             lower_bidiagonal, output_matrix, production_of, riordan_matrix,
                             sfraction_word, tp_check_sampled, tp_check_symbolic,
                             tp_check_tridiagonal, unit_lower_inverse, upper_bidiagonal)
 from lagtp.polyring import Poly, _p
-from lagtp.quadtp import (QuadFactorParams, QuadVariantParams, general_quad_factors,
-                          variant_quad_factors)
+from lagtp.quadtp import (QuadFactorParams, QuadVariantParams, build_general_quad,
+                          build_variant_quad, general_quad_factors, variant_quad_factors)
 from lagtp.series import Series
 from lagtp.srpaths import SRCoeffs, SRTriangles
 
 x = Poly.var("x")
 a = Poly.var("a")
+
+
+def _hess(p):
+    """Test-local Hessenberg reader: entry (n, k) of p as a Poly on and
+    below the superdiagonal, zero above it and at negative indices.  p is
+    an entry function or a Truncation; a Truncation raises IndexError past
+    its stored block."""
+    def at(n, k):
+        if k > n + 1 or k < 0 or n < 0:
+            return Poly.zero()
+        if not isinstance(p, Truncation):
+            return _p(p(n, k))
+        if n < p.rows and k < p.cols:
+            return p[n, k]
+        raise IndexError(f"entry ({n},{k}) outside stored {p.rows}x{p.cols} block")
+    return at
 
 
 def test_first_difference_is_true_on_equal_inputs():
@@ -51,7 +67,7 @@ def test_first_difference_names_the_first_differing_entry():
         "what": "rows", "where": [2, 1], "got": x.to_json_obj(), "want": (2 * x).to_json_obj()}
     assert first_difference([x, x, 1], [x, x], "seq") == Mismatch("seq", "shape", 3, 2)
     assert first_difference([x, 1], [x, 2], "seq") == Mismatch("seq", 1, Poly.one(), 2)
-    assert first_difference(got, got.top_left(2, 3), "rows") == Mismatch(
+    assert first_difference(got, got.truncate(2, 3), "rows") == Mismatch(
         "rows", "shape", (3, 3), (2, 3))
 
 
@@ -72,12 +88,12 @@ def test_tp_report_is_truthy_exactly_when_ok():
 
 
 def test_output_of_bidiagonal_toeplitz_is_binomial():
-    p = HessMatrix(lambda n, k: x if k == n else (1 if k == n + 1 else 0))
+    p = _hess(lambda n, k: x if k == n else (1 if k == n + 1 else 0))
     assert output_matrix(p, 6) == binomial_truncation(x, 6)
 
 
 def test_output_of_zero():
-    o = output_matrix(HessMatrix(lambda n, k: 0), 4)
+    o = output_matrix(_hess(lambda n, k: 0), 4)
     assert o[0, 0] == Poly.one()
     assert all(o[i, j].is_zero() for i in range(1, 4) for j in range(4))
 
@@ -99,7 +115,7 @@ def test_production_of_identity_is_delta():
 
 def test_production_of_binomial():
     got = production_of(binomial_truncation(x, 6))
-    want = HessMatrix(lambda n, k: x if k == n else (1 if k == n + 1 else 0))
+    want = hessenberg(lambda n, k: x if k == n else (1 if k == n + 1 else 0))
     assert got == want.truncate(5, 6)
 
 
@@ -117,7 +133,7 @@ def test_production_of_rejects_non_unit_diagonal():
 def test_conjugate_delta():
     xi = Poly.var("xi")
     got = conjugate_by_binomial(delta_matrix(), xi, 5)
-    want = HessMatrix(lambda n, k: xi if k == n else (1 if k == n + 1 else 0))
+    want = hessenberg(lambda n, k: xi if k == n else (1 if k == n + 1 else 0))
     assert got == want.truncate(5)
 
 
@@ -173,7 +189,7 @@ def test_tp_fails_with_witness():
 
 
 def test_tp_sfraction_production_factorization():
-    m = sfraction_word(lambda i: Poly.var(f"al{i}") if i >= 1 else Poly.zero(), 1, 0).block(5)
+    m = sfraction_word(lambda i: Poly.var(f"al{i}") if i >= 1 else Poly.zero(), 1, 0).truncate(5)
     assert tp_check_symbolic(m, 4).ok
 
 
@@ -239,7 +255,7 @@ def _eaz_reference(a_seq, z_seq):
             return at(a_seq, 0)
         return (at(z_seq, n - k) + at(a_seq, n - k + 1) * k) * math.perm(n, n - k)
 
-    return HessMatrix(fn)
+    return hessenberg(fn)
 
 
 def _syms(prefix, count):
@@ -610,7 +626,7 @@ def test_sampled_scan_with_rational_entries():
 def test_passing_sampled_scan_counts_every_minor_of_every_sample(n_rows, n_cols, order,
                                                                  samples):
     m = _bidiagonal_product(random.Random(n_rows * 10 + n_cols), max(n_rows, n_cols))
-    m = m.top_left(n_rows, n_cols)
+    m = m.truncate(n_rows, n_cols)
     report = tp_check_sampled(m, order, seed=5, samples=samples)
     per_sample = sum(math.comb(n_rows, s) * math.comb(n_cols, s) for s in range(1, order + 1))
     assert report.ok and report.checked == samples * per_sample
@@ -777,7 +793,7 @@ def _conjugate_reference(p, xi, n):
     """The full (n+2)-block product B_{-xi} P B_xi, cut back to n x n."""
     w = n + 2
     product = _binomial_reference(-xi, w) * p.truncate(w, w) * _binomial_reference(xi, w)
-    return product.top_left(n, n)
+    return product.truncate(n, n)
 
 
 def _conjugation_inputs():
@@ -808,7 +824,7 @@ def test_conjugate_matches_full_block_product(name, p, xi):
     # the reference's n x n corner is the reference at n: it reads rows < n of P only
     want = _conjugate_reference(p, xi, 9)
     for n in range(10):
-        assert conjugate_by_binomial(p, xi, n) == want.top_left(n), n
+        assert conjugate_by_binomial(p, xi, n) == want.truncate(n), n
 
 
 @pytest.mark.parametrize("xi", CONJUGATION_XIS)
@@ -819,7 +835,7 @@ def test_conjugate_of_random_specs_matches_full_block_product(xi):
         p = random_spec(rng)
         want = _conjugate_reference(p, xi, 9)
         for n in range(10):
-            assert conjugate_by_binomial(p, xi, n) == want.top_left(n), (i, n)
+            assert conjugate_by_binomial(p, xi, n) == want.truncate(n), (i, n)
 
 
 def test_conjugation_makes_no_block_product(monkeypatch):
@@ -841,7 +857,7 @@ def test_conjugation_makes_no_block_product(monkeypatch):
 def _output_reference(p, rows, cols=None):
     """O(P) by the direct row loop: every output row reads every entry of
     each live row of P over the working width."""
-    entry = HessMatrix.from_truncation(p) if isinstance(p, Truncation) else p
+    entry = _hess(p) if isinstance(p, Truncation) else p
     cols = rows if cols is None else cols
     width = rows + cols
     prev = [Poly.one()] + [Poly.zero()] * (width - 1)
@@ -859,7 +875,7 @@ def _output_reference(p, rows, cols=None):
 
 def _output_inputs():
     params = LaguerreParams.symbolic()
-    p_sym = HessMatrix(lambda n, k: Poly.var(f"p{n}_{k}"))
+    p_sym = _hess(lambda n, k: Poly.var(f"p{n}_{k}"))
     rng = random.Random(11)
     hess = Truncation.from_fn(6, 6, lambda i, j: _rand_poly(rng, 0.3) if j <= i + 1 else 0)
     return [
@@ -894,7 +910,7 @@ def test_output_matrix_of_too_small_truncation_raises_as_the_row_loop():
 @pytest.mark.parametrize("name,p", OUTPUT_INPUTS, ids=[c[0] for c in OUTPUT_INPUTS])
 def test_output_matrix_evaluates_each_entry_of_p_at_most_once(name, p):
     if isinstance(p, Truncation):
-        p = HessMatrix.from_truncation(p)
+        p = _hess(p)
     for rows, cols in ((6, None), (6, 1), (4, 6)):
         calls = collections.Counter()
 
@@ -1216,9 +1232,9 @@ def test_block_reads_n_plus_up_rows_and_matches_a_larger_product(name, n):
     expr = build(diagonal, lower_bidiagonal, upper_bidiagonal,
                  lambda prefix: _guarded(_sym(prefix), n + up))
     assert expr.up == up
-    assert expr.block(n) == build(*_plain_leaves(n + up + 3), _sym).top_left(n)
+    assert expr.truncate(n) == build(*_plain_leaves(n + up + 3), _sym).truncate(n)
     with pytest.raises(IndexError):  # the guard is live one row further
-        expr.block(n + 1)
+        expr.truncate(n + 1)
 
 
 def _quad_general(seq):
@@ -1230,21 +1246,55 @@ def _quad_variant(seq):
                              *(seq(name) for name in "abcdef"))
 
 
+def _general_quad_plain(w):
+    """P = L1 U L2 + L1 D1 + D2 L2 as a product of plain w x w truncations
+    of symbolic factors: exact on its first w - 1 rows."""
+    dg, lo, upb = _plain_leaves(w)
+    a, b, c, d, e, f, g, h = _quad_general(_sym).fns()
+    l1, l2 = lo(a, b), lo(e, f)
+    return l1 * upb(d, lambda i: c(i + 1)) * l2 + l1 * dg(g) + dg(h) * l2
+
+
+def _variant_quad_plain(w):
+    """P = L1 L2 U + L1 D1 + L2 D2 as a product of plain w x w truncations
+    of symbolic factors: exact on its first w - 1 rows."""
+    dg, lo, upb = _plain_leaves(w)
+    p = _quad_variant(_sym)
+    a, b, c, d, e, f = p.fns()
+    ell, eye = lo(a, b), Truncation.identity(w)
+    l1, l2 = eye.scale(p.alpha) + ell.scale(p.x), eye.scale(p.beta) + ell.scale(p.y)
+    return l1 * l2 * upb(d, lambda i: c(i + 1)) + l1 * dg(e) + l2 * dg(f)
+
+
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_general_quad_expression_reads_n_plus_one_rows(n):
     # U's superdiagonal on row i reads c_{i+1}, still below the guard
     m = general_quad_factors(_quad_general(lambda prefix: _guarded(_sym(prefix), n + 1)))
-    dg, lo, upb = _plain_leaves(n + 4)
-    a, b, c, d, e, f, g, h = _quad_general(_sym).fns()
-    l1, l2 = lo(a, b), lo(e, f)
-    want = l1 * upb(d, lambda i: c(i + 1)) * l2 + l1 * dg(g) + dg(h) * l2
     assert m["P"].up == 1
-    assert m["P"].block(n) == want.top_left(n)
+    assert m["P"].truncate(n) == _general_quad_plain(n + 4).truncate(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_a_lone_leaf_reads_no_row_past_its_block(n):
+    # a leaf is exact on any block, so row i of a closed form reads c_{i+1}, e_{i+1},
+    # f_{i+1} and no more: the guard at row n + 1 stays untouched
+    def guarded(prefix):
+        return _guarded(_sym(prefix), n + 1)
+
+    general = build_general_quad(_quad_general(guarded))
+    variant = build_variant_quad(_quad_variant(guarded))
+    assert (general.up, general.slack, variant.up, variant.slack) == (1, 0, 1, 0)
+    assert general.truncate(n) == _general_quad_plain(n + 4).truncate(n)
+    assert variant.truncate(n) == _variant_quad_plain(n + 4).truncate(n)
+    # a sum of leaves is exact on any block too
+    dg, _, upb = _plain_leaves(n + 1)
+    got = (upper_bidiagonal(guarded("c"), guarded("d")) + diagonal(guarded("a"))).truncate(n + 1)
+    assert got == upb(_sym("c"), _sym("d")) + dg(_sym("a"))
 
 
 def test_block_evaluates_a_shared_leaf_once_per_width():
     # L1 and L2 each appear in two terms of P = L1 U L2 + L1 D1 + D2 L2,
-    # yet each leaf is built once on the 7 rows of block(6)
+    # yet each leaf is built once on the 7 rows of truncate(6)
     reads = collections.Counter()
 
     def counted(prefix):
@@ -1253,23 +1303,16 @@ def test_block_evaluates_a_shared_leaf_once_per_width():
             return Poly.var(f"{prefix}{i}")
         return at
 
-    got = general_quad_factors(_quad_general(counted))["P"].block(6)
+    got = general_quad_factors(_quad_general(counted))["P"].truncate(6)
     assert (reads["a"], reads["e"], reads["b"], reads["f"]) == (7, 7, 6, 6)
-    assert got == general_quad_factors(_quad_general(_sym))["P"].block(6)
+    assert got == general_quad_factors(_quad_general(_sym))["P"].truncate(6)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_variant_quad_expression_reads_n_plus_one_rows(n):
     m = variant_quad_factors(_quad_variant(lambda prefix: _guarded(_sym(prefix), n + 1)))
-    w = n + 4
-    dg, lo, upb = _plain_leaves(w)
-    p = _quad_variant(_sym)
-    a, b, c, d, e, f = p.fns()
-    ell, eye = lo(a, b), Truncation.identity(w)
-    l1, l2 = eye.scale(p.alpha) + ell.scale(p.x), eye.scale(p.beta) + ell.scale(p.y)
-    want = l1 * l2 * upb(d, lambda i: c(i + 1)) + l1 * dg(e) + l2 * dg(f)
     assert m["P"].up == 1
-    assert m["P"].block(n) == want.top_left(n)
+    assert m["P"].truncate(n) == _variant_quad_plain(n + 4).truncate(n)
 
 
 @pytest.mark.parametrize("m,j", [(m, j) for m in (1, 2, 3) for j in range(m + 1)])
@@ -1290,7 +1333,7 @@ def test_sfraction_word_reads_n_plus_one_rows(m, j, unit):
     for r in range(1, j + 1):
         want = want * l_factor(r)
     assert word.up == 1
-    assert word.block(n) == want.top_left(n)
+    assert word.truncate(n) == want.truncate(n)
 
 
 def test_sfraction_word_refuses_a_type_outside_0_to_m():
@@ -1299,19 +1342,10 @@ def test_sfraction_word_refuses_a_type_outside_0_to_m():
             sfraction_word(_sym("al"), 2, j)
 
 
-def test_top_left_refuses_a_negative_size():
-    eye = Truncation.identity(3)
-    for rows, cols in ((-1, None), (-1, 2), (2, -1)):
-        with pytest.raises(ValueError, match="requested"):
-            eye.top_left(rows, cols)
-    with pytest.raises(ValueError, match="requested"):
-        diagonal(lambda i: 1).block(-1)
-
-
 def test_output_matrix_and_conjugate_refuse_a_negative_size_before_any_read():
     reads = []
     delta = delta_matrix()
-    p = HessMatrix(lambda n, k: reads.append((n, k)) or delta(n, k))
+    p = _hess(lambda n, k: reads.append((n, k)) or delta(n, k))
     for rows, cols in ((3, -1), (-2, None), (-1, 2), (-1, -1)):
         with pytest.raises(ValueError, match="^requested"):
             output_matrix(p, rows, cols)
@@ -1357,18 +1391,144 @@ def test_binomial_and_hankel_refuse_a_negative_size_before_any_read(monkeypatch)
     assert binomial_truncation(x, 0) == hankel_truncation(seq, 0) == Truncation([])
 
 
-def test_spec_and_hess_truncate_refuse_a_negative_size_before_any_read(monkeypatch):
+# -- the truncate protocol: every matrix type answers truncate(rows, cols) ---------
+
+
+def _t_entry(n, k):
+    return Poly.var(f"t{n}_{k}")
+
+
+SPEC_FS = ((1, a), (x,), (0, a), (1, 0, 2))  # f_-1 .. f_2 by coefficients in n
+
+
+def _spec_entry(n, k):
+    """Entry (n, k) of DiagonalPolySpec(2, SPEC_FS) from its definition."""
+    m = n - k
+    if not -1 <= m <= 2:
+        return Poly.zero()
+    f = sum((_p(c) * n ** d for d, c in enumerate(SPEC_FS[m + 1])), Poly.zero())
+    return f * math.perm(n, m) if m >= 0 else f
+
+
+def _sum_entry(n, k):
+    """Entry (n, k) of lower_bidiagonal(a, b) + diagonal(d)."""
+    a, b, d = _sym("a"), _sym("b"), _sym("d")
+    return a(n) + d(n) if k == n else (b(n) if k == n - 1 else Poly.zero())
+
+
+def _product_entry(n, k):
+    """Entry (n, k) of upper_bidiagonal(c, d) lower_bidiagonal(a, b): row n
+    of U meets rows n and n + 1 of L."""
+    a, b, c, d = _sym("a"), _sym("b"), _sym("c"), _sym("d")
+    lower = {(j, j): a(j) for j in (n, n + 1)} | {(j, j - 1): b(j) for j in (n, n + 1)}
+    zero = Poly.zero()
+    return c(n) * lower.get((n, k), zero) + d(n) * lower.get((n + 1, k), zero)
+
+
+def _plain_entry(plain):
+    """Entry function of a plain 10 x 10 product, exact on its first 9 rows."""
+    block = functools.cache(lambda: plain(10))
+    return lambda n, k: block()[n, k]
+
+
+# name -> (the matrix built from a sequence maker, its entrywise reference)
+PROTOCOL_CASES = {
+    "truncation": (lambda seq: Truncation.from_fn(7, 7, _t_entry), _t_entry),
+    "spec": (lambda seq: DiagonalPolySpec(2, SPEC_FS), _spec_entry),
+    "leaf": (lambda seq: upper_bidiagonal(seq("c"), seq("d")),
+             lambda n, k: _sym("c")(n) if k == n else (_sym("d")(n) if k == n + 1 else 0)),
+    "sum": (lambda seq: lower_bidiagonal(seq("a"), seq("b")) + diagonal(seq("d")), _sum_entry),
+    "product": (lambda seq: upper_bidiagonal(seq("c"), seq("d"))
+                * lower_bidiagonal(seq("a"), seq("b")), _product_entry),
+    "quad-general": (lambda seq: build_general_quad(_quad_general(seq)),
+                     _plain_entry(_general_quad_plain)),
+    "quad-variant": (lambda seq: build_variant_quad(_quad_variant(seq)),
+                     _plain_entry(_variant_quad_plain)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (2, 5), (5, 2), (4, None),
+                                       (6, 6), (7, 1)])
+def test_truncate_matches_an_entrywise_reference(name, rows, cols):
+    build, entry = PROTOCOL_CASES[name]
+    got = build(_sym).truncate(rows, cols)
+    assert got == Truncation.from_fn(rows, rows if cols is None else cols, entry)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+def test_truncate_refuses_a_negative_size_before_any_read(name, monkeypatch):
     reads = []
-    delta = delta_matrix()
-    hess = HessMatrix(lambda n, k: reads.append((n, k)) or delta(n, k))
-    monkeypatch.setattr(DiagonalPolySpec, "__call__", lambda self, n, k: reads.append((n, k)))
+
+    def recorded(prefix):
+        return lambda i: reads.append((prefix, i)) or _sym(prefix)(i)
+
+    m = PROTOCOL_CASES[name][0](recorded)
+    init, call = Truncation.__init__, DiagonalPolySpec.__call__
+    # a read is a sequence value, a spec entry or a new Truncation
+    monkeypatch.setattr(Truncation, "__init__",
+                        lambda t, data: reads.append("build") or init(t, data))
+    monkeypatch.setattr(DiagonalPolySpec, "__call__",
+                        lambda p, n, k: reads.append((n, k)) or call(p, n, k))
     for rows, cols in ((-1, None), (2, -1), (-1, 2), (-2, -3)):
         shape = f"{rows}x{rows if cols is None else cols}"
-        for m in (delta, hess):
-            with pytest.raises(ValueError, match=rf"^requested a {shape} block$"):
-                m.truncate(rows, cols)
+        with pytest.raises(ValueError, match=rf"^requested a {shape} block$"):
+            m.truncate(rows, cols)
     assert reads == []
+    m.truncate(2, 3)
+    assert reads  # the recorders see a read
     monkeypatch.undo()
     # size zero is still the empty matrix
-    assert delta.truncate(0) == hess.truncate(0) == Truncation([])
-    assert delta.truncate(2, 0).rows == hess.truncate(2, 0).rows == 2
+    assert m.truncate(0) == Truncation([])
+    assert m.truncate(2, 0).rows == 2
+
+
+def test_truncation_refuses_a_block_past_its_stored_one():
+    eye = Truncation.identity(3)
+    for rows, cols in ((4, None), (3, 4), (4, 1)):
+        with pytest.raises(ValueError, match="^requested [0-9]+x[0-9]+ block of a 3x3 matrix$"):
+            eye.truncate(rows, cols)
+    assert eye.truncate(3) == eye
+
+
+def test_constructors_refuse_a_negative_size_before_any_read():
+    reads = []
+
+    class Untouchable:
+        """A series that records every read of an attribute or a coefficient."""
+
+        def __getattr__(self, name):
+            reads.append(name)
+
+        def __getitem__(self, i):
+            reads.append(i)
+
+    for make, shape in ((lambda: Truncation.from_fn(-1, 2, lambda n, k: reads.append((n, k))),
+                         "-1x2"),
+                        (lambda: Truncation.zero(2, -1), "2x-1"),
+                        (lambda: Truncation.identity(-1), "-1x-1"),
+                        (lambda: riordan_matrix(Untouchable(), Untouchable(), -1), "-1x-1")):
+        with pytest.raises(ValueError, match=rf"^requested a {shape} block$"):
+            make()
+    assert reads == []
+
+
+def test_leaves_build_their_zeros_without_coercion(monkeypatch):
+    # an off-band zero of a leaf is the shared Poly zero, not an int for
+    # Truncation to coerce
+    coerced, real = [], matrices._p
+
+    def counted(v):
+        if type(v) is not Poly:
+            coerced.append(v)
+        return real(v)
+
+    monkeypatch.setattr(matrices, "_p", counted)
+    al, u = _sym("al"), Poly.var("u")
+    for m in (diagonal(al), lower_bidiagonal(al, al), upper_bidiagonal(al, al),
+              hessenberg(lambda n, k: al(n + k)), sfraction_word(al, 1, 0, Poly.one()),
+              sfraction_word(al, 2, 1, u)):
+        m.truncate(6)
+    Truncation.zero(3, 4)
+    Truncation.identity(4)
+    assert coerced == []

@@ -728,9 +728,10 @@ def general_quad_structure(ctx: Ctx) -> Outcome:
 
 
 def _tp3_symbolic_tp4_sampled(m: Banded, ctx: Ctx) -> Outcome:
-    """Symbolic TP3 on the 6x6 block, then sampled TP4 on the 7x7 block."""
-    return (_named(tp_check_symbolic(m.truncate(6), 3), "6x6 block")
-            and _named(tp_check_sampled(m.truncate(7), 4, seed=ctx.seed, samples=100), "7x7 block"))
+    """Symbolic TP3 on the 6x6 corner, then sampled TP4 on the 7x7 block."""
+    block = m.truncate(7)
+    return (_named(tp_check_symbolic(block.truncate(6), 3), "6x6 block")
+            and _named(tp_check_sampled(block, 4, seed=ctx.seed, samples=100), "7x7 block"))
 
 
 def general_quad_tp_desk_scale(ctx: Ctx) -> Outcome:

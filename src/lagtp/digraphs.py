@@ -11,11 +11,14 @@ or successor counts as the virtual vertex 0, so an isolated vertex is a
 peak, a path start is a peak or double ascent, and a path end is a peak or
 double descent.
 
-The oracles enumerate each (n, k) once per process: ``_stat_table`` counts
-the digraphs with k paths by their joint statistics, and every weighting
-(``oracle_entry`` in each mode, the cyclic permutation oracle) is a
-projection of that table.  The linear permutation oracle likewise counts
-S_n once per n by its word statistics (``_linear00_table``).
+Two enumerations build every digraph.  The reference lists the partial
+injections (``enumerate_digraphs``) and classifies each from scratch
+(``classify``, ``_walk``).  The oracles count each (n, k) once per process
+with ``_stat_table``, which inserts the vertices in turn and updates the
+joint statistics in O(1) per digraph; every weighting (``oracle_entry`` in
+each mode, the cyclic permutation oracle) is a projection of that table,
+made once per (n, k, mode).  The linear permutation oracle counts S_n once
+per n by its word statistics (``_linear00_table``).
 """
 
 from __future__ import annotations
@@ -171,18 +174,77 @@ def _walk(n: int, edges) -> tuple:
     return (e_minus, e_zero, e_plus, cyc, *kinds)
 
 
+# A vertex's kind, by position in _STATS (cycle p, v, da, dd, fp at 4..8,
+# path p, v, da, dd at 9..12), once its successor or its predecessor is
+# replaced by a larger vertex.  A loop's successor is raised first, so a
+# loop passes through a double ascent on its way to a valley.
+_SUCC_UP = (None,) * 4 + (6, 5, 6, 5, 6, 11, 10, 11, 10)
+_PRED_UP = (None,) * 4 + (7, 5, 5, 7, None, 12, 10, 10, 12)
+
+
 @functools.lru_cache(maxsize=None)
 def _stat_table(n: int, k: int) -> tuple:
     """((stats, count), ...) in sorted order: how many Laguerre digraphs on
     {1..n} with k paths have each joint statistics tuple.  Callers check
-    the enumeration caps before asking."""
-    e = n - k
-    if not 0 <= e <= n:
+    the enumeration caps before asking.
+
+    Depth-first, inserting the vertices 1..n in turn.  Deleting the largest
+    vertex m (and joining pred(m) -> succ(m) when m has both) leaves a
+    digraph on {1..m-1}, so each digraph is built once, from that one, by
+    placing m on a loop, alone, on an edge a -> b (a loop a -> a included),
+    after the end of a path or before its start.  Off a loop m is a peak,
+    and only a and b change kind, so each placement updates the statistics
+    in O(1).  A branch with p paths is cut unless p <= k <= p + (vertices
+    left), so every branch reaches a leaf.
+    """
+    if not 0 <= k <= n:
         return ()
+    succ = [0] * (n + 1)   # 0 is no vertex: no successor / predecessor
+    pred = [0] * (n + 1)
+    kind = [9] * (n + 1)   # kind[0] = 9: a vertex placed alone is a path peak
     counts: dict = {}
-    for domain, perm in _injections(n, e):
-        stats = _walk(n, zip(domain, perm))
-        counts[stats] = counts.get(stats, 0) + 1
+
+    def place(m, a, b, paths, st):
+        """Insert m as a -> m -> b and go on; a and b may be 0."""
+        st, ka, kb = st.copy(), kind[a], kind[b]
+        if a and b:
+            st[(b >= a) + (b > a)] -= 1       # the edge a -> b is split
+        if a:                                 # a -> m ascends
+            st[2] += 1
+            st[ka] -= 1
+            kind[a] = _SUCC_UP[ka]
+            st[kind[a]] += 1
+        if b:                                 # m -> b descends
+            st[0] += 1
+            st[kind[b]] -= 1
+            kind[b] = _PRED_UP[kind[b]]
+            st[kind[b]] += 1
+        kind[m] = 9 if kind[a or b] >= 9 else 4   # a peak, on the component of a or b
+        st[kind[m]] += 1
+        succ[a], pred[b], pred[m], succ[m] = m, m, a, b
+        grow(m + 1, paths, st)
+        succ[a], pred[b], kind[a], kind[b] = b, a, ka, kb
+
+    def grow(m, paths, st):
+        if m > n:
+            key = tuple(st)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        if paths < k:
+            place(m, 0, 0, paths + 1, st)     # alone: a new path
+        if k <= paths + n - m:
+            pred[m] = succ[m] = m             # on a loop: a new cycle
+            kind[m] = 8
+            loop = st.copy()
+            for i in (1, 3, 8):               # one more e_zero edge, cycle and fixed point
+                loop[i] += 1
+            grow(m + 1, paths, loop)
+            for v in range(1, m):
+                place(m, v, succ[v], paths, st)   # on the edge v -> succ(v), or after the end v
+                if not pred[v]:
+                    place(m, 0, v, paths, st)     # before the start v
+
+    grow(1, 0, [0] * len(_STATS))
     return tuple(sorted(counts.items()))
 
 
@@ -244,13 +306,19 @@ def _digraph_sum(n: int, k: int, mode: str, weights: Mapping[str, Poly]) -> Poly
     weight it.  The cyclic permutation oracle calls this rather than
     oracle_entry, so a wrapper around oracle_entry (a tracer, say) sees
     each public call once."""
-    keys, fields = _ORACLE_MODES[mode]
-    values = [weights[key] for key in keys]
+    values = [weights[key] for key in _ORACLE_MODES[mode][0]]
     _check_oracle_limit(n, values)
+    return _power_sum(_projected(n, k, mode), values)
+
+
+@functools.lru_cache(maxsize=None)
+def _projected(n: int, k: int, mode: str) -> tuple:
+    """((exponents, count), ...): the (n, k) statistics table projected onto
+    the exponents of `mode`'s weights, once per (n, k, mode)."""
     counter: Counter = Counter()
     for stats, count in _stat_table(n, k):
-        counter[tuple(sum(stats[i] for i in f) for f in fields)] += count
-    return _power_sum(counter.items(), values)
+        counter[tuple(sum(stats[i] for i in f) for f in _ORACLE_MODES[mode][1])] += count
+    return tuple(counter.items())
 
 
 def permutation_oracles(n: int, kind: str, weights: Mapping[str, Poly] | None = None) -> Poly:

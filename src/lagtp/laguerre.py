@@ -247,7 +247,7 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
 
     def oracle(i, k):
         if k > i:
-            return 0
+            return Poly.zero()
         entry = digraphs.oracle_entry(i, k, weights, "second_mv_general")
         return entry.exact_div(w.zp ** k) if flat and k else entry
 

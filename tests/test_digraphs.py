@@ -1,14 +1,16 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from lagtp import polyring
 from lagtp.digraphs import (DEFAULT_VAR_NAMES, BadLimitSetting, LaguerreDigraph,
-                            LimitExceeded, _linear00_table, _stat_table, classify,
-                            enumerate_digraphs, oracle_entry, permutation_oracles)
+                            LimitExceeded, _injections, _linear00_table, _projected,
+                            _stat_table, _walk, classify, enumerate_digraphs, oracle_entry,
+                            permutation_oracles)
 from lagtp.polyring import Poly
 from lagtp.srpaths import SRCoeffs, sr_path_oracle
 
@@ -362,6 +364,37 @@ def test_negative_n_is_refused():
             permutation_oracles(-2, kind)
 
 
+# -- the insertion enumeration against the two reference enumerations -------
+
+
+def _walked(n, digraphs):
+    """{k: sorted ((stats, count), ...)} of _walk over successor maps on {1..n}."""
+    by_k = {k: Counter() for k in range(n + 1)}
+    for succ in digraphs:
+        by_k[n - len(succ)][_walk(n, succ.items())] += 1
+    return {k: tuple(sorted(c.items())) for k, c in by_k.items()}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_stat_table_matches_the_walk_of_every_digraph(n):
+    want = _walked(n, (g.succ for g in enumerate_digraphs(n)))
+    assert {k: _stat_table(n, k) for k in range(n + 1)} == want
+    assert _stat_table(n, -1) == _stat_table(n, n + 1) == ()
+
+
+@pytest.mark.parametrize("n, k", [(7, 0), (7, 5), (7, 6), (8, 6), (8, 7)])
+def test_stat_table_matches_the_walk_of_each_injection(n, k):
+    want = _walked(n, (dict(zip(d, p)) for d, p in _injections(n, n - k)))
+    assert _stat_table(n, k) == want[k]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_stat_table_counts_every_partial_injection(n):
+    for k in range(n + 1):
+        e = n - k
+        assert sum(c for _, c in _stat_table(n, k)) == math.comb(n, e) ** 2 * math.factorial(e)
+
+
 def test_statistics_are_enumerated_once_per_n_k(monkeypatch):
     ints = {k: Poly.const(i + 2) for i, k in enumerate(DEFAULT_VAR_NAMES)}
     first = oracle_entry(5, 2, SYMBOLIC, "second_mv_general")
@@ -371,11 +404,18 @@ def test_statistics_are_enumerated_once_per_n_k(monkeypatch):
     for mode in REFERENCE_EXPONENTS:
         oracle_entry(5, 2, ints, mode)
     assert _stat_table.cache_info().misses == misses
+    # and a second weighting in one mode reuses that mode's projection
+    projections = _projected.cache_info().misses
+    for mode in REFERENCE_EXPONENTS:
+        oracle_entry(5, 2, SYMBOLIC, mode)
+    assert _projected.cache_info().misses == projections
     # a memoised n is still refused once the cap drops below it
     permutation_oracles(4, "cyclic")
     monkeypatch.setenv("LAGTP_LIMIT", "3")
-    with pytest.raises(LimitExceeded):
-        oracle_entry(5, 2, SYMBOLIC, "second_mv_general")
+    for weights in (SYMBOLIC, ints):
+        for mode in REFERENCE_EXPONENTS:
+            with pytest.raises(LimitExceeded):
+                oracle_entry(5, 2, weights, mode)
     with pytest.raises(LimitExceeded):
         permutation_oracles(4, "cyclic")
     monkeypatch.delenv("LAGTP_LIMIT")

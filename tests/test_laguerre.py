@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lagtp import digraphs, laguerre, polyring
+from lagtp import digraphs, laguerre, matrices, polyring
 from lagtp.checks import Ctx, second_mv_riordan_vs_oracle
 from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
                             VertexWeights, binomial_rowgen_matrix, coeff_matrix_first_mv,
@@ -183,6 +183,17 @@ def test_second_mv_matrix_kernel_call_count(monkeypatch):
     monkeypatch.setattr(polyring, "_mul_into", lambda *args: calls.append(1) or mul_into(*args))
     coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), 9)
     assert len(calls) == 381
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_second_mv_cross_check_builds_no_entry_from_a_number(monkeypatch, flat):
+    # the oracle side of the cross-check answers Polys, the zeros above the
+    # diagonal included, so Truncation coerces none of its entries
+    coerced = []
+    coerce = matrices._p
+    monkeypatch.setattr(matrices, "_p", lambda x: coerced.append(x) or coerce(x))
+    coeff_matrix_second_mv(SYM, VertexWeights.symbolic(with_z=True), 6, flat=flat)
+    assert [x for x in coerced if not isinstance(x, Poly)] == []
 
 
 @pytest.mark.parametrize("w", [VertexWeights.symbolic(), VertexWeights.symbolic(with_z=True)],

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+from lagtp import quadtp
+from lagtp.checks import Ctx, general_quad_tp_desk_scale
 from lagtp.polyring import Poly
 from lagtp.quadtp import (QuadFactorParams, QuadVariantParams, build_general_quad,
                           build_variant_quad, general_quad_factors, laguerre_flat_params,
@@ -104,3 +106,18 @@ def test_variant_degenerate_x_y_zero():
         assert m[k - 1, k] == v("alpha") * v("beta") * v(f"c{k}")
         assert m[k, k] == (v("alpha") * v("beta") * v(f"d{k}")
                            + v("alpha") * v(f"e{k}") + v("beta") * v(f"f{k}"))
+
+
+def test_desk_scale_check_reads_the_closed_form_once(monkeypatch):
+    # the 7x7 block is built once and the 6x6 block is its corner: 200
+    # sequence reads
+    reads = []
+    symbolic_seq = quadtp.symbolic_seq
+
+    def counted(prefix, start=0):
+        seq = symbolic_seq(prefix, start)
+        return lambda i: reads.append((prefix, i)) or seq(i)
+
+    monkeypatch.setattr(quadtp, "symbolic_seq", counted)
+    assert general_quad_tp_desk_scale(Ctx(seed=42))
+    assert len(reads) == 200

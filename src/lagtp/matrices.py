@@ -1,10 +1,10 @@
 """Band-bounded lower-Hessenberg matrices of polynomials and their toolkit.
 
-Three matrix types answer ``truncate(rows, cols=None)``, their top-left
+Two matrix types answer ``truncate(rows, cols=None)``, their top-left
 block, and refuse a negative size before any read: ``Truncation``, a finite
-grid; ``DiagonalPolySpec``, diagonals polynomial in the row index
-(``prodmat``, the exponential AZ matrix and Delta); and ``Banded``, lazy
-leaves (``hessenberg``, the bidiagonals) and their sums and products.
+grid, and ``Banded``, a lazy matrix held as its diagonals and read on them
+alone, be it a leaf (``DiagonalPolySpec``, whose diagonals are polynomial in
+the row index, the bidiagonals, a closed form) or a sum or product.
 Around them: output-matrix iteration and its inverse, binomial conjugation
 (spec to spec, by Taylor layers in xi on the diagonals), exact minors,
 total positivity certification (symbolic and sampled, plus the continuant
@@ -52,14 +52,16 @@ class RiordanIntegralityError(ValueError):
 
 
 class Truncation:
-    """Finite rows x cols grid of Poly entries."""
+    """Finite rows x cols grid of Poly entries; with no rows it keeps the ``cols`` given."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Sequence[Sequence[PolyLike]]):
+    def __init__(self, data: Sequence[Sequence[PolyLike]], cols: int | None = None):
         data = tuple([tuple([e if type(e) is Poly else _p(e) for e in row]) for row in data])
         rows = len(data)
-        cols = len(data[0]) if rows else 0
+        if cols is None:
+            cols = len(data[0]) if rows else 0
+        _check_size(rows, cols)
         if any(len(r) != cols for r in data):
             raise ValueError("ragged matrix data")
         object.__setattr__(self, "rows", rows)
@@ -72,7 +74,7 @@ class Truncation:
     @staticmethod
     def from_fn(rows: int, cols: int, fn: Callable[[int, int], PolyLike]) -> "Truncation":
         _check_size(rows, cols)
-        return Truncation([[fn(n, k) for k in range(cols)] for n in range(rows)])
+        return Truncation([[fn(n, k) for k in range(cols)] for n in range(rows)], cols)
 
     @staticmethod
     def identity(n: int) -> "Truncation":
@@ -96,7 +98,7 @@ class Truncation:
     def _entrywise(self, op, other: "Truncation") -> "Truncation":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Truncation([list(map(op, a, b)) for a, b in zip(self.data, other.data)])
+        return Truncation([list(map(op, a, b)) for a, b in zip(self.data, other.data)], self.cols)
 
     def __add__(self, other: "Truncation") -> "Truncation":
         return self._entrywise(operator.add, other)
@@ -108,17 +110,19 @@ class Truncation:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         live = [[(j, b) for j, b in enumerate(row) if b.num] for row in other.data]
-        return Truncation([_row_times(row, live.__getitem__, other.cols) for row in self.data])
+        return Truncation([_row_times(row, live.__getitem__, other.cols) for row in self.data],
+                          other.cols)
 
     def scale(self, c: PolyLike) -> "Truncation":
         c = _p(c)
-        return Truncation([[e * c for e in row] for row in self.data])
+        return Truncation([[e * c for e in row] for row in self.data], self.cols)
 
     def transpose(self) -> "Truncation":
-        return Truncation([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Truncation([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
+                          self.rows)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Truncation":
-        return Truncation([[self.data[i][j] for j in cols] for i in rows])
+        return Truncation([[self.data[i][j] for j in cols] for i in rows], len(cols))
 
     def truncate(self, rows: int, cols: int | None = None) -> "Truncation":
         """The top-left rows x cols block; a negative or too large size raises ``ValueError``."""
@@ -126,7 +130,7 @@ class Truncation:
         _check_size(rows, cols)
         if rows > self.rows or cols > self.cols:
             raise ValueError(f"requested {rows}x{cols} block of a {self.rows}x{self.cols} matrix")
-        return Truncation([row[:cols] for row in self.data[:rows]])
+        return Truncation([row[:cols] for row in self.data[:rows]], cols)
 
     def is_unit_lower_triangular(self) -> bool:
         return all(row[j] == (1 if j == i else 0)
@@ -159,7 +163,7 @@ class Truncation:
         if type(obj["rows"]) is not int or type(obj["cols"]) is not int:
             raise ValueError("matrix JSON rows and cols must be integers")
         data = [[Poly.from_json_obj(e) for e in row] for row in obj["entries"]]
-        t = Truncation(data)
+        t = Truncation(data, None if data else obj["cols"])
         if t.rows != obj["rows"] or t.cols != obj["cols"]:
             raise ValueError("matrix JSON shape mismatch")
         return t
@@ -223,15 +227,63 @@ def _check_size(rows: int, cols: int) -> None:
 # -- special matrices ------------------------------------------------------
 
 
+class Banded:
+    """A lazy banded matrix kept as its diagonals: ``diags[m](n)`` is entry
+    (n, n - m), m = -1 the superdiagonal, each cached by row; every other
+    entry is zero.  ``+`` and ``*`` act on the diagonals, so a block of a
+    sum or product reads only the rows of its factors that it needs.
+    """
+
+    def __init__(self, diags: dict):
+        object.__setattr__(self, "diags", {m: functools.cache(f) for m, f in sorted(diags.items())})
+
+    def __setattr__(self, *a):
+        raise AttributeError("Banded is immutable")
+
+    def __call__(self, n: int, k: int) -> Poly:
+        """Entry (n, k); zero off the band and at a negative index."""
+        f = self.diags.get(n - k)
+        return f(n) if f is not None and n >= 0 and k >= 0 else Poly.zero()
+
+    def __add__(self, other: "Banded") -> "Banded":
+        def diag(m):
+            fs = [d.diags[m] for d in (self, other) if m in d.diags]
+            return lambda n: Poly.dot((f(n), 1) for f in fs)
+        return Banded({m: diag(m) for m in self.diags.keys() | other.diags.keys()})
+
+    def __mul__(self, other: "Banded") -> "Banded":
+        """Diagonal m of the product at row n is the sum of A_i(n) B_j(n - i)
+        over i + j = m and n >= i (column n - i of A is then >= 0)."""
+        def diag(m):
+            pairs = [(i, a, other.diags[m - i]) for i, a in self.diags.items()
+                     if m - i in other.diags]
+            return lambda n: Poly.dot((a(n), b(n - i)) for i, a, b in pairs if n >= i)
+        return Banded({m: diag(m) for m in {i + j for i in self.diags for j in other.diags}})
+
+    def truncate(self, rows: int, cols: int | None = None) -> Truncation:
+        """The rows x cols block, read row by row, left to right, on the band
+        entries inside it only.  A negative size raises ``ValueError``."""
+        cols = rows if cols is None else cols
+        _check_size(rows, cols)
+        zero, diags = Poly.zero(), sorted(self.diags.items(), reverse=True)
+        grid = [[zero] * cols for _ in range(rows)]
+        for n, row in enumerate(grid):
+            for m, f in diags:
+                if 0 <= n - m < cols:
+                    row[n - m] = f(n)
+        return Truncation(grid, cols)
+
+
 @dataclass(frozen=True)
-class DiagonalPolySpec:
+class DiagonalPolySpec(Banded):
     """An (r,1)-banded lower-Hessenberg matrix whose diagonals are polynomial
     in the row index n: entry (n, n+1) is f_{-1}(n), entry (n, n-m) is
     n(n-1)...(n-m+1) f_m(n) for 0 <= m <= r, and every other entry is zero.
 
     ``fs`` lists the polynomials f_{-1}, f_0, ..., f_r, each given by its
     coefficient list in n (constant coefficient first, Poly coefficients
-    allowed); r is an int >= -1.  A spec is unhashable, as ``Poly`` is.
+    allowed); r is an int >= -1.  It is the ``Banded`` of those diagonals.
+    A spec is unhashable, as ``Poly`` is.
     """
 
     r: int
@@ -245,6 +297,8 @@ class DiagonalPolySpec:
         if len(fs) != self.r + 2:
             raise ValueError(f"need {self.r + 2} polynomials f_-1..f_{self.r}")
         object.__setattr__(self, "fs", fs)
+        Banded.__init__(self, {m: functools.partial(_spec_diagonal, max(m, 0), f)
+                               for m, f in enumerate(fs, -1)})
 
     def __str__(self) -> str:
         fs = "; ".join("[" + ", ".join(map(str, f)) + "]" for f in self.fs)
@@ -254,25 +308,14 @@ class DiagonalPolySpec:
         """Degree in n of f_m (m from -1 to r); -1 for the zero polynomial."""
         return max((d for d, c in enumerate(self.fs[m + 1]) if c), default=-1)
 
-    def __call__(self, n: int, k: int) -> Poly:
-        """Entry (n, k).  On the band, m = n - k, it is one ``Poly.dot`` of the
-        coefficients c_d of f_m with the integer weights n(n-1)...(n-m+1) n^d;
-        a lone coefficient of weight 1 is the entry."""
-        m = n - k
-        if n < 0 or k < 0 or not -1 <= m <= self.r:
-            return Poly.zero()
-        f, fall = self.fs[m + 1], math.perm(n, m) if m >= 0 else 1
-        if len(f) == 1 and fall == 1:
-            return f[0]
-        return Poly.dot((c, fall * n ** d) for d, c in enumerate(f))
 
-    def truncate(self, rows: int, cols: int | None = None) -> Truncation:
-        """The rows x cols block; only the entries of the band are read.  A
-        negative size raises ``ValueError``."""
-        cols, zero = rows if cols is None else cols, Poly.zero()
-        _check_size(rows, cols)
-        return Truncation([[self(n, k) if n - self.r <= k <= n + 1 else zero for k in range(cols)]
-                           for n in range(rows)])
+def _spec_diagonal(m: int, f: tuple, n: int) -> Poly:
+    """n(n-1)...(n-m+1) f(n): one ``Poly.dot`` of the coefficients c_d of f
+    with the weights n(n-1)...(n-m+1) n^d; a lone c_0 of weight 1 is the entry."""
+    fall = math.perm(n, m)
+    if len(f) == 1 and fall == 1:
+        return f[0]
+    return Poly.dot((c, fall * n ** d) for d, c in enumerate(f))
 
 
 def delta_matrix() -> DiagonalPolySpec:
@@ -280,65 +323,19 @@ def delta_matrix() -> DiagonalPolySpec:
     return DiagonalPolySpec(0, ((1,), (0,)))
 
 
-@dataclass(frozen=True, eq=False)
-class Banded:
-    """A lazy banded matrix: a leaf given by its entries (``hessenberg``,
-    ``diagonal``, the bidiagonals), or a sum or product of such matrices,
-    kept as an expression until ``truncate`` evaluates it.
-
-    ``up`` is the upper bandwidth: 0 for a diagonal or lower-bidiagonal
-    leaf, 1 for an upper-bidiagonal or Hessenberg one, the larger of the
-    two sides for a sum and their sum for a product.  Row i of a w x w
-    product is exact when i + up < w: each factor reaches at most its own
-    upper bandwidth past the row it is given.  ``slack``, the rows past a
-    block it is evaluated on, is ``up`` once it holds a product and 0 for
-    leaves and their sums, which are exact on any block.
-    """
-
-    up: int
-    slack: int
-    _on: Callable[[int], Truncation]  # w -> the expression on the w x w block
-
-    def __add__(self, other: "Banded") -> "Banded":
-        return Banded(max(self.up, other.up), max(self.slack, other.slack),
-                      lambda w: self._on(w) + other._on(w))
-
-    def __mul__(self, other: "Banded") -> "Banded":
-        up = self.up + other.up
-        return Banded(up, up, lambda w: self._on(w) * other._on(w))
-
-    def truncate(self, rows: int, cols: int | None = None) -> Truncation:
-        """The exact rows x cols block: every leaf is evaluated on
-        max(rows, cols) + slack rows.  A negative size raises ``ValueError``."""
-        cols = rows if cols is None else cols
-        _check_size(rows, cols)
-        return self._on(max(rows, cols) + self.slack).truncate(rows, cols)
-
-
-def _leaf(up: int, entry: Callable[[int, int], PolyLike]) -> Banded:
-    # cached per width: a leaf shared by several terms is evaluated once
-    return Banded(up, 0, functools.cache(lambda w: Truncation.from_fn(w, w, entry)))
-
-
-def hessenberg(entry: Callable[[int, int], PolyLike]) -> Banded:
-    """Lower-Hessenberg matrix with entry(n, k) at k <= n + 1 (the zeros of
-    a band included) and zero above the superdiagonal."""
-    return _leaf(1, lambda n, k: entry(n, k) if k <= n + 1 else Poly.zero())
-
-
 def diagonal(diag) -> Banded:
     """Diagonal matrix with diag(i) at (i, i)."""
-    return _leaf(0, lambda i, j: diag(i) if j == i else Poly.zero())
+    return Banded({0: lambda i: _p(diag(i))})
 
 
 def lower_bidiagonal(diag, sub) -> Banded:
     """Lower-bidiagonal matrix with diag(i) on the diagonal, sub(i) on row i."""
-    return _leaf(0, lambda i, j: diag(i) if j == i else (sub(i) if j == i - 1 else Poly.zero()))
+    return Banded({0: lambda i: _p(diag(i)), 1: lambda i: _p(sub(i))})
 
 
 def upper_bidiagonal(diag, sup) -> Banded:
     """Upper-bidiagonal matrix with diag(i) on the diagonal, sup(i) on row i."""
-    return _leaf(1, lambda i, j: diag(i) if j == i else (sup(i) if j == i + 1 else Poly.zero()))
+    return Banded({-1: lambda i: _p(sup(i)), 0: lambda i: _p(diag(i))})
 
 
 def sfraction_word(alpha, m: int, j: int, unit: PolyLike = 1) -> Banded:
@@ -442,7 +439,7 @@ def output_matrix(p: Union[Truncation, Callable[[int, int], PolyLike]], rows: in
     for _ in range(1, rows):
         prev = _row_times(prev, p_row, width)
         out.append(prev[:cols])
-    return Truncation(out)
+    return Truncation(out, cols)
 
 
 def _row_times(row: Sequence[Poly], live: Callable[[int], list], width: int) -> list:
@@ -478,7 +475,7 @@ def production_of(t: Truncation) -> Truncation:
             row.append(t[i + 1, k] - Poly.dot((t[i, j], prows[j][k])
                                               for j in range(max(0, k - 1), i)))
         prows.append(row)
-    return Truncation(prows) if prows else Truncation.zero(0, m)
+    return Truncation(prows, m)
 
 
 def _backward_difference(h: list) -> list:

@@ -11,15 +11,16 @@ commute; setting f = 0 gives Q = L1 (L2 U + D1).
 
 Both are totally positive coefficientwise in all the indeterminate
 sequences; the Laguerre quadridiagonal production matrices arise by
-specialization of family one.  The closed forms (Hessenberg leaves) and
-the factor expressions they are checked against are all ``matrices.Banded``.
+specialization of family one.  The closed forms (four diagonals each, at
+offsets -1 to 2) and the factor expressions they are checked against are
+all ``matrices.Banded``, evaluated on their diagonals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import Banded, _seq_fn, diagonal, hessenberg, lower_bidiagonal, upper_bidiagonal
+from .matrices import Banded, _seq_fn, diagonal, lower_bidiagonal, upper_bidiagonal
 from .polyring import Poly
 
 
@@ -57,24 +58,16 @@ class QuadFactorParams:
 
 
 def build_general_quad(p: QuadFactorParams) -> Banded:
-    """Quadridiagonal P by the closed row formulas, as a Hessenberg leaf
+    """Quadridiagonal P by the closed row formulas, as its four diagonals
     (Q: pass ``replace(p, h=())``)."""
     a, b, c, d, e, f, g, h = p.fns()
-
-    def fn(n, k):
-        if k == n + 1:
-            return a(n) * c(n + 1) * e(n + 1)
-        if k == n:
-            return (a(n) * d(n) * e(n) + b(n) * c(n) * e(n)
-                    + a(n) * c(n + 1) * f(n + 1) + a(n) * g(n) + h(n) * e(n))
-        if k == n - 1:
-            return (a(n) * d(n) * f(n) + b(n) * c(n) * f(n)
-                    + b(n) * d(n - 1) * e(n - 1) + b(n) * g(n - 1) + h(n) * f(n))
-        if k == n - 2:
-            return b(n) * d(n - 1) * f(n - 1)
-        return Poly.zero()
-
-    return hessenberg(fn)
+    return Banded({
+        -1: lambda n: a(n) * c(n + 1) * e(n + 1),
+        0: lambda n: (a(n) * d(n) * e(n) + b(n) * c(n) * e(n)
+                      + a(n) * c(n + 1) * f(n + 1) + a(n) * g(n) + h(n) * e(n)),
+        1: lambda n: (a(n) * d(n) * f(n) + b(n) * c(n) * f(n)
+                      + b(n) * d(n - 1) * e(n - 1) + b(n) * g(n - 1) + h(n) * f(n)),
+        2: lambda n: b(n) * d(n - 1) * f(n - 1)})
 
 
 def general_quad_factors(p: QuadFactorParams) -> dict:
@@ -138,8 +131,8 @@ class QuadVariantParams:
 
 
 def build_variant_quad(p: QuadVariantParams) -> Banded:
-    """Quadridiagonal variant P via the column formulas, as a Hessenberg
-    leaf (Q: pass ``replace(p, f=())``)."""
+    """Quadridiagonal variant P by the closed formulas, as its four
+    diagonals (Q: pass ``replace(p, f=())``)."""
     a, b, c, d, e, f = p.fns()
     al, be, x, y = p.alpha, p.beta, p.x, p.y
 
@@ -149,21 +142,14 @@ def build_variant_quad(p: QuadVariantParams) -> Banded:
     def l2(i):
         return be + y * a(i)
 
-    def fn(n, k):
-        if n == k - 1:
-            return l1(k - 1) * l2(k - 1) * c(k)
-        if n == k:
-            return (l1(k) * l2(k) * d(k) + l1(k) * (y * b(k) * c(k))
-                    + x * b(k) * l2(k - 1) * c(k) + l1(k) * e(k) + l2(k) * f(k))
-        if n == k + 1:
-            return (l1(k + 1) * (y * b(k + 1)) * d(k) + x * b(k + 1) * l2(k) * d(k)
-                    + x * y * b(k + 1) * b(k) * c(k) + x * b(k + 1) * e(k)
-                    + y * b(k + 1) * f(k))
-        if n == k + 2:
-            return x * y * b(k + 2) * b(k + 1) * d(k)
-        return Poly.zero()
-
-    return hessenberg(fn)
+    return Banded({
+        -1: lambda n: l1(n) * l2(n) * c(n + 1),
+        0: lambda n: (l1(n) * l2(n) * d(n) + l1(n) * (y * b(n) * c(n))
+                      + x * b(n) * l2(n - 1) * c(n) + l1(n) * e(n) + l2(n) * f(n)),
+        1: lambda n: (l1(n) * (y * b(n)) * d(n - 1) + x * b(n) * l2(n - 1) * d(n - 1)
+                      + x * y * b(n) * b(n - 1) * c(n - 1) + x * b(n) * e(n - 1)
+                      + y * b(n) * f(n - 1)),
+        2: lambda n: x * y * b(n) * b(n - 1) * d(n - 2)})
 
 
 def variant_quad_factors(p: QuadVariantParams) -> dict:

@@ -433,8 +433,9 @@ def verify_factorization_cell(fam: KappaFamily, n: int) -> bool | Mismatch:
     factors, the unit entries included, is multiplied by
     C = D(1) ... D(n+1), and their product is compared with C^3 times the
     target; C != 0, so this is the same identity, checked in Q[kappa, x].
-    The n x n block evaluates the factors on n + 1 rows, which read only
-    alpha_i with i < 3(n+1), whose denominators are among D(1) ... D(n+1)."""
+    The n x n block reads each factor on rows 0..n at most (the word's
+    upper bandwidth is 1), so only alpha_i with i < 3(n+1), whose
+    denominators are among D(1) ... D(n+1)."""
     want = prodmat(LaguerreParams.of(fam.alpha_lag), "P").truncate(n)
     unit = Poly.one()
     if not _kappa(fam).is_constant():

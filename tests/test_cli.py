@@ -515,6 +515,17 @@ def test_verify_witness_names_a_tp_scan_that_passes_the_negative_control(capsys,
                                 "where": 0, "got": True, "want": False}
 
 
+def test_negative_control_fails_when_the_sampled_scan_stops_at_order_1(monkeypatch):
+    # the planted PFlat block has no negative entry, so a scan cut to 1 x 1
+    # minors passes it and the control must report that
+    real = checks.tp_check_sampled
+    monkeypatch.setattr(checks, "tp_check_sampled", lambda m, order, **kw: real(m, 1, **kw))
+    outcome = checks.tp_negative_control(checks.Ctx())
+    assert not outcome
+    assert outcome.what.startswith("sampled TP4 scan of the planted PFlat block")
+    assert (outcome.where, outcome.got, outcome.want) == (0, True, False)
+
+
 def test_verify_max_n(capsys):
     code, out, _ = run(capsys, ["verify", "srpaths", "--max-n", "5"])
     assert code == 0

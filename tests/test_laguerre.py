@@ -11,7 +11,7 @@ from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
                             coeff_matrix_second_mv, coeff_matrix_uni,
                             monic_laguerre, monic_laguerre_reversed, prodmat,
                             rowgen_shifted_family_check, rowgen_polys)
-from lagtp.matrices import Truncation, conjugate_by_binomial, hessenberg, output_matrix
+from lagtp.matrices import Truncation, conjugate_by_binomial, output_matrix
 from lagtp.polyring import Poly, rising
 from lagtp.series import solve_logderiv, solve_riccati
 
@@ -274,9 +274,9 @@ def test_coefficient_matrices_refuse_a_negative_size_before_any_work(monkeypatch
     assert work == []
 
 
-def _prodmat_reference(params, which, w, x_value=None):
-    """prodmat's old hand-written entry function, kept as a test oracle:
-    each entry is built from the row index on every call."""
+def _prodmat_reference(params, which, w, x_value, n):
+    """The n x n block of prodmat's old hand-written entry function, kept
+    as a test oracle: each entry is built from the row index on every call."""
     w = laguerre.UNIT_WEIGHTS if which in ("Pcirc", "P") else w
     s, t = (Poly.one(), w.y_p * w.y_v) if which.endswith("Flat") else (w.y_p, w.y_v)
     fp, d = w.y_fp, w.y_da + w.y_dd
@@ -296,7 +296,7 @@ def _prodmat_reference(params, which, w, x_value=None):
             return tx * (n * (n - 1))
         return 0
 
-    return hessenberg(fn)
+    return Truncation.from_fn(n, n, fn)
 
 
 @pytest.mark.parametrize("params", [SYM, LaguerreParams.of(2)], ids=["sym", "2"])
@@ -305,7 +305,7 @@ def _prodmat_reference(params, which, w, x_value=None):
 @pytest.mark.parametrize("which", ["Pcirc", "P"] + list(WEIGHTED_KINDS))
 def test_each_prodmat_matches_the_entry_function_reference(params, w, x_value, which):
     got = prodmat(params, which, weights=w, x=x_value)
-    assert got.truncate(12) == _prodmat_reference(params, which, w, x_value).truncate(12)
+    assert got.truncate(12) == _prodmat_reference(params, which, w, x_value, 12)
 
 
 @pytest.mark.parametrize("which", WEIGHTED_KINDS)

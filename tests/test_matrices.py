@@ -13,15 +13,14 @@ from lagtp import matrices, polyring
 from lagtp.banded import DiagonalPolySpec, random_spec
 from lagtp.laguerre import (LaguerreParams, VertexWeights, coeff_matrix_uni, monic_laguerre,
                             prodmat)
-from lagtp.matrices import (SAMPLE_VALUES, Mismatch, NonUnitDiagonalError,
+from lagtp.matrices import (SAMPLE_VALUES, Banded, Mismatch, NonUnitDiagonalError,
                             RiordanIntegralityError, TPReport, Truncation, TPWitness,
                             XorShift64, _SAMPLE_BLOCK, _first_negative_minor, _sample_dot,
                             _sample_neg, binomial_truncation,
                             bx_conjugate_eaz_identity_check, conjugate_by_binomial,
                             delta_matrix, diagonal, eaz_matrix, first_difference,
-                            hankel_truncation, hessenberg,
-                            lower_bidiagonal, output_matrix, production_of, riordan_matrix,
-                            sfraction_word, tp_check_sampled, tp_check_symbolic,
+                            hankel_truncation, lower_bidiagonal, output_matrix, production_of,
+                            riordan_matrix, sfraction_word, tp_check_sampled, tp_check_symbolic,
                             tp_check_tridiagonal, unit_lower_inverse, upper_bidiagonal)
 from lagtp.polyring import Poly, _p
 from lagtp.quadtp import (QuadFactorParams, QuadVariantParams, build_general_quad,
@@ -115,8 +114,8 @@ def test_production_of_identity_is_delta():
 
 def test_production_of_binomial():
     got = production_of(binomial_truncation(x, 6))
-    want = hessenberg(lambda n, k: x if k == n else (1 if k == n + 1 else 0))
-    assert got == want.truncate(5, 6)
+    want = Truncation.from_fn(5, 6, lambda n, k: x if k == n else (1 if k == n + 1 else 0))
+    assert got == want
 
 
 def test_production_of_laguerre_coeff_matrix():
@@ -133,8 +132,8 @@ def test_production_of_rejects_non_unit_diagonal():
 def test_conjugate_delta():
     xi = Poly.var("xi")
     got = conjugate_by_binomial(delta_matrix(), xi, 5)
-    want = hessenberg(lambda n, k: xi if k == n else (1 if k == n + 1 else 0))
-    assert got == want.truncate(5)
+    want = Truncation.from_fn(5, 5, lambda n, k: xi if k == n else (1 if k == n + 1 else 0))
+    assert got == want
 
 
 def test_conjugate_pcirc_gives_quadridiagonal():
@@ -255,7 +254,7 @@ def _eaz_reference(a_seq, z_seq):
             return at(a_seq, 0)
         return (at(z_seq, n - k) + at(a_seq, n - k + 1) * k) * math.perm(n, n - k)
 
-    return hessenberg(fn)
+    return _hess(fn)
 
 
 def _syms(prefix, count):
@@ -269,7 +268,8 @@ def _syms(prefix, count):
     ids=["sym-12", "sym-z-longer", "sym-a-longer", "a0-only", "z0-only", "empty",
          "pcirc-at-alpha-2", "int-and-rational", "zero"])
 def test_eaz_matches_the_entry_function_reference(a_seq, z_seq):
-    assert eaz_matrix(a_seq, z_seq).truncate(12) == _eaz_reference(a_seq, z_seq).truncate(12)
+    assert eaz_matrix(a_seq, z_seq).truncate(12) == Truncation.from_fn(
+        12, 12, _eaz_reference(a_seq, z_seq))
 
 
 def test_bx_conjugate_eaz_identity():
@@ -870,7 +870,7 @@ def _output_reference(p, rows, cols=None):
                     cur[k] = cur[k] + a_i * entry(i, k)
         out.append(cur[:cols])
         prev = cur
-    return Truncation(out)
+    return Truncation(out, cols)
 
 
 def _output_inputs():
@@ -1173,19 +1173,26 @@ def test_packed_witness_decodes_its_first_and_last_slots():
 
 @pytest.mark.parametrize("name,p", CONJUGATION_INPUTS, ids=[c[0] for c in CONJUGATION_INPUTS])
 def test_conjugate_evaluates_no_row_of_p_at_or_past_n(name, p, monkeypatch):
-    # the conjugate is taken on the diagonals of P, so no entry of P is read at all
+    # the conjugate is taken on the polynomials of P's diagonals, so no
+    # diagonal of P is evaluated at any row
     reads = []
-    entry, truncate = DiagonalPolySpec.__call__, DiagonalPolySpec.truncate
-    monkeypatch.setattr(DiagonalPolySpec, "__call__",
-                        lambda s, i, k: (s is p and reads.append(i)) or entry(s, i, k))
+    truncate = DiagonalPolySpec.truncate
     monkeypatch.setattr(DiagonalPolySpec, "truncate",
                         lambda s, *size: (s is p and reads.append(size)) or truncate(s, *size))
+    before = _diagonal_reads(p)
     for n in (1, 3, 5):
         conjugate_by_binomial(p, Poly.var("xi"), n)
     assert reads == []
+    assert _diagonal_reads(p) == before
 
 
 # -- Banded expressions: the working block -------------------------------------
+
+
+def _diagonal_reads(m):
+    """The calls made so far to the row functions of m's diagonals, per
+    diagonal (each is cached by row, so a second call of a row is a hit)."""
+    return {d: f.cache_info()[:2] for d, f in getattr(m, "diags", {}).items()}
 
 
 def _sym(prefix):
@@ -1228,13 +1235,12 @@ BANDED_CASES = {
 @pytest.mark.parametrize("name", sorted(BANDED_CASES))
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_block_reads_n_plus_up_rows_and_matches_a_larger_product(name, n):
+    # row i of a product meets rows up to i + (its upper bandwidth) of the
+    # factors on its right, so the n x n block reads no row from n + up on
     up, build = BANDED_CASES[name]
     expr = build(diagonal, lower_bidiagonal, upper_bidiagonal,
                  lambda prefix: _guarded(_sym(prefix), n + up))
-    assert expr.up == up
     assert expr.truncate(n) == build(*_plain_leaves(n + up + 3), _sym).truncate(n)
-    with pytest.raises(IndexError):  # the guard is live one row further
-        expr.truncate(n + 1)
 
 
 def _quad_general(seq):
@@ -1270,23 +1276,21 @@ def _variant_quad_plain(w):
 def test_general_quad_expression_reads_n_plus_one_rows(n):
     # U's superdiagonal on row i reads c_{i+1}, still below the guard
     m = general_quad_factors(_quad_general(lambda prefix: _guarded(_sym(prefix), n + 1)))
-    assert m["P"].up == 1
     assert m["P"].truncate(n) == _general_quad_plain(n + 4).truncate(n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_a_lone_leaf_reads_no_row_past_its_block(n):
-    # a leaf is exact on any block, so row i of a closed form reads c_{i+1}, e_{i+1},
-    # f_{i+1} and no more: the guard at row n + 1 stays untouched
+    # the closed forms have upper bandwidth 1: row i reads c_{i+1}, e_{i+1},
+    # f_{i+1} and no more, so the guard at row n + 1 stays untouched
     def guarded(prefix):
         return _guarded(_sym(prefix), n + 1)
 
     general = build_general_quad(_quad_general(guarded))
     variant = build_variant_quad(_quad_variant(guarded))
-    assert (general.up, general.slack, variant.up, variant.slack) == (1, 0, 1, 0)
     assert general.truncate(n) == _general_quad_plain(n + 4).truncate(n)
     assert variant.truncate(n) == _variant_quad_plain(n + 4).truncate(n)
-    # a sum of leaves is exact on any block too
+    # a sum of leaves reads its block only
     dg, _, upb = _plain_leaves(n + 1)
     got = (upper_bidiagonal(guarded("c"), guarded("d")) + diagonal(guarded("a"))).truncate(n + 1)
     assert got == upb(_sym("c"), _sym("d")) + dg(_sym("a"))
@@ -1294,24 +1298,31 @@ def test_a_lone_leaf_reads_no_row_past_its_block(n):
 
 def test_block_evaluates_a_shared_leaf_once_per_width():
     # L1 and L2 each appear in two terms of P = L1 U L2 + L1 D1 + D2 L2,
-    # yet each leaf is built once on the 7 rows of truncate(6)
+    # yet each sequence index is read once: truncate(6) reads a_0..a_5,
+    # e_0..e_5, b_1..b_5 and f_1..f_6 (U's superdiagonal reaches row 6 of L2)
     reads = collections.Counter()
 
     def counted(prefix):
         def at(i):
-            reads[prefix] += 1
+            reads[prefix, i] += 1
             return Poly.var(f"{prefix}{i}")
         return at
 
-    got = general_quad_factors(_quad_general(counted))["P"].truncate(6)
-    assert (reads["a"], reads["e"], reads["b"], reads["f"]) == (7, 7, 6, 6)
+    p = general_quad_factors(_quad_general(counted))["P"]
+    got = p.truncate(6)
+    want = {("a", i) for i in range(6)} | {("e", i) for i in range(6)} \
+        | {("b", i) for i in range(1, 6)} | {("f", i) for i in range(1, 7)}
+    assert {key for key in reads if key[0] in "abef"} == want
+    assert set(reads.values()) == {1}
     assert got == general_quad_factors(_quad_general(_sym))["P"].truncate(6)
+    before = reads.copy()
+    assert p.truncate(6) == got and p.truncate(4) == got.truncate(4)
+    assert reads == before  # a second block, or a smaller one, reads nothing new
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_variant_quad_expression_reads_n_plus_one_rows(n):
     m = variant_quad_factors(_quad_variant(lambda prefix: _guarded(_sym(prefix), n + 1)))
-    assert m["P"].up == 1
     assert m["P"].truncate(n) == _variant_quad_plain(n + 4).truncate(n)
 
 
@@ -1332,7 +1343,6 @@ def test_sfraction_word_reads_n_plus_one_rows(m, j, unit):
         want = l_factor(r) * want
     for r in range(1, j + 1):
         want = want * l_factor(r)
-    assert word.up == 1
     assert word.truncate(n) == want.truncate(n)
 
 
@@ -1425,6 +1435,22 @@ def _product_entry(n, k):
     return c(n) * lower.get((n, k), zero) + d(n) * lower.get((n + 1, k), zero)
 
 
+def _lower_entry(n, k):
+    """Entry (n, k) of lower_bidiagonal(a, b)."""
+    return _sym("a")(n) if k == n else (_sym("b")(n) if k == n - 1 else Poly.zero())
+
+
+def _upper_entry(n, k):
+    """Entry (n, k) of upper_bidiagonal(c, d)."""
+    return _sym("c")(n) if k == n else (_sym("d")(n) if k == n + 1 else Poly.zero())
+
+
+def _times(left, right):
+    """Entry function of left * right, for entry functions that vanish past
+    the superdiagonal: row n of left meets rows 0..n+1 of right."""
+    return lambda n, k: Poly.dot((left(n, j), right(j, k)) for j in range(n + 2))
+
+
 def _plain_entry(plain):
     """Entry function of a plain 10 x 10 product, exact on its first 9 rows."""
     block = functools.cache(lambda: plain(10))
@@ -1440,6 +1466,12 @@ PROTOCOL_CASES = {
     "sum": (lambda seq: lower_bidiagonal(seq("a"), seq("b")) + diagonal(seq("d")), _sum_entry),
     "product": (lambda seq: upper_bidiagonal(seq("c"), seq("d"))
                 * lower_bidiagonal(seq("a"), seq("b")), _product_entry),
+    "spec+lower": (lambda seq: DiagonalPolySpec(2, SPEC_FS) + lower_bidiagonal(seq("a"), seq("b")),
+                   lambda n, k: _spec_entry(n, k) + _lower_entry(n, k)),
+    "spec*upper": (lambda seq: DiagonalPolySpec(2, SPEC_FS) * upper_bidiagonal(seq("c"), seq("d")),
+                   _times(_spec_entry, _upper_entry)),
+    "upper*spec": (lambda seq: upper_bidiagonal(seq("c"), seq("d")) * DiagonalPolySpec(2, SPEC_FS),
+                   _times(_upper_entry, _spec_entry)),
     "quad-general": (lambda seq: build_general_quad(_quad_general(seq)),
                      _plain_entry(_general_quad_plain)),
     "quad-variant": (lambda seq: build_variant_quad(_quad_variant(seq)),
@@ -1464,23 +1496,54 @@ def test_truncate_refuses_a_negative_size_before_any_read(name, monkeypatch):
         return lambda i: reads.append((prefix, i)) or _sym(prefix)(i)
 
     m = PROTOCOL_CASES[name][0](recorded)
-    init, call = Truncation.__init__, DiagonalPolySpec.__call__
-    # a read is a sequence value, a spec entry or a new Truncation
+    init = Truncation.__init__
+    # a read is a sequence value, a row of a diagonal or a new Truncation
     monkeypatch.setattr(Truncation, "__init__",
-                        lambda t, data: reads.append("build") or init(t, data))
-    monkeypatch.setattr(DiagonalPolySpec, "__call__",
-                        lambda p, n, k: reads.append((n, k)) or call(p, n, k))
+                        lambda t, *args: reads.append("build") or init(t, *args))
+    before = _diagonal_reads(m)
     for rows, cols in ((-1, None), (2, -1), (-1, 2), (-2, -3)):
         shape = f"{rows}x{rows if cols is None else cols}"
         with pytest.raises(ValueError, match=rf"^requested a {shape} block$"):
             m.truncate(rows, cols)
-    assert reads == []
+    assert reads == [] and _diagonal_reads(m) == before
     m.truncate(2, 3)
     assert reads  # the recorders see a read
     monkeypatch.undo()
     # size zero is still the empty matrix
     assert m.truncate(0) == Truncation([])
     assert m.truncate(2, 0).rows == 2
+
+
+# name -> a block with no rows and 3 columns
+NO_ROW_BLOCKS = {
+    "zero": lambda: Truncation.zero(0, 3),
+    "from_fn": lambda: Truncation.from_fn(0, 3, _t_entry),
+    "identity": lambda: Truncation.identity(3).truncate(0, 3),
+    "output": lambda: output_matrix(delta_matrix(), 0, 3),
+    "production": lambda: production_of(Truncation([[1, 0, 0]])),
+    "json": lambda: Truncation.from_json_obj({"rows": 0, "cols": 3, "entries": []}),
+    **{f"lazy-{name}": lambda build=build: build(_sym).truncate(0, 3)
+       for name, (build, _) in PROTOCOL_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_ROW_BLOCKS))
+def test_a_block_with_no_rows_keeps_its_column_count(name):
+    t = NO_ROW_BLOCKS[name]()
+    assert (t.rows, t.cols) == (0, 3)
+    assert json.loads(t.to_json()) == {"rows": 0, "cols": 3, "entries": []}
+    assert Truncation.from_json_obj(t.to_json_obj()) == t
+    assert t.transpose().transpose() == t and (t.transpose().rows, t.transpose().cols) == (3, 0)
+    assert t != Truncation([])
+
+
+def test_truncation_refuses_columns_that_disagree_with_its_rows():
+    with pytest.raises(ValueError, match="ragged"):
+        Truncation([[1, 2]], 3)
+    with pytest.raises(ValueError, match="^requested a 0x-1 block$"):
+        Truncation([], -1)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Truncation.from_json_obj({"rows": 0, "cols": 2, "entries": [[]]})
 
 
 def test_truncation_refuses_a_block_past_its_stored_one():
@@ -1526,7 +1589,8 @@ def test_leaves_build_their_zeros_without_coercion(monkeypatch):
     monkeypatch.setattr(matrices, "_p", counted)
     al, u = _sym("al"), Poly.var("u")
     for m in (diagonal(al), lower_bidiagonal(al, al), upper_bidiagonal(al, al),
-              hessenberg(lambda n, k: al(n + k)), sfraction_word(al, 1, 0, Poly.one()),
+              Banded({d: lambda n, d=d: al(2 * n - d) for d in (-1, 0, 1)}),
+              sfraction_word(al, 1, 0, Poly.one()),
               sfraction_word(al, 2, 1, u)):
         m.truncate(6)
     Truncation.zero(3, 4)

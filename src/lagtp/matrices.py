@@ -23,9 +23,11 @@ The symbolic scan runs on one of two representations, chosen from the
 matrix.  When every coefficient is an integer and the exponent box read off
 the rows is small (at most ``_PACK_BITS`` bits when packed), each entry is
 packed into one integer, a coefficient per fixed-width slot, and a minor's
-signs are read with one addition and one AND; the failing minor, if any,
-is recomputed as a Poly.  Every other matrix is scanned as dicts of local
-monomial keys.  Both give the same reports.
+signs are read with one AND; the failing minor, if any, is recomputed as
+a Poly.  Every other matrix is scanned as dicts of local monomial keys.
+Both give the same reports.  On a square Hankel grid the scan computes
+each distinct minor once, and the sampled scan scans each distinct
+assignment of the variables once.
 """
 
 from __future__ import annotations
@@ -574,6 +576,45 @@ def _index_sets_colex(n: int, size: int) -> tuple:
     return tuple(sorted(itertools.combinations(range(n), size), key=lambda c: c[::-1]))
 
 
+@functools.lru_cache(maxsize=128)
+def _colex_plan(n: int, size: int) -> tuple:
+    """(drops, heads), lists indexed by the colex rank of a size-subset of
+    range(n): drops[i] holds the ranks of the (size-1)-subsets of set i,
+    one per dropped index, in order; heads[i] is (first index, rank of the
+    rest) of set i."""
+    sets = _index_sets_colex(n, size)
+    rank = {s: i for i, s in enumerate(_index_sets_colex(n, size - 1))}
+    drops = [[rank[s[:t] + s[t + 1:]] for t in range(size)] for s in sets]
+    return drops, [(s[0], d[0]) for s, d in zip(sets, drops)]
+
+
+@functools.lru_cache(maxsize=128)
+def _hankel_copies(n: int, size: int) -> list:
+    """Where the scan of an n x n Hankel grid first meets each minor of
+    this size: by row rank, then column rank, None at the first copy in
+    scan order, else the (row rank, column rank) of that first copy.
+
+    The minor on rows R and columns C equals the one on (R - t, C + t)
+    and, a Hankel grid being symmetric, the one on (C, R).  Among the
+    shifts of (R, C) the first in colex order moves R as far up as C
+    allows, since each step up lowers R's largest index; so the first copy
+    is the earlier of that shift and the same shift of (C, R).
+    """
+    sets = _index_sets_colex(n, size)
+    rank = {s: i for i, s in enumerate(sets)}
+    # the ranks of each set moved up, or down, by every t that keeps it in range(n)
+    up = [[rank[tuple([i - t for i in s])] for t in range(s[0] + 1)] for s in sets]
+    down = [[rank[tuple([i + t for i in s])] for t in range(n - s[-1])] for s in sets]
+
+    def first(r, c):
+        t = min(len(up[r]), len(down[c])) - 1
+        return up[r][t], down[c][t]
+
+    return [[None if src == (r, c) else src
+             for c in range(len(sets)) for src in [min(first(r, c), first(c, r))]]
+            for r in range(len(sets))]
+
+
 def _sample_dot(pairs) -> list:
     """The sum of a * b over (a, b) pairs of equal-length lists of numbers,
     elementwise; a pair with an all-zero list is skipped, as ``Poly.dot``
@@ -598,36 +639,52 @@ def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, neg, nonn
     A minor of size s > 1 is expanded along its first column,
     M(r, c) = sum_t (-1)^t g[r_t][c_0] M(r - r_t, c[1:]), over the size-(s-1)
     minors kept from the previous size, as one ``dot`` of (entry, minor)
-    pairs; ``neg`` negates an entry.  Only one level is kept, and the
-    largest size is not kept at all.  The same scan serves Poly grids
-    (``Poly.dot``), packed integers (``_int_dot``) and grids of sample
-    lists (``_sample_dot``: each minor is the list of its values over a
-    block of samples).
+    pairs; ``neg`` negates an entry.  Each level is kept as lists indexed
+    by row rank, then column rank, and the ranks of r - r_t and c[1:] come
+    from ``_colex_plan``.  Only one level is kept, and the largest size is
+    not kept, except on a square Hankel grid (g[i][k] = g[i+1][k-1]
+    throughout, found by O(n^2) comparisons): there each minor is computed
+    only at its first copy in scan order (``_hankel_copies``) and read back
+    from the kept level at every later copy.  Every minor, reused or not,
+    goes through ``nonneg`` and counts in ``checked``.  The same scan serves
+    Poly grids (``Poly.dot``), packed integers (``_int_dot``) and grids of
+    sample lists (``_sample_dot``: each minor is the list of its values
+    over a block of samples).
     """
     top = min(order, rows, cols)
     negated = [[neg(e) for e in row] for row in grid] if top > 1 else None
+    hankel = top > 1 and rows == cols and all(
+        grid[i][k] == grid[i + 1][k - 1] for i in range(rows - 1) for k in range(1, cols))
     checked = 0
-    prev: dict = {}
+    prev: list = []
     for size in range(1, top + 1):
-        keep = size < top
-        cur: dict = {}
+        keep = size < top or hankel
+        cur: list = []
         colsets = _index_sets_colex(cols, size)
-        for r in _index_sets_colex(rows, size):
-            kept = cur[r] = {}
-            # ((-1)^t times row r_t, the cached minors on the rows r - r_t)
-            drops = [(negated[r[t]] if t & 1 else grid[r[t]], prev[r[:t] + r[t + 1:]])
-                     for t in range(size)] if size > 1 else ()
-            for c in colsets:
-                if size == 1:
-                    minor = grid[r[0]][c[0]]
-                else:
-                    c0, rest = c[0], c[1:]
+        heads = _colex_plan(cols, size)[1]
+        copies = (_hankel_copies(rows, size) if hankel and size > 1
+                  else itertools.repeat([None] * len(heads)))
+        for r, rdrops, row_copies in zip(_index_sets_colex(rows, size), _colex_plan(rows, size)[0],
+                                         copies):
+            kept: list = []
+            if keep:
+                cur.append(kept)
+            # ((-1)^t times row r_t, the kept minors on the rows r - r_t)
+            drops = [(negated[i] if t & 1 else grid[i], prev[d])
+                     for t, (i, d) in enumerate(zip(r, rdrops))] if size > 1 else ()
+            first_row = grid[r[0]]
+            for c, (c0, rest), copy in zip(colsets, heads, row_copies):
+                if copy is not None:
+                    minor = cur[copy[0]][copy[1]]
+                elif drops:
                     minor = dot((row[c0], below[rest]) for row, below in drops)
+                else:
+                    minor = first_row[c0]
                 checked += 1
                 if not nonneg(minor):
                     return checked, (r, c, minor)
                 if keep:
-                    kept[c] = minor
+                    kept.append(minor)
         prev = cur
     return checked, None
 
@@ -701,7 +758,8 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
 
     Minors come from ``_first_negative_minor`` in colex order and the scan
     short-circuits on the first offending minor, which is returned in the
-    report.
+    report.  On a square Hankel matrix each distinct minor is computed
+    once, at its first copy in colex order, and reused at the others.
 
     The entries are re-keyed once onto the variables the matrix uses
     (``polyring._local_keys``), so every product in the scan works on keys
@@ -711,16 +769,18 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
 
     When ``_packing`` finds a small enough box, each entry becomes one
     integer (a Kronecker substitution: slot i of ``width`` bits holds a
-    coefficient) and the scan multiplies integers.  No carry crosses a
-    slot, so with OFF holding 2^(width-1) in every slot a minor has no
-    negative coefficient iff (minor + OFF) & OFF == OFF: one addition and
-    one AND.  The failing minor is recomputed: the same scan runs on its
-    own submatrix of local-key Polys, where it fails first, since every
-    smaller minor passed.  Other matrices (a ``Fraction`` coefficient,
-    many variables, high degrees) are scanned as dicts of local keys.  An
-    exponent overflow on local keys would name a local field, so that scan
-    is then run again on the process keys, where it overflows at the same
-    product and the error names the real variable.
+    coefficient) and the scan multiplies integers.  With OFF holding
+    2^(width-1) in every slot, a minor has no negative coefficient iff
+    minor & OFF == 0, one AND: with no negative slot every slot's top bit
+    is clear, and otherwise the lowest negative slot, which takes no borrow
+    from below, has its top bit set.  The failing minor is recomputed: the
+    same scan runs on its own submatrix of local-key Polys, where it fails
+    first, since every smaller minor passed.  Other matrices (a
+    ``Fraction`` coefficient, many variables, high degrees) are scanned as
+    dicts of local keys.  An exponent overflow on local keys would name a
+    local field, so that scan is then run again on the process keys, where
+    it overflows at the same product and the error names the real
+    variable.
     """
     if order < 1:  # an empty scan would certify any matrix
         raise ValueError("order must be at least 1")
@@ -739,7 +799,7 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
         off = ((1 << width * math.prod(dims)) - 1) // ((1 << width) - 1) << (width - 1)
         packed = [[_pack(e, width, dims) for e in row] for row in grid]
         checked, bad = _first_negative_minor(packed, m.rows, m.cols, order, _int_dot,
-                                             operator.neg, lambda v: (v + off) & off == off)
+                                             operator.neg, lambda v: not v & off)
         if bad is not None:
             rows, cols, _ = bad
             size = len(rows)
@@ -793,11 +853,14 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
     A failure reports the first negative minor by sample, then in colex
     order, with its substitution; ``checked`` and the witness are those of
     a scan sample by sample.  A non-integer entry raises ``ValueError``
-    once every earlier sample has passed.  The samples are scanned in
-    blocks of ``_SAMPLE_BLOCK``: the entries are evaluated once per block
-    (``polyring._values``), and each minor is one ``_sample_dot`` over the
-    block.  A scan that fails at a sample s > 0 is run again on the samples
-    before s.
+    once every earlier sample has passed.  The samples are drawn in blocks
+    of ``_SAMPLE_BLOCK``, and only the distinct assignments of a block are
+    evaluated and scanned, in the order of their first occurrence: the
+    entries once per block (``polyring._values``), each minor as one
+    ``_sample_dot`` over the assignments.  A scan that fails at an
+    assignment k > 0 is run again on the assignments before k.  The
+    earliest failing sample is then the first occurrence of the earliest
+    failing assignment.
     """
     if order < 1 or samples < 1:  # an empty scan would certify any matrix
         raise ValueError("order and samples must be at least 1")
@@ -809,29 +872,35 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
     top = min(order, m.rows, m.cols)
     per_sample = sum(math.comb(m.rows, s) * math.comb(m.cols, s) for s in range(1, top + 1))
     for start in range(0, samples, _SAMPLE_BLOCK):
-        envs = [{v: SAMPLE_VALUES[rng.next_small()] for v in names}
-                for _ in range(min(_SAMPLE_BLOCK, samples - start))]
+        # the block's distinct assignments, by first occurrence: firsts maps
+        # each to the first sample that draws it
+        firsts: dict = {}
+        for s in range(min(_SAMPLE_BLOCK, samples - start)):
+            firsts.setdefault(tuple([SAMPLE_VALUES[rng.next_small()] for _ in names]), s)
+        envs = [dict(zip(names, key)) for key in firsts]
         values = _values(entries, envs)
-        # the first sample of the block with a non-integer entry, if any
-        cut = min((s for i in rational for s, v in enumerate(values[i]) if type(v) is not int),
+        # the first assignment with a non-integer entry, if any
+        cut = min((k for i in rational for k, v in enumerate(values[i]) if type(v) is not int),
                   default=len(envs))
-        # the scan stops at the first minor negative under some sample s; an
-        # earlier sample can fail only later in the scan, so the samples
-        # before s are scanned again until none of them fails
-        found, limit = None, cut
+        # the scan stops at the first minor negative under some assignment k;
+        # an earlier one can fail only later in the scan, so the assignments
+        # before k are scanned again until none of them fails
+        found, limit, width = None, cut, len(envs)
         while limit:
-            grid = [[v[:limit] for v in values[i * m.cols:(i + 1) * m.cols]]
-                    for i in range(m.rows)]
+            if limit < width:
+                values, width = [v[:limit] for v in values], limit
+            grid = [values[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
             checked, bad = _first_negative_minor(grid, m.rows, m.cols, order, _sample_dot,
                                                  _sample_neg, lambda v: min(v) >= 0)
             if bad is None:
                 break
-            limit = next(s for s, v in enumerate(bad[2]) if v < 0)
+            limit = next(k for k, v in enumerate(bad[2]) if v < 0)
             found = limit, checked, bad
         if found is not None:
-            s, checked, (rows, cols, minor) = found
-            return TPReport(False, order, "sampled", (start + s) * per_sample + checked,
-                            TPWitness(rows, cols, minor[s], envs[s], start + s), meta=meta)
+            k, checked, (rows, cols, minor) = found
+            s = start + list(firsts.values())[k]
+            return TPReport(False, order, "sampled", s * per_sample + checked,
+                            TPWitness(rows, cols, minor[k], envs[k], s), meta=meta)
         if cut < len(envs):
             raise ValueError("sampled TP check needs integer-valued entries")
     return TPReport(True, order, "sampled", samples * per_sample, meta=meta)

@@ -470,6 +470,24 @@ def _swap_adjacent_rows(m, i):
     return m.submatrix(rows, range(m.cols))
 
 
+CATALAN = (1, 1, 2, 5, 14, 42, 132)  # its 4x4 Hankel matrix is TP
+
+# {kind: (index, value, planted, first)}: lowering the Catalan number at
+# ``index`` to ``value`` makes the minor on ``planted`` (rows, cols)
+# negative; ``first``, its copy shifted up one row and right one column
+# or its transpose, comes before it in colex order and fails first
+PLANTED_HANKELS = {
+    "shifted": (5, 24, ((1, 3), (0, 2)), ((0, 2), (1, 3))),
+    "transposed": (4, 9, ((1, 3), (0, 1)), ((0, 1), (1, 3))),
+}
+
+
+def _planted_hankel(index, value):
+    seq = list(CATALAN)
+    seq[index] = value
+    return hankel_truncation(seq, 4)
+
+
 def _scan_cases():
     rng = random.Random(20231)
     cases = []
@@ -508,6 +526,12 @@ def _scan_cases():
         tri = SRTriangles(SRCoeffs.symbolic(m), max_j=m + 1)
         seq = [tri.value(m + 1, i, 0) for i in range(5)]
         cases.append((f"type-{m + 1}-hankel-m{m}", hankel_truncation(seq, 3), 3))
+    # Hankel grids, where the scan computes each distinct minor once
+    for odds in (0.0, 0.1, 0.5):
+        seq = [_rand_poly(rng, odds) for _ in range(9)]
+        cases.append((f"hankel5-odds{odds}", hankel_truncation(seq, 5), 4))
+    for name, (index, value, _, _) in PLANTED_HANKELS.items():
+        cases.append((f"hankel4-planted-{name}", _planted_hankel(index, value), 4))
     return cases
 
 
@@ -551,6 +575,136 @@ def test_sampled_scan_matches_fraction_reference(name, m, order):
     assert _summary(report) == _reference_sampled(m, order, seed=7, samples=8)
     if report.witness is not None:
         assert type(report.witness.minor) is int
+
+
+# -- each distinct Hankel minor computed once -------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(PLANTED_HANKELS))
+def test_hankel_scan_names_the_colex_first_copy_of_a_planted_minor(kind):
+    index, value, planted, first = PLANTED_HANKELS[kind]
+    rows, cols = planted
+    if kind == "shifted":
+        assert first == (tuple(i - 1 for i in rows), tuple(j + 1 for j in cols))
+    else:
+        assert first == (cols, rows)
+    m = _planted_hankel(index, value)
+    minor = _leibniz_det(m.submatrix(rows, cols))
+    assert minor.as_constant() < 0
+    assert _leibniz_det(m.submatrix(*first)) == minor
+    scan_order = list(_minors_in_scan_order(4, 4, 4))
+    assert scan_order.index(first) < scan_order.index(planted)
+    report = tp_check_symbolic(m, 4)
+    assert (report.witness.rows, report.witness.cols, report.witness.minor) == (*first, minor)
+    assert report.to_json() == _reference_report(m, 4).to_json() == _dict_path_json(m, 4)
+    sampled = tp_check_sampled(m, 4, seed=1, samples=3)
+    assert (sampled.witness.rows, sampled.witness.cols) == first
+    assert _summary(sampled) == _reference_sampled(m, 4, seed=1, samples=3)
+
+
+def _counting_dot(calls):
+    def dot(pairs):
+        calls.append(1)
+        return sum(a * b for a, b in pairs)
+    return dot
+
+
+@pytest.mark.parametrize("n,order,checked,distinct",
+                         [(4, 3, 68, 35), (5, 3, 225, 98), (6, 3, 661, 251), (7, 4, 2940, 1104)])
+def test_hankel_scan_computes_each_distinct_minor_once(n, order, checked, distinct):
+    # the 2n - 1 distinct entries are read; every other distinct minor is one dot
+    grid = [[i + k for k in range(n)] for i in range(n)]
+    calls = []
+    scan = lambda: _first_negative_minor(grid, n, n, order, _counting_dot(calls), operator.neg,
+                                         lambda v: True)
+    assert scan() == (checked, None)
+    assert len(calls) + 2 * n - 1 == distinct
+    # off the Hankel structure every minor of size > 1 is computed
+    grid[n - 1][0] += 1
+    calls.clear()
+    assert scan() == (checked, None)
+    assert len(calls) == checked - n * n
+
+
+# -- the sampled scan on distinct assignments -------------------------------------
+
+
+def _repeated_assignment_cases():
+    """{name: matrix whose only negative minor is negative at one assignment
+    of the sample values}: f is -2 at x = 2 and 0 at x = 0, 1, 3; g is 6 at
+    y = 3 and 0 at y = 0, 1, 2."""
+    y = Poly.var("y")
+    f = x * (x - 1) * (x - 3)
+    g = y * (y - 1) * (y - 2)
+    return {
+        "one-variable": Truncation([[1, 1], [1, 2 + f]]),  # the 2x2 minor 1 + f
+        # the 2x2 minor on rows and columns 0, 1 is 11 + fg
+        "two-variable": Truncation([[1, 1, 0], [1, 12 + f * g, 0], [0, 0, 1 + y]]),
+    }
+
+
+def _draws(names, seed, samples):
+    rng = XorShift64(seed)
+    return [{v: SAMPLE_VALUES[rng.next_small()] for v in names} for _ in range(samples)]
+
+
+@pytest.mark.parametrize("name", ["one-variable", "two-variable"])
+def test_sampled_scan_of_repeated_assignments_matches_the_reference(name):
+    m = _repeated_assignment_cases()[name]
+    samples, repeated = 100, 0
+    for seed in range(1, 51):
+        report = tp_check_sampled(m, 3, seed, samples)
+        assert _summary(report) == _reference_sampled(m, 3, seed, samples)
+        assert not report.ok
+        s = report.witness.sample_index
+        draws = _draws(m.variables(), seed, samples)
+        # the failing assignment first appears at s > 0 (sample 0 has x = 0)
+        assert s > 0 and draws.index(report.witness.assignment) == s
+        block_end = (s // _SAMPLE_BLOCK + 1) * _SAMPLE_BLOCK
+        repeated += report.witness.assignment in draws[s + 1:block_end]
+    # almost every failing assignment repeats later in its block
+    assert repeated >= 45
+
+
+def test_sampled_scan_evaluates_each_distinct_assignment_once(monkeypatch):
+    y = Poly.var("y")
+    m = Truncation([[1 + x, y], [0, 1 + y]])
+    seen = []
+    values = matrices._values
+    monkeypatch.setattr(matrices, "_values",
+                        lambda entries, envs: seen.append(envs) or values(entries, envs))
+    samples = 2 * _SAMPLE_BLOCK + 22
+    report = tp_check_sampled(m, 2, seed=3, samples=samples)
+    assert report.ok and report.checked == samples * 5
+    draws = _draws(("x", "y"), 3, samples)
+    want = []
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        want.append([])
+        for env in draws[start:start + _SAMPLE_BLOCK]:
+            if env not in want[-1]:
+                want[-1].append(env)
+    assert seen == want
+    assert all(len(envs) <= 16 for envs in seen)
+
+
+def test_sampled_scan_of_repeated_assignments_raises_only_after_earlier_samples_pass():
+    # the 2x2 minor 1 + f fails at x = 2; y/2 is not an integer at odd y
+    y = Poly.var("y")
+    f = x * (x - 1) * (x - 3)
+    m = Truncation([[1, 1, 0], [1, 2 + f, 0], [0, 0, y.scale(Fraction(1, 2))]])
+    seen = collections.Counter()
+    for seed in range(1, 51):
+        got = _sampled_agrees(m, 3, seed, 100)
+        first_rational = _first_sample_where(m, seed, 100, lambda env: env["y"] % 2)
+        first_failing = _first_sample_where(m, seed, 100, lambda env: env["x"] == 2)
+        if got[0] == "ValueError":  # a sample with both raises
+            assert first_failing is None or first_rational <= first_failing
+            seen["raises at sample 0" if first_rational == 0 else "raises later"] += 1
+        else:
+            assert got[2][4] == first_failing
+            assert first_rational is None or first_failing < first_rational
+            seen["witness"] += 1
+    assert set(seen) == {"raises at sample 0", "raises later", "witness"}, seen
 
 
 # -- the sampled scan's block structure -------------------------------------------
@@ -1155,6 +1309,43 @@ def test_packed_coefficient_bound_holds_at_its_edge(tp):
     if not tp:
         assert report.witness.minor == -15 * x * y
     assert report.to_json() == _dict_path_json(m, 2)
+
+
+def _slots_off(width, box):
+    """OFF: 2^(width-1) in each of ``box`` slots of ``width`` bits."""
+    return ((1 << width * box) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+@pytest.mark.parametrize("name,coeffs", [
+    ("borrow", (-3, 1, 2)),  # a negative lowest slot under positive higher slots
+    ("negative-top", (3, 0, -1)),  # the packed integer is negative
+    ("zero", (0, 0, 0)),
+    ("all-positive", (3, 1, 2)),
+])
+def test_one_and_sign_test_agrees_with_the_offset_test(name, coeffs):
+    width = 3  # every coefficient below 2^(width-1) = 4 in magnitude
+    off = _slots_off(width, len(coeffs))
+    v = sum(c << width * i for i, c in enumerate(coeffs))
+    assert (v < 0) == (name == "negative-top") and (v == 0) == (name == "zero")
+    assert (not v & off) == ((v + off) & off == off) == (min(coeffs) >= 0)
+    # and on every packed value of three slots of that width
+    for cs in itertools.product(range(-3, 4), repeat=3):
+        v = sum(c << width * i for i, c in enumerate(cs))
+        assert (not v & off) == ((v + off) & off == off) == (min(cs) >= 0), cs
+
+
+@pytest.mark.parametrize("entries,order,ok", [
+    ([[-1 + 2 * x]], 1, False),  # the borrow case
+    ([[1 - x]], 1, False),  # a negative top slot
+    ([[x, x], [x, x]], 2, True),  # a zero 2x2 minor
+    ([[1 + x, x], [1, 1 + x]], 2, True),  # the 2x2 minor 1 + x + x^2
+])
+def test_packed_sign_test_reports_as_the_dict_path(entries, order, ok):
+    m = Truncation(entries)
+    assert _plan(m, order) is not None
+    report = tp_check_symbolic(m, order)
+    assert report.ok == ok
+    assert report.to_json() == _dict_path_json(m, order)
 
 
 def test_packed_witness_decodes_its_first_and_last_slots():

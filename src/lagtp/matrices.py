@@ -17,17 +17,18 @@ iteration and conjugation routines are arranged so that every returned
 entry is independent of anything outside the working block (truncation is
 exact, never approximate).
 
-Every TP scan, symbolic or sampled, is one minor scan,
-``_first_negative_minor``, given its product, negation and sign test.
-The symbolic scan runs on one of two representations, chosen from the
-matrix.  When every coefficient is an integer and the exponent box read off
-the rows is small (at most ``_PACK_BITS`` bits when packed), each entry is
-packed into one integer, a coefficient per fixed-width slot, and a minor's
-signs are read with one AND; the failing minor, if any, is recomputed as
-a Poly.  Every other matrix is scanned as dicts of local monomial keys.
-Both give the same reports.  On a square Hankel grid the scan computes
-each distinct minor once, and the sampled scan scans each distinct
-assignment of the variables once.
+Every TP scan is a minor scan given its product, negation and sign test,
+``_first_negative_minor``, or ``_first_negative_lane`` for a non-Hankel
+grid of sample lists, which builds a row set's minors a column block at a
+time.  The symbolic scan runs on one of two representations, chosen from
+the matrix.  When every coefficient is an integer and the exponent box
+read off the rows is small (at most ``_PACK_BITS`` bits when packed), each
+entry is packed into one integer, a coefficient per fixed-width slot, and
+a minor's signs are read with one AND; the failing minor, if any, is
+recomputed as a Poly.  Every other matrix is scanned as dicts of local
+monomial keys.  Both give the same reports.  On a square Hankel grid the
+scan computes each distinct minor once, and the sampled scan scans each
+distinct assignment of the variables once.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import (FIELD_BITS, Poly, PolyLike, _FIELD_MASK, _local_keys, _p, _values,
-                       power_table)
+from .polyring import (FIELD_BITS, Poly, PolyLike, _FIELD_MASK, _finish, _local_keys, _p,
+                       _values, power_table)
 
 
 class NonUnitDiagonalError(ValueError):
@@ -144,11 +145,12 @@ class Truncation:
                    default=0)
 
     def variables(self) -> tuple:
-        names: set = set()
+        used = 0
         for row in self.data:
             for e in row:
-                names.update(e.vars)
-        return tuple(sorted(names))
+                for k in e.num:
+                    used |= k
+        return _finish({used: 1}).vars  # the monomial with every field an entry uses
 
     def to_json_obj(self) -> dict:
         return {
@@ -615,6 +617,12 @@ def _hankel_copies(n: int, size: int) -> list:
             for r in range(len(sets))]
 
 
+def _is_hankel(grid, rows: int, cols: int) -> bool:
+    """Whether the grid is square with g[i][k] = g[i+1][k-1] throughout."""
+    return rows == cols and all(
+        grid[i][k] == grid[i + 1][k - 1] for i in range(rows - 1) for k in range(1, cols))
+
+
 def _sample_dot(pairs) -> list:
     """The sum of a * b over (a, b) pairs of equal-length lists of numbers,
     elementwise; a pair with an all-zero list is skipped, as ``Poly.dot``
@@ -647,14 +655,14 @@ def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, neg, nonn
     only at its first copy in scan order (``_hankel_copies``) and read back
     from the kept level at every later copy.  Every minor, reused or not,
     goes through ``nonneg`` and counts in ``checked``.  The same scan serves
-    Poly grids (``Poly.dot``), packed integers (``_int_dot``) and grids of
-    sample lists (``_sample_dot``: each minor is the list of its values
-    over a block of samples).
+    Poly grids (``Poly.dot``), packed integers (``_int_dot``) and Hankel
+    grids of sample lists (``_sample_dot``: each minor is the list of its
+    values over a block of samples); ``_first_negative_lane`` scans every
+    other grid of sample lists, with the same result.
     """
     top = min(order, rows, cols)
     negated = [[neg(e) for e in row] for row in grid] if top > 1 else None
-    hankel = top > 1 and rows == cols and all(
-        grid[i][k] == grid[i + 1][k - 1] for i in range(rows - 1) for k in range(1, cols))
+    hankel = top > 1 and _is_hankel(grid, rows, cols)
     checked = 0
     prev: list = []
     for size in range(1, top + 1):
@@ -685,6 +693,53 @@ def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, neg, nonn
                     return checked, (r, c, minor)
                 if keep:
                     kept.append(minor)
+        prev = cur
+    return checked, None
+
+
+def _first_negative_lane(grid, rows: int, cols: int, order: int, lanes: int) -> tuple:
+    """``_first_negative_minor`` for a grid of sample lists of ``lanes``
+    values each, a column block at a time.
+
+    The minors on a row set r of size s are one flat list, colex column
+    sets by lanes, each expanded along its last column l:
+    M(r, c) = sum_t (-1)^(t+s-1) g[r_t][l] M(r - r_t, c[:-1]).  The C(l, s-1)
+    sets that end at l are contiguous in colex order and their rests are
+    the first C(l, s-1) sets of size s-1, a prefix of the list kept for
+    r - r_t; so block l is one ``map`` per nonzero g[r_t][l], of its signed
+    lanes repeated C(l, s-1) times with that list (``map`` stops at the
+    shorter one).  One ``min`` tests a row set; the index of its first
+    negative value, over ``lanes``, is the colex rank of the failing set.
+    """
+    top = min(order, rows, cols)
+    live = [[e if any(e) else None for e in row] for row in grid]  # None for a zero entry
+    signed = live, [[e and [-v for v in e] for e in row] for row in live]
+    checked = 0
+    prev: list = [[1] * lanes]  # the one minor of size 0
+    for size in range(1, top + 1):
+        colsets = _index_sets_colex(cols, size)
+        # by the sign (-1)^(t+s-1), + then -: each entry's lanes, signed and
+        # repeated C(column, s-1) times
+        counts = [math.comb(l, size - 1) for l in range(cols)]
+        reps = [[[e and e * n for e, n in zip(row, counts)] for row in g] for g in signed]
+        cur: list = []
+        for r, rdrops in zip(_index_sets_colex(rows, size), _colex_plan(rows, size)[0]):
+            terms = [(reps[(t + size - 1) & 1][i], prev[d])
+                     for t, (i, d) in enumerate(zip(r, rdrops))]
+            flat = []
+            for l in range(size - 1, cols):
+                block = None
+                for row, below in terms:
+                    if row[l] is not None:
+                        prod = map(operator.mul, row[l], below)
+                        block = prod if block is None else map(operator.add, block, prod)
+                flat += [0] * (counts[l] * lanes) if block is None else block
+            if min(flat) < 0:
+                c = next(i for i, v in enumerate(flat) if v < 0) // lanes
+                return checked + c + 1, (r, colsets[c], flat[c * lanes:(c + 1) * lanes])
+            checked += len(colsets)
+            if size < top:
+                cur.append(flat)
         prev = cur
     return checked, None
 
@@ -842,6 +897,18 @@ class XorShift64:
         return self.next_u64() >> 62
 
 
+def _small_draws(rng: XorShift64, count: int) -> list:
+    """The next ``count`` values of ``rng.next_small()``, in one loop on its state."""
+    x, mask, out = rng.state, XorShift64.MASK, []
+    for _ in range(count):
+        x ^= (x << 13) & mask
+        x ^= x >> 7
+        x ^= (x << 17) & mask
+        out.append(x >> 62)
+    rng.state = x
+    return out
+
+
 SAMPLE_VALUES = (0, 1, 2, 3)
 _SAMPLE_BLOCK = 64  # samples scanned together: bounds the kept minors' lists
 
@@ -854,13 +921,14 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
     order, with its substitution; ``checked`` and the witness are those of
     a scan sample by sample.  A non-integer entry raises ``ValueError``
     once every earlier sample has passed.  The samples are drawn in blocks
-    of ``_SAMPLE_BLOCK``, and only the distinct assignments of a block are
-    evaluated and scanned, in the order of their first occurrence: the
-    entries once per block (``polyring._values``), each minor as one
-    ``_sample_dot`` over the assignments.  A scan that fails at an
-    assignment k > 0 is run again on the assignments before k.  The
-    earliest failing sample is then the first occurrence of the earliest
-    failing assignment.
+    of ``_SAMPLE_BLOCK``, each in one loop (``_small_draws``), and only the
+    distinct assignments of a block are evaluated and scanned, in the order
+    of their first occurrence: the entries once per block
+    (``polyring._values``), the minors over all assignments at once
+    (``_first_negative_lane``; on a Hankel matrix ``_first_negative_minor``,
+    each distinct minor once).  A scan that fails at an assignment k > 0
+    is run again on the assignments before k.  The earliest failing sample
+    is then the first occurrence of the earliest failing assignment.
     """
     if order < 1 or samples < 1:  # an empty scan would certify any matrix
         raise ValueError("order and samples must be at least 1")
@@ -871,12 +939,15 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
     rational = [i for i, e in enumerate(entries) if not e.is_integral()]
     top = min(order, m.rows, m.cols)
     per_sample = sum(math.comb(m.rows, s) * math.comb(m.cols, s) for s in range(1, top + 1))
+    hankel = top > 1 and _is_hankel(m.data, m.rows, m.cols)
     for start in range(0, samples, _SAMPLE_BLOCK):
         # the block's distinct assignments, by first occurrence: firsts maps
         # each to the first sample that draws it
         firsts: dict = {}
-        for s in range(min(_SAMPLE_BLOCK, samples - start)):
-            firsts.setdefault(tuple([SAMPLE_VALUES[rng.next_small()] for _ in names]), s)
+        block = min(_SAMPLE_BLOCK, samples - start)
+        draws = [SAMPLE_VALUES[v] for v in _small_draws(rng, block * len(names))]
+        for s in range(block):
+            firsts.setdefault(tuple(draws[s * len(names):(s + 1) * len(names)]), s)
         envs = [dict(zip(names, key)) for key in firsts]
         values = _values(entries, envs)
         # the first assignment with a non-integer entry, if any
@@ -890,8 +961,11 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
             if limit < width:
                 values, width = [v[:limit] for v in values], limit
             grid = [values[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
-            checked, bad = _first_negative_minor(grid, m.rows, m.cols, order, _sample_dot,
-                                                 _sample_neg, lambda v: min(v) >= 0)
+            if hankel:
+                checked, bad = _first_negative_minor(grid, m.rows, m.cols, order, _sample_dot,
+                                                     _sample_neg, lambda v: min(v) >= 0)
+            else:
+                checked, bad = _first_negative_lane(grid, m.rows, m.cols, order, width)
             if bad is None:
                 break
             limit = next(k for k, v in enumerate(bad[2]) if v < 0)

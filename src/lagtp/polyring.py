@@ -80,9 +80,8 @@ import threading
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -651,41 +650,37 @@ def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:
     assignment (``KeyError`` otherwise).
 
     Each distinct monomial is evaluated once, as the list of its values
-    over ``envs``, from one list per power of each variable; a Poly's list
-    is then the sum of its coefficients times its monomials' lists, taken
-    over its numerators and divided once by its denominator.
+    over ``envs``, from one list per power of each variable, walking only
+    the fields set in its key; a Poly's value under one assignment is then
+    one ``sum(map(mul, ...))`` of its numerators with its monomials' values
+    there, divided once by its denominator.  A Poly object that recurs (a
+    Hankel grid repeats each entry) is evaluated once and shares its list.
     """
-    used = 0
-    for p in polys:
-        for k in p.num:
-            used |= k
-    fields = []  # (offset, name) of each field the Polys use
-    for i, name in enumerate(_names[:used.bit_length() // FIELD_BITS + 1]):
-        if (used >> (i * FIELD_BITS)) & _FIELD_MASK:
-            fields.append((i * FIELD_BITS, name))
-    powers: dict = {}  # (name, e) -> the values of name^e
+    powers: dict = {}  # (field offset, e) -> the values of that variable^e
     monomials: dict = {0: [1] * len(envs)}
-
-    def monomial(key: int) -> list:
-        vec = monomials.get(key)
-        if vec is None:
-            for off, name in fields:
-                e = (key >> off) & _FIELD_MASK
-                if e:
-                    power = powers.get((name, e))
-                    if power is None:
-                        power = powers[name, e] = [env[name] ** e for env in envs]
-                    vec = power if vec is None else list(map(mul, vec, power))
-            monomials[key] = vec
-        return vec
-
-    out = []
     for p in polys:
-        d = p.den
-        acc = [0] * len(envs)
-        for k, c in p.num.items():
-            acc = list(map(add, acc, map(mul, repeat(c), monomial(k))))
-        out.append(acc if d == 1 else [Fraction(v, d) if v % d else v // d for v in acc])
+        for key in p.num:
+            if key not in monomials:
+                vec, rest = None, key
+                while rest:
+                    off = ((rest & -rest).bit_length() - 1) // FIELD_BITS * FIELD_BITS
+                    e = rest >> off & _FIELD_MASK
+                    rest ^= e << off
+                    power = powers.get((off, e))
+                    if power is None:
+                        name = _names[off // FIELD_BITS]
+                        power = powers[off, e] = [env[name] ** e for env in envs]
+                    vec = power if vec is None else list(map(mul, vec, power))
+                monomials[key] = vec
+
+    out, done = [], {}  # id of a Poly evaluated -> its values
+    for p in polys:
+        if id(p) not in done:
+            coeffs, d = list(p.num.values()), p.den
+            columns = zip(*map(monomials.__getitem__, p.num))  # per assignment
+            acc = [sum(map(mul, coeffs, col)) for col in columns] if coeffs else [0] * len(envs)
+            done[id(p)] = acc if d == 1 else [Fraction(v, d) if v % d else v // d for v in acc]
+        out.append(done[id(p)])
     return out
 
 

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lagtp import matrices, polyring
 from lagtp.banded import DiagonalPolySpec, random_spec
@@ -29,6 +30,7 @@ from lagtp.series import Series
 from lagtp.srpaths import SRCoeffs, SRTriangles
 
 x = Poly.var("x")
+y = Poly.var("y")
 a = Poly.var("a")
 
 
@@ -357,6 +359,14 @@ def test_xorshift_is_deterministic():
     assert {rng.next_small() for _ in range(200)} == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 63, 2 ** 64 - 1])
+def test_block_draws_continue_the_next_small_stream(seed):
+    rng, ref = XorShift64(seed), XorShift64(seed)
+    for count in (0, 1, 55, 660):
+        assert matrices._small_draws(rng, count) == [ref.next_small() for _ in range(count)]
+        assert rng.state == ref.state
+
+
 # -- the minor scan against per-minor references ---------------------------------
 
 
@@ -410,7 +420,7 @@ def _evaluate(m, env):
 def _reference_sampled(m, order, seed, samples):
     """The per-minor sampled scan, sample by sample, with a Fraction
     determinant per minor."""
-    names = m.variables()
+    names = tuple(sorted({v for row in m.data for e in row for v in e.vars}))
     rng = XorShift64(seed)
     checked = 0
     for s_index in range(samples):
@@ -575,6 +585,64 @@ def test_sampled_scan_matches_fraction_reference(name, m, order):
     assert _summary(report) == _reference_sampled(m, order, seed=7, samples=8)
     if report.witness is not None:
         assert type(report.witness.minor) is int
+
+
+@st.composite
+def _planted_grids(draw, kind):
+    """(matrix, order, seed, samples): a random integer grid in x and y,
+    Hankel or not, the grid (j + 1 + x)^i, all of whose minors are
+    positive at x >= 0, or a grid with a negative minor planted in the
+    first or the last column block of a row set.  The plants negate an
+    entry of (j + 1 + x)^i in its first or last column (size 1), or swap
+    its first or last two columns (size 2: the minor on them turns
+    negative), or build a square tridiagonal grid, TP apart from a 3 x 3
+    block with 1 + x on its diagonal and 1 beside it, placed first or
+    last, whose determinant is negative at x = 0 only (size 3)."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    low = draw(st.sampled_from([-1, 0]))  # 0: no entry is negative at any sample
+    entry = lambda: Poly.dot((v, draw(st.integers(low, 3))) for v in (Poly.one(), x, y))
+    last = draw(st.booleans())
+    if kind == "hankel":
+        seq = [entry() for _ in range(2 * rows - 1)]
+        grid = [[seq[i + j] for j in range(rows)] for i in range(rows)]
+    elif kind == "random":
+        grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    elif kind == "tridiagonal":
+        n = max(rows, 3 + last)
+        block = lambda i: i >= n - 3 if last else i < 3
+        grid = [[(1 + x if block(i) else 2) if i == j else
+                 int(abs(i - j) == 1 and block(i) == block(j)) for j in range(n)]
+                for i in range(n)]
+    else:
+        grid = [[(j + 1 + x) ** i for j in range(cols)] for i in range(rows)]
+        j = cols - 2 if last else 0
+        if kind == "swap" and cols > 1:
+            for row in grid:
+                row[j], row[j + 1] = row[j + 1], row[j]
+        elif kind != "tp":
+            grid[draw(st.integers(0, rows - 1))][cols - 1 if last else 0] *= -1
+    # mixed 64-bit seeds: the first draw of every seed below 2^32 is 0
+    seeds = (random.Random(k).getrandbits(64)
+             for k in itertools.count(draw(st.integers(0, 10 ** 6))))
+    order, samples = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    if kind == "tridiagonal" and draw(st.booleans()):
+        def late(seed):  # sample 0 has x != 0 and a later one x = 0: only a later lane fails
+            first, *rest = [env["x"] == 0 for env in _draws(("x",), seed, 3)]
+            return not first and any(rest)
+        samples, seed = 3, next(filter(late, seeds))
+    else:
+        seed = next(seeds)
+    return Truncation(grid), order, seed, samples
+
+
+@pytest.mark.parametrize("kind", ["random", "hankel", "tp", "entry", "swap", "tridiagonal"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_both_scans_match_the_per_minor_references_on_planted_grids(kind, data):
+    m, order, seed, samples = data.draw(_planted_grids(kind))
+    assert _summary(tp_check_sampled(m, order, seed, samples)) == \
+        _reference_sampled(m, order, seed, samples)
+    assert _summary(tp_check_symbolic(m, order)) == _reference_symbolic(m, order)
 
 
 # -- each distinct Hankel minor computed once -------------------------------------

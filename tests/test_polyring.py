@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -73,6 +74,22 @@ def test_values_under_many_assignments():
     assert _values(polys, []) == [[]] * len(polys)
     with pytest.raises(KeyError):
         _values([a * x], [{"x": 1}])
+    # variables registered after 60 other names sit in high fields, and a
+    # monomial may set a low field and a high one
+    for i in range(60):
+        Poly.var(f"values_pad{i}")
+    u, w = Poly.var("values_high_u"), Poly.var("values_high_w")
+    assert polyring._offsets["values_high_w"] >= 61 * polyring.FIELD_BITS
+    polys = [Poly.zero(), Poly.const(-4), Poly.const(Fraction(5, 3)), u, -3 * w ** 2,
+             x * u ** 2 * w, (u * w - a).scale(Fraction(1, 2)),
+             (2 * u ** 3 + x * w + 5).scale(Fraction(-1, 6)), 2 + a * x ** 2 - u * w]
+    polys += polys[::3]  # the same objects again, as a Hankel grid repeats them
+    envs = [dict(zip(("a", "x", "values_high_u", "values_high_w"), point))
+            for point in itertools.product((0, 3), (1, -2), (0, 1, 2), (3, -1))]
+    got = _values(polys, envs)
+    expected = [[p.substitute(env).as_constant() for env in envs] for p in polys]
+    assert got == expected
+    assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in expected]
 
 
 def test_exact_div():

@@ -561,21 +561,33 @@ def tridiagonal_diagonal_comparison(ctx: Ctx) -> Outcome:
 
 
 def tp_negative_control(ctx: Ctx) -> Outcome:
-    """Each scan rejects a planted matrix.  The sampled witness, [[1+x, 1], [4, 1+x]]
-    at x = 0 in sample 0, rests on ``XorShift64`` drawing 0 first for every seed
-    below 2^32: a fix of that generator must pin it again."""
+    """Each scan rejects a planted matrix: the symbolic scan, which goes per minor,
+    and the sampled scan, which goes a column block at a time, over every lane.
+    The first sampled witness, [[1+x, 1], [4, 1+x]] at x = 0 in sample 0, rests on
+    ``XorShift64`` drawing 0 first for every seed below 2^32: a fix of that
+    generator must pin it again.  The second, 1 + x(x-1)(x-3) = -1 at x = 2 only,
+    lies in the last column block and, for those seeds, never in lane 0."""
     report = tp_check_symbolic(Truncation([[1, 2], [3, 1]]), 2)
     minor = report.witness.minor if report.witness else None
+    x = Poly.var("x")
     w = VertexWeights(y_p=1, y_v=1, y_da=0, y_dd=0, y_fp=1)
-    planted = prodmat(LaguerreParams.of(0), "PFlat", weights=w, x=Poly.var("x")).truncate(7)
+    planted = prodmat(LaguerreParams.of(0), "PFlat", weights=w, x=x).truncate(7)
     sampled = tp_check_sampled(planted, 4, seed=ctx.seed, samples=100)
     witness = sampled.witness
     found = witness and (witness.rows, witness.cols, witness.minor, witness.sample_index)
+    late = tp_check_sampled(Truncation([[1, 1], [1, 2 + x * (x - 1) * (x - 3)]]), 2,
+                            seed=ctx.seed, samples=100)
+    witness = late.witness
+    late_found = witness and (witness.rows, witness.cols, witness.minor, witness.assignment)
     return (first_difference([report.ok, minor], [False, Poly.const(-5)],
                              "TP2 scan of [[1,2],[3,1]]: [ok, witness minor]")
             and first_difference([sampled.ok, found], [False, ((1, 2), (1, 2), -3, 0)],
                                  "sampled TP4 scan of the planted PFlat block: "
                                  "[ok, (rows, cols, minor, sample)]")
+            and first_difference([late.ok, late_found],
+                                 [False, ((0, 1), (0, 1), -1, {"x": 2})],
+                                 "sampled TP2 scan of [[1,1],[1,2+x(x-1)(x-3)]]: "
+                                 "[ok, (rows, cols, minor, assignment)]")
             and tp_check_sampled(Truncation.zero(3, 3), 2, seed=ctx.seed, samples=3))
 
 

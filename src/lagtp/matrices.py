@@ -17,18 +17,19 @@ iteration and conjugation routines are arranged so that every returned
 entry is independent of anything outside the working block (truncation is
 exact, never approximate).
 
-Every TP scan is a minor scan given its product, negation and sign test,
-``_first_negative_minor``, or ``_first_negative_lane`` for a non-Hankel
-grid of sample lists, which builds a row set's minors a column block at a
-time.  The symbolic scan runs on one of two representations, chosen from
+Symbolic scans go per minor, sampled scans go a column block at a time:
+``_first_negative_minor``, given a product and a sign test, scans the
+symbolic representations, and ``_first_negative_lane`` scans every grid of
+sample lists, building all of a row set's minors over all assignments at
+once.  The symbolic scan runs on one of two representations, chosen from
 the matrix.  When every coefficient is an integer and the exponent box
 read off the rows is small (at most ``_PACK_BITS`` bits when packed), each
 entry is packed into one integer, a coefficient per fixed-width slot, and
 a minor's signs are read with one AND; the failing minor, if any, is
 recomputed as a Poly.  Every other matrix is scanned as dicts of local
 monomial keys.  Both give the same reports.  On a square Hankel grid the
-scan computes each distinct minor once, and the sampled scan scans each
-distinct assignment of the variables once.
+symbolic scan computes each distinct minor once, and the sampled scan
+scans each distinct assignment of the variables once.
 """
 
 from __future__ import annotations
@@ -617,29 +618,7 @@ def _hankel_copies(n: int, size: int) -> list:
             for r in range(len(sets))]
 
 
-def _is_hankel(grid, rows: int, cols: int) -> bool:
-    """Whether the grid is square with g[i][k] = g[i+1][k-1] throughout."""
-    return rows == cols and all(
-        grid[i][k] == grid[i + 1][k - 1] for i in range(rows - 1) for k in range(1, cols))
-
-
-def _sample_dot(pairs) -> list:
-    """The sum of a * b over (a, b) pairs of equal-length lists of numbers,
-    elementwise; a pair with an all-zero list is skipped, as ``Poly.dot``
-    skips a zero Poly."""
-    acc = None
-    for a, b in pairs:
-        if any(a) and any(b):
-            prod = map(operator.mul, a, b)
-            acc = list(prod if acc is None else map(operator.add, acc, prod))
-    return [0] * len(a) if acc is None else acc
-
-
-def _sample_neg(values: list) -> list:
-    return list(map(operator.neg, values))
-
-
-def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, neg, nonneg) -> tuple:
+def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, nonneg) -> tuple:
     """(minors checked, (rows, cols, minor) of the first minor that fails
     ``nonneg``, or None), over the minors of size <= order of a rows x cols
     grid: by size, then colex row sets, then colex column sets.
@@ -647,22 +626,22 @@ def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, neg, nonn
     A minor of size s > 1 is expanded along its first column,
     M(r, c) = sum_t (-1)^t g[r_t][c_0] M(r - r_t, c[1:]), over the size-(s-1)
     minors kept from the previous size, as one ``dot`` of (entry, minor)
-    pairs; ``neg`` negates an entry.  Each level is kept as lists indexed
-    by row rank, then column rank, and the ranks of r - r_t and c[1:] come
-    from ``_colex_plan``.  Only one level is kept, and the largest size is
-    not kept, except on a square Hankel grid (g[i][k] = g[i+1][k-1]
-    throughout, found by O(n^2) comparisons): there each minor is computed
-    only at its first copy in scan order (``_hankel_copies``) and read back
-    from the kept level at every later copy.  Every minor, reused or not,
-    goes through ``nonneg`` and counts in ``checked``.  The same scan serves
-    Poly grids (``Poly.dot``), packed integers (``_int_dot``) and Hankel
-    grids of sample lists (``_sample_dot``: each minor is the list of its
-    values over a block of samples); ``_first_negative_lane`` scans every
-    other grid of sample lists, with the same result.
+    pairs.  Each level is kept as lists indexed by row rank, then column
+    rank, and the ranks of r - r_t and c[1:] come from ``_colex_plan``.
+    Only one level is kept, and the largest size is not kept, except on a
+    square Hankel grid (g[i][k] = g[i+1][k-1] throughout, found by O(n^2)
+    comparisons): there each minor is computed only at its first copy in
+    scan order (``_hankel_copies``) and read back from the kept level at
+    every later copy.  Every minor, reused or not, goes through ``nonneg``
+    and counts in ``checked``.  This is the scan of the symbolic
+    representations, local-key Polys (``Poly.dot``) and packed integers
+    (``_int_dot``); grids of sample lists go a column block at a time
+    (``_first_negative_lane``).
     """
     top = min(order, rows, cols)
-    negated = [[neg(e) for e in row] for row in grid] if top > 1 else None
-    hankel = top > 1 and _is_hankel(grid, rows, cols)
+    negated = [[-e for e in row] for row in grid] if top > 1 else None
+    hankel = top > 1 and rows == cols and all(
+        grid[i][k] == grid[i + 1][k - 1] for i in range(rows - 1) for k in range(1, cols))
     checked = 0
     prev: list = []
     for size in range(1, top + 1):
@@ -699,7 +678,8 @@ def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, neg, nonn
 
 def _first_negative_lane(grid, rows: int, cols: int, order: int, lanes: int) -> tuple:
     """``_first_negative_minor`` for a grid of sample lists of ``lanes``
-    values each, a column block at a time.
+    values each (one per assignment), a column block at a time: the scan
+    of every sampled grid, Hankel or not, with the same result.
 
     The minors on a row set r of size s are one flat list, colex column
     sets by lanes, each expanded along its last column l:
@@ -841,7 +821,7 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
         raise ValueError("order must be at least 1")
     local, to_global = _local_keys(e for row in m.data for e in row)
     grid = [local[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
-    kernels = Poly.dot, operator.neg, Poly.is_coeffwise_nonneg
+    kernels = Poly.dot, Poly.is_coeffwise_nonneg
     plan = _packing(grid, min(order, m.rows, m.cols))
     if plan is None:
         try:
@@ -854,7 +834,7 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
         off = ((1 << width * math.prod(dims)) - 1) // ((1 << width) - 1) << (width - 1)
         packed = [[_pack(e, width, dims) for e in row] for row in grid]
         checked, bad = _first_negative_minor(packed, m.rows, m.cols, order, _int_dot,
-                                             operator.neg, lambda v: not v & off)
+                                             lambda v: not v & off)
         if bad is not None:
             rows, cols, _ = bad
             size = len(rows)
@@ -924,11 +904,11 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
     of ``_SAMPLE_BLOCK``, each in one loop (``_small_draws``), and only the
     distinct assignments of a block are evaluated and scanned, in the order
     of their first occurrence: the entries once per block
-    (``polyring._values``), the minors over all assignments at once
-    (``_first_negative_lane``; on a Hankel matrix ``_first_negative_minor``,
-    each distinct minor once).  A scan that fails at an assignment k > 0
-    is run again on the assignments before k.  The earliest failing sample
-    is then the first occurrence of the earliest failing assignment.
+    (``polyring._values``), the minors over all assignments at once, a
+    column block at a time (``_first_negative_lane``, on every grid,
+    Hankel or not).  A scan that fails at an assignment k > 0 is run again
+    on the assignments before k.  The earliest failing sample is then the
+    first occurrence of the earliest failing assignment.
     """
     if order < 1 or samples < 1:  # an empty scan would certify any matrix
         raise ValueError("order and samples must be at least 1")
@@ -939,7 +919,6 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
     rational = [i for i, e in enumerate(entries) if not e.is_integral()]
     top = min(order, m.rows, m.cols)
     per_sample = sum(math.comb(m.rows, s) * math.comb(m.cols, s) for s in range(1, top + 1))
-    hankel = top > 1 and _is_hankel(m.data, m.rows, m.cols)
     for start in range(0, samples, _SAMPLE_BLOCK):
         # the block's distinct assignments, by first occurrence: firsts maps
         # each to the first sample that draws it
@@ -961,11 +940,7 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
             if limit < width:
                 values, width = [v[:limit] for v in values], limit
             grid = [values[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
-            if hankel:
-                checked, bad = _first_negative_minor(grid, m.rows, m.cols, order, _sample_dot,
-                                                     _sample_neg, lambda v: min(v) >= 0)
-            else:
-                checked, bad = _first_negative_lane(grid, m.rows, m.cols, order, width)
+            checked, bad = _first_negative_lane(grid, m.rows, m.cols, order, width)
             if bad is None:
                 break
             limit = next(k for k, v in enumerate(bad[2]) if v < 0)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lagtp import checks, cli, srpaths
+from lagtp import checks, cli, matrices, srpaths
 from lagtp.banded import check_banded_criterion, random_spec
 from lagtp.laguerre import LaguerreParams, monic_laguerre
 from lagtp.matrices import (TPReport, Truncation, XorShift64, hankel_truncation,
@@ -524,6 +524,24 @@ def test_negative_control_fails_when_the_sampled_scan_stops_at_order_1(monkeypat
     assert not outcome
     assert outcome.what.startswith("sampled TP4 scan of the planted PFlat block")
     assert (outcome.where, outcome.got, outcome.want) == (0, True, False)
+
+
+@pytest.mark.parametrize("mutant", ["lane-0-only", "last-block-dropped"])
+def test_negative_control_catches_a_lane_scan_that_skips_lanes_or_blocks(mutant, monkeypatch):
+    # the planted PFlat block fails in lane 0 outside the last column block,
+    # so only the second sampled control sees these two mutants
+    assert checks.tp_negative_control(checks.Ctx())
+    real = matrices._first_negative_lane
+    if mutant == "lane-0-only":
+        scan = lambda grid, rows, cols, order, lanes: real(
+            [[e[:1] for e in row] for row in grid], rows, cols, order, 1)
+    else:
+        scan = lambda grid, rows, cols, order, lanes: real(
+            [row[:-1] for row in grid], rows, cols - 1, order, lanes)
+    monkeypatch.setattr(matrices, "_first_negative_lane", scan)
+    outcome = checks.tp_negative_control(checks.Ctx())
+    assert not outcome
+    assert outcome.what.startswith("sampled TP2 scan of [[1,1],[1,2+x(x-1)(x-3)]]")
 
 
 def test_verify_max_n(capsys):

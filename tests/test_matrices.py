@@ -3,7 +3,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -16,8 +15,7 @@ from lagtp.laguerre import (LaguerreParams, VertexWeights, coeff_matrix_uni, mon
                             prodmat)
 from lagtp.matrices import (SAMPLE_VALUES, Banded, Mismatch, NonUnitDiagonalError,
                             RiordanIntegralityError, TPReport, Truncation, TPWitness,
-                            XorShift64, _SAMPLE_BLOCK, _first_negative_minor, _sample_dot,
-                            _sample_neg, binomial_truncation,
+                            XorShift64, _SAMPLE_BLOCK, _first_negative_minor, binomial_truncation,
                             bx_conjugate_eaz_identity_check, conjugate_by_binomial,
                             delta_matrix, diagonal, eaz_matrix, first_difference,
                             hankel_truncation, lower_bidiagonal, output_matrix, production_of,
@@ -548,11 +546,11 @@ def _scan_cases():
 SCAN_CASES = _scan_cases()
 
 
-def _scanned_minors(grid, rows, cols, order, dot, neg):
+def _scanned_minors(grid, rows, cols, order, dot):
     """Every minor the scan builds, in scan order, collected by a sign
     test that records each minor and passes it."""
     seen = []
-    checked, bad = _first_negative_minor(grid, rows, cols, order, dot, neg,
+    checked, bad = _first_negative_minor(grid, rows, cols, order, dot,
                                          lambda minor: seen.append(minor) or True)
     assert (checked, bad) == (len(seen), None)
     return seen
@@ -561,17 +559,10 @@ def _scanned_minors(grid, rows, cols, order, dot, neg):
 @pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
 def test_minor_scan_yields_every_minor_in_colex_order(name, m, order):
     want = list(_minors_in_scan_order(m.rows, m.cols, order))
-    got = _scanned_minors(m.data, m.rows, m.cols, order, Poly.dot, operator.neg)
+    got = _scanned_minors(m.data, m.rows, m.cols, order, Poly.dot)
     assert len(got) == len(want)
     for (rows, cols), minor in zip(want, got):
         assert minor == _leibniz_det(m.submatrix(rows, cols)), (rows, cols)
-    # one-sample lists, as the sampled mode scans them
-    grid = _evaluate(m, {v: 2 for v in m.variables()})
-    samples = [[[v] for v in row] for row in grid]
-    got = _scanned_minors(samples, m.rows, m.cols, order, _sample_dot, _sample_neg)
-    assert len(got) == len(want)
-    for (rows, cols), minor in zip(want, got):
-        assert minor == [_fraction_det([[grid[i][j] for j in cols] for i in rows])], (rows, cols)
 
 
 @pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
@@ -683,8 +674,7 @@ def test_hankel_scan_computes_each_distinct_minor_once(n, order, checked, distin
     # the 2n - 1 distinct entries are read; every other distinct minor is one dot
     grid = [[i + k for k in range(n)] for i in range(n)]
     calls = []
-    scan = lambda: _first_negative_minor(grid, n, n, order, _counting_dot(calls), operator.neg,
-                                         lambda v: True)
+    scan = lambda: _first_negative_minor(grid, n, n, order, _counting_dot(calls), lambda v: True)
     assert scan() == (checked, None)
     assert len(calls) + 2 * n - 1 == distinct
     # off the Hankel structure every minor of size > 1 is computed

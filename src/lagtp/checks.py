@@ -5,10 +5,11 @@ same code.
 A check returns True, or on failure the first falsy value of its chained
 comparisons: the ``Mismatch`` of ``first_difference`` at the first differing
 entry (or key: an m, a table cell), or a failed ``TPReport`` with its
-witness minor.
-A check that raises is reported as an error, not as a failure.  CHECKS
-registers every check once, with its suite and its acceptance criterion;
-CRITERIA gives each criterion its time budget.
+witness minor.  A builder that fails its cross-check raises
+``RouteMismatchError``, which fails the check with the error's ``Mismatch``;
+a check that raises anything else is reported as an error, not as a failure.
+CHECKS registers every check once, with its suite and its acceptance
+criterion; CRITERIA gives each criterion its time budget.
 """
 
 from __future__ import annotations
@@ -259,12 +260,9 @@ def second_mv_riordan_vs_oracle(ctx: Ctx) -> Outcome:
     params = LaguerreParams.symbolic()
     w = VertexWeights.symbolic()
     wz = VertexWeights.symbolic(with_z=True)
-    try:
-        coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=n)
-        coeff_matrix_second_mv(params, w, min(n, 5), flat=False, oracle_rows=min(n, 5))
-        coeff_matrix_second_mv(params, wz, min(n, 5), flat=True, oracle_rows=min(n, 5))
-    except RouteMismatchError as exc:
-        return exc.args[0]
+    coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=n)
+    coeff_matrix_second_mv(params, w, min(n, 5), flat=False, oracle_rows=min(n, 5))
+    coeff_matrix_second_mv(params, wz, min(n, 5), flat=True, oracle_rows=min(n, 5))
     return True
 
 
@@ -943,11 +941,11 @@ def run_suite(name: str, ctx: Ctx | None = None) -> list:
     """Run one suite (or 'all'); returns [(suite, check, ok, seconds, error,
     witness)].
 
-    A check that raises is not ok, and its error is "<ExceptionType>: <message>";
-    error is None for a check that returned.  witness is the JSON object of
-    the falsy value a failed check returned (a ``Mismatch`` or a
-    ``TPReport``), and None when it has none (a plain False) or the check
-    passed or raised.
+    A check that raises ``RouteMismatchError`` (a builder failed its
+    cross-check) failed with the error's ``Mismatch`` as its outcome; any
+    other check that raises is not ok, with error "<ExceptionType>: <message>".
+    error is None for every other check.  witness is the JSON object of a falsy
+    outcome (a ``Mismatch`` or a ``TPReport``), and None otherwise.
     """
     ctx = ctx or Ctx()
     if name != "all" and name not in SUITE_NAMES:
@@ -959,6 +957,8 @@ def run_suite(name: str, ctx: Ctx | None = None) -> list:
         start = time.perf_counter()
         try:
             outcome, error = fn(ctx), None
+        except RouteMismatchError as exc:
+            outcome, error = exc.args[0], None
         except Exception as exc:
             outcome, error = False, f"{type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - start

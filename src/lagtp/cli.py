@@ -1,6 +1,7 @@
 """Batch front end: generate families, run verification suites, emit JSON/CSV.
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
+Exit codes: 0 success / all checks pass, 1 verification failure (a gen whose
+construction failed its cross-check prints "error: <Mismatch>"), 2 usage or
 parse error (a malformed LAGTP_LIMIT and rational entries in sampled mode
 included), or an oracle cap or the polynomial exponent limit exceeded; 3 when
 a verify check raised and none failed.  Identical invocations (including
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from . import checks, digraphs, laguerre, quadtp, srpaths
 from .digraphs import BadLimitSetting, LimitExceeded
-from .laguerre import EdgeWeights, LaguerreParams, VertexWeights
+from .laguerre import EdgeWeights, LaguerreParams, RouteMismatchError, VertexWeights
 from .matrices import Truncation, tp_check_sampled, tp_check_symbolic
 
 GEN_SELECTORS = (
@@ -269,9 +270,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, LimitExceeded, BadLimitSetting, OverflowError) as exc:
+    except (UsageError, LimitExceeded, BadLimitSetting, OverflowError, RouteMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, RouteMismatchError) else 2
 
 
 if __name__ == "__main__":

@@ -39,7 +39,8 @@ X_NAME = "x"
 
 
 class RouteMismatchError(AssertionError):
-    """Riordan route and digraph oracle disagreed (a series or oracle bug); holds the Mismatch."""
+    """A construction disagreed with its cross-check (a second route, or a
+    property its entries must have); holds the Mismatch."""
 
 
 @dataclass(frozen=True)
@@ -183,26 +184,23 @@ def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Tru
     Entry (n,k) sums v_-^{e_-} v_0^{e_0} v_+^{e_+} (1+alpha)^{cyc} over the
     Laguerre digraphs with k paths.  When each edge weight is a linear form
     (or zero) in the edge-weight variables and none of them occurs in alpha
-    (distinct bare variables, say), each entry is checked homogeneous of
-    degree n-k in them; other weights, such as vm + 1, vm^2 or a weight in
-    alpha's variable, make no such promise.  A negative size raises ValueError.
+    (distinct bare variables, say), an entry not homogeneous of degree n-k in
+    them raises RouteMismatchError; other weights, such as vm + 1, vm^2 or a
+    weight in alpha's variable, make no such promise.  A negative size raises
+    ValueError.
     """
-    _check_size(n, n)
     weights = w.oracle_weights(params.lam)
-    rows = []
-    for i in range(n):
-        row = [digraphs.oracle_entry(i, k, weights, "first_mv") for k in range(i + 1)]
-        row += [Poly.zero()] * (n - i - 1)
-        rows.append(row)
-    t = Truncation(rows)
+    t = Truncation.from_fn(n, n, lambda i, k: digraphs.oracle_entry(i, k, weights, "first_mv")
+                           if k <= i else Poly.zero())
     edge = (w.v_minus, w.v_zero, w.v_plus)
     edge_vars = {v for wpoly in edge for v in wpoly.vars}
     if (edge_vars and not edge_vars & set(params.alpha.vars)
             and all(_degrees(wpoly, edge_vars) in ([], [1]) for wpoly in edge)):
-        for i in range(n):
-            for k in range(i + 1):
-                if _degrees(t[i, k], edge_vars) not in ([], [i - k]):
-                    raise AssertionError(f"entry ({i},{k}) not homogeneous of degree {i-k}")
+        got = {(i, k): _degrees(t[i, k], edge_vars) for i in range(n) for k in range(i + 1)}
+        mismatch = first_difference(got, {(i, k): [i - k] if t[i, k] else [] for i, k in got},
+                                    "edge-weight degrees of the first_mv entries")
+        if not mismatch:
+            raise RouteMismatchError(mismatch)
     return t
 
 

@@ -42,7 +42,7 @@ from operator import mul
 from typing import Callable, Optional, Union
 
 from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
-from .laguerre import LaguerreParams, prodmat
+from .laguerre import LaguerreParams, RouteMismatchError, prodmat
 from .matrices import (Mismatch, Truncation, first_difference, hankel_truncation, sfraction_word,
                        tp_check_symbolic)
 from .polyring import Poly, PolyLike, _mul_add, _p, _power_sum
@@ -260,17 +260,17 @@ def prodmat_smj(coeffs: SRCoeffs, j: int, n: int) -> Truncation:
     triangle, an (m,1)-banded matrix: the block of
     ``matrices.sfraction_word(coeffs.alpha, m, j)``.
 
-    For m = 2 the entries are additionally cross-checked against the
-    explicit quadridiagonal formulas (a construction bug raises here).
+    For m = 2 the band entries are cross-checked against the explicit
+    quadridiagonal formulas (``RouteMismatchError`` if they differ).
     """
     m = coeffs.m
     block = sfraction_word(coeffs.alpha, m, j).truncate(n)
     if m == 2:
-        for i in range(n):
-            for k in range(max(0, i - 2), min(n, i + 2)):
-                if block[i, k] != _p2_explicit(coeffs, j, i, k):
-                    raise AssertionError(
-                        f"bidiagonal product disagrees with explicit m=2 formula at ({i},{k})")
+        got = {(i, k): block[i, k] for i in range(n) for k in range(max(0, i - 2), min(n, i + 2))}
+        mismatch = first_difference(got, {(i, k): _p2_explicit(coeffs, j, i, k) for i, k in got},
+                                    "bidiagonal product and explicit m=2 formula")
+        if not mismatch:
+            raise RouteMismatchError(mismatch)
     return block
 
 

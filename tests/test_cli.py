@@ -9,11 +9,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from lagtp import checks, cli, matrices, srpaths
+from lagtp import checks, cli, digraphs, matrices, srpaths
 from lagtp.banded import check_banded_criterion, random_spec
 from lagtp.laguerre import LaguerreParams, monic_laguerre
-from lagtp.matrices import (TPReport, Truncation, XorShift64, hankel_truncation,
-                            tp_check_symbolic)
+from lagtp.matrices import (Mismatch, TPReport, Truncation, XorShift64, hankel_truncation,
+                            sfraction_word, tp_check_symbolic)
 from lagtp.polyring import Poly
 
 
@@ -380,10 +380,69 @@ def test_verify_error_is_not_a_failure(capsys, monkeypatch, extra, code):
             "suite": "banded", "name": "_counterexample", "ok": False}
 
 
+@pytest.mark.parametrize("exc", [AssertionError, KeyError])
+def test_verify_unwraps_only_a_route_mismatch(capsys, monkeypatch, exc):
+    # a plain AssertionError, the base of RouteMismatchError, is an error as
+    # any other exception is: it carries no Mismatch
+    def fault(ctx):
+        raise exc("internal fault")
+
+    monkeypatch.setattr(checks, "CHECKS", checks.CHECKS + (("banded", fault, None),))
+    code, entry = _verify_check(capsys, "banded", "fault")
+    assert code == 3
+    assert entry == {"suite": "banded", "name": "fault", "ok": False,
+                     "error": f"{exc.__name__}: {exc('internal fault')}"}
+
+
 def _verify_check(capsys, suite, name):
     """Exit code of `lagtp verify suite` and the report entry of one check."""
     code, out, _ = run(capsys, ["verify", suite])
     return code, {c["name"]: c for c in json.loads(out)["checks"]}[name]
+
+
+def _plant_m2_formula(monkeypatch):
+    """The explicit m = 2 formulas of ``prodmat_smj``, wrong by ``bug`` at (2, 1)."""
+    real, bug = srpaths._p2_explicit, Poly.var("bug")
+    monkeypatch.setattr(srpaths, "_p2_explicit", lambda coeffs, j, n, k: real(coeffs, j, n, k)
+                        + (bug if (n, k) == (2, 1) else 0))
+    return real, bug
+
+
+def test_verify_witness_names_the_entry_of_a_failed_m2_cross_check(capsys, monkeypatch):
+    _, bug = _plant_m2_formula(monkeypatch)
+    code, entry = _verify_check(capsys, "srpaths", "smj_output_matches_triangle")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    witness = entry["witness"]
+    assert witness["what"] == "bidiagonal product and explicit m=2 formula"
+    assert witness["where"] == [2, 1]
+    got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
+    assert want - got == bug
+
+
+def test_verify_witness_names_the_entry_of_a_first_mv_matrix_that_is_not_homogeneous(
+        capsys, monkeypatch):
+    # the first_mv oracle entry (3, 1) one degree too high in the edge weights
+    real = digraphs.oracle_entry
+
+    def planted(n, k, weights, mode):
+        value = real(n, k, weights, mode)
+        return value * weights["v_minus"] if (n, k, mode) == (3, 1, "first_mv") else value
+
+    monkeypatch.setattr(digraphs, "oracle_entry", planted)
+    code, entry = _verify_check(capsys, "multivariate", "first_mv_uniform_scaling")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    assert entry["witness"] == {"what": "edge-weight degrees of the first_mv entries",
+                                "where": [3, 1], "got": [3], "want": [2]}
+
+
+def test_gen_reports_a_failed_cross_check_without_a_traceback(capsys, monkeypatch):
+    real, bug = _plant_m2_formula(monkeypatch)
+    code, out, err = run(capsys, ["gen", "smj", "--m", "2", "--n", "4"])
+    coeffs = srpaths.SRCoeffs.symbolic(2)
+    mismatch = Mismatch("bidiagonal product and explicit m=2 formula", (2, 1),
+                        sfraction_word(coeffs.alpha, 2, 0).truncate(4)[2, 1],
+                        real(coeffs, 0, 2, 1) + bug)
+    assert (code, out, err) == (1, "", f"error: {mismatch}\n")
 
 
 def test_verify_witness_names_the_entry_of_a_matrix_mismatch(capsys, monkeypatch):

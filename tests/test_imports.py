@@ -1,7 +1,8 @@
 """Every name a ``lagtp`` module imports is used in that module and is
 imported at module level, and every function or method it defines, private
 ones included, has a caller outside the tests.  No check in ``checks.py``
-compares entries in a hand-written loop.
+compares entries in a hand-written loop, and no module raises
+``AssertionError`` itself.
 
 Stdlib ``ast`` stand-ins for a linter's unused-import and import-position
 rules and a dead-code finder: deleting code tends to leave imports behind,
@@ -10,7 +11,11 @@ that only tests call, or a private helper a refactor left behind, is code
 to delete.  ``__init__.py`` only re-exports, so it is exempt from the
 unused-import and dead-code checks.  A ``return False`` inside a loop is
 the mark of a hand-written comparison, which reports no witness; the
-checks compare through ``matrices.first_difference`` instead.
+checks compare through ``matrices.first_difference`` instead.  A bare
+``AssertionError`` (or an ``assert``) carries no witness either, and
+``verify`` reports it as an error: a builder whose cross-check fails raises
+``RouteMismatchError`` with the ``Mismatch``, which ``run_suite`` reports as
+a failed check.
 """
 
 import ast
@@ -147,6 +152,30 @@ def test_the_guard_sees_false_returns_in_loops():
               "    for row in rows:\n        return True\n    return False\n"
               "def g(rows):\n    return all(r == 0 for r in rows)\n")
     assert loop_false_returns(source) == [4, 8]
+
+
+def raised_assertions(source: str) -> list:
+    """Lines of every ``raise AssertionError`` (called or not) and every
+    ``assert`` statement."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and any(
+                      isinstance(sub, ast.Name) and sub.id == "AssertionError"
+                      for sub in ast.walk(node.exc or ast.Pass()))))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_bare_assertion_errors(path):
+    assert raised_assertions(path.read_text()) == []
+
+
+def test_the_guard_sees_raised_assertion_errors():
+    source = ("class RouteMismatchError(AssertionError):\n    pass\n"
+              "def f(m):\n    if not m:\n        raise AssertionError(f'at {m}')\n"
+              "    assert m, 'bare'\n    if m is None:\n        raise AssertionError\n"
+              "    if m == 0:\n        raise RouteMismatchError(m)\n"
+              "    try:\n        f(m)\n    except AssertionError:\n        raise\n"
+              "    raise ValueError('m')\n")
+    assert raised_assertions(source) == [5, 6, 8]
 
 
 def _is_def(node) -> bool:

@@ -1,11 +1,12 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from lagtp import digraphs, laguerre, matrices, polyring
-from lagtp.checks import Ctx, second_mv_riordan_vs_oracle
+from lagtp import checks, cli, digraphs, laguerre, matrices, polyring
+from lagtp.checks import Ctx
 from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
                             VertexWeights, binomial_rowgen_matrix, coeff_matrix_first_mv,
                             coeff_matrix_second_mv, coeff_matrix_uni,
@@ -211,24 +212,42 @@ def test_flat_conjugation():
 
 
 def _sabotage_oracle_at_2_1(monkeypatch):
+    # the second multivariate oracle (the Riordan route's cross-check) only
     real = digraphs.oracle_entry
 
     def lying(n, k, weights, mode):
         value = real(n, k, weights, mode)
-        return value + weights["z_p"] if (n, k) == (2, 1) else value
+        return value + weights["z_p"] if (n, k, mode) == (2, 1, "second_mv_general") else value
 
     monkeypatch.setattr(laguerre.digraphs, "oracle_entry", lying)
 
 
 def test_route_mismatch_raises(monkeypatch):
     # sabotage the oracle: the constructor must notice the disagreement, and
-    # the verify check reports it as a failed check, not as an error
+    # run_suite reports it as a failed check with its witness, not as an error
     _sabotage_oracle_at_2_1(monkeypatch)
     with pytest.raises(RouteMismatchError):
         coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), 4, flat=True)
-    failed = second_mv_riordan_vs_oracle(Ctx(max_n=4))
-    assert not failed and failed.where == (2, 1)
-    assert failed.want - failed.got == Poly.one()  # the planted z_p, over z_p^k
+    results = {r[1]: r for r in checks.run_suite("multivariate", Ctx(max_n=4))}
+    _, _, ok, _, error, witness = results["second_mv_riordan_vs_oracle"]
+    assert not ok and error is None and witness["where"] == (2, 1)
+    got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
+    assert want - got == Poly.one()  # the planted z_p, over z_p^k
+
+
+def test_verify_reports_a_sabotaged_oracle_in_a_check_that_builds_through_it(capsys,
+                                                                             monkeypatch):
+    # first_specializations compares the second matrix with the first; its
+    # construction of the second one fails the oracle cross-check first
+    _sabotage_oracle_at_2_1(monkeypatch)
+    code = cli.main(["verify", "multivariate"])
+    entry = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}[
+        "first_specializations"]
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    witness = entry["witness"]
+    assert witness["what"] == "Riordan route and digraph oracle" and witness["where"] == [2, 1]
+    got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
+    assert want - got == Poly.var("vm")  # the planted z_p, which is y_p = v_- there
 
 
 def test_route_mismatch_raises_under_a_lowered_oracle_cap(monkeypatch):

@@ -5,9 +5,10 @@ same code.
 A check returns True, or on failure the first falsy value of its chained
 comparisons: the ``Mismatch`` of ``first_difference`` at the first differing
 entry (or key: an m, a table cell), or a failed ``TPReport`` with its
-witness minor.  A builder that fails its cross-check raises
-``RouteMismatchError``, which fails the check with the error's ``Mismatch``;
-a check that raises anything else is reported as an error, not as a failure.
+witness minor.  A builder that fails its cross-check, or an oracle count
+table that breaks its invariant, raises ``RouteMismatchError``, which fails
+the check with the error's ``Mismatch``; a check that raises anything else
+is reported as an error, not as a failure.
 CHECKS registers every check once, with its suite and its acceptance
 criterion; CRITERIA gives each criterion its time budget.
 """
@@ -63,6 +64,12 @@ def _named(report: TPReport, what: str) -> TPReport:
 def _lower(n: int, fn) -> Truncation:
     """The n x n lower-triangular matrix with entries fn(i, k), k <= i."""
     return Truncation.from_fn(n, n, lambda i, k: fn(i, k) if k <= i else 0)
+
+
+def _degrees(p: Poly, names: set) -> list:
+    """The distinct total degrees in ``names`` of the terms of p, ascending."""
+    idx = [i for i, v in enumerate(p.vars) if v in names]
+    return sorted({sum(e[i] for i in idx) for e, _ in p.sorted_terms()})
 
 
 def _egf_terms(series: Series, count: int) -> list:
@@ -299,7 +306,7 @@ def second_mv_homogeneity(ctx: Ctx) -> Outcome:
     def degrees(flat):
         m = coeff_matrix_second_mv(params, w, n, flat=flat, oracle_rows=0)
         label = "flat" if flat else "non-flat"
-        return first_difference({c: laguerre._degrees(m[c], names) for c in cells},
+        return first_difference({c: _degrees(m[c], names) for c in cells},
                                 {(i, k): [i - k if flat else i] for i, k in cells},
                                 f"vertex-weight degrees of the {label} entries")
 
@@ -307,17 +314,17 @@ def second_mv_homogeneity(ctx: Ctx) -> Outcome:
 
 
 def second_mv_peak_divisibility(ctx: Ctx) -> Outcome:
-    """Every entry of the non-flat matrix is divisible by y_p^k; checked on
-    the digraph-oracle entries themselves, with the quotient matching the
-    flat Riordan route."""
+    """Every entry of the non-flat matrix is divisible by y_p^k: the
+    digraph-oracle entries themselves equal y_p^k times the flat Riordan
+    route's."""
     n = ctx.cap(6)
     params = LaguerreParams.symbolic()
     w = VertexWeights.symbolic()
     flat = coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0)
     weights = w.oracle_weights(params.lam)
-    quotients = _lower(n, lambda i, k: digraphs.oracle_entry(i, k, weights, "second_mv")
-                       .exact_div(w.y_p ** k))
-    return first_difference(quotients, flat, "oracle entries / y_p^k vs flat Riordan route")
+    oracle = _lower(n, lambda i, k: digraphs.oracle_entry(i, k, weights, "second_mv"))
+    return first_difference(oracle, _lower(n, lambda i, k: flat[i, k] * w.y_p ** k),
+                            "oracle entries vs flat Riordan route * y_p^k")
 
 
 def first_specializations(ctx: Ctx) -> Outcome:

@@ -1,7 +1,7 @@
 """Batch front end: generate families, run verification suites, emit JSON/CSV.
 
-Exit codes: 0 success / all checks pass, 1 verification failure (a gen whose
-construction failed its cross-check prints "error: <Mismatch>"), 2 usage or
+Exit codes: 0 success / all checks pass, 1 verification failure (a gen or
+oracle that failed its cross-check prints "error: <Mismatch>"), 2 usage or
 parse error (a malformed LAGTP_LIMIT and rational entries in sampled mode
 included), or an oracle cap or the polynomial exponent limit exceeded; 3 when
 a verify check raised and none failed.  Identical invocations (including

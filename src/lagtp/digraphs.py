@@ -17,8 +17,9 @@ injections (``enumerate_digraphs``) and classifies each from scratch
 with ``_stat_table``, which inserts the vertices in turn and updates the
 joint statistics in O(1) per digraph; every weighting (``oracle_entry`` in
 each mode, the cyclic permutation oracle) is a projection of that table,
-made once per (n, k, mode).  The linear permutation oracle counts S_n once
-per n by its word statistics (``_linear00_table``).
+made once per (n, k, mode) and checked there: a digraph with k paths has
+n - k edges, and n vertex kinds.  The linear permutation oracle counts S_n
+once per n by its word statistics (``_linear00_table``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from .matrices import Mismatch, RouteMismatchError
 from .polyring import Poly, _power_sum
 
 DEFAULT_DIGRAPH_LIMIT = 9
@@ -314,10 +316,19 @@ def _digraph_sum(n: int, k: int, mode: str, weights: Mapping[str, Poly]) -> Poly
 @functools.lru_cache(maxsize=None)
 def _projected(n: int, k: int, mode: str) -> tuple:
     """((exponents, count), ...): the (n, k) statistics table projected onto
-    the exponents of `mode`'s weights, once per (n, k, mode)."""
+    the exponents of `mode`'s weights, once per (n, k, mode).  In every tuple
+    the exponents other than the cycle count (the last) must sum to n - k,
+    the edges, in 'first_mv' and to n, the vertex kinds, in the other modes;
+    else RouteMismatchError with the distinct sums, under any weights."""
     counter: Counter = Counter()
     for stats, count in _stat_table(n, k):
         counter[tuple(sum(stats[i] for i in f) for f in _ORACLE_MODES[mode][1])] += count
+    want = n - k if mode == "first_mv" else n
+    sums = {sum(exps) - exps[-1] for exps in counter}
+    if not sums <= {want}:
+        what = "edges" if mode == "first_mv" else "vertex kinds"
+        raise RouteMismatchError(Mismatch(f"{what} per digraph in the {mode} count table",
+                                          (n, k), sorted(sums), [want]))
     return tuple(counter.items())
 
 

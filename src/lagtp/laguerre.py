@@ -29,18 +29,13 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digraphs
-from .matrices import (DiagonalPolySpec, Mismatch, Truncation, _check_size, binomial_truncation,
-                       diagonal, first_difference, lower_bidiagonal, riordan_matrix,
-                       sfraction_word, unit_lower_inverse, upper_bidiagonal)
+from .matrices import (DiagonalPolySpec, Mismatch, RouteMismatchError, Truncation, _check_size,
+                       binomial_truncation, diagonal, first_difference, lower_bidiagonal,
+                       riordan_matrix, sfraction_word, unit_lower_inverse, upper_bidiagonal)
 from .polyring import Poly, PolyLike, _p, power_table
 from .series import Series, solve_logderiv, solve_riccati
 
 X_NAME = "x"
-
-
-class RouteMismatchError(AssertionError):
-    """A construction disagreed with its cross-check (a second route, or a
-    property its entries must have); holds the Mismatch."""
 
 
 @dataclass(frozen=True)
@@ -182,26 +177,13 @@ def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Tru
     """First multivariate coefficient matrix, built by digraph-oracle summation.
 
     Entry (n,k) sums v_-^{e_-} v_0^{e_0} v_+^{e_+} (1+alpha)^{cyc} over the
-    Laguerre digraphs with k paths.  When each edge weight is a linear form
-    (or zero) in the edge-weight variables and none of them occurs in alpha
-    (distinct bare variables, say), an entry not homogeneous of degree n-k in
-    them raises RouteMismatchError; other weights, such as vm + 1, vm^2 or a
-    weight in alpha's variable, make no such promise.  A negative size raises
-    ValueError.
+    Laguerre digraphs with k paths; a count table whose digraphs do not all
+    have n-k edges raises RouteMismatchError, under any weights (see
+    ``digraphs._projected``).  A negative size raises ValueError.
     """
     weights = w.oracle_weights(params.lam)
-    t = Truncation.from_fn(n, n, lambda i, k: digraphs.oracle_entry(i, k, weights, "first_mv")
-                           if k <= i else Poly.zero())
-    edge = (w.v_minus, w.v_zero, w.v_plus)
-    edge_vars = {v for wpoly in edge for v in wpoly.vars}
-    if (edge_vars and not edge_vars & set(params.alpha.vars)
-            and all(_degrees(wpoly, edge_vars) in ([], [1]) for wpoly in edge)):
-        got = {(i, k): _degrees(t[i, k], edge_vars) for i in range(n) for k in range(i + 1)}
-        mismatch = first_difference(got, {(i, k): [i - k] if t[i, k] else [] for i, k in got},
-                                    "edge-weight degrees of the first_mv entries")
-        if not mismatch:
-            raise RouteMismatchError(mismatch)
-    return t
+    return Truncation.from_fn(n, n, lambda i, k: digraphs.oracle_entry(i, k, weights, "first_mv")
+                              if k <= i else Poly.zero())
 
 
 def riordan_pair(params: LaguerreParams, w: VertexWeights, order: int,
@@ -256,12 +238,6 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
         if not mismatch:
             raise RouteMismatchError(mismatch)
     return t
-
-
-def _degrees(p: Poly, names: set) -> list:
-    """The distinct total degrees in ``names`` of the terms of p, ascending."""
-    idx = [i for i, v in enumerate(p.vars) if v in names]
-    return sorted({sum(e[i] for i in idx) for e, _ in p.sorted_terms()})
 
 
 # -- closed-form production matrices ------------------------------------------

@@ -201,6 +201,11 @@ class Mismatch:
         return {"what": self.what, "where": self.where, "got": got, "want": want}
 
 
+class RouteMismatchError(AssertionError):
+    """A construction disagreed with its cross-check (a second route, or a
+    property its entries must have); holds the Mismatch."""
+
+
 def first_difference(got, want, what: str) -> bool | Mismatch:
     """True when ``got`` equals ``want``, else the ``Mismatch`` at their
     first differing entry.  Two ``Truncation``s are compared in row-major

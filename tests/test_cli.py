@@ -431,8 +431,60 @@ def test_verify_witness_names_the_entry_of_a_first_mv_matrix_that_is_not_homogen
     monkeypatch.setattr(digraphs, "oracle_entry", planted)
     code, entry = _verify_check(capsys, "multivariate", "first_mv_uniform_scaling")
     assert code == 1 and entry["ok"] is False and "error" not in entry
-    assert entry["witness"] == {"what": "edge-weight degrees of the first_mv entries",
-                                "where": [3, 1], "got": [3], "want": [2]}
+    witness = entry["witness"]
+    assert witness["what"] == "v = (v,v,v) vs coefficient matrix * v^(n-k)"
+    assert witness["where"] == [3, 1]
+    got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
+    assert got == want * Poly.var("v")
+
+
+def test_verify_reports_a_first_mv_count_table_with_an_extra_edge(capsys, plant_count):
+    # one digraph of the (3, 1) table counted with a third edge, a decreasing one:
+    # each check that builds the first_mv matrix fails, under numeric weights too
+    plant_count(3, 1, "e_minus")
+    code, out, _ = run(capsys, ["verify", "multivariate"])
+    entries = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    for name in ("first_mv_stirling_identities", "first_mv_uniform_scaling",
+                 "first_mv_rooks_decreasing"):
+        entry = entries[name]
+        assert entry["ok"] is False and "error" not in entry
+        assert entry["witness"] == {"what": "edges per digraph in the first_mv count table",
+                                    "where": [3, 1], "got": [2, 3], "want": [2]}
+
+
+def test_oracle_reports_a_count_table_with_an_extra_edge(capsys, plant_count):
+    plant_count(3, 1, "e_minus")
+    mismatch = Mismatch("edges per digraph in the first_mv count table", (3, 1), [2, 3], [2])
+    assert run(capsys, ["oracle", "first-mv", "--n", "3", "--k", "1"]) == (
+        1, "", f"error: {mismatch}\n")
+
+
+def test_verify_reports_a_second_mv_count_table_with_an_extra_vertex_kind(capsys, plant_count):
+    # one digraph of the (2, 1) table counted with a third vertex, a cycle peak
+    plant_count(2, 1, "pcyc")
+    code, entry = _verify_check(capsys, "multivariate", "second_mv_riordan_vs_oracle")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    assert entry["witness"] == {
+        "what": "vertex kinds per digraph in the second_mv_general count table",
+        "where": [2, 1], "got": [2, 3], "want": [2]}
+
+
+def test_verify_witness_names_an_oracle_entry_that_y_p_k_does_not_divide(capsys, monkeypatch):
+    # the second_mv oracle entry (2, 1) plus 1, which y_p does not divide
+    real = digraphs.oracle_entry
+
+    def planted(n, k, weights, mode):
+        return real(n, k, weights, mode) + ((n, k, mode) == (2, 1, "second_mv"))
+
+    monkeypatch.setattr(digraphs, "oracle_entry", planted)
+    code, entry = _verify_check(capsys, "multivariate", "second_mv_peak_divisibility")
+    assert code == 1 and entry["ok"] is False and "error" not in entry
+    witness = entry["witness"]
+    assert witness["what"] == "oracle entries vs flat Riordan route * y_p^k"
+    assert witness["where"] == [2, 1]
+    got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
+    assert got - want == Poly.one()
 
 
 def test_gen_reports_a_failed_cross_check_without_a_traceback(capsys, monkeypatch):

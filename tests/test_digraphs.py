@@ -11,6 +11,7 @@ from lagtp.digraphs import (DEFAULT_VAR_NAMES, BadLimitSetting, LaguerreDigraph,
                             LimitExceeded, _injections, _linear00_table, _projected,
                             _stat_table, _walk, classify, enumerate_digraphs, oracle_entry,
                             permutation_oracles)
+from lagtp.matrices import Mismatch, RouteMismatchError
 from lagtp.polyring import Poly
 from lagtp.srpaths import SRCoeffs, sr_path_oracle
 
@@ -420,6 +421,45 @@ def test_statistics_are_enumerated_once_per_n_k(monkeypatch):
         permutation_oracles(4, "cyclic")
     monkeypatch.delenv("LAGTP_LIMIT")
     assert oracle_entry(5, 2, SYMBOLIC, "second_mv_general") == first
+
+
+def test_every_count_table_keeps_the_count_invariant_and_empty_ones_pass():
+    # k paths: n - k edges; every vertex one kind
+    for n in range(6):
+        for k in range(n + 1):
+            for mode in REFERENCE_EXPONENTS:
+                want = n - k if mode == "first_mv" else n
+                assert all(sum(exps) - exps[-1] == want for exps, _ in _projected(n, k, mode))
+        for mode in REFERENCE_EXPONENTS:
+            assert _projected(n, -1, mode) == _projected(n, n + 1, mode) == ()
+
+
+def test_projection_refuses_a_table_with_an_extra_edge_in_first_mv_only(plant_count):
+    plant_count(3, 1, "e_minus")
+    with pytest.raises(RouteMismatchError) as info:
+        oracle_entry(3, 1, {"v_minus": 1, "v_zero": 0, "v_plus": 0, "lam": 1}, "first_mv")
+    assert info.value.args[0] == Mismatch("edges per digraph in the first_mv count table",
+                                          (3, 1), [2, 3], [2])
+    # the vertex kinds are untouched
+    for mode in ("second_mv", "second_mv_general"):
+        _projected(3, 1, mode)
+
+
+def test_projection_refuses_a_table_with_an_extra_vertex_kind_in_every_vertex_mode(plant_count):
+    plant_count(3, 1, "ddpa")
+    for mode in ("second_mv", "second_mv_general"):
+        with pytest.raises(RouteMismatchError) as info:
+            _projected(3, 1, mode)
+        assert info.value.args[0] == Mismatch(
+            f"vertex kinds per digraph in the {mode} count table", (3, 1), [3, 4], [3])
+    _projected(3, 1, "first_mv")
+
+
+def test_cyclic_permutation_oracle_refuses_a_table_with_an_extra_vertex_kind(plant_count):
+    plant_count(3, 0, "vcyc")
+    with pytest.raises(RouteMismatchError) as info:
+        permutation_oracles(3, "cyclic")
+    assert info.value.args[0].where == (3, 0)
 
 
 def test_monomial_weights_are_weighed_without_products(monkeypatch):

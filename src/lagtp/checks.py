@@ -33,7 +33,7 @@ from .matrices import (Banded, DiagonalPolySpec, Mismatch, TPReport, Truncation,
                        first_difference, hankel_truncation, output_matrix, production_of,
                        riordan_matrix, sfraction_word, tp_check_sampled,
                        tp_check_symbolic, tp_check_tridiagonal)
-from .polyring import Poly, rising
+from .polyring import Poly, _FIELD_MASK, _degree, _offsets, rising
 from .series import Series, series_pow_sym, solve_riccati
 
 
@@ -68,8 +68,8 @@ def _lower(n: int, fn) -> Truncation:
 
 def _degrees(p: Poly, names: set) -> list:
     """The distinct total degrees in ``names`` of the terms of p, ascending."""
-    idx = [i for i, v in enumerate(p.vars) if v in names]
-    return sorted({sum(e[i] for i in idx) for e, _ in p.sorted_terms()})
+    mask = sum(_FIELD_MASK << _offsets[v] for v in p.vars if v in names)
+    return sorted({_degree(k & mask) for k in p.num})
 
 
 def _egf_terms(series: Series, count: int) -> list:

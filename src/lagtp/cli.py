@@ -9,8 +9,9 @@ a verify check raised and none failed.  Identical invocations (including
 therefore opt-in (--timings).
 
 Polynomials print with variables in the global (alphabetical) order and
-terms in graded lex order, with explicit '*' and '^'.  The oracle caps can
-be raised with the LAGTP_LIMIT environment variable.
+terms in graded lex order, with explicit '*' and '^'.  The LAGTP_LIMIT
+environment variable overrides the digraph oracles' vertex caps (9, and 7
+for symbolic weights); the path oracle's 24-step cap is fixed.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def cmd_tp_check(args) -> int:
 def cmd_verify(args) -> int:
     # a malformed LAGTP_LIMIT is a usage error (exit 2), not an error in
     # every check that reads it
-    digraphs._limit(digraphs.DEFAULT_DIGRAPH_LIMIT)
+    digraphs._vertex_cap(symbolic=False)
     if args.max_n is not None and args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
     ctx = checks.Ctx(seed=args.seed, max_n=args.max_n)

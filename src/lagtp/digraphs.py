@@ -34,10 +34,6 @@ from typing import Iterator, Mapping
 from .matrices import Mismatch, RouteMismatchError
 from .polyring import Poly, _power_sum
 
-DEFAULT_DIGRAPH_LIMIT = 9
-SYMBOLIC_ORACLE_LIMIT = 7
-PATH_ORACLE_STEP_LIMIT = 24
-
 DEFAULT_VAR_NAMES = {
     "y_p": "yp", "y_v": "yv", "y_da": "yda", "y_dd": "ydd", "y_fp": "yfp",
     "z_p": "zp", "z_v": "zv", "z_da": "zda", "z_dd": "zdd",
@@ -53,10 +49,12 @@ class BadLimitSetting(ValueError):
     """Raised when LAGTP_LIMIT is set to something other than an integer >= 0."""
 
 
-def _limit(default: int) -> int:
+def _vertex_cap(symbolic: bool) -> int:
+    """The largest n a digraph enumeration may reach: LAGTP_LIMIT when set,
+    else 7 for symbolic weights and 9 for numeric ones."""
     env = os.environ.get("LAGTP_LIMIT")
     if not env:
-        return default
+        return 7 if symbolic else 9
     if not env.strip().isdecimal():
         raise BadLimitSetting(f"LAGTP_LIMIT must be an integer >= 0 (got {env!r})")
     return int(env)
@@ -121,11 +119,9 @@ def enumerate_digraphs(n: int) -> Iterator[LaguerreDigraph]:
     """All Laguerre digraphs on {1..n}, by edge count.
 
     Every partial injection is a valid Laguerre digraph; a digraph with e
-    edges has n - e paths.
+    edges has n - e paths.  Refused like the numeric oracles.
     """
-    cap = _limit(DEFAULT_DIGRAPH_LIMIT)
-    if n > cap:
-        raise LimitExceeded(f"digraph enumeration capped at n <= {cap} (got {n})")
+    _check_oracle_limit(n, ())
     for e in range(n + 1):
         for domain, perm in _injections(n, e):
             yield LaguerreDigraph(n, dict(zip(domain, perm)))
@@ -283,8 +279,7 @@ def _check_oracle_limit(n: int, weights) -> None:
     """Refuse n < 0 and n beyond the cap for these weights."""
     if n < 0:
         raise ValueError(f"oracles need n >= 0 (got {n})")
-    symbolic = any(isinstance(w, Poly) and w.vars for w in weights)
-    cap = _limit(SYMBOLIC_ORACLE_LIMIT if symbolic else DEFAULT_DIGRAPH_LIMIT)
+    cap = _vertex_cap(any(isinstance(w, Poly) and w.vars for w in weights))
     if n > cap:
         raise LimitExceeded(f"digraph oracle capped at n <= {cap} (got {n})")
 

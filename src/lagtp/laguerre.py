@@ -215,14 +215,14 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
     Primary route: exponential Riordan array R[F, G] with the cycle
     EGF F and the path EGF G (G-flat for the flat form).  The digraph
     oracle recomputes the leading rows as a cross-check (by default as many
-    as its symbolic cap: 7, or LAGTP_LIMIT); a mismatch raises
+    as ``digraphs._vertex_cap`` allows symbolic weights); a mismatch raises
     RouteMismatchError since it signals a series or oracle bug, and a
     negative size raises ValueError.
     """
     _check_size(n, n)
     t = riordan_matrix(*riordan_pair(params, w, max(n - 1, 0), flat), n)
     if oracle_rows is None:
-        oracle_rows = digraphs._limit(digraphs.SYMBOLIC_ORACLE_LIMIT)
+        oracle_rows = digraphs._vertex_cap(symbolic=True)
     weights = w.oracle_weights(params.lam)
 
     def oracle(i, k):

@@ -16,8 +16,8 @@ height), and ``polyring._power_sum`` (the weighting step of every oracle
 and of ``Poly.substitute``) weighs that table with alpha_h for height h
 (for monomial alphas, by key sums and no ``Poly`` product).  So the walk
 is made once per process for each (m, j, n, k range) and kept as an
-immutable table (``_path_table``); the step cap is checked on every
-call, before the table is looked up.
+immutable table (``_path_table``); the fixed ``PATH_ORACLE_STEP_LIMIT`` is
+checked on every call, before the table is looked up.
 ``SRTriangles`` computes its entries on demand: a request computes only
 the entries its result depends on, each at most once, row by row with no
 recursion, returns a memo hit without a walk, and each alpha_i is read
@@ -41,12 +41,14 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import Callable, Optional, Union
 
-from .digraphs import PATH_ORACLE_STEP_LIMIT, LimitExceeded, _limit
+from .digraphs import LimitExceeded
 from .laguerre import LaguerreParams, RouteMismatchError, prodmat
 from .matrices import (Mismatch, Truncation, first_difference, hankel_truncation, sfraction_word,
                        tp_check_symbolic)
 from .polyring import Poly, PolyLike, _mul_add, _p, _power_sum
 from .series import Series
+
+PATH_ORACLE_STEP_LIMIT = 24
 
 
 class InadmissibleCellError(ValueError):
@@ -209,9 +211,8 @@ def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> tuple:
     """``_path_table(m, j, n, k_lo, k_hi)``, refused (``LimitExceeded``)
     on every call whose paths are longer than the cap."""
     steps = (m + 1) * n + j
-    cap = _limit(PATH_ORACLE_STEP_LIMIT)
-    if steps > cap:
-        raise LimitExceeded(f"path oracle capped at {cap} steps (got {steps})")
+    if steps > PATH_ORACLE_STEP_LIMIT:
+        raise LimitExceeded(f"path oracle capped at {PATH_ORACLE_STEP_LIMIT} steps (got {steps})")
     return _path_table(m, j, n, k_lo, k_hi)
 
 

@@ -7,6 +7,13 @@ from lagtp import digraphs
 _COUNT_CACHES = (digraphs._stat_table, digraphs._projected)
 
 
+@pytest.fixture(autouse=True)
+def _no_limit_from_the_shell(monkeypatch):
+    """Every test starts at the default oracle caps, whatever LAGTP_LIMIT
+    the shell exports; a test that needs a value sets it itself."""
+    monkeypatch.delenv("LAGTP_LIMIT", raising=False)
+
+
 def _clear_count_tables():
     for cached in _COUNT_CACHES:
         cached.cache_clear()

@@ -699,6 +699,15 @@ def test_second_mv_cross_check_follows_a_lowered_oracle_cap(capsys, monkeypatch)
     assert run(capsys, argv) == (0, want, "")
 
 
+def test_the_default_digraph_cap_passes_the_path_oracle_checks(capsys, monkeypatch):
+    # LAGTP_LIMIT caps digraph vertices; the 10-step walks stay allowed
+    monkeypatch.setenv("LAGTP_LIMIT", "9")
+    code, out, _ = run(capsys, ["verify", "srpaths"])
+    assert code == 0
+    checks_run = json.loads(out)["checks"]
+    assert checks_run and all(c["ok"] and "error" not in c for c in checks_run)
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_verify_with_malformed_limit_exits_2_before_any_check(capsys, monkeypatch, value):
     monkeypatch.setenv("LAGTP_LIMIT", value)

@@ -363,6 +363,9 @@ def test_negative_n_is_refused():
     for kind in ("cyclic", "linear00"):
         with pytest.raises(ValueError):
             permutation_oracles(-2, kind)
+    # the reference enumeration refuses it through the same check
+    with pytest.raises(ValueError, match=r"oracles need n >= 0 \(got -1\)"):
+        list(enumerate_digraphs(-1))
 
 
 # -- the insertion enumeration against the two reference enumerations -------

@@ -453,11 +453,16 @@ def test_the_path_oracle_walks_each_argument_tuple_once():
 def test_a_lower_limit_refuses_a_cached_walk(monkeypatch):
     assert sr_path_oracle(CO1, 0, 3, 0) == sr_poly(CO1, 0, 3, 0)
     assert len(sr_path_oracle_row(CO1, 0, 3)) == 4
-    monkeypatch.setenv("LAGTP_LIMIT", "5")  # the paths have 6 steps
+    monkeypatch.setattr(srpaths, "PATH_ORACLE_STEP_LIMIT", 5)  # the paths have 6 steps
     with pytest.raises(LimitExceeded):
         sr_path_oracle(CO1, 0, 3, 0)
     with pytest.raises(LimitExceeded):
         sr_path_oracle_row(CO1, 0, 3)
+
+
+def test_the_digraph_cap_does_not_cap_the_path_oracle(monkeypatch):
+    monkeypatch.setenv("LAGTP_LIMIT", "0")
+    assert sr_path_oracle(CO1, 0, 3, 0) == sr_poly(CO1, 0, 3, 0)
 
 
 def test_a_cached_path_table_is_immutable():

@@ -211,15 +211,15 @@ def first_difference(got, want, what: str) -> bool | Mismatch:
     first differing entry.  Two ``Truncation``s are compared in row-major
     order, two dicts key by key in the order of ``got`` (``where`` is the
     key), two sequences index by index; a difference in shape (in length,
-    or in the list of keys) is reported at ``where="shape"``."""
+    or in the set of keys) is reported at ``where="shape"``."""
     if isinstance(got, Truncation):
         if got == want:
             return True
         shape = (got.rows, got.cols), (want.rows, want.cols)
         cells = (((i, k), a, b) for i, (row_a, row_b) in enumerate(zip(got.data, want.data))
                  for k, (a, b) in enumerate(zip(row_a, row_b)))
-    elif isinstance(got, dict):
-        shape = list(got), list(want)
+    elif isinstance(got, dict):  # the key sets decide the shape, not their order
+        shape = list(got), (list(got) if got.keys() == want.keys() else list(want))
         cells = ((key, a, want[key]) for key, a in got.items())
     else:
         shape = len(got), len(want)
@@ -356,6 +356,8 @@ def sfraction_word(alpha, m: int, j: int, unit: PolyLike = 1) -> Banded:
     holds alpha_{(m+1)(i+1) - 1}; the unit entries of the factors (the
     diagonal of each L_r, the superdiagonal of U_0) hold ``unit``.
     """
+    if m < 1:
+        raise ValueError(f"branch order m must be at least 1 (got {m})")
     if not 0 <= j <= m:
         raise ValueError(f"type j must satisfy 0 <= j <= m (got {j})")
     unit = _p(unit)

@@ -10,13 +10,13 @@ Monomial keys are packed exponent vectors (Monagan and Pearce).  A
 process-wide registry gives every variable name, on first use, its own
 ``FIELD_BITS``-wide bit field, and the monomial x1^e1 ... xn^en is the single
 integer sum of e_i << offset(x_i).  Every polynomial shares this one key
-space, so a monomial product is one integer addition, ``+`` merges two maps
-and ``*`` is one loop over term pairs, with no per-operation re-keying.  The
-top bit of each field is a guard: exponents run from 0 to ``MAX_EXPONENT``
-(32767), and an exponent that would reach the guard bit raises
-``OverflowError`` instead of carrying into the next variable's field.  Keys
-depend on the order in which names were first seen, so they never leave the
-process: printing and JSON go through variable names.
+space, so a monomial product is one integer addition, a sum one pass over
+the terms of one operand and ``*`` one loop over term pairs, with no
+per-operation re-keying.  The top bit of each field is a guard: exponents
+run from 0 to ``MAX_EXPONENT`` (32767), and an exponent that would reach the
+guard bit raises ``OverflowError`` instead of carrying into the next
+variable's field.  Keys depend on the order in which names were first seen,
+so they never leave the process: printing and JSON go through variable names.
 
 A key is as wide as the highest field it uses, and a name registered late
 in a process gets a high field: after 95 names, a monomial in the last one
@@ -33,7 +33,9 @@ another: it adds every term pair of a*b into a numerator map.
 normalises it once at the end, so no product is built only to be merged and
 no partial sum is copied; ``*`` and ``scale`` are the one-pair case, and
 ``_mul_add(a, c, b)``, a + c*b (the row step of the m-Stieltjes-Rogers
-recurrence), is the one pair added into one copy of a's numerators.  The
+recurrence), is the one pair added into one copy of a's numerators.  ``+``
+and ``-`` are ``_mul_add`` calls with b = 1 and b = -1, so no other loop
+merges two term maps and a difference builds no negated copy.  The
 second operand of the kernel may be an exact scalar, an int or a
 ``Fraction``, taken as one term on the constant key 0 (which moves no key,
 so it needs no overflow test): an integer weight, a binomial or an n!/k!
@@ -215,9 +217,9 @@ def _product(a: "Poly", b: "Poly | Scalar") -> "Poly":
     return _finish(out, _mul_into(out, 1, a, b))
 
 
-def _mul_add(a: "Poly", c: "Poly", b: "Poly") -> "Poly":
+def _mul_add(a: "Poly", c: "Poly", b: "Poly | Scalar") -> "Poly":
     """a + c * b: the multiply-add of c * b into a copy of a's numerators,
-    so no product is built only to be merged."""
+    so no product is built only to be merged; ``b`` may be an exact scalar."""
     out = dict(a.num)
     return _finish(out, _mul_into(out, a.den, c, b))
 
@@ -394,20 +396,7 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         big, small = (self, other) if len(self.num) >= len(other.num) else (other, self)
-        if not small.num:
-            return big
-        den = big.den
-        if den == small.den:
-            out, terms = dict(big.num), small.num
-        else:
-            den = lcm(den, small.den)
-            out = {k: c * (den // big.den) for k, c in big.num.items()}
-            terms = {k: c * (den // small.den) for k, c in small.num.items()}
-        for k, c in terms.items():
-            s = out.pop(k, 0) + c
-            if s:
-                out[k] = s
-        return _finish(out, den)
+        return _mul_add(big, small, 1) if small.num else big
 
     __radd__ = __add__
 
@@ -418,7 +407,7 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _mul_add(self, other, -1) if other.num else self
 
     def __rsub__(self, other) -> "Poly":
         return (-self).__add__(other)

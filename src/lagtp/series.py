@@ -63,10 +63,12 @@ class Series:
 
     __hash__ = None
 
-    def __add__(self, other) -> "Series":
+    def _entrywise(self, op, other) -> "Series":
         other = self._match(other)
-        n = min(self.order, other.order)
-        return Series([self.coefs[i] + other.coefs[i] for i in range(n + 1)], n)
+        return Series(list(map(op, self.coefs, other.coefs)), min(self.order, other.order))
+
+    def __add__(self, other) -> "Series":
+        return self._entrywise(Poly.__add__, other)
 
     __radd__ = __add__
 
@@ -74,7 +76,7 @@ class Series:
         return Series([-c for c in self.coefs], self.order)
 
     def __sub__(self, other) -> "Series":
-        return self + (-self._match(other))
+        return self._entrywise(Poly.__sub__, other)
 
     def __rsub__(self, other) -> "Series":
         return self._match(other) + (-self)

@@ -81,6 +81,13 @@ def test_first_difference_names_the_key_of_a_dict_mismatch():
         "by m", "shape", [1], [1, 2])
 
 
+def test_first_difference_ignores_the_insertion_order_of_dict_keys():
+    assert first_difference({1: "a", 2: "b"}, {2: "b", 1: "a"}, "x") is True
+    assert first_difference({1: "a", 2: "b"}, {2: "c", 1: "a"}, "x") == Mismatch("x", 2, "b", "c")
+    assert first_difference({1: "a", 2: "b"}, {3: "b", 1: "a"}, "x") == Mismatch(
+        "x", "shape", [1, 2], [3, 1])
+
+
 def test_tp_report_is_truthy_exactly_when_ok():
     assert tp_check_symbolic(Truncation([[1, 1], [1, 2]]), 2)
     assert not tp_check_symbolic(Truncation([[1, 2], [3, 1]]), 2)
@@ -1599,6 +1606,13 @@ def test_sfraction_word_refuses_a_type_outside_0_to_m():
     for j in (-1, 3):
         with pytest.raises(ValueError, match="type j"):
             sfraction_word(_sym("al"), 2, j)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_sfraction_word_refuses_a_branch_order_below_1(m):
+    # m = 0 once returned the upper bidiagonal U_0 alone
+    with pytest.raises(ValueError, match="branch order m"):
+        sfraction_word(_sym("al"), m, 0)
 
 
 def test_output_matrix_and_conjugate_refuse_a_negative_size_before_any_read():

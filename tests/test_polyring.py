@@ -302,7 +302,9 @@ def test_every_product_goes_through_the_one_kernel(monkeypatch):
     ops = {"p * m": lambda: p * m, "p * q": lambda: p * q, "p.scale(3)": lambda: p.scale(3),
            "_mul_add(p, m, q)": lambda: _mul_add(p, m, q),
            "_mul_add(p, q, q)": lambda: _mul_add(p, q, q),
-           "dot of two pairs": lambda: Poly.dot([(p, q), (q, p)])}
+           "dot of two pairs": lambda: Poly.dot([(p, q), (q, p)]),
+           "p + q": lambda: p + q, "p - q": lambda: p - q, "q - p": lambda: q - p,
+           "p + 0": lambda: p + 0, "p - 0": lambda: p - 0}
     calls = []
     mul_into = polyring._mul_into
     monkeypatch.setattr(polyring, "_mul_into", lambda *args: calls.append(1) or mul_into(*args))
@@ -312,7 +314,19 @@ def test_every_product_goes_through_the_one_kernel(monkeypatch):
         op()
         counts[name] = len(calls)
     assert counts == {"p * m": 1, "p * q": 1, "p.scale(3)": 1, "_mul_add(p, m, q)": 1,
-                      "_mul_add(p, q, q)": 1, "dot of two pairs": 2}
+                      "_mul_add(p, q, q)": 1, "dot of two pairs": 2,
+                      "p + q": 1, "p - q": 1, "q - p": 1, "p + 0": 0, "p - 0": 0}
+
+
+def test_a_difference_builds_no_negated_copy(monkeypatch):
+    p, q = x + 2 * a + 1, x ** 2 - a.scale(Fraction(1, 2))
+    built = []
+    finish = polyring._finish
+    monkeypatch.setattr(polyring, "_finish", lambda *args: built.append(1) or finish(*args))
+    difference = p - q
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert difference == p + -q and difference - p == -q
 
 
 def test_subtraction_from_a_foreign_operand_is_refused_by_python():
@@ -621,6 +635,7 @@ def test_rational_arithmetic_equals_a_fraction_fold(drawn, s):
     one = {frozenset(): 1}
     cases = [(p * q, _fold([(tp, tq)])),
              (p + q, _fold([(tp, one), (tq, one)])),
+             (p - q, _fold([(tp, one), (tq, {frozenset(): -1})])),
              (p.scale(s), _fold([(tp, {frozenset(): s})])),
              (Poly.dot(zip(polys_[0::2], polys_[1::2])), _fold(zip(named[0::2], named[1::2])))]
     for got, want in cases:
@@ -656,10 +671,12 @@ def test_rational_arithmetic_builds_no_fraction(monkeypatch):
 
     monkeypatch.setattr(polyring, "Fraction", Counted)
     dot, product, total, square = Poly.dot([(p, q), (q, p), (p, 3)]), p * q, p + q, s * s
+    difference = p - q
     assert made == []
     monkeypatch.undo()
     assert _monomial_terms(dot) == _reference_dot([(p, q), (q, p), (p, Poly.const(3))])
     assert (product, total) == (p * q, p + q) and square.coefs[2] == 2 * p * p * q + q * q
+    assert _monomial_terms(difference) == _reference_dot([(p, 1), (q, -1)])
 
 
 @pytest.mark.parametrize("entry, field", [

@@ -120,6 +120,7 @@ def test_truncation_commutes_with_operations():
     b = Series([1, 3, Poly.var("a"), 1, 2], 4)
     assert (a * b).truncate(2) == a.truncate(2) * b.truncate(2)
     assert (a + b).truncate(3) == a.truncate(3) + b.truncate(3)
+    assert (a - b).truncate(3) == a.truncate(3) - b.truncate(3) == a - b.truncate(3)
     assert a.reciprocal().truncate(2) == a.truncate(2).reciprocal()
 
 

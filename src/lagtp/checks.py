@@ -33,7 +33,7 @@ from .matrices import (Banded, DiagonalPolySpec, Mismatch, TPReport, Truncation,
                        first_difference, hankel_truncation, output_matrix, production_of,
                        riordan_matrix, sfraction_word, tp_check_sampled,
                        tp_check_symbolic, tp_check_tridiagonal)
-from .polyring import Poly, _FIELD_MASK, _degree, _offsets, rising
+from .polyring import Poly, _degrees, rising
 from .series import Series, series_pow_sym, solve_riccati
 
 
@@ -64,12 +64,6 @@ def _named(report: TPReport, what: str) -> TPReport:
 def _lower(n: int, fn) -> Truncation:
     """The n x n lower-triangular matrix with entries fn(i, k), k <= i."""
     return Truncation.from_fn(n, n, lambda i, k: fn(i, k) if k <= i else 0)
-
-
-def _degrees(p: Poly, names: set) -> list:
-    """The distinct total degrees in ``names`` of the terms of p, ascending."""
-    mask = sum(_FIELD_MASK << _offsets[v] for v in p.vars if v in names)
-    return sorted({_degree(k & mask) for k in p.num})
 
 
 def _egf_terms(series: Series, count: int) -> list:

@@ -27,12 +27,9 @@ from .digraphs import BadLimitSetting, LimitExceeded
 from .laguerre import EdgeWeights, LaguerreParams, RouteMismatchError, VertexWeights
 from .matrices import Truncation, tp_check_sampled, tp_check_symbolic
 
-GEN_SELECTORS = (
-    "laguerre-coeff", "first-mv", "second-mv",
-    "prodmat:Pcirc", "prodmat:P", "prodmat:PcircFlat", "prodmat:PFlat",
-    "prodmat:PcircY", "prodmat:PY",
-    "smj", "quad-general", "quad-variant",
-)
+GEN_SELECTORS = ("laguerre-coeff", "first-mv", "second-mv",
+                 *(f"prodmat:{kind}" for kind in laguerre.PRODMAT_KINDS),
+                 "smj", "quad-general", "quad-variant")
 
 class UsageError(Exception):
     pass
@@ -81,10 +78,8 @@ def _gen_matrix(args) -> Truncation:
         return laguerre.coeff_matrix_second_mv(
             params, VertexWeights.symbolic(), n, flat=args.flat)
     if sel.startswith("prodmat:"):
-        which = sel.split(":", 1)[1]
-        params = _parse_alpha(args.alpha)
-        weights = VertexWeights.symbolic() if which not in ("Pcirc", "P") else None
-        return laguerre.prodmat(params, which, weights=weights).truncate(n)
+        return laguerre.prodmat(_parse_alpha(args.alpha), sel.split(":", 1)[1],
+                                weights=VertexWeights.symbolic()).truncate(n)
     if sel == "smj":
         if args.family:
             fam = _parse_family(args.family, args.kappa)
@@ -136,8 +131,7 @@ def cmd_tp_check(args) -> int:
             obj = json.load(fh)
         matrix = Truncation.from_json_obj(obj)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot read matrix JSON: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot read matrix JSON: {exc}") from None
     if args.mode == "symbolic":
         report = tp_check_symbolic(matrix, args.order)
     else:

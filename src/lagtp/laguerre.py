@@ -242,6 +242,8 @@ def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
 
 # -- closed-form production matrices ------------------------------------------
 
+PRODMAT_KINDS = ("Pcirc", "P", "PcircFlat", "PFlat", "PcircY", "PY")  # ``which`` of ``prodmat``
+
 
 def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = None,
             x: PolyLike | None = None) -> DiagonalPolySpec:
@@ -261,7 +263,7 @@ def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = 
     quadridiagonal B_x^{-1} P-circ B_x adds s x to the diagonal,
     x n (y_da + y_dd) to the subdiagonal and t x n (n-1) below that.
     """
-    if which not in ("Pcirc", "P", "PcircFlat", "PFlat", "PcircY", "PY"):
+    if which not in PRODMAT_KINDS:
         raise ValueError(f"unknown production-matrix variant {which!r}")
     w = UNIT_WEIGHTS if which in ("Pcirc", "P") else weights
     if w is None:

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import (FIELD_BITS, Poly, PolyLike, _FIELD_MASK, _finish, _local_keys, _p,
-                       _values, power_table)
+from .polyring import (Poly, PolyLike, _exponent_box, _local_keys, _p, _pack, _values,
+                       _vars_of, power_table)
 
 
 class NonUnitDiagonalError(ValueError):
@@ -146,12 +146,7 @@ class Truncation:
                    default=0)
 
     def variables(self) -> tuple:
-        used = 0
-        for row in self.data:
-            for e in row:
-                for k in e.num:
-                    used |= k
-        return _finish({used: 1}).vars  # the monomial with every field an entry uses
+        return _vars_of(e for row in self.data for e in row)
 
     def to_json_obj(self) -> dict:
         return {
@@ -743,9 +738,9 @@ def _packing(grid, top: int) -> Optional[tuple]:
     of local-key Polys as one integer, or None when it does not pay.
 
     Slot i of ``width`` bits holds the coefficient of the monomial with
-    mixed-radix index i over ``dims``.  dims[v] - 1, the sum of the top
-    largest row maxima of the exponent of local field v, bounds that
-    exponent in every such minor.  Every coefficient of such a minor is at
+    mixed-radix index i over ``dims``, the exponent box of
+    ``polyring._exponent_box``: dims[v] - 1 bounds the exponent of local
+    field v in every such minor.  Every coefficient of such a minor is at
     most N in magnitude, N the product of the top largest row L1 norms,
     each taken as at least 1 (the Leibniz expansion), so width =
     N.bit_length() + 1 keeps |c| < 2^(width - 1).  None unless every
@@ -753,40 +748,12 @@ def _packing(grid, top: int) -> Optional[tuple]:
     ``width`` bits, has at most ``_PACK_BITS`` bits; since width >= 2, that
     cap also keeps every dims[v] - 1 at most MAX_EXPONENT.
     """
-    keys, norms = [], []  # per row: the keys of its terms, its L1 norm
-    for row in grid:
-        if any(e.den != 1 for e in row):
-            return None
-        coeffs = [c for e in row for c in e.num.values()]
-        keys.append([k for e in row for k in e.num])
-        norms.append(max(1, sum(map(abs, coeffs))))
-    used = 0
-    for row in keys:
-        for k in row:
-            used |= k
-    dims = []
-    box = 1
-    for off in range(0, used.bit_length(), FIELD_BITS):
-        maxima = sorted((max((k >> off & _FIELD_MASK for k in row), default=0) for row in keys),
-                        reverse=True)
-        dims.append(1 + sum(maxima[:top]))
-        box *= dims[-1]
-        if 2 * box > _PACK_BITS:
-            return None
+    if any(e.den != 1 for row in grid for e in row):
+        return None
+    dims = _exponent_box(grid, top)
+    norms = [max(1, sum(abs(c) for e in row for c in e.num.values())) for row in grid]
     width = math.prod(sorted(norms, reverse=True)[:top]).bit_length() + 1
-    return (width, tuple(dims)) if box * width <= _PACK_BITS else None
-
-
-def _pack(p: Poly, width: int, dims: tuple) -> int:
-    """The local-key Poly p as the integer sum of c << width * slot."""
-    out = 0
-    for k, c in p.num.items():
-        slot, stride = 0, 1
-        for v, d in enumerate(dims):
-            slot += (k >> (v * FIELD_BITS) & _FIELD_MASK) * stride
-            stride *= d
-        out += c << (width * slot)
-    return out
+    return (width, dims) if math.prod(dims) * width <= _PACK_BITS else None
 
 
 def _int_dot(pairs) -> int:
@@ -805,8 +772,8 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
 
     The entries are re-keyed once onto the variables the matrix uses
     (``polyring._local_keys``), so every product in the scan works on keys
-    of at most FIELD_BITS bits per variable of the matrix, however many
-    names the process has registered; only the witness minor is mapped
+    of one field per variable of the matrix, however many names the
+    process has registered; only the witness minor is mapped
     back.
 
     When ``_packing`` finds a small enough box, each entry becomes one
@@ -873,25 +840,21 @@ class XorShift64:
         self.state = (seed & self.MASK) or 0x9E3779B97F4A7C15
 
     def next_u64(self) -> int:
-        x = self.state
-        x ^= (x << 13) & self.MASK
-        x ^= x >> 7
-        x ^= (x << 17) & self.MASK
-        self.state = x
-        return x
+        return _draws(self, 1, 0)[0]
 
     def next_small(self) -> int:
-        return self.next_u64() >> 62
+        return _draws(self, 1, 62)[0]
 
 
-def _small_draws(rng: XorShift64, count: int) -> list:
-    """The next ``count`` values of ``rng.next_small()``, in one loop on its state."""
+def _draws(rng: XorShift64, count: int, shift: int) -> list:
+    """The next ``count`` states of ``rng``, each shifted right by ``shift``
+    (0 for ``next_u64``, 62 for ``next_small``), in one loop on its state."""
     x, mask, out = rng.state, XorShift64.MASK, []
     for _ in range(count):
         x ^= (x << 13) & mask
         x ^= x >> 7
         x ^= (x << 17) & mask
-        out.append(x >> 62)
+        out.append(x >> shift)
     rng.state = x
     return out
 
@@ -908,7 +871,7 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
     order, with its substitution; ``checked`` and the witness are those of
     a scan sample by sample.  A non-integer entry raises ``ValueError``
     once every earlier sample has passed.  The samples are drawn in blocks
-    of ``_SAMPLE_BLOCK``, each in one loop (``_small_draws``), and only the
+    of ``_SAMPLE_BLOCK``, each in one loop (``_draws``), and only the
     distinct assignments of a block are evaluated and scanned, in the order
     of their first occurrence: the entries once per block
     (``polyring._values``), the minors over all assignments at once, a
@@ -931,7 +894,7 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
         # each to the first sample that draws it
         firsts: dict = {}
         block = min(_SAMPLE_BLOCK, samples - start)
-        draws = [SAMPLE_VALUES[v] for v in _small_draws(rng, block * len(names))]
+        draws = [SAMPLE_VALUES[v] for v in _draws(rng, block * len(names), 62)]
         for s in range(block):
             firsts.setdefault(tuple(draws[s * len(names):(s + 1) * len(names)]), s)
         envs = [dict(zip(names, key)) for key in firsts]

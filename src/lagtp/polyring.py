@@ -16,7 +16,11 @@ per-operation re-keying.  The top bit of each field is a guard: exponents
 run from 0 to ``MAX_EXPONENT`` (32767), and an exponent that would reach the
 guard bit raises ``OverflowError`` instead of carrying into the next
 variable's field.  Keys depend on the order in which names were first seen,
-so they never leave the process: printing and JSON go through variable names.
+so their layout never leaves this module: printing and JSON go through
+variable names, and other modules ask helpers here for what a key holds
+(``_vars_of``, the names a set of Polys uses; ``_degrees``, the degrees in
+some of them; ``_exponent_box`` and ``_pack``, the packing of a local-key
+grid for the symbolic TP scan).
 
 A key is as wide as the highest field it uses, and a name registered late
 in a process gets a high field: after 95 names, a monomial in the last one
@@ -139,6 +143,32 @@ def _degree(key: int) -> int:
         d += key & _FIELD_MASK
         key >>= FIELD_BITS
     return d
+
+
+def _degrees(p: "Poly", names: set) -> list:
+    """The distinct total degrees in ``names`` of the terms of p, ascending."""
+    mask = sum(_FIELD_MASK << _offsets[v] for v in p.vars if v in names)
+    return sorted({_degree(k & mask) for k in p.num})
+
+
+def _used(polys: Iterable["Poly"]) -> int:
+    """The OR of every key of ``polys``: nonzero in each field any of them uses."""
+    used = 0
+    for p in polys:
+        for k in p.num:
+            used |= k
+    return used
+
+
+def _vars_of(polys: Iterable["Poly"]) -> tuple:
+    """The sorted names of the variables ``polys`` use."""
+    used, names, i = _used(polys), [], 0
+    while used:
+        if used & _FIELD_MASK:
+            names.append(_names[i])
+        used >>= FIELD_BITS
+        i += 1
+    return tuple(sorted(names))
 
 
 def _norm_coeff(c) -> Coeff:
@@ -313,17 +343,7 @@ class Poly:
             return self._vars
         except AttributeError:
             pass
-        used = 0
-        for k in self.num:
-            used |= k
-        names = []
-        i = 0
-        while used:
-            if used & _FIELD_MASK:
-                names.append(_names[i])
-            used >>= FIELD_BITS
-            i += 1
-        names = tuple(sorted(names))
+        names = _vars_of((self,))
         object.__setattr__(self, "_vars", names)
         return names
 
@@ -410,7 +430,10 @@ class Poly:
         return _mul_add(self, other, -1) if other.num else self
 
     def __rsub__(self, other) -> "Poly":
-        return (-self).__add__(other)
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _mul_add(other, self, -1) if self.num else other
 
     def __mul__(self, other) -> "Poly":
         if type(other) not in _OPERANDS:
@@ -601,10 +624,7 @@ def _local_keys(polys: Iterable[Poly]) -> tuple:
     keys also names the wrong variable (see ``tp_check_symbolic``).
     """
     polys = list(polys)
-    used = 0
-    for p in polys:
-        for k in p.num:
-            used |= k
+    used = _used(polys)
     # runs of consecutive used fields, each moved by one mask and one shift:
     # (offset in the process key, offset in the local key, mask of the run)
     runs = []
@@ -630,6 +650,32 @@ def _local_keys(polys: Iterable[Poly]) -> tuple:
 
     back = [(dst, src, mask) for src, dst, mask in runs]
     return [rekey(p, runs) for p in polys], lambda p: rekey(p, back)
+
+
+def _exponent_box(grid, top: int) -> tuple:
+    """dims: for each field v of the local-key Polys of ``grid`` (a list
+    of rows), 1 plus the sum of the top largest row maxima of the exponent
+    of v, which bounds that exponent in every minor of size <= top."""
+    keys = [[k for e in row for k in e.num] for row in grid]
+    dims = []
+    for off in range(0, _used(e for row in grid for e in row).bit_length(), FIELD_BITS):
+        maxima = sorted((max((k >> off & _FIELD_MASK for k in row), default=0) for row in keys),
+                        reverse=True)
+        dims.append(1 + sum(maxima[:top]))
+    return tuple(dims)
+
+
+def _pack(p: Poly, width: int, dims: tuple) -> int:
+    """The local-key Poly p as the integer sum of c << width * slot, slot
+    the mixed-radix index over ``dims`` of the exponents of its term."""
+    out = 0
+    for k, c in p.num.items():
+        slot, stride = 0, 1
+        for v, d in enumerate(dims):
+            slot += (k >> (v * FIELD_BITS) & _FIELD_MASK) * stride
+            stride *= d
+        out += c << (width * slot)
+    return out
 
 
 def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:

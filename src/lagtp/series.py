@@ -79,7 +79,7 @@ class Series:
         return self._entrywise(Poly.__sub__, other)
 
     def __rsub__(self, other) -> "Series":
-        return self._match(other) + (-self)
+        return self._match(other) - self
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, (Poly, int, Fraction)):

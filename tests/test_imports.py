@@ -178,6 +178,41 @@ def test_the_guard_sees_raised_assertion_errors():
     assert raised_assertions(source) == [5, 6, 8]
 
 
+# the names that read the bit layout of a monomial key
+KEY_LAYOUT = frozenset({"FIELD_BITS", "_FIELD_MASK", "_offsets", "_names", "_guard", "_degree",
+                        "_finish"})
+
+
+def key_layout_reads(source: str) -> list:
+    """(line, name) of every ``KEY_LAYOUT`` name the source imports from
+    ``polyring`` or reads as ``polyring.<name>``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "polyring":
+            found |= {(node.lineno, alias.name) for alias in node.names
+                      if alias.name in KEY_LAYOUT}
+        elif isinstance(node, ast.Attribute) and node.attr in KEY_LAYOUT:
+            owner = node.value
+            if getattr(owner, "id", None) == "polyring" or getattr(owner, "attr", None) == "polyring":
+                found.add((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "polyring.py"],
+                         ids=lambda p: p.name)
+def test_only_polyring_reads_keys(path):
+    assert key_layout_reads(path.read_text()) == []
+
+
+def test_the_guard_sees_key_layout_reads():
+    source = ("from .polyring import Poly, FIELD_BITS as W, _local_keys\n"
+              "from lagtp.polyring import _finish\nfrom . import polyring\nimport lagtp\n"
+              "def f(p):\n    return p.num, polyring._offsets, lagtp.polyring._guard\n"
+              "def g(p):\n    return polyring._vars_of([p]), p._names, _degree(p)\n")
+    assert key_layout_reads(source) == [(1, "FIELD_BITS"), (2, "_finish"), (6, "_guard"),
+                                        (6, "_offsets")]
+
+
 def _is_def(node) -> bool:
     return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not (node.name.startswith("__") and node.name.endswith("__")))

@@ -357,6 +357,19 @@ def test_tp_report_json_fields():
     assert Poly.from_json_obj(obj["witness"]["minor"]) == Poly.const(-5)
 
 
+@pytest.mark.parametrize("seed, first", [
+    (1, [1082269761, 1152992998833853505, 11177516664432764457, 17678023832001937445,
+         9659130143999365733, 17775799001133815809, 11693034620340510321,
+         14279964170112293133]),
+    (42, [45454805674, 11532217803599905471, 10021416941527320954, 2899061411254629736,
+          5661411637479084162, 10094803945545275427, 11439985393877029075,
+          10624261412083704114])])
+def test_xorshift_first_states_are_pinned(seed, first):
+    # recorded from the generator before its draws shared one loop
+    rng = XorShift64(seed)
+    assert [rng.next_u64() for _ in range(8)] == first
+
+
 def test_xorshift_is_deterministic():
     rng1, rng2 = XorShift64(9), XorShift64(9)
     assert [rng1.next_small() for _ in range(20)] == [rng2.next_small() for _ in range(20)]
@@ -368,7 +381,7 @@ def test_xorshift_is_deterministic():
 def test_block_draws_continue_the_next_small_stream(seed):
     rng, ref = XorShift64(seed), XorShift64(seed)
     for count in (0, 1, 55, 660):
-        assert matrices._small_draws(rng, count) == [ref.next_small() for _ in range(count)]
+        assert matrices._draws(rng, count, 62) == [ref.next_small() for _ in range(count)]
         assert rng.state == ref.state
 
 

@@ -329,6 +329,28 @@ def test_a_difference_builds_no_negated_copy(monkeypatch):
     assert difference == p + -q and difference - p == -q
 
 
+def test_a_reflected_difference_builds_no_negated_copy(monkeypatch):
+    p, q = x + 2 * a + 1, x ** 2 - a.scale(Fraction(1, 2))
+    s = Series([1, x, x ** 2], 2)
+    ops = {"3 - p": lambda: 3 - p, "p.__rsub__(q)": lambda: p.__rsub__(q),
+           "2 - s": lambda: 2 - s}
+    built = []
+    finish = polyring._finish
+    monkeypatch.setattr(polyring, "_finish", lambda *args: built.append(1) or finish(*args))
+    counts, results = {}, {}
+    for name, op in ops.items():
+        built.clear()
+        results[name] = op()
+        counts[name] = len(built)
+    monkeypatch.undo()
+    # one Poly for the constant operand where it is made, then one per difference
+    assert counts == {"3 - p": 2, "p.__rsub__(q)": 1, "2 - s": 4}
+    assert results == {"3 - p": 3 + -p, "p.__rsub__(q)": q + -p,
+                       "2 - s": Series([1, -x, -x ** 2], 2)}
+    assert p.__rsub__(Poly.zero()) == -p and Poly.zero().__rsub__(p) is p
+    assert p.__rsub__(1.5) is NotImplemented
+
+
 def test_subtraction_from_a_foreign_operand_is_refused_by_python():
     for other, name in ((1.5, "float"), (None, "NoneType")):
         message = rf"^unsupported operand type\(s\) for -: '{name}' and 'Poly'$"

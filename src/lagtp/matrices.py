@@ -22,8 +22,10 @@ Symbolic scans go per minor, sampled scans go a column block at a time:
 symbolic representations, and ``_first_negative_lane`` scans every grid of
 sample lists, building all of a row set's minors over all assignments at
 once.  The symbolic scan runs on one of two representations, chosen from
-the matrix.  When every coefficient is an integer and the exponent box
-read off the rows is small (at most ``_PACK_BITS`` bits when packed), each
+the matrix.  When every coefficient is an integer and the exponent box,
+read off the rows and the columns in one pass over the process keys, is
+small and full enough (at most ``_PACK_BITS`` bits when packed, and at
+most ``_PACK_SLOTS_PER_TERM`` slots per term of the largest entry), each
 entry is packed into one integer, a coefficient per fixed-width slot, and
 a minor's signs are read with one AND; the failing minor, if any, is
 recomputed as a Poly.  Every other matrix is scanned as dicts of local
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import (Poly, PolyLike, _exponent_box, _local_keys, _p, _pack, _values,
+from .polyring import (MAX_EXPONENT, Poly, PolyLike, _exponents, _local_keys, _p, _values,
                        _vars_of, power_table)
 
 
@@ -726,34 +728,80 @@ def _first_negative_lane(grid, rows: int, cols: int, order: int, lanes: int) -> 
     return checked, None
 
 
-# The largest packed minor, in bits.  Past it a big-integer product costs
-# more than the dict products it replaces: on the symbolic tp_scan matrices
-# of perfbench the packed scan ran 1.5-5x faster below 2^15 bits, about as
-# fast from 2^15 to 2^17 bits, and 6x slower or worse from 2^18 bits on.
-_PACK_BITS = 1 << 16
+# Packing pays when the box is small and full: against the dict path,
+# dense boxes (up to 55 slots per term of the largest entry, up to 2.4e5
+# bits) scanned in 0.2-0.7x the time, sparse ones (288 slots per term and
+# up: S-R Hankels, quad_variant blocks) in 1.3-15x.
+_PACK_BITS = 1 << 18
+_PACK_SLOTS_PER_TERM = 128
+
+
+def _top_product(values, k: int) -> int:
+    """The product of the k largest values, each taken as at least 1."""
+    return math.prod(sorted([max(1, v) for v in values], reverse=True)[:max(k, 0)])
 
 
 def _packing(grid, top: int) -> Optional[tuple]:
-    """(width, dims): the packing of every minor of size <= top of a grid
-    of local-key Polys as one integer, or None when it does not pay.
+    """(width, dims, packed): every minor of size <= top of a grid of Polys
+    packed as one integer, ``packed`` the grid of packed entries; None when
+    it does not pay.  Slot i of ``width`` bits holds the coefficient of the
+    monomial of mixed-radix index i over ``dims``, one digit per variable,
+    the largest dimension lowest (ties in name order), so the plan does not
+    depend on the name registry.
 
-    Slot i of ``width`` bits holds the coefficient of the monomial with
-    mixed-radix index i over ``dims``, the exponent box of
-    ``polyring._exponent_box``: dims[v] - 1 bounds the exponent of local
-    field v in every such minor.  Every coefficient of such a minor is at
-    most N in magnitude, N the product of the top largest row L1 norms,
-    each taken as at least 1 (the Leibniz expansion), so width =
-    N.bit_length() + 1 keeps |c| < 2^(width - 1).  None unless every
-    coefficient is an int and the packed minor, box = prod(dims) slots of
-    ``width`` bits, has at most ``_PACK_BITS`` bits; since width >= 2, that
-    cap also keeps every dims[v] - 1 at most MAX_EXPONENT.
+    A term of a minor takes one entry from each of its rows and columns, so
+    dims[v] - 1, the lesser of the sums of the top largest row maxima and
+    of the top largest column maxima of the exponent of v, bounds that
+    exponent.  A minor's coefficients are at most the permanent of its
+    entries' norms, and ||fg||_inf <= ||f||_2 ||g||_2, ||gh||_2 <= ||g||_2
+    ||h||_1; so with every factor at least 1, the least B of the products
+    of the top largest row L1 norms, of the top largest column L1 norms,
+    and of the top - 2 largest row L1 norms with the two largest row sums
+    of ceil(||e||_2) bounds them, and width = B.bit_length() + 1 keeps
+    |c| < 2^(width - 1).  None unless every coefficient is an int, the box
+    has at most ``_PACK_BITS`` bits and ``_PACK_SLOTS_PER_TERM`` slots per
+    term of the largest entry, and every dims[v] - 1 is at most
+    MAX_EXPONENT (so an exponent overflow is still raised by the dict path).
     """
-    if any(e.den != 1 for row in grid for e in row):
+    distinct = {id(e): e for row in grid for e in row}  # a Hankel grid repeats its entries
+    entries = list(distinct.values())
+    if any(e.den != 1 for e in entries):
         return None
-    dims = _exponent_box(grid, top)
-    norms = [max(1, sum(abs(c) for e in row for c in e.num.values())) for row in grid]
-    width = math.prod(sorted(norms, reverse=True)[:top]).bit_length() + 1
-    return (width, dims) if math.prod(dims) * width <= _PACK_BITS else None
+    slots = _PACK_SLOTS_PER_TERM * max(1, max(map(len, [e.num for e in entries]), default=0))
+    names = _vars_of(entries)
+    if 1 << len(names) > slots:  # each variable spans at least 2 slots
+        return None
+    vectors, indices = _exponents(entries, names)
+    if math.prod([1 + e for e in map(max, zip(*vectors))]) > slots:  # dims[v] > max exponent
+        return None
+    maxima = {id(e): tuple(map(max, zip(*map(vectors.__getitem__, ids)))) or (0,) * len(names)
+              for e, ids in zip(entries, indices)}  # per variable, its largest exponent in e
+    table = [[maxima[id(e)] for e in row] for row in grid]
+
+    def per_variable(lines):  # for each variable, its largest exponent in each row or column
+        return zip(*[map(max, zip(*line)) for line in lines])
+
+    dims = [1 + min(sum(sorted(r, reverse=True)[:top]), sum(sorted(c, reverse=True)[:top]))
+            for r, c in zip(per_variable(table), per_variable(zip(*table)))]
+    box = math.prod(dims)
+    if box > slots or max(dims, default=1) > MAX_EXPONENT + 1:
+        return None
+    l1 = [[sum(map(abs, e.num.values())) for e in row] for row in grid]
+    squares = [[sum(map(operator.mul, e.num.values(), e.num.values())) for e in row] for row in grid]
+    row_l1 = list(map(sum, l1))
+    row_l2 = [sum([math.isqrt(q - 1) + 1 for q in row if q]) for row in squares]  # ceil(L2) sums
+    width = min(_top_product(row_l1, top), _top_product(map(sum, zip(*l1)), top),
+                _top_product(row_l1, top - 2) * _top_product(row_l2, min(top, 2))).bit_length() + 1
+    if box * width > _PACK_BITS:
+        return None
+    # the largest dimension lowest: the packed S-R Hankels of tp_scan
+    # scanned 1.9x as fast as with the digits in name order
+    order = sorted(range(len(dims)), key=lambda v: -dims[v])
+    strides = [math.prod([dims[u] for u in order[:order.index(v)]]) for v in range(len(dims))]
+    shifts = [width * sum(map(operator.mul, t, strides)) for t in vectors]
+    packed = {id(e): sum(map(operator.lshift, e.num.values(), map(shifts.__getitem__, ids)))
+              for e, ids in zip(entries, indices)}
+    return width, tuple([dims[v] for v in order]), [[packed[id(e)] for e in row] for row in grid]
 
 
 def _int_dot(pairs) -> int:
@@ -770,49 +818,48 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     report.  On a square Hankel matrix each distinct minor is computed
     once, at its first copy in colex order, and reused at the others.
 
-    The entries are re-keyed once onto the variables the matrix uses
-    (``polyring._local_keys``), so every product in the scan works on keys
-    of one field per variable of the matrix, however many names the
-    process has registered; only the witness minor is mapped
-    back.
-
-    When ``_packing`` finds a small enough box, each entry becomes one
-    integer (a Kronecker substitution: slot i of ``width`` bits holds a
-    coefficient) and the scan multiplies integers.  With OFF holding
+    When ``_packing`` finds the box of the matrix full and small enough,
+    each entry becomes one integer, packed straight from its process keys
+    (a Kronecker substitution: slot i of ``width`` bits holds a
+    coefficient), and the scan multiplies integers.  With OFF holding
     2^(width-1) in every slot, a minor has no negative coefficient iff
     minor & OFF == 0, one AND: with no negative slot every slot's top bit
     is clear, and otherwise the lowest negative slot, which takes no borrow
     from below, has its top bit set.  The failing minor is recomputed: the
     same scan runs on its own submatrix of local-key Polys, where it fails
-    first, since every smaller minor passed.  Other matrices (a
-    ``Fraction`` coefficient, many variables, high degrees) are scanned as
-    dicts of local keys.  An exponent overflow on local keys would name a
-    local field, so that scan is then run again on the process keys, where
-    it overflows at the same product and the error names the real
-    variable.
+    first, since every smaller minor passed.
+
+    Other matrices (a ``Fraction`` coefficient, many variables, a sparse
+    box) are scanned as dicts.  Their entries are re-keyed once onto the
+    variables the matrix uses (``polyring._local_keys``), so every product
+    works on keys of one field per variable of the matrix, however many
+    names the process has registered; only the witness minor is mapped
+    back.  An exponent overflow on local keys would name a local field, so
+    that scan is then run again on the process keys, where it overflows at
+    the same product and the error names the real variable.
     """
     if order < 1:  # an empty scan would certify any matrix
         raise ValueError("order must be at least 1")
-    local, to_global = _local_keys(e for row in m.data for e in row)
-    grid = [local[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
     kernels = Poly.dot, Poly.is_coeffwise_nonneg
-    plan = _packing(grid, min(order, m.rows, m.cols))
+    plan = _packing(m.data, min(order, m.rows, m.cols))
     if plan is None:
+        local, to_global = _local_keys(e for row in m.data for e in row)
+        grid = [local[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
         try:
             checked, bad = _first_negative_minor(grid, m.rows, m.cols, order, *kernels)
         except OverflowError:
             _first_negative_minor(m.data, m.rows, m.cols, order, *kernels)
             raise
     else:
-        width, dims = plan
+        width, dims, packed = plan
         off = ((1 << width * math.prod(dims)) - 1) // ((1 << width) - 1) << (width - 1)
-        packed = [[_pack(e, width, dims) for e in row] for row in grid]
         checked, bad = _first_negative_minor(packed, m.rows, m.cols, order, _int_dot,
                                              lambda v: not v & off)
         if bad is not None:
             rows, cols, _ = bad
             size = len(rows)
-            sub = [[grid[i][j] for j in cols] for i in rows]
+            local, to_global = _local_keys(m.data[i][j] for i in rows for j in cols)
+            sub = [local[i * size:(i + 1) * size] for i in range(size)]
             bad = rows, cols, _first_negative_minor(sub, size, size, size, *kernels)[1][2]
     size_meta = {"rows": m.rows, "cols": m.cols}
     if bad is None:

@@ -19,16 +19,16 @@ variable's field.  Keys depend on the order in which names were first seen,
 so their layout never leaves this module: printing and JSON go through
 variable names, and other modules ask helpers here for what a key holds
 (``_vars_of``, the names a set of Polys uses; ``_degrees``, the degrees in
-some of them; ``_exponent_box`` and ``_pack``, the packing of a local-key
-grid for the symbolic TP scan).
+some of them; ``_exponents``, the exponent vectors from which the symbolic
+TP scan packs a matrix straight from its process keys).
 
 A key is as wide as the highest field it uses, and a name registered late
 in a process gets a high field: after 95 names, a monomial in the last one
 is an integer of up to 1520 bits, and adding, hashing and comparing such keys costs
 several times what it costs on a key of one or two words.  A computation
-that reuses one set of Polys for many products (the symbolic TP scan) can
-re-key them once with ``_local_keys`` onto consecutive fields 0..v-1, v the
-number of variables they use, and map back only its result.
+that reuses one set of Polys for many products (the symbolic TP scan on
+dicts) can re-key them once with ``_local_keys`` onto consecutive fields
+0..v-1, v the number of variables they use, and map back only its result.
 
 Sums of products are accumulated, not folded (Monagan and Pearce again),
 and one kernel, ``_mul_into``, multiplies the terms of one Poly by those of
@@ -380,8 +380,10 @@ class Poly:
         return self.terms.get(0, 0)
 
     def is_coeffwise_nonneg(self) -> bool:
-        """True iff every coefficient is >= 0 (the coefficientwise order)."""
-        return all(c >= 0 for c in self.num.values())
+        """True iff every coefficient is >= 0 (the coefficientwise order):
+        the numerators are ints over a positive ``den``, and zero has no
+        numerator."""
+        return min(self.num.values(), default=0) >= 0
 
     def coeff_of_var(self, name: str, power: int) -> "Poly":
         """The coefficient of name**power, a polynomial in the other variables."""
@@ -652,30 +654,17 @@ def _local_keys(polys: Iterable[Poly]) -> tuple:
     return [rekey(p, runs) for p in polys], lambda p: rekey(p, back)
 
 
-def _exponent_box(grid, top: int) -> tuple:
-    """dims: for each field v of the local-key Polys of ``grid`` (a list
-    of rows), 1 plus the sum of the top largest row maxima of the exponent
-    of v, which bounds that exponent in every minor of size <= top."""
-    keys = [[k for e in row for k in e.num] for row in grid]
-    dims = []
-    for off in range(0, _used(e for row in grid for e in row).bit_length(), FIELD_BITS):
-        maxima = sorted((max((k >> off & _FIELD_MASK for k in row), default=0) for row in keys),
-                        reverse=True)
-        dims.append(1 + sum(maxima[:top]))
-    return tuple(dims)
-
-
-def _pack(p: Poly, width: int, dims: tuple) -> int:
-    """The local-key Poly p as the integer sum of c << width * slot, slot
-    the mixed-radix index over ``dims`` of the exponents of its term."""
-    out = 0
-    for k, c in p.num.items():
-        slot, stride = 0, 1
-        for v, d in enumerate(dims):
-            slot += (k >> (v * FIELD_BITS) & _FIELD_MASK) * stride
-            stride *= d
-        out += c << (width * slot)
-    return out
+def _exponents(polys: Sequence[Poly], names: Sequence[str]) -> tuple:
+    """(vectors, indices): the distinct exponent vectors of the terms of
+    ``polys`` as tuples over ``names`` (every variable they use), and per
+    Poly the index in ``vectors`` of each term, in ``num`` order.  Keys are
+    hashed shifted down to the lowest field of ``names``, so late names
+    cost no wide-key hashing."""
+    low = min(map(_offsets.__getitem__, names), default=0)
+    index: dict = {}
+    indices = [[index.setdefault(k >> low, len(index)) for k in p.num] for p in polys]
+    offs = [_offsets[v] - low for v in names]
+    return [tuple([k >> off & _FIELD_MASK for off in offs]) for k in index], indices
 
 
 def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:

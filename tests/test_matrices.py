@@ -1239,12 +1239,17 @@ def test_symbolic_scan_multiplies_keys_no_wider_than_the_matrix_variables(name, 
 
 
 def _record_plans(mp):
-    """The list of the packing plans the symbolic scan draws up from now
-    on (None: the dict path)."""
+    """The list of the packing plans, (width, dims), the symbolic scan
+    draws up from now on (None: the dict path)."""
     plans = []
     packing = matrices._packing
-    mp.setattr(matrices, "_packing", lambda grid, top: plans.append(packing(grid, top))
-               or plans[-1])
+
+    def recording(grid, top):
+        plan = packing(grid, top)
+        plans.append(plan and plan[:2])
+        return plan
+
+    mp.setattr(matrices, "_packing", recording)
     return plans
 
 
@@ -1325,9 +1330,11 @@ def _dict_path_json(m, order):
 
 
 def _packed_path_json(m, order):
-    """The report JSON with the size cap raised, and whether the scan packed."""
+    """The report JSON with the size cap raised and the occupancy rule
+    lifted, and whether the scan packed."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "_PACK_BITS", FORCED_PACK_BITS)
+        mp.setattr(matrices, "_PACK_SLOTS_PER_TERM", FORCED_PACK_BITS)
         plans = _record_plans(mp)
         return tp_check_symbolic(m, order).to_json(), plans != [None]
 
@@ -1376,8 +1383,9 @@ def test_symbolic_scan_packs_small_integer_matrices_only(name, monkeypatch):
 
 @pytest.mark.parametrize("tp", [True, False])
 def test_packed_coefficient_bound_holds_at_its_edge(tp):
-    # the 2x2 minor is +-15*x*y: magnitude N = 3 * 5 = 2^4 - 1, the product
-    # of the row norms and the largest value a slot of width 5 holds
+    # the 2x2 minor is +-15*x*y: magnitude 3 * 5 = 2^4 - 1, the product of
+    # the row L1 norms, of the column L1 norms and of the row sums of
+    # ceil(L2 norm) alike, and the largest value a slot of width 5 holds
     y = Poly.var("y")
     m = Truncation([[3 * x, 0], [0, 5 * y]] if tp else [[0, 3 * x], [5 * y, 0]])
     width, dims = _plan(m, 2)
@@ -1435,6 +1443,118 @@ def test_packed_witness_decodes_its_first_and_last_slots():
     report = tp_check_symbolic(m, 2)
     assert report.witness.minor == -1 - 3 * x * y - x ** 2 * y ** 2
     assert report.to_json() == _dict_path_json(m, 2)
+
+
+def _reference_plan(m, top):
+    """(width, {variable: dim}): the packing bounds of ``_packing``,
+    recomputed from exponent tuples and coefficients.  dim - 1 is the
+    lesser of the top-sums of the row and of the column maxima of the
+    exponent; width is 1 plus the bit length of the least of the products
+    of the top row L1 norms, of the top column L1 norms, and of the top - 2
+    row L1 norms with the top 2 row sums of ceil(L2 norm), every factor
+    taken as at least 1."""
+    cols = list(zip(*m.data))
+
+    def top_sum(values):
+        return sum(sorted(values, reverse=True)[:top])
+
+    def top_product(values, k):
+        return math.prod(sorted([max(1, v) for v in values], reverse=True)[:max(k, 0)])
+
+    def maximum(line, v):
+        return max([dict(zip(e.vars, exp)).get(v, 0) for e in line for exp, _ in e.sorted_terms()],
+                   default=0)
+
+    def l2(e):  # ceil(sqrt(q)) as an integer
+        q = sum(c * c for _, c in e.sorted_terms())
+        return math.isqrt(q - 1) + 1 if q else 0
+
+    dims = {v: 1 + min(top_sum([maximum(r, v) for r in m.data]), top_sum([maximum(c, v) for c in cols]))
+            for v in m.variables()}
+    l1 = lambda e: sum(abs(c) for _, c in e.sorted_terms())
+    row_l1, col_l1 = [sum(map(l1, r)) for r in m.data], [sum(map(l1, c)) for c in cols]
+    bound = min(top_product(row_l1, top), top_product(col_l1, top),
+                top_product(row_l1, top - 2) * top_product([sum(map(l2, r)) for r in m.data],
+                                                           min(top, 2)))
+    return bound.bit_length() + 1, dims
+
+
+def _cancelling_matrix(rng):
+    """A random integer matrix in x, y and a, 2x2 to 5x5, with negative
+    coefficients and, half the time, a row that is a signed sum of two
+    others (so minors cancel to zero or in part)."""
+    n_rows, n_cols = rng.randint(2, 5), rng.randint(2, 5)
+    pool = [Poly.one(), x, y, a, x * y, x * x, a * a * y]
+    grid = [[sum((rng.choice(pool) * rng.randint(-3, 200) for _ in range(rng.randrange(4))),
+                 Poly.zero()) for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows > 2 and rng.random() < 0.5:
+        i, j, k = rng.sample(range(n_rows), 3)
+        grid[i] = [u - rng.choice((1, -1)) * v for u, v in zip(grid[j], grid[k])]
+    return Truncation(grid)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packing_bounds_hold_on_every_minor(seed, monkeypatch):
+    monkeypatch.setattr(matrices, "_PACK_BITS", FORCED_PACK_BITS)
+    monkeypatch.setattr(matrices, "_PACK_SLOTS_PER_TERM", FORCED_PACK_BITS)
+    rng = random.Random(seed)
+    for _ in range(40):
+        m, order = _cancelling_matrix(rng), rng.randint(1, 4)
+        top = min(order, m.rows, m.cols)
+        width, dims = _plan(m, order)
+        ref_width, ref_dims = _reference_plan(m, top)
+        assert (width, dims) == (ref_width, tuple(sorted(ref_dims.values(), reverse=True)))
+        for minor in _scanned_minors(m.data, m.rows, m.cols, order, Poly.dot):
+            for exps, c in minor.sorted_terms():
+                assert abs(c) < 1 << (width - 1)
+                assert all(e < ref_dims[v] for v, e in zip(minor.vars, exps))
+        assert tp_check_symbolic(m, order).to_json() == _dict_path_json(m, order)
+
+
+def test_packing_plan_takes_the_least_of_the_row_column_and_l2_bounds():
+    p, q, r = (Poly.var(v) for v in "pqr")
+    m = (lower_bidiagonal(lambda i: 2 + p, lambda i: q ** 2 if i == 4 else q).truncate(5)
+         * upper_bidiagonal(lambda i: 1 + q, lambda i: 3 + p).truncate(5)
+         * lower_bidiagonal(lambda i: 1 + p, lambda i: r ** 2 if i == 1 else p + q).truncate(5))
+    # p: the row and column maxima both sum to 12; q: the rows (11) beat the
+    # columns (12); r: only column 0 holds r^2, so the columns (2) beat the
+    # rows (6).  The L2 product needs 25 bits, the row and column L1
+    # products 26 each.
+    assert _reference_plan(m, 4) == (26, {"p": 13, "q": 12, "r": 3})
+    assert _plan(m, 4) == (26, (13, 12, 3))
+    assert tp_check_symbolic(m, 4).ok
+
+
+def _univariate_hankel(n):
+    return hankel_truncation(
+        [monic_laguerre(i, LaguerreParams.symbolic(), x) for i in range(2 * n - 1)], n)
+
+
+def test_packing_rule_weighs_how_full_the_box_is(monkeypatch):
+    # dense boxes pack: the univariate Hankels in a and x at TP4, whose
+    # packed scans beat the dict path past the old 2^16-bit cap
+    for n in (6, 7):
+        assert matrices._packing(_univariate_hankel(n).data, 4) is not None
+    plans = _record_plans(monkeypatch)
+    assert tp_check_symbolic(_univariate_hankel(6), 4).ok
+    assert plans[0] is not None
+    # sparse boxes do not: a 12-variable quad_variant block ...
+    ints = lambda c, start=0: lambda i: Poly.zero() if i < start else Poly.const(c + i % 2)
+    names = lambda prefix: lambda i: Poly.var(f"{prefix}{i}")
+    quad = build_variant_quad(QuadVariantParams(
+        a, Poly.var("beta"), Poly.const(1), Poly.const(2), names("s"), ints(1, 1), ints(2, 1),
+        names("t"), ints(1), ints(3))).truncate(5)
+    assert len(quad.variables()) == 12
+    assert matrices._packing(quad.data, 3) is None
+    # ... and the 5-variable S-R Hankel, whose 84 000-bit box fits the size
+    # cap but holds 350 slots per term of its largest entry
+    tri = SRTriangles(SRCoeffs.symbolic(1), max_j=1)
+    sr = hankel_truncation([tri.value(1, i, 0) for i in range(5)], 3)
+    assert len(sr.variables()) == 5
+    assert matrices._packing(sr.data, 3) is None
+    monkeypatch.setattr(matrices, "_PACK_SLOTS_PER_TERM", FORCED_PACK_BITS)
+    width, dims, _ = matrices._packing(sr.data, 3)
+    assert math.prod(dims) * width == 84000
 
 
 # -- conjugation reads no entry of P ----------------------------------------------

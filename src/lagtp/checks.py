@@ -256,14 +256,14 @@ def first_mv_eulerian_column(ctx: Ctx) -> Outcome:
 
 
 def second_mv_riordan_vs_oracle(ctx: Ctx) -> Outcome:
-    """Both routes agree (the constructor raises RouteMismatchError when not)."""
-    n = ctx.cap(7)
-    params = LaguerreParams.symbolic()
-    w = VertexWeights.symbolic()
+    """Both routes agree, at alpha = 7/3 too (else the constructor raises RouteMismatchError)."""
+    n, m = ctx.cap(7), ctx.cap(5)
+    params, w = LaguerreParams.symbolic(), VertexWeights.symbolic()
     wz = VertexWeights.symbolic(with_z=True)
     coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=n)
-    coeff_matrix_second_mv(params, w, min(n, 5), flat=False, oracle_rows=min(n, 5))
-    coeff_matrix_second_mv(params, wz, min(n, 5), flat=True, oracle_rows=min(n, 5))
+    coeff_matrix_second_mv(params, w, m, flat=False, oracle_rows=m)
+    coeff_matrix_second_mv(params, wz, m, flat=True, oracle_rows=m)
+    coeff_matrix_second_mv(LaguerreParams.of("7/3"), w, m, flat=True, oracle_rows=m)
     return True
 
 

@@ -11,7 +11,7 @@ therefore opt-in (--timings).
 Polynomials print with variables in the global (alphabetical) order and
 terms in graded lex order, with explicit '*' and '^'.  The LAGTP_LIMIT
 environment variable overrides the digraph oracles' vertex caps (9, and 7
-for symbolic weights); the path oracle's 24-step cap is fixed.
+for symbolic weights: the rows gen checks), not the path oracle's 24 steps.
 """
 
 from __future__ import annotations
@@ -71,12 +71,8 @@ def _gen_matrix(args) -> Truncation:
         return laguerre.coeff_matrix_first_mv(
             _parse_alpha(args.alpha), EdgeWeights.symbolic(), n)
     if sel == "second-mv":
-        params = _parse_alpha(args.alpha)
-        if not params.alpha.is_integral():
-            raise UsageError("second-mv takes --alpha 'sym' or an integer: its exponential "
-                             f"Riordan route needs integral entries (got {args.alpha!r})")
         return laguerre.coeff_matrix_second_mv(
-            params, VertexWeights.symbolic(), n, flat=args.flat)
+            _parse_alpha(args.alpha), VertexWeights.symbolic(), n, flat=args.flat)
     if sel.startswith("prodmat:"):
         return laguerre.prodmat(_parse_alpha(args.alpha), sel.split(":", 1)[1],
                                 weights=VertexWeights.symbolic()).truncate(n)

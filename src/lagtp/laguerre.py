@@ -12,13 +12,13 @@ five vertex weights; each quadridiagonal one is the binomial conjugate
 B_x^{-1} P B_x of its tridiagonal one, which the checks recompute
 independently.
 
-The second multivariate matrix is an exponential Riordan array for the
-cycle and path generating functions F and G.  The univariate family is the
-five-variable one at y = 1 (UNIT_WEIGHTS): there F(t) = (1-t)^(-lam) and
-G(t) = t/(1-t) (lam = 1 + alpha), and the S-fraction alpha_{2k-1} =
-(k+alpha) y_p, alpha_{2k} = k y_v of the flat tridiagonal matrix becomes
-k+alpha, k.  All series are produced by ODE recurrences (see the series
-module), never from closed forms.
+Both multivariate matrices (the first is the flat second one at the edge
+specialization) are built by one exponential Riordan array route for the
+cycle and path EGFs F and G.  The univariate family is the five-variable
+one at y = 1 (UNIT_WEIGHTS): there F(t) = (1-t)^(-lam) and G(t) = t/(1-t)
+(lam = 1 + alpha), and the S-fraction alpha_{2k-1} = (k+alpha) y_p,
+alpha_{2k} = k y_v of the flat tridiagonal matrix becomes k+alpha, k.  All
+series come from ODE recurrences (the series module), never closed forms.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import digraphs
 from .matrices import (DiagonalPolySpec, Mismatch, RouteMismatchError, Truncation, _check_size,
                        binomial_truncation, diagonal, first_difference, lower_bidiagonal,
                        riordan_matrix, sfraction_word, unit_lower_inverse, upper_bidiagonal)
-from .polyring import Poly, PolyLike, _p, power_table
+from .polyring import Poly, PolyLike, _p, _vars_of, power_table
 from .series import Series, solve_logderiv, solve_riccati
 
 X_NAME = "x"
@@ -173,19 +173,6 @@ def coeff_matrix_uni(params: LaguerreParams, n: int) -> Truncation:
 # -- multivariate families ---------------------------------------------------
 
 
-def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Truncation:
-    """First multivariate coefficient matrix, built by digraph-oracle summation.
-
-    Entry (n,k) sums v_-^{e_-} v_0^{e_0} v_+^{e_+} (1+alpha)^{cyc} over the
-    Laguerre digraphs with k paths; a count table whose digraphs do not all
-    have n-k edges raises RouteMismatchError, under any weights (see
-    ``digraphs._projected``).  A negative size raises ValueError.
-    """
-    weights = w.oracle_weights(params.lam)
-    return Truncation.from_fn(n, n, lambda i, k: digraphs.oracle_entry(i, k, weights, "first_mv")
-                              if k <= i else Poly.zero())
-
-
 def riordan_pair(params: LaguerreParams, w: VertexWeights, order: int,
                  flat: bool = False) -> tuple:
     """The cycle and path EGFs (F, G) to the given order (G-flat = G/z_p when
@@ -208,36 +195,53 @@ def laguerre_rowgen_egf(params: LaguerreParams, x: PolyLike, order: int) -> Seri
     return f * (g * _p(x)).exp()
 
 
+def _riordan_route(params: LaguerreParams, w: VertexWeights, n: int, flat: bool,
+                   rows: int | None, oracle) -> Truncation:
+    """R[F, G] of ``riordan_pair``, its first ``rows`` rows (by default its first
+    ``digraphs._vertex_cap(symbolic=True)``) checked against ``oracle(i, k)``, k <= i, by
+    RouteMismatchError; a negative size raises ValueError.  A non-integral alpha is built at
+    a symbolic alpha no weight names, then substituted into each entry, since
+    ``riordan_matrix``'s integrality guard against a wrong F or G needs alpha symbolic."""
+    _check_size(n, n)
+    alpha, env = params.alpha, None
+    if not alpha.is_integral():
+        used = _vars_of(map(_p, w.oracle_weights(params.lam).values()))
+        name = "alpha"
+        while name in used:
+            name += "_"
+        alpha, env = Poly.var(name), {name: alpha}
+    t = riordan_matrix(*riordan_pair(LaguerreParams(alpha), w, max(n - 1, 0), flat), n)
+    if env:
+        t = Truncation([[e.substitute(env) for e in row] for row in t.data], n)
+    rows = min(digraphs._vertex_cap(symbolic=True) if rows is None else rows, n)
+    want = Truncation.from_fn(rows, n, lambda i, k: oracle(i, k) if k <= i else Poly.zero())
+    mismatch = first_difference(t.truncate(rows, n), want, "Riordan route and digraph oracle")
+    if not mismatch:
+        raise RouteMismatchError(mismatch)
+    return t
+
+
+def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Truncation:
+    """First multivariate coefficient matrix, the flat second one at ``w.vertex_weights()``:
+    entry (n,k) sums v_-^{e_-} v_0^{e_0} v_+^{e_+} (1+alpha)^{cyc} over the Laguerre digraphs
+    with k paths, which the oracle's 'first_mv' mode recomputes on the leading rows."""
+    weights = w.oracle_weights(params.lam)
+    return _riordan_route(params, w.vertex_weights(), n, True, None,
+                          lambda i, k: digraphs.oracle_entry(i, k, weights, "first_mv"))
+
+
 def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
                            flat: bool = False, oracle_rows: int | None = None) -> Truncation:
-    """Second multivariate coefficient matrix (generalized z block supported).
-
-    Primary route: exponential Riordan array R[F, G] with the cycle
-    EGF F and the path EGF G (G-flat for the flat form).  The digraph
-    oracle recomputes the leading rows as a cross-check (by default as many
-    as ``digraphs._vertex_cap`` allows symbolic weights); a mismatch raises
-    RouteMismatchError since it signals a series or oracle bug, and a
-    negative size raises ValueError.
-    """
-    _check_size(n, n)
-    t = riordan_matrix(*riordan_pair(params, w, max(n - 1, 0), flat), n)
-    if oracle_rows is None:
-        oracle_rows = digraphs._vertex_cap(symbolic=True)
+    """Second multivariate coefficient matrix (z block supported): R[F, G], G-flat when
+    ``flat``, whose first ``oracle_rows`` rows (by default its first ``_vertex_cap(symbolic=True)``)
+    the oracle's 'second_mv_general' mode recomputes; see ``_riordan_route``."""
     weights = w.oracle_weights(params.lam)
 
     def oracle(i, k):
-        if k > i:
-            return Poly.zero()
         entry = digraphs.oracle_entry(i, k, weights, "second_mv_general")
         return entry.exact_div(w.zp ** k) if flat and k else entry
 
-    rows = min(oracle_rows, n)
-    if rows > 0:
-        mismatch = first_difference(t.truncate(rows, n), Truncation.from_fn(rows, n, oracle),
-                                    "Riordan route and digraph oracle")
-        if not mismatch:
-            raise RouteMismatchError(mismatch)
-    return t
+    return _riordan_route(params, w, n, flat, oracle_rows, oracle)
 
 
 # -- closed-form production matrices ------------------------------------------

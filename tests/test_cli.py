@@ -11,7 +11,7 @@ import pytest
 
 from lagtp import checks, cli, digraphs, matrices, srpaths
 from lagtp.banded import check_banded_criterion, random_spec
-from lagtp.laguerre import LaguerreParams, monic_laguerre
+from lagtp.laguerre import EdgeWeights, LaguerreParams, VertexWeights, monic_laguerre
 from lagtp.matrices import (Mismatch, TPReport, Truncation, XorShift64, hankel_truncation,
                             sfraction_word, tp_check_symbolic)
 from lagtp.polyring import Poly
@@ -128,16 +128,50 @@ def test_gen_bad_alpha_exits_2(capsys):
     assert run(capsys, ["gen", "laguerre-coeff", "--alpha", "wat"])[0] == 2
 
 
-def test_gen_second_mv_rational_alpha_exits_2(capsys):
-    # the exponential Riordan route needs integral entries; (1,0) = (3/2)*yfp
-    code, out, err = run(capsys, ["gen", "second-mv", "--alpha", "1/2", "--n", "3"])
-    assert (code, out) == (2, "")
-    assert "integer" in err
+def _oracle_rows(rows, cols, mode, weights, divisor=None):
+    """The oracle's matrix in gen's csv form: rows 0..rows-1, zero above the
+    diagonal, each entry over divisor^k when a divisor is given."""
+    def entry(i, k):
+        if k > i:
+            return Poly.zero()
+        value = digraphs.oracle_entry(i, k, weights, mode)
+        return value.exact_div(divisor ** k) if divisor is not None else value
+    return [[str(entry(i, k)) for k in range(cols)] for i in range(rows)]
+
+
+def _gen_rows(out, fmt):
+    if fmt == "csv":
+        return [line.split(",") for line in out.splitlines()]
+    return [[str(Poly.from_json_obj(e)) for e in row] for row in json.loads(out)["entries"]]
+
+
+def test_gen_second_mv_rational_alpha_matches_the_oracle(capsys):
+    # built at a symbolic alpha and substituted: (1,0) = 10/3*yfp passes
+    # through, which the integrality guard would refuse at alpha = 7/3 itself
+    w = VertexWeights.symbolic()
+    weights = w.oracle_weights(LaguerreParams.of("7/3").lam)
+    for flat in (False, True):
+        want = _oracle_rows(7, 7, "second_mv_general", weights, w.zp if flat else None)
+        assert want[1][0] == "10/3*yfp"
+        for fmt in ("json", "csv"):
+            argv = ["gen", "second-mv", "--alpha", "7/3", "--n", "7", "--format", fmt]
+            code, out, err = run(capsys, argv + ["--flat"] * flat)
+            assert (code, err) == (0, "")
+            assert _gen_rows(out, fmt) == want
     assert run(capsys, ["gen", "second-mv", "--alpha", "4/2", "--n", "3"])[0] == 0
 
 
-def test_gen_oracle_cap_exits_2(capsys):
-    assert run(capsys, ["gen", "first-mv", "--n", "11"])[0] == 2
+def test_gen_first_mv_is_not_capped_by_the_oracle(capsys):
+    code, out, err = run(capsys, ["gen", "first-mv", "--n", "12", "--format", "csv"])
+    assert (code, err) == (0, "")
+    got = _gen_rows(out, "csv")
+    assert len(got) == 12
+    weights = EdgeWeights.symbolic().oracle_weights(LaguerreParams.symbolic().lam)
+    assert got[:8] == _oracle_rows(8, 12, "first_mv", weights)
+
+
+def test_oracle_cap_exits_2(capsys):
+    assert run(capsys, ["oracle", "first-mv", "--n", "11"])[0] == 2
 
 
 def test_gen_out_file(tmp_path, capsys):
@@ -421,7 +455,8 @@ def test_verify_witness_names_the_entry_of_a_failed_m2_cross_check(capsys, monke
 
 def test_verify_witness_names_the_entry_of_a_first_mv_matrix_that_is_not_homogeneous(
         capsys, monkeypatch):
-    # the first_mv oracle entry (3, 1) one degree too high in the edge weights
+    # the first_mv oracle entry (3, 1) one degree too high in the edge
+    # weights: the builder's cross-check against the Riordan route sees it
     real = digraphs.oracle_entry
 
     def planted(n, k, weights, mode):
@@ -432,10 +467,10 @@ def test_verify_witness_names_the_entry_of_a_first_mv_matrix_that_is_not_homogen
     code, entry = _verify_check(capsys, "multivariate", "first_mv_uniform_scaling")
     assert code == 1 and entry["ok"] is False and "error" not in entry
     witness = entry["witness"]
-    assert witness["what"] == "v = (v,v,v) vs coefficient matrix * v^(n-k)"
+    assert witness["what"] == "Riordan route and digraph oracle"
     assert witness["where"] == [3, 1]
     got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
-    assert got == want * Poly.var("v")
+    assert want == got * Poly.var("v")
 
 
 def test_verify_reports_a_first_mv_count_table_with_an_extra_edge(capsys, plant_count):

@@ -259,6 +259,47 @@ def test_route_mismatch_raises_under_a_lowered_oracle_cap(monkeypatch):
         coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), 5, flat=True)
 
 
+def _oracle_matrix(n, weights, mode, divisor=None):
+    def entry(i, k):
+        if k > i:
+            return Poly.zero()
+        value = digraphs.oracle_entry(i, k, weights, mode)
+        return value.exact_div(divisor ** k) if divisor is not None else value
+    return Truncation.from_fn(n, n, entry)
+
+
+@pytest.mark.parametrize("name", ["a", "alpha"])
+def test_a_rational_alpha_is_substituted_through_a_name_no_weight_uses(name):
+    # y_p named like alpha's own variable, or like the first name the route
+    # tries: substituting alpha through it would rewrite y_p too, and with
+    # oracle_rows=0 nothing inside the builder would notice
+    yp = Poly.var(name)
+    w = replace(VertexWeights.symbolic(), y_p=yp)
+    half = LaguerreParams.of(Fraction(1, 2))
+    got = coeff_matrix_second_mv(half, w, 5, flat=True, oracle_rows=0)
+    assert got == _oracle_matrix(5, w.oracle_weights(half.lam), "second_mv_general", yp)
+
+
+def test_first_mv_at_a_rational_alpha_equals_the_oracle():
+    params, w = LaguerreParams.of(Fraction(7, 3)), EdgeWeights.symbolic()
+    got = coeff_matrix_first_mv(params, w, 7)
+    assert got == _oracle_matrix(7, w.oracle_weights(params.lam), "first_mv")
+    assert got[1, 0] == Fraction(10, 3) * w.v_zero
+
+
+@pytest.mark.parametrize("alpha", ["-1", "4/2", "sym"])
+def test_an_integral_alpha_is_built_without_substitution(monkeypatch, alpha):
+    calls = []
+    substitute = Poly.substitute
+    monkeypatch.setattr(Poly, "substitute",
+                        lambda self, env: calls.append(env) or substitute(self, env))
+    params = cli._parse_alpha(alpha)
+    coeff_matrix_first_mv(params, EdgeWeights.symbolic(), 5)
+    for flat in (False, True):
+        coeff_matrix_second_mv(params, VertexWeights.symbolic(), 5, flat=flat)
+    assert calls == []
+
+
 INT_WEIGHTS = VertexWeights(*(Poly.const(c) for c in (2, 3, 1, 4, 5)))
 WEIGHTED_KINDS = ("PcircFlat", "PFlat", "PcircY", "PY")
 

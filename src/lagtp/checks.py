@@ -21,14 +21,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import banded, digraphs, laguerre, quadtp, srpaths
-from .laguerre import (UNIT_WEIGHTS, EdgeWeights, LaguerreParams, RouteMismatchError,
-                       VertexWeights, coeff_matrix_first_mv, coeff_matrix_second_mv,
+from .laguerre import (UNIT_WEIGHTS, EdgeWeights, LaguerreParams, VertexWeights,
+                       coeff_matrix_first_mv, coeff_matrix_second_mv,
                        coeff_matrix_uni, factorization_check,
                        laguerre_rowgen_egf, monic_laguerre,
                        monic_laguerre_reversed, prodmat, rowgen_shifted_family_check,
                        rowgen_polys, unsigned_self_inverse_check)
-from .matrices import (Banded, DiagonalPolySpec, Mismatch, TPReport, Truncation,
-                       XorShift64, binomial_truncation, bx_conjugate_eaz_identity_check,
+from .matrices import (Banded, DiagonalPolySpec, Mismatch, RouteMismatchError, TPReport,
+                       Truncation, XorShift64, binomial_truncation, bx_conjugate_eaz_identity_check,
                        conjugate_by_binomial, delta_matrix, diagonal, eaz_matrix,
                        first_difference, hankel_truncation, output_matrix, production_of,
                        riordan_matrix, sfraction_word, tp_check_sampled,
@@ -633,7 +633,7 @@ def sr_poly_matches_path_oracle(ctx: Ctx) -> Outcome:
 def smj_output_matches_triangle(ctx: Ctx) -> Outcome:
     n = ctx.cap(6)
     coeffs = {m: srpaths.SRCoeffs.symbolic(m) for m in (1, 2)}
-    tris = {m: srpaths.SRTriangles(coeffs[m], max_j=m) for m in coeffs}
+    tris = {m: srpaths.SRTriangles(coeffs[m]) for m in coeffs}
     return _first_failure(first_difference(output_matrix(srpaths.prodmat_smj(coeffs[m], j, n), n),
                                            tris[m].triangle(j, n), f"O(P^({m};{j})) vs S^({m};{j})")
                           for m in coeffs for j in range(m + 1))
@@ -679,7 +679,7 @@ def tail_series_match(ctx: Ctx) -> Outcome:
     """Prop: sum_n S^(m;j)_n t^n = f_0 ... f_j; plus the alternate form."""
     n = ctx.cap(5)
     coeffs = {m: srpaths.SRCoeffs.symbolic(m) for m in (1, 2)}
-    tris = {m: srpaths.SRTriangles(coeffs[m], max_j=m) for m in coeffs}
+    tris = {m: srpaths.SRTriangles(coeffs[m]) for m in coeffs}
     tails = (first_difference(srpaths.sfrac_tail_series(coeffs[m], j, n).coefs,
                               [tris[m].value(j, i, 0) for i in range(n + 1)],
                               f"f_0 ... f_{j} vs S^({m};{j})_(n,0)")
@@ -698,7 +698,7 @@ def smj_production_tp(ctx: Ctx) -> Outcome:
 
 
 def modified_hankel_tp(ctx: Ctx) -> Outcome:
-    tri = srpaths.SRTriangles(srpaths.SRCoeffs.symbolic(2), max_j=2)
+    tri = srpaths.SRTriangles(srpaths.SRCoeffs.symbolic(2))
     return _first_failure(
         _named(tp_check_symbolic(hankel_truncation([tri.value(j, i, 0) for i in range(7)], 4), 3),
                f"type-{j} modified Hankel, 4x4") for j in range(3))

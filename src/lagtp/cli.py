@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from . import checks, digraphs, laguerre, quadtp, srpaths
 from .digraphs import BadLimitSetting, LimitExceeded
-from .laguerre import EdgeWeights, LaguerreParams, RouteMismatchError, VertexWeights
-from .matrices import Truncation, tp_check_sampled, tp_check_symbolic
+from .laguerre import EdgeWeights, LaguerreParams, VertexWeights
+from .matrices import RouteMismatchError, Truncation, tp_check_sampled, tp_check_symbolic
 
 GEN_SELECTORS = ("laguerre-coeff", "first-mv", "second-mv",
                  *(f"prodmat:{kind}" for kind in laguerre.PRODMAT_KINDS),

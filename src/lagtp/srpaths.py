@@ -42,9 +42,9 @@ from operator import mul
 from typing import Callable, Optional, Union
 
 from .digraphs import LimitExceeded
-from .laguerre import LaguerreParams, RouteMismatchError, prodmat
-from .matrices import (Mismatch, Truncation, first_difference, hankel_truncation, sfraction_word,
-                       tp_check_symbolic)
+from .laguerre import LaguerreParams, prodmat
+from .matrices import (Mismatch, RouteMismatchError, Truncation, first_difference,
+                       hankel_truncation, sfraction_word, tp_check_symbolic)
 from .polyring import Poly, PolyLike, _mul_add, _p, _power_sum
 from .series import Series
 
@@ -378,35 +378,23 @@ def _denominator(fam: KappaFamily) -> Callable[[int], Poly]:
     return lambda n: Poly.const(n) - kappa * (n - 1)
 
 
-def _alpha_fraction(fam: KappaFamily) -> Callable[[int], tuple]:
-    """alpha_i of the cell as (numerator, denominator), the denominator D(n) or 1:
-    the alphas cycle through x, c_n n = n D(n-1)/D(n) and
-    (2 - c_n) n = n D(n+1)/D(n)."""
-    x, one = Poly.var("x"), Poly.one()
+def _cell_coeffs(fam: KappaFamily, unit: Poly) -> SRCoeffs:
+    """The cell's alpha-sequence times ``unit``, which each D(n) divides:
+    from index offset + 2 on, the alphas cycle through x, c_n n = n D(n-1)/D(n)
+    and (2 - c_n) n = n D(n+1)/D(n)."""
+    x = Poly.var("x")
     d = _denominator(fam)
     offset = _CELL_OFFSET[(fam.j, fam.alpha_lag)]
 
-    def frac(i):
+    def alpha(i):
         base = i - offset
         if base < 2:
-            return Poly.zero(), one
+            return Poly.zero()
         n, r = divmod(base + 1, 3)
         if r == 0:   # base = 3n - 1
-            return x, one
-        if r == 1:   # base = 3n
-            return d(n - 1) * n, d(n)
-        return d(n + 1) * n, d(n)  # base = 3n + 1
-
-    return frac
-
-
-def _scaled_coeffs(fam: KappaFamily, unit: Poly) -> SRCoeffs:
-    """The cell's alpha-sequence times ``unit``, which each denominator divides."""
-    frac = _alpha_fraction(fam)
-
-    def alpha(i):
-        num, den = frac(i)
-        return num * unit.exact_div(den)
+            return x * unit
+        # base = 3n: n D(n-1)/D(n); base = 3n + 1: n D(n+1)/D(n)
+        return d(n - 1 if r == 1 else n + 1) * n * unit.exact_div(d(n))
 
     return SRCoeffs(2, alpha)
 
@@ -423,7 +411,7 @@ def kappa_family_coeffs(fam: KappaFamily) -> SRCoeffs:
     if not _kappa(fam).is_constant():
         raise ValueError("a symbolic kappa gives rational-function alphas; "
                          "kappa_family_coeffs needs an exact kappa")
-    return _scaled_coeffs(fam, Poly.one())
+    return _cell_coeffs(fam, Poly.one())
 
 
 def verify_factorization_cell(fam: KappaFamily, n: int) -> bool | Mismatch:
@@ -443,9 +431,9 @@ def verify_factorization_cell(fam: KappaFamily, n: int) -> bool | Mismatch:
         d = _denominator(fam)
         unit = reduce(mul, (d(k + 1) for k in range(n + 1)))
         want = want.scale(unit ** 3)
-    got = sfraction_word(_scaled_coeffs(fam, unit).alpha, 2, fam.j, unit).truncate(n)
+    got = sfraction_word(_cell_coeffs(fam, unit).alpha, 2, fam.j, unit).truncate(n)
     return first_difference(got, want, f"bidiagonal word of cell (j={fam.j}, "
-                            f"alpha={fam.alpha_lag}, kappa={fam.kappa}) vs Laguerre P")
+                            f"alpha={fam.alpha_lag}, kappa={_kappa(fam)}) vs Laguerre P")
 
 
 # -- negative control -----------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Every name a ``lagtp`` module imports is used in that module and is
-imported at module level, and every function or method it defines, private
-ones included, has a caller outside the tests.  No check in ``checks.py``
-compares entries in a hand-written loop, and no module raises
-``AssertionError`` itself.
+"""Every name a ``lagtp`` module imports is used in that module, is
+imported at module level and from the module that defines it, and every
+function or method it defines, private ones included, has a caller outside
+the tests.  No check in ``checks.py`` compares entries in a hand-written
+loop, and no module raises ``AssertionError`` itself.
 
 Stdlib ``ast`` stand-ins for a linter's unused-import and import-position
 rules and a dead-code finder: deleting code tends to leave imports behind,
-an import inside a function hides a module's dependencies, and public API
+an import inside a function hides a module's dependencies, a name imported
+through a module that only imports it hides where it lives, and public API
 that only tests call, or a private helper a refactor left behind, is code
 to delete.  ``__init__.py`` only re-exports, so it is exempt from the
 unused-import and dead-code checks.  A ``return False`` inside a loop is
@@ -101,6 +102,50 @@ def test_the_guard_sees_function_local_imports():
     source = ("import math\ndef f():\n    from .series import Series\n"
               "    def g():\n        import os\n    return Series\n")
     assert local_imports(source) == [(3, "f"), (5, "f"), (5, "g")]
+
+
+def top_level_names(source: str) -> set:
+    """Names a module defines at its top level: functions, classes and
+    assignment targets, not imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {sub.id for target in targets for sub in ast.walk(target)
+                      if isinstance(sub, ast.Name)}
+    return names
+
+
+def borrowed_imports(source: str, package: dict) -> list:
+    """(line, name) of every ``from .X import name`` whose module X, looked
+    up in ``package`` (module name -> source), does not define ``name`` at
+    its top level."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            defined = top_level_names(package.get(node.module, ""))
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name not in defined]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_names_are_imported_from_their_home(path):
+    package = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert borrowed_imports(path.read_text(), package) == []
+
+
+def test_the_guard_sees_borrowed_imports():
+    package = {"matrices": "from .polyring import Poly\nclass Mismatch:\n    pass\n"
+                           "LIMIT: int = 3\nA, (B, C) = 1, (2, 3)\ndef det(m):\n    return m\n",
+               "laguerre": "from .matrices import Mismatch, det\nPRODMAT_KINDS = ()\n"}
+    source = ("from __future__ import annotations\nfrom . import matrices\n"
+              "from .matrices import Mismatch, Poly, LIMIT, C, det\n"
+              "from .laguerre import PRODMAT_KINDS, Mismatch as M\nfrom .series import Series\n"
+              "from lagtp.laguerre import det\n")
+    assert borrowed_imports(source, package) == [(3, "Poly"), (4, "Mismatch"), (5, "Series")]
 
 
 def attribute_defaults(source: str) -> list:

@@ -143,7 +143,7 @@ def test_factorization_table_cells(cell):
     j, a = cell
     kappas = [None]
     if cell in KAPPA_CELLS:
-        kappas = [Fraction(1), Fraction(1, 2), Poly.var("kappa")]
+        kappas = [Fraction(1), Fraction(1, 2), Fraction(0), Poly.var("kappa")]
     for kappa in kappas:
         assert verify_factorization_cell(KappaFamily(j, a, kappa), 6)
 
@@ -159,19 +159,24 @@ def test_scaled_check_refuses_an_alpha_perturbed_by_kappa(cell, monkeypatch):
     kappa = Poly.var("kappa")
     fam = KappaFamily(*cell, kappa)
     assert verify_factorization_cell(fam, 4)
-    exact = srpaths._alpha_fraction
+    exact = srpaths._cell_coeffs
     for index in range(2, 11):
-        def perturbed(f, index=index):
-            frac = exact(f)
+        def perturbed(f, unit, index=index):
+            alpha = exact(f, unit).alpha
+            return SRCoeffs(2, lambda i: alpha(i) + kappa * unit if i == index else alpha(i))
 
-            def alpha(i):
-                num, den = frac(i)
-                return (num + kappa * den, den) if i == index else (num, den)
-
-            return alpha
-
-        monkeypatch.setattr(srpaths, "_alpha_fraction", perturbed)
+        monkeypatch.setattr(srpaths, "_cell_coeffs", perturbed)
         assert not verify_factorization_cell(fam, 4), index
+
+
+def test_cell_mismatch_names_the_kappa_it_checked(monkeypatch):
+    # a rook-type cell ignores the kappa it is given and checks kappa = 1
+    exact = srpaths._cell_coeffs
+    monkeypatch.setattr(srpaths, "_cell_coeffs", lambda f, unit: SRCoeffs(
+        2, lambda i: exact(f, unit).alpha(i) + (i == 4)))
+    got = verify_factorization_cell(KappaFamily(1, 0, Fraction(7, 2)), 4)
+    assert not got
+    assert "(j=1, alpha=0, kappa=1) vs Laguerre P" in got.what
 
 
 def test_symbolic_kappa_alphas_are_not_polynomials():

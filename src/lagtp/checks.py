@@ -260,10 +260,10 @@ def second_mv_riordan_vs_oracle(ctx: Ctx) -> Outcome:
     n, m = ctx.cap(7), ctx.cap(5)
     params, w = LaguerreParams.symbolic(), VertexWeights.symbolic()
     wz = VertexWeights.symbolic(with_z=True)
-    coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=n)
-    coeff_matrix_second_mv(params, w, m, flat=False, oracle_rows=m)
-    coeff_matrix_second_mv(params, wz, m, flat=True, oracle_rows=m)
-    coeff_matrix_second_mv(LaguerreParams.of("7/3"), w, m, flat=True, oracle_rows=m)
+    coeff_matrix_second_mv(params, w, n, flat=True)
+    coeff_matrix_second_mv(params, w, m, flat=False)
+    coeff_matrix_second_mv(params, wz, m, flat=True)
+    coeff_matrix_second_mv(LaguerreParams.of("7/3"), w, m, flat=True)
     return True
 
 
@@ -311,7 +311,7 @@ def second_mv_peak_divisibility(ctx: Ctx) -> Outcome:
     """Every entry of the non-flat matrix is divisible by y_p^k: the
     digraph-oracle entries themselves equal y_p^k times the flat Riordan
     route's."""
-    n = ctx.cap(6)
+    n = min(ctx.cap(6), digraphs._vertex_cap(symbolic=True) + 1)
     params = LaguerreParams.symbolic()
     w = VertexWeights.symbolic()
     flat = coeff_matrix_second_mv(params, w, n, flat=True, oracle_rows=0)
@@ -327,7 +327,7 @@ def first_specializations(ctx: Ctx) -> Outcome:
 
 
 def cycle_statistics_egf(ctx: Ctx) -> Outcome:
-    n = ctx.cap(7)
+    n = min(ctx.cap(7), digraphs._vertex_cap(symbolic=True))
     w = VertexWeights.symbolic()
     lam = Poly.var("lam")
     # F does not depend on flat; the flat G is H itself, with no scaling
@@ -341,7 +341,7 @@ def cycle_statistics_egf(ctx: Ctx) -> Outcome:
 
 
 def word_statistics_egf(ctx: Ctx) -> Outcome:
-    n = ctx.cap(7)
+    n = min(ctx.cap(7), digraphs._vertex_cap(symbolic=True))
     zs = {k: Poly.var(v) for k, v in
           (("z_p", "zp"), ("z_v", "zv"), ("z_da", "zda"), ("z_dd", "zdd"))}
     g = solve_riccati(zs["z_p"], zs["z_da"] + zs["z_dd"], zs["z_v"], n)

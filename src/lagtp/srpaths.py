@@ -16,12 +16,15 @@ height), and ``polyring._power_sum`` (the weighting step of every oracle
 and of ``Poly.substitute``) weighs that table with alpha_h for height h
 (for monomial alphas, by key sums and no ``Poly`` product).  So the walk
 is made once per process for each (m, j, n, k range) and kept as an
-immutable table (``_path_table``); the fixed ``PATH_ORACLE_STEP_LIMIT`` is
-checked on every call, before the table is looked up.
+immutable table (``_path_table``).  Both oracle entry points, one entry
+and a whole row, go through one weighting step, ``_weighted_paths``,
+which checks the fixed ``PATH_ORACLE_STEP_LIMIT`` on every call, before
+the table is looked up.
 ``SRTriangles`` computes its entries on demand: a request computes only
 the entries its result depends on, each at most once, row by row with no
 recursion, returns a memo hit without a walk, and each alpha_i is read
-once and kept.
+once and kept.  ``value`` and ``triangle`` share one plan, the cone
+formula of ``SRTriangles._request``.
 The production matrix of the type-j triangle is the bidiagonal product
 L_{j+1} ... L_m U_0 L_1 ... L_j, ``matrices.sfraction_word``.
 
@@ -94,10 +97,8 @@ class SRTriangles:
 
     Entries are computed on demand, each at most once, into a memo keyed
     by (j, n, k).  A request computes only the entries its result depends
-    on.  That dependency cone of S(j; n, k) has a closed form: at row n the
-    types t <= j with k' in [k, k + j - t], at each row r < n the types
-    t <= m with k' in [k - (n - r), k + j + (n - r) m - t], every range
-    clipped to [0, r].
+    on: ``value`` and ``triangle`` both fill the closed-form dependency
+    cone of ``_request``, of one entry or of a whole last row.
     """
 
     def __init__(self, coeffs: SRCoeffs, max_j: int = 0):
@@ -134,12 +135,16 @@ class SRTriangles:
                                  memo[t - 1, r, k + 1])
                 memo[t, r, k] = v
 
-    def _read_alphas(self, n: int, j: int) -> None:
-        """Read the alphas that the entries of rows <= n read for types <= j
-        (and, below row n, for types <= max(j, m)): alpha_i, i < (m+1)n + j."""
-        al = self._alphas
-        while len(al) < (self.m + 1) * n + j:
+    def _request(self, j: int, n: int, lo: int, hi: int, below: int) -> None:
+        """Compute the cone of S(j; n, lo..hi): at row n the types t <= j with
+        k' in [lo, hi + j - t], at each row r < n the types t <= ``below``
+        with k' in [lo - (n - r), hi + j + (n - r) m - t], every range
+        clipped to [0, r].  Its entries read alpha_i for i < (m+1)n + j."""
+        m, al = self.m, self._alphas
+        while len(al) < (m + 1) * n + j:
             al.append(self.coeffs.alpha(len(al)))
+        self._fill((t, r, max(lo - (n - r), 0), min(hi + j + (n - r) * m - t, r))
+                   for r in range(n + 1) for t in range(below + 1 if r < n else j + 1))
 
     def value(self, j: int, n: int, k: int) -> Poly:
         """S^(m;j)_{n,k}; ValueError for j < 0."""
@@ -150,13 +155,8 @@ class SRTriangles:
             # reduce via the submatrix identity
             ell, jp = divmod(j, self.m + 1)
             return self.value(jp, n + ell, k + ell)
-        v = self._memo.get((j, n, k))
-        if v is not None:
-            return v
-        m = self.m
-        self._read_alphas(n, j)
-        self._fill((t, r, max(k - (n - r), 0), min(k + j + (n - r) * m - t, r))
-                   for r in range(n + 1) for t in range(m + 1 if r < n else j + 1))
+        if (j, n, k) not in self._memo:
+            self._request(j, n, k, k, self.m)
         return self._memo[j, n, k]
 
     def triangle(self, j: int, n: int) -> Truncation:
@@ -168,11 +168,8 @@ class SRTriangles:
             ell, jp = divmod(j, self.m + 1)
             block = range(ell, n + ell)
             return self.triangle(jp, n + ell).submatrix(block, block)
-        if n:  # one walk, row by row: types <= max(j, m) below the last row, <= j in it
-            self._read_alphas(n - 1, j)
-            top = max(j, self.m)
-            self._fill((t, r, 0, r) for r in range(n)
-                       for t in range(top + 1 if r < n - 1 else j + 1))
+        if n:  # the cones of the last row, with types <= max(j, m) below it
+            self._request(j, n - 1, 0, n - 1, max(j, self.m))
         return Truncation.from_fn(n, n, lambda i, k: self.value(j, i, k))
 
 
@@ -189,31 +186,26 @@ def sr_poly(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
 def sr_path_oracle(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
     """Direct enumeration of partial m-Dyck paths from (0,0) to
     ((m+1)n+j, (m+1)k+j); must equal sr_poly.  ValueError for j < 0."""
-    _check_type(j)
-    [falls] = _path_falls(coeffs.m, j, n, k, k)
-    return _power_sum(falls, _fall_weights(coeffs, j, n))
+    [v] = _weighted_paths(coeffs, j, n, k, k)
+    return v
 
 
 def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:
     """All of S^(m;j)_{n,0..n} from a single enumeration pass over the
     partial m-Dyck paths of length (m+1)n+j.  ValueError for j < 0."""
+    return _weighted_paths(coeffs, j, n, 0, n)
+
+
+def _weighted_paths(coeffs: SRCoeffs, j: int, n: int, k_lo: int, k_hi: int) -> list:
+    """``_path_table(m, j, n, k_lo, k_hi)`` weighted with alpha_h for each
+    fall height h; refused (``LimitExceeded``) on every call whose paths
+    are longer than the cap, before the table is looked up."""
     _check_type(j)
-    weights = _fall_weights(coeffs, j, n)
-    return [_power_sum(falls, weights) for falls in _path_falls(coeffs.m, j, n, 0, n)]
-
-
-def _fall_weights(coeffs: SRCoeffs, j: int, n: int) -> list:
-    """alpha_h for every height h a path of length (m+1)n+j can fall from."""
-    return [coeffs.alpha(h) for h in range((coeffs.m + 1) * n + j + 1)]
-
-
-def _path_falls(m: int, j: int, n: int, k_lo: int, k_hi: int) -> tuple:
-    """``_path_table(m, j, n, k_lo, k_hi)``, refused (``LimitExceeded``)
-    on every call whose paths are longer than the cap."""
-    steps = (m + 1) * n + j
+    m, steps = coeffs.m, (coeffs.m + 1) * n + j
     if steps > PATH_ORACLE_STEP_LIMIT:
         raise LimitExceeded(f"path oracle capped at {PATH_ORACLE_STEP_LIMIT} steps (got {steps})")
-    return _path_table(m, j, n, k_lo, k_hi)
+    weights = [coeffs.alpha(h) for h in range(steps + 1)]
+    return [_power_sum(falls, weights) for falls in _path_table(m, j, n, k_lo, k_hi)]
 
 
 @lru_cache(maxsize=None)

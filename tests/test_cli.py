@@ -743,6 +743,15 @@ def test_the_default_digraph_cap_passes_the_path_oracle_checks(capsys, monkeypat
     assert checks_run and all(c["ok"] and "error" not in c for c in checks_run)
 
 
+@pytest.mark.parametrize("value", ["0", "3", "6"])
+def test_a_lower_digraph_cap_checks_fewer_rows_and_refuses_no_check(capsys, monkeypatch, value):
+    monkeypatch.setenv("LAGTP_LIMIT", value)
+    code, out, _ = run(capsys, ["verify", "multivariate"])
+    assert code == 0
+    checks_run = json.loads(out)["checks"]
+    assert checks_run and all(c["ok"] and "error" not in c for c in checks_run)
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_verify_with_malformed_limit_exits_2_before_any_check(capsys, monkeypatch, value):
     monkeypatch.setenv("LAGTP_LIMIT", value)

@@ -12,7 +12,8 @@ from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
                             coeff_matrix_second_mv, coeff_matrix_uni,
                             monic_laguerre, monic_laguerre_reversed, prodmat,
                             rowgen_shifted_family_check, rowgen_polys)
-from lagtp.matrices import Truncation, conjugate_by_binomial, output_matrix
+from lagtp.matrices import (TPWitness, Truncation, conjugate_by_binomial, hankel_truncation,
+                            output_matrix, tp_check_symbolic)
 from lagtp.polyring import Poly, rising
 from lagtp.series import solve_logderiv, solve_riccati
 
@@ -441,3 +442,42 @@ def test_laguerre_egf_solves_one_riccati_equation(monkeypatch):
     calls = _count_riccati_solves(monkeypatch)
     laguerre.laguerre_rowgen_egf(SYM, x, 8)
     assert len(calls) == 1
+
+
+# -- the paper's restrictions and the identities behind its two claims ----------
+
+
+@pytest.mark.parametrize("weights,order,checked,witness", [
+    # free weights: TP6 but not TP7, a failure no 6 x 6 or smaller scan sees
+    ((2, 4, 1, 1, 5), 6, 12804, None),
+    ((2, 4, 1, 1, 5), 7, 12861,
+     TPWitness((1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6), Poly.const(-268017664))),
+    # the split point y_fp = y_p + 1, y_da = y_p + 2, y_dd = y_v + 1: TP at all orders
+    ((1, 2, 3, 3, 2), 8, 12869, None),
+], ids=["free-tp6", "free-not-tp7", "split-all-orders"])
+def test_the_flat_triangle_at_integer_weights_needs_the_restriction(weights, order, checked,
+                                                                    witness):
+    w = VertexWeights(*map(Poly.const, weights))
+    t = coeff_matrix_second_mv(LaguerreParams.of(3), w, 8, flat=True)
+    report = tp_check_symbolic(t, order)
+    assert (report.ok, report.checked, report.witness) == (witness is None, checked, witness)
+
+
+def test_the_first_mv_matrix_is_the_output_of_an_lu_production_matrix():
+    e = EdgeWeights.symbolic()
+    vm, v0, vp = e.v_minus, e.v_zero, e.v_plus
+    p = prodmat(SYM, "PcircFlat", weights=e.vertex_weights())
+    assert output_matrix(p, 7) == coeff_matrix_first_mv(SYM, e, 7)
+    # P = L U + (1+alpha)(v0 - v+) I, L unit lower bidiagonal with
+    # subdiagonal n v-, U with diagonal (n+1+alpha) v+ and unit superdiagonal
+    low = Truncation.from_fn(7, 7, lambda i, k: {i: 1, i - 1: vm * i}.get(k, 0))
+    up = Truncation.from_fn(7, 7, lambda i, k: {i: vp * (i + 1 + a), i + 1: 1}.get(k, 0))
+    assert p.truncate(7) == low * up + Truncation.identity(7).scale((1 + a) * (v0 - vp))
+
+
+def test_hankel_of_the_five_weight_row_polynomials_factors_through_the_output_matrices():
+    # H(O_0(P)) = O(P) O(P^T)^T on the five-weight quadridiagonal PFlat
+    p, n = prodmat(SYM, "PFlat", weights=VertexWeights.symbolic()), 4
+    col0 = [output_matrix(p, 2 * n - 1, 1)[i, 0] for i in range(2 * n - 1)]
+    got = output_matrix(p, n) * output_matrix(lambda i, k: p(k, i), n, n).transpose()
+    assert hankel_truncation(col0, n) == got

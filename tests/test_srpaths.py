@@ -471,8 +471,8 @@ def test_the_digraph_cap_does_not_cap_the_path_oracle(monkeypatch):
 
 
 def test_a_cached_path_table_is_immutable():
-    table = srpaths._path_falls(2, 1, 2, 0, 2)
-    assert srpaths._path_falls(2, 1, 2, 0, 2) is table
+    table = srpaths._path_table(2, 1, 2, 0, 2)
+    assert srpaths._path_table(2, 1, 2, 0, 2) is table
     assert type(table) is tuple and len(table) == 3
     for items in table:
         assert type(items) is tuple

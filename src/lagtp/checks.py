@@ -561,13 +561,22 @@ def tridiagonal_diagonal_comparison(ctx: Ctx) -> Outcome:
 
 def tp_negative_control(ctx: Ctx) -> Outcome:
     """Each scan rejects a planted matrix: the symbolic scan, which goes per minor,
-    and the sampled scan, which goes a column block at a time, over every lane.
+    on a packed box and on a sparse one (a band of u_i v_k beside w_i: TP2, and
+    of the six terms of its first 3x3 minor only the last the scan forms is
+    negative), and the sampled scan, which goes a column block at a time, over
+    every lane.
     The first sampled witness, [[1+x, 1], [4, 1+x]] at x = 0 in sample 0, rests on
     ``XorShift64`` drawing 0 first for every seed below 2^32: a fix of that
     generator must pin it again.  The second, 1 + x(x-1)(x-3) = -1 at x = 2 only,
     lies in the last column block and, for those seeds, never in lane 0."""
     report = tp_check_symbolic(Truncation([[1, 2], [3, 1]]), 2)
     minor = report.witness.minor if report.witness else None
+    u, v, d = ([Poly.var(f"{p}{i}") for i in range(4)] for p in "uvw")
+    band = tp_check_symbolic(Truncation.from_fn(4, 4, lambda i, k: (
+        u[i] * v[k] if abs(i - k) <= 1 else 0) + (d[i] if i == k else 0)), 3)
+    band_found = band.witness and (band.witness.rows, band.witness.cols, band.witness.minor)
+    uv = [ui * vi for ui, vi in zip(u, v)]
+    band_minor = d[1] * (d[0] + uv[0]) * (d[2] + uv[2]) + uv[1] * (d[0] * d[2] - uv[0] * uv[2])
     x = Poly.var("x")
     w = VertexWeights(y_p=1, y_v=1, y_da=0, y_dd=0, y_fp=1)
     planted = prodmat(LaguerreParams.of(0), "PFlat", weights=w, x=x).truncate(7)
@@ -580,6 +589,8 @@ def tp_negative_control(ctx: Ctx) -> Outcome:
     late_found = witness and (witness.rows, witness.cols, witness.minor, witness.assignment)
     return (first_difference([report.ok, minor], [False, Poly.const(-5)],
                              "TP2 scan of [[1,2],[3,1]]: [ok, witness minor]")
+            and first_difference([band.ok, band_found], [False, ((0, 1, 2), (0, 1, 2), band_minor)],
+                                 "TP3 scan of the u_i v_k band beside w_i: [ok, (rows, cols, minor)]")
             and first_difference([sampled.ok, found], [False, ((1, 2), (1, 2), -3, 0)],
                                  "sampled TP4 scan of the planted PFlat block: "
                                  "[ok, (rows, cols, minor, sample)]")

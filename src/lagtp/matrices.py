@@ -21,17 +21,16 @@ Symbolic scans go per minor, sampled scans go a column block at a time:
 ``_first_negative_minor``, given a product and a sign test, scans the
 symbolic representations, and ``_first_negative_lane`` scans every grid of
 sample lists, building all of a row set's minors over all assignments at
-once.  The symbolic scan runs on one of two representations, chosen from
-the matrix.  When every coefficient is an integer and the exponent box,
-read off the rows and the columns in one pass over the process keys, is
-small and full enough (at most ``_PACK_BITS`` bits when packed, and at
-most ``_PACK_SLOTS_PER_TERM`` slots per term of the largest entry), each
-entry is packed into one integer, a coefficient per fixed-width slot, and
-a minor's signs are read with one AND; the failing minor, if any, is
-recomputed as a Poly.  Every other matrix is scanned as dicts of local
-monomial keys.  Both give the same reports.  On a square Hankel grid the
-symbolic scan computes each distinct minor once, and the sampled scan
-scans each distinct assignment of the variables once.
+once.  The symbolic scan runs on integers: rows with a ``Fraction`` scaled,
+each monomial indexed below the box of exponent bounds read off the rows
+and columns of the process keys.  A small, full box (at most ``_PACK_BITS``
+bits packed, ``_PACK_SLOTS_PER_TERM`` slots per term of the largest entry)
+packs each entry into one integer, a coefficient per fixed-width slot, and
+reads a minor's signs with one AND; every other box scans as maps from
+index to coefficient.  A failing minor is recomputed as a Poly, and only
+exponent bounds past ``MAX_EXPONENT`` leave the scan on Polys; all give the
+same reports.  On a square Hankel grid the symbolic scan computes each
+distinct minor once, and the sampled scan each distinct assignment once.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import (MAX_EXPONENT, Poly, PolyLike, _exponents, _local_keys, _p, _values,
-                       _vars_of, power_table)
+from .polyring import (MAX_EXPONENT, Poly, PolyLike, _exponents, _p, _values, _vars_of,
+                       power_table)
 
 
 class NonUnitDiagonalError(ValueError):
@@ -638,9 +637,9 @@ def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, nonneg) -
     scan order (``_hankel_copies``) and read back from the kept level at
     every later copy.  Every minor, reused or not, goes through ``nonneg``
     and counts in ``checked``.  This is the scan of the symbolic
-    representations, local-key Polys (``Poly.dot``) and packed integers
-    (``_int_dot``); grids of sample lists go a column block at a time
-    (``_first_negative_lane``).
+    representations, Polys (``Poly.dot``), index maps (``_terms_dot``) and
+    packed integers (``_int_dot``); grids of sample lists go a column block
+    at a time (``_first_negative_lane``).
     """
     top = min(order, rows, cols)
     negated = [[-e for e in row] for row in grid] if top > 1 else None
@@ -728,10 +727,11 @@ def _first_negative_lane(grid, rows: int, cols: int, order: int, lanes: int) -> 
     return checked, None
 
 
-# Packing pays when the box is small and full: against the dict path,
-# dense boxes (up to 55 slots per term of the largest entry, up to 2.4e5
-# bits) scanned in 0.2-0.7x the time, sparse ones (288 slots per term and
-# up: S-R Hankels, quad_variant blocks) in 1.3-15x.
+# Packing pays when the box is small and full: against the sparse plan,
+# the boxes packed (up to 128 slots per term of the largest entry, up to
+# 2.4e5 bits) scanned in 0.2-1.0x the time, but for a 77-slot S-R Hankel at
+# 1.14x, and the others (350 slots per term and up: S-R Hankels, m = 2
+# prodmat_smj and quad_variant blocks) in 1.4-370x.
 _PACK_BITS = 1 << 18
 _PACK_SLOTS_PER_TERM = 128
 
@@ -741,73 +741,120 @@ def _top_product(values, k: int) -> int:
     return math.prod(sorted([max(1, v) for v in values], reverse=True)[:max(k, 0)])
 
 
+class _Terms(dict):
+    """An entry or a minor of the sparse plan: monomial index -> coefficient."""
+
+    __slots__ = ()
+
+    def __neg__(self) -> "_Terms":
+        return _Terms(zip(self, map(operator.neg, self.values())))
+
+
 def _packing(grid, top: int) -> Optional[tuple]:
-    """(width, dims, packed): every minor of size <= top of a grid of Polys
-    packed as one integer, ``packed`` the grid of packed entries; None when
-    it does not pay.  Slot i of ``width`` bits holds the coefficient of the
-    monomial of mixed-radix index i over ``dims``, one digit per variable,
-    the largest dimension lowest (ties in name order), so the plan does not
-    depend on the name registry.
+    """(width, dims, plan grid): the compact plan of a grid of Polys for its
+    minors of size <= top, or None when some exponent bound exceeds
+    MAX_EXPONENT.  A row with a ``Fraction`` coefficient is first scaled by
+    the lcm of its entries' denominators; that multiplies each minor by a
+    positive number, so no sign changes.
 
     A term of a minor takes one entry from each of its rows and columns, so
     dims[v] - 1, the lesser of the sums of the top largest row maxima and
     of the top largest column maxima of the exponent of v, bounds that
-    exponent.  A minor's coefficients are at most the permanent of its
-    entries' norms, and ||fg||_inf <= ||f||_2 ||g||_2, ||gh||_2 <= ||g||_2
-    ||h||_1; so with every factor at least 1, the least B of the products
-    of the top largest row L1 norms, of the top largest column L1 norms,
-    and of the top - 2 largest row L1 norms with the two largest row sums
-    of ceil(||e||_2) bounds them, and width = B.bit_length() + 1 keeps
-    |c| < 2^(width - 1).  None unless every coefficient is an int, the box
-    has at most ``_PACK_BITS`` bits and ``_PACK_SLOTS_PER_TERM`` slots per
-    term of the largest entry, and every dims[v] - 1 is at most
-    MAX_EXPONENT (so an exponent overflow is still raised by the dict path).
+    exponent, and the mixed-radix index of a monomial over ``dims``, one
+    digit per variable, the largest dimension lowest (ties in name order),
+    is below prod(dims) and adds under products.  The plan does not depend
+    on the name registry.
+
+    Dense plan, when the box has at most ``_PACK_SLOTS_PER_TERM`` slots per
+    term of the largest entry and at most ``_PACK_BITS`` bits: each entry
+    is one integer, slot i of ``width`` bits holding the coefficient of the
+    monomial of index i.  A minor's coefficients are at most the permanent
+    of its entries' norms, and ||fg||_inf <= ||f||_2 ||g||_2, ||gh||_2 <=
+    ||g||_2 ||h||_1; so with every factor at least 1, the least B of the
+    products of the top largest row L1 norms, of the top largest column L1
+    norms, and of the top - 2 largest row L1 norms with the two largest row
+    sums of ceil(||e||_2) bounds them, and width = B.bit_length() + 1 keeps
+    |c| < 2^(width - 1).  Sparse plan, every other box: width is None and
+    each entry a ``_Terms`` map from index to coefficient.
     """
+    # each cell as (id of its entry, the factor that scales it to integers)
+    cells = [[(id(e), d // e.den) for e in row]
+             for row, d in zip(grid, [math.lcm(*[e.den for e in row]) for row in grid])]
     distinct = {id(e): e for row in grid for e in row}  # a Hankel grid repeats its entries
-    entries = list(distinct.values())
-    if any(e.den != 1 for e in entries):
-        return None
-    slots = _PACK_SLOTS_PER_TERM * max(1, max(map(len, [e.num for e in entries]), default=0))
-    names = _vars_of(entries)
-    if 1 << len(names) > slots:  # each variable spans at least 2 slots
-        return None
-    vectors, indices = _exponents(entries, names)
-    if math.prod([1 + e for e in map(max, zip(*vectors))]) > slots:  # dims[v] > max exponent
-        return None
-    maxima = {id(e): tuple(map(max, zip(*map(vectors.__getitem__, ids)))) or (0,) * len(names)
-              for e, ids in zip(entries, indices)}  # per variable, its largest exponent in e
-    table = [[maxima[id(e)] for e in row] for row in grid]
+    names = _vars_of(distinct.values())
+    vectors, indices = _exponents(list(distinct.values()), names)
+    terms = dict(zip(distinct, indices))  # per entry, the index in vectors of each term
+    maxima = {i: tuple(map(max, zip(*map(vectors.__getitem__, ids)))) or (0,) * len(names)
+              for i, ids in terms.items()}  # per variable, its largest exponent in the entry
+    table = [[maxima[i] for i, _ in row] for row in cells]
 
     def per_variable(lines):  # for each variable, its largest exponent in each row or column
         return zip(*[map(max, zip(*line)) for line in lines])
 
     dims = [1 + min(sum(sorted(r, reverse=True)[:top]), sum(sorted(c, reverse=True)[:top]))
             for r, c in zip(per_variable(table), per_variable(zip(*table)))]
-    box = math.prod(dims)
-    if box > slots or max(dims, default=1) > MAX_EXPONENT + 1:
+    if max(dims, default=1) > MAX_EXPONENT + 1:
         return None
-    l1 = [[sum(map(abs, e.num.values())) for e in row] for row in grid]
-    squares = [[sum(map(operator.mul, e.num.values(), e.num.values())) for e in row] for row in grid]
-    row_l1 = list(map(sum, l1))
-    row_l2 = [sum([math.isqrt(q - 1) + 1 for q in row if q]) for row in squares]  # ceil(L2) sums
-    width = min(_top_product(row_l1, top), _top_product(map(sum, zip(*l1)), top),
-                _top_product(row_l1, top - 2) * _top_product(row_l2, min(top, 2))).bit_length() + 1
-    if box * width > _PACK_BITS:
-        return None
+    coeffs = {(i, f): [c * f for c in distinct[i].num.values()] if f != 1
+              else distinct[i].num.values() for row in cells for i, f in row}
     # the largest dimension lowest: the packed S-R Hankels of tp_scan
     # scanned 1.9x as fast as with the digits in name order
     order = sorted(range(len(dims)), key=lambda v: -dims[v])
     strides = [math.prod([dims[u] for u in order[:order.index(v)]]) for v in range(len(dims))]
-    shifts = [width * sum(map(operator.mul, t, strides)) for t in vectors]
-    packed = {id(e): sum(map(operator.lshift, e.num.values(), map(shifts.__getitem__, ids)))
-              for e, ids in zip(entries, indices)}
-    return width, tuple([dims[v] for v in order]), [[packed[id(e)] for e in row] for row in grid]
+    index = [sum(map(operator.mul, t, strides)) for t in vectors]
+    box = math.prod(dims)
+    width = None
+    if box <= _PACK_SLOTS_PER_TERM * max(1, max(map(len, coeffs.values()), default=0)):
+        l1 = [[sum(map(abs, coeffs[cell])) for cell in row] for row in cells]
+        squares = [[sum(map(operator.mul, coeffs[cell], coeffs[cell])) for cell in row]
+                   for row in cells]
+        row_l1 = list(map(sum, l1))
+        row_l2 = [sum([math.isqrt(q - 1) + 1 for q in row if q]) for row in squares]  # ceil(L2)
+        width = min(_top_product(row_l1, top), _top_product(map(sum, zip(*l1)), top),
+                    _top_product(row_l1, top - 2) * _top_product(row_l2, min(top, 2))
+                    ).bit_length() + 1
+        if box * width > _PACK_BITS:
+            width = None
+    if width is None:
+        plans = {(i, f): _Terms(zip(map(index.__getitem__, terms[i]), cs))
+                 for (i, f), cs in coeffs.items()}
+    else:
+        shifts = [width * i for i in index]
+        plans = {(i, f): sum(map(operator.lshift, cs, map(shifts.__getitem__, terms[i])))
+                 for (i, f), cs in coeffs.items()}
+    return width, tuple([dims[v] for v in order]), [[plans[cell] for cell in row] for row in cells]
 
 
 def _int_dot(pairs) -> int:
     """The sum of a * b over (a, b) pairs of packed integers; a pair with
     a zero is skipped, as ``Poly.dot`` skips a zero Poly."""
     return sum(a * b for a, b in pairs if a and b)
+
+
+def _terms_dot(pairs) -> _Terms:
+    """The sum of a * b over (a, b) pairs of ``_Terms`` maps, the smaller
+    map of each pair in the outer loop; an empty map is skipped and the
+    zeros of the sum are dropped."""
+    out = _Terms()
+    get = out.get
+    for a, b in pairs:
+        if a and b:
+            if len(a) > len(b):
+                a, b = b, a
+            pairs_b = b.items()
+            for ka, ca in a.items():
+                for kb, cb in pairs_b:
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+    if 0 in out.values():
+        for k in [k for k, c in out.items() if not c]:
+            del out[k]
+    return out
+
+
+def _terms_nonneg(minor: _Terms) -> bool:
+    """Whether no coefficient of a ``_Terms`` minor is negative."""
+    return min(minor.values(), default=0) >= 0
 
 
 def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
@@ -818,55 +865,48 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     report.  On a square Hankel matrix each distinct minor is computed
     once, at its first copy in colex order, and reused at the others.
 
-    When ``_packing`` finds the box of the matrix full and small enough,
-    each entry becomes one integer, packed straight from its process keys
-    (a Kronecker substitution: slot i of ``width`` bits holds a
-    coefficient), and the scan multiplies integers.  With OFF holding
-    2^(width-1) in every slot, a minor has no negative coefficient iff
-    minor & OFF == 0, one AND: with no negative slot every slot's top bit
-    is clear, and otherwise the lowest negative slot, which takes no borrow
-    from below, has its top bit set.  The failing minor is recomputed: the
-    same scan runs on its own submatrix of local-key Polys, where it fails
-    first, since every smaller minor passed.
+    The scan runs on the compact plan of ``_packing``, on integer
+    coefficients of monomial indices below prod(dims).  On a dense plan
+    each entry is one integer (a Kronecker substitution: slot i of
+    ``width`` bits holds a coefficient) and the scan multiplies integers.
+    With OFF holding 2^(width-1) in every slot, a minor has no negative
+    coefficient iff minor & OFF == 0, one AND: with no negative slot every
+    slot's top bit is clear, and otherwise the lowest negative slot, which
+    takes no borrow from below, has its top bit set.  On a sparse plan each
+    entry is a map from index to coefficient, and a minor passes iff its
+    least coefficient is >= 0.  The failing minor is recomputed: the same
+    scan runs on its own unscaled submatrix of Polys, where it fails first,
+    since every smaller minor passed.
 
-    Other matrices (a ``Fraction`` coefficient, many variables, a sparse
-    box) are scanned as dicts.  Their entries are re-keyed once onto the
-    variables the matrix uses (``polyring._local_keys``), so every product
-    works on keys of one field per variable of the matrix, however many
-    names the process has registered; only the witness minor is mapped
-    back.  An exponent overflow on local keys would name a local field, so
-    that scan is then run again on the process keys, where it overflows at
-    the same product and the error names the real variable.
+    With no plan (an exponent bound past ``MAX_EXPONENT``) the scan runs on
+    the Polys, where a product that takes an exponent past it raises the
+    ``OverflowError`` naming its variable.
     """
     if order < 1:  # an empty scan would certify any matrix
         raise ValueError("order must be at least 1")
     kernels = Poly.dot, Poly.is_coeffwise_nonneg
     plan = _packing(m.data, min(order, m.rows, m.cols))
     if plan is None:
-        local, to_global = _local_keys(e for row in m.data for e in row)
-        grid = [local[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
-        try:
-            checked, bad = _first_negative_minor(grid, m.rows, m.cols, order, *kernels)
-        except OverflowError:
-            _first_negative_minor(m.data, m.rows, m.cols, order, *kernels)
-            raise
+        checked, bad = _first_negative_minor(m.data, m.rows, m.cols, order, *kernels)
     else:
-        width, dims, packed = plan
-        off = ((1 << width * math.prod(dims)) - 1) // ((1 << width) - 1) << (width - 1)
-        checked, bad = _first_negative_minor(packed, m.rows, m.cols, order, _int_dot,
-                                             lambda v: not v & off)
+        width, dims, grid = plan
+        if width is None:
+            compact = _terms_dot, _terms_nonneg
+        else:
+            off = ((1 << width * math.prod(dims)) - 1) // ((1 << width) - 1) << (width - 1)
+            compact = _int_dot, lambda v: not v & off
+        checked, bad = _first_negative_minor(grid, m.rows, m.cols, order, *compact)
         if bad is not None:
             rows, cols, _ = bad
             size = len(rows)
-            local, to_global = _local_keys(m.data[i][j] for i in rows for j in cols)
-            sub = [local[i * size:(i + 1) * size] for i in range(size)]
+            sub = [[m.data[i][j] for j in cols] for i in rows]
             bad = rows, cols, _first_negative_minor(sub, size, size, size, *kernels)[1][2]
     size_meta = {"rows": m.rows, "cols": m.cols}
     if bad is None:
         return TPReport(True, order, "symbolic", checked, meta=size_meta)
     rows, cols, minor = bad
-    return TPReport(False, order, "symbolic", checked,
-                    TPWitness(rows, cols, to_global(minor)), meta=size_meta)
+    return TPReport(False, order, "symbolic", checked, TPWitness(rows, cols, minor),
+                    meta=size_meta)
 
 
 class XorShift64:

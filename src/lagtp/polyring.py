@@ -20,15 +20,7 @@ so their layout never leaves this module: printing and JSON go through
 variable names, and other modules ask helpers here for what a key holds
 (``_vars_of``, the names a set of Polys uses; ``_degrees``, the degrees in
 some of them; ``_exponents``, the exponent vectors from which the symbolic
-TP scan packs a matrix straight from its process keys).
-
-A key is as wide as the highest field it uses, and a name registered late
-in a process gets a high field: after 95 names, a monomial in the last one
-is an integer of up to 1520 bits, and adding, hashing and comparing such keys costs
-several times what it costs on a key of one or two words.  A computation
-that reuses one set of Polys for many products (the symbolic TP scan on
-dicts) can re-key them once with ``_local_keys`` onto consecutive fields
-0..v-1, v the number of variables they use, and map back only its result.
+TP scan gives each monomial of a matrix a compact index).
 
 Sums of products are accumulated, not folded (Monagan and Pearce again),
 and one kernel, ``_mul_into``, multiplies the terms of one Poly by those of
@@ -151,18 +143,12 @@ def _degrees(p: "Poly", names: set) -> list:
     return sorted({_degree(k & mask) for k in p.num})
 
 
-def _used(polys: Iterable["Poly"]) -> int:
-    """The OR of every key of ``polys``: nonzero in each field any of them uses."""
-    used = 0
-    for p in polys:
-        for k in p.num:
-            used |= k
-    return used
-
-
 def _vars_of(polys: Iterable["Poly"]) -> tuple:
     """The sorted names of the variables ``polys`` use."""
-    used, names, i = _used(polys), [], 0
+    used, names, i = 0, [], 0
+    for p in polys:  # the OR of every key: nonzero in each field some Poly uses
+        for k in p.num:
+            used |= k
     while used:
         if used & _FIELD_MASK:
             names.append(_names[i])
@@ -606,52 +592,6 @@ _set_num, _set_den = Poly.num.__set__, Poly.den.__set__
 # shared, as no routine mutates the map of a Poly it did not just build
 _ZERO, _ONE = _finish({}), _finish({0: 1})
 _OPERANDS = (Poly, int, Fraction)  # the types the kernel takes as its second operand
-
-
-def _local_keys(polys: Iterable[Poly]) -> tuple:
-    """Re-key ``polys`` onto consecutive fields: (local Polys, to_global).
-
-    The v distinct variables the Polys use keep their order but move to
-    fields 0..v-1, so each key is at most v * ``FIELD_BITS`` bits wide
-    however many names the process has registered.  Fields keep their
-    width and their guard bits, so ``+``, ``*`` and ``Poly.dot`` work on
-    local Polys unchanged.  ``to_global`` maps a local Poly back to the
-    process key space.
-
-    A local key means nothing outside the set it was made from: the
-    ``vars``, printing and JSON of a local Poly name the wrong variables,
-    and local Polys of two different sets must never meet.  So local Polys
-    stay inside the one computation that made them; only what it returns
-    goes back through ``to_global``.  An ``OverflowError`` raised on local
-    keys also names the wrong variable (see ``tp_check_symbolic``).
-    """
-    polys = list(polys)
-    used = _used(polys)
-    # runs of consecutive used fields, each moved by one mask and one shift:
-    # (offset in the process key, offset in the local key, mask of the run)
-    runs = []
-    src = dst = 0
-    while used:
-        width = FIELD_BITS
-        if used & _FIELD_MASK:
-            while (used >> width) & _FIELD_MASK:
-                width += FIELD_BITS
-            runs.append((src, dst, (1 << width) - 1))
-            dst += width
-        used >>= width
-        src += width
-
-    def rekey(p: Poly, moves) -> Poly:
-        out = {}
-        for k, c in p.num.items():
-            key = 0
-            for frm, to, mask in moves:
-                key |= ((k >> frm) & mask) << to
-            out[key] = c
-        return _finish(out, p.den)
-
-    back = [(dst, src, mask) for src, dst, mask in runs]
-    return [rekey(p, runs) for p in polys], lambda p: rekey(p, back)
 
 
 def _exponents(polys: Sequence[Poly], names: Sequence[str]) -> tuple:

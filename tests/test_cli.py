@@ -690,6 +690,23 @@ def test_negative_control_catches_a_lane_scan_that_skips_lanes_or_blocks(mutant,
     assert outcome.what.startswith("sampled TP2 scan of [[1,1],[1,2+x(x-1)(x-3)]]")
 
 
+@pytest.mark.parametrize("mutant", ["last-pair-dropped", "first-coefficient-only"])
+def test_negative_control_catches_a_sparse_scan_that_drops_terms_or_signs(mutant, monkeypatch):
+    # the planted band is scanned on the sparse plan and first fails at a
+    # 3 x 3 minor whose negative term is not its first coefficient
+    assert checks.tp_negative_control(checks.Ctx())
+    if mutant == "last-pair-dropped":
+        real = matrices._terms_dot
+        monkeypatch.setattr(matrices, "_terms_dot", lambda pairs: real(list(pairs)[:-1]))
+    else:
+        monkeypatch.setattr(matrices, "_terms_nonneg",
+                            lambda minor: next(iter(minor.values()), 0) >= 0)
+    outcome = checks.tp_negative_control(checks.Ctx())
+    assert not outcome and isinstance(outcome, Mismatch)
+    assert outcome.what.startswith("TP3 scan of the u_i v_k band beside w_i")
+    assert (outcome.where, outcome.got) == (0, True)
+
+
 def test_verify_max_n(capsys):
     code, out, _ = run(capsys, ["verify", "srpaths", "--max-n", "5"])
     assert code == 0

@@ -933,13 +933,13 @@ def test_sampled_scan_rescans_the_samples_before_a_later_first_failure():
 
 
 def test_symbolic_scan_looks_its_product_up_at_call_time(monkeypatch):
-    # one Fraction coefficient keeps the matrix on the dict path, where
-    # every minor of size 2 is one Poly.dot
+    # the row with a Fraction coefficient is scaled and the matrix packed;
+    # its failing 2x2 minor is then recomputed as Polys, one Poly.dot
     m = Truncation([[x, Fraction(1, 2)], [1, x]])
     calls = []
     dot = Poly.dot
     monkeypatch.setattr(Poly, "dot", staticmethod(lambda pairs: calls.append(1) or dot(pairs)))
-    assert _plan(m, 2) is None
+    assert _plan_kind(_plan(m, 2)) == "dense"
     assert calls
 
 
@@ -1157,7 +1157,7 @@ def test_output_matrix_evaluates_each_entry_of_p_at_most_once(name, p):
             assert max(i for i, _ in calls) <= rows - 2
 
 
-# -- the symbolic scan on local keys ---------------------------------------------
+# -- the symbolic scan on wide keys ----------------------------------------------
 
 PADDING_NAMES = 200
 
@@ -1166,7 +1166,7 @@ def _wide(m, tag):
     """m with each variable renamed to a fresh name, registered after the
     padding names, so that its keys are wide in the process key space.
     The fresh names are registered in the order of the old ones, so both
-    matrices have the same local keys."""
+    matrices have the same plan."""
     for i in range(PADDING_NAMES):
         Poly.var(f"pad{i}")
     names = sorted(m.variables(), key=polyring._offsets.__getitem__)
@@ -1222,25 +1222,33 @@ def test_symbolic_scan_on_wide_keys_matches_leibniz_reference(name):
 
 @pytest.mark.parametrize("name", WIDE_SCAN_NAMES)
 def test_symbolic_scan_multiplies_keys_no_wider_than_the_matrix_variables(name, monkeypatch):
-    # on the dict path; the packed path makes no key product at all
+    # on the sparse plan, forced by a zero size cap (the dense plan has no
+    # keys): every key of every product is a monomial index below
+    # prod(dims), however many names the process has registered
     m, order, _ = _wide_scan_cases()[name]
-    widest = [0]
-    mul_into = polyring._mul_into
+    monkeypatch.setattr(matrices, "_PACK_BITS", 0)
+    keys = []
+    dot = matrices._terms_dot
 
-    def recording(out, den, a, b):
-        widest[0] = max(widest[0], *(k.bit_length() for k in a.num),
-                        *(k.bit_length() for k in b.num))
-        return mul_into(out, den, a, b)
+    def recording(pairs):
+        pairs = list(pairs)
+        out = dot(pairs)
+        keys.extend(itertools.chain(out, *itertools.chain(*pairs)))
+        return out
 
-    monkeypatch.setattr(polyring, "_mul_into", recording)
-    monkeypatch.setattr(matrices, "_packing", lambda grid, top: None)
-    tp_check_symbolic(m, order)
-    assert 0 < widest[0] <= polyring.FIELD_BITS * len(m.variables())
+    monkeypatch.setattr(matrices, "_terms_dot", recording)
+    plans = _record_plans(monkeypatch)
+    report = tp_check_symbolic(m, order)
+    [(width, dims)] = plans
+    assert width is None and keys
+    assert 0 <= min(keys) and max(keys) < math.prod(dims)
+    assert math.prod(dims).bit_length() <= polyring.FIELD_BITS * len(m.variables())
+    assert report.to_json() == _dict_path_json(m, order)
 
 
 def _record_plans(mp):
-    """The list of the packing plans, (width, dims), the symbolic scan
-    draws up from now on (None: the dict path)."""
+    """The list of the plans, (width, dims), the symbolic scan draws up
+    from now on (width None: the sparse plan; None: the Poly path)."""
     plans = []
     packing = matrices._packing
 
@@ -1261,12 +1269,16 @@ def _plan(m, order):
     return plan
 
 
+def _plan_kind(plan):
+    return "poly" if plan is None else "sparse" if plan[0] is None else "dense"
+
+
 @pytest.mark.parametrize("name", WIDE_SCAN_NAMES)
 def test_packing_plan_does_not_depend_on_the_name_registry(name):
     wide, order, m = _wide_scan_cases()[name]
     plan = _plan(m, order)
     assert _plan(wide, order) == plan
-    assert (plan is None) == name.startswith("sr-hankel")
+    assert _plan_kind(plan) == ("sparse" if name.startswith("sr-hankel") else "dense")
 
 
 def test_symbolic_scan_overflow_names_the_real_variable(tmp_path, capsys, monkeypatch):
@@ -1279,42 +1291,11 @@ def test_symbolic_scan_overflow_names_the_real_variable(tmp_path, capsys, monkey
     plans = _record_plans(monkeypatch)
     with pytest.raises(OverflowError, match="^exponent of zeta exceeds 32767$"):
         tp_check_symbolic(m, 2)
-    assert plans == [None]  # the dict path: an exponent bound of 40000 does not fit the box
+    assert plans == [None]  # the Poly path: an exponent bound of 40000 has no plan
     path = tmp_path / "m.json"
     path.write_text(m.to_json())
     assert cli.main(["tp-check", str(path), "--order", "2"]) == 2
     assert capsys.readouterr().err == "error: exponent of zeta exceeds 32767\n"
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_local_keys_round_trip(seed):
-    rng = random.Random(seed)
-    for i in range(PADDING_NAMES):
-        Poly.var(f"pad{i}")
-    names = rng.sample([f"pad{i}" for i in range(PADDING_NAMES)] + ["x", "a", "y"],
-                       rng.randrange(1, 7))
-    pool = [Poly.one()] + [Poly.var(v) for v in names]
-    polys = []
-    for _ in range(rng.randrange(1, 8)):
-        p = Poly.zero()
-        for _ in range(rng.randrange(4)):
-            p = p + rng.choice(pool) ** rng.randrange(3) * rng.choice(pool) * rng.randint(-3, 3)
-        polys.append(p)
-    local, to_global = polyring._local_keys(polys)
-    assert [to_global(p) for p in local] == polys
-    used = {v for p in polys for v in p.vars}
-    assert all(k.bit_length() <= polyring.FIELD_BITS * len(used)
-               for p in local for k in p.terms)
-    # arithmetic on local keys maps back to the same arithmetic on process keys
-    assert to_global(Poly.dot(zip(local, local[::-1]))) == Poly.dot(zip(polys, polys[::-1]))
-
-
-@pytest.mark.parametrize("polys", [[], [Poly.zero()], [Poly.zero()] * 4,
-                                   [Poly.const(3), Poly.zero(), Poly.const(Fraction(-1, 2))]])
-def test_local_keys_of_constants_and_zeros(polys):
-    local, to_global = polyring._local_keys(polys)
-    assert local == polys
-    assert [to_global(p) for p in local] == polys
 
 
 # -- the symbolic scan on packed integers ----------------------------------------
@@ -1324,6 +1305,7 @@ FORCED_PACK_BITS = 1 << 24
 
 
 def _dict_path_json(m, order):
+    """The report JSON on the Poly path, forced by giving the scan no plan."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "_packing", lambda grid, top: None)
         return tp_check_symbolic(m, order).to_json()
@@ -1331,12 +1313,14 @@ def _dict_path_json(m, order):
 
 def _packed_path_json(m, order):
     """The report JSON with the size cap raised and the occupancy rule
-    lifted, and whether the scan packed."""
+    lifted, and whether the scan packed (took the dense plan)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "_PACK_BITS", FORCED_PACK_BITS)
         mp.setattr(matrices, "_PACK_SLOTS_PER_TERM", FORCED_PACK_BITS)
         plans = _record_plans(mp)
-        return tp_check_symbolic(m, order).to_json(), plans != [None]
+        report = tp_check_symbolic(m, order).to_json()
+    [plan] = plans
+    return report, _plan_kind(plan) == "dense"
 
 
 @pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
@@ -1356,29 +1340,111 @@ def test_symbolic_scan_on_wide_keys_reports_the_same_on_both_paths(name):
 
 @functools.lru_cache(maxsize=None)
 def _path_cases():
-    """{name: (matrix, order, whether the size rule packs it)}"""
+    """{name: (matrix, order, the plan the size rule takes)}"""
     lam = Poly.var("lam")
     laguerre = hankel_truncation(
         [monic_laguerre(i, LaguerreParams(lam - 1), x) for i in range(7)], 4)
     tri = SRTriangles(SRCoeffs.symbolic(2), max_j=2)
     return {
-        "bidiagonal5": ({c[0]: c[1] for c in SCAN_CASES}["bidiagonal5"], 3, True),
-        "laguerre-hankel4": (laguerre, 4, True),
-        "sr-hankel-m2": (hankel_truncation([tri.value(1, i, 0) for i in range(5)], 3), 3, False),
-        "fraction-entry": (Truncation([[x, Fraction(1, 2)], [1, x]]), 2, False),
+        "bidiagonal5": ({c[0]: c[1] for c in SCAN_CASES}["bidiagonal5"], 3, "dense"),
+        "laguerre-hankel4": (laguerre, 4, "dense"),
+        "sr-hankel-m2": (hankel_truncation([tri.value(1, i, 0) for i in range(5)], 3), 3, "sparse"),
+        "sr-hankel-m2-swapped": (_swap_adjacent_rows(
+            hankel_truncation([tri.value(1, i, 0) for i in range(5)], 3), 0), 3, "sparse"),
+        "fraction-entry": (Truncation([[x, Fraction(1, 2)], [1, x]]), 2, "dense"),
     }
 
 
 @pytest.mark.parametrize("name", ["bidiagonal5", "laguerre-hankel4", "sr-hankel-m2",
-                                  "fraction-entry"])
+                                  "sr-hankel-m2-swapped", "fraction-entry"])
 def test_symbolic_scan_packs_small_integer_matrices_only(name, monkeypatch):
-    m, order, packs = _path_cases()[name]
-    assert (_plan(m, order) is not None) == packs
+    # small boxes pack (a Fraction row scaled to integers first), the rest
+    # scan as index maps, and neither makes a Poly product: only a failing
+    # minor is recomputed as Polys, by the Poly scan of its own submatrix
+    m, order, kind = _path_cases()[name]
+    assert _plan_kind(_plan(m, order)) == kind
     calls = []
     mul_into = polyring._mul_into
     monkeypatch.setattr(polyring, "_mul_into", lambda *args: calls.append(1) or mul_into(*args))
-    tp_check_symbolic(m, order)
-    assert (not calls) == packs
+    report = tp_check_symbolic(m, order)
+    scan_calls, witness = len(calls), report.witness
+    assert report.ok == (witness is None) == (name not in ("sr-hankel-m2-swapped",
+                                                           "fraction-entry"))
+    if witness is None:
+        assert scan_calls == 0
+    else:
+        calls.clear()
+        sub = m.submatrix(witness.rows, witness.cols)
+        assert json.loads(_dict_path_json(sub, sub.rows))["witness"]["minor"] == \
+            witness.minor.to_json_obj()
+        assert scan_calls == len(calls) > 0
+
+
+QUIET = [Poly.var(f"q{i}") for i in range(10)]
+
+
+def _sparse_product(rng, n):
+    """Lower times upper times lower bidiagonal in ten variables, each
+    weight 1 + c q or c q: TP (LGV), and too many variables to pack."""
+    prod = Truncation.identity(n)
+    for f in range(3):
+        entries = {}
+        for i in range(n):
+            entries[i, i] = 1 + rng.choice(QUIET) * rng.randint(1, 3)
+            if i:
+                entries[(i, i - 1) if f % 2 == 0 else (i - 1, i)] = (
+                    rng.choice(QUIET) * rng.randint(1, 3))
+        prod = prod * Truncation.from_fn(n, n, lambda i, j: entries.get((i, j), 0))
+    return prod
+
+
+def _with_fraction_rows(rng, m):
+    """m with each row times 1/k, k drawn from 2..4 but 1 on one row: each
+    minor changes by a positive factor, so its signs do not."""
+    ks = [rng.randint(2, 4) for _ in range(m.rows)]
+    ks[rng.randrange(m.rows)] = 1
+    return Truncation([[e.scale(Fraction(1, k)) for e in row] for row, k in zip(m.data, ks)])
+
+
+def _band(rng):
+    """A band of u_i v_k beside a diagonal d_i, with seeded coefficients:
+    every 2x2 minor is >= 0, and the first 3x3 minor has a negative term,
+    which is not its first one."""
+    u, v, d = QUIET[:4], QUIET[4:8], QUIET[8:] * 2
+    return Truncation.from_fn(4, 4, lambda i, k: (
+        u[i] * v[k] * rng.randint(1, 3) if abs(i - k) <= 1 else 0) + (d[i] if i == k else 0))
+
+
+def _plan_cases(seed):
+    """(box, tp, matrix, order): TP and not, on a dense and on a sparse box,
+    each with integer and with Fraction rows."""
+    rng = random.Random(seed)
+    cases = []
+    for box, build in (("dense", _bidiagonal_product), ("sparse", _sparse_product)):
+        m = build(rng, 4)
+        for tp, order in ((True, 4), (False, 3)):
+            grid = m if tp else _swap_adjacent_rows(m, rng.randrange(3))
+            cases += [(box, tp, grid, order), (box, tp, _with_fraction_rows(rng, grid), order)]
+    band = _band(rng)
+    return cases + [("sparse", False, band, 3), ("sparse", False, _with_fraction_rows(rng, band), 3)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_plan_reports_as_the_poly_path_and_the_leibniz_reference(seed):
+    for box, tp, m, order in _plan_cases(seed):
+        assert _plan_kind(_plan(m, order)) == box
+        report = tp_check_symbolic(m, order)
+        assert report.ok == tp
+        assert report.to_json() == _dict_path_json(m, order) == \
+            _reference_report(m, order).to_json()
+
+
+def test_a_fraction_row_witness_is_the_unscaled_minor():
+    m = Truncation([[x * Fraction(1, 2), 1], [1, x * Fraction(1, 3)]])
+    assert _plan_kind(_plan(m, 2)) == "dense"
+    report = tp_check_symbolic(m, 2)
+    assert report.witness.minor == -1 + x ** 2 * Fraction(1, 6)
+    assert report.to_json() == _dict_path_json(m, 2) == _reference_report(m, 2).to_json()
 
 
 @pytest.mark.parametrize("tp", [True, False])
@@ -1532,26 +1598,31 @@ def _univariate_hankel(n):
 
 def test_packing_rule_weighs_how_full_the_box_is(monkeypatch):
     # dense boxes pack: the univariate Hankels in a and x at TP4, whose
-    # packed scans beat the dict path past the old 2^16-bit cap
+    # packed scans beat the sparse plan past the old 2^16-bit cap
     for n in (6, 7):
-        assert matrices._packing(_univariate_hankel(n).data, 4) is not None
+        assert _plan_kind(matrices._packing(_univariate_hankel(n).data, 4)) == "dense"
     plans = _record_plans(monkeypatch)
     assert tp_check_symbolic(_univariate_hankel(6), 4).ok
-    assert plans[0] is not None
-    # sparse boxes do not: a 12-variable quad_variant block ...
+    assert _plan_kind(plans[0]) == "dense"
+    # sparse boxes scan as index maps: a 12-variable quad_variant block ...
     ints = lambda c, start=0: lambda i: Poly.zero() if i < start else Poly.const(c + i % 2)
     names = lambda prefix: lambda i: Poly.var(f"{prefix}{i}")
     quad = build_variant_quad(QuadVariantParams(
         a, Poly.var("beta"), Poly.const(1), Poly.const(2), names("s"), ints(1, 1), ints(2, 1),
         names("t"), ints(1), ints(3))).truncate(5)
     assert len(quad.variables()) == 12
-    assert matrices._packing(quad.data, 3) is None
+    assert _plan_kind(matrices._packing(quad.data, 3)) == "sparse"
     # ... and the 5-variable S-R Hankel, whose 84 000-bit box fits the size
     # cap but holds 350 slots per term of its largest entry
     tri = SRTriangles(SRCoeffs.symbolic(1), max_j=1)
     sr = hankel_truncation([tri.value(1, i, 0) for i in range(5)], 3)
     assert len(sr.variables()) == 5
-    assert matrices._packing(sr.data, 3) is None
+    assert _plan_kind(matrices._packing(sr.data, 3)) == "sparse"
+    # only an exponent bound past MAX_EXPONENT leaves no plan: x^20000 on
+    # the diagonal bounds x by 20000 in one entry, by 40000 in a 2x2 minor
+    big = Truncation([[x ** 20000, 1], [1, x ** 20000]]).data
+    assert _plan_kind(matrices._packing(big, 1)) == "sparse"
+    assert matrices._packing(big, 2) is None
     monkeypatch.setattr(matrices, "_PACK_SLOTS_PER_TERM", FORCED_PACK_BITS)
     width, dims, _ = matrices._packing(sr.data, 3)
     assert math.prod(dims) * width == 84000

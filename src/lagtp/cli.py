@@ -147,10 +147,7 @@ def cmd_verify(args) -> int:
     if args.max_n is not None and args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
     ctx = checks.Ctx(seed=args.seed, max_n=args.max_n)
-    try:
-        results = checks.run_suite(args.suite, ctx)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
+    results = checks.run_suite(args.suite, ctx)
     ok = all(r[2] for r in results)
     payload = {
         "suite": args.suite,

@@ -284,11 +284,9 @@ def prodmat(params: LaguerreParams, which: str, weights: VertexWeights | None = 
 
 
 def _sfraction_coeffs(params: LaguerreParams, y_p: PolyLike, y_v: PolyLike):
-    """The Laguerre S-fraction: alpha_0 = 0, alpha_{2k-1} = (k+alpha) y_p,
-    alpha_{2k} = k y_v (y_p = y_v = 1 for the univariate family)."""
+    """The Laguerre S-fraction: alpha_{2k-1} = (k+alpha) y_p, alpha_{2k} =
+    k y_v, so alpha_0 = 0 (y_p = y_v = 1 for the univariate family)."""
     def alpha_fn(i):
-        if i <= 0:
-            return Poly.zero()
         k = (i + 1) // 2
         return (params.alpha + k) * y_p if i % 2 == 1 else _p(y_v) * k
     return alpha_fn

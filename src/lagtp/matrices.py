@@ -21,16 +21,17 @@ Symbolic scans go per minor, sampled scans go a column block at a time:
 ``_first_negative_minor``, given a product and a sign test, scans the
 symbolic representations, and ``_first_negative_lane`` scans every grid of
 sample lists, building all of a row set's minors over all assignments at
-once.  The symbolic scan runs on integers: rows with a ``Fraction`` scaled,
-each monomial indexed below the box of exponent bounds read off the rows
-and columns of the process keys.  A small, full box (at most ``_PACK_BITS``
-bits packed, ``_PACK_SLOTS_PER_TERM`` slots per term of the largest entry)
-packs each entry into one integer, a coefficient per fixed-width slot, and
-reads a minor's signs with one AND; every other box scans as maps from
-index to coefficient.  A failing minor is recomputed as a Poly, and only
-exponent bounds past ``MAX_EXPONENT`` leave the scan on Polys; all give the
-same reports.  On a square Hankel grid the symbolic scan computes each
-distinct minor once, and the sampled scan each distinct assignment once.
+once.  The symbolic scan runs on integers (a matrix with a ``Fraction``
+scaled by one factor), each monomial indexed below the box of exponent
+bounds read off the rows and columns of the process keys.  A small, full
+box (at most ``_PACK_BITS`` bits packed, ``_PACK_SLOTS_PER_TERM`` slots
+per term of the largest entry) packs each entry into one integer, a
+coefficient per fixed-width slot, and reads a minor's signs with one AND;
+every other box scans as maps from index to coefficient.  A failing minor
+is recomputed as a Poly, and only exponent bounds past ``MAX_EXPONENT``
+leave the scan on Polys; all give the same reports.  On a square Hankel
+grid the symbolic scan computes each distinct minor once, and the sampled
+scan each distinct assignment once.
 """
 
 from __future__ import annotations
@@ -731,7 +732,10 @@ def _first_negative_lane(grid, rows: int, cols: int, order: int, lanes: int) -> 
 # the boxes packed (up to 128 slots per term of the largest entry, up to
 # 2.4e5 bits) scanned in 0.2-1.0x the time, but for a 77-slot S-R Hankel at
 # 1.14x, and the others (350 slots per term and up: S-R Hankels, m = 2
-# prodmat_smj and quad_variant blocks) in 1.4-370x.
+# prodmat_smj and quad_variant blocks) in 1.4-370x.  The size cap decides no
+# plan of tp_scan (seeds 1-5) or ``verify all`` (seeds 42, 7); past it the
+# univariate Hankel in (lam, x) scans faster sparse: 7x7 at TP5 1.71 s against
+# 2.31 s packed, at all orders 1.87 against 3.68 s, 8x8 at TP4 6.8 against 7.9 s.
 _PACK_BITS = 1 << 18
 _PACK_SLOTS_PER_TERM = 128
 
@@ -753,9 +757,9 @@ class _Terms(dict):
 def _packing(grid, top: int) -> Optional[tuple]:
     """(width, dims, plan grid): the compact plan of a grid of Polys for its
     minors of size <= top, or None when some exponent bound exceeds
-    MAX_EXPONENT.  A row with a ``Fraction`` coefficient is first scaled by
-    the lcm of its entries' denominators; that multiplies each minor by a
-    positive number, so no sign changes.
+    MAX_EXPONENT.  A grid with a ``Fraction`` coefficient is first scaled
+    by L, the lcm of its entries' denominators; that multiplies each s x s
+    minor by L^s, so no sign changes, and a Hankel grid stays Hankel.
 
     A term of a minor takes one entry from each of its rows and columns, so
     dims[v] - 1, the lesser of the sums of the top largest row maxima and
@@ -777,16 +781,14 @@ def _packing(grid, top: int) -> Optional[tuple]:
     |c| < 2^(width - 1).  Sparse plan, every other box: width is None and
     each entry a ``_Terms`` map from index to coefficient.
     """
-    # each cell as (id of its entry, the factor that scales it to integers)
-    cells = [[(id(e), d // e.den) for e in row]
-             for row, d in zip(grid, [math.lcm(*[e.den for e in row]) for row in grid])]
+    cells = [[id(e) for e in row] for row in grid]
     distinct = {id(e): e for row in grid for e in row}  # a Hankel grid repeats its entries
     names = _vars_of(distinct.values())
     vectors, indices = _exponents(list(distinct.values()), names)
     terms = dict(zip(distinct, indices))  # per entry, the index in vectors of each term
     maxima = {i: tuple(map(max, zip(*map(vectors.__getitem__, ids)))) or (0,) * len(names)
               for i, ids in terms.items()}  # per variable, its largest exponent in the entry
-    table = [[maxima[i] for i, _ in row] for row in cells]
+    table = [[maxima[i] for i in row] for row in cells]
 
     def per_variable(lines):  # for each variable, its largest exponent in each row or column
         return zip(*[map(max, zip(*line)) for line in lines])
@@ -795,8 +797,8 @@ def _packing(grid, top: int) -> Optional[tuple]:
             for r, c in zip(per_variable(table), per_variable(zip(*table)))]
     if max(dims, default=1) > MAX_EXPONENT + 1:
         return None
-    coeffs = {(i, f): [c * f for c in distinct[i].num.values()] if f != 1
-              else distinct[i].num.values() for row in cells for i, f in row}
+    scale = math.lcm(*[e.den for e in distinct.values()])
+    coeffs = {i: [c * (scale // e.den) for c in e.num.values()] for i, e in distinct.items()}
     # the largest dimension lowest: the packed S-R Hankels of tp_scan
     # scanned 1.9x as fast as with the digits in name order
     order = sorted(range(len(dims)), key=lambda v: -dims[v])
@@ -816,12 +818,11 @@ def _packing(grid, top: int) -> Optional[tuple]:
         if box * width > _PACK_BITS:
             width = None
     if width is None:
-        plans = {(i, f): _Terms(zip(map(index.__getitem__, terms[i]), cs))
-                 for (i, f), cs in coeffs.items()}
+        plans = {i: _Terms(zip(map(index.__getitem__, terms[i]), cs)) for i, cs in coeffs.items()}
     else:
         shifts = [width * i for i in index]
-        plans = {(i, f): sum(map(operator.lshift, cs, map(shifts.__getitem__, terms[i])))
-                 for (i, f), cs in coeffs.items()}
+        plans = {i: sum(map(operator.lshift, cs, map(shifts.__getitem__, terms[i])))
+                 for i, cs in coeffs.items()}
     return width, tuple([dims[v] for v in order]), [[plans[cell] for cell in row] for row in cells]
 
 
@@ -866,17 +867,18 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     once, at its first copy in colex order, and reused at the others.
 
     The scan runs on the compact plan of ``_packing``, on integer
-    coefficients of monomial indices below prod(dims).  On a dense plan
-    each entry is one integer (a Kronecker substitution: slot i of
-    ``width`` bits holds a coefficient) and the scan multiplies integers.
-    With OFF holding 2^(width-1) in every slot, a minor has no negative
-    coefficient iff minor & OFF == 0, one AND: with no negative slot every
-    slot's top bit is clear, and otherwise the lowest negative slot, which
-    takes no borrow from below, has its top bit set.  On a sparse plan each
-    entry is a map from index to coefficient, and a minor passes iff its
-    least coefficient is >= 0.  The failing minor is recomputed: the same
-    scan runs on its own unscaled submatrix of Polys, where it fails first,
-    since every smaller minor passed.
+    coefficients of monomial indices below prod(dims) (a matrix with a
+    ``Fraction`` scaled by one factor, so a Hankel keeps its read-back).
+    On a dense plan each entry is one integer (a Kronecker substitution:
+    slot i of ``width`` bits holds a coefficient) and the scan multiplies
+    integers.  With OFF holding 2^(width-1) in every slot, a minor has no
+    negative coefficient iff minor & OFF == 0, one AND: with no negative
+    slot every slot's top bit is clear, and otherwise the lowest negative
+    slot, which takes no borrow from below, has its top bit set.  On a
+    sparse plan each entry is a map from index to coefficient, and a minor
+    passes iff its least coefficient is >= 0.  The failing minor is
+    recomputed: the same scan runs on its own unscaled submatrix of Polys,
+    where it fails first, since every smaller minor passed.
 
     With no plan (an exponent bound past ``MAX_EXPONENT``) the scan runs on
     the Polys, where a product that takes an exponent past it raises the

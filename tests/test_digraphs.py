@@ -8,7 +8,7 @@ import pytest
 
 from lagtp import polyring
 from lagtp.digraphs import (DEFAULT_VAR_NAMES, BadLimitSetting, LaguerreDigraph,
-                            LimitExceeded, _injections, _linear00_table, _projected,
+                            LimitExceeded, _STATS, _injections, _linear00_table, _projected,
                             _stat_table, _walk, classify, enumerate_digraphs, oracle_entry,
                             permutation_oracles)
 from lagtp.matrices import Mismatch, RouteMismatchError
@@ -221,6 +221,20 @@ def test_linear_permutation_oracle_walks_s_n_once(monkeypatch):
     monkeypatch.setenv("LAGTP_LIMIT", "abc")
     with pytest.raises(BadLimitSetting):
         permutation_oracles(6, "linear00")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_linear00_table_is_the_cycle_free_part_of_the_one_path_table(n):
+    # a word with the 0-0 boundary is the one path of a cycle-free Laguerre
+    # digraph, its peaks, valleys, double ascents and double descents those
+    # of the path (n = 0 is left out: the empty word is a permutation, but
+    # no digraph on no vertices has a path)
+    cyc, path = _STATS.index("cyc"), [_STATS.index(s) for s in ("ppa", "vpa", "dapa", "ddpa")]
+    want = Counter()
+    for stats, count in _stat_table(n, 1):
+        if not stats[cyc]:
+            want[tuple([stats[i] for i in path])] += count
+    assert _linear00_table(n) == tuple(sorted(want.items()))
 
 
 def test_oracle_matches_matrix_definition():

@@ -13,7 +13,7 @@ from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
                             monic_laguerre, monic_laguerre_reversed, prodmat,
                             rowgen_shifted_family_check, rowgen_polys)
 from lagtp.matrices import (TPWitness, Truncation, conjugate_by_binomial, hankel_truncation,
-                            output_matrix, tp_check_symbolic)
+                            output_matrix, production_of, tp_check_symbolic)
 from lagtp.polyring import Poly, rising
 from lagtp.series import solve_logderiv, solve_riccati
 
@@ -481,3 +481,50 @@ def test_hankel_of_the_five_weight_row_polynomials_factors_through_the_output_ma
     col0 = [output_matrix(p, 2 * n - 1, 1)[i, 0] for i in range(2 * n - 1)]
     got = output_matrix(p, n) * output_matrix(lambda i, k: p(k, i), n, n).transpose()
     assert hankel_truncation(col0, n) == got
+
+
+def _tp_summary(report):
+    """(ok, minors checked, and the witness's rows and columns, or None)."""
+    w = report.witness
+    return report.ok, report.checked, w and (w.rows, w.cols)
+
+
+def _row_polynomial_hankel(t):
+    """The 4 x 4 Hankel of the row-generating polynomials in x of a 7-row t."""
+    return hankel_truncation(rowgen_polys(t, x), 4)
+
+
+_Y = VertexWeights.symbolic()
+# the split restriction of the triangle claim, and the quad restriction of the
+# flat quadridiagonal production matrix
+SPLIT = replace(_Y, y_fp=_Y.y_p + Poly.var("u"), y_da=_Y.y_p + Poly.var("w1"),
+                y_dd=_Y.y_v + Poly.var("w2"))
+QUAD = replace(_Y, y_fp=_Y.y_p, y_da=_Y.y_p, y_dd=_Y.y_v + Poly.var("w"))
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["full", "flat"])
+def test_the_triangle_under_the_split_restriction_is_tp_at_all_orders(flat):
+    t = coeff_matrix_second_mv(SYM, SPLIT, 6, flat=flat, oracle_rows=0)
+    assert _tp_summary(tp_check_symbolic(t, 6)) == (True, 923, None)
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["full", "flat"])
+def test_the_row_polynomial_hankel_under_the_quad_restriction_is_tp_at_all_orders(flat):
+    t = coeff_matrix_second_mv(SYM, QUAD, 7, flat=flat, oracle_rows=0)
+    assert _tp_summary(tp_check_symbolic(_row_polynomial_hankel(t), 4)) == (True, 69, None)
+
+
+@pytest.mark.parametrize("v_zero,production,hankel", [
+    ("v_plus+w", (True, 923, None), (True, 69, None)),
+    ("free", (False, 37, ((0, 1), (0, 1))), (False, 19, ((0, 1), (1, 2)))),
+])
+def test_the_first_mv_production_matrix_and_hankel_are_tp_with_v0_above_v_plus(
+        v_zero, production, hankel):
+    # a measured fact on the 6 x 6 block of P and the 4 x 4 Hankel, with
+    # v_0 = v_+ + w against the control with v_0 free
+    e = EdgeWeights.symbolic()
+    if v_zero != "free":
+        e = replace(e, v_zero=e.v_plus + Poly.var("w"))
+    t = coeff_matrix_first_mv(SYM, e, 7)
+    assert _tp_summary(tp_check_symbolic(production_of(t).truncate(6), 6)) == production
+    assert _tp_summary(tp_check_symbolic(_row_polynomial_hankel(t), 4)) == hankel

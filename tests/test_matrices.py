@@ -1358,9 +1358,10 @@ def _path_cases():
 @pytest.mark.parametrize("name", ["bidiagonal5", "laguerre-hankel4", "sr-hankel-m2",
                                   "sr-hankel-m2-swapped", "fraction-entry"])
 def test_symbolic_scan_packs_small_integer_matrices_only(name, monkeypatch):
-    # small boxes pack (a Fraction row scaled to integers first), the rest
-    # scan as index maps, and neither makes a Poly product: only a failing
-    # minor is recomputed as Polys, by the Poly scan of its own submatrix
+    # small boxes pack (a matrix with a Fraction scaled to integers first),
+    # the rest scan as index maps, and neither makes a Poly product: only a
+    # failing minor is recomputed as Polys, by the Poly scan of its own
+    # submatrix
     m, order, kind = _path_cases()[name]
     assert _plan_kind(_plan(m, order)) == kind
     calls = []
@@ -1445,6 +1446,29 @@ def test_a_fraction_row_witness_is_the_unscaled_minor():
     report = tp_check_symbolic(m, 2)
     assert report.witness.minor == -1 + x ** 2 * Fraction(1, 6)
     assert report.to_json() == _dict_path_json(m, 2) == _reference_report(m, 2).to_json()
+
+
+def test_a_rational_hankel_scans_as_the_hankel_scaled_to_integers(monkeypatch):
+    # one factor for the whole matrix: the plan grid stays Hankel, so the
+    # scan reads repeated minors back as on the matrix scaled by hand
+    seq = [monic_laguerre(i, LaguerreParams.of(Fraction(1, 2)), x) for i in range(9)]
+    scale = math.lcm(*[p.den for p in seq])
+    assert scale > 1
+    m, scaled = hankel_truncation(seq, 5), hankel_truncation([p.scale(scale) for p in seq], 5)
+    plan = matrices._packing(m.data, 5)
+    width, _, grid = plan
+    assert width is not None
+    assert all(grid[i][k] == grid[i + 1][k - 1] for i in range(4) for k in range(1, 5))
+    assert plan == matrices._packing(scaled.data, 5)
+    int_dot = matrices._int_dot
+    calls = []
+    monkeypatch.setattr(matrices, "_int_dot", lambda pairs: calls.append(1) or int_dot(pairs))
+    report = tp_check_symbolic(m, 5)
+    rational_calls, calls[:] = len(calls), []
+    assert report.ok and report.checked == 251
+    assert tp_check_symbolic(scaled, 5).to_json() == report.to_json()
+    assert rational_calls == len(calls) > 0
+    assert report.to_json() == _dict_path_json(m, 5)
 
 
 @pytest.mark.parametrize("tp", [True, False])

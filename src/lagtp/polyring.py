@@ -18,9 +18,11 @@ guard bit raises ``OverflowError`` instead of carrying into the next
 variable's field.  Keys depend on the order in which names were first seen,
 so their layout never leaves this module: printing and JSON go through
 variable names, and other modules ask helpers here for what a key holds
-(``_vars_of``, the names a set of Polys uses; ``_degrees``, the degrees in
-some of them; ``_exponents``, the exponent vectors from which the symbolic
-TP scan gives each monomial of a matrix a compact index).
+(``_vars_of``, ``_degrees``, ``_exponents``, ``_values``).  Only two readers
+extract fields: ``_fields``, the fields a key sets, in a walk that costs
+those fields, not the key's width, and ``_vectors``, exponent tuples over
+given fields; so a change of the layout touches them and the encoders
+(``_offset``, ``Poly.__init__``, ``Poly.var``) only.
 
 Sums of products are accumulated, not folded (Monagan and Pearce again),
 and one kernel, ``_mul_into``, multiplies the terms of one Poly by those of
@@ -79,7 +81,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -120,41 +122,47 @@ def _offset(name: str) -> int:
     return off
 
 
+def _fields(key: int) -> list:
+    """The (field index, exponent) pairs of the fields a nonnegative key sets,
+    lowest first; a walk jumps over empty fields, so it costs the fields set."""
+    out, i = [], -1
+    while key:
+        skip = ((key & -key).bit_length() - 1) // FIELD_BITS  # empty fields below it
+        i += skip + 1
+        out.append((i, key >> skip * FIELD_BITS & _FIELD_MASK))
+        key >>= (skip + 1) * FIELD_BITS
+    return out
+
+
+def _vectors(keys: Iterable[int], offsets: Sequence[int]) -> list:
+    """One exponent tuple per key, over the fields at ``offsets``."""
+    return [tuple([k >> off & _FIELD_MASK for off in offsets]) for k in keys]
+
+
 def _overflow(key: int) -> OverflowError:
     """The error for a key with a guard bit set, naming the first such variable."""
-    i = 0
-    while not key >> (i * FIELD_BITS + FIELD_BITS - 1) & 1:
-        i += 1
+    i = next(i for i, e in _fields(key) if e > MAX_EXPONENT)
     return OverflowError(f"exponent of {_names[i]} exceeds {MAX_EXPONENT}")
 
 
 def _degree(key: int) -> int:
     """Total degree of a monomial key."""
-    d = 0
-    while key:
-        d += key & _FIELD_MASK
-        key >>= FIELD_BITS
-    return d
+    return sum([e for _, e in _fields(key)])
 
 
 def _degrees(p: "Poly", names: set) -> list:
     """The distinct total degrees in ``names`` of the terms of p, ascending."""
-    mask = sum(_FIELD_MASK << _offsets[v] for v in p.vars if v in names)
-    return sorted({_degree(k & mask) for k in p.num})
+    offsets = [_offsets[v] for v in p.vars if v in names]
+    return sorted(set(map(sum, _vectors(p.num, offsets))))
 
 
 def _vars_of(polys: Iterable["Poly"]) -> tuple:
     """The sorted names of the variables ``polys`` use."""
-    used, names, i = 0, [], 0
+    used = 0
     for p in polys:  # the OR of every key: nonzero in each field some Poly uses
         for k in p.num:
             used |= k
-    while used:
-        if used & _FIELD_MASK:
-            names.append(_names[i])
-        used >>= FIELD_BITS
-        i += 1
-    return tuple(sorted(names))
+    return tuple(sorted([_names[i] for i, _ in _fields(used)]))
 
 
 def _norm_coeff(c) -> Coeff:
@@ -376,9 +384,9 @@ class Poly:
         if name not in self.vars:
             return self if power == 0 else Poly.zero()
         off = _offsets[name]
-        mono = power << off
-        return _finish({k - mono: c for k, c in self.num.items()
-                        if (k >> off) & _FIELD_MASK == power}, self.den)
+        exps = _vectors(self.num, [off])
+        return _finish({k - (power << off): c for (e,), (k, c) in zip(exps, self.num.items())
+                        if e == power}, self.den)
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -476,10 +484,9 @@ class Poly:
         if not hit:
             return self
         offsets = [_offsets[v] for v in hit]
-        cleared = ~sum(_FIELD_MASK << off for off in offsets)
         return _power_sum(
-            ((tuple((k >> off) & _FIELD_MASK for off in offsets),
-              _finish({k & cleared: c}, self.den)) for k, c in self.num.items()),
+            ((exps, _finish({k - sum(map(lshift, exps, offsets)): c}, self.den))
+             for exps, (k, c) in zip(_vectors(self.num, offsets), self.num.items())),
             [env[v] for v in hit])
 
     # -- exact division --------------------------------------------------
@@ -537,10 +544,9 @@ class Poly:
     def sorted_terms(self) -> list:
         """(exponent tuple parallel to ``vars``, coefficient) pairs in the
         canonical graded-lex order (degree asc, then lex desc)."""
-        offsets = [_offsets[v] for v in self.vars]
-        terms = [(tuple((k >> off) & _FIELD_MASK for off in offsets), c)
-                 for k, c in self.terms.items()]
-        return sorted(terms, key=lambda ec: (sum(ec[0]), tuple(-x for x in ec[0])))
+        exps = _vectors(self.num, [_offsets[v] for v in self.vars])
+        return sorted(zip(exps, self.terms.values()),
+                      key=lambda ec: (sum(ec[0]), tuple(-x for x in ec[0])))
 
     def __str__(self) -> str:
         if not self.num:
@@ -603,8 +609,7 @@ def _exponents(polys: Sequence[Poly], names: Sequence[str]) -> tuple:
     low = min(map(_offsets.__getitem__, names), default=0)
     index: dict = {}
     indices = [[index.setdefault(k >> low, len(index)) for k in p.num] for p in polys]
-    offs = [_offsets[v] - low for v in names]
-    return [tuple([k >> off & _FIELD_MASK for off in offs]) for k in index], indices
+    return _vectors(index, [_offsets[v] - low for v in names]), indices
 
 
 def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:
@@ -620,20 +625,16 @@ def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:
     there, divided once by its denominator.  A Poly object that recurs (a
     Hankel grid repeats each entry) is evaluated once and shares its list.
     """
-    powers: dict = {}  # (field offset, e) -> the values of that variable^e
+    powers: dict = {}  # (field index, e) -> the values of that variable^e
     monomials: dict = {0: [1] * len(envs)}
     for p in polys:
         for key in p.num:
             if key not in monomials:
-                vec, rest = None, key
-                while rest:
-                    off = ((rest & -rest).bit_length() - 1) // FIELD_BITS * FIELD_BITS
-                    e = rest >> off & _FIELD_MASK
-                    rest ^= e << off
-                    power = powers.get((off, e))
+                vec = None
+                for i, e in _fields(key):
+                    power = powers.get((i, e))
                     if power is None:
-                        name = _names[off // FIELD_BITS]
-                        power = powers[off, e] = [env[name] ** e for env in envs]
+                        power = powers[i, e] = [env[_names[i]] ** e for env in envs]
                     vec = power if vec is None else list(map(mul, vec, power))
                 monomials[key] = vec
 
@@ -720,9 +721,7 @@ def _as_poly(x) -> Poly:
         return x
     if type(x) is int:
         return _finish({0: x})
-    if isinstance(x, (int, Fraction, Poly)):
-        return _p(x)
-    return NotImplemented
+    return Poly.const(x) if isinstance(x, (int, Fraction)) else NotImplemented
 
 
 _COEFF_TEXT = re.compile("-?[0-9]+(/[0-9]+)?")

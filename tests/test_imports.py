@@ -225,7 +225,7 @@ def test_the_guard_sees_raised_assertion_errors():
 
 # the names that read the bit layout of a monomial key
 KEY_LAYOUT = frozenset({"FIELD_BITS", "_FIELD_MASK", "_offsets", "_names", "_guard", "_degree",
-                        "_finish"})
+                        "_finish", "_fields", "_vectors"})
 
 
 def key_layout_reads(source: str) -> list:
@@ -256,6 +256,50 @@ def test_the_guard_sees_key_layout_reads():
               "def g(p):\n    return polyring._vars_of([p]), p._names, _degree(p)\n")
     assert key_layout_reads(source) == [(1, "FIELD_BITS"), (2, "_finish"), (6, "_guard"),
                                         (6, "_offsets")]
+
+
+# the only functions of ``polyring`` that extract a key's fields
+FIELD_READERS = frozenset({"_fields", "_vectors"})
+
+
+def field_extractions(source: str) -> list:
+    """(line, owner) of every read of ``_FIELD_MASK`` outside
+    ``FIELD_READERS``: masking a key with it is how a field is extracted.
+    The owner is the outermost function or method around the read, or
+    "<module>"; a nested def counts as part of its owner."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == "_FIELD_MASK"
+                    and isinstance(child.ctx, ast.Load) and owner not in FIELD_READERS):
+                found.append((child.lineno, owner or "<module>"))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_only_two_readers_extract_key_fields():
+    assert field_extractions((SRC / "polyring.py").read_text()) == []
+
+
+def test_the_guard_sees_a_third_field_reader():
+    source = ("FIELD_BITS = 16\n_FIELD_MASK = (1 << FIELD_BITS) - 1\n_TOP = _FIELD_MASK << 4\n"
+              "def _fields(key):\n    return [(0, key & _FIELD_MASK)]\n"
+              "def _vectors(keys, off):\n    return [k >> off & _FIELD_MASK for k in keys]\n"
+              "def _degree(key):\n    d = 0\n    while key:\n        d += key & _FIELD_MASK\n"
+              "        key >>= FIELD_BITS\n    return d\n"
+              "class Poly:\n    def coeff(self, off):\n        mask = _FIELD_MASK\n"
+              "        return [k >> off & mask for k in self.num]\n"
+              "    def width(self):\n        return FIELD_BITS\n"
+              "def outer(key):\n    def _fields(k):\n        return k & _FIELD_MASK\n"
+              "    return _fields(key)\n")
+    assert field_extractions(source) == [(3, "<module>"), (11, "_degree"), (16, "coeff"),
+                                         (22, "outer")]
 
 
 def _is_def(node) -> bool:

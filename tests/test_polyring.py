@@ -792,3 +792,103 @@ def test_no_operation_changes_the_shared_zero_and_one():
     assert zero.num == {} and zero.den == 1
     assert one.num == {0: 1} and one.den == 1
     assert Poly.zero() == 0 and Poly.one() == 1
+
+
+# -- wide keys: every reader on the earliest and the latest fields -------------
+
+WIDE = tuple(f"wide{i}" for i in range(96))
+
+
+@pytest.fixture
+def wide_names():
+    """Two of the earliest registered names and the last two of 96 names
+    registered after them, so keys over them span at least 96 fields (a
+    `family_build` pass registers 89 names)."""
+    for name in WIDE:
+        Poly.var(name)
+    early = [v for v in polyring._names if v not in WIDE][:2]
+    names = (early[0], WIDE[-2], early[1], WIDE[-1])
+    assert polyring._offsets[WIDE[-1]] >= 95 * polyring.FIELD_BITS
+    return names
+
+
+def _wide_poly(rng, names):
+    """A Poly over ``names`` and its reference: exponent tuple -> coefficient."""
+    ref = {}
+    for _ in range(rng.randint(1, 6)):
+        e = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in names)
+        ref[e] = ref.get(e, 0) + _random_scalar(rng)
+    ref = {e: c for e, c in ref.items() if c}
+    return Poly(names, ref), ref
+
+
+def _reference_str(vars, terms):
+    """The text of (exponent tuple over ``vars``, coefficient) pairs in order."""
+    parts = []
+    for e, c in terms:
+        mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(vars, e) if k)
+        parts.append(str(c) if not mono else mono if c == 1 else f"-{mono}" if c == -1
+                     else f"{c}*{mono}")
+    return "+".join(parts).replace("+-", "-") or "0"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wide_key_readers_equal_the_exponent_tuple_reference(wide_names, seed):
+    names, rng = wide_names, random.Random(seed)
+    for _ in range(15):
+        (p, ref), (q, _) = _wide_poly(rng, names), _wide_poly(rng, names)
+        used = sorted(v for i, v in enumerate(names) if any(e[i] for e in ref))
+        assert p.vars == tuple(used)
+        pos = [names.index(v) for v in used]
+        terms = sorted([(tuple(e[i] for i in pos), c) for e, c in ref.items()],
+                       key=lambda ec: (sum(ec[0]), [-k for k in ec[0]]))
+        assert p.sorted_terms() == terms
+        assert str(p) == _reference_str(used, terms)
+        env = {names[0]: Poly.var(names[3]) + 2, names[3]: Poly.var(names[0]).scale(
+            Fraction(1, 3)) - 1, names[1]: 5}
+        assert p.substitute(env) == sum(
+            (c * math.prod([_p(env.get(v, Poly.var(v))) ** k for v, k in zip(names, e)])
+             for e, c in ref.items()), Poly.zero())
+        for i, v in enumerate(names):
+            for k in range(4):
+                assert p.coeff_of_var(v, k) == Poly(names, {
+                    e[:i] + (0,) + e[i + 1:]: c for e, c in ref.items() if e[i] == k})
+        assert polyring._degrees(p, {names[0], names[3]}) == sorted({e[0] + e[3] for e in ref})
+        if q:
+            assert (p * q).exact_div(q) == p
+            if not q.is_constant():
+                with pytest.raises(ExactDivisionError):
+                    (p * q + 1).exact_div(q)
+        envs = [dict(zip(names, point)) for point in ((1, 2, 3, 4), (-1, 0, Fraction(1, 2), 3))]
+        values = [sum(c * math.prod([Fraction(env[v]) ** k for v, k in zip(names, e)])
+                      for e, c in ref.items()) for env in envs]
+        assert _values([p, p], envs) == [values, values]
+
+
+def test_a_wide_key_overflow_names_the_variable_of_the_last_field(wide_names):
+    first, last = Poly.var(wide_names[0]), Poly.var(wide_names[3])
+    message = f"^exponent of {wide_names[3]} exceeds {MAX_EXPONENT}$"
+    top = first ** MAX_EXPONENT * last ** MAX_EXPONENT
+    for overflow in (lambda: top * last, lambda: Poly.dot([(top, last + 1)]),
+                     lambda: (first * last ** 3) ** 11000,
+                     lambda: Poly((wide_names[3], wide_names[0], wide_names[3]),
+                                  {(MAX_EXPONENT, 1, 1): 1}),
+                     lambda: (first * last ** MAX_EXPONENT).substitute({wide_names[0]: last})):
+        with pytest.raises(OverflowError, match=message):
+            overflow()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fields_and_vectors_return_the_exponents_that_built_a_key(data):
+    for name in WIDE:
+        Poly.var(name)
+    names = data.draw(st.lists(st.sampled_from(list(polyring._names)), unique=True,
+                               max_size=8))
+    exps = data.draw(st.lists(st.integers(0, MAX_EXPONENT), min_size=len(names),
+                              max_size=len(names)))
+    [key] = Poly(names, {tuple(exps): 1}).num
+    offsets = [polyring._offsets[v] for v in names]
+    assert polyring._fields(key) == sorted((off // polyring.FIELD_BITS, e)
+                                           for off, e in zip(offsets, exps) if e)
+    assert polyring._vectors([key, 0], offsets) == [tuple(exps), (0,) * len(names)]

@@ -24,7 +24,7 @@ series come from ODE recurrences (the series module), never closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -69,7 +69,8 @@ class EdgeWeights:
 
     @staticmethod
     def symbolic() -> "EdgeWeights":
-        return EdgeWeights(Poly.var("vm"), Poly.var("v0"), Poly.var("vp"))
+        return EdgeWeights(*[Poly.var(digraphs.DEFAULT_VAR_NAMES[f.name])
+                             for f in fields(EdgeWeights)])
 
     def oracle_weights(self, lam: PolyLike) -> dict:
         """The weights of the digraph oracle's 'first_mv' mode."""
@@ -102,11 +103,8 @@ class VertexWeights:
 
     @staticmethod
     def symbolic(with_z: bool = False) -> "VertexWeights":
-        y = [Poly.var(n) for n in ("yp", "yv", "yda", "ydd", "yfp")]
-        if not with_z:
-            return VertexWeights(*y)
-        z = [Poly.var(n) for n in ("zp", "zv", "zda", "zdd")]
-        return VertexWeights(*y, *z)
+        names = [digraphs.DEFAULT_VAR_NAMES[f.name] for f in fields(VertexWeights)]
+        return VertexWeights(*map(Poly.var, names[:9 if with_z else 5]))
 
     @property
     def zp(self) -> Poly:

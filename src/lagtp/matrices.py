@@ -622,10 +622,11 @@ def _hankel_copies(n: int, size: int) -> list:
             for r in range(len(sets))]
 
 
-def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, nonneg) -> tuple:
+def _first_negative_minor(grid, order: int, dot, nonneg) -> tuple:
     """(minors checked, (rows, cols, minor) of the first minor that fails
-    ``nonneg``, or None), over the minors of size <= order of a rows x cols
-    grid: by size, then colex row sets, then colex column sets.
+    ``nonneg``, or None), over the minors of size <= order of a rectangular
+    grid, its shape read off the grid: by size, then colex row sets, then
+    colex column sets.
 
     A minor of size s > 1 is expanded along its first column,
     M(r, c) = sum_t (-1)^t g[r_t][c_0] M(r - r_t, c[1:]), over the size-(s-1)
@@ -642,6 +643,7 @@ def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, nonneg) -
     packed integers (``_int_dot``); grids of sample lists go a column block
     at a time (``_first_negative_lane``).
     """
+    rows, cols = len(grid), len(grid[0]) if grid else 0
     top = min(order, rows, cols)
     negated = [[-e for e in row] for row in grid] if top > 1 else None
     hankel = top > 1 and rows == cols and all(
@@ -680,10 +682,10 @@ def _first_negative_minor(grid, rows: int, cols: int, order: int, dot, nonneg) -
     return checked, None
 
 
-def _first_negative_lane(grid, rows: int, cols: int, order: int, lanes: int) -> tuple:
-    """``_first_negative_minor`` for a grid of sample lists of ``lanes``
-    values each (one per assignment), a column block at a time: the scan
-    of every sampled grid, Hankel or not, with the same result.
+def _first_negative_lane(grid, order: int) -> tuple:
+    """``_first_negative_minor``, with the same result, for a grid of sample
+    lists of one length (a lane per assignment; shape and lane count read
+    off the grid), a column block at a time: the scan of every sampled grid.
 
     The minors on a row set r of size s are one flat list, colex column
     sets by lanes, each expanded along its last column l:
@@ -695,7 +697,9 @@ def _first_negative_lane(grid, rows: int, cols: int, order: int, lanes: int) -> 
     shorter one).  One ``min`` tests a row set; the index of its first
     negative value, over ``lanes``, is the colex rank of the failing set.
     """
+    rows, cols = len(grid), len(grid[0]) if grid else 0
     top = min(order, rows, cols)
+    lanes = len(grid[0][0]) if top else 0
     live = [[e if any(e) else None for e in row] for row in grid]  # None for a zero entry
     signed = live, [[e and [-v for v in e] for e in row] for row in live]
     checked = 0
@@ -755,11 +759,11 @@ class _Terms(dict):
 
 
 def _packing(grid, top: int) -> Optional[tuple]:
-    """(width, dims, plan grid): the compact plan of a grid of Polys for its
-    minors of size <= top, or None when some exponent bound exceeds
-    MAX_EXPONENT.  A grid with a ``Fraction`` coefficient is first scaled
-    by L, the lcm of its entries' denominators; that multiplies each s x s
-    minor by L^s, so no sign changes, and a Hankel grid stays Hankel.
+    """(width, dims, plan grid): the compact plan of a grid of Polys (its
+    variables read off it by ``_exponents``) for its minors of size <= top,
+    or None when an exponent bound exceeds MAX_EXPONENT.  A grid with a
+    ``Fraction`` coefficient is first scaled by L, the lcm of its entries'
+    denominators; each s x s minor gains L^s > 0, and a Hankel stays Hankel.
 
     A term of a minor takes one entry from each of its rows and columns, so
     dims[v] - 1, the lesser of the sums of the top largest row maxima and
@@ -783,8 +787,7 @@ def _packing(grid, top: int) -> Optional[tuple]:
     """
     cells = [[id(e) for e in row] for row in grid]
     distinct = {id(e): e for row in grid for e in row}  # a Hankel grid repeats its entries
-    names = _vars_of(distinct.values())
-    vectors, indices = _exponents(list(distinct.values()), names)
+    names, vectors, indices = _exponents(list(distinct.values()))
     terms = dict(zip(distinct, indices))  # per entry, the index in vectors of each term
     maxima = {i: tuple(map(max, zip(*map(vectors.__getitem__, ids)))) or (0,) * len(names)
               for i, ids in terms.items()}  # per variable, its largest exponent in the entry
@@ -861,10 +864,10 @@ def _terms_nonneg(minor: _Terms) -> bool:
 def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     """Check every minor of size <= order for coefficientwise nonnegativity.
 
-    Minors come from ``_first_negative_minor`` in colex order and the scan
-    short-circuits on the first offending minor, which is returned in the
-    report.  On a square Hankel matrix each distinct minor is computed
-    once, at its first copy in colex order, and reused at the others.
+    Minors come from ``_first_negative_minor`` in colex order, to the depth
+    top = min(order, rows, cols) that also sizes the plan, up to the first
+    offending minor, returned in the report.  On a square Hankel matrix each
+    distinct minor is computed once, at its first copy, and read back after.
 
     The scan runs on the compact plan of ``_packing``, on integer
     coefficients of monomial indices below prod(dims) (a matrix with a
@@ -887,9 +890,10 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     if order < 1:  # an empty scan would certify any matrix
         raise ValueError("order must be at least 1")
     kernels = Poly.dot, Poly.is_coeffwise_nonneg
-    plan = _packing(m.data, min(order, m.rows, m.cols))
+    top = min(order, m.rows, m.cols)
+    plan = _packing(m.data, top)
     if plan is None:
-        checked, bad = _first_negative_minor(m.data, m.rows, m.cols, order, *kernels)
+        checked, bad = _first_negative_minor(m.data, top, *kernels)
     else:
         width, dims, grid = plan
         if width is None:
@@ -897,12 +901,11 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
         else:
             off = ((1 << width * math.prod(dims)) - 1) // ((1 << width) - 1) << (width - 1)
             compact = _int_dot, lambda v: not v & off
-        checked, bad = _first_negative_minor(grid, m.rows, m.cols, order, *compact)
+        checked, bad = _first_negative_minor(grid, top, *compact)
         if bad is not None:
             rows, cols, _ = bad
-            size = len(rows)
             sub = [[m.data[i][j] for j in cols] for i in rows]
-            bad = rows, cols, _first_negative_minor(sub, size, size, size, *kernels)[1][2]
+            bad = rows, cols, _first_negative_minor(sub, len(rows), *kernels)[1][2]
     size_meta = {"rows": m.rows, "cols": m.cols}
     if bad is None:
         return TPReport(True, order, "symbolic", checked, meta=size_meta)
@@ -994,12 +997,11 @@ def tp_check_sampled(m: Truncation, order: int, seed: int = 1, samples: int = 50
         # the scan stops at the first minor negative under some assignment k;
         # an earlier one can fail only later in the scan, so the assignments
         # before k are scanned again until none of them fails
-        found, limit, width = None, cut, len(envs)
+        found, limit = None, cut
         while limit:
-            if limit < width:
-                values, width = [v[:limit] for v in values], limit
+            values = [v[:limit] for v in values]
             grid = [values[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
-            checked, bad = _first_negative_lane(grid, m.rows, m.cols, order, width)
+            checked, bad = _first_negative_lane(grid, order)
             if bad is None:
                 break
             limit = next(k for k, v in enumerate(bad[2]) if v < 0)
@@ -1043,16 +1045,6 @@ def tp_check_tridiagonal(m: Truncation, order: int) -> bool:
 
 
 # -- exponential AZ matrices and Riordan arrays ------------------------------
-
-
-def _seq_fn(values, start: int = 0) -> Callable[[int], Poly]:
-    """Index function of a sequence given as a list (its first value at
-    index ``start``) or as a callable; zero below ``start`` and past the
-    end of a list."""
-    if callable(values):
-        return lambda i: _p(values(i)) if i >= start else Poly.zero()
-    vals = [_p(v) for v in values]
-    return lambda i: vals[i - start] if 0 <= i - start < len(vals) else Poly.zero()
 
 
 def eaz_matrix(a: Sequence[PolyLike], z: Sequence[PolyLike]) -> DiagonalPolySpec:

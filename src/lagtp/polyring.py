@@ -18,10 +18,11 @@ guard bit raises ``OverflowError`` instead of carrying into the next
 variable's field.  Keys depend on the order in which names were first seen,
 so their layout never leaves this module: printing and JSON go through
 variable names, and other modules ask helpers here for what a key holds
-(``_vars_of``, ``_degrees``, ``_exponents``, ``_values``).  Only two readers
-extract fields: ``_fields``, the fields a key sets, in a walk that costs
-those fields, not the key's width, and ``_vectors``, exponent tuples over
-given fields; so a change of the layout touches them and the encoders
+(``_vars_of``, ``_degrees``, ``_values``, and ``_exponents``: the names some
+Polys use, their exponent vectors and each term's index).  Only two
+readers extract fields: ``_fields``, the fields a key sets, in a walk that
+costs those fields, not the key's width, and ``_vectors``, exponent tuples
+over given fields; so a change of the layout touches them and the encoders
 (``_offset``, ``Poly.__init__``, ``Poly.var``) only.
 
 Sums of products are accumulated, not folded (Monagan and Pearce again),
@@ -600,16 +601,15 @@ _ZERO, _ONE = _finish({}), _finish({0: 1})
 _OPERANDS = (Poly, int, Fraction)  # the types the kernel takes as its second operand
 
 
-def _exponents(polys: Sequence[Poly], names: Sequence[str]) -> tuple:
-    """(vectors, indices): the distinct exponent vectors of the terms of
-    ``polys`` as tuples over ``names`` (every variable they use), and per
-    Poly the index in ``vectors`` of each term, in ``num`` order.  Keys are
-    hashed shifted down to the lowest field of ``names``, so late names
-    cost no wide-key hashing."""
-    low = min(map(_offsets.__getitem__, names), default=0)
+def _exponents(polys: Sequence[Poly]) -> tuple:
+    """(names, vectors, indices): the sorted names of the variables
+    ``polys`` use (``_vars_of``), the distinct exponent vectors of their
+    terms as tuples over those names, and per Poly the index in ``vectors``
+    of each term, in ``num`` order."""
+    names = _vars_of(polys)
     index: dict = {}
-    indices = [[index.setdefault(k >> low, len(index)) for k in p.num] for p in polys]
-    return _vectors(index, [_offsets[v] - low for v in names]), indices
+    indices = [[index.setdefault(k, len(index)) for k in p.num] for p in polys]
+    return names, _vectors(index, [_offsets[v] for v in names]), indices
 
 
 def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:

@@ -20,12 +20,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import Banded, _seq_fn, diagonal, lower_bidiagonal, upper_bidiagonal
-from .polyring import Poly
+from .matrices import Banded, diagonal, lower_bidiagonal, upper_bidiagonal
+from .polyring import Poly, _p
 
 
 def symbolic_seq(prefix: str, start: int = 0):
     return lambda i: Poly.var(f"{prefix}{i}") if i >= start else Poly.zero()
+
+
+def _seq_fn(values, start: int = 0):
+    """Index function of a sequence given as a list (its first value at
+    index ``start``) or as a callable; zero below ``start`` and past the
+    end of a list."""
+    if callable(values):
+        return lambda i: _p(values(i)) if i >= start else Poly.zero()
+    vals = [_p(v) for v in values]
+    return lambda i: vals[i - start] if 0 <= i - start < len(vals) else Poly.zero()
 
 
 @dataclass(frozen=True)

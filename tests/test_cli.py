@@ -679,11 +679,9 @@ def test_negative_control_catches_a_lane_scan_that_skips_lanes_or_blocks(mutant,
     assert checks.tp_negative_control(checks.Ctx())
     real = matrices._first_negative_lane
     if mutant == "lane-0-only":
-        scan = lambda grid, rows, cols, order, lanes: real(
-            [[e[:1] for e in row] for row in grid], rows, cols, order, 1)
+        scan = lambda grid, order: real([[e[:1] for e in row] for row in grid], order)
     else:
-        scan = lambda grid, rows, cols, order, lanes: real(
-            [row[:-1] for row in grid], rows, cols - 1, order, lanes)
+        scan = lambda grid, order: real([row[:-1] for row in grid], order)
     monkeypatch.setattr(matrices, "_first_negative_lane", scan)
     outcome = checks.tp_negative_control(checks.Ctx())
     assert not outcome

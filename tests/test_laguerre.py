@@ -66,6 +66,17 @@ def test_prodmat_rows():
     assert pflat(1, 0) == (1 + a) * w.y_p * w.y_v + (w.y_da + w.y_dd) * x
 
 
+def test_symbolic_weights_use_the_default_variable_names():
+    seen = set()
+    for w in (EdgeWeights.symbolic(), VertexWeights.symbolic(with_z=True)):
+        got = w.oracle_weights(Poly.var("lam"))
+        assert got == {k: Poly.var(digraphs.DEFAULT_VAR_NAMES[k]) for k in got}
+        seen |= set(got)
+    assert seen == set(digraphs.DEFAULT_VAR_NAMES)
+    assert VertexWeights.symbolic() == replace(VertexWeights.symbolic(with_z=True), z_p=None,
+                                               z_v=None, z_da=None, z_dd=None)
+
+
 def test_params_take_exact_values_and_refuse_a_float():
     half = LaguerreParams(Poly.const(Fraction(1, 2)))
     assert LaguerreParams.of("1/2") == LaguerreParams.of(Fraction(1, 2)) == half

@@ -566,11 +566,11 @@ def _scan_cases():
 SCAN_CASES = _scan_cases()
 
 
-def _scanned_minors(grid, rows, cols, order, dot):
+def _scanned_minors(grid, order, dot):
     """Every minor the scan builds, in scan order, collected by a sign
     test that records each minor and passes it."""
     seen = []
-    checked, bad = _first_negative_minor(grid, rows, cols, order, dot,
+    checked, bad = _first_negative_minor(grid, order, dot,
                                          lambda minor: seen.append(minor) or True)
     assert (checked, bad) == (len(seen), None)
     return seen
@@ -579,7 +579,7 @@ def _scanned_minors(grid, rows, cols, order, dot):
 @pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
 def test_minor_scan_yields_every_minor_in_colex_order(name, m, order):
     want = list(_minors_in_scan_order(m.rows, m.cols, order))
-    got = _scanned_minors(m.data, m.rows, m.cols, order, Poly.dot)
+    got = _scanned_minors(m.data, order, Poly.dot)
     assert len(got) == len(want)
     for (rows, cols), minor in zip(want, got):
         assert minor == _leibniz_det(m.submatrix(rows, cols)), (rows, cols)
@@ -694,7 +694,7 @@ def test_hankel_scan_computes_each_distinct_minor_once(n, order, checked, distin
     # the 2n - 1 distinct entries are read; every other distinct minor is one dot
     grid = [[i + k for k in range(n)] for i in range(n)]
     calls = []
-    scan = lambda: _first_negative_minor(grid, n, n, order, _counting_dot(calls), lambda v: True)
+    scan = lambda: _first_negative_minor(grid, order, _counting_dot(calls), lambda v: True)
     assert scan() == (checked, None)
     assert len(calls) + 2 * n - 1 == distinct
     # off the Hankel structure every minor of size > 1 is computed
@@ -702,6 +702,24 @@ def test_hankel_scan_computes_each_distinct_minor_once(n, order, checked, distin
     calls.clear()
     assert scan() == (checked, None)
     assert len(calls) == checked - n * n
+
+
+def test_minor_scan_reads_its_shape_off_the_grid():
+    # a 3 x 5 grid at order 3: 15 entries, 3 * 10 minors of size 2, 10 of size 3
+    grid = [[i + k for k in range(5)] for i in range(3)]
+    assert _first_negative_minor(grid, 3, _counting_dot([]), lambda v: True) == (55, None)
+    # every entry and the minors on columns (0, 1) and (0, 2) pass; only the
+    # last column set of a 2 x 3 grid fails, which a 2 x 2 scan never meets
+    grid = [[1, 1, 2], [0, 3, 1]]
+    assert _first_negative_minor(grid, 2, _counting_dot([]), lambda v: v >= 0) == (
+        9, ((0, 1), (1, 2), -5))
+
+
+def test_lane_scan_reads_the_lane_count_off_the_grid():
+    # the 2 x 2 minor is 1, 1 and -1 in the three lanes
+    grid = [[[1, 1, 1], [1, 1, 1]], [[1, 1, 1], [2, 2, 0]]]
+    assert matrices._first_negative_lane(grid, 2) == (5, ((0, 1), (0, 1), [1, 1, -1]))
+    assert matrices._first_negative_lane([[e[:2] for e in row] for row in grid], 2) == (5, None)
 
 
 # -- the sampled scan on distinct assignments -------------------------------------
@@ -1594,7 +1612,7 @@ def test_packing_bounds_hold_on_every_minor(seed, monkeypatch):
         width, dims = _plan(m, order)
         ref_width, ref_dims = _reference_plan(m, top)
         assert (width, dims) == (ref_width, tuple(sorted(ref_dims.values(), reverse=True)))
-        for minor in _scanned_minors(m.data, m.rows, m.cols, order, Poly.dot):
+        for minor in _scanned_minors(m.data, order, Poly.dot):
             for exps, c in minor.sorted_terms():
                 assert abs(c) < 1 << (width - 1)
                 assert all(e < ref_dims[v] for v, e in zip(minor.vars, exps))

@@ -892,3 +892,23 @@ def test_fields_and_vectors_return_the_exponents_that_built_a_key(data):
     assert polyring._fields(key) == sorted((off // polyring.FIELD_BITS, e)
                                            for off, e in zip(offsets, exps) if e)
     assert polyring._vectors([key, 0], offsets) == [tuple(exps), (0,) * len(names)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exponents_returns_the_names_used_and_vectors_that_rebuild_every_key(data):
+    for name in WIDE:
+        Poly.var(name)
+    # names registered after at least 96 others, or any registered name
+    late = [v for v in polyring._names if polyring._offsets[v] >= 96 * polyring.FIELD_BITS]
+    assert late
+    pool = data.draw(st.sampled_from([late, list(polyring._names)]))
+    names = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=6))
+    exps = st.lists(st.integers(0, MAX_EXPONENT), min_size=len(names), max_size=len(names))
+    terms = st.dictionaries(exps.map(tuple), st.integers(-3, 3).filter(bool), max_size=5)
+    polys = [Poly(names, t) for t in data.draw(st.lists(terms, max_size=4))]
+    got, vectors, indices = polyring._exponents(polys)
+    assert got == polyring._vars_of(polys)
+    assert len(set(vectors)) == len(vectors)
+    for p, index in zip(polys, indices, strict=True):
+        assert [next(iter(Poly(got, {vectors[i]: 1}).num)) for i in index] == list(p.num)

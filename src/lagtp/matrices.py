@@ -27,11 +27,10 @@ bounds read off the rows and columns of the process keys.  A small, full
 box (at most ``_PACK_BITS`` bits packed, ``_PACK_SLOTS_PER_TERM`` slots
 per term of the largest entry) packs each entry into one integer, a
 coefficient per fixed-width slot, and reads a minor's signs with one AND;
-every other box scans as maps from index to coefficient.  A failing minor
-is recomputed as a Poly, and only exponent bounds past ``MAX_EXPONENT``
-leave the scan on Polys; all give the same reports.  On a square Hankel
-grid the symbolic scan computes each distinct minor once, and the sampled
-scan each distinct assignment once.
+every other box scans as maps from index to coefficient; both give the
+same reports.  A failing minor is recomputed as a Poly, the scan's only
+Poly arithmetic.  On a square Hankel grid the symbolic scan computes each
+distinct minor once, and the sampled scan each distinct assignment once.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .polyring import (MAX_EXPONENT, Poly, PolyLike, _exponents, _p, _values, _vars_of,
-                       power_table)
+from .polyring import Poly, PolyLike, _exponents, _p, _values, _vars_of, power_table
 
 
 class NonUnitDiagonalError(ValueError):
@@ -758,20 +756,21 @@ class _Terms(dict):
         return _Terms(zip(self, map(operator.neg, self.values())))
 
 
-def _packing(grid, top: int) -> Optional[tuple]:
+def _packing(grid, top: int) -> tuple:
     """(width, dims, plan grid): the compact plan of a grid of Polys (its
-    variables read off it by ``_exponents``) for its minors of size <= top,
-    or None when an exponent bound exceeds MAX_EXPONENT.  A grid with a
-    ``Fraction`` coefficient is first scaled by L, the lcm of its entries'
-    denominators; each s x s minor gains L^s > 0, and a Hankel stays Hankel.
+    variables read off it by ``_exponents``) for its minors of size <= top.
+    A grid with a ``Fraction`` coefficient is first scaled by L, the lcm of
+    its entries' denominators; each s x s minor gains L^s > 0, and a Hankel
+    stays Hankel.
 
     A term of a minor takes one entry from each of its rows and columns, so
     dims[v] - 1, the lesser of the sums of the top largest row maxima and
     of the top largest column maxima of the exponent of v, bounds that
     exponent, and the mixed-radix index of a monomial over ``dims``, one
     digit per variable, the largest dimension lowest (ties in name order),
-    is below prod(dims) and adds under products.  The plan does not depend
-    on the name registry.
+    is below prod(dims) and adds under products, a digit past the key
+    limit ``MAX_EXPONENT`` too.  The plan does not depend on the name
+    registry.
 
     Dense plan, when the box has at most ``_PACK_SLOTS_PER_TERM`` slots per
     term of the largest entry and at most ``_PACK_BITS`` bits: each entry
@@ -798,8 +797,6 @@ def _packing(grid, top: int) -> Optional[tuple]:
 
     dims = [1 + min(sum(sorted(r, reverse=True)[:top]), sum(sorted(c, reverse=True)[:top]))
             for r, c in zip(per_variable(table), per_variable(zip(*table)))]
-    if max(dims, default=1) > MAX_EXPONENT + 1:
-        return None
     scale = math.lcm(*[e.den for e in distinct.values()])
     coeffs = {i: [c * (scale // e.den) for c in e.num.values()] for i, e in distinct.items()}
     # the largest dimension lowest: the packed S-R Hankels of tp_scan
@@ -881,31 +878,26 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     sparse plan each entry is a map from index to coefficient, and a minor
     passes iff its least coefficient is >= 0.  The failing minor is
     recomputed: the same scan runs on its own unscaled submatrix of Polys,
-    where it fails first, since every smaller minor passed.
-
-    With no plan (an exponent bound past ``MAX_EXPONENT``) the scan runs on
-    the Polys, where a product that takes an exponent past it raises the
-    ``OverflowError`` naming its variable.
+    where it fails first, since every smaller minor passed.  This rebuild
+    is the scan's only Poly arithmetic, and so the one place a product that
+    takes an exponent past ``MAX_EXPONENT`` raises the ``OverflowError``
+    naming its variable.
     """
     if order < 1:  # an empty scan would certify any matrix
         raise ValueError("order must be at least 1")
-    kernels = Poly.dot, Poly.is_coeffwise_nonneg
     top = min(order, m.rows, m.cols)
-    plan = _packing(m.data, top)
-    if plan is None:
-        checked, bad = _first_negative_minor(m.data, top, *kernels)
+    width, dims, grid = _packing(m.data, top)
+    if width is None:
+        kernels = _terms_dot, _terms_nonneg
     else:
-        width, dims, grid = plan
-        if width is None:
-            compact = _terms_dot, _terms_nonneg
-        else:
-            off = ((1 << width * math.prod(dims)) - 1) // ((1 << width) - 1) << (width - 1)
-            compact = _int_dot, lambda v: not v & off
-        checked, bad = _first_negative_minor(grid, top, *compact)
-        if bad is not None:
-            rows, cols, _ = bad
-            sub = [[m.data[i][j] for j in cols] for i in rows]
-            bad = rows, cols, _first_negative_minor(sub, len(rows), *kernels)[1][2]
+        off = ((1 << width * math.prod(dims)) - 1) // ((1 << width) - 1) << (width - 1)
+        kernels = _int_dot, lambda v: not v & off
+    checked, bad = _first_negative_minor(grid, top, *kernels)
+    if bad is not None:
+        rows, cols, _ = bad
+        sub = [[m.data[i][j] for j in cols] for i in rows]
+        bad = rows, cols, _first_negative_minor(
+            sub, len(rows), Poly.dot, Poly.is_coeffwise_nonneg)[1][2]
     size_meta = {"rows": m.rows, "cols": m.cols}
     if bad is None:
         return TPReport(True, order, "symbolic", checked, meta=size_meta)

@@ -227,16 +227,27 @@ def test_tp_check_malformed_json(tmp_path, capsys):
     assert run(capsys, ["tp-check", str(path)])[0] == 2
 
 
-@pytest.mark.parametrize("exp", [-3, 40000, 20000])
+@pytest.mark.parametrize("exp", [-3, 40000])
 def test_tp_check_bad_exponent_exits_2(tmp_path, capsys, exp):
-    # x^-3 is no polynomial, x^40000 is past the exponent limit when read, and
-    # the 2x2 minor of x^20000 entries is past it when computed
+    # x^-3 is no polynomial, and x^40000 is past the exponent limit when read
     entry = {"vars": ["x"], "terms": [{"exp": [exp], "coef": "1"}]}
     path = tmp_path / "bad_exp.json"
     path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[entry, entry], [entry, entry]]}))
     code, out, err = run(capsys, ["tp-check", str(path), "--order", "2"])
     assert (code, out) == (2, "")
     assert "exponent" in err
+
+
+def test_tp_check_minor_past_the_exponent_limit_is_certified(tmp_path, capsys):
+    # the terms of the 2x2 minor of x^20000 entries pass the key limit, but
+    # the minor is 0, and the scan's plan indexes x^40000 exactly
+    entry = {"vars": ["x"], "terms": [{"exp": [20000], "coef": "1"}]}
+    path = tmp_path / "big_exp.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[entry, entry], [entry, entry]]}))
+    code, out, err = run(capsys, ["tp-check", str(path), "--order", "2"])
+    assert (code, err) == (0, "")
+    assert out == ('{"checked":5,"cols":2,"mode":"symbolic","ok":true,"order":2,"rows":2,'
+                   '"witness":null}\n')
 
 
 def test_tp_check_exponent_true_exits_2(tmp_path, capsys):

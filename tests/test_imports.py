@@ -224,8 +224,8 @@ def test_the_guard_sees_raised_assertion_errors():
 
 
 # the names that read the bit layout of a monomial key
-KEY_LAYOUT = frozenset({"FIELD_BITS", "_FIELD_MASK", "_offsets", "_names", "_guard", "_degree",
-                        "_finish", "_fields", "_vectors"})
+KEY_LAYOUT = frozenset({"FIELD_BITS", "MAX_EXPONENT", "_FIELD_MASK", "_offsets", "_names",
+                        "_guard", "_degree", "_finish", "_fields", "_vectors"})
 
 
 def key_layout_reads(source: str) -> list:

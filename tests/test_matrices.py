@@ -1245,16 +1245,7 @@ def test_symbolic_scan_multiplies_keys_no_wider_than_the_matrix_variables(name, 
     # prod(dims), however many names the process has registered
     m, order, _ = _wide_scan_cases()[name]
     monkeypatch.setattr(matrices, "_PACK_BITS", 0)
-    keys = []
-    dot = matrices._terms_dot
-
-    def recording(pairs):
-        pairs = list(pairs)
-        out = dot(pairs)
-        keys.extend(itertools.chain(out, *itertools.chain(*pairs)))
-        return out
-
-    monkeypatch.setattr(matrices, "_terms_dot", recording)
+    keys = _record_term_keys(monkeypatch)
     plans = _record_plans(monkeypatch)
     report = tp_check_symbolic(m, order)
     [(width, dims)] = plans
@@ -1264,15 +1255,31 @@ def test_symbolic_scan_multiplies_keys_no_wider_than_the_matrix_variables(name, 
     assert report.to_json() == _dict_path_json(m, order)
 
 
+def _record_term_keys(mp):
+    """The list of the monomial indices of every factor and product of the
+    sparse plan's ``_terms_dot`` from now on."""
+    keys = []
+    dot = matrices._terms_dot
+
+    def recording(pairs):
+        pairs = list(pairs)
+        out = dot(pairs)
+        keys.extend(itertools.chain(out, *itertools.chain(*pairs)))
+        return out
+
+    mp.setattr(matrices, "_terms_dot", recording)
+    return keys
+
+
 def _record_plans(mp):
     """The list of the plans, (width, dims), the symbolic scan draws up
-    from now on (width None: the sparse plan; None: the Poly path)."""
+    from now on (width None: the sparse plan)."""
     plans = []
     packing = matrices._packing
 
     def recording(grid, top):
         plan = packing(grid, top)
-        plans.append(plan and plan[:2])
+        plans.append(plan[:2])
         return plan
 
     mp.setattr(matrices, "_packing", recording)
@@ -1288,7 +1295,7 @@ def _plan(m, order):
 
 
 def _plan_kind(plan):
-    return "poly" if plan is None else "sparse" if plan[0] is None else "dense"
+    return "sparse" if plan[0] is None else "dense"
 
 
 @pytest.mark.parametrize("name", WIDE_SCAN_NAMES)
@@ -1309,11 +1316,39 @@ def test_symbolic_scan_overflow_names_the_real_variable(tmp_path, capsys, monkey
     plans = _record_plans(monkeypatch)
     with pytest.raises(OverflowError, match="^exponent of zeta exceeds 32767$"):
         tp_check_symbolic(m, 2)
-    assert plans == [None]  # the Poly path: an exponent bound of 40000 has no plan
+    # the scan runs on its sparse plan, past the key limit; the witness
+    # rebuild, its one Poly product, raises
+    assert plans == [(None, (40001,))]
     path = tmp_path / "m.json"
     path.write_text(m.to_json())
     assert cli.main(["tp-check", str(path), "--order", "2"]) == 2
     assert capsys.readouterr().err == "error: exponent of zeta exceeds 32767\n"
+
+
+@pytest.mark.parametrize("rows", [[[x ** 20000, x ** 20000], [x ** 20000, x ** 20000]],
+                                  [[x ** 20000, 0], [1, x ** 20000]]], ids=["zero", "x^40000"])
+def test_symbolic_scan_certifies_minors_past_the_exponent_limit(rows):
+    # the 2x2 minors, 0 and x^40000, pass the key limit but not the plan's index
+    report = tp_check_symbolic(Truncation(rows), 2)
+    assert (report.ok, report.checked, report.witness) == (True, 5, None)
+
+
+def test_symbolic_scan_index_passes_two_to_the_64(monkeypatch):
+    # five variables of bound 40000 in a 2x2 minor: a box of 40001^5 > 2^64
+    # indices, each key of each product still below it
+    m = math.prod([Poly.var(v) for v in "xyzuv"]) ** 20000
+    keys = _record_term_keys(monkeypatch)
+    plans = _record_plans(monkeypatch)
+    report = tp_check_symbolic(Truncation([[m, m], [m, m]]), 2)
+    assert (report.ok, report.checked, report.witness) == (True, 5, None)
+    assert plans == [(None, (40001,) * 5)]
+    assert 0 <= min(keys) and 2 ** 64 < max(keys) < 40001 ** 5
+
+
+def test_symbolic_scan_witness_past_the_exponent_limit_raises():
+    # the failing minor x^40000 - 1 is rebuilt as a Poly, past the key limit
+    with pytest.raises(OverflowError, match="^exponent of x exceeds 32767$"):
+        tp_check_symbolic(Truncation([[x ** 20000, 1], [1, x ** 20000]]), 2)
 
 
 # -- the symbolic scan on packed integers ----------------------------------------
@@ -1323,10 +1358,11 @@ FORCED_PACK_BITS = 1 << 24
 
 
 def _dict_path_json(m, order):
-    """The report JSON on the Poly path, forced by giving the scan no plan."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matrices, "_packing", lambda grid, top: None)
-        return tp_check_symbolic(m, order).to_json()
+    """The report JSON of the library's own scan run on the Polys."""
+    checked, bad = _first_negative_minor(m.data, min(order, m.rows, m.cols), Poly.dot,
+                                         Poly.is_coeffwise_nonneg)
+    return TPReport(bad is None, order, "symbolic", checked, bad and TPWitness(*bad),
+                    meta={"rows": m.rows, "cols": m.cols}).to_json()
 
 
 def _packed_path_json(m, order):
@@ -1660,11 +1696,11 @@ def test_packing_rule_weighs_how_full_the_box_is(monkeypatch):
     sr = hankel_truncation([tri.value(1, i, 0) for i in range(5)], 3)
     assert len(sr.variables()) == 5
     assert _plan_kind(matrices._packing(sr.data, 3)) == "sparse"
-    # only an exponent bound past MAX_EXPONENT leaves no plan: x^20000 on
-    # the diagonal bounds x by 20000 in one entry, by 40000 in a 2x2 minor
+    # an exponent bound past MAX_EXPONENT has a plan too: x^20000 on the
+    # diagonal bounds x by 20000 in one entry, by 40000 in a 2x2 minor
     big = Truncation([[x ** 20000, 1], [1, x ** 20000]]).data
     assert _plan_kind(matrices._packing(big, 1)) == "sparse"
-    assert matrices._packing(big, 2) is None
+    assert matrices._packing(big, 2)[:2] == (None, (40001,))
     monkeypatch.setattr(matrices, "_PACK_SLOTS_PER_TERM", FORCED_PACK_BITS)
     width, dims, _ = matrices._packing(sr.data, 3)
     assert math.prod(dims) * width == 84000

@@ -27,7 +27,7 @@ from .laguerre import (UNIT_WEIGHTS, EdgeWeights, LaguerreParams, VertexWeights,
                        laguerre_rowgen_egf, monic_laguerre,
                        monic_laguerre_reversed, prodmat, rowgen_shifted_family_check,
                        rowgen_polys, unsigned_self_inverse_check)
-from .matrices import (Banded, DiagonalPolySpec, Mismatch, RouteMismatchError, TPReport,
+from .matrices import (DiagonalPolySpec, Mismatch, RouteMismatchError, TPReport,
                        Truncation, XorShift64, binomial_truncation, bx_conjugate_eaz_identity_check,
                        conjugate_by_binomial, delta_matrix, diagonal, eaz_matrix,
                        first_difference, hankel_truncation, output_matrix, production_of,
@@ -132,12 +132,8 @@ def _univariate_hankel() -> Truncation:
     return hankel_truncation([monic_laguerre(n, params, Poly.var("x")) for n in range(9)], 5)
 
 
-def univariate_hankel_tp3_symbolic(ctx: Ctx) -> Outcome:
-    return tp_check_symbolic(_univariate_hankel(), 3)
-
-
-def univariate_hankel_tp4_sampled(ctx: Ctx) -> Outcome:
-    return tp_check_sampled(_univariate_hankel(), 4, seed=ctx.seed, samples=100)
+def univariate_hankel_tp(ctx: Ctx) -> Outcome:
+    return tp_check_symbolic(_univariate_hankel(), 5)
 
 
 def unsigned_self_inverse(ctx: Ctx) -> Outcome:
@@ -760,16 +756,9 @@ def general_quad_structure(ctx: Ctx) -> Outcome:
                                  (m["D2"] * m["L2"]).truncate(6), "P - Q vs D2 L2"))
 
 
-def _tp3_symbolic_tp4_sampled(m: Banded, ctx: Ctx) -> Outcome:
-    """Symbolic TP3 on the 6x6 corner, then sampled TP4 on the 7x7 block."""
-    block = m.truncate(7)
-    return (_named(tp_check_symbolic(block.truncate(6), 3), "6x6 block")
-            and _named(tp_check_sampled(block, 4, seed=ctx.seed, samples=100), "7x7 block"))
-
-
 def general_quad_tp_desk_scale(ctx: Ctx) -> Outcome:
-    return _tp3_symbolic_tp4_sampled(
-        quadtp.build_general_quad(quadtp.QuadFactorParams.symbolic()), ctx)
+    return tp_check_symbolic(
+        quadtp.build_general_quad(quadtp.QuadFactorParams.symbolic()).truncate(7), 7)
 
 
 def laguerre_specialization_quad(ctx: Ctx) -> Outcome:
@@ -786,7 +775,7 @@ def laguerre_quad_constrained_tp(ctx: Ctx) -> Outcome:
     """TP of the flat quadridiagonal under y_fp = y_da = y_p, y_dd = y_v + w."""
     yp, yv, w_extra, lam, x = (Poly.var(v) for v in ("yp", "yv", "w", "lam", "x"))
     spec = quadtp.laguerre_flat_params(yp, yv, yp, yv + w_extra, lam, x)
-    return _tp3_symbolic_tp4_sampled(quadtp.build_general_quad(spec), ctx)
+    return tp_check_symbolic(quadtp.build_general_quad(spec).truncate(7), 7)
 
 
 def variant_quad_structure(ctx: Ctx) -> Outcome:
@@ -802,8 +791,8 @@ def variant_quad_structure(ctx: Ctx) -> Outcome:
 
 
 def variant_quad_tp_desk_scale(ctx: Ctx) -> Outcome:
-    return _tp3_symbolic_tp4_sampled(
-        quadtp.build_variant_quad(quadtp.QuadVariantParams.symbolic()), ctx)
+    return tp_check_symbolic(
+        quadtp.build_variant_quad(quadtp.QuadVariantParams.symbolic()).truncate(7), 4)
 
 
 # -------------------------------------------------------------------- banded
@@ -871,8 +860,7 @@ CHECKS = (
     ("univariate", golden_polynomials, 1),
     ("univariate", tridiagonal_output_is_coeff_matrix, 2),
     ("univariate", quadridiagonal_output_is_rowgen_matrix, 3),
-    ("univariate", univariate_hankel_tp3_symbolic, 4),
-    ("univariate", univariate_hankel_tp4_sampled, 4),
+    ("univariate", univariate_hankel_tp, 4),
     ("univariate", unsigned_self_inverse, None),
     ("univariate", coeff_matrix_is_sfraction_triangle, None),
     ("univariate", direct_tp_scaling_route, None),
@@ -936,14 +924,15 @@ CRITERIA = {
     1: ("golden polynomials (monic Laguerre, rook, Lah displays)", 1.0),
     2: ("output of the tridiagonal production matrix = coefficient matrix, 9x9", 5.0),
     3: ("output of the quadridiagonal production matrix = binomial row-generating matrix, 8x8", 10.0),
-    4: ("Hankel total positivity of the univariate family (TP3 symbolic, TP4 sampled)", 60.0),
+    4: ("Hankel total positivity of the univariate family (5x5, all orders, symbolic)", 60.0),
     5: ("flat second-multivariate matrix: production route = Riordan route = digraph oracle", 60.0),
-    6: ("general quadridiagonal specialization reproduces the flat production matrix + TP", 60.0),
+    6: ("general quadridiagonal specialization reproduces the flat production matrix + TP "
+        "(7x7, all orders, symbolic)", 60.0),
     7: ("binomial conjugation identity for exponential AZ matrices", 5.0),
     8: ("branched S-fraction triangles: recurrence = path oracle; production and shift identities", 60.0),
     9: ("all six bidiagonal-factorization table cells verified (symbolic kappa included)", 30.0),
     10: ("banded-conjugation criterion: degree test = measured bandwidth", 30.0),
-    11: ("variant quadridiagonal family: structure + TP at desk scale", 60.0),
+    11: ("variant quadridiagonal family: structure + TP4 (7x7, symbolic)", 60.0),
     12: ("negative controls: Hankel-TP failure beyond type m; non-TP matrix rejected", 30.0),
     13: ("EGF cross-checks against the S_n enumeration oracles and the Laguerre EGF", 30.0),
 }

@@ -9,6 +9,7 @@ integer sign check.  Run with -s to see one line per criterion.
 
 import argparse
 import inspect
+import sys
 import time
 
 import pytest
@@ -87,3 +88,38 @@ def test_run_suite_walks_the_table_in_order(monkeypatch, suite):
 def test_run_suite_rejects_unknown_suite():
     with pytest.raises(KeyError, match="unknown suite 'bogus'"):
         checks.run_suite("bogus")
+
+
+# The TP claim checks: each scans one block, (rows, cols, order), symbolically.
+CLAIM_SCANS = {
+    "univariate_hankel_tp": (5, 5, 5),
+    "general_quad_tp_desk_scale": (7, 7, 7),
+    "laguerre_quad_constrained_tp": (7, 7, 7),
+    "variant_quad_tp_desk_scale": (7, 7, 4),
+}
+
+
+def test_no_claim_check_draws_samples(monkeypatch):
+    callers, real = [], checks.tp_check_sampled
+
+    def spy(m, order, **kw):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(m, order, **kw)
+
+    monkeypatch.setattr(checks, "tp_check_sampled", spy)
+    results = checks.run_suite("all", Ctx(seed=42))
+    assert all(ok for _, _, ok, *_ in results)
+    assert callers and set(callers) == {"tp_negative_control"}
+
+
+@pytest.mark.parametrize("name", sorted(CLAIM_SCANS))
+def test_claim_check_makes_one_scan_of_its_block(monkeypatch, name):
+    scans, real = [], checks.tp_check_symbolic
+
+    def spy(m, order):
+        scans.append((m.rows, m.cols, order))
+        return real(m, order)
+
+    monkeypatch.setattr(checks, "tp_check_symbolic", spy)
+    assert getattr(checks, name)(Ctx(seed=42))
+    assert scans == [CLAIM_SCANS[name]]

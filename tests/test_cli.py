@@ -565,7 +565,7 @@ def test_verify_witness_names_the_failing_minor_of_a_tp_check(capsys, monkeypatc
     hankel = checks._univariate_hankel()
     planted = Truncation.from_fn(5, 5, lambda i, k: 0 if (i, k) == (1, 1) else hankel[i, k])
     monkeypatch.setattr(checks, "_univariate_hankel", lambda: planted)
-    code, entry = _verify_check(capsys, "univariate", "univariate_hankel_tp3_symbolic")
+    code, entry = _verify_check(capsys, "univariate", "univariate_hankel_tp")
     assert code == 1 and entry["ok"] is False and "error" not in entry
     report = entry["witness"]
     assert report["ok"] is False and report["mode"] == "symbolic"

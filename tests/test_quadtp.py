@@ -2,6 +2,7 @@ from dataclasses import replace
 
 from lagtp import quadtp
 from lagtp.checks import Ctx, general_quad_tp_desk_scale
+from lagtp.matrices import Truncation
 from lagtp.polyring import Poly
 from lagtp.quadtp import (QuadFactorParams, QuadVariantParams, build_general_quad,
                           build_variant_quad, general_quad_factors, laguerre_flat_params,
@@ -109,8 +110,7 @@ def test_variant_degenerate_x_y_zero():
 
 
 def test_desk_scale_check_reads_the_closed_form_once(monkeypatch):
-    # the 7x7 block is built once and the 6x6 block is its corner: 200
-    # sequence reads
+    # the 7x7 block is built once: 200 sequence reads
     reads = []
     symbolic_seq = quadtp.symbolic_seq
 
@@ -121,3 +121,18 @@ def test_desk_scale_check_reads_the_closed_form_once(monkeypatch):
     monkeypatch.setattr(quadtp, "symbolic_seq", counted)
     assert general_quad_tp_desk_scale(Ctx(seed=42))
     assert len(reads) == 200
+
+
+def test_desk_scale_check_catches_a_planted_zero_in_the_seventh_row(monkeypatch):
+    # P with a zero at (6, 6): the 2x2 minor on rows (5, 6) and columns (4, 6)
+    # loses its positive term and keeps -P[5, 6] P[6, 4]
+    def planted(p):
+        m = build_general_quad(p).truncate(7)
+        return Truncation.from_fn(7, 7, lambda i, k: 0 if (i, k) == (6, 6) else m[i, k])
+
+    monkeypatch.setattr(quadtp, "build_general_quad", planted)
+    report = general_quad_tp_desk_scale(Ctx(seed=42))
+    assert not report and report.mode == "symbolic"
+    assert (report.witness.rows, report.witness.cols) == ((5, 6), (4, 6))
+    assert report.witness.minor == -(v("a5") * v("b6") * v("c6") * v("d5") * v("e6") * v("f5"))
+    assert report.checked == 489

@@ -19,7 +19,11 @@ joint statistics in O(1) per digraph; every weighting (``oracle_entry`` in
 each mode, the cyclic permutation oracle) is a projection of that table,
 made once per (n, k, mode) and checked there: a digraph with k paths has
 n - k edges, and n vertex kinds.  The linear permutation oracle counts S_n
-once per n by its word statistics (``_linear00_table``).
+once per n by its word statistics (``_linear00_table``), building each
+word by inserting its letters in turn and updating the kind counts in
+O(1) per word.  The cached tables that are weighed (``_projected``,
+``_linear00_table``) hold each class as the (index, exponent) pairs of its
+positive exponents, the format ``polyring._power_sum`` reads.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .matrices import Mismatch, RouteMismatchError
-from .polyring import Poly, _power_sum
+from .polyring import Poly, _power_sum, _sparse
 
 DEFAULT_VAR_NAMES = {
     "y_p": "yp", "y_v": "yv", "y_da": "yda", "y_dd": "ydd", "y_fp": "yfp",
@@ -180,6 +184,20 @@ _SUCC_UP = (None,) * 4 + (6, 5, 6, 5, 6, 11, 10, 11, 10)
 _PRED_UP = (None,) * 4 + (7, 5, 5, 7, None, 12, 10, 10, 12)
 
 
+def _units(width: int, size: int) -> list:
+    """The packed integer of a count of one at each of ``size`` fields:
+    counts c_i below 2^width pack into the one integer sum(c_i * units[i]),
+    ``width`` bits a count and the first in the lowest bits, so adding or
+    subtracting units[i] moves count i alone while it stays in range."""
+    return [1 << i * width for i in range(size)]
+
+
+def _unpacked(key: int, width: int, size: int) -> tuple:
+    """The ``size`` counts packed in the integer ``key`` (``_units``)."""
+    mask = (1 << width) - 1
+    return tuple([key >> i * width & mask for i in range(size)])
+
+
 @functools.lru_cache(maxsize=None)
 def _stat_table(n: int, k: int) -> tuple:
     """((stats, count), ...) in sorted order: how many Laguerre digraphs on
@@ -192,11 +210,21 @@ def _stat_table(n: int, k: int) -> tuple:
     placing m on a loop, alone, on an edge a -> b (a loop a -> a included),
     after the end of a path or before its start.  Off a loop m is a peak,
     and only a and b change kind, so each placement updates the statistics
-    in O(1).  A branch with p paths is cut unless p <= k <= p + (vertices
-    left), so every branch reaches a leaf.
+    in O(1): they are one integer (``_units``), each count n.bit_length()
+    bits wide, so no count, at most n, carries into the next, and a
+    placement adds one precomputed step per vertex that changes.  A branch
+    with p paths is cut unless p <= k <= p + (vertices left), so every
+    branch reaches a leaf.  Each distinct integer is unpacked once.
     """
     if not 0 <= k <= n:
         return ()
+    width = n.bit_length() or 1
+    unit = _units(width, len(_STATS))
+    # the step of a vertex of each kind whose successor (predecessor) is raised:
+    # its kind changes and one more edge ascends into m (descends from m)
+    succ_step = [None if u is None else unit[2] - unit[i] + unit[u] for i, u in enumerate(_SUCC_UP)]
+    pred_step = [None if u is None else unit[0] - unit[i] + unit[u] for i, u in enumerate(_PRED_UP)]
+    loop = unit[1] + unit[3] + unit[8]   # one more e_zero edge, cycle and fixed point
     succ = [0] * (n + 1)   # 0 is no vertex: no successor / predecessor
     pred = [0] * (n + 1)
     kind = [9] * (n + 1)   # kind[0] = 9: a vertex placed alone is a path peak
@@ -204,46 +232,39 @@ def _stat_table(n: int, k: int) -> tuple:
 
     def place(m, a, b, paths, st):
         """Insert m as a -> m -> b and go on; a and b may be 0."""
-        st, ka, kb = st.copy(), kind[a], kind[b]
-        if a and b:
-            st[(b >= a) + (b > a)] -= 1       # the edge a -> b is split
+        ka, kb = kind[a], kind[b]
         if a:                                 # a -> m ascends
-            st[2] += 1
-            st[ka] -= 1
+            if b:                             # the edge a -> b is split
+                st -= unit[(b >= a) + (b > a)]
+            st += succ_step[ka]
             kind[a] = _SUCC_UP[ka]
-            st[kind[a]] += 1
         if b:                                 # m -> b descends
-            st[0] += 1
-            st[kind[b]] -= 1
-            kind[b] = _PRED_UP[kind[b]]
-            st[kind[b]] += 1
+            kind_b = kind[b]                  # after a's update: a loop a -> a has b = a
+            st += pred_step[kind_b]
+            kind[b] = _PRED_UP[kind_b]
         kind[m] = 9 if kind[a or b] >= 9 else 4   # a peak, on the component of a or b
-        st[kind[m]] += 1
         succ[a], pred[b], pred[m], succ[m] = m, m, a, b
-        grow(m + 1, paths, st)
+        grow(m + 1, paths, st + unit[kind[m]])
         succ[a], pred[b], kind[a], kind[b] = b, a, ka, kb
 
     def grow(m, paths, st):
         if m > n:
-            key = tuple(st)
-            counts[key] = counts.get(key, 0) + 1
+            counts[st] = counts.get(st, 0) + 1
             return
         if paths < k:
             place(m, 0, 0, paths + 1, st)     # alone: a new path
         if k <= paths + n - m:
             pred[m] = succ[m] = m             # on a loop: a new cycle
             kind[m] = 8
-            loop = st.copy()
-            for i in (1, 3, 8):               # one more e_zero edge, cycle and fixed point
-                loop[i] += 1
-            grow(m + 1, paths, loop)
+            grow(m + 1, paths, st + loop)
             for v in range(1, m):
                 place(m, v, succ[v], paths, st)   # on the edge v -> succ(v), or after the end v
                 if not pred[v]:
                     place(m, 0, v, paths, st)     # before the start v
 
-    grow(1, 0, [0] * len(_STATS))
-    return tuple(sorted(counts.items()))
+    grow(1, 0, 0)
+    return tuple(sorted([(_unpacked(st, width, len(_STATS)), count)
+                         for st, count in counts.items()]))
 
 
 def classify(g: LaguerreDigraph) -> DigraphStats:
@@ -310,11 +331,13 @@ def _digraph_sum(n: int, k: int, mode: str, weights: Mapping[str, Poly]) -> Poly
 
 @functools.lru_cache(maxsize=None)
 def _projected(n: int, k: int, mode: str) -> tuple:
-    """((exponents, count), ...): the (n, k) statistics table projected onto
-    the exponents of `mode`'s weights, once per (n, k, mode).  In every tuple
-    the exponents other than the cycle count (the last) must sum to n - k,
-    the edges, in 'first_mv' and to n, the vertex kinds, in the other modes;
-    else RouteMismatchError with the distinct sums, under any weights."""
+    """((pairs, count), ...): the (n, k) statistics table projected onto
+    the exponents of `mode`'s weights, once per (n, k, mode), each class as
+    the (index, exponent) pairs of its positive exponents (``_power_sum``'s
+    format).  In every class the exponents other than the cycle count (the
+    last) must sum to n - k, the edges, in 'first_mv' and to n, the vertex
+    kinds, in the other modes; else RouteMismatchError with the distinct
+    sums, under any weights."""
     counter: Counter = Counter()
     for stats, count in _stat_table(n, k):
         counter[tuple(sum(stats[i] for i in f) for f in _ORACLE_MODES[mode][1])] += count
@@ -324,7 +347,7 @@ def _projected(n: int, k: int, mode: str) -> tuple:
         what = "edges" if mode == "first_mv" else "vertex kinds"
         raise RouteMismatchError(Mismatch(f"{what} per digraph in the {mode} count table",
                                           (n, k), sorted(sums), [want]))
-    return tuple(counter.items())
+    return tuple([(_sparse(exps), count) for exps, count in counter.items()])
 
 
 def permutation_oracles(n: int, kind: str, weights: Mapping[str, Poly] | None = None) -> Poly:
@@ -353,22 +376,56 @@ def permutation_oracles(n: int, kind: str, weights: Mapping[str, Poly] | None = 
     return _power_sum(_linear00_table(n), values)
 
 
+# A letter's kind in the word 0 sigma 0 (peak, valley, double ascent, double
+# descent at 0..3; the boundary 0 at 4) once a larger letter is inserted
+# right after it, or right before it.
+_AFTER_UP = (2, 1, 2, 1, 4)
+_BEFORE_UP = (3, 1, 1, 3, 4)
+
+
 @functools.lru_cache(maxsize=None)
 def _linear00_table(n: int) -> tuple:
-    """(((p, v, da, dd), count), ...) in sorted order: how many permutations
-    of {1..n} have each number of peaks, valleys, double ascents and double
-    descents in the word form with sigma_0 = sigma_{n+1} = 0.  Callers check
-    the enumeration caps before asking."""
+    """((pairs, count), ...): how many permutations of {1..n} have each
+    number of peaks, valleys, double ascents and double descents in the
+    word form with sigma_0 = sigma_{n+1} = 0, each class as the (index,
+    count) pairs of its positive counts (``_power_sum``'s format), in the
+    sorted order of the (p, v, da, dd) tuples.  Callers check the
+    enumeration caps before asking.
+
+    Depth-first, inserting the letters 1..n in turn.  Deleting the largest
+    letter of a word leaves a word of the smaller ones, so each permutation
+    is built once, from that word, by inserting m into one of its m slots
+    between neighbours a and b (either may be the boundary 0).  m is a
+    peak, and only a and b change kind (a's right neighbour and b's left
+    one grow), so each insertion updates the counts, one ``_units``
+    integer, in O(1).
+    """
+    width = n.bit_length() or 1
+    unit = _units(width, 4) + [0]   # the boundary is not counted
+    after = [unit[u] - unit[i] for i, u in enumerate(_AFTER_UP)]
+    before = [unit[u] - unit[i] for i, u in enumerate(_BEFORE_UP)]
+    nxt = [0] * (n + 1)    # the letter after each letter (0 after the last); nxt[0] the first
+    kind = [4] * (n + 1)   # kind[0] = 4: the boundary
     counts: dict = {}
-    for sigma in itertools.permutations(range(1, n + 1)):
-        word = (0,) + sigma + (0,)
-        kinds = [0, 0, 0, 0]
-        for i in range(1, n + 1):
-            p, v, s = word[i - 1], word[i], word[i + 1]
-            if p < v:
-                kinds[0 if v > s else 2] += 1   # peak or double ascent
-            else:
-                kinds[1 if v < s else 3] += 1   # valley or double descent
-        stats = tuple(kinds)
-        counts[stats] = counts.get(stats, 0) + 1
-    return tuple(sorted(counts.items()))
+
+    def grow(m, st):
+        if m > n:
+            counts[st] = counts.get(st, 0) + 1
+            return
+        st += unit[0]                         # m is a peak
+        kind[m] = 0
+        a = 0
+        while True:                           # the slot after a, before b
+            b = nxt[a]
+            ka, kb = kind[a], kind[b]
+            nxt[a], nxt[m] = m, b
+            kind[a], kind[b] = _AFTER_UP[ka], _BEFORE_UP[kb]
+            grow(m + 1, st + after[ka] + before[kb])
+            nxt[a], kind[a], kind[b] = b, ka, kb
+            a = b
+            if not a:
+                break
+
+    grow(1, 0)
+    return tuple([(_sparse(stats), count) for stats, count in
+                  sorted([(_unpacked(st, width, 4), count) for st, count in counts.items()])])

@@ -43,9 +43,12 @@ built to carry it.  Every result is built by one call, ``_finish``, which
 drops zeros, reduces and wraps the map.  No routine mutates the ``num`` of
 a Poly it did not just build, so ``Poly.zero()`` and ``Poly.one()`` return
 one shared instance each.  The
-weighting step of the oracles and of ``substitute`` (``_power_sum``) raises
-monomials by key arithmetic: a term whose weights are monomials is one key
-sum and one coefficient product, not a ``Poly`` product.  The accumulator,
+weighting step of the oracles and of ``substitute`` (``_power_sum``) reads
+each class of a count table as the (index, exponent) pairs of its positive
+exponents (``_sparse``), so a class costs the weights it raises, not all
+of them, and raises monomials by key arithmetic: a class whose weights are
+monomials is one key sum and one coefficient product added into one term
+map, not a ``Poly`` product.  The accumulator,
 like a Poly, holds numerators over one denominator, grown to the lcm only
 when den(a) den(b) does not divide it, so every term pair multiplies
 integers and the result is reduced once, at the end, by one gcd of its
@@ -486,7 +489,7 @@ class Poly:
             return self
         offsets = [_offsets[v] for v in hit]
         return _power_sum(
-            ((exps, _finish({k - sum(map(lshift, exps, offsets)): c}, self.den))
+            ((_sparse(exps), _finish({k - sum(map(lshift, exps, offsets)): c}, self.den))
              for exps, (k, c) in zip(_vectors(self.num, offsets), self.num.items())),
             [env[v] for v in hit])
 
@@ -649,42 +652,69 @@ def _values(polys: Sequence[Poly], envs: Sequence[Mapping]) -> list:
     return out
 
 
+def _sparse(exponents: Sequence[int]) -> tuple:
+    """The (i, e) pairs of the positive entries e of ``exponents``, in
+    order: a class as ``_power_sum`` reads it."""
+    return tuple([(i, e) for i, e in enumerate(exponents) if e])
+
+
 def _power_sum(items: Iterable, values) -> Poly:
-    """The sum of start * values[0]^e_0 * values[1]^e_1 * ... over the
-    (exponents, start) pairs of ``items``; values are Polys or exact
-    numbers, starts exact numbers or monomial Polys.
+    """The sum of start * values[i_1]^e_1 * values[i_2]^e_2 * ... over the
+    (pairs, start) items, ``pairs`` the ((i, e), ...) of a class's positive
+    exponents in ascending order of i; values are Polys or exact numbers,
+    starts exact numbers or monomial Polys.
 
     A monomial v = c X is raised by key arithmetic: v^e is c^e times e
     additions of the key of X, each tested as ``*`` tests a monomial
-    product.  A term, its start times those powers, goes into the term map
-    of its group: the terms that raise the other values (several terms, or
+    product.  A class whose pairs all index monomials adds its term, its
+    start times those powers, straight into one term map.  A class that
+    raises zero and no value of several terms is zero, and is dropped once
+    its monomials are tested.  Any other class goes into the term map of
+    its group: the classes that raise the other values (several terms, or
     zero) to the same exponents.  A group's map takes one product by those
     powers, each formed once per call by ``power_table``.
     """
     values = [_p(v) for v in values]  # tables[i]: (key, c) of v^e for a monomial v
     tables = [[(0, 1), *v.terms.items()] if len(v.num) == 1 else None for v in values]
-    other = [i for i, t in enumerate(tables) if t is None]
-    groups: dict = {}  # exponents of the other values -> {key: coefficient}
-    for exps, start in items:
-        [(key, c)] = start.terms.items() if type(start) is Poly else [(0, start)]
-        for i, e in enumerate(exps):
-            if e and tables[i] is not None:
-                table = tables[i]
-                while len(table) <= e:
-                    (k, v), (k1, v1) = table[-1], table[1]
-                    if (k + k1) & _guard:
-                        raise _overflow(k + k1)
-                    table.append((k + k1, v * v1))
-                key += table[e][0]
-                if key & _guard:
-                    raise _overflow(key)
-                c *= table[e][1]
-        acc = groups.setdefault(tuple([exps[i] for i in other]), {})
+    zero = {i for i, v in enumerate(values) if not v.num}
+    plain: dict = {}
+    groups: dict = {}  # the pairs of a class on the other values -> {key: coefficient}
+    for pairs, start in items:
+        if type(start) is Poly:
+            [(key, c)] = start.terms.items()
+        else:
+            key, c = 0, start
+        rest = ()
+        for i, e in pairs:
+            table = tables[i]
+            if table is None:
+                rest += ((i, e),)
+                continue
+            while len(table) <= e:
+                (k, v), (k1, v1) = table[-1], table[1]
+                if (k + k1) & _guard:
+                    raise _overflow(k + k1)
+                table.append((k + k1, v * v1))
+            k, v = table[e]
+            key += k
+            if key & _guard:
+                raise _overflow(key)
+            c *= v
+        if not rest:
+            acc = plain
+        elif zero.issuperset([i for i, _ in rest]):
+            continue
+        else:
+            acc = groups.setdefault(rest, {})
         acc[key] = acc.get(key, 0) + c
-    powers = [power_table(values[i], max((r[j] for r in groups), default=0) + 1)
-              for j, i in enumerate(other)]
-    return _from_terms(groups.pop((0,) * len(other), {})) + Poly.dot(
-        (_from_terms(acc), reduce(mul, [powers[j][e] for j, e in enumerate(rest) if e]))
+    tops: dict = {}  # index of another value -> its largest exponent
+    for rest in groups:
+        for i, e in rest:
+            if e > tops.get(i, 0):
+                tops[i] = e
+    powers = {i: power_table(values[i], tops[i] + 1) for i in sorted(tops)}
+    return _from_terms(plain) + Poly.dot(
+        (_from_terms(acc), reduce(mul, [powers[i][e] for i, e in rest]))
         for rest, acc in groups.items())
 
 

@@ -11,10 +11,12 @@ height i.  They are computed by the two-step recurrence
 with S(j; 0, k) = [k == 0], and cross-validated against a direct path
 enumeration oracle.  Like the digraph oracles, the path oracle is a
 weight-free count table followed by one weighting step: the walk counts
-the paths by their fall heights (an exponent vector with one entry per
-height), and ``polyring._power_sum`` (the weighting step of every oracle
-and of ``Poly.substitute``) weighs that table with alpha_h for height h
-(for monomial alphas, by key sums and no ``Poly`` product).  So the walk
+the paths by their fall heights (the (height, falls) pairs of the
+heights some fall starts from), and ``polyring._power_sum`` (the
+weighting step of every oracle and of ``Poly.substitute``) weighs that
+table with alpha_h for height h (for monomial alphas, by key sums and no
+``Poly`` product), reading only the alphas of heights some path falls
+from.  So the walk
 is made once per process for each (m, j, n, k range) and kept as an
 immutable table (``_path_table``).  Both oracle entry points, one entry
 and a whole row, go through one weighting step, ``_weighted_paths``,
@@ -37,18 +39,17 @@ denominators n-(n-1) kappa instead of leaving the polynomial ring.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Callable, Optional, Union
 
-from .digraphs import LimitExceeded
+from .digraphs import LimitExceeded, _unpacked, _units
 from .laguerre import LaguerreParams, prodmat
 from .matrices import (Mismatch, RouteMismatchError, Truncation, first_difference,
                        hankel_truncation, sfraction_word, tp_check_symbolic)
-from .polyring import Poly, PolyLike, _mul_add, _p, _power_sum
+from .polyring import Poly, PolyLike, _mul_add, _p, _power_sum, _sparse
 from .series import Series
 
 PATH_ORACLE_STEP_LIMIT = 24
@@ -199,50 +200,64 @@ def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:
 def _weighted_paths(coeffs: SRCoeffs, j: int, n: int, k_lo: int, k_hi: int) -> list:
     """``_path_table(m, j, n, k_lo, k_hi)`` weighted with alpha_h for each
     fall height h; refused (``LimitExceeded``) on every call whose paths
-    are longer than the cap, before the table is looked up."""
+    are longer than the cap, before the table is looked up.
+
+    Only alpha_m .. alpha_top are read, top the highest height some path
+    of the table falls from: each of them is a height some path falls
+    from, since a path with a fall from t > m has a twin of the same length
+    and end with a fall from t - 1: move the rise before the falls that
+    lead down to the one from t past them (U D^r -> D^r U), which lowers
+    each of those falls by one and stays at height >= t - 1 - m >= 0."""
     _check_type(j)
     m, steps = coeffs.m, (coeffs.m + 1) * n + j
     if steps > PATH_ORACLE_STEP_LIMIT:
         raise LimitExceeded(f"path oracle capped at {PATH_ORACLE_STEP_LIMIT} steps (got {steps})")
-    weights = [coeffs.alpha(h) for h in range(steps + 1)]
-    return [_power_sum(falls, weights) for falls in _path_table(m, j, n, k_lo, k_hi)]
+    table = _path_table(m, j, n, k_lo, k_hi)
+    top = max((falls[-1][0] for items in table for falls, _ in items if falls), default=-1)
+    weights = [coeffs.alpha(h) for h in range(top + 1)]
+    return [_power_sum(items, weights) for items in table]
 
 
 @lru_cache(maxsize=None)
 def _path_table(m: int, j: int, n: int, k_lo: int, k_hi: int) -> tuple:
-    """For each k in k_lo..k_hi, in order, the ((fall vector, count), ...)
-    items of the partial m-Dyck paths from (0,0) to ((m+1)n+j, (m+1)k+j):
-    entry h of a fall vector is the number of falls from height h.  Walked
-    once per process for each argument tuple; callers check the cap first.
+    """For each k in k_lo..k_hi, in order, the ((falls, count), ...) items
+    of the partial m-Dyck paths from (0,0) to ((m+1)n+j, (m+1)k+j): falls
+    holds a pair (h, e) for each height h that e > 0 falls start from, in
+    ascending order of h.  Walked once per process for each argument tuple;
+    callers check the cap first.
 
     The walk prunes every prefix that can no longer end between the lowest
     and the highest target height.
     """
     steps = (m + 1) * n + j
     lo, hi = (m + 1) * k_lo + j, (m + 1) * k_hi + j
-    counters = {k: Counter() for k in range(k_lo, k_hi + 1)}
-    falls = [0] * (steps + 1)
+    counters: dict = {k: {} for k in range(k_lo, k_hi + 1)}
+    width = steps.bit_length() or 1   # no height has more than `steps` falls
+    unit = _units(width, steps + 1)
 
-    def walk(pos: int, height: int) -> None:
+    def walk(pos: int, height: int, falls: int) -> None:
+        """Go on from step pos at this height; ``falls`` counts the falls
+        from each height so far, one packed integer (``_units``)."""
         if pos == steps:
             k, r = divmod(height - j, m + 1)
             if r == 0 and k in counters:
-                counters[k][tuple(falls)] += 1
+                counter = counters[k]
+                counter[falls] = counter.get(falls, 0) + 1
             return
         rem = steps - pos - 1
         # rise
         h = height + 1
         if h + rem >= lo and h - m * rem <= hi:
-            walk(pos + 1, h)
+            walk(pos + 1, h, falls)
         # m-fall
         h = height - m
         if h >= 0 and h + rem >= lo and h - m * rem <= hi:
-            falls[height] += 1
-            walk(pos + 1, h)
-            falls[height] -= 1
+            walk(pos + 1, h, falls + unit[height])
 
-    walk(0, 0)
-    return tuple(tuple(counter.items()) for counter in counters.values())
+    walk(0, 0, 0)
+    return tuple(tuple([(_sparse(_unpacked(falls, width, steps + 1)), count)
+                        for falls, count in counter.items()])
+                 for counter in counters.values())
 
 
 # -- production matrices ------------------------------------------------------

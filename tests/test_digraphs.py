@@ -9,10 +9,10 @@ import pytest
 from lagtp import polyring
 from lagtp.digraphs import (DEFAULT_VAR_NAMES, BadLimitSetting, LaguerreDigraph,
                             LimitExceeded, _STATS, _injections, _linear00_table, _projected,
-                            _stat_table, _walk, classify, enumerate_digraphs, oracle_entry,
-                            permutation_oracles)
+                            _stat_table, _unpacked, _units, _walk, classify,
+                            enumerate_digraphs, oracle_entry, permutation_oracles)
 from lagtp.matrices import Mismatch, RouteMismatchError
-from lagtp.polyring import Poly
+from lagtp.polyring import Poly, _sparse
 from lagtp.srpaths import SRCoeffs, sr_path_oracle
 
 lam = Poly.var("lam")
@@ -223,7 +223,7 @@ def test_linear_permutation_oracle_walks_s_n_once(monkeypatch):
         permutation_oracles(6, "linear00")
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_linear00_table_is_the_cycle_free_part_of_the_one_path_table(n):
     # a word with the 0-0 boundary is the one path of a cycle-free Laguerre
     # digraph, its peaks, valleys, double ascents and double descents those
@@ -234,7 +234,7 @@ def test_linear00_table_is_the_cycle_free_part_of_the_one_path_table(n):
     for stats, count in _stat_table(n, 1):
         if not stats[cyc]:
             want[tuple([stats[i] for i in path])] += count
-    assert _linear00_table(n) == tuple(sorted(want.items()))
+    assert _linear00_table(n) == tuple((_sparse(stats), c) for stats, c in sorted(want.items()))
 
 
 def test_oracle_matches_matrix_definition():
@@ -406,6 +406,17 @@ def test_stat_table_matches_the_walk_of_each_injection(n, k):
     assert _stat_table(n, k) == want[k]
 
 
+def test_packed_statistics_round_trip_past_one_byte():
+    # 9 bits a count (n = 511) hold every count up to 511, none carrying into the next
+    stats = (300, 0, 511, 256, 1, 255, 0, 0, 402, 511, 0, 7, 300)
+    units = _units(9, 13)
+    key = sum(c * u for c, u in zip(stats, units))
+    assert key == sum(c << 9 * i for i, c in enumerate(stats))
+    assert _unpacked(key, 9, 13) == stats
+    assert _unpacked(key + units[4] - units[3], 9, 13) == stats[:3] + (255, 2) + stats[5:]
+    assert _unpacked(511 * sum(units), 9, 13) == (511,) * 13
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_stat_table_counts_every_partial_injection(n):
     for k in range(n + 1):
@@ -440,13 +451,23 @@ def test_statistics_are_enumerated_once_per_n_k(monkeypatch):
     assert oracle_entry(5, 2, SYMBOLIC, "second_mv_general") == first
 
 
+def _dense(pairs, size):
+    """The exponent tuple of ``size`` entries that a class's pairs give."""
+    exps = [0] * size
+    for i, e in pairs:
+        exps[i] = e
+    return tuple(exps)
+
+
 def test_every_count_table_keeps_the_count_invariant_and_empty_ones_pass():
     # k paths: n - k edges; every vertex one kind
     for n in range(6):
         for k in range(n + 1):
             for mode in REFERENCE_EXPONENTS:
                 want = n - k if mode == "first_mv" else n
-                assert all(sum(exps) - exps[-1] == want for exps, _ in _projected(n, k, mode))
+                size = len(REFERENCE_EXPONENTS[mode])
+                assert all(sum(exps) - exps[-1] == want
+                           for exps in (_dense(pairs, size) for pairs, _ in _projected(n, k, mode)))
         for mode in REFERENCE_EXPONENTS:
             assert _projected(n, -1, mode) == _projected(n, n + 1, mode) == ()
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lagtp import polyring
 from lagtp.series import Series
 from lagtp.polyring import (MAX_EXPONENT, ExactDivisionError, Poly, _mul_add, _p, _power_sum,
-                            _values, power_table, rising)
+                            _sparse, _values, power_table, rising)
 
 x = Poly.var("x")
 a = Poly.var("a")
@@ -557,7 +557,7 @@ def test_power_sum_equals_the_reference_fold(case, cancel):
     values, items = case
     if cancel:  # every term again with its start negated: the sum is zero
         items = items + [(exps, -start) for exps, start in items]
-    got = _power_sum(items, values)
+    got = _power_sum([(_sparse(exps), start) for exps, start in items], values)
     assert got == _reference_power_sum(items, values)
     assert _canonical_coefficients(got)
     assert not cancel or got.is_zero()
@@ -578,9 +578,21 @@ def test_substitute_equals_the_reference_fold(p, value):
 
 def test_power_sum_monomial_power_overflow():
     with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
-        _power_sum([((2,), 1)], [x ** 20000])
+        _power_sum([(((0, 2),), 1)], [x ** 20000])
     with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
-        _power_sum([((1, 1), x ** 20000)], [a, x ** 20000])
+        _power_sum([(((0, 1), (1, 1)), x ** 20000)], [a, x ** 20000])
+
+
+def test_power_sum_overflows_only_where_one_class_does():
+    # x^20000 twice: the largest exponents of the two values add past the
+    # limit, but no class raises x past it
+    items = [(((0, 20000),), 1), (((1, 20000),), 1)]
+    assert _power_sum(items, [x, x]) == 2 * x ** 20000
+    with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
+        _power_sum([(((0, 20000), (1, 20000)), 1)], [x, x])
+    # a class raising a zero weight is zero, but its monomials are tested first
+    with pytest.raises(OverflowError, match=f"^exponent of x exceeds {MAX_EXPONENT}$"):
+        _power_sum([(((0, 2), (1, 1)), 1)], [x ** 20000, 0])
 
 
 @settings(max_examples=80, deadline=None)

@@ -46,6 +46,19 @@ def test_oracle_two_dyck_paths():
     assert sr_path_oracle(CO1, 0, 2, 0) == al(1) ** 2 + al(1) * al(2)
 
 
+def test_the_path_oracle_reads_only_the_alphas_of_heights_paths_fall_from():
+    # the two Dyck paths of 4 steps, UUDD and UDUD, fall from heights 1 and 2:
+    # alpha_1 alpha_2 + alpha_1^2 = 2*3 + 2*2, and no path falls from height 4
+    coeffs = SRCoeffs.from_fn(1, lambda i: (1, 2, 3, 4)[i])
+    assert sr_path_oracle(coeffs, 0, 2, 0) == sr_poly(coeffs, 0, 2, 0) == Poly.const(10)
+    assert sr_path_oracle_row(coeffs, 0, 2) == [sr_poly(coeffs, 0, 2, k) for k in range(3)]
+    read = []
+    spy = SRCoeffs.from_fn(2, lambda i: read.append(i) or i)
+    sr_path_oracle_row(spy, 1, 2)   # 7 steps, to heights 1, 4 and 7
+    assert read == [h for h in range(8) if any(
+        h in dict(falls) for items in srpaths._path_table(2, 1, 2, 0, 2) for falls, _ in items)]
+
+
 def test_oracle_empty_path():
     assert sr_path_oracle(CO2, 0, 0, 0) == Poly.one()
 

@@ -30,7 +30,8 @@ coefficient per fixed-width slot, and reads a minor's signs with one AND;
 every other box scans as maps from index to coefficient; both give the
 same reports.  A failing minor is recomputed as a Poly, the scan's only
 Poly arithmetic.  On a square Hankel grid the symbolic scan computes each
-distinct minor once, and the sampled scan each distinct assignment once.
+distinct minor once (elsewhere it certifies a top-size minor with a zero
+block uncomputed), and the sampled scan each distinct assignment once.
 """
 
 from __future__ import annotations
@@ -621,10 +622,10 @@ def _hankel_copies(n: int, size: int) -> list:
 
 
 def _first_negative_minor(grid, order: int, dot, nonneg) -> tuple:
-    """(minors checked, (rows, cols, minor) of the first minor that fails
-    ``nonneg``, or None), over the minors of size <= order of a rectangular
-    grid, its shape read off the grid: by size, then colex row sets, then
-    colex column sets.
+    """(minors checked or certified, (rows, cols, minor) of the first minor
+    that fails ``nonneg``, or None), over the minors of size <= order of a
+    rectangular grid, its shape read off the grid: by size, then colex row
+    sets, then colex column sets.
 
     A minor of size s > 1 is expanded along its first column,
     M(r, c) = sum_t (-1)^t g[r_t][c_0] M(r - r_t, c[1:]), over the size-(s-1)
@@ -635,8 +636,13 @@ def _first_negative_minor(grid, order: int, dot, nonneg) -> tuple:
     square Hankel grid (g[i][k] = g[i+1][k-1] throughout, found by O(n^2)
     comparisons): there each minor is computed only at its first copy in
     scan order (``_hankel_copies``) and read back from the kept level at
-    every later copy.  Every minor, reused or not, goes through ``nonneg``
-    and counts in ``checked``.  This is the scan of the symbolic
+    every later copy.  At the top size of any other grid with a zero entry,
+    a minor with a zero block in its natural order (rows r[:k] on columns
+    c[k:], or r[k:] on c[:k], 0 < k < s) is det(A11) det(A22), two smaller
+    minors that passed, and is certified uncomputed, read off one column
+    bitmask per row (the entries' truthiness) in O(s) integer operations.
+    Every other minor, reused or not, goes through ``nonneg``; ``checked``
+    counts the minors checked or certified.  This is the scan of the symbolic
     representations, Polys (``Poly.dot``), index maps (``_terms_dot``) and
     packed integers (``_int_dot``); grids of sample lists go a column block
     at a time (``_first_negative_lane``).
@@ -646,6 +652,9 @@ def _first_negative_minor(grid, order: int, dot, nonneg) -> tuple:
     negated = [[-e for e in row] for row in grid] if top > 1 else None
     hankel = top > 1 and rows == cols and all(
         grid[i][k] == grid[i + 1][k - 1] for i in range(rows - 1) for k in range(1, cols))
+    # per row, the bitmask of its nonzero columns, for the zero-block certificate
+    masks = (top > 1 and not hankel and not all(map(all, grid))
+             and [sum(1 << j for j, e in enumerate(row) if e) for row in grid])
     checked = 0
     prev: list = []
     for size in range(1, top + 1):
@@ -655,6 +664,11 @@ def _first_negative_minor(grid, order: int, dot, nonneg) -> tuple:
         heads = _colex_plan(cols, size)[1]
         copies = (_hankel_copies(rows, size) if hankel and size > 1
                   else itertools.repeat([None] * len(heads)))
+        certify = masks and size == top
+        # per column set c, the masks of c[k:] and of c[:k], 0 < k < size
+        blocks = ([[(sum(1 << j for j in c[k:]), sum(1 << j for j in c[:k]))
+                    for k in range(1, size)] for c in colsets]
+                  if certify else itertools.repeat(()))
         for r, rdrops, row_copies in zip(_index_sets_colex(rows, size), _colex_plan(rows, size)[0],
                                          copies):
             kept: list = []
@@ -664,14 +678,21 @@ def _first_negative_minor(grid, order: int, dot, nonneg) -> tuple:
             drops = [(negated[i] if t & 1 else grid[i], prev[d])
                      for t, (i, d) in enumerate(zip(r, rdrops))] if size > 1 else ()
             first_row = grid[r[0]]
-            for c, (c0, rest), copy in zip(colsets, heads, row_copies):
+            if certify:  # the columns met by rows r[:k] and by rows r[k:]
+                met = [masks[i] for i in r]
+                splits = list(zip(itertools.accumulate(met[:-1], operator.or_),
+                                  list(itertools.accumulate(met[:0:-1], operator.or_))[::-1]))
+            for c, (c0, rest), copy, block in zip(colsets, heads, row_copies, blocks):
+                checked += 1
                 if copy is not None:
                     minor = cur[copy[0]][copy[1]]
+                elif block and any(not head & after or not tail & before
+                                   for (head, tail), (after, before) in zip(splits, block)):
+                    continue  # a zero block: det(A11) det(A22) >= 0
                 elif drops:
                     minor = dot((row[c0], below[rest]) for row, below in drops)
                 else:
                     minor = first_row[c0]
-                checked += 1
                 if not nonneg(minor):
                     return checked, (r, c, minor)
                 if keep:
@@ -864,7 +885,11 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     Minors come from ``_first_negative_minor`` in colex order, to the depth
     top = min(order, rows, cols) that also sizes the plan, up to the first
     offending minor, returned in the report.  On a square Hankel matrix each
-    distinct minor is computed once, at its first copy, and read back after.
+    distinct minor is computed once, at its first copy, and read back after;
+    on any other matrix with a zero entry, a top-size minor with a zero
+    block in its natural order is the product of two smaller minors that
+    passed, and is certified without being computed.  ``checked`` counts
+    the minors checked or certified by such a zero-block split.
 
     The scan runs on the compact plan of ``_packing``, on integer
     coefficients of monomial indices below prod(dims) (a matrix with a

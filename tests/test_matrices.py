@@ -560,6 +560,22 @@ def _scan_cases():
         cases.append((f"hankel5-odds{odds}", hankel_truncation(seq, 5), 4))
     for name, (index, value, _, _) in PLANTED_HANKELS.items():
         cases.append((f"hankel4-planted-{name}", _planted_hankel(index, value), 4))
+    # banded grids, where the top-size minors with a zero block are certified
+    quad = build_general_quad(QuadFactorParams.symbolic()).truncate(5)
+    cases.append(("general-quad5-tp3", quad, 3))
+    cases.append(("general-quad5-tp4", quad, 4))
+    cases.append(("laguerre-lower5", coeff_matrix_uni(LaguerreParams.symbolic(), 5), 3))
+    # a 4 x 6 block of a product of bidiagonals with nonnegative entries: TP
+    banded = (lower_bidiagonal(lambda i: 1 + x, lambda i: y + i)
+              * upper_bidiagonal(lambda i: 1 + a, lambda i: x + i)
+              * lower_bidiagonal(lambda i: 1 + y, lambda i: a)).truncate(4, 6)
+    cases.append(("banded4x6", banded, 4))
+    # tridiagonal, 2 + x on the diagonal and 1 beside it, but 1 + x on the
+    # last two rows: only the last minor, on rows and columns (2, 3, 4), has
+    # a negative coefficient (-1 + 3x + 4x^2 + x^3), and certified minors
+    # such as rows (0, 1, 2) on columns (0, 1, 3) come before it
+    cases.append(("tridiagonal5-planted-last", Truncation.from_fn(
+        5, 5, lambda i, j: (1 if i > 2 else 2) + x if i == j else int(abs(i - j) == 1)), 3))
     return cases
 
 
@@ -567,22 +583,49 @@ SCAN_CASES = _scan_cases()
 
 
 def _scanned_minors(grid, order, dot):
-    """Every minor the scan builds, in scan order, collected by a sign
-    test that records each minor and passes it."""
+    """(checked, every minor the scan hands to its sign test, in scan
+    order), collected by a sign test that records each minor and passes it."""
     seen = []
     checked, bad = _first_negative_minor(grid, order, dot,
                                          lambda minor: seen.append(minor) or True)
-    assert (checked, bad) == (len(seen), None)
-    return seen
+    assert bad is None
+    return checked, seen
+
+
+def _zero_block(m, rows, cols):
+    """The least k, 0 < k < size, at which the submatrix on rows and cols
+    has a zero block in its natural order (rows[:k] on cols[k:], or
+    rows[k:] on cols[:k]), or None."""
+    zero = lambda rs, cs: not any(m[i, j] for i in rs for j in cs)
+    return next((k for k in range(1, len(rows))
+                 if zero(rows[:k], cols[k:]) or zero(rows[k:], cols[:k])), None)
+
+
+def _is_hankel(m):
+    return m.rows == m.cols and all(m[i, k] == m[i + 1, k - 1]
+                                    for i in range(m.rows - 1) for k in range(1, m.cols))
 
 
 @pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
 def test_minor_scan_yields_every_minor_in_colex_order(name, m, order):
-    want = list(_minors_in_scan_order(m.rows, m.cols, order))
-    got = _scanned_minors(m.data, order, Poly.dot)
-    assert len(got) == len(want)
-    for (rows, cols), minor in zip(want, got):
-        assert minor == _leibniz_det(m.submatrix(rows, cols)), (rows, cols)
+    # every minor handed to the sign test is its Leibniz determinant, in
+    # colex order; every other counted minor is a top-size minor of a grid
+    # that is not Hankel, with a zero block in its natural order, and so
+    # the product of its two diagonal blocks' determinants
+    top, hankel = min(order, m.rows, m.cols), _is_hankel(m)
+    want, certified = [], 0
+    for rows, cols in _minors_in_scan_order(m.rows, m.cols, order):
+        sub = m.submatrix(rows, cols)
+        k = None if hankel or len(rows) < top else _zero_block(m, rows, cols)
+        if k is None:
+            want.append(_leibniz_det(sub))
+        else:
+            certified += 1
+            a11, a22 = (sub.submatrix(part, part) for part in (range(k), range(k, top)))
+            assert _leibniz_det(sub) == _leibniz_det(a11) * _leibniz_det(a22)
+    checked, got = _scanned_minors(m.data, order, Poly.dot)
+    assert checked == len(want) + certified
+    assert got == want
 
 
 @pytest.mark.parametrize("name,m,order", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
@@ -702,6 +745,67 @@ def test_hankel_scan_computes_each_distinct_minor_once(n, order, checked, distin
     calls.clear()
     assert scan() == (checked, None)
     assert len(calls) == checked - n * n
+
+
+def test_zero_block_certificate_saves_the_top_size_dots_of_a_banded_grid():
+    # a quadridiagonal grid (nonzero at -1 <= i - k <= 2) at TP4: every
+    # minor of sizes 2 and 3 is one dot (441 + 1225), since they feed the
+    # next size, but 1181 of the 1225 of size 4 have a zero block in their
+    # natural order and are counted without one (without the certificate
+    # every minor of size > 1 would be a dot, 2891 in all)
+    grid = [[i + k + 1 if -1 <= i - k <= 2 else 0 for k in range(7)] for i in range(7)]
+    calls = []
+    assert _first_negative_minor(grid, 4, _counting_dot(calls), lambda v: True) == (2940, None)
+    assert len(calls) == 441 + 1225 + 1225 - 1181 == 1710
+
+
+def test_first_failure_after_certified_minors_is_named():
+    m = next(m for name, m, _ in SCAN_CASES if name == "tridiagonal5-planted-last")
+    report = tp_check_symbolic(m, 3)
+    assert (report.checked, report.witness.rows, report.witness.cols) == (225, (2, 3, 4), (2, 3, 4))
+    assert report.witness.minor == -1 + 3 * x + 4 * x ** 2 + x ** 3
+    assert _zero_block(m, (2, 3, 4), (2, 3, 4)) is None
+    # the top-size minors before it include certified ones
+    assert _zero_block(m, (0, 1, 2), (0, 1, 3)) == 2
+
+
+@st.composite
+def _zero_pattern_grids(draw):
+    """(matrix, order): a grid of up to 5 x 6 entries in x and y with zeros.
+    Either each entry is zero at random or off a random band, the rest with
+    coefficients in [low, 3]; or the grid is the top-left block of a product
+    of bidiagonals whose entries may be zero (TP, banded or sparser), with
+    one entry raised by x y half the time, which can turn minors negative."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        n = max(rows, cols)
+        pick = lambda: draw(st.sampled_from([Poly.zero(), Poly.one(), x, y, 1 + x, 2 + y]))
+        m = Truncation.identity(n)
+        for _ in range(draw(st.integers(1, 4))):
+            factor = lower_bidiagonal if draw(st.booleans()) else upper_bidiagonal
+            diag, off = [pick() for _ in range(n)], [pick() for _ in range(n)]
+            m = m * factor(diag.__getitem__, off.__getitem__).truncate(n)
+        grid = [list(row[:cols]) for row in m.data[:rows]]
+        if draw(st.booleans()):
+            grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] += x * y
+    else:
+        low = draw(st.sampled_from([-1, 0]))
+        if draw(st.booleans()):
+            below, above = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            live = lambda i, j: -above <= i - j <= below
+        else:
+            zeros = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))))
+            live = lambda i, j: (i, j) not in zeros
+        entry = lambda: Poly.dot((v, draw(st.integers(low, 3))) for v in (Poly.one(), x, y))
+        grid = [[entry() if live(i, j) else Poly.zero() for j in range(cols)] for i in range(rows)]
+    return Truncation(grid), draw(st.integers(1, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_zero_pattern_grids())
+def test_symbolic_scan_matches_the_reference_on_random_zero_patterns(case):
+    m, order = case
+    assert _summary(tp_check_symbolic(m, order)) == _reference_symbolic(m, order)
 
 
 def test_minor_scan_reads_its_shape_off_the_grid():
@@ -1354,7 +1458,9 @@ def test_symbolic_scan_witness_past_the_exponent_limit_raises():
 # -- the symbolic scan on packed integers ----------------------------------------
 
 # large enough to pack every scan case but the m = 2 type-3 Hankel (2^29 bits)
+# and the 39-variable general quadridiagonal block (a box of 9.4e12 slots)
 FORCED_PACK_BITS = 1 << 24
+UNPACKED_SCAN_CASES = {"type-3-hankel-m2", "general-quad5-tp3", "general-quad5-tp4"}
 
 
 def _dict_path_json(m, order):
@@ -1381,7 +1487,7 @@ def _packed_path_json(m, order):
 def test_symbolic_scan_reports_the_same_on_both_paths(name, m, order):
     packed, packs = _packed_path_json(m, order)
     assert packed == _dict_path_json(m, order) == tp_check_symbolic(m, order).to_json()
-    assert packs == (name != "type-3-hankel-m2")
+    assert packs == (name not in UNPACKED_SCAN_CASES)
 
 
 @pytest.mark.parametrize("name", WIDE_SCAN_NAMES)
@@ -1648,7 +1754,8 @@ def test_packing_bounds_hold_on_every_minor(seed, monkeypatch):
         width, dims = _plan(m, order)
         ref_width, ref_dims = _reference_plan(m, top)
         assert (width, dims) == (ref_width, tuple(sorted(ref_dims.values(), reverse=True)))
-        for minor in _scanned_minors(m.data, order, Poly.dot):
+        for rows, cols in _minors_in_scan_order(m.rows, m.cols, order):
+            minor = _leibniz_det(m.submatrix(rows, cols))
             for exps, c in minor.sorted_terms():
                 assert abs(c) < 1 << (width - 1)
                 assert all(e < ref_dims[v] for v, e in zip(minor.vars, exps))

@@ -13,17 +13,22 @@ double descent.
 
 Two enumerations build every digraph.  The reference lists the partial
 injections (``enumerate_digraphs``) and classifies each from scratch
-(``classify``, ``_walk``).  The oracles count each (n, k) once per process
-with ``_stat_table``, which inserts the vertices in turn and updates the
-joint statistics in O(1) per digraph; every weighting (``oracle_entry`` in
-each mode, the cyclic permutation oracle) is a projection of that table,
-made once per (n, k, mode) and checked there: a digraph with k paths has
-n - k edges, and n vertex kinds.  The linear permutation oracle counts S_n
-once per n by its word statistics (``_linear00_table``), building each
-word by inserting its letters in turn and updating the kind counts in
-O(1) per word.  The cached tables that are weighed (``_projected``,
-``_linear00_table``) hold each class as the (index, exponent) pairs of its
-positive exponents, the format ``polyring._power_sum`` reads.
+(``classify``, ``_walk``).  The joint statistics are the nine vertex
+kinds and the number of cycles; an edge count is a sum of kinds (a
+descending edge ends at a valley or a double descent, an ascending one
+starts at a valley or a double ascent, a loop is a fixed point).  The
+oracles count each (n, k) once per process with ``_stat_table``, which
+inserts the vertices in turn and updates the joint statistics in O(1) per
+digraph; every weighting (``oracle_entry`` in each mode, the cyclic
+permutation oracle) is a projection of that table, made once per
+(n, k, mode) and checked there: the kinds of a digraph sum to n, and in
+'first_mv' the edges sum to n - k, the identity peaks = valleys + paths.
+The linear permutation oracle counts S_n once per n by its word
+statistics (``_linear00_table``), building each word by inserting its
+letters in turn and updating the path-kind counts in O(1) per word.  The
+cached tables that are weighed (``_projected``, ``_linear00_table``) hold
+each class as the (index, exponent) pairs of its positive exponents, the
+format ``polyring._power_sum`` reads.
 """
 
 from __future__ import annotations
@@ -104,9 +109,10 @@ class DigraphStats:
     ddpa: int
 
 
-# The joint statistics tuple of one digraph, as returned by _walk.
-_STATS = ("e_minus", "e_zero", "e_plus", "cyc", "pcyc", "vcyc", "dacyc", "ddcyc", "fp",
-          "ppa", "vpa", "dapa", "ddpa")
+# The joint statistics tuple of one digraph, as returned by _walk: the
+# vertex kinds (path kinds first, so a word's kinds are the low four
+# fields of _linear00_table) and the cycle count.
+_STATS = ("ppa", "vpa", "dapa", "ddpa", "pcyc", "vcyc", "dacyc", "ddcyc", "fp", "cyc")
 
 
 def _injections(n: int, e: int) -> Iterator[tuple]:
@@ -145,43 +151,36 @@ def _walk(n: int, edges) -> tuple:
             while v:
                 on_path[v] = True
                 v = succ[v]
-    e_minus = e_zero = e_plus = cyc = 0
-    # kinds p, v, da, dd, fp on cycles at 0..4, kinds p, v, da, dd on paths at 5..8
-    kinds = [0] * 9
+    stats = [0] * len(_STATS)
     seen = [False] * (n + 1)
     for i in range(1, n + 1):
         p, s = pred[i], succ[i]
-        if s:
-            if s < i:
-                e_minus += 1
-            elif s == i:
-                e_zero += 1
-            else:
-                e_plus += 1
+        cycle = 0 if on_path[i] else 4   # the offset of the cycle kinds
         if p == i:
-            kind = 4
+            kind = 8
         elif p < i:
-            kind = 0 if s < i else 2
+            kind = cycle + (0 if s < i else 2)
         else:
-            kind = 1 if s > i else 3
-        if on_path[i]:
-            kind += 5
-        elif not seen[i]:
-            cyc += 1
+            kind = cycle + (1 if s > i else 3)
+        if cycle and not seen[i]:
+            stats[9] += 1
             w = i
             while not seen[w]:
                 seen[w] = True
                 w = succ[w]
-        kinds[kind] += 1
-    return (e_minus, e_zero, e_plus, cyc, *kinds)
+        stats[kind] += 1
+    return tuple(stats)
 
 
-# A vertex's kind, by position in _STATS (cycle p, v, da, dd, fp at 4..8,
-# path p, v, da, dd at 9..12), once its successor or its predecessor is
-# replaced by a larger vertex.  A loop's successor is raised first, so a
-# loop passes through a double ascent on its way to a valley.
-_SUCC_UP = (None,) * 4 + (6, 5, 6, 5, 6, 11, 10, 11, 10)
-_PRED_UP = (None,) * 4 + (7, 5, 5, 7, None, 12, 10, 10, 12)
+# A vertex's kind, by position in _STATS (path p, v, da, dd at 0..3, cycle
+# p, v, da, dd, fp at 4..8), once its successor or its predecessor is
+# replaced by a larger vertex; kind 9 is the boundary 0 of a path or a
+# word, which no insertion changes and no count holds.  A loop's successor
+# is raised first, so a loop passes through a double ascent on its way to
+# a valley.
+_SUCC_UP = (2, 1, 2, 1, 6, 5, 6, 5, 6, 9)
+_PRED_UP = (3, 1, 1, 3, 7, 5, 5, 7, None, 9)
+_BOUNDARY = 9
 
 
 def _units(width: int, size: int) -> list:
@@ -196,6 +195,19 @@ def _unpacked(key: int, width: int, size: int) -> tuple:
     """The ``size`` counts packed in the integer ``key`` (``_units``)."""
     mask = (1 << width) - 1
     return tuple([key >> i * width & mask for i in range(size)])
+
+
+def _kind_steps(width: int) -> tuple:
+    """(unit, succ_step, pred_step) for _STATS counts ``width`` bits wide:
+    the ``_units`` of the fields, and the packed step that moves a vertex of
+    each kind to its kind once its successor (predecessor) is raised
+    (``_SUCC_UP``, ``_PRED_UP``; the boundary's step is 0)."""
+    unit = _units(width, len(_STATS))
+    kind_unit = unit[:_BOUNDARY] + [0]
+    succ_step = [kind_unit[u] - kind_unit[i] for i, u in enumerate(_SUCC_UP)]
+    pred_step = [None if u is None else kind_unit[u] - kind_unit[i]
+                 for i, u in enumerate(_PRED_UP)]
+    return unit, succ_step, pred_step
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,30 +231,22 @@ def _stat_table(n: int, k: int) -> tuple:
     if not 0 <= k <= n:
         return ()
     width = n.bit_length() or 1
-    unit = _units(width, len(_STATS))
-    # the step of a vertex of each kind whose successor (predecessor) is raised:
-    # its kind changes and one more edge ascends into m (descends from m)
-    succ_step = [None if u is None else unit[2] - unit[i] + unit[u] for i, u in enumerate(_SUCC_UP)]
-    pred_step = [None if u is None else unit[0] - unit[i] + unit[u] for i, u in enumerate(_PRED_UP)]
-    loop = unit[1] + unit[3] + unit[8]   # one more e_zero edge, cycle and fixed point
+    unit, succ_step, pred_step = _kind_steps(width)
+    loop = unit[8] + unit[9]   # one more fixed point and cycle
     succ = [0] * (n + 1)   # 0 is no vertex: no successor / predecessor
     pred = [0] * (n + 1)
-    kind = [9] * (n + 1)   # kind[0] = 9: a vertex placed alone is a path peak
+    kind = [_BOUNDARY] * (n + 1)
     counts: dict = {}
 
     def place(m, a, b, paths, st):
-        """Insert m as a -> m -> b and go on; a and b may be 0."""
+        """Insert m as a -> m -> b and go on; a and b may be the boundary 0."""
         ka, kb = kind[a], kind[b]
-        if a:                                 # a -> m ascends
-            if b:                             # the edge a -> b is split
-                st -= unit[(b >= a) + (b > a)]
-            st += succ_step[ka]
-            kind[a] = _SUCC_UP[ka]
-        if b:                                 # m -> b descends
-            kind_b = kind[b]                  # after a's update: a loop a -> a has b = a
-            st += pred_step[kind_b]
-            kind[b] = _PRED_UP[kind_b]
-        kind[m] = 9 if kind[a or b] >= 9 else 4   # a peak, on the component of a or b
+        st += succ_step[ka]                   # a -> m ascends
+        kind[a] = _SUCC_UP[ka]
+        kind_b = kind[b]                      # after a's update: a loop a -> a has b = a
+        st += pred_step[kind_b]               # m -> b descends
+        kind[b] = _PRED_UP[kind_b]
+        kind[m] = 4 if 4 <= kind[a or b] < _BOUNDARY else 0   # a peak, on the component of a or b
         succ[a], pred[b], pred[m], succ[m] = m, m, a, b
         grow(m + 1, paths, st + unit[kind[m]])
         succ[a], pred[b], kind[a], kind[b] = b, a, ka, kb
@@ -269,11 +273,13 @@ def _stat_table(n: int, k: int) -> tuple:
 
 def classify(g: LaguerreDigraph) -> DigraphStats:
     s = dict(zip(_STATS, _walk(g.n, g.succ.items())))
-    e = s["e_minus"] + s["e_zero"] + s["e_plus"]
-    return DigraphStats(
-        pa=g.n - e, e=e,
-        p=s["pcyc"] + s["ppa"], v=s["vcyc"] + s["vpa"],
-        da=s["dacyc"] + s["dapa"], dd=s["ddcyc"] + s["ddpa"], **s)
+    p, v, da, dd = (s[kind + "cyc"] + s[kind + "pa"] for kind in ("p", "v", "da", "dd"))
+    # a descending edge ends at a valley or a double descent, an ascending
+    # one starts at a valley or a double ascent, and a loop is a fixed point
+    e_minus, e_zero, e_plus = v + dd, s["fp"], v + da
+    e = e_minus + e_zero + e_plus
+    return DigraphStats(pa=g.n - e, e=e, e_minus=e_minus, e_zero=e_zero, e_plus=e_plus,
+                        p=p, v=v, da=da, dd=dd, **s)
 
 
 # -- weighted oracle sums ----------------------------------------------------
@@ -286,7 +292,7 @@ def _fields(*exprs: str) -> tuple:
 
 _ORACLE_MODES = {
     "first_mv": (("v_minus", "v_zero", "v_plus", "lam"),
-                 _fields("e_minus", "e_zero", "e_plus", "cyc")),
+                 _fields("vcyc+ddcyc+vpa+ddpa", "fp", "vcyc+dacyc+vpa+dapa", "cyc")),
     "second_mv": (("y_p", "y_v", "y_da", "y_dd", "y_fp", "lam"),
                   _fields("pcyc+ppa", "vcyc+vpa", "dacyc+dapa", "ddcyc+ddpa", "fp", "cyc")),
     "second_mv_general": (("y_p", "y_v", "y_da", "y_dd", "y_fp",
@@ -335,9 +341,11 @@ def _projected(n: int, k: int, mode: str) -> tuple:
     the exponents of `mode`'s weights, once per (n, k, mode), each class as
     the (index, exponent) pairs of its positive exponents (``_power_sum``'s
     format).  In every class the exponents other than the cycle count (the
-    last) must sum to n - k, the edges, in 'first_mv' and to n, the vertex
-    kinds, in the other modes; else RouteMismatchError with the distinct
-    sums, under any weights."""
+    last) must sum to n, the vertex kinds, in the vertex modes, and to
+    n - k, the edges, in 'first_mv', whose exponents are sums of vertex
+    kinds (v + dd, fp, v + da): there the check is the identity peaks =
+    valleys + paths.  Else RouteMismatchError with the distinct sums, under
+    any weights."""
     counter: Counter = Counter()
     for stats, count in _stat_table(n, k):
         counter[tuple(sum(stats[i] for i in f) for f in _ORACLE_MODES[mode][1])] += count
@@ -376,13 +384,6 @@ def permutation_oracles(n: int, kind: str, weights: Mapping[str, Poly] | None = 
     return _power_sum(_linear00_table(n), values)
 
 
-# A letter's kind in the word 0 sigma 0 (peak, valley, double ascent, double
-# descent at 0..3; the boundary 0 at 4) once a larger letter is inserted
-# right after it, or right before it.
-_AFTER_UP = (2, 1, 2, 1, 4)
-_BEFORE_UP = (3, 1, 1, 3, 4)
-
-
 @functools.lru_cache(maxsize=None)
 def _linear00_table(n: int) -> tuple:
     """((pairs, count), ...): how many permutations of {1..n} have each
@@ -396,16 +397,14 @@ def _linear00_table(n: int) -> tuple:
     letter of a word leaves a word of the smaller ones, so each permutation
     is built once, from that word, by inserting m into one of its m slots
     between neighbours a and b (either may be the boundary 0).  m is a
-    peak, and only a and b change kind (a's right neighbour and b's left
-    one grow), so each insertion updates the counts, one ``_units``
-    integer, in O(1).
+    peak, and only a and b change kind: the word is a path, a's successor
+    and b's predecessor grow, and the counts are the path fields of one
+    ``_kind_steps`` integer, so each insertion updates them in O(1).
     """
     width = n.bit_length() or 1
-    unit = _units(width, 4) + [0]   # the boundary is not counted
-    after = [unit[u] - unit[i] for i, u in enumerate(_AFTER_UP)]
-    before = [unit[u] - unit[i] for i, u in enumerate(_BEFORE_UP)]
+    unit, after, before = _kind_steps(width)
     nxt = [0] * (n + 1)    # the letter after each letter (0 after the last); nxt[0] the first
-    kind = [4] * (n + 1)   # kind[0] = 4: the boundary
+    kind = [_BOUNDARY] * (n + 1)
     counts: dict = {}
 
     def grow(m, st):
@@ -419,7 +418,7 @@ def _linear00_table(n: int) -> tuple:
             b = nxt[a]
             ka, kb = kind[a], kind[b]
             nxt[a], nxt[m] = m, b
-            kind[a], kind[b] = _AFTER_UP[ka], _BEFORE_UP[kb]
+            kind[a], kind[b] = _SUCC_UP[ka], _PRED_UP[kb]
             grow(m + 1, st + after[ka] + before[kb])
             nxt[a], kind[a], kind[b] = b, ka, kb
             a = b

@@ -532,9 +532,14 @@ def conjugate_by_binomial(p: DiagonalPolySpec, xi: PolyLike, n: int) -> Truncati
 
 @dataclass(frozen=True)
 class TPWitness:
+    """The first failing minor of a TP scan: its rows and columns, its
+    value (``minor``: a Poly for symbolic checks, an int for sampled ones,
+    None when a symbolic minor has a term past ``MAX_EXPONENT``, so no Poly
+    holds it; JSON null) and, for sampled checks, the sample that failed."""
+
     rows: tuple
     cols: tuple
-    minor: object  # Poly for symbolic checks, int for sampled ones
+    minor: object
     assignment: Optional[dict] = None
     sample_index: Optional[int] = None
 
@@ -904,9 +909,9 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
     passes iff its least coefficient is >= 0.  The failing minor is
     recomputed: the same scan runs on its own unscaled submatrix of Polys,
     where it fails first, since every smaller minor passed.  This rebuild
-    is the scan's only Poly arithmetic, and so the one place a product that
-    takes an exponent past ``MAX_EXPONENT`` raises the ``OverflowError``
-    naming its variable.
+    is the scan's only Poly arithmetic, and so the one place a product can
+    take an exponent past ``MAX_EXPONENT``; the witness then keeps the rows
+    and columns the plan's scan found, with no minor (``None``).
     """
     if order < 1:  # an empty scan would certify any matrix
         raise ValueError("order must be at least 1")
@@ -918,15 +923,15 @@ def tp_check_symbolic(m: Truncation, order: int) -> TPReport:
         off = ((1 << width * math.prod(dims)) - 1) // ((1 << width) - 1) << (width - 1)
         kernels = _int_dot, lambda v: not v & off
     checked, bad = _first_negative_minor(grid, top, *kernels)
-    if bad is not None:
-        rows, cols, _ = bad
-        sub = [[m.data[i][j] for j in cols] for i in rows]
-        bad = rows, cols, _first_negative_minor(
-            sub, len(rows), Poly.dot, Poly.is_coeffwise_nonneg)[1][2]
     size_meta = {"rows": m.rows, "cols": m.cols}
     if bad is None:
         return TPReport(True, order, "symbolic", checked, meta=size_meta)
-    rows, cols, minor = bad
+    rows, cols, _ = bad
+    sub = [[m.data[i][j] for j in cols] for i in rows]
+    try:
+        minor = _first_negative_minor(sub, len(rows), Poly.dot, Poly.is_coeffwise_nonneg)[1][2]
+    except OverflowError:
+        minor = None
     return TPReport(False, order, "symbolic", checked, TPWitness(rows, cols, minor),
                     meta=size_meta)
 

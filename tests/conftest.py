@@ -31,17 +31,22 @@ def fresh_count_tables():
 
 @pytest.fixture
 def plant_count(monkeypatch, fresh_count_tables):
-    """plant_count(n, k, stat): the first tuple of the (n, k) statistics
-    table counts one more ``stat`` (a name in ``digraphs._STATS``)."""
-    def plant(n, k, stat):
-        real, i = digraphs._stat_table, digraphs._STATS.index(stat)
+    """plant_count(n, k, stat, less=None): the first tuple of the (n, k)
+    statistics table counts one more ``stat`` and, given ``less``, one
+    fewer ``less`` (names in ``digraphs._STATS``)."""
+    def plant(n, k, stat, less=None):
+        real = digraphs._stat_table
+        delta = [0] * len(digraphs._STATS)
+        delta[digraphs._STATS.index(stat)] += 1
+        if less is not None:
+            delta[digraphs._STATS.index(less)] -= 1
 
         def planted(m, j):
             table = real(m, j)
             if (m, j) != (n, k):
                 return table
             (stats, count), *rest = table
-            return ((stats[:i] + (stats[i] + 1,) + stats[i + 1:], count), *rest)
+            return (tuple(map(sum, zip(stats, delta))), count), *rest
 
         monkeypatch.setattr(digraphs, "_stat_table", planted)
 

@@ -250,6 +250,19 @@ def test_tp_check_minor_past_the_exponent_limit_is_certified(tmp_path, capsys):
                    '"witness":null}\n')
 
 
+def test_tp_check_failing_minor_past_the_exponent_limit_exits_1(tmp_path, capsys):
+    # the 2x2 minor x^40000 - 1 fails; no Poly holds it, so the witness has
+    # its rows and columns and a null minor
+    big = {"vars": ["x"], "terms": [{"exp": [20000], "coef": "1"}]}
+    one = {"vars": [], "terms": [{"exp": [], "coef": "1"}]}
+    path = tmp_path / "big_exp.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[big, one], [one, big]]}))
+    code, out, err = run(capsys, ["tp-check", str(path), "--order", "2"])
+    assert (code, err) == (1, "")
+    assert out == ('{"checked":5,"cols":2,"mode":"symbolic","ok":false,"order":2,"rows":2,'
+                   '"witness":{"cols":[0,1],"minor":null,"rows":[0,1]}}\n')
+
+
 def test_tp_check_exponent_true_exits_2(tmp_path, capsys):
     # a JSON true is no exponent, not x^1
     entry = {"vars": ["x"], "terms": [{"exp": [True], "coef": "1"}]}
@@ -485,9 +498,10 @@ def test_verify_witness_names_the_entry_of_a_first_mv_matrix_that_is_not_homogen
 
 
 def test_verify_reports_a_first_mv_count_table_with_an_extra_edge(capsys, plant_count):
-    # one digraph of the (3, 1) table counted with a third edge, a decreasing one:
-    # each check that builds the first_mv matrix fails, under numeric weights too
-    plant_count(3, 1, "e_minus")
+    # one digraph of the (3, 1) table counted with a third edge, a decreasing one
+    # (a path peak counted as a double descent): each check that builds the
+    # first_mv matrix fails, under numeric weights too
+    plant_count(3, 1, "ddpa", less="ppa")
     code, out, _ = run(capsys, ["verify", "multivariate"])
     entries = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 1
@@ -500,7 +514,7 @@ def test_verify_reports_a_first_mv_count_table_with_an_extra_edge(capsys, plant_
 
 
 def test_oracle_reports_a_count_table_with_an_extra_edge(capsys, plant_count):
-    plant_count(3, 1, "e_minus")
+    plant_count(3, 1, "ddpa", less="ppa")
     mismatch = Mismatch("edges per digraph in the first_mv count table", (3, 1), [2, 3], [2])
     assert run(capsys, ["oracle", "first-mv", "--n", "3", "--k", "1"]) == (
         1, "", f"error: {mismatch}\n")

@@ -80,6 +80,18 @@ def test_stat_invariants(n):
         assert st.da == st.dacyc + st.dapa and st.dd == st.ddcyc + st.ddpa
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_edge_counts_are_the_vertex_kind_sums_classify_reports(n):
+    # classify reads the edges off the vertex kinds; here they are counted
+    # from the successor map: -1 descending, 0 a loop, 1 ascending
+    for g in enumerate_digraphs(n):
+        st = classify(g)
+        edges = Counter((j > i) - (j < i) for i, j in g.succ.items())
+        assert (edges[-1], edges[0], edges[1]) == (st.e_minus, st.e_zero, st.e_plus), g.succ
+        # each path has one more peak than valleys, each cycle as many
+        assert st.ppa - st.vpa == n - len(g.succ) and st.pcyc == st.vcyc, g.succ
+
+
 def _predecessors(g):
     return {j: i for i, j in g.succ.items()}
 
@@ -473,7 +485,8 @@ def test_every_count_table_keeps_the_count_invariant_and_empty_ones_pass():
 
 
 def test_projection_refuses_a_table_with_an_extra_edge_in_first_mv_only(plant_count):
-    plant_count(3, 1, "e_minus")
+    # a path peak counted as a double descent: one more descending edge, as many vertices
+    plant_count(3, 1, "ddpa", less="ppa")
     with pytest.raises(RouteMismatchError) as info:
         oracle_entry(3, 1, {"v_minus": 1, "v_zero": 0, "v_plus": 0, "lam": 1}, "first_mv")
     assert info.value.args[0] == Mismatch("edges per digraph in the first_mv count table",
@@ -484,7 +497,8 @@ def test_projection_refuses_a_table_with_an_extra_edge_in_first_mv_only(plant_co
 
 
 def test_projection_refuses_a_table_with_an_extra_vertex_kind_in_every_vertex_mode(plant_count):
-    plant_count(3, 1, "ddpa")
+    # a peak adds no edge
+    plant_count(3, 1, "ppa")
     for mode in ("second_mv", "second_mv_general"):
         with pytest.raises(RouteMismatchError) as info:
             _projected(3, 1, mode)

@@ -1410,23 +1410,33 @@ def test_packing_plan_does_not_depend_on_the_name_registry(name):
     assert _plan_kind(plan) == ("sparse" if name.startswith("sr-hankel") else "dense")
 
 
-def test_symbolic_scan_overflow_names_the_real_variable(tmp_path, capsys, monkeypatch):
-    from lagtp import cli
+def test_symbolic_scan_overflow_names_the_real_variable(monkeypatch):
+    # the failing minor zeta^40000 - 1, on a variable in a high field: the
+    # scan runs on its sparse plan, past the key limit; the witness rebuild,
+    # its one Poly product, raises naming zeta, and the report keeps the
+    # rows and columns the plan's scan found, with no minor
     for i in range(40):
         Poly.var(f"pad{i}")
     zeta = Poly.var("zeta")
     assert polyring._offsets["zeta"] >= 40 * polyring.FIELD_BITS
-    m = Truncation([[zeta ** 20000, 1], [1, zeta ** 20000]])
-    plans = _record_plans(monkeypatch)
     with pytest.raises(OverflowError, match="^exponent of zeta exceeds 32767$"):
-        tp_check_symbolic(m, 2)
-    # the scan runs on its sparse plan, past the key limit; the witness
-    # rebuild, its one Poly product, raises
+        zeta ** 20000 * zeta ** 20000
+    plans = _record_plans(monkeypatch)
+    report = tp_check_symbolic(Truncation([[zeta ** 20000, 1], [1, zeta ** 20000]]), 2)
     assert plans == [(None, (40001,))]
-    path = tmp_path / "m.json"
-    path.write_text(m.to_json())
-    assert cli.main(["tp-check", str(path), "--order", "2"]) == 2
-    assert capsys.readouterr().err == "error: exponent of zeta exceeds 32767\n"
+    assert (report.ok, report.checked) == (False, 5)
+    assert report.witness.to_json_obj() == {"rows": [0, 1], "cols": [0, 1], "minor": None}
+
+
+def test_symbolic_scan_witness_past_the_exponent_limit_raises():
+    # the failing minor x^40000 - 1 rebuilt as a Poly raises past the key
+    # limit; tp_check_symbolic catches it and reports the witness with no minor
+    m = Truncation([[x ** 20000, 1], [1, x ** 20000]])
+    with pytest.raises(OverflowError, match="^exponent of x exceeds 32767$"):
+        _first_negative_minor(m.data, 2, Poly.dot, Poly.is_coeffwise_nonneg)
+    report = tp_check_symbolic(m, 2)
+    assert (report.ok, report.checked) == (False, 5)
+    assert report.witness.to_json_obj() == {"rows": [0, 1], "cols": [0, 1], "minor": None}
 
 
 @pytest.mark.parametrize("rows", [[[x ** 20000, x ** 20000], [x ** 20000, x ** 20000]],
@@ -1447,12 +1457,6 @@ def test_symbolic_scan_index_passes_two_to_the_64(monkeypatch):
     assert (report.ok, report.checked, report.witness) == (True, 5, None)
     assert plans == [(None, (40001,) * 5)]
     assert 0 <= min(keys) and 2 ** 64 < max(keys) < 40001 ** 5
-
-
-def test_symbolic_scan_witness_past_the_exponent_limit_raises():
-    # the failing minor x^40000 - 1 is rebuilt as a Poly, past the key limit
-    with pytest.raises(OverflowError, match="^exponent of x exceeds 32767$"):
-        tp_check_symbolic(Truncation([[x ** 20000, 1], [1, x ** 20000]]), 2)
 
 
 # -- the symbolic scan on packed integers ----------------------------------------

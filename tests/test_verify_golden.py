@@ -1,6 +1,7 @@
-"""Byte-identity of ``lagtp verify all`` output at the default seed.
+"""Byte-identity of ``lagtp verify all`` output at the default seed and at
+``--seed 7``.
 
-The invocation keyed in ``tests/verify_golden.json`` runs through
+Each invocation keyed in ``tests/verify_golden.json`` runs through
 ``lagtp.cli.main``; the SHA-256 of ``f"{exit_code}\\n{stdout}"`` must equal
 the digest recorded there.  A change that alters any check's report, or
 which checks run, changes the digest.

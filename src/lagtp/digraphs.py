@@ -19,16 +19,15 @@ descending edge ends at a valley or a double descent, an ascending one
 starts at a valley or a double ascent, a loop is a fixed point).  The
 oracles count each (n, k) once per process with ``_stat_table``, which
 inserts the vertices in turn and updates the joint statistics in O(1) per
-digraph; every weighting (``oracle_entry`` in each mode, the cyclic
-permutation oracle) is a projection of that table, made once per
-(n, k, mode) and checked there: the kinds of a digraph sum to n, and in
-'first_mv' the edges sum to n - k, the identity peaks = valleys + paths.
-The linear permutation oracle counts S_n once per n by its word
-statistics (``_linear00_table``), building each word by inserting its
-letters in turn and updating the path-kind counts in O(1) per word.  The
-cached tables that are weighed (``_projected``, ``_linear00_table``) hold
-each class as the (index, exponent) pairs of its positive exponents, the
-format ``polyring._power_sum`` reads.
+digraph; every weighting (``oracle_entry`` in each mode, both permutation
+oracles) is a projection of that table, made once per (n, k, mode) and
+checked there: the kinds of a digraph sum to n, and in 'first_mv' the
+edges sum to n - k, the identity peaks = valleys + paths.  The linear
+permutation oracle's words are the paths of the cycle-free one-path
+digraphs, which the same insertion walks without its loops.  The
+projected tables (``_projected``) hold each class as the (index,
+exponent) pairs of its positive exponents, the format
+``polyring._power_sum`` reads.
 """
 
 from __future__ import annotations
@@ -110,8 +109,7 @@ class DigraphStats:
 
 
 # The joint statistics tuple of one digraph, as returned by _walk: the
-# vertex kinds (path kinds first, so a word's kinds are the low four
-# fields of _linear00_table) and the cycle count.
+# vertex kinds, path kinds first, and the cycle count.
 _STATS = ("ppa", "vpa", "dapa", "ddpa", "pcyc", "vcyc", "dacyc", "ddcyc", "fp", "cyc")
 
 
@@ -174,10 +172,9 @@ def _walk(n: int, edges) -> tuple:
 
 # A vertex's kind, by position in _STATS (path p, v, da, dd at 0..3, cycle
 # p, v, da, dd, fp at 4..8), once its successor or its predecessor is
-# replaced by a larger vertex; kind 9 is the boundary 0 of a path or a
-# word, which no insertion changes and no count holds.  A loop's successor
-# is raised first, so a loop passes through a double ascent on its way to
-# a valley.
+# replaced by a larger vertex; kind 9 is the boundary 0 of a path, which no
+# insertion changes and no count holds.  A loop's successor is raised
+# first, so a loop passes through a double ascent on its way to a valley.
 _SUCC_UP = (2, 1, 2, 1, 6, 5, 6, 5, 6, 9)
 _PRED_UP = (3, 1, 1, 3, 7, 5, 5, 7, None, 9)
 _BOUNDARY = 9
@@ -197,41 +194,38 @@ def _unpacked(key: int, width: int, size: int) -> tuple:
     return tuple([key >> i * width & mask for i in range(size)])
 
 
-def _kind_steps(width: int) -> tuple:
-    """(unit, succ_step, pred_step) for _STATS counts ``width`` bits wide:
-    the ``_units`` of the fields, and the packed step that moves a vertex of
-    each kind to its kind once its successor (predecessor) is raised
-    (``_SUCC_UP``, ``_PRED_UP``; the boundary's step is 0)."""
-    unit = _units(width, len(_STATS))
-    kind_unit = unit[:_BOUNDARY] + [0]
-    succ_step = [kind_unit[u] - kind_unit[i] for i, u in enumerate(_SUCC_UP)]
-    pred_step = [None if u is None else kind_unit[u] - kind_unit[i]
-                 for i, u in enumerate(_PRED_UP)]
-    return unit, succ_step, pred_step
-
-
 @functools.lru_cache(maxsize=None)
-def _stat_table(n: int, k: int) -> tuple:
+def _stat_table(n: int, k: int, loops: bool = True) -> tuple:
     """((stats, count), ...) in sorted order: how many Laguerre digraphs on
-    {1..n} with k paths have each joint statistics tuple.  Callers check
-    the enumeration caps before asking.
+    {1..n} with k paths, and with no cycle unless ``loops``, have each
+    joint statistics tuple.  Callers check the enumeration caps before
+    asking.
 
     Depth-first, inserting the vertices 1..n in turn.  Deleting the largest
     vertex m (and joining pred(m) -> succ(m) when m has both) leaves a
     digraph on {1..m-1}, so each digraph is built once, from that one, by
     placing m on a loop, alone, on an edge a -> b (a loop a -> a included),
-    after the end of a path or before its start.  Off a loop m is a peak,
-    and only a and b change kind, so each placement updates the statistics
-    in O(1): they are one integer (``_units``), each count n.bit_length()
-    bits wide, so no count, at most n, carries into the next, and a
-    placement adds one precomputed step per vertex that changes.  A branch
-    with p paths is cut unless p <= k <= p + (vertices left), so every
-    branch reaches a leaf.  Each distinct integer is unpacked once.
+    after the end of a path or before its start.  Only a loop makes a
+    cycle, so without loops the walk builds the cycle-free digraphs alone:
+    at k = 1 the permutations of {1..n}, each the path of its word.  Off a
+    loop m is a peak, and only a and b change kind, so each placement
+    updates the statistics in O(1): they are one integer (``_units``), each
+    count n.bit_length() bits wide, so no count, at most n, carries into
+    the next, and a placement adds one precomputed step per vertex that
+    changes.  A branch with p paths is cut unless p <= k <= p + (vertices
+    left), so every branch reaches a leaf, but for k = 0 without loops.
+    Each distinct integer is unpacked once.
     """
     if not 0 <= k <= n:
         return ()
     width = n.bit_length() or 1
-    unit, succ_step, pred_step = _kind_steps(width)
+    unit = _units(width, len(_STATS))
+    kind_unit = unit[:_BOUNDARY] + [0]
+    # the packed step that moves a vertex of each kind to its kind once its
+    # successor (predecessor) is raised; the boundary's step is 0
+    succ_step = [kind_unit[u] - kind_unit[i] for i, u in enumerate(_SUCC_UP)]
+    pred_step = [None if u is None else kind_unit[u] - kind_unit[i]
+                 for i, u in enumerate(_PRED_UP)]
     loop = unit[8] + unit[9]   # one more fixed point and cycle
     succ = [0] * (n + 1)   # 0 is no vertex: no successor / predecessor
     pred = [0] * (n + 1)
@@ -246,10 +240,16 @@ def _stat_table(n: int, k: int) -> tuple:
         kind_b = kind[b]                      # after a's update: a loop a -> a has b = a
         st += pred_step[kind_b]               # m -> b descends
         kind[b] = _PRED_UP[kind_b]
-        kind[m] = 4 if 4 <= kind[a or b] < _BOUNDARY else 0   # a peak, on the component of a or b
-        succ[a], pred[b], pred[m], succ[m] = m, m, a, b
-        grow(m + 1, paths, st + unit[kind[m]])
-        succ[a], pred[b], kind[a], kind[b] = b, a, ka, kb
+        kind_m = 4 if 4 <= kind[a or b] < _BOUNDARY else 0   # a peak, on the component of a or b
+        st += unit[kind_m]
+        if m == n:                            # a leaf: counted here, without a call per leaf
+            counts[st] = counts.get(st, 0) + 1
+        else:
+            kind[m] = kind_m
+            succ[a], pred[b], pred[m], succ[m] = m, m, a, b
+            grow(m + 1, paths, st)
+            succ[a], pred[b] = b, a
+        kind[a], kind[b] = ka, kb
 
     def grow(m, paths, st):
         if m > n:
@@ -258,9 +258,10 @@ def _stat_table(n: int, k: int) -> tuple:
         if paths < k:
             place(m, 0, 0, paths + 1, st)     # alone: a new path
         if k <= paths + n - m:
-            pred[m] = succ[m] = m             # on a loop: a new cycle
-            kind[m] = 8
-            grow(m + 1, paths, st + loop)
+            if loops:
+                pred[m] = succ[m] = m         # on a loop: a new cycle
+                kind[m] = 8
+                grow(m + 1, paths, st + loop)
             for v in range(1, m):
                 place(m, v, succ[v], paths, st)   # on the edge v -> succ(v), or after the end v
                 if not pred[v]:
@@ -299,6 +300,10 @@ _ORACLE_MODES = {
                            "z_p", "z_v", "z_da", "z_dd", "lam"),
                           _fields("pcyc", "vcyc", "dacyc", "ddcyc", "fp",
                                   "ppa", "vpa", "dapa", "ddpa", "cyc")),
+    # the word statistics of the linear permutation oracle (permutation_oracles
+    # only), read from the cycle-free one-path table
+    "linear00": (("z_p", "z_v", "z_da", "z_dd", "lam"),
+                 _fields("ppa", "vpa", "dapa", "ddpa", "cyc")),
 }
 
 
@@ -320,16 +325,16 @@ def oracle_entry(n: int, k: int, weights: Mapping[str, Poly], mode: str) -> Poly
     Here lam plays the role of the cycle weight (lam = 1 + alpha).
     ValueError for an unknown mode or n < 0; k outside 0..n gives zero.
     """
-    if mode not in _ORACLE_MODES:
+    if mode not in _ORACLE_MODES or mode == "linear00":
         raise ValueError(f"unknown oracle mode {mode!r}")
     return _digraph_sum(n, k, mode, weights)
 
 
 def _digraph_sum(n: int, k: int, mode: str, weights: Mapping[str, Poly]) -> Poly:
     """Project the (n, k) statistics table onto the exponents of `mode` and
-    weight it.  The cyclic permutation oracle calls this rather than
-    oracle_entry, so a wrapper around oracle_entry (a tracer, say) sees
-    each public call once."""
+    weight it.  The permutation oracles call this rather than oracle_entry,
+    so a wrapper around oracle_entry (a tracer, say) sees each public call
+    once."""
     values = [weights[key] for key in _ORACLE_MODES[mode][0]]
     _check_oracle_limit(n, values)
     return _power_sum(_projected(n, k, mode), values)
@@ -337,17 +342,17 @@ def _digraph_sum(n: int, k: int, mode: str, weights: Mapping[str, Poly]) -> Poly
 
 @functools.lru_cache(maxsize=None)
 def _projected(n: int, k: int, mode: str) -> tuple:
-    """((pairs, count), ...): the (n, k) statistics table projected onto
-    the exponents of `mode`'s weights, once per (n, k, mode), each class as
-    the (index, exponent) pairs of its positive exponents (``_power_sum``'s
-    format).  In every class the exponents other than the cycle count (the
-    last) must sum to n, the vertex kinds, in the vertex modes, and to
-    n - k, the edges, in 'first_mv', whose exponents are sums of vertex
-    kinds (v + dd, fp, v + da): there the check is the identity peaks =
-    valleys + paths.  Else RouteMismatchError with the distinct sums, under
-    any weights."""
+    """((pairs, count), ...): the (n, k) statistics table, cycle-free in
+    'linear00', projected onto the exponents of `mode`'s weights, once per
+    (n, k, mode), each class as the (index, exponent) pairs of its positive
+    exponents (``_power_sum``'s format).  In every class the exponents
+    other than the cycle count (the last) must sum to n, the vertex kinds,
+    in the vertex modes, and to n - k, the edges, in 'first_mv', whose
+    exponents are sums of vertex kinds (v + dd, fp, v + da): there the
+    check is the identity peaks = valleys + paths.  Else RouteMismatchError
+    with the distinct sums, under any weights."""
     counter: Counter = Counter()
-    for stats, count in _stat_table(n, k):
+    for stats, count in _stat_table(n, k, mode != "linear00"):
         counter[tuple(sum(stats[i] for i in f) for f in _ORACLE_MODES[mode][1])] += count
     want = n - k if mode == "first_mv" else n
     sums = {sum(exps) - exps[-1] for exps in counter}
@@ -359,72 +364,26 @@ def _projected(n: int, k: int, mode: str) -> tuple:
 
 
 def permutation_oracles(n: int, kind: str, weights: Mapping[str, Poly] | None = None) -> Poly:
-    """Enumerate S_n and weight indices by the cycle or the linear (word,
-    0-0 boundary) classification.
+    """Weight the permutations of {1..n} by the cycle or the linear (word,
+    0-0 boundary) classification of their indices.
 
     kind 'cyclic' uses weights {y_p, y_v, y_da, y_dd, y_fp, lam} where the
     classification of index i compares it against sigma^{-1}(i) and
     sigma(i); a permutation is a Laguerre digraph without paths, so this is
     the 'second_mv' oracle entry at k = 0.  kind 'linear00' uses
-    {z_p, z_v, z_da, z_dd} on the word form with sigma_0 = sigma_{n+1} = 0.
+    {z_p, z_v, z_da, z_dd} on the word form with sigma_0 = sigma_{n+1} = 0;
+    the word sigma_1 ... sigma_n is the path sigma_1 -> ... -> sigma_n of a
+    Laguerre digraph with one path and no cycle, so this weighs the
+    cycle-free one-path table by its path kinds, and 1 at n = 0 (the empty
+    word, which no digraph on no vertices has as a path).
     ValueError for an unknown kind or n < 0.
     """
-    if kind == "cyclic":
-        keys = _ORACLE_MODES["second_mv"][0]
-    elif kind == "linear00":
-        keys = ("z_p", "z_v", "z_da", "z_dd")
-    else:
+    if kind not in ("cyclic", "linear00"):
         raise ValueError(f"unknown permutation oracle kind {kind!r}")
+    mode = "second_mv" if kind == "cyclic" else "linear00"
     if weights is None:
-        weights = {k: Poly.var(DEFAULT_VAR_NAMES[k]) for k in keys}
+        weights = {k: Poly.var(DEFAULT_VAR_NAMES[k]) for k in _ORACLE_MODES[mode][0]}
     if kind == "cyclic":
-        return _digraph_sum(n, 0, "second_mv", weights)
-    values = [weights[k] for k in keys]
-    _check_oracle_limit(n, values)
-    return _power_sum(_linear00_table(n), values)
-
-
-@functools.lru_cache(maxsize=None)
-def _linear00_table(n: int) -> tuple:
-    """((pairs, count), ...): how many permutations of {1..n} have each
-    number of peaks, valleys, double ascents and double descents in the
-    word form with sigma_0 = sigma_{n+1} = 0, each class as the (index,
-    count) pairs of its positive counts (``_power_sum``'s format), in the
-    sorted order of the (p, v, da, dd) tuples.  Callers check the
-    enumeration caps before asking.
-
-    Depth-first, inserting the letters 1..n in turn.  Deleting the largest
-    letter of a word leaves a word of the smaller ones, so each permutation
-    is built once, from that word, by inserting m into one of its m slots
-    between neighbours a and b (either may be the boundary 0).  m is a
-    peak, and only a and b change kind: the word is a path, a's successor
-    and b's predecessor grow, and the counts are the path fields of one
-    ``_kind_steps`` integer, so each insertion updates them in O(1).
-    """
-    width = n.bit_length() or 1
-    unit, after, before = _kind_steps(width)
-    nxt = [0] * (n + 1)    # the letter after each letter (0 after the last); nxt[0] the first
-    kind = [_BOUNDARY] * (n + 1)
-    counts: dict = {}
-
-    def grow(m, st):
-        if m > n:
-            counts[st] = counts.get(st, 0) + 1
-            return
-        st += unit[0]                         # m is a peak
-        kind[m] = 0
-        a = 0
-        while True:                           # the slot after a, before b
-            b = nxt[a]
-            ka, kb = kind[a], kind[b]
-            nxt[a], nxt[m] = m, b
-            kind[a], kind[b] = _SUCC_UP[ka], _PRED_UP[kb]
-            grow(m + 1, st + after[ka] + before[kb])
-            nxt[a], kind[a], kind[b] = b, ka, kb
-            a = b
-            if not a:
-                break
-
-    grow(1, 0)
-    return tuple([(_sparse(stats), count) for stats, count in
-                  sorted([(_unpacked(st, width, 4), count) for st, count in counts.items()])])
+        return _digraph_sum(n, 0, mode, weights)
+    words = _digraph_sum(n, 1, mode, {**weights, "lam": 1})
+    return words if n else Poly.one()

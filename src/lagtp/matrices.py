@@ -945,7 +945,9 @@ class XorShift64:
     from 1 to 2^32 - 1 the first ``next_small()`` is 0 (three shifts of a
     state below 2^32 cannot reach its top two bits), so sample 0 of a
     sampled check with such a seed sets the alphabetically first variable
-    to 0; changing the generator would change every sampled output.
+    to 0 (``checks.tp_negative_control`` draws from such a seed, its
+    ctx.seed mod 2^32 or 1); changing the generator would change every
+    sampled output.
     """
 
     MASK = (1 << 64) - 1

@@ -31,19 +31,20 @@ def fresh_count_tables():
 
 @pytest.fixture
 def plant_count(monkeypatch, fresh_count_tables):
-    """plant_count(n, k, stat, less=None): the first tuple of the (n, k)
-    statistics table counts one more ``stat`` and, given ``less``, one
-    fewer ``less`` (names in ``digraphs._STATS``)."""
-    def plant(n, k, stat, less=None):
+    """plant_count(n, k, stat, less=None, loops=True): the first tuple of
+    the (n, k) statistics table, cycle-free unless ``loops``, counts one
+    more ``stat`` and, given ``less``, one fewer ``less`` (names in
+    ``digraphs._STATS``)."""
+    def plant(n, k, stat, less=None, loops=True):
         real = digraphs._stat_table
         delta = [0] * len(digraphs._STATS)
         delta[digraphs._STATS.index(stat)] += 1
         if less is not None:
             delta[digraphs._STATS.index(less)] -= 1
 
-        def planted(m, j):
-            table = real(m, j)
-            if (m, j) != (n, k):
+        def planted(m, j, cycles=True):
+            table = real(m, j, cycles)
+            if (m, j, cycles) != (n, k, loops):
                 return table
             (stats, count), *rest = table
             return (tuple(map(sum, zip(stats, delta))), count), *rest

@@ -112,6 +112,14 @@ def test_no_claim_check_draws_samples(monkeypatch):
     assert callers and set(callers) == {"tp_negative_control"}
 
 
+@pytest.mark.parametrize("seed", [0, 2**32, 12345678901, 2**64])
+def test_riordan_suite_passes_at_seeds_outside_1_to_2_32(seed):
+    # the sampled negative controls' witnesses hold for seeds 1..2^32 - 1,
+    # which these seeds map to before they draw
+    results = checks.run_suite("riordan", Ctx(seed=seed))
+    assert [(name, ok, error) for _, name, ok, _, error, _ in results if not ok] == []
+
+
 @pytest.mark.parametrize("name", sorted(CLAIM_SCANS))
 def test_claim_check_makes_one_scan_of_its_block(monkeypatch, name):
     scans, real = [], checks.tp_check_symbolic

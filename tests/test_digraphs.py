@@ -8,11 +8,11 @@ import pytest
 
 from lagtp import polyring
 from lagtp.digraphs import (DEFAULT_VAR_NAMES, BadLimitSetting, LaguerreDigraph,
-                            LimitExceeded, _STATS, _injections, _linear00_table, _projected,
+                            LimitExceeded, _STATS, _injections, _projected,
                             _stat_table, _unpacked, _units, _walk, classify,
                             enumerate_digraphs, oracle_entry, permutation_oracles)
 from lagtp.matrices import Mismatch, RouteMismatchError
-from lagtp.polyring import Poly, _sparse
+from lagtp.polyring import Poly
 from lagtp.srpaths import SRCoeffs, sr_path_oracle
 
 lam = Poly.var("lam")
@@ -221,11 +221,13 @@ def test_linear_permutation_oracle_matches_reference_walk(n):
 
 def test_linear_permutation_oracle_walks_s_n_once(monkeypatch):
     first = permutation_oracles(6, "linear00")
-    misses = _linear00_table.cache_info().misses
+    misses = _stat_table.cache_info().misses
+    projections = _projected.cache_info().misses
     for weights in LINEAR00_WEIGHTS:
         permutation_oracles(6, "linear00", weights)
     assert permutation_oracles(6, "linear00") == first
-    assert _linear00_table.cache_info().misses == misses
+    assert _stat_table.cache_info().misses == misses
+    assert _projected.cache_info().misses == projections
     # a memoised n is still refused once the cap drops below it
     monkeypatch.setenv("LAGTP_LIMIT", "5")
     with pytest.raises(LimitExceeded):
@@ -233,20 +235,6 @@ def test_linear_permutation_oracle_walks_s_n_once(monkeypatch):
     monkeypatch.setenv("LAGTP_LIMIT", "abc")
     with pytest.raises(BadLimitSetting):
         permutation_oracles(6, "linear00")
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_linear00_table_is_the_cycle_free_part_of_the_one_path_table(n):
-    # a word with the 0-0 boundary is the one path of a cycle-free Laguerre
-    # digraph, its peaks, valleys, double ascents and double descents those
-    # of the path (n = 0 is left out: the empty word is a permutation, but
-    # no digraph on no vertices has a path)
-    cyc, path = _STATS.index("cyc"), [_STATS.index(s) for s in ("ppa", "vpa", "dapa", "ddpa")]
-    want = Counter()
-    for stats, count in _stat_table(n, 1):
-        if not stats[cyc]:
-            want[tuple([stats[i] for i in path])] += count
-    assert _linear00_table(n) == tuple((_sparse(stats), c) for stats, c in sorted(want.items()))
 
 
 def test_oracle_matches_matrix_definition():
@@ -412,6 +400,18 @@ def test_stat_table_matches_the_walk_of_every_digraph(n):
     assert _stat_table(n, -1) == _stat_table(n, n + 1) == ()
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_cycle_free_stat_table_matches_the_walk_of_every_cycle_free_digraph(n):
+    # without loops the insertion builds the digraphs with no cycle, and at
+    # k = 1 the words of S_n, each the one path sigma_1 -> ... -> sigma_n
+    cyc = _STATS.index("cyc")
+    injections = (dict(zip(d, p)) for e in range(n + 1) for d, p in _injections(n, e))
+    want = _walked(n, (succ for succ in injections if not _walk(n, succ.items())[cyc]))
+    assert {k: _stat_table(n, k, False) for k in range(n + 1)} == want
+    assert sum(c for _, c in _stat_table(n, 1, False)) == (math.factorial(n) if n else 0)
+    assert _stat_table(n, -1, False) == _stat_table(n, n + 1, False) == ()
+
+
 @pytest.mark.parametrize("n, k", [(7, 0), (7, 5), (7, 6), (8, 6), (8, 7)])
 def test_stat_table_matches_the_walk_of_each_injection(n, k):
     want = _walked(n, (dict(zip(d, p)) for d, p in _injections(n, n - k)))
@@ -512,6 +512,25 @@ def test_cyclic_permutation_oracle_refuses_a_table_with_an_extra_vertex_kind(pla
     with pytest.raises(RouteMismatchError) as info:
         permutation_oracles(3, "cyclic")
     assert info.value.args[0].where == (3, 0)
+
+
+def test_linear_permutation_oracle_refuses_a_table_with_an_extra_path_kind(plant_count):
+    plant_count(3, 1, "vpa", loops=False)
+    with pytest.raises(RouteMismatchError) as info:
+        permutation_oracles(3, "linear00")
+    assert info.value.args[0] == Mismatch(
+        "vertex kinds per digraph in the linear00 count table", (3, 1), [3, 4], [3])
+    # the table with cycles is untouched
+    _projected(3, 1, "second_mv")
+
+
+def test_unknown_modes_and_kinds_are_refused():
+    # the linear00 projection serves the permutation oracle alone
+    for mode in ("linear00", "bogus"):
+        with pytest.raises(ValueError, match=f"unknown oracle mode '{mode}'"):
+            oracle_entry(3, 1, SYMBOLIC, mode)
+    with pytest.raises(ValueError, match="unknown permutation oracle kind 'second_mv'"):
+        permutation_oracles(3, "second_mv")
 
 
 def test_monomial_weights_are_weighed_without_products(monkeypatch):

@@ -10,8 +10,8 @@ therefore opt-in (--timings).
 
 Polynomials print with variables in the global (alphabetical) order and
 terms in graded lex order, with explicit '*' and '^'.  The LAGTP_LIMIT
-environment variable overrides the digraph oracles' vertex caps (9, and 7
-for symbolic weights: the rows gen checks), not the path oracle's 24 steps.
+environment variable overrides the digraph oracles' vertex cap (8, under any
+weights: gen cross-checks rows 0..cap), not the path oracle's 24 steps.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def cmd_tp_check(args) -> int:
 def cmd_verify(args) -> int:
     # a malformed LAGTP_LIMIT is a usage error (exit 2), not an error in
     # every check that reads it
-    digraphs._vertex_cap(symbolic=False)
+    digraphs._vertex_cap()
     if args.max_n is not None and args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
     ctx = checks.Ctx(seed=args.seed, max_n=args.max_n)

@@ -57,12 +57,12 @@ class BadLimitSetting(ValueError):
     """Raised when LAGTP_LIMIT is set to something other than an integer >= 0."""
 
 
-def _vertex_cap(symbolic: bool) -> int:
-    """The largest n a digraph enumeration may reach: LAGTP_LIMIT when set,
-    else 7 for symbolic weights and 9 for numeric ones."""
+def _vertex_cap() -> int:
+    """The largest n any digraph enumeration may reach, under any weights:
+    LAGTP_LIMIT when set, else 8; the builders cross-check rows 0..cap."""
     env = os.environ.get("LAGTP_LIMIT")
     if not env:
-        return 7 if symbolic else 9
+        return 8
     if not env.strip().isdecimal():
         raise BadLimitSetting(f"LAGTP_LIMIT must be an integer >= 0 (got {env!r})")
     return int(env)
@@ -127,9 +127,9 @@ def enumerate_digraphs(n: int) -> Iterator[LaguerreDigraph]:
     """All Laguerre digraphs on {1..n}, by edge count.
 
     Every partial injection is a valid Laguerre digraph; a digraph with e
-    edges has n - e paths.  Refused like the numeric oracles.
+    edges has n - e paths.  Refused beyond the oracles' cap.
     """
-    _check_oracle_limit(n, ())
+    _check_oracle_limit(n)
     for e in range(n + 1):
         for domain, perm in _injections(n, e):
             yield LaguerreDigraph(n, dict(zip(domain, perm)))
@@ -198,8 +198,7 @@ def _unpacked(key: int, width: int, size: int) -> tuple:
 def _stat_table(n: int, k: int, loops: bool = True) -> tuple:
     """((stats, count), ...) in sorted order: how many Laguerre digraphs on
     {1..n} with k paths, and with no cycle unless ``loops``, have each
-    joint statistics tuple.  Callers check the enumeration caps before
-    asking.
+    joint statistics tuple.  Callers check the cap before asking.
 
     Depth-first, inserting the vertices 1..n in turn.  Deleting the largest
     vertex m (and joining pred(m) -> succ(m) when m has both) leaves a
@@ -307,11 +306,11 @@ _ORACLE_MODES = {
 }
 
 
-def _check_oracle_limit(n: int, weights) -> None:
-    """Refuse n < 0 and n beyond the cap for these weights."""
+def _check_oracle_limit(n: int) -> None:
+    """Refuse n < 0 and n beyond the cap."""
     if n < 0:
         raise ValueError(f"oracles need n >= 0 (got {n})")
-    cap = _vertex_cap(any(isinstance(w, Poly) and w.vars for w in weights))
+    cap = _vertex_cap()
     if n > cap:
         raise LimitExceeded(f"digraph oracle capped at n <= {cap} (got {n})")
 
@@ -335,9 +334,8 @@ def _digraph_sum(n: int, k: int, mode: str, weights: Mapping[str, Poly]) -> Poly
     weight it.  The permutation oracles call this rather than oracle_entry,
     so a wrapper around oracle_entry (a tracer, say) sees each public call
     once."""
-    values = [weights[key] for key in _ORACLE_MODES[mode][0]]
-    _check_oracle_limit(n, values)
-    return _power_sum(_projected(n, k, mode), values)
+    _check_oracle_limit(n)
+    return _power_sum(_projected(n, k, mode), [weights[key] for key in _ORACLE_MODES[mode][0]])
 
 
 @functools.lru_cache(maxsize=None)

@@ -194,12 +194,13 @@ def laguerre_rowgen_egf(params: LaguerreParams, x: PolyLike, order: int) -> Seri
 
 
 def _riordan_route(params: LaguerreParams, w: VertexWeights, n: int, flat: bool,
-                   rows: int | None, oracle) -> Truncation:
-    """R[F, G] of ``riordan_pair``, its first ``rows`` rows (by default its first
-    ``digraphs._vertex_cap(symbolic=True)``) checked against ``oracle(i, k)``, k <= i, by
-    RouteMismatchError; a negative size raises ValueError.  A non-integral alpha is built at
-    a symbolic alpha no weight names, then substituted into each entry, since
-    ``riordan_matrix``'s integrality guard against a wrong F or G needs alpha symbolic."""
+                   rows: int | None, oracle, peak: Poly | None = None) -> Truncation:
+    """R[F, G] of ``riordan_pair``, its first ``rows`` rows (by default every row the oracle
+    reaches, 0..``digraphs._vertex_cap()``) checked against ``oracle(i, k)``, k <= i, entry
+    (i, k) times ``peak``^k if given, by RouteMismatchError; a negative size raises ValueError.
+    A non-integral alpha is built at a symbolic alpha no weight names, then substituted into
+    each entry, since ``riordan_matrix``'s integrality guard against a wrong F or G needs
+    alpha symbolic."""
     _check_size(n, n)
     alpha, env = params.alpha, None
     if not alpha.is_integral():
@@ -211,9 +212,11 @@ def _riordan_route(params: LaguerreParams, w: VertexWeights, n: int, flat: bool,
     t = riordan_matrix(*riordan_pair(LaguerreParams(alpha), w, max(n - 1, 0), flat), n)
     if env:
         t = Truncation([[e.substitute(env) for e in row] for row in t.data], n)
-    rows = min(digraphs._vertex_cap(symbolic=True) if rows is None else rows, n)
+    rows = min(digraphs._vertex_cap() + 1 if rows is None else rows, n)
+    got = t.truncate(rows, n) if peak is None else Truncation.from_fn(
+        rows, n, lambda i, k: t[i, k] * peak ** k)
     want = Truncation.from_fn(rows, n, lambda i, k: oracle(i, k) if k <= i else Poly.zero())
-    mismatch = first_difference(t.truncate(rows, n), want, "Riordan route and digraph oracle")
+    mismatch = first_difference(got, want, "Riordan route and digraph oracle")
     if not mismatch:
         raise RouteMismatchError(mismatch)
     return t
@@ -231,15 +234,13 @@ def coeff_matrix_first_mv(params: LaguerreParams, w: EdgeWeights, n: int) -> Tru
 def coeff_matrix_second_mv(params: LaguerreParams, w: VertexWeights, n: int,
                            flat: bool = False, oracle_rows: int | None = None) -> Truncation:
     """Second multivariate coefficient matrix (z block supported): R[F, G], G-flat when
-    ``flat``, whose first ``oracle_rows`` rows (by default its first ``_vertex_cap(symbolic=True)``)
-    the oracle's 'second_mv_general' mode recomputes; see ``_riordan_route``."""
+    ``flat``, whose first ``oracle_rows`` rows (by default every row the oracle reaches) the
+    oracle's 'second_mv_general' mode recomputes, a flat entry (i, k) times z_p^k, one peak a
+    path; see ``_riordan_route``."""
     weights = w.oracle_weights(params.lam)
-
-    def oracle(i, k):
-        entry = digraphs.oracle_entry(i, k, weights, "second_mv_general")
-        return entry.exact_div(w.zp ** k) if flat and k else entry
-
-    return _riordan_route(params, w, n, flat, oracle_rows, oracle)
+    return _riordan_route(params, w, n, flat, oracle_rows,
+                          lambda i, k: digraphs.oracle_entry(i, k, weights, "second_mv_general"),
+                          w.zp if flat else None)
 
 
 # -- closed-form production matrices ------------------------------------------

@@ -186,9 +186,10 @@ def sr_poly(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
 
 def sr_path_oracle(coeffs: SRCoeffs, j: int, n: int, k: int) -> Poly:
     """Direct enumeration of partial m-Dyck paths from (0,0) to
-    ((m+1)n+j, (m+1)k+j); must equal sr_poly.  ValueError for j < 0."""
+    ((m+1)n+j, (m+1)k+j); must equal sr_poly.  ValueError for j < 0; past
+    the type and step checks, k outside 0..n gives zero, as in sr_poly."""
     [v] = _weighted_paths(coeffs, j, n, k, k)
-    return v
+    return v if 0 <= k <= n else Poly.zero()
 
 
 def sr_path_oracle_row(coeffs: SRCoeffs, j: int, n: int) -> list:

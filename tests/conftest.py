@@ -9,7 +9,7 @@ _COUNT_CACHES = (digraphs._stat_table, digraphs._projected)
 
 @pytest.fixture(autouse=True)
 def _no_limit_from_the_shell(monkeypatch):
-    """Every test starts at the default oracle caps, whatever LAGTP_LIMIT
+    """Every test starts at the default digraph cap, whatever LAGTP_LIMIT
     the shell exports; a test that needs a value sets it itself."""
     monkeypatch.delenv("LAGTP_LIMIT", raising=False)
 

@@ -171,7 +171,12 @@ def test_gen_first_mv_is_not_capped_by_the_oracle(capsys):
 
 
 def test_oracle_cap_exits_2(capsys):
-    assert run(capsys, ["oracle", "first-mv", "--n", "11"])[0] == 2
+    # one cap at the boundary, under symbolic weights too: n = 8 is answered
+    # and n = 9 refused
+    assert run(capsys, ["oracle", "cyclic", "--n", "8"])[0] == 0
+    code, out, err = run(capsys, ["oracle", "first-mv", "--n", "9"])
+    assert (code, out) == (2, "")
+    assert "capped at n <= 8" in err
 
 
 def test_gen_out_file(tmp_path, capsys):
@@ -530,6 +535,36 @@ def test_verify_reports_a_second_mv_count_table_with_an_extra_vertex_kind(capsys
         "where": [2, 1], "got": [2, 3], "want": [2]}
 
 
+def test_verify_compares_row_7_of_the_oracle(capsys, plant_count):
+    # one digraph of the (7, 3) table counted with a path valley for a path
+    # peak: its kinds still sum to 7, but its first_mv edges do not, and the
+    # flat second_mv cross-check, which reaches row 7, cannot divide its entry
+    plant_count(7, 3, "vpa", less="ppa")
+    code, out, _ = run(capsys, ["verify", "multivariate"])
+    entries = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert [name for name, c in entries.items() if not c["ok"]] == [
+        "first_mv_stirling_identities", "first_mv_rooks_decreasing", "second_mv_riordan_vs_oracle"]
+    for name in ("first_mv_stirling_identities", "first_mv_rooks_decreasing"):
+        assert entries[name]["witness"] == {"what": "edges per digraph in the first_mv count table",
+                                            "where": [7, 3], "got": [4, 6], "want": [4]}
+    entry = entries["second_mv_riordan_vs_oracle"]
+    assert "error" not in entry and entry["witness"]["where"] == [7, 3]
+
+
+def test_the_checks_ask_the_oracle_every_row_they_cross_check(monkeypatch):
+    reached = {}
+    real = digraphs.oracle_entry
+
+    def spy(n, k, weights, mode):
+        reached[mode] = max(reached.get(mode, n), n)
+        return real(n, k, weights, mode)
+
+    monkeypatch.setattr(digraphs, "oracle_entry", spy)
+    assert all(r[2] for r in checks.run_suite("all"))
+    assert reached == {"first_mv": 7, "second_mv_general": 7, "second_mv": 5}
+
+
 def test_verify_witness_names_an_oracle_entry_that_y_p_k_does_not_divide(capsys, monkeypatch):
     # the second_mv oracle entry (2, 1) plus 1, which y_p does not divide
     real = digraphs.oracle_entry
@@ -840,6 +875,13 @@ def test_oracle_sr_path_bad_order_or_type_exits_2(capsys, argv):
     code, out, err = run(capsys, ["oracle", "sr-path", "--n", "2"] + argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def test_oracle_sr_path_k_below_zero_is_zero(capsys):
+    # type 3 > m = 2 has paths to height (m+1)k + j = 0 at k = -1: no entry
+    code, out, _ = run(capsys, ["oracle", "sr-path", "--m", "2", "--j", "3", "--n", "0",
+                                "--k", "-1", "--format", "str"])
+    assert (code, out) == (0, "0\n")
 
 
 def test_oracle_sr_path_type_beyond_m_runs(capsys):

@@ -240,7 +240,7 @@ def test_linear_permutation_oracle_walks_s_n_once(monkeypatch):
 def test_oracle_matches_matrix_definition():
     # definitional round trip between the per-entry oracle and the
     # oracle-built first multivariate matrix, plus a spot check on the
-    # n = 8 row (cheap values of k only; the full row is in the slow cap)
+    # n = 8 row (cheap values of k only)
     from lagtp.laguerre import EdgeWeights, LaguerreParams, coeff_matrix_first_mv
     params = LaguerreParams.symbolic()
     w = EdgeWeights.symbolic()
@@ -250,7 +250,7 @@ def test_oracle_matches_matrix_definition():
     for n in range(6):
         for k in range(n + 1):
             assert oracle_entry(n, k, weights, "first_mv") == m[n, k]
-    # n = 8 exceeds the symbolic cap but not the integer-specialized one
+    # n = 8 is the oracle's one cap, under numeric weights as under symbolic ones
     ints = {"v_minus": 2, "v_zero": 3, "v_plus": 1, "lam": 5}
     assert oracle_entry(8, 8, ints, "first_mv") == Poly.one()
     # 8 vertices, one edge: 28 decreasing, 28 increasing, 8 weighted loops
@@ -260,10 +260,15 @@ def test_oracle_matches_matrix_definition():
 def test_limit_exceeded():
     with pytest.raises(LimitExceeded):
         list(enumerate_digraphs(10))
-    # symbolic oracles cap earlier than integer-specialized ones
+    # one cap, whatever the weights: symbolic and numeric oracles both answer
+    # at n = 8 and both refuse n = 9
     sym = {"v_minus": Poly.var("vm"), "v_zero": 1, "v_plus": 1, "lam": 1}
-    with pytest.raises(LimitExceeded):
-        oracle_entry(8, 7, sym, "first_mv")
+    ints = {"v_minus": 2, "v_zero": 1, "v_plus": 1, "lam": 1}
+    assert oracle_entry(8, 7, sym, "first_mv") == Poly.var("vm") * 28 + 28 + 8
+    assert oracle_entry(8, 7, ints, "first_mv") == Poly.const(28 * 2 + 28 + 8)
+    for weights in (sym, ints):
+        with pytest.raises(LimitExceeded):
+            oracle_entry(9, 8, weights, "first_mv")
 
 
 def test_limit_override(monkeypatch):

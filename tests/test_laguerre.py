@@ -14,7 +14,7 @@ from lagtp.laguerre import (EdgeWeights, LaguerreParams, RouteMismatchError,
                             rowgen_shifted_family_check, rowgen_polys)
 from lagtp.matrices import (TPWitness, Truncation, conjugate_by_binomial, hankel_truncation,
                             output_matrix, production_of, tp_check_symbolic)
-from lagtp.polyring import Poly, rising
+from lagtp.polyring import ExactDivisionError, Poly, rising
 from lagtp.series import solve_logderiv, solve_riccati
 
 x = Poly.var("x")
@@ -189,14 +189,18 @@ def test_second_mv_small_entries():
 
 def test_second_mv_matrix_kernel_call_count(monkeypatch):
     # a guard against per-operation overhead creeping back: the 9 x 9 matrix
-    # takes 400 kernel calls, 381 products (416 while the zero entries above
-    # the diagonal of the Riordan array were scaled by n!/k! too) plus the 19
-    # sums of two nonzero Polys, which go through the kernel as well
+    # cross-checked on rows 0..6 takes 400 kernel calls, 381 products (416
+    # while the zero entries above the diagonal of the Riordan array were
+    # scaled by n!/k! too) plus the 19 sums of two nonzero Polys, which go
+    # through the kernel as well; 273 of them build the Riordan route, and
+    # the oracle's rows 7 and 8, which the default cross-check adds, take 141
     calls = []
     mul_into = polyring._mul_into
     monkeypatch.setattr(polyring, "_mul_into", lambda *args: calls.append(1) or mul_into(*args))
-    coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), 9)
-    assert len(calls) == 400
+    for rows, count in ((0, 273), (7, 400), (None, 541)):
+        calls.clear()
+        coeff_matrix_second_mv(SYM, VertexWeights.symbolic(), 9, oracle_rows=rows)
+        assert (rows, len(calls)) == (rows, count)
 
 
 @pytest.mark.parametrize("flat", [False, True])
@@ -245,7 +249,7 @@ def test_route_mismatch_raises(monkeypatch):
     _, _, ok, _, error, witness = results["second_mv_riordan_vs_oracle"]
     assert not ok and error is None and witness["where"] == (2, 1)
     got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
-    assert want - got == Poly.one()  # the planted z_p, over z_p^k
+    assert want - got == Poly.var("yp")  # the planted z_p, which is y_p here
 
 
 def test_verify_reports_a_sabotaged_oracle_in_a_check_that_builds_through_it(capsys,
@@ -261,6 +265,27 @@ def test_verify_reports_a_sabotaged_oracle_in_a_check_that_builds_through_it(cap
     assert witness["what"] == "Riordan route and digraph oracle" and witness["where"] == [2, 1]
     got, want = (Poly.from_json_obj(witness[key]) for key in ("got", "want"))
     assert want - got == Poly.var("vm")  # the planted z_p, which is y_p = v_- there
+
+
+def test_flat_cross_check_reports_an_oracle_entry_z_p_k_does_not_divide(capsys, plant_count):
+    # one digraph of the (6, 3) table counted with a path valley for a path
+    # peak: the entry has a term of y_p degree 2 < k, which no flat entry
+    # times y_p^3 has, and the cross-check reports it at (6, 3)
+    plant_count(6, 3, "vpa", less="ppa")
+    w = VertexWeights.symbolic()
+    with pytest.raises(RouteMismatchError) as raised:
+        coeff_matrix_second_mv(SYM, w, 7, flat=True)
+    mismatch = raised.value.args[0]
+    assert (mismatch.what, mismatch.where) == ("Riordan route and digraph oracle", (6, 3))
+    mismatch.got.exact_div(w.y_p ** 3)
+    with pytest.raises(ExactDivisionError):
+        mismatch.want.exact_div(w.y_p ** 3)
+    results = {r[1]: r for r in checks.run_suite("multivariate", Ctx(max_n=7))}
+    _, _, ok, _, error, witness = results["second_mv_riordan_vs_oracle"]
+    assert not ok and error is None and witness["where"] == (6, 3)
+    assert cli.main(["gen", "second-mv", "--flat", "--n", "8"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: Riordan route and digraph oracle disagree at (6,3): ")
 
 
 def test_route_mismatch_raises_under_a_lowered_oracle_cap(monkeypatch):

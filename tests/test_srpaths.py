@@ -63,6 +63,13 @@ def test_oracle_empty_path():
     assert sr_path_oracle(CO2, 0, 0, 0) == Poly.one()
 
 
+@pytest.mark.parametrize("j, n, k", [(4, 1, -1), (4, -1, -1), (3, 0, -1)])
+def test_oracle_is_zero_for_k_outside_0_to_n(j, n, k):
+    # a type j > m has paths to the height (m+1)k + j >= 0 of some k < 0,
+    # but no entry there: zero, as sr_poly says
+    assert sr_path_oracle(CO2, j, n, k) == sr_poly(CO2, j, n, k) == Poly.zero()
+
+
 def test_oracle_row_consistent_with_single_entries():
     row = sr_path_oracle_row(CO2, 1, 3)
     for k in range(4):
